@@ -1,6 +1,8 @@
 """Command-line surface: train / eval / tag / synth / stats.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+A training option of the wrong type or out of range, from a flag or from
+the config file, is a usage error.
 Flag values override config-file values; every command logs its fully
 resolved configuration and the root seed at startup. Set RELGRID_LOG_LEVEL
 (DEBUG/INFO/WARNING/...) to control verbosity.
@@ -33,6 +35,7 @@ from .evaluation import MATCH_MODES, breakdown, export_relation_embeddings
 from .synthetic import GenerationError, SynthConfig, default_mix, generate_corpus
 from .tagging import encode, render_relation_grid, roundtrip_check
 from .trainer import (
+    ConfigError,
     NumericError,
     TrainConfig,
     load_checkpoint,
@@ -422,6 +425,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
+    except ConfigError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
     except NumericError as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return EXIT_NUMERIC

@@ -10,6 +10,13 @@ Concatenation order is (e_i, e_j), so scores are not symmetric in (i, j);
 asymmetric relations need that. Dropout is applied before the rectifier,
 inverted-scaled, and only when training is requested, so inference is a
 plain forward pass. Everything is float64 and seeded for reproducibility.
+
+The [e_i; e_j] pairs are never built. With pair_proj = [W_h | W_t] split
+by columns, pair_proj @ [e_i; e_j] = W_h e_i + W_t e_j, so the
+pre-activation is the broadcast sum of two L x hidden_dim matrices. That is
+the same linear map; only the float summation order differs. In backward,
+the pair gradient reaches e_i only through W_h and e_j only through W_t, so
+it is summed over j (resp. i) before it meets the weights.
 """
 
 from __future__ import annotations
@@ -114,14 +121,6 @@ class ScoreGrid:
         return self.scores.shape[1]
 
 
-def _pair_concat(emb: np.ndarray) -> np.ndarray:
-    """L x L x 2d array with [e_i; e_j] at (i, j)."""
-    length = emb.shape[0]
-    heads = np.broadcast_to(emb[:, None, :], (length, length, emb.shape[1]))
-    tails = np.broadcast_to(emb[None, :, :], (length, length, emb.shape[1]))
-    return np.concatenate([heads, tails], axis=2)
-
-
 def score_all(
     emb: np.ndarray,
     params: ScorerParams,
@@ -135,19 +134,21 @@ def score_all(
         )
     length = emb.shape[0]
     num_rel = params.num_relations
+    d = params.emb_dim
 
-    pairs = _pair_concat(emb)
-    pre = pairs.reshape(length * length, -1) @ params.pair_proj.T + params.pair_bias
+    heads = emb @ params.pair_proj[:, :d].T
+    tails = emb @ params.pair_proj[:, d:].T + params.pair_bias
+    pre = (heads[:, None, :] + tails[None, :, :]).reshape(length * length, -1)
 
     drop_mask = None
     if training and params.dropout_rate > 0.0:
         rng = np.random.default_rng(rng_seed)
         keep = rng.random(pre.shape) >= params.dropout_rate
         drop_mask = keep / (1.0 - params.dropout_rate)
-        pre = pre * drop_mask
+        pre *= drop_mask
         drop_mask = drop_mask.reshape(length, length, -1)
 
-    hidden = np.maximum(pre, 0.0)
+    hidden = np.maximum(pre, 0.0, out=pre)
     flat_scores = hidden @ params.rel_tag_emb  # (L*L, 4K)
     scores = (
         flat_scores.reshape(length, length, num_rel, NUM_TAGS)
@@ -161,67 +162,75 @@ def score_all(
     )
 
 
-def _scores_cell_major(grid: ScoreGrid) -> np.ndarray:
-    """Scores rearranged to L x K x L x 4 (tag axis last)."""
-    return np.moveaxis(grid.scores, 2, 3)
+def _softmax(grid: ScoreGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Max-subtracted tag-axis softmax in L x K x L x 4 order: the scores
+    minus each cell's max, the probabilities, and the log normalizers."""
+    s = np.moveaxis(grid.scores, 2, 3)
+    shifted = s - s.max(axis=3, keepdims=True)
+    probs = np.exp(shifted)
+    norm = probs.sum(axis=3)
+    probs /= norm[..., None]
+    return shifted, probs, np.log(norm)
 
 
 def tag_distribution(grid: ScoreGrid) -> np.ndarray:
     """L x K x L x 4 softmax over the tag axis, max-subtracted for stability."""
-    s = _scores_cell_major(grid)
-    shifted = s - s.max(axis=3, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=3, keepdims=True)
+    return _softmax(grid)[1]
 
 
-def dense_gold(gold: TagMatrix) -> np.ndarray:
-    """L x K x L integer tag array from a sparse matrix; absent cells are NONE."""
-    arr = np.zeros((gold.length, gold.num_relations, gold.length), dtype=np.int64)
-    for (i, k, j), tag in gold.cells.items():
-        arr[i, k, j] = int(tag)
+def dense_gold(gold: TagMatrix, padded: int | None = None) -> np.ndarray:
+    """Dense (n, K, n) int tags, n = padded or the true length; others NONE."""
+    size = gold.length if padded is None else padded
+    arr = np.zeros((size, gold.num_relations, size), dtype=np.int64)
+    if gold.cells:
+        i, k, j = np.array(list(gold.cells), dtype=np.intp).T
+        arr[i, k, j] = np.fromiter(gold.cells.values(), dtype=np.int64, count=len(gold.cells))
     return arr
 
 
-def _check_gold_mask(grid: ScoreGrid, gold_arr: np.ndarray, mask: np.ndarray | None):
+def _gold_array(
+    grid: ScoreGrid, gold: TagMatrix | np.ndarray, mask: np.ndarray | None
+) -> np.ndarray:
+    gold_arr = gold if isinstance(gold, np.ndarray) else dense_gold(gold)
     cell_shape = (grid.length, grid.num_relations, grid.length)
     if gold_arr.shape != cell_shape:
         raise ValueError(f"gold shape {gold_arr.shape} != grid cells {cell_shape}")
     if mask is not None and mask.shape != cell_shape:
         raise ValueError(f"mask shape {mask.shape} != grid cells {cell_shape}")
+    return gold_arr
+
+
+def _mean_nll(
+    shifted: np.ndarray, log_norm: np.ndarray, gold_arr: np.ndarray, mask: np.ndarray | None
+) -> tuple[float, int]:
+    """Mean negative log-probability of the gold tag and the cell count."""
+    nll = log_norm - np.take_along_axis(shifted, gold_arr[..., None], axis=3).squeeze(3)
+    if mask is None:
+        return float(nll.sum() / nll.size), nll.size
+    count = int(mask.sum())
+    if count == 0:
+        raise ValueError("no masked-in cells")
+    return float(nll[mask].sum() / count), count
 
 
 def loss(
     grid: ScoreGrid, gold: TagMatrix | np.ndarray, mask: np.ndarray | None = None
 ) -> float:
     """Mean negative log-probability of the gold tag over masked-in cells."""
-    gold_arr = gold if isinstance(gold, np.ndarray) else dense_gold(gold)
-    _check_gold_mask(grid, gold_arr, mask)
-
-    s = _scores_cell_major(grid)
-    m = s.max(axis=3, keepdims=True)
-    log_norm = m.squeeze(3) + np.log(np.exp(s - m).sum(axis=3))
-    gold_score = np.take_along_axis(s, gold_arr[..., None], axis=3).squeeze(3)
-    nll = log_norm - gold_score
-
-    if mask is None:
-        count = nll.size
-        total = nll.sum()
-    else:
-        count = int(mask.sum())
-        if count == 0:
-            raise ValueError("no masked-in cells")
-        total = nll[mask].sum()
-    return float(total / count)
+    gold_arr = _gold_array(grid, gold, mask)
+    shifted, _, log_norm = _softmax(grid)
+    return _mean_nll(shifted, log_norm, gold_arr, mask)[0]
 
 
 @dataclass
 class ScorerGrads:
-    """Gradients of the mean loss for every trainable array."""
+    """Gradients of the mean loss for every trainable array, plus that loss."""
 
     pair_proj: np.ndarray
     pair_bias: np.ndarray
     rel_tag_emb: np.ndarray
     emb: np.ndarray
+    loss: float
 
 
 def backward(
@@ -234,33 +243,30 @@ def backward(
     """Exact gradients of loss() with respect to parameters and embeddings.
 
     Requires the grid produced by score_all on the same emb/params (the
-    cached hidden activations and dropout realization are reused).
+    cached hidden activations and dropout realization are reused). The
+    returned loss is loss(grid, gold, mask), from the same softmax.
     """
     length = grid.length
     num_rel = grid.num_relations
+    d = params.emb_dim
     if grid.hidden.shape != (length, length, params.hidden_dim):
         raise ValueError("stale cache: hidden shape mismatch")
-    if emb.shape != (length, params.emb_dim):
+    if emb.shape != (length, d):
         raise ValueError("stale cache: embedding shape mismatch")
     if num_rel != params.num_relations:
         raise ValueError("stale cache: relation count mismatch")
-    gold_arr = gold if isinstance(gold, np.ndarray) else dense_gold(gold)
-    _check_gold_mask(grid, gold_arr, mask)
+    gold_arr = _gold_array(grid, gold, mask)
 
-    probs = tag_distribution(grid)  # (L, K, L, 4)
-    d_logits = probs.copy()
+    shifted, d_logits, log_norm = _softmax(grid)  # d_logits: probabilities so far
+    mean_loss, count = _mean_nll(shifted, log_norm, gold_arr, mask)
+    del shifted  # free it before the gradient temporaries are allocated
     np.put_along_axis(
         d_logits,
         gold_arr[..., None],
         np.take_along_axis(d_logits, gold_arr[..., None], axis=3) - 1.0,
         axis=3,
     )
-    if mask is None:
-        count = length * num_rel * length
-    else:
-        count = int(mask.sum())
-        if count == 0:
-            raise ValueError("no masked-in cells")
+    if mask is not None:
         d_logits *= mask[..., None]
     d_logits /= count
 
@@ -274,16 +280,16 @@ def backward(
     if grid.drop_mask is not None:
         d_hidden *= grid.drop_mask.reshape(length * length, -1)
 
-    pairs_flat = _pair_concat(emb).reshape(length * length, -1)
-    d_proj = d_hidden.T @ pairs_flat
-    d_bias = d_hidden.sum(axis=0)
-
-    d_pairs = (d_hidden @ params.pair_proj).reshape(length, length, 2 * params.emb_dim)
-    d_emb = d_pairs[:, :, : params.emb_dim].sum(axis=1)
-    d_emb += d_pairs[:, :, params.emb_dim :].sum(axis=0)
+    # pre(i, j) = W_h e_i + W_t e_j + b: reduce over the partner token first
+    d_pre = d_hidden.reshape(length, length, -1)
+    d_heads = d_pre.sum(axis=1)  # L x hidden_dim, summed over tails j
+    d_tails = d_pre.sum(axis=0)  # L x hidden_dim, summed over heads i
+    d_proj = np.concatenate([d_heads.T @ emb, d_tails.T @ emb], axis=1)
+    d_bias = d_heads.sum(axis=0)
+    d_emb = d_heads @ params.pair_proj[:, :d] + d_tails @ params.pair_proj[:, d:]
 
     return ScorerGrads(
-        pair_proj=d_proj, pair_bias=d_bias, rel_tag_emb=d_rel, emb=d_emb
+        pair_proj=d_proj, pair_bias=d_bias, rel_tag_emb=d_rel, emb=d_emb, loss=mean_loss
     )
 
 
@@ -293,7 +299,7 @@ def predict_tags(grid: ScoreGrid, mask: np.ndarray | None = None) -> TagMatrix:
     NONE picks up all ties because a tie carries no evidence for a boundary
     and a spurious boundary tag fabricates triples.
     """
-    s = _scores_cell_major(grid)
+    s = np.moveaxis(grid.scores, 2, 3)
     best = s.argmax(axis=3)
     top = np.take_along_axis(s, best[..., None], axis=3)
     tied = (s == top).sum(axis=3) > 1

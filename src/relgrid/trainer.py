@@ -7,6 +7,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
+import numbers
+import os
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -26,8 +29,8 @@ from .encoder import (
 from .scorer import (
     ScorerParams,
     backward,
+    dense_gold,
     init_scorer_params,
-    loss,
     predict_tags,
     score_all,
 )
@@ -40,6 +43,40 @@ CHECKPOINT_VERSION = 1
 
 class NumericError(RuntimeError):
     """Non-finite value encountered during optimization."""
+
+
+class ConfigError(ValueError):
+    """A TrainConfig field has the wrong type or lies outside its range."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# field -> (type test, range test, allowed values as shown in errors)
+_CONFIG_RULES = {
+    "epochs": (_is_int, lambda v: v >= 1, "an integer >= 1"),
+    "batch_size": (_is_int, lambda v: v >= 1, "an integer >= 1"),
+    "learning_rate": (_is_real, lambda v: 0.0 < v < math.inf, "a finite number > 0"),
+    "adam_beta1": (_is_real, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)"),
+    "adam_beta2": (_is_real, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)"),
+    "adam_epsilon": (_is_real, lambda v: 0.0 < v < math.inf, "a finite number > 0"),
+    "seed": (_is_int, lambda v: v >= 0, "an integer >= 0"),
+    "dropout_rate": (_is_real, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)"),
+    "max_seq_len": (_is_int, lambda v: v >= 1, "an integer >= 1"),
+    "emb_dim": (_is_int, lambda v: v >= 1, "an integer >= 1"),
+    "hidden_dim": (
+        lambda v: v is None or _is_int(v),
+        lambda v: v is None or v >= 1,
+        "null or an integer >= 1",
+    ),
+    "use_positional": (lambda v: isinstance(v, bool), lambda v: True, "true or false"),
+    "min_count": (_is_int, lambda v: v >= 1, "an integer >= 1"),
+}
 
 
 @dataclass
@@ -61,6 +98,12 @@ class TrainConfig:
     hidden_dim: int | None = None  # defaults to 3 * emb_dim
     use_positional: bool = True
     min_count: int = 1
+
+    def __post_init__(self):
+        for name, (type_ok, range_ok, allowed) in _CONFIG_RULES.items():
+            value = getattr(self, name)
+            if not (type_ok(value) and range_ok(value)):
+                raise ConfigError(f"{name} must be {allowed}, got {value!r}")
 
     def resolved_hidden_dim(self) -> int:
         return self.hidden_dim if self.hidden_dim is not None else 3 * self.emb_dim
@@ -93,14 +136,6 @@ def valid_mask(length: int, padded: int, num_relations: int) -> np.ndarray:
     mask = np.zeros((padded, num_relations, padded), dtype=bool)
     mask[:length, :, :length] = True
     return mask
-
-
-def dense_gold_padded(gold: TagMatrix, padded: int) -> np.ndarray:
-    """Gold tags as a dense (padded, K, padded) int array; pad cells are NONE."""
-    arr = np.zeros((padded, gold.num_relations, padded), dtype=np.int64)
-    for (i, k, j), tag in gold.cells.items():
-        arr[i, k, j] = int(tag)
-    return arr
 
 
 def make_batches(
@@ -246,10 +281,9 @@ def train_step(model: Model, batch: Batch, dropout_seeds: list[int]) -> tuple[fl
         grid = score_all(
             emb, model.params, training=True, rng_seed=dropout_seeds[row]
         )
-        gold_arr = dense_gold_padded(batch.gold[row], padded)
-        mask = batch.masks[row]
-        batch_loss += loss(grid, gold_arr, mask)
-        g = backward(grid, gold_arr, mask, emb, model.params)
+        gold_arr = dense_gold(batch.gold[row], padded)
+        g = backward(grid, gold_arr, batch.masks[row], emb, model.params)
+        batch_loss += g.loss
         grads["pair_proj"] += g.pair_proj
         grads["pair_bias"] += g.pair_bias
         grads["rel_tag_emb"] += g.rel_tag_emb
@@ -362,8 +396,18 @@ def save_checkpoint(path: str | Path, model: Model) -> None:
     }
     if model.table.positional is not None:
         arrays["positional_table"] = model.table.positional
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    # write a synced sibling file, then rename it over the target, so a
+    # crash mid-write leaves the previous checkpoint intact
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path) -> Model:
@@ -376,7 +420,10 @@ def load_checkpoint(path: str | Path) -> Model:
             raise ValueError(
                 f"unsupported checkpoint version {header.get('version')!r}"
             )
-        config = TrainConfig.from_json(header["config"])
+        try:
+            config = TrainConfig.from_json(header["config"])
+        except ConfigError as exc:
+            raise ValueError(f"invalid checkpoint config: {exc}") from None
         if config.hash() != header["config_hash"]:
             raise ValueError("checkpoint config hash mismatch")
         params = ScorerParams(

@@ -24,12 +24,11 @@ from relgrid.corpus import (
 )
 from relgrid.encoder import build_vocab, encode_indices
 from relgrid.evaluation import breakdown, match_exact, match_partial, micro_prf
-from relgrid.scorer import ScorerParams, loss, score_all
+from relgrid.scorer import ScorerParams, dense_gold, loss, score_all
 from relgrid.synthetic import SynthConfig, generate_corpus
 from relgrid.tagging import Tag, encode, roundtrip_check
 from relgrid.trainer import (
     TrainConfig,
-    dense_gold_padded,
     init_model,
     predict,
     train,
@@ -271,7 +270,7 @@ def test_criterion_6_padding_inertia(report):
             emb = encode_indices(ids, model.table, True)
             grid = score_all(emb, model.params, training=False)
             values.append(
-                loss(grid, dense_gold_padded(gold, pad), valid_mask(n, pad, num_rel))
+                loss(grid, dense_gold(gold, pad), valid_mask(n, pad, num_rel))
             )
         worst = max(worst, max(values) - min(values))
     ok = worst <= 1e-12

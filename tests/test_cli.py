@@ -167,6 +167,32 @@ class TestTrainEval:
         assert code == EXIT_OK
         assert len((tmp_path / "cfg.npz.log").read_text().splitlines()) == 3
 
+    @pytest.mark.parametrize(
+        "flags, config, field",
+        [
+            (["--epochs", "0"], None, "epochs"),
+            ([], {"epochs": "1"}, "epochs"),
+            (["--batch-size", "0"], None, "batch_size"),
+            (["--lr", "nan"], None, "learning_rate"),
+            (["--dropout", "1.0"], None, "dropout_rate"),
+        ],
+        ids=["epochs-zero", "epochs-string-in-config", "batch-size-zero", "lr-nan", "dropout-one"],
+    )
+    def test_invalid_train_config_is_usage_error(
+        self, capsys, synth_file, tmp_path, flags, config, field
+    ):
+        argv = ["train", "--data", str(synth_file), "--out", str(tmp_path / "m.npz")]
+        if config is not None:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        code, stdout, stderr = run(capsys, *argv, *flags)
+        assert code == EXIT_USAGE
+        assert stderr.startswith(f"error: {field} must be ")
+        assert stderr.count("\n") == 1
+        assert stdout == ""
+        assert not (tmp_path / "m.npz").exists()
+
     def test_eval_prints_both_modes(self, capsys, synth_file, tmp_path):
         ck = tmp_path / "e.npz"
         run(

@@ -4,6 +4,7 @@ import pytest
 from relgrid.scorer import (
     ScorerParams,
     backward,
+    dense_gold,
     init_scorer_params,
     loss,
     predict_tags,
@@ -33,6 +34,45 @@ def scalar_loss(grid, gold_cells, length, num_rel):
                 e = np.exp(scores - scores.max())
                 total -= np.log(e[gold] / e.sum())
     return total / (length * num_rel * length)
+
+
+def concat_reference(emb, params, gold_arr, mask, training=False, rng_seed=0):
+    """Scores, loss and gradients with the pair layer applied to an explicit
+    L x L x 2d tensor of [e_i; e_j] concatenations (the unfactorized form).
+
+    Returns (scores as L x K x 4 x L, mean loss, dict of gradients).
+    """
+    length, d = emb.shape
+    num_rel = params.num_relations
+    heads = np.broadcast_to(emb[:, None, :], (length, length, d))
+    tails = np.broadcast_to(emb[None, :, :], (length, length, d))
+    pairs = np.concatenate([heads, tails], axis=2).reshape(length * length, 2 * d)
+    pre = pairs @ params.pair_proj.T + params.pair_bias
+    drop = np.ones_like(pre)
+    if training:
+        rng = np.random.default_rng(rng_seed)
+        drop = (rng.random(pre.shape) >= params.dropout_rate) / (1.0 - params.dropout_rate)
+    hidden = np.maximum(pre * drop, 0.0)
+    flat_scores = hidden @ params.rel_tag_emb
+    scores = flat_scores.reshape(length, length, num_rel, NUM_TAGS).transpose(0, 2, 3, 1)
+
+    cell_major = np.moveaxis(scores, 2, 3)  # L x K x L x 4
+    e = np.exp(cell_major - cell_major.max(axis=3, keepdims=True))
+    probs = e / e.sum(axis=3, keepdims=True)
+    onehot = np.eye(NUM_TAGS)[gold_arr]
+    count = mask.sum()
+    mean_loss = -np.log(probs[onehot == 1.0].reshape(gold_arr.shape))[mask].sum() / count
+    d_logits = (probs - onehot) * mask[..., None] / count
+    d_flat = d_logits.transpose(0, 2, 1, 3).reshape(length * length, -1)
+    d_hidden = (d_flat @ params.rel_tag_emb.T) * (hidden > 0.0) * drop
+    d_pairs = (d_hidden @ params.pair_proj).reshape(length, length, 2 * d)
+    grads = {
+        "pair_proj": d_hidden.T @ pairs,
+        "pair_bias": d_hidden.sum(axis=0),
+        "rel_tag_emb": hidden.T @ d_flat,
+        "emb": d_pairs[:, :, :d].sum(axis=1) + d_pairs[:, :, d:].sum(axis=0),
+    }
+    return scores, mean_loss, grads
 
 
 def finite_difference(f, arr, idx, step=1e-5):
@@ -224,8 +264,6 @@ class TestLoss:
     def test_perfect_scores_drive_loss_to_zero(self):
         emb, params, gold = random_instance(9)
         grid = score_all(emb, params)
-        from relgrid.scorer import dense_gold
-
         arr = dense_gold(gold)
         grid.scores[:] = 0.0
         for idx in np.ndindex(arr.shape):
@@ -311,6 +349,56 @@ class TestBackward:
         grid = score_all(emb, params)
         with pytest.raises(ValueError, match="stale cache"):
             backward(grid, gold, None, emb[:2], params)
+
+
+class TestFactorizedPairLayer:
+    """score_all/backward against the concatenated-pair reference at a size
+    where row/column reductions matter: L=12 padded from 9, K=3, dropout on."""
+
+    RTOL, ATOL = 1e-12, 1e-14
+
+    def instance(self, seed):
+        emb, params, gold = random_instance(seed, length=12, num_rel=3, emb_dim=6, dropout=0.3)
+        mask = np.zeros((12, 3, 12), dtype=bool)
+        mask[:9, :, :9] = True
+        return emb, params, dense_gold(gold), mask
+
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_matches_concat_reference(self, seed):
+        emb, params, gold_arr, mask = self.instance(seed)
+        grid = score_all(emb, params, training=True, rng_seed=seed)
+        grads = backward(grid, gold_arr, mask, emb, params)
+        ref_scores, ref_loss, ref_grads = concat_reference(
+            emb, params, gold_arr, mask, training=True, rng_seed=seed
+        )
+        np.testing.assert_allclose(grid.scores, ref_scores, rtol=self.RTOL, atol=self.ATOL)
+        assert grads.loss == pytest.approx(ref_loss, rel=self.RTOL, abs=self.ATOL)
+        for name, ref in ref_grads.items():
+            np.testing.assert_allclose(
+                getattr(grads, name), ref, rtol=self.RTOL, atol=self.ATOL, err_msg=name
+            )
+
+    def test_backward_loss_is_loss_bit_for_bit(self):
+        emb, params, gold_arr, mask = self.instance(44)
+        grid = score_all(emb, params, training=True, rng_seed=44)
+        assert backward(grid, gold_arr, mask, emb, params).loss == loss(grid, gold_arr, mask)
+        assert backward(grid, gold_arr, None, emb, params).loss == loss(grid, gold_arr)
+
+
+class TestDenseGold:
+    def test_matches_cells_and_pads_with_none(self):
+        gold = TagMatrix(length=3, num_relations=2)
+        gold.cells[(0, 1, 2)] = Tag.HB_TE
+        gold.cells[(2, 0, 2)] = Tag.HE_TE
+        for padded in (None, 3, 5):
+            arr = dense_gold(gold, padded)
+            size = 3 if padded is None else padded
+            assert arr.shape == (size, 2, size)
+            expected = np.zeros_like(arr)
+            expected[0, 1, 2] = int(Tag.HB_TE)
+            expected[2, 0, 2] = int(Tag.HE_TE)
+            np.testing.assert_array_equal(arr, expected)
+        assert not dense_gold(TagMatrix(length=2, num_relations=1), 4).any()
 
 
 class TestPredictTags:

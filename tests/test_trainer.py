@@ -3,7 +3,7 @@ import pytest
 
 from relgrid.corpus import RelationVocab, Sentence, Span, Triple
 from relgrid.encoder import build_vocab, encode_indices
-from relgrid.scorer import ScorerParams, loss, score_all
+from relgrid.scorer import ScorerParams, dense_gold, loss, score_all
 from relgrid.synthetic import SynthConfig, generate_corpus
 from relgrid.tagging import encode
 from relgrid.trainer import (
@@ -13,7 +13,6 @@ from relgrid.trainer import (
     NumericError,
     TrainConfig,
     adam_step,
-    dense_gold_padded,
     init_model,
     load_checkpoint,
     make_batches,
@@ -125,7 +124,7 @@ class TestTraining:
                 emb = encode_indices(ids, model.table, True)
                 grid = score_all(emb, model.params, training=False)
                 losses.append(
-                    loss(grid, dense_gold_padded(gold, pad), valid_mask(n, pad, num_rel))
+                    loss(grid, dense_gold(gold, pad), valid_mask(n, pad, num_rel))
                 )
             assert abs(losses[0] - losses[1]) <= 1e-12
             assert abs(losses[0] - losses[2]) <= 1e-12
@@ -218,6 +217,31 @@ class TestCheckpoint:
 
         s = corpus[0].sentence
         assert predict(s, loaded) == predict(s, model)
+
+    def test_failed_overwrite_keeps_previous_checkpoint(
+        self, tiny_synth, tmp_path, monkeypatch
+    ):
+        corpus, relations = tiny_synth
+        model, _ = train(corpus, relations, TrainConfig(epochs=1, seed=11))
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, model)
+        before = path.read_bytes()
+        saved_bias = model.params.pair_bias.copy()
+
+        def crash_mid_write(fh, **arrays):
+            fh.write(b"PK\x03\x04 partial archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", crash_mid_write)
+        model.params.pair_bias += 1.0
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, model)
+        monkeypatch.undo()
+
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz"]
+        loaded = load_checkpoint(path)
+        np.testing.assert_array_equal(loaded.params.pair_bias, saved_bias)
 
     def test_missing_checkpoint(self, tmp_path):
         with pytest.raises(FileNotFoundError):
