@@ -26,8 +26,7 @@ from .evaluation import (
     MetricsReport,
     breakdown,
     export_relation_embeddings,
-    match_exact,
-    match_partial,
+    match_count,
     micro_prf,
     subtask_metrics,
 )

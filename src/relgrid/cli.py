@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 A training option of the wrong type or out of range, from a flag or from
-the config file, is a usage error.
+the config file, is a usage error, and so is a config file that is not a
+JSON object or holds a key that is not an option of the subcommand.
 Flag values override config-file values; every command logs its fully
 resolved configuration and the root seed at startup. Set RELGRID_LOG_LEVEL
 (DEBUG/INFO/WARNING/...) to control verbosity.
@@ -150,7 +151,17 @@ class RunConfig:
             path = Path(args.config)
             if not path.exists():
                 raise CorpusError(f"no such config file: {path}")
-            self.file = json.loads(path.read_text(encoding="utf-8"))
+            try:
+                self.file = json.loads(path.read_text(encoding="utf-8"))
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+            if not isinstance(self.file, dict):
+                raise ConfigError(f"config file {path} must hold a JSON object")
+            # keys are the subcommand's option names, as spelled on the command line
+            options = {dest.replace("_", "-") for dest in vars(args)} - {"command", "config"}
+            for key in self.file:
+                if key not in options:
+                    raise ConfigError(f"unknown config key {key!r} in {path}")
         self.resolved: dict = {}
 
     def get(self, key: str, default=None):
@@ -297,24 +308,32 @@ def _parse_tag_record(raw: str, relations: RelationVocab | None):
         record = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise CorpusError(f"invalid sentence JSON: {exc}") from exc
-    tokens = tuple(str(t) for t in record.get("tokens", []))
+    if not isinstance(record, dict):
+        raise CorpusError("sentence record must be a JSON object")
+    try:
+        tokens = tuple(str(t) for t in record.get("tokens", []))
+        raw_triples = list(record.get("triples", []))
+    except TypeError as exc:
+        raise CorpusError(f"malformed sentence record ({exc})") from None
     if not tokens:
         raise CorpusError("sentence record has no tokens")
     rel_names: list[str] = list(relations.names) if relations else []
     triples = []
-    for raw_triple in record.get("triples", []):
-        name = str(raw_triple["relation"])
+    for n, raw_triple in enumerate(raw_triples):
+        try:
+            name = str(raw_triple["relation"])
+            head = Span(int(raw_triple["head"][0]), int(raw_triple["head"][1]))
+            tail = Span(int(raw_triple["tail"][0]), int(raw_triple["tail"][1]))
+        except (KeyError, TypeError, IndexError) as exc:
+            raise CorpusError(
+                f"malformed triple {n}: needs relation, head [begin, end] and "
+                f"tail [begin, end] ({type(exc).__name__}: {exc})"
+            ) from None
         if name not in rel_names:
             if relations is not None:
                 raise CorpusError(f"unknown relation {name!r}")
             rel_names.append(name)
-        triples.append(
-            Triple(
-                Span(*(int(v) for v in raw_triple["head"])),
-                rel_names.index(name),
-                Span(*(int(v) for v in raw_triple["tail"])),
-            )
-        )
+        triples.append(Triple(head, rel_names.index(name), tail))
     vocab = relations or RelationVocab(names=tuple(rel_names) or ("none",))
     sentence = AnnotatedSentence(
         sentence=Sentence(tokens=tokens, id=str(record.get("id", "stdin"))),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -23,41 +24,33 @@ EXACT = "exact"
 MATCH_MODES = (PARTIAL, EXACT)
 
 
-def _match_key(t: Triple, match_mode: str):
-    if match_mode == PARTIAL:
-        return (t.relation, t.head.end, t.tail.end)
-    if match_mode == EXACT:
-        return (t.relation, t.head, t.tail)
-    raise ValueError(f"unknown match mode {match_mode!r}")
+# Match keys are plain int tuples, so hashing them never reaches Triple/Span.
+_MATCH_KEYS = {
+    PARTIAL: attrgetter("relation", "head.end", "tail.end"),
+    EXACT: attrgetter("relation", "head.begin", "head.end", "tail.begin", "tail.end"),
+}
+# The entity-pair sub-task drops the relation from the match key.
+_PAIR_KEYS = {
+    PARTIAL: attrgetter("head.end", "tail.end"),
+    EXACT: attrgetter("head.begin", "head.end", "tail.begin", "tail.end"),
+}
+_RELATION = attrgetter("relation")
 
 
-def _count_matches(pred: Iterable, gold: Iterable) -> int:
-    """One-to-one matches between two key multisets."""
-    pred_counts = Counter(pred)
-    gold_counts = Counter(gold)
-    return sum(min(c, gold_counts[key]) for key, c in pred_counts.items())
-
-
-def match_partial(pred: frozenset[Triple], gold: frozenset[Triple]) -> int:
-    """Correct count when relation and both end tokens must agree."""
-    return _count_matches(
-        (_match_key(t, PARTIAL) for t in pred),
-        (_match_key(t, PARTIAL) for t in gold),
-    )
-
-
-def match_exact(pred: frozenset[Triple], gold: frozenset[Triple]) -> int:
-    """Correct count when full spans and relation must agree."""
-    return _count_matches(
-        (_match_key(t, EXACT) for t in pred),
-        (_match_key(t, EXACT) for t in gold),
-    )
-
-
-def match_count(pred: frozenset[Triple], gold: frozenset[Triple], match_mode: str) -> int:
-    if match_mode not in MATCH_MODES:
+def _key(keys: dict, match_mode: str) -> attrgetter:
+    if match_mode not in keys:
         raise ValueError(f"unknown match mode {match_mode!r}")
-    return match_partial(pred, gold) if match_mode == PARTIAL else match_exact(pred, gold)
+    return keys[match_mode]
+
+
+def match_count(pred: Iterable[Triple], gold: Iterable[Triple], match_mode: str) -> int:
+    """One-to-one correct count. Partial: relation and both end tokens
+    agree; exact: relation and both full spans agree."""
+    key = _key(_MATCH_KEYS, match_mode)
+    gold_counts = Counter(map(key, gold))
+    # only predicted keys that some gold triple has can match; & keeps the smaller count
+    matched = Counter(filter(gold_counts.__contains__, map(key, pred)))
+    return sum((gold_counts & matched).values())
 
 
 def micro_prf(correct: int, predicted: int, gold: int) -> tuple[float, float, float]:
@@ -136,12 +129,6 @@ class MetricsReport:
         return "\n".join(f"{k}={rows[k]}" for k in sorted(rows))
 
 
-def _entity_pair_key(t: Triple, match_mode: str):
-    if match_mode == PARTIAL:
-        return (t.head.end, t.tail.end)
-    return (t.head, t.tail)
-
-
 def subtask_metrics(
     corpus: list[AnnotatedSentence],
     predictions: list[frozenset[Triple]],
@@ -155,21 +142,14 @@ def subtask_metrics(
     """
     if len(corpus) != len(predictions):
         raise ValueError("one prediction set per sentence required")
-    if match_mode not in MATCH_MODES:
-        raise ValueError(f"unknown match mode {match_mode!r}")
+    pair_key = _key(_PAIR_KEYS, match_mode)
     pair_pool = PooledCounts()
     rel_pool = PooledCounts()
     for s, pred in zip(corpus, predictions):
-        pred_pairs = {_entity_pair_key(t, match_mode) for t in pred}
-        gold_pairs = {_entity_pair_key(t, match_mode) for t in s.triples}
-        pair_pool.add(
-            _count_matches(pred_pairs, gold_pairs), len(pred_pairs), len(gold_pairs)
-        )
-        pred_rels = {t.relation for t in pred}
-        gold_rels = {t.relation for t in s.triples}
-        rel_pool.add(
-            _count_matches(pred_rels, gold_rels), len(pred_rels), len(gold_rels)
-        )
+        for key, pool in ((pair_key, pair_pool), (_RELATION, rel_pool)):
+            pred_keys = set(map(key, pred))
+            gold_keys = set(map(key, s.triples))
+            pool.add(len(pred_keys & gold_keys), len(pred_keys), len(gold_keys))
     return pair_pool.prf(), rel_pool.prf()
 
 

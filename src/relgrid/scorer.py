@@ -182,9 +182,7 @@ def dense_gold(gold: TagMatrix, padded: int | None = None) -> np.ndarray:
     """Dense (n, K, n) int tags, n = padded or the true length; others NONE."""
     size = gold.length if padded is None else padded
     arr = np.zeros((size, gold.num_relations, size), dtype=np.int64)
-    if gold.cells:
-        i, k, j = np.array(list(gold.cells), dtype=np.intp).T
-        arr[i, k, j] = np.fromiter(gold.cells.values(), dtype=np.int64, count=len(gold.cells))
+    arr[: gold.length, :, : gold.length] = gold.tags
     return arr
 
 
@@ -299,15 +297,10 @@ def predict_tags(grid: ScoreGrid, mask: np.ndarray | None = None) -> TagMatrix:
     NONE picks up all ties because a tie carries no evidence for a boundary
     and a spurious boundary tag fabricates triples.
     """
-    s = np.moveaxis(grid.scores, 2, 3)
-    best = s.argmax(axis=3)
-    top = np.take_along_axis(s, best[..., None], axis=3)
-    tied = (s == top).sum(axis=3) > 1
-    best[tied] = int(Tag.NONE)
+    s = grid.scores
+    hit = s == s.max(axis=2, keepdims=True)
+    best = hit.argmax(axis=2).astype(np.int8)
+    best[hit.sum(axis=2) > 1] = Tag.NONE
     if mask is not None:
-        best[~mask] = int(Tag.NONE)
-
-    matrix = TagMatrix(length=grid.length, num_relations=grid.num_relations)
-    for i, k, j in zip(*np.nonzero(best)):
-        matrix.cells[(int(i), int(k), int(j))] = Tag(best[i, k, j])
-    return matrix
+        best[~mask] = Tag.NONE
+    return TagMatrix(grid.length, grid.num_relations, best)

@@ -8,10 +8,13 @@ the head rows and tail columns:
     (hb, k, te) -> HB_TE    head-begin row, tail-end column
     (he, k, te) -> HE_TE    head-end row, tail-end column
 
-Every other cell is NONE. Decoding walks the HB_TE anchors: the head end is
-the nearest HE_TE at or below the anchor row in the same column, the tail
-begin the nearest HB_TB at or left of the anchor column in the same row;
-a missing neighbour means a single-token head or tail.
+Every other cell is NONE. The grid is one dense int8 array, tags[i, k, j].
+Decoding walks the HB_TE anchors: the head end is the nearest HE_TE at or
+below the anchor row in the same column, the tail begin the nearest HB_TB at
+or left of the anchor column in the same row; a missing neighbour means a
+single-token head or tail. Both lookups are binary searches over the sorted
+integer keys (k, col, row) of the HE_TE cells and (k, row, col) of the HB_TB
+cells, so no cell becomes a Python object before its triple does.
 
 Single-token heads or tails make two of the three corner assignments land
 on the same cell; that collapse is resolved by the fixed tag priority
@@ -22,9 +25,11 @@ collision report and may lose information.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from enum import IntEnum
+
+import numpy as np
 
 from .corpus import AnnotatedSentence, Span, Triple
 
@@ -39,6 +44,8 @@ class Tag(IntEnum):
 
 
 NUM_TAGS = len(Tag)
+_TAGS = tuple(Tag)  # int8 value -> Tag
+_HB_TB, _HB_TE, _HE_TE = (int(tag) for tag in _TAGS[1:])
 
 # Losing HB_TE destroys a whole triple (it anchors decoding), while HE_TE
 # and HB_TB can be reconstructed via the single-token collapse rules, so
@@ -58,37 +65,59 @@ class Collision:
     dropped: Tag
 
 
-@dataclass
 class TagMatrix:
-    """Sparse L x K x L tag grid; absent cells mean NONE."""
+    """Dense L x K x L tag grid: one int8 array of Tag values, 0 = NONE."""
 
-    length: int
-    num_relations: int
-    cells: dict[tuple[int, int, int], Tag] = field(default_factory=dict)
+    def __init__(self, length: int, num_relations: int, tags: np.ndarray | None = None):
+        shape = (length, num_relations, length)
+        if tags is None:
+            tags = np.zeros(shape, dtype=np.int8)
+        elif tags.shape != shape or tags.dtype != np.int8:
+            raise ValueError(f"tags must be an int8 array of shape {shape}")
+        self.length = length
+        self.num_relations = num_relations
+        self.tags = tags
+
+    def _check(self, i: int, k: int, j: int) -> tuple[int, int, int]:
+        if not (0 <= i < self.length and 0 <= j < self.length and 0 <= k < self.num_relations):
+            raise ValueError(f"cell ({i}, {k}, {j}) outside the {self.tags.shape} grid")
+        return i, k, j
 
     def get(self, i: int, k: int, j: int) -> Tag:
-        return self.cells.get((i, k, j), Tag.NONE)
+        return _TAGS[self.tags[self._check(i, k, j)]]
 
     def set(self, i: int, k: int, j: int, tag: Tag) -> None:
-        if not (0 <= i < self.length and 0 <= j < self.length):
-            raise ValueError(f"cell ({i}, {k}, {j}) outside length {self.length}")
-        if not 0 <= k < self.num_relations:
-            raise ValueError(f"relation index {k} outside [0, {self.num_relations})")
-        if tag == Tag.NONE:
-            self.cells.pop((i, k, j), None)
-        else:
-            self.cells[(i, k, j)] = tag
+        self.tags[self._check(i, k, j)] = tag
+
+    @property
+    def cells(self) -> "TagCells":
+        return TagCells(self.tags)
 
     def relations_present(self) -> list[int]:
-        return sorted({k for (_, k, _) in self.cells})
+        return np.flatnonzero(self.tags.any(axis=(0, 2))).tolist()
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TagMatrix)
-            and self.length == other.length
-            and self.num_relations == other.num_relations
-            and self.cells == other.cells
-        )
+        return isinstance(other, TagMatrix) and np.array_equal(self.tags, other.tags)
+
+
+class TagCells(Mapping):
+    """Read-only live view {(i, k, j): Tag} of a grid's tagged cells; its
+    length is one count over the array, and writing through it raises."""
+
+    def __init__(self, tags: np.ndarray):
+        self._tags = tags
+
+    def __getitem__(self, cell: tuple[int, int, int]) -> Tag:
+        shape = self._tags.shape
+        if len(cell) == 3 and all(0 <= c < n for c, n in zip(cell, shape)) and self._tags[cell]:
+            return _TAGS[self._tags[cell]]
+        raise KeyError(cell)
+
+    def __iter__(self):
+        return zip(*(c.tolist() for c in np.nonzero(self._tags)))
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._tags))
 
 
 def _corner_assignments(t: Triple) -> dict[tuple[int, int, int], Tag]:
@@ -115,19 +144,20 @@ def encode(s: AnnotatedSentence, num_relations: int) -> tuple[TagMatrix, list[Co
     triple. Within-triple single-token collapses are silent (lossless).
     """
     matrix = TagMatrix(length=len(s.sentence), num_relations=num_relations)
+    tags = matrix.tags
     collisions: list[Collision] = []
     for t in s.sorted_triples():
-        if t.relation >= num_relations:
+        if not 0 <= t.relation < num_relations:
             raise ValueError(
                 f"relation index {t.relation} outside [0, {num_relations})"
             )
         for cell, tag in sorted(_corner_assignments(t).items()):
-            old = matrix.cells.get(cell)
-            if old is None or old == tag:
-                matrix.cells[cell] = tag
+            old = _TAGS[tags[cell]]
+            if old == Tag.NONE or old == tag:
+                tags[cell] = tag
                 continue
             if TAG_PRIORITY[tag] > TAG_PRIORITY[old]:
-                matrix.cells[cell] = tag
+                tags[cell] = tag
                 collisions.append(Collision(cell=cell, kept=tag, dropped=old))
             else:
                 collisions.append(Collision(cell=cell, kept=old, dropped=tag))
@@ -141,36 +171,37 @@ def decode(matrix: TagMatrix) -> frozenset[Triple]:
     is the smallest HE_TE row >= hb in column te (hb itself if none), the
     tail begin the largest HB_TB column <= te in row hb (te itself if none).
     """
-    # Per relation: HB_TE anchors, HE_TE rows by column, HB_TB columns by row.
-    anchors: dict[int, list[tuple[int, int]]] = {}
-    he_rows: dict[tuple[int, int], list[int]] = {}
-    tb_cols: dict[tuple[int, int], list[int]] = {}
-    for (i, k, j), tag in matrix.cells.items():
-        if tag == Tag.HB_TE:
-            anchors.setdefault(k, []).append((i, j))
-        elif tag == Tag.HE_TE:
-            he_rows.setdefault((k, j), []).append(i)
-        elif tag == Tag.HB_TB:
-            tb_cols.setdefault((k, i), []).append(j)
-    for rows in he_rows.values():
-        rows.sort()
-    for cols in tb_cols.values():
-        cols.sort()
+    n = matrix.length
+    # In these C-order (k, row, col) and (k, col, row) copies, the position
+    # of a cell is its integer sort key. Tags compare as plain ints: an
+    # IntEnum operand sends NumPy down a much slower path.
+    by_row = matrix.tags.transpose(1, 0, 2).ravel()
+    by_col = matrix.tags.transpose(1, 2, 0).ravel()
+    anchors = (by_row == _HB_TE).nonzero()[0]
+    if anchors.size == 0:
+        return frozenset()
+    # sentinels: one key past every HE_TE key, one before every HB_TB key
+    he_keys = np.concatenate([(by_col == _HE_TE).nonzero()[0], [by_col.size]])
+    tb_keys = np.concatenate([[-1], (by_row == _HB_TB).nonzero()[0]])
 
-    triples = set()
-    for k, cells in anchors.items():
-        for hb, te in cells:
-            rows = he_rows.get((k, te), ())
-            pos = bisect_left(rows, hb)
-            he = rows[pos] if pos < len(rows) else hb
+    k, cell = np.divmod(anchors, n * n)
+    hb, te = np.divmod(cell, n)
+    # head end: the first HE_TE key >= (k, te, hb); past row n-1 means none
+    column_start = (k * n + te) * n
+    he = he_keys[he_keys.searchsorted(column_start + hb)] - column_start
+    he = np.where(he < n, he, hb)
+    # tail begin: the last HB_TB key <= (k, hb, te); before column 0 means none
+    row_start = anchors - te
+    tb = tb_keys[tb_keys.searchsorted(anchors, side="right") - 1] - row_start
+    tb = np.where(tb >= 0, tb, te)
 
-            cols = tb_cols.get((k, hb), ())
-            pos = bisect_right(cols, te)
-            tb = cols[pos - 1] if pos > 0 else te
-
-            if hb <= he and tb <= te:
-                triples.add(Triple(Span(hb, he), k, Span(tb, te)))
-    return frozenset(triples)
+    # one Span object per distinct (begin, end), keyed by begin * n + end
+    head_ids = (hb * n + he).tolist()
+    tail_ids = (tb * n + te).tolist()
+    spans = {i: Span(*divmod(i, n)) for i in {*head_ids, *tail_ids}}
+    return frozenset(
+        map(Triple, map(spans.__getitem__, head_ids), k.tolist(), map(spans.__getitem__, tail_ids))
+    )
 
 
 @dataclass(frozen=True)
@@ -218,9 +249,7 @@ def render_relation_grid(
 
     header = clip("") + " " + " ".join(clip(tok) for tok in tokens)
     lines = [header]
-    for i, tok in enumerate(tokens):
-        row = [clip(tok)]
-        for j in range(len(tokens)):
-            row.append(clip(TAG_GLYPHS[matrix.get(i, relation, j)]))
+    for tok, row_tags in zip(tokens, matrix.tags[:, relation, :].tolist()):
+        row = [clip(tok)] + [clip(TAG_GLYPHS[_TAGS[tag]]) for tag in row_tags]
         lines.append(" ".join(row))
     return "\n".join(lines)

@@ -11,6 +11,7 @@ import math
 import numbers
 import os
 import time
+import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -410,32 +411,58 @@ def save_checkpoint(path: str | Path, model: Model) -> None:
         tmp.unlink(missing_ok=True)
 
 
+_CHECKPOINT_ARRAYS = ("header_json", "pair_proj", "pair_bias", "rel_tag_emb", "token_table")
+_HEADER_KEYS = {"version", "config", "config_hash", "relations", "vocab"}
+
+
+def _read_checkpoint(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Header and arrays of a checkpoint; ValueError naming the first defect
+    when the file is not a complete archive of the current version."""
+
+    def corrupt(reason) -> ValueError:
+        return ValueError(f"corrupt checkpoint {path}: {reason}")
+
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+    except (zipfile.BadZipFile, EOFError, TypeError, ValueError) as exc:
+        raise corrupt(exc) from None
+    missing = [name for name in _CHECKPOINT_ARRAYS if name not in arrays]
+    if missing:
+        raise corrupt(f"no {', '.join(missing)} array")
+    try:
+        header = json.loads(str(arrays["header_json"]))
+    except ValueError as exc:
+        raise corrupt(f"unparsable header ({exc})") from None
+    if not isinstance(header, dict):
+        raise corrupt("header is not a JSON object")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {header.get('version')!r}")
+    if not _HEADER_KEYS <= header.keys():
+        raise corrupt(f"header lacks {sorted(_HEADER_KEYS - header.keys())}")
+    return header, arrays
+
+
 def load_checkpoint(path: str | Path) -> Model:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such checkpoint: {path}")
-    with np.load(path, allow_pickle=False) as data:
-        header = json.loads(str(data["header_json"]))
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(
-                f"unsupported checkpoint version {header.get('version')!r}"
-            )
-        try:
-            config = TrainConfig.from_json(header["config"])
-        except ConfigError as exc:
-            raise ValueError(f"invalid checkpoint config: {exc}") from None
-        if config.hash() != header["config_hash"]:
-            raise ValueError("checkpoint config hash mismatch")
-        params = ScorerParams(
-            pair_proj=data["pair_proj"],
-            pair_bias=data["pair_bias"],
-            rel_tag_emb=data["rel_tag_emb"],
-            dropout_rate=config.dropout_rate,
-        )
-        table = EmbeddingTable(
-            tokens=data["token_table"],
-            positional=data["positional_table"] if "positional_table" in data else None,
-        )
+    header, arrays = _read_checkpoint(path)
+    try:
+        config = TrainConfig.from_json(header["config"])
+    except ConfigError as exc:
+        raise ValueError(f"invalid checkpoint config: {exc}") from None
+    if config.hash() != header["config_hash"]:
+        raise ValueError("checkpoint config hash mismatch")
+    params = ScorerParams(
+        pair_proj=arrays["pair_proj"],
+        pair_bias=arrays["pair_bias"],
+        rel_tag_emb=arrays["rel_tag_emb"],
+        dropout_rate=config.dropout_rate,
+    )
+    table = EmbeddingTable(
+        tokens=arrays["token_table"], positional=arrays.get("positional_table")
+    )
     return Model(
         params=params,
         table=table,

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from relgrid.corpus import AnnotatedSentence, RelationVocab, Sentence, Span, Triple
 from relgrid.synthetic import SynthConfig, generate_corpus
+
+# Property tests draw the same examples on every run and keep no example
+# database on disk.
+settings.register_profile("relgrid", derandomize=True, database=None)
+settings.load_profile("relgrid")
 
 
 def make_sentence(n_tokens, triples, sid="s"):

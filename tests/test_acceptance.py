@@ -23,7 +23,7 @@ from relgrid.corpus import (
     save_native,
 )
 from relgrid.encoder import build_vocab, encode_indices
-from relgrid.evaluation import breakdown, match_exact, match_partial, micro_prf
+from relgrid.evaluation import EXACT, PARTIAL, breakdown, match_count, micro_prf
 from relgrid.scorer import ScorerParams, dense_gold, loss, score_all
 from relgrid.synthetic import SynthConfig, generate_corpus
 from relgrid.tagging import Tag, encode, roundtrip_check
@@ -293,8 +293,8 @@ def test_criterion_7_metrics_against_brute_force_oracles(report):
         pred = perturb(rng, gold, length, 4)
         pairs += 1
 
-        partial = match_partial(pred, gold)
-        exact = match_exact(pred, gold)
+        partial = match_count(pred, gold, PARTIAL)
+        exact = match_count(pred, gold, EXACT)
         if partial != max_bipartite_matching(pred, gold, partial_compatible):
             mismatches += 1
         if exact != max_bipartite_matching(pred, gold, exact_compatible):

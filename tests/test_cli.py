@@ -1,4 +1,5 @@
 import json
+import zipfile
 
 import pytest
 
@@ -245,6 +246,64 @@ class TestTrainEval:
         assert code == EXIT_DATA
         assert "vocab" in stderr
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"bach-size": 0}, "unknown config key 'bach-size'"),
+            ({"batch_size": 2}, "unknown config key 'batch_size'"),
+            ([1, 2], "must hold a JSON object"),
+            ("epochs", "must hold a JSON object"),
+        ],
+        ids=["misspelled-key", "underscore-key", "list", "string"],
+    )
+    def test_bad_config_file_is_usage_error(self, capsys, synth_file, tmp_path, config, message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "m.npz"
+        code, stdout, stderr = run(
+            capsys, "train", "--data", str(synth_file), "--out", str(out), "--config", str(path)
+        )
+        assert code == EXIT_USAGE
+        assert stderr.startswith("error: ") and message in stderr
+        assert stderr.count("\n") == 1
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.fixture
+    def checkpoint(self, capsys, synth_file, tmp_path):
+        ck = tmp_path / "good.npz"
+        code, _, _ = run(
+            capsys, "train", "--data", str(synth_file), "--epochs", "1", "--out", str(ck)
+        )
+        assert code == EXIT_OK
+        return ck
+
+    def test_truncated_checkpoint_is_data_error(self, capsys, synth_file, tmp_path, checkpoint):
+        truncated = tmp_path / "truncated.npz"
+        truncated.write_bytes(checkpoint.read_bytes()[:3000])
+        code, stdout, stderr = run(
+            capsys, "eval", "--data", str(synth_file), "--checkpoint", str(truncated)
+        )
+        assert code == EXIT_DATA
+        assert stderr.startswith(f"error: corrupt checkpoint {truncated}")
+        assert stderr.count("\n") == 1
+        assert stdout == ""
+
+    def test_checkpoint_without_pair_proj_is_data_error(
+        self, capsys, synth_file, tmp_path, checkpoint
+    ):
+        stripped = tmp_path / "stripped.npz"
+        with zipfile.ZipFile(checkpoint) as src, zipfile.ZipFile(stripped, "w") as dst:
+            for item in src.infolist():
+                if item.filename != "pair_proj.npy":
+                    dst.writestr(item, src.read(item))
+        code, stdout, stderr = run(
+            capsys, "eval", "--data", str(synth_file), "--checkpoint", str(stripped)
+        )
+        assert code == EXIT_DATA
+        assert stderr == f"error: corrupt checkpoint {stripped}: no pair_proj array\n"
+        assert stdout == ""
+
     def test_eval_missing_checkpoint(self, capsys, synth_file):
         code, _, _ = run(
             capsys, "eval", "--data", str(synth_file), "--checkpoint", "/nope/c.npz"
@@ -290,6 +349,28 @@ class TestTag:
         code, _, stderr = run(capsys, "tag", "--sentence", "{broken")
         assert code == EXIT_DATA
         assert "invalid" in stderr
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            (
+                {"tokens": ["a", "b"], "triples": [{"head": [0, 0], "tail": [1, 1]}]},
+                "malformed triple 0",
+            ),
+            (
+                {"tokens": ["a", "b"], "triples": [{"head": [0], "relation": "r", "tail": [1, 1]}]},
+                "malformed triple 0",
+            ),
+            ([1], "must be a JSON object"),
+        ],
+        ids=["no-relation", "one-index-head", "not-an-object"],
+    )
+    def test_malformed_record_is_one_line_data_error(self, capsys, record, message):
+        code, stdout, stderr = run(capsys, "tag", "--sentence", json.dumps(record))
+        assert code == EXIT_DATA
+        assert stderr.startswith("error: ") and message in stderr
+        assert stderr.count("\n") == 1
+        assert stdout == ""
 
 
 class TestUsage:

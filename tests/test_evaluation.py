@@ -3,10 +3,11 @@ import pytest
 
 from relgrid.corpus import RelationVocab, Span, Triple
 from relgrid.evaluation import (
+    EXACT,
+    PARTIAL,
     breakdown,
     export_relation_embeddings,
-    match_exact,
-    match_partial,
+    match_count,
     micro_prf,
     subtask_metrics,
 )
@@ -68,14 +69,14 @@ class TestMatching:
     def test_identical_sets(self):
         rng = np.random.default_rng(1)
         gold = frozenset(random_triples(rng, 10, 3))
-        assert match_partial(gold, gold) == len(gold)
-        assert match_exact(gold, gold) == len(gold)
+        assert match_count(gold, gold, PARTIAL) == len(gold)
+        assert match_count(gold, gold, EXACT) == len(gold)
 
     def test_partial_accepts_matching_end_tokens(self):
         gold = frozenset({Triple(Span(1, 2), 0, Span(5, 6))})
         pred = frozenset({Triple(Span(0, 2), 0, Span(5, 6))})
-        assert match_partial(pred, gold) == 1
-        assert match_exact(pred, gold) == 0
+        assert match_count(pred, gold, PARTIAL) == 1
+        assert match_count(pred, gold, EXACT) == 0
 
     def test_each_gold_matched_at_most_once(self):
         gold = frozenset({Triple(Span(0, 2), 0, Span(5, 6))})
@@ -83,7 +84,7 @@ class TestMatching:
             {Triple(Span(0, 2), 0, Span(5, 6)), Triple(Span(1, 2), 0, Span(4, 6))}
         )
         # both predictions hit the same gold under partial match
-        assert match_partial(pred, gold) == 1
+        assert match_count(pred, gold, PARTIAL) == 1
 
     def test_agrees_with_bipartite_oracle(self):
         rng = np.random.default_rng(88)
@@ -91,10 +92,10 @@ class TestMatching:
             length = int(rng.integers(5, 12))
             gold = frozenset(random_triples(rng, length, 3))
             pred = perturb(rng, gold, length, 3)
-            assert match_partial(pred, gold) == max_bipartite_matching(
+            assert match_count(pred, gold, PARTIAL) == max_bipartite_matching(
                 pred, gold, partial_compatible
             )
-            assert match_exact(pred, gold) == max_bipartite_matching(
+            assert match_count(pred, gold, EXACT) == max_bipartite_matching(
                 pred, gold, exact_compatible
             )
 
@@ -104,7 +105,7 @@ class TestMatching:
             length = int(rng.integers(5, 12))
             gold = frozenset(random_triples(rng, length, 3))
             pred = perturb(rng, gold, length, 3)
-            assert match_exact(pred, gold) <= match_partial(pred, gold)
+            assert match_count(pred, gold, EXACT) <= match_count(pred, gold, PARTIAL)
 
 
 class TestMicroPrf:

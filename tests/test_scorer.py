@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relgrid.scorer import (
+    ScoreGrid,
     ScorerParams,
     backward,
     dense_gold,
@@ -75,6 +78,21 @@ def concat_reference(emb, params, gold_arr, mask, training=False, rng_seed=0):
     return scores, mean_loss, grads
 
 
+def reference_predict_tags(scores, mask):
+    """{(i, k, j): Tag} from one argmax per cell; ties and masked-out cells
+    give NONE and are left out."""
+    length, num_rel = scores.shape[:2]
+    cells = {}
+    for i, k, j in np.ndindex(length, num_rel, length):
+        cell = scores[i, k, :, j]
+        best = int(np.argmax(cell))
+        if (cell == cell[best]).sum() > 1 or (mask is not None and not mask[i, k, j]):
+            best = 0
+        if best:
+            cells[(i, k, j)] = Tag(best)
+    return cells
+
+
 def finite_difference(f, arr, idx, step=1e-5):
     old = arr[idx]
     arr[idx] = old + step
@@ -98,7 +116,7 @@ def random_instance(seed, length=3, num_rel=2, emb_dim=4, dropout=0.0):
     gold = TagMatrix(length=length, num_relations=num_rel)
     for _ in range(4):
         cell = tuple(int(v) for v in (rng.integers(0, length), rng.integers(0, num_rel), rng.integers(0, length)))
-        gold.cells[cell] = Tag(int(rng.integers(1, 4)))
+        gold.set(*cell, Tag(int(rng.integers(1, 4))))
     return emb, params, gold
 
 
@@ -256,7 +274,7 @@ class TestLoss:
             dropout_rate=0.0,
         )
         gold = TagMatrix(length=4, num_relations=3)
-        gold.cells[(0, 1, 2)] = Tag.HB_TE
+        gold.set(0, 1, 2, Tag.HB_TE)
         assert loss(score_all(emb, params), gold) == pytest.approx(
             np.log(4.0), abs=1e-9
         )
@@ -339,7 +357,7 @@ class TestBackward:
         mask = np.zeros((3, 2, 3), dtype=bool)
         mask[1, 1, 1] = True
         grid.scores[1, 1, :, 1] = [60.0, 0.0, 0.0, 0.0]
-        gold.cells.clear()  # gold NONE at the only masked cell
+        gold = TagMatrix(length=3, num_relations=2)  # gold NONE at the only masked cell
         grads = backward(grid, gold, mask, emb, params)
         for arr in (grads.pair_proj, grads.pair_bias, grads.rel_tag_emb, grads.emb):
             assert np.max(np.abs(arr)) < 1e-20
@@ -388,8 +406,8 @@ class TestFactorizedPairLayer:
 class TestDenseGold:
     def test_matches_cells_and_pads_with_none(self):
         gold = TagMatrix(length=3, num_relations=2)
-        gold.cells[(0, 1, 2)] = Tag.HB_TE
-        gold.cells[(2, 0, 2)] = Tag.HE_TE
+        gold.set(0, 1, 2, Tag.HB_TE)
+        gold.set(2, 0, 2, Tag.HE_TE)
         for padded in (None, 3, 5):
             arr = dense_gold(gold, padded)
             size = 3 if padded is None else padded
@@ -447,6 +465,23 @@ class TestPredictTags:
         before = predict_tags(grid).cells
         grid.scores += 17.5  # same constant for all 4 tags of every cell
         assert predict_tags(grid).cells == before
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        length=st.integers(1, 20),
+        num_rel=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        masked=st.booleans(),
+    )
+    def test_matches_per_cell_reference_on_tied_scores(self, length, num_rel, seed, masked):
+        # scores from {-2, ..., 2}: many cells tie, some at the top only
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(-2, 3, size=(length, num_rel, NUM_TAGS, length)).astype(float)
+        mask = rng.random((length, num_rel, length)) < 0.7 if masked else None
+        grid = ScoreGrid(scores=scores, hidden=np.zeros((length, length, 1)), drop_mask=None)
+        matrix = predict_tags(grid, mask)
+        assert matrix.tags.dtype == np.int8
+        assert matrix.cells == reference_predict_tags(scores, mask)
 
     def test_mask_excludes_cells(self):
         emb, params, _ = random_instance(35)

@@ -1,5 +1,10 @@
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from relgrid.corpus import Span, Triple
 from relgrid.synthetic import SynthConfig, generate_corpus
@@ -13,6 +18,95 @@ from relgrid.tagging import (
 )
 
 from conftest import make_sentence, random_triples
+
+
+# --- reference oracle: the dict + bisect decoder ---------------------------
+
+def reference_decode(matrix):
+    """Per-cell decoder over {(i, k, j): Tag}: group the tags per relation,
+    sort, then bisect for each HB_TE anchor's nearest HE_TE and HB_TB."""
+    anchors, he_rows, tb_cols = {}, {}, {}
+    for (i, k, j), tag in matrix.cells.items():
+        if tag == Tag.HB_TE:
+            anchors.setdefault(k, []).append((i, j))
+        elif tag == Tag.HE_TE:
+            he_rows.setdefault((k, j), []).append(i)
+        elif tag == Tag.HB_TB:
+            tb_cols.setdefault((k, i), []).append(j)
+    for lists in (he_rows, tb_cols):
+        for values in lists.values():
+            values.sort()
+    triples = set()
+    for k, cells in anchors.items():
+        for hb, te in cells:
+            rows = he_rows.get((k, te), ())
+            pos = bisect_left(rows, hb)
+            he = rows[pos] if pos < len(rows) else hb
+            cols = tb_cols.get((k, hb), ())
+            pos = bisect_right(cols, te)
+            tb = cols[pos - 1] if pos > 0 else te
+            if hb <= he and tb <= te:
+                triples.add(Triple(Span(hb, he), k, Span(tb, te)))
+    return frozenset(triples)
+
+
+@st.composite
+def tag_grids(draw):
+    """Random grids from empty to full, with planted nested-head chains:
+    heads nested inside one another that share a relation and a tail-end
+    column, so their HE_TE rows interleave below the anchors."""
+    length = draw(st.integers(1, 10))
+    num_rel = draw(st.integers(1, 3))
+    shape = (length, num_rel, length)
+    tags = draw(arrays(np.int8, shape, elements=st.integers(0, 3)))
+    if draw(st.booleans()):  # thin the grid out to a sparse one
+        tags[draw(arrays(np.bool_, shape))] = 0
+    for _ in range(draw(st.integers(0, 3 if length > 1 else 0))):
+        k = draw(st.integers(0, num_rel - 1))
+        te = draw(st.integers(0, length - 1))
+        rows = sorted(draw(st.lists(st.integers(0, length - 1), min_size=2, max_size=5, unique=True)))
+        for hb, he in zip(rows, reversed(rows)):
+            if hb >= he:
+                break
+            tags[hb, k, te] = Tag.HB_TE
+            tags[he, k, te] = Tag.HE_TE
+    return TagMatrix(length, num_rel, tags)
+
+
+class TestTagMatrix:
+    def test_dense_int8_store(self):
+        matrix = TagMatrix(length=4, num_relations=2)
+        assert matrix.tags.shape == (4, 2, 4) and matrix.tags.dtype == np.int8
+        matrix.set(1, 1, 3, Tag.HE_TE)
+        assert matrix.tags[1, 1, 3] == int(Tag.HE_TE)
+        assert matrix.get(1, 1, 3) is Tag.HE_TE and matrix.get(0, 0, 0) is Tag.NONE
+        assert matrix.cells == {(1, 1, 3): Tag.HE_TE}
+        assert matrix.relations_present() == [1]
+        matrix.set(1, 1, 3, Tag.NONE)
+        assert matrix.cells == {} and matrix.relations_present() == []
+
+    @pytest.mark.parametrize("cell", [(4, 0, 0), (0, 0, -1), (0, 2, 0), (-1, 0, 0)])
+    def test_out_of_range_cell_rejected(self, cell):
+        matrix = TagMatrix(length=4, num_relations=2)
+        with pytest.raises(ValueError):
+            matrix.set(*cell, Tag.HB_TE)
+        with pytest.raises(ValueError):
+            matrix.get(*cell)
+        assert cell not in matrix.cells
+
+    def test_cells_is_read_only(self):
+        matrix, _ = encode(make_sentence(5, [Triple(Span(0, 1), 0, Span(3, 4))]), 1)
+        with pytest.raises(TypeError):
+            matrix.cells[(0, 0, 0)] = Tag.HB_TB
+        with pytest.raises(AttributeError):
+            matrix.cells = {}
+        assert len(matrix.cells) == 3
+
+    def test_wrong_array_rejected(self):
+        with pytest.raises(ValueError, match="int8"):
+            TagMatrix(3, 2, np.zeros((3, 2, 3), dtype=np.int64))
+        with pytest.raises(ValueError, match="shape"):
+            TagMatrix(3, 2, np.zeros((3, 3, 3), dtype=np.int8))
 
 
 class TestEncode:
@@ -52,6 +146,11 @@ class TestEncode:
     def test_relation_out_of_range(self):
         s = make_sentence(6, [Triple(Span(0, 1), 2, Span(3, 4))])
         with pytest.raises(ValueError, match="relation index 2"):
+            encode(s, 2)
+
+    def test_negative_relation_rejected(self):
+        s = make_sentence(6, [Triple(Span(0, 1), -1, Span(3, 4))])
+        with pytest.raises(ValueError, match="relation index -1"):
             encode(s, 2)
 
     def test_cross_triple_collision_recorded_with_priority(self):
@@ -94,11 +193,9 @@ class TestEncode:
 class TestDecode:
     def test_fig2a_cells(self, fig2_sentence):
         matrix = TagMatrix(length=9, num_relations=1)
-        matrix.cells = {
-            (0, 0, 6): Tag.HB_TB,
-            (0, 0, 8): Tag.HB_TE,
-            (2, 0, 8): Tag.HE_TE,
-        }
+        matrix.set(0, 0, 6, Tag.HB_TB)
+        matrix.set(0, 0, 8, Tag.HB_TE)
+        matrix.set(2, 0, 8, Tag.HE_TE)
         assert decode(matrix) == frozenset({Triple(Span(0, 2), 0, Span(6, 8))})
 
     def test_empty_matrix(self):
@@ -107,16 +204,15 @@ class TestDecode:
     def test_hto_near_diagonal_cells(self):
         # head "New York City" (0..2), tail "New York" (0..1)
         matrix = TagMatrix(length=3, num_relations=1)
-        matrix.cells = {
-            (0, 0, 0): Tag.HB_TB,
-            (0, 0, 1): Tag.HB_TE,
-            (2, 0, 1): Tag.HE_TE,
-        }
+        matrix.set(0, 0, 0, Tag.HB_TB)
+        matrix.set(0, 0, 1, Tag.HB_TE)
+        matrix.set(2, 0, 1, Tag.HE_TE)
         assert decode(matrix) == frozenset({Triple(Span(0, 2), 0, Span(0, 1))})
 
     def test_unanchored_cells_emit_nothing(self):
         matrix = TagMatrix(length=6, num_relations=1)
-        matrix.cells = {(0, 0, 2): Tag.HB_TB, (3, 0, 4): Tag.HE_TE}
+        matrix.set(0, 0, 2, Tag.HB_TB)
+        matrix.set(3, 0, 4, Tag.HE_TE)
         assert decode(matrix) == frozenset()
 
     def test_totality_on_random_matrices(self):
@@ -131,7 +227,7 @@ class TestDecode:
                     int(rng.integers(0, 3)),
                     int(rng.integers(0, length)),
                 )
-                matrix.cells[cell] = tags[rng.integers(0, 3)]
+                matrix.set(*cell, tags[rng.integers(0, 3)])
             for t in decode(matrix):
                 assert 0 <= t.head.begin <= t.head.end < length
                 assert 0 <= t.tail.begin <= t.tail.end < length
@@ -145,12 +241,35 @@ class TestDecode:
             full = decode(matrix)
             for k in range(4):
                 only_k = TagMatrix(length=10, num_relations=4)
-                only_k.cells = {
-                    cell: tag for cell, tag in matrix.cells.items() if cell[1] == k
-                }
+                for cell, tag in matrix.cells.items():
+                    if cell[1] == k:
+                        only_k.set(*cell, tag)
                 assert decode(only_k) == frozenset(
                     t for t in full if t.relation == k
                 )
+
+
+    @settings(max_examples=400, deadline=None)
+    @given(tag_grids())
+    def test_matches_reference_decoder(self, matrix):
+        assert decode(matrix) == reference_decode(matrix)
+
+    def test_nested_heads_sharing_tail_end_column(self):
+        # three nested heads on relation 1, all ending their tail at column 6
+        matrix = TagMatrix(length=8, num_relations=2)
+        for hb, he in ((0, 5), (1, 4), (2, 3)):
+            matrix.set(hb, 1, 6, Tag.HB_TE)
+            matrix.set(he, 1, 6, Tag.HE_TE)
+        matrix.set(1, 1, 5, Tag.HB_TB)
+        decoded = decode(matrix)
+        assert decoded == reference_decode(matrix)
+        assert decoded == frozenset(
+            {
+                Triple(Span(0, 3), 1, Span(6, 6)),
+                Triple(Span(1, 3), 1, Span(5, 6)),
+                Triple(Span(2, 3), 1, Span(6, 6)),
+            }
+        )
 
 
 class TestRoundtrip:
