@@ -19,6 +19,7 @@ import sys
 import time
 from pathlib import Path
 
+from .config import ConfigError
 from .corpus import (
     AnnotatedSentence,
     CorpusError,
@@ -36,7 +37,6 @@ from .evaluation import MATCH_MODES, breakdown, export_relation_embeddings
 from .synthetic import GenerationError, SynthConfig, default_mix, generate_corpus
 from .tagging import encode, render_relation_grid, roundtrip_check
 from .trainer import (
-    ConfigError,
     NumericError,
     TrainConfig,
     load_checkpoint,

@@ -402,14 +402,21 @@ def load_public(
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+        if not isinstance(record, dict):
+            raise CorpusError(f"{path}:{lineno}: record must be a JSON object")
         text = record.get("text", "")
+        if not isinstance(text, str):
+            raise CorpusError(f"{path}:{lineno}: \"text\" must be a string")
         tokens = tuple(text.split())
         if not tokens:
             raise CorpusError(f"{path}:{lineno}: empty text")
         sid = str(record.get("id", lineno))
+        raw_triples = record.get("triple_list", [])
+        if not isinstance(raw_triples, list):
+            raise CorpusError(f"{path}:{lineno}: \"triple_list\" must be a list")
 
         triples = []
-        for raw in record.get("triple_list", []):
+        for raw in raw_triples:
             try:
                 head_str, rel_name, tail_str = str(raw[0]), str(raw[1]), str(raw[2])
             except (IndexError, KeyError, TypeError) as exc:

@@ -9,7 +9,10 @@ scores of all relations and all four tag classes at once:
 Concatenation order is (e_i, e_j), so scores are not symmetric in (i, j);
 asymmetric relations need that. Dropout is applied before the rectifier,
 inverted-scaled, and only when training is requested, so inference is a
-plain forward pass. Everything is float64 and seeded for reproducibility.
+plain forward pass. The keep mask is used once and discarded: a dropped
+unit is zero after the rectifier, so backward needs only the scalar scale.
+Training scores each sentence at its true length, never padded.
+Everything is float64 and seeded for reproducibility.
 
 The [e_i; e_j] pairs are never built. With pair_proj = [W_h | W_t] split
 by columns, pair_proj @ [e_i; e_j] = W_h e_i + W_t e_j, so the
@@ -102,15 +105,15 @@ def init_scorer_params(
 class ScoreGrid:
     """Scores for all cells plus the activations the backward pass needs.
 
-    scores:    L x K x 4 x L
-    hidden:    L x L x hidden_dim, post-rectifier pair activations
-    drop_mask: L x L x hidden_dim inverted-dropout scaling, or None when
-               dropout was inactive
+    scores:        L x K x 4 x L
+    hidden:        L x L x hidden_dim, post-rectifier pair activations
+    dropout_scale: inverted-dropout factor 1 / (1 - rate) on the kept
+                   units, 1.0 when dropout was inactive
     """
 
     scores: np.ndarray
     hidden: np.ndarray
-    drop_mask: np.ndarray | None
+    dropout_scale: float
 
     @property
     def length(self) -> int:
@@ -140,13 +143,12 @@ def score_all(
     tails = emb @ params.pair_proj[:, d:].T + params.pair_bias
     pre = (heads[:, None, :] + tails[None, :, :]).reshape(length * length, -1)
 
-    drop_mask = None
+    scale = 1.0
     if training and params.dropout_rate > 0.0:
         rng = np.random.default_rng(rng_seed)
-        keep = rng.random(pre.shape) >= params.dropout_rate
-        drop_mask = keep / (1.0 - params.dropout_rate)
-        pre *= drop_mask
-        drop_mask = drop_mask.reshape(length, length, -1)
+        scale = 1.0 / (1.0 - params.dropout_rate)
+        pre *= rng.random(pre.shape) >= params.dropout_rate
+        pre *= scale
 
     hidden = np.maximum(pre, 0.0, out=pre)
     flat_scores = hidden @ params.rel_tag_emb  # (L*L, 4K)
@@ -158,7 +160,7 @@ def score_all(
     return ScoreGrid(
         scores=scores,
         hidden=hidden.reshape(length, length, -1),
-        drop_mask=drop_mask,
+        dropout_scale=scale,
     )
 
 
@@ -241,7 +243,7 @@ def backward(
     """Exact gradients of loss() with respect to parameters and embeddings.
 
     Requires the grid produced by score_all on the same emb/params (the
-    cached hidden activations and dropout realization are reused). The
+    cached hidden activations and dropout scale are reused). The
     returned loss is loss(grid, gold, mask), from the same softmax.
     """
     length = grid.length
@@ -274,9 +276,8 @@ def backward(
 
     d_rel = hidden_flat.T @ d_flat
     d_hidden = d_flat @ params.rel_tag_emb.T
-    d_hidden *= hidden_flat > 0.0  # rectifier active set
-    if grid.drop_mask is not None:
-        d_hidden *= grid.drop_mask.reshape(length * length, -1)
+    d_hidden *= hidden_flat > 0.0  # rectifier active set, dropped units included
+    d_hidden *= grid.dropout_scale
 
     # pre(i, j) = W_h e_i + W_t e_j + b: reduce over the partner token first
     d_pre = d_hidden.reshape(length, length, -1)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_fields, is_int, is_real
 from .corpus import (
     EPO,
     HTO,
@@ -38,6 +39,30 @@ def default_mix() -> dict[str, float]:
     return {NORMAL: 0.25, EPO: 0.25, SEO: 0.25, HTO: 0.25}
 
 
+def _any(value) -> bool:
+    return True
+
+
+def _is_mix(value) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(name, str) and is_real(share) for name, share in value.items()
+    )
+
+
+# types only: values out of range are GenerationErrors, raised when generating
+_SYNTH_RULES = {
+    "sentences": (is_int, _any, "an integer"),
+    "num_relations": (is_int, _any, "an integer"),
+    "mix": (_is_mix, _any, "an object mapping pattern names to numbers"),
+    "min_len": (is_int, _any, "an integer"),
+    "max_len": (is_int, _any, "an integer"),
+    "max_span_width": (is_int, _any, "an integer"),
+    "max_extra_triples": (is_int, _any, "an integer"),
+    "lexicon_size": (is_int, _any, "an integer"),
+    "seed": (is_int, _any, "an integer"),
+}
+
+
 @dataclass
 class SynthConfig:
     sentences: int = 100
@@ -49,6 +74,9 @@ class SynthConfig:
     max_extra_triples: int = 2
     lexicon_size: int = 400
     seed: int = 0
+
+    def __post_init__(self):
+        check_fields(self, _SYNTH_RULES)
 
 
 def pattern_counts(config: SynthConfig) -> dict[str, int]:

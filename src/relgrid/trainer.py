@@ -1,5 +1,6 @@
-"""Mini-batch training loop: padding and masking, Adam updates, per-epoch
-checkpointing, and end-to-end prediction (score -> tag -> decode).
+"""Mini-batch training loop: each sentence scored at its true length, Adam
+updates, per-epoch checkpointing, and end-to-end prediction (score -> tag ->
+decode).
 """
 
 from __future__ import annotations
@@ -8,7 +9,6 @@ import hashlib
 import json
 import logging
 import math
-import numbers
 import os
 import time
 import zipfile
@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from .config import ConfigError, check_fields, is_int, is_real
 from .corpus import AnnotatedSentence, RelationVocab, Sentence, Triple
 from .encoder import (
     EmbeddingTable,
@@ -30,7 +31,6 @@ from .encoder import (
 from .scorer import (
     ScorerParams,
     backward,
-    dense_gold,
     init_scorer_params,
     predict_tags,
     score_all,
@@ -46,37 +46,25 @@ class NumericError(RuntimeError):
     """Non-finite value encountered during optimization."""
 
 
-class ConfigError(ValueError):
-    """A TrainConfig field has the wrong type or lies outside its range."""
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 # field -> (type test, range test, allowed values as shown in errors)
 _CONFIG_RULES = {
-    "epochs": (_is_int, lambda v: v >= 1, "an integer >= 1"),
-    "batch_size": (_is_int, lambda v: v >= 1, "an integer >= 1"),
-    "learning_rate": (_is_real, lambda v: 0.0 < v < math.inf, "a finite number > 0"),
-    "adam_beta1": (_is_real, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)"),
-    "adam_beta2": (_is_real, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)"),
-    "adam_epsilon": (_is_real, lambda v: 0.0 < v < math.inf, "a finite number > 0"),
-    "seed": (_is_int, lambda v: v >= 0, "an integer >= 0"),
-    "dropout_rate": (_is_real, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)"),
-    "max_seq_len": (_is_int, lambda v: v >= 1, "an integer >= 1"),
-    "emb_dim": (_is_int, lambda v: v >= 1, "an integer >= 1"),
+    "epochs": (is_int, lambda v: v >= 1, "an integer >= 1"),
+    "batch_size": (is_int, lambda v: v >= 1, "an integer >= 1"),
+    "learning_rate": (is_real, lambda v: 0.0 < v < math.inf, "a finite number > 0"),
+    "adam_beta1": (is_real, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)"),
+    "adam_beta2": (is_real, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)"),
+    "adam_epsilon": (is_real, lambda v: 0.0 < v < math.inf, "a finite number > 0"),
+    "seed": (is_int, lambda v: v >= 0, "an integer >= 0"),
+    "dropout_rate": (is_real, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)"),
+    "max_seq_len": (is_int, lambda v: v >= 1, "an integer >= 1"),
+    "emb_dim": (is_int, lambda v: v >= 1, "an integer >= 1"),
     "hidden_dim": (
-        lambda v: v is None or _is_int(v),
+        lambda v: v is None or is_int(v),
         lambda v: v is None or v >= 1,
         "null or an integer >= 1",
     ),
     "use_positional": (lambda v: isinstance(v, bool), lambda v: True, "true or false"),
-    "min_count": (_is_int, lambda v: v >= 1, "an integer >= 1"),
+    "min_count": (is_int, lambda v: v >= 1, "an integer >= 1"),
 }
 
 
@@ -101,10 +89,7 @@ class TrainConfig:
     min_count: int = 1
 
     def __post_init__(self):
-        for name, (type_ok, range_ok, allowed) in _CONFIG_RULES.items():
-            value = getattr(self, name)
-            if not (type_ok(value) and range_ok(value)):
-                raise ConfigError(f"{name} must be {allowed}, got {value!r}")
+        check_fields(self, _CONFIG_RULES)
 
     def resolved_hidden_dim(self) -> int:
         return self.hidden_dim if self.hidden_dim is not None else 3 * self.emb_dim
@@ -124,12 +109,11 @@ class TrainConfig:
 
 @dataclass
 class Batch:
-    """Padded token indices plus per-sentence gold grids and validity masks."""
+    """Padded token indices plus per-sentence gold grids."""
 
     token_ids: np.ndarray  # (B, L_pad) int64, 0 = padding
     lengths: np.ndarray  # (B,) true lengths
     gold: list[TagMatrix]  # at true length
-    masks: list[np.ndarray]  # (L_pad, K, L_pad) bool, True on valid cells
 
 
 def valid_mask(length: int, padded: int, num_relations: int) -> np.ndarray:
@@ -164,13 +148,11 @@ def make_batches(
         padded = int(lengths.max())
         token_ids = np.zeros((len(chunk), padded), dtype=np.int64)
         gold = []
-        masks = []
         for row, s in enumerate(chunk):
             token_ids[row, : lengths[row]] = vocab.indices(s.sentence.tokens)
             matrix, _ = encode(s, num_relations)
             gold.append(matrix)
-            masks.append(valid_mask(int(lengths[row]), padded, num_relations))
-        batches.append(Batch(token_ids=token_ids, lengths=lengths, gold=gold, masks=masks))
+        batches.append(Batch(token_ids=token_ids, lengths=lengths, gold=gold))
     return batches
 
 
@@ -270,27 +252,27 @@ def _trainable(model: Model) -> dict[str, np.ndarray]:
 
 
 def train_step(model: Model, batch: Batch, dropout_seeds: list[int]) -> tuple[float, dict]:
-    """Forward/backward over one batch; returns mean loss and mean gradients."""
+    """Forward/backward over one batch, each sentence at its true length (so
+    nothing depends on its batch companions); returns mean loss and grads."""
     groups = _trainable(model)
     grads = {name: np.zeros_like(arr) for name, arr in groups.items()}
     batch_loss = 0.0
     size = batch.token_ids.shape[0]
-    padded = batch.token_ids.shape[1]
     for row in range(size):
-        ids = batch.token_ids[row]
+        n = int(batch.lengths[row])
+        ids = batch.token_ids[row, :n]
         emb = encode_indices(ids, model.table, model.config.use_positional)
         grid = score_all(
             emb, model.params, training=True, rng_seed=dropout_seeds[row]
         )
-        gold_arr = dense_gold(batch.gold[row], padded)
-        g = backward(grid, gold_arr, batch.masks[row], emb, model.params)
+        g = backward(grid, batch.gold[row].tags, None, emb, model.params)
         batch_loss += g.loss
         grads["pair_proj"] += g.pair_proj
         grads["pair_bias"] += g.pair_bias
         grads["rel_tag_emb"] += g.rel_tag_emb
         np.add.at(grads["token_table"], ids, g.emb)
         if model.config.use_positional:
-            grads["positional_table"][:padded] += g.emb
+            grads["positional_table"][:n] += g.emb
     for arr in grads.values():
         arr /= size
     return batch_loss / size, grads

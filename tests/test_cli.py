@@ -78,6 +78,28 @@ class TestSynth:
         assert code == EXIT_DATA
         assert "relations" in stderr
 
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"count": "3"}, "sentences"),
+            ({"mix": 5}, "mix"),
+            ({"mix": {"normal": "1"}}, "mix"),
+            ({"seed": 1.5}, "seed"),
+            ({"min-len": "6"}, "min_len"),
+        ],
+        ids=["count-string", "mix-number", "mix-string-share", "seed-float", "min-len-string"],
+    )
+    def test_config_value_of_wrong_type_is_usage_error(self, capsys, tmp_path, config, field):
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "c.jsonl"
+        code, stdout, stderr = run(capsys, "synth", "--out", str(out), "--config", str(path))
+        assert code == EXIT_USAGE
+        assert stderr.startswith(f"error: {field} must be ")
+        assert stderr.count("\n") == 1
+        assert stdout == ""
+        assert not out.exists()
+
 
 class TestStats:
     def test_prints_breakdown(self, capsys, synth_file):
@@ -101,6 +123,32 @@ class TestStats:
         )
         assert code == EXIT_DATA
         assert "empty corpus" in stderr
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("[1, 2]", "record must be a JSON object"),
+            ('{"text": 5}', '"text" must be a string'),
+            ('{"text": ["a", "b"]}', '"text" must be a string'),
+            ('{"text": "a b", "triple_list": 5}', '"triple_list" must be a list'),
+            ('{"text": "a b", "triple_list": null}', '"triple_list" must be a list'),
+        ],
+        ids=["list-record", "number-text", "list-text", "number-triples", "null-triples"],
+    )
+    def test_malformed_public_record_is_one_line_data_error(
+        self, capsys, tmp_path, line, message
+    ):
+        data = tmp_path / "pub.jsonl"
+        data.write_text('{"text": "a b", "triple_list": []}\n' + line + "\n")
+        relations = tmp_path / "rels.txt"
+        relations.write_text("r0\n")
+        code, stdout, stderr = run(
+            capsys, "stats", "--format", "public", "--data", str(data),
+            "--relations", str(relations),
+        )
+        assert code == EXIT_DATA
+        assert stderr == f"error: {data}:2: {message}\n"
+        assert stdout == ""
 
 
 class TestTrainEval:

@@ -78,6 +78,56 @@ def concat_reference(emb, params, gold_arr, mask, training=False, rng_seed=0):
     return scores, mean_loss, grads
 
 
+def float_mask_reference(emb, params, gold_arr, rng_seed):
+    """Training-mode score_all and unmasked backward with the dropout
+    realization kept as a float L x L x hidden_dim array of 0 and
+    1 / (1 - rate), multiplied into the pre-activation and again into the
+    hidden gradient. Same operations, in the same order, as the scorer
+    otherwise.
+
+    Returns (scores as L x K x 4 x L, hidden as L x L x H, loss, gradients).
+    """
+    length, d = emb.shape
+    num_rel = params.num_relations
+    heads = emb @ params.pair_proj[:, :d].T
+    tails = emb @ params.pair_proj[:, d:].T + params.pair_bias
+    pre = (heads[:, None, :] + tails[None, :, :]).reshape(length * length, -1)
+    rng = np.random.default_rng(rng_seed)
+    drop_mask = (rng.random(pre.shape) >= params.dropout_rate) / (1.0 - params.dropout_rate)
+    pre *= drop_mask
+    hidden = np.maximum(pre, 0.0, out=pre)
+    scores = (
+        (hidden @ params.rel_tag_emb)
+        .reshape(length, length, num_rel, NUM_TAGS)
+        .transpose(0, 2, 3, 1)
+        .copy()
+    )
+
+    cell_major = np.moveaxis(scores, 2, 3)
+    shifted = cell_major - cell_major.max(axis=3, keepdims=True)
+    probs = np.exp(shifted)
+    norm = probs.sum(axis=3)
+    probs /= norm[..., None]
+    gold_idx = gold_arr[..., None]
+    nll = np.log(norm) - np.take_along_axis(shifted, gold_idx, axis=3).squeeze(3)
+    mean_loss = float(nll.sum() / nll.size)
+    np.put_along_axis(probs, gold_idx, np.take_along_axis(probs, gold_idx, axis=3) - 1.0, axis=3)
+    probs /= nll.size
+    d_flat = probs.transpose(0, 2, 1, 3).reshape(length * length, num_rel * NUM_TAGS)
+    d_hidden = d_flat @ params.rel_tag_emb.T
+    d_hidden *= hidden > 0.0
+    d_hidden *= drop_mask
+    d_pre = d_hidden.reshape(length, length, -1)
+    d_heads, d_tails = d_pre.sum(axis=1), d_pre.sum(axis=0)
+    grads = {
+        "pair_proj": np.concatenate([d_heads.T @ emb, d_tails.T @ emb], axis=1),
+        "pair_bias": d_heads.sum(axis=0),
+        "rel_tag_emb": hidden.T @ d_flat,
+        "emb": d_heads @ params.pair_proj[:, :d] + d_tails @ params.pair_proj[:, d:],
+    }
+    return scores, hidden.reshape(length, length, -1), mean_loss, grads
+
+
 def reference_predict_tags(scores, mask):
     """{(i, k, j): Tag} from one argmax per cell; ties and masked-out cells
     give NONE and are left out."""
@@ -226,9 +276,13 @@ class TestScoreAll:
         g3 = score_all(emb, params, training=True, rng_seed=43)
         assert not np.array_equal(g1.scores, g3.scores)
         # inverted dropout: inference pass needs no rescaling
-        assert score_all(emb, params, training=False).drop_mask is None
-        kept = g1.drop_mask[g1.drop_mask > 0]
-        np.testing.assert_allclose(kept, 2.0)
+        plain = score_all(emb, params, training=False)
+        assert plain.dropout_scale == 1.0 and g1.dropout_scale == 2.0
+        # every training unit is dropped (0) or kept and scaled by exactly 2
+        dropped = g1.hidden == 0.0
+        assert np.all(dropped | (g1.hidden == 2.0 * plain.hidden))
+        assert np.any(dropped & (plain.hidden > 0.0))
+        assert np.any(~dropped)
 
 
 class TestTagDistribution:
@@ -403,6 +457,26 @@ class TestFactorizedPairLayer:
         assert backward(grid, gold_arr, None, emb, params).loss == loss(grid, gold_arr)
 
 
+class TestScalarDropoutScale:
+    """The scalar dropout scale reproduces the float-mask formulation bit
+    for bit: the forward pass and all four gradients."""
+
+    @pytest.mark.parametrize("seed, dropout", [(51, 0.1), (52, 0.3), (53, 0.5)])
+    def test_bit_identical_to_float_mask_reference(self, seed, dropout):
+        emb, params, gold = random_instance(seed, length=12, num_rel=3, emb_dim=6, dropout=dropout)
+        gold_arr = gold.tags  # the int8 grid, as training passes it
+        grid = score_all(emb, params, training=True, rng_seed=seed)
+        grads = backward(grid, gold_arr, None, emb, params)
+        ref_scores, ref_hidden, ref_loss, ref_grads = float_mask_reference(
+            emb, params, gold_arr, rng_seed=seed
+        )
+        assert np.array_equal(grid.scores, ref_scores)
+        assert np.array_equal(grid.hidden, ref_hidden)
+        assert grads.loss == ref_loss
+        for name, ref in ref_grads.items():
+            assert np.array_equal(getattr(grads, name), ref), name
+
+
 class TestDenseGold:
     def test_matches_cells_and_pads_with_none(self):
         gold = TagMatrix(length=3, num_relations=2)
@@ -478,7 +552,7 @@ class TestPredictTags:
         rng = np.random.default_rng(seed)
         scores = rng.integers(-2, 3, size=(length, num_rel, NUM_TAGS, length)).astype(float)
         mask = rng.random((length, num_rel, length)) < 0.7 if masked else None
-        grid = ScoreGrid(scores=scores, hidden=np.zeros((length, length, 1)), drop_mask=None)
+        grid = ScoreGrid(scores=scores, hidden=np.zeros((length, length, 1)), dropout_scale=1.0)
         matrix = predict_tags(grid, mask)
         assert matrix.tags.dtype == np.int8
         assert matrix.cells == reference_predict_tags(scores, mask)

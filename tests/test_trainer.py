@@ -3,7 +3,7 @@ import pytest
 
 from relgrid.corpus import RelationVocab, Sentence, Span, Triple
 from relgrid.encoder import build_vocab, encode_indices
-from relgrid.scorer import ScorerParams, dense_gold, loss, score_all
+from relgrid.scorer import ScorerParams, backward, dense_gold, loss, score_all
 from relgrid.synthetic import SynthConfig, generate_corpus
 from relgrid.tagging import encode
 from relgrid.trainer import (
@@ -19,11 +19,42 @@ from relgrid.trainer import (
     predict,
     save_checkpoint,
     train,
+    train_step,
     valid_mask,
     write_loss_log,
 )
 
 from conftest import make_sentence
+
+
+def padded_train_step(model, batch, dropout_seeds):
+    """train_step with every row scored at the batch's longest length and the
+    padded cells masked out of the loss (positional model only)."""
+    size, padded = batch.token_ids.shape
+    num_rel = model.params.num_relations
+    grads = {
+        "pair_proj": np.zeros_like(model.params.pair_proj),
+        "pair_bias": np.zeros_like(model.params.pair_bias),
+        "rel_tag_emb": np.zeros_like(model.params.rel_tag_emb),
+        "token_table": np.zeros_like(model.table.tokens),
+        "positional_table": np.zeros_like(model.table.positional),
+    }
+    batch_loss = 0.0
+    for row in range(size):
+        ids = batch.token_ids[row]
+        emb = encode_indices(ids, model.table, True)
+        grid = score_all(emb, model.params, training=True, rng_seed=dropout_seeds[row])
+        mask = valid_mask(int(batch.lengths[row]), padded, num_rel)
+        g = backward(grid, dense_gold(batch.gold[row], padded), mask, emb, model.params)
+        batch_loss += g.loss
+        grads["pair_proj"] += g.pair_proj
+        grads["pair_bias"] += g.pair_bias
+        grads["rel_tag_emb"] += g.rel_tag_emb
+        np.add.at(grads["token_table"], ids, g.emb)
+        grads["positional_table"][:padded] += g.emb
+    for arr in grads.values():
+        arr /= size
+    return batch_loss / size, grads
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +97,49 @@ class TestBatches:
         assert any(
             not np.array_equal(x.token_ids, y.token_ids) for x, y in zip(b1, b2)
         )
+
+
+class TestTrainStep:
+    RTOL, ATOL = 1e-12, 1e-14
+
+    def test_matches_padded_and_masked_reference(self, tiny_synth):
+        corpus, relations = tiny_synth
+        chunk = [corpus[0], corpus[3], corpus[2]]
+        vocab = build_vocab(corpus)
+        model = init_model(relations, vocab, TrainConfig(seed=4, dropout_rate=0.0))
+        [batch] = make_batches(chunk, vocab, len(relations), TrainConfig(batch_size=3))
+        assert batch.lengths.max() - batch.lengths.min() >= 5
+        seeds = [11, 12, 13]
+        got_loss, got = train_step(model, batch, seeds)
+        ref_loss, ref = padded_train_step(model, batch, seeds)
+        assert got_loss == pytest.approx(ref_loss, rel=self.RTOL, abs=self.ATOL)
+        assert got.keys() == ref.keys() and len(ref) == 5
+        for name in ref:
+            np.testing.assert_allclose(
+                got[name], ref[name], rtol=self.RTOL, atol=self.ATOL, err_msg=name
+            )
+
+    def test_dropout_ignores_batch_companions(self, tiny_synth):
+        corpus, relations = tiny_synth
+        s, t = corpus[3], corpus[0]
+        assert len(t.sentence) > len(s.sentence)
+        vocab = build_vocab(corpus)
+        config = TrainConfig(seed=4, dropout_rate=0.3, batch_size=2)
+        model = init_model(relations, vocab, config)
+        x, y = 21, 22
+
+        def step(sentences, seeds):
+            [batch] = make_batches(sentences, vocab, len(relations), config)
+            return train_step(model, batch, seeds)
+
+        pair_loss, pair_grads = step([s, t], [x, y])
+        s_loss, s_grads = step([s], [x])
+        t_loss, t_grads = step([t], [y])
+        assert pair_loss == pytest.approx((s_loss + t_loss) / 2, rel=1e-15, abs=0.0)
+        for name in ("pair_proj", "pair_bias", "rel_tag_emb"):
+            np.testing.assert_allclose(
+                pair_grads[name], (s_grads[name] + t_grads[name]) / 2, rtol=1e-15, atol=0.0
+            )
 
 
 class TestAdam:
