@@ -396,11 +396,11 @@ def _parse_mix(raw: str) -> dict[str, float]:
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = RunConfig(args)
     out = cfg.require("out")
-    mix_raw = cfg.get("mix")
+    mix = cfg.get("mix", default_mix())  # a config-file value goes to the checks as is
     config = SynthConfig(
         sentences=cfg.get("count", 100),
         num_relations=cfg.get("num-relations", 4),
-        mix=_parse_mix(mix_raw) if isinstance(mix_raw, str) else (mix_raw or default_mix()),
+        mix=_parse_mix(mix) if isinstance(mix, str) else mix,
         min_len=cfg.get("min-len", 6),
         max_len=cfg.get("max-len", 14),
         seed=cfg.get("seed", 0),

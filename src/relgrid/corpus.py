@@ -282,6 +282,8 @@ def load_native(
             raw_triples = record["triples"]
         except (KeyError, TypeError) as exc:
             raise CorpusError(f"{path}:{lineno}: missing field ({exc})") from exc
+        if not isinstance(raw_triples, list):
+            raise CorpusError(f"{path}:{lineno}: \"triples\" must be a list")
 
         triples = []
         for raw in raw_triples:

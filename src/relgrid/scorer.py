@@ -20,10 +20,27 @@ pre-activation is the broadcast sum of two L x hidden_dim matrices. That is
 the same linear map; only the float summation order differs. In backward,
 the pair gradient reaches e_i only through W_h and e_j only through W_t, so
 it is summed over j (resp. i) before it meets the weights.
+
+score_all, loss, tag_distribution, backward and predict_tags work on blocks
+of 16 head rows i (the last block may be shorter). The blocks run on the
+calling thread plus a pool of one thread per further available core,
+started on first need; NumPy ufuncs and BLAS release the interpreter lock,
+so the blocks run in parallel. A grid of at most 16 rows is one block and
+runs inline. The split depends on L alone, each block writes only its own
+rows, and the few sums across blocks (loss, rel_tag_emb and tail-side
+gradients) are added in block order, so no result depends on the number of
+threads. Each block draws its dropout units from its offset in the same
+stream as one rng.random((L * L, hidden_dim)) draw, so hidden activations
+and the tags predicted from given scores equal an unsplit computation bit
+for bit. Scores can differ from an unsplit product in the last bit, because
+BLAS may round the edge tiles of a product differently for another row
+count; for L > 16 loss and gradients also differ in float summation order.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,13 +141,68 @@ class ScoreGrid:
         return self.scores.shape[1]
 
 
+# Head rows per block. The split depends on L alone, so no result depends
+# on the number of threads.
+_BLOCK_ROWS = 16
+# Threads that run blocks: the calling thread plus _THREADS - 1 pool threads.
+_THREADS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+_pool = None  # the _THREADS - 1 pool threads, started on the first multi-block call
+_pool_lock = threading.Lock()
+
+
+def _executor():
+    """The shared pool, started on first need."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(_THREADS - 1, "relgrid-block")
+        return _pool
+
+
+def _map_blocks(fn, length: int) -> list:
+    """[fn(rows) for rows in the blocks of _BLOCK_ROWS head rows], in block order.
+
+    With W = min(_THREADS, blocks) > 1 the calling thread runs blocks
+    0, W, 2W, ... and pool thread w the blocks w, W + w, ...; the caller
+    takes its share because temporaries made on a pool thread come from
+    that thread's malloc arena, which keeps what is freed. An exception
+    from a block is re-raised unchanged once every block has finished.
+    """
+    if length <= _BLOCK_ROWS:
+        return [fn(slice(0, length))]
+
+    def run(own: list[slice]) -> list:
+        return [fn(rows) for rows in own]
+
+    blocks = [slice(a, min(a + _BLOCK_ROWS, length)) for a in range(0, length, _BLOCK_ROWS)]
+    threads = min(_THREADS, len(blocks))
+    if threads == 1:
+        return run(blocks)
+    from concurrent.futures import wait
+
+    pool = _executor()
+    strides = [pool.submit(run, blocks[w::threads]) for w in range(1, threads)]
+    results = [None] * len(blocks)
+    try:
+        results[::threads] = run(blocks[::threads])
+    finally:
+        wait(strides)
+    for w, stride in enumerate(strides, 1):
+        results[w::threads] = stride.result()
+    return results
+
+
 def score_all(
     emb: np.ndarray,
     params: ScorerParams,
     training: bool = False,
     rng_seed: int = 0,
 ) -> ScoreGrid:
-    """Score every (i, relation, tag, j) cell in one batched pass."""
+    """Score every (i, relation, tag, j) cell, one block of head rows at a time."""
     if emb.ndim != 2 or emb.shape[1] != params.emb_dim:
         raise ValueError(
             f"embedding shape {emb.shape} incompatible with emb_dim {params.emb_dim}"
@@ -138,36 +210,35 @@ def score_all(
     length = emb.shape[0]
     num_rel = params.num_relations
     d = params.emb_dim
+    hidden_dim = params.hidden_dim
 
     heads = emb @ params.pair_proj[:, :d].T
     tails = emb @ params.pair_proj[:, d:].T + params.pair_bias
-    pre = (heads[:, None, :] + tails[None, :, :]).reshape(length * length, -1)
+    hidden = np.empty((length, length, hidden_dim))
+    scores = np.empty((length, num_rel, NUM_TAGS, length))
+    dropout = training and params.dropout_rate > 0.0
+    scale = 1.0 / (1.0 - params.dropout_rate) if dropout else 1.0
 
-    scale = 1.0
-    if training and params.dropout_rate > 0.0:
-        rng = np.random.default_rng(rng_seed)
-        scale = 1.0 / (1.0 - params.dropout_rate)
-        pre *= rng.random(pre.shape) >= params.dropout_rate
-        pre *= scale
+    def block(rows: slice) -> None:
+        pre = np.add(heads[rows, None, :], tails, out=hidden[rows])
+        if dropout:
+            # these rows' part of one rng.random((L * L, hidden_dim)) draw
+            bits = np.random.PCG64(rng_seed).advance(rows.start * length * hidden_dim)
+            pre *= np.random.Generator(bits).random(pre.shape) >= params.dropout_rate
+            pre *= scale
+        np.maximum(pre, 0.0, out=pre)
+        flat = pre.reshape(-1, hidden_dim) @ params.rel_tag_emb  # (rows * L, 4K)
+        scores[rows] = flat.reshape(-1, length, num_rel, NUM_TAGS).transpose(0, 2, 3, 1)
 
-    hidden = np.maximum(pre, 0.0, out=pre)
-    flat_scores = hidden @ params.rel_tag_emb  # (L*L, 4K)
-    scores = (
-        flat_scores.reshape(length, length, num_rel, NUM_TAGS)
-        .transpose(0, 2, 3, 1)
-        .copy()
-    )
-    return ScoreGrid(
-        scores=scores,
-        hidden=hidden.reshape(length, length, -1),
-        dropout_scale=scale,
-    )
+    _map_blocks(block, length)
+    return ScoreGrid(scores=scores, hidden=hidden, dropout_scale=scale)
 
 
-def _softmax(grid: ScoreGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Max-subtracted tag-axis softmax in L x K x L x 4 order: the scores
-    minus each cell's max, the probabilities, and the log normalizers."""
-    s = np.moveaxis(grid.scores, 2, 3)
+def _softmax(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Max-subtracted tag-axis softmax of a block of score rows, in
+    rows x K x L x 4 order: the scores minus each cell's max, the
+    probabilities, and the log normalizers."""
+    s = np.moveaxis(scores, 2, 3)
     shifted = s - s.max(axis=3, keepdims=True)
     probs = np.exp(shifted)
     norm = probs.sum(axis=3)
@@ -177,7 +248,13 @@ def _softmax(grid: ScoreGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def tag_distribution(grid: ScoreGrid) -> np.ndarray:
     """L x K x L x 4 softmax over the tag axis, max-subtracted for stability."""
-    return _softmax(grid)[1]
+    probs = np.empty((grid.length, grid.num_relations, grid.length, NUM_TAGS))
+
+    def block(rows: slice) -> None:
+        probs[rows] = _softmax(grid.scores[rows])[1]
+
+    _map_blocks(block, grid.length)
+    return probs
 
 
 def dense_gold(gold: TagMatrix, padded: int | None = None) -> np.ndarray:
@@ -188,38 +265,43 @@ def dense_gold(gold: TagMatrix, padded: int | None = None) -> np.ndarray:
     return arr
 
 
-def _gold_array(
+def _gold_and_count(
     grid: ScoreGrid, gold: TagMatrix | np.ndarray, mask: np.ndarray | None
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
+    """The dense gold tags and the number of masked-in cells."""
     gold_arr = gold if isinstance(gold, np.ndarray) else dense_gold(gold)
     cell_shape = (grid.length, grid.num_relations, grid.length)
     if gold_arr.shape != cell_shape:
         raise ValueError(f"gold shape {gold_arr.shape} != grid cells {cell_shape}")
-    if mask is not None and mask.shape != cell_shape:
-        raise ValueError(f"mask shape {mask.shape} != grid cells {cell_shape}")
-    return gold_arr
-
-
-def _mean_nll(
-    shifted: np.ndarray, log_norm: np.ndarray, gold_arr: np.ndarray, mask: np.ndarray | None
-) -> tuple[float, int]:
-    """Mean negative log-probability of the gold tag and the cell count."""
-    nll = log_norm - np.take_along_axis(shifted, gold_arr[..., None], axis=3).squeeze(3)
     if mask is None:
-        return float(nll.sum() / nll.size), nll.size
+        return gold_arr, gold_arr.size
+    if mask.shape != cell_shape:
+        raise ValueError(f"mask shape {mask.shape} != grid cells {cell_shape}")
     count = int(mask.sum())
     if count == 0:
         raise ValueError("no masked-in cells")
-    return float(nll[mask].sum() / count), count
+    return gold_arr, count
+
+
+def _nll_sum(
+    shifted: np.ndarray, log_norm: np.ndarray, gold: np.ndarray, mask: np.ndarray | None
+) -> float:
+    """Summed negative log-probability of the gold tag over masked-in cells."""
+    nll = log_norm - np.take_along_axis(shifted, gold[..., None], axis=3).squeeze(3)
+    return nll.sum() if mask is None else nll[mask].sum()
 
 
 def loss(
     grid: ScoreGrid, gold: TagMatrix | np.ndarray, mask: np.ndarray | None = None
 ) -> float:
     """Mean negative log-probability of the gold tag over masked-in cells."""
-    gold_arr = _gold_array(grid, gold, mask)
-    shifted, _, log_norm = _softmax(grid)
-    return _mean_nll(shifted, log_norm, gold_arr, mask)[0]
+    gold_arr, count = _gold_and_count(grid, gold, mask)
+
+    def block(rows: slice) -> float:
+        shifted, _, log_norm = _softmax(grid.scores[rows])
+        return _nll_sum(shifted, log_norm, gold_arr[rows], None if mask is None else mask[rows])
+
+    return float(sum(_map_blocks(block, grid.length)) / count)
 
 
 @dataclass
@@ -249,44 +331,52 @@ def backward(
     length = grid.length
     num_rel = grid.num_relations
     d = params.emb_dim
-    if grid.hidden.shape != (length, length, params.hidden_dim):
+    hidden_dim = params.hidden_dim
+    if grid.hidden.shape != (length, length, hidden_dim):
         raise ValueError("stale cache: hidden shape mismatch")
     if emb.shape != (length, d):
         raise ValueError("stale cache: embedding shape mismatch")
     if num_rel != params.num_relations:
         raise ValueError("stale cache: relation count mismatch")
-    gold_arr = _gold_array(grid, gold, mask)
+    gold_arr, count = _gold_and_count(grid, gold, mask)
+    d_heads = np.empty((length, hidden_dim))
 
-    shifted, d_logits, log_norm = _softmax(grid)  # d_logits: probabilities so far
-    mean_loss, count = _mean_nll(shifted, log_norm, gold_arr, mask)
-    del shifted  # free it before the gradient temporaries are allocated
-    np.put_along_axis(
-        d_logits,
-        gold_arr[..., None],
-        np.take_along_axis(d_logits, gold_arr[..., None], axis=3) - 1.0,
-        axis=3,
-    )
-    if mask is not None:
-        d_logits *= mask[..., None]
-    d_logits /= count
+    def block(rows: slice) -> tuple[float, np.ndarray, np.ndarray]:
+        """This block's NLL sum, rel_tag_emb gradient and d_tails; fills d_heads[rows]."""
+        gold_rows = gold_arr[rows]
+        mask_rows = None if mask is None else mask[rows]
+        shifted, d_logits, log_norm = _softmax(grid.scores[rows])  # d_logits: probabilities so far
+        nll = _nll_sum(shifted, log_norm, gold_rows, mask_rows)
+        del shifted  # free it before the gradient temporaries are allocated
+        gold_idx = gold_rows[..., None]
+        np.put_along_axis(
+            d_logits, gold_idx, np.take_along_axis(d_logits, gold_idx, axis=3) - 1.0, axis=3
+        )
+        if mask_rows is not None:
+            d_logits *= mask_rows[..., None]
+        d_logits /= count
 
-    # (i, k, j, tag) -> (i, j, 4k + tag), matching rel_tag_emb's column layout
-    d_flat = d_logits.transpose(0, 2, 1, 3).reshape(length * length, num_rel * NUM_TAGS)
-    hidden_flat = grid.hidden.reshape(length * length, -1)
+        # (i, k, j, tag) -> (i, j, 4k + tag), matching rel_tag_emb's column layout
+        d_flat = d_logits.transpose(0, 2, 1, 3).reshape(-1, num_rel * NUM_TAGS)
+        hidden_flat = grid.hidden[rows].reshape(-1, hidden_dim)
+        d_rel = hidden_flat.T @ d_flat
+        d_hidden = d_flat @ params.rel_tag_emb.T
+        d_hidden *= hidden_flat > 0.0  # rectifier active set, dropped units included
+        d_hidden *= grid.dropout_scale
 
-    d_rel = hidden_flat.T @ d_flat
-    d_hidden = d_flat @ params.rel_tag_emb.T
-    d_hidden *= hidden_flat > 0.0  # rectifier active set, dropped units included
-    d_hidden *= grid.dropout_scale
+        # pre(i, j) = W_h e_i + W_t e_j + b: reduce over the partner token first
+        d_pre = d_hidden.reshape(-1, length, hidden_dim)
+        d_heads[rows] = d_pre.sum(axis=1)  # summed over tails j
+        return nll, d_rel, d_pre.sum(axis=0)  # the last: d_tails over this block's heads
 
-    # pre(i, j) = W_h e_i + W_t e_j + b: reduce over the partner token first
-    d_pre = d_hidden.reshape(length, length, -1)
-    d_heads = d_pre.sum(axis=1)  # L x hidden_dim, summed over tails j
-    d_tails = d_pre.sum(axis=0)  # L x hidden_dim, summed over heads i
+    nll_sums, d_rels, d_tails_parts = zip(*_map_blocks(block, length))
+    d_rel = sum(d_rels)
+    d_tails = sum(d_tails_parts)  # L x hidden_dim, summed over heads i
     d_proj = np.concatenate([d_heads.T @ emb, d_tails.T @ emb], axis=1)
     d_bias = d_heads.sum(axis=0)
     d_emb = d_heads @ params.pair_proj[:, :d] + d_tails @ params.pair_proj[:, d:]
 
+    mean_loss = float(sum(nll_sums) / count)
     return ScorerGrads(
         pair_proj=d_proj, pair_bias=d_bias, rel_tag_emb=d_rel, emb=d_emb, loss=mean_loss
     )
@@ -298,10 +388,15 @@ def predict_tags(grid: ScoreGrid, mask: np.ndarray | None = None) -> TagMatrix:
     NONE picks up all ties because a tie carries no evidence for a boundary
     and a spurious boundary tag fabricates triples.
     """
-    s = grid.scores
-    hit = s == s.max(axis=2, keepdims=True)
-    best = hit.argmax(axis=2).astype(np.int8)
-    best[hit.sum(axis=2) > 1] = Tag.NONE
-    if mask is not None:
-        best[~mask] = Tag.NONE
+
+    def block(rows: slice) -> np.ndarray:
+        s = grid.scores[rows]
+        hit = s == s.max(axis=2, keepdims=True)
+        best = hit.argmax(axis=2).astype(np.int8)
+        best[hit.sum(axis=2) > 1] = Tag.NONE
+        if mask is not None:
+            best[~mask[rows]] = Tag.NONE
+        return best
+
+    best = np.concatenate(_map_blocks(block, grid.length))
     return TagMatrix(grid.length, grid.num_relations, best)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from relgrid import scorer
 from relgrid.corpus import AnnotatedSentence, RelationVocab, Sentence, Span, Triple
 from relgrid.synthetic import SynthConfig, generate_corpus
 
@@ -61,3 +62,22 @@ def fig2_sentence():
             ),
         ),
     }
+
+
+@pytest.fixture
+def block_threads(monkeypatch):
+    """Call with n to make the scorer run its blocks on n threads; each call
+    gives the next multi-block call a fresh pool, shut down after use."""
+    original = scorer._pool
+
+    def close():
+        if scorer._pool is not None and scorer._pool is not original:
+            scorer._pool.shutdown()
+
+    def use(threads):
+        close()
+        monkeypatch.setattr(scorer, "_THREADS", threads)
+        monkeypatch.setattr(scorer, "_pool", None)
+
+    yield use
+    close()

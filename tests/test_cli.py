@@ -86,8 +86,13 @@ class TestSynth:
             ({"mix": {"normal": "1"}}, "mix"),
             ({"seed": 1.5}, "seed"),
             ({"min-len": "6"}, "min_len"),
+            ({"mix": []}, "mix"),
+            ({"mix": 0}, "mix"),
         ],
-        ids=["count-string", "mix-number", "mix-string-share", "seed-float", "min-len-string"],
+        ids=[
+            "count-string", "mix-number", "mix-string-share", "seed-float", "min-len-string",
+            "mix-empty-list", "mix-zero",
+        ],
     )
     def test_config_value_of_wrong_type_is_usage_error(self, capsys, tmp_path, config, field):
         path = tmp_path / "synth.json"
@@ -97,6 +102,16 @@ class TestSynth:
         assert code == EXIT_USAGE
         assert stderr.startswith(f"error: {field} must be ")
         assert stderr.count("\n") == 1
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_empty_config_mix_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps({"mix": {}}))
+        out = tmp_path / "c.jsonl"
+        code, stdout, stderr = run(capsys, "synth", "--out", str(out), "--config", str(path))
+        assert code == EXIT_DATA
+        assert stderr == "error: mix proportions must be non-negative and sum > 0\n"
         assert stdout == ""
         assert not out.exists()
 
@@ -148,6 +163,19 @@ class TestStats:
         )
         assert code == EXIT_DATA
         assert stderr == f"error: {data}:2: {message}\n"
+        assert stdout == ""
+
+
+    @pytest.mark.parametrize("triples", ["5", "null", "{}"], ids=["number", "null", "object"])
+    def test_native_triples_not_a_list_is_one_line_data_error(self, capsys, tmp_path, triples):
+        data = tmp_path / "native.jsonl"
+        data.write_text(
+            '{"id": "a", "tokens": ["a", "b"], "triples": []}\n'
+            f'{{"id": "b", "tokens": ["a", "b"], "triples": {triples}}}\n'
+        )
+        code, stdout, stderr = run(capsys, "stats", "--data", str(data))
+        assert code == EXIT_DATA
+        assert stderr == f'error: {data}:2: "triples" must be a list\n'
         assert stdout == ""
 
 

@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relgrid import scorer
 from relgrid.scorer import (
     ScoreGrid,
     ScorerParams,
@@ -475,6 +478,113 @@ class TestScalarDropoutScale:
         assert grads.loss == ref_loss
         for name, ref in ref_grads.items():
             assert np.array_equal(getattr(grads, name), ref), name
+
+
+class TestHeadRowBlocks:
+    """The pair grid is computed in blocks of head rows: at L=37 there are
+    three, the last one 5 rows high. Against a one-block run, the hidden
+    layer and the tags of a given grid must be equal; scores, loss and
+    gradients may differ in float summation order (BLAS rounds the edge
+    tiles of a product by its shape). Against any thread count, everything
+    must be equal."""
+
+    RTOL, ATOL = 1e-12, 1e-14
+    LENGTH, NUM_REL = 37, 5
+
+    def instance(self, masked):
+        emb, params, gold = random_instance(
+            61, length=self.LENGTH, num_rel=self.NUM_REL, emb_dim=8, dropout=0.3
+        )
+        cells = (self.LENGTH, self.NUM_REL, self.LENGTH)
+        mask = np.random.default_rng(62).random(cells) < 0.7 if masked else None
+        return emb, params, gold.tags, mask
+
+    def run(self, emb, params, gold_arr, mask):
+        grid = score_all(emb, params, training=True, rng_seed=63)
+        return {
+            "grid": grid,
+            "grads": backward(grid, gold_arr, mask, emb, params),
+            "loss": loss(grid, gold_arr, mask),
+            "probs": tag_distribution(grid),
+            "tags": predict_tags(grid, mask).tags,
+        }
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_matches_one_block_run(self, monkeypatch, masked):
+        emb, params, gold_arr, mask = self.instance(masked)
+        blocked = self.run(emb, params, gold_arr, mask)
+        monkeypatch.setattr(scorer, "_BLOCK_ROWS", 64)
+        whole = self.run(emb, params, gold_arr, mask)
+
+        assert np.array_equal(blocked["grid"].hidden, whole["grid"].hidden)
+        np.testing.assert_allclose(
+            blocked["grid"].scores, whole["grid"].scores, rtol=self.RTOL, atol=self.ATOL
+        )
+        assert np.array_equal(predict_tags(blocked["grid"], mask).tags, blocked["tags"])
+        assert np.array_equal(tag_distribution(blocked["grid"]), blocked["probs"])
+        assert blocked["loss"] == pytest.approx(whole["loss"], rel=self.RTOL, abs=self.ATOL)
+        for name in ("pair_proj", "pair_bias", "rel_tag_emb", "emb", "loss"):
+            np.testing.assert_allclose(
+                getattr(blocked["grads"], name),
+                getattr(whole["grads"], name),
+                rtol=self.RTOL,
+                atol=self.ATOL,
+                err_msg=name,
+            )
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_backward_loss_is_loss_bit_for_bit(self, masked):
+        emb, params, gold_arr, mask = self.instance(masked)
+        out = self.run(emb, params, gold_arr, mask)
+        assert out["grads"].loss == out["loss"]
+
+    def test_dropout_stream_is_one_draw_over_the_grid(self):
+        emb, params, gold_arr, _ = self.instance(False)
+        grid = score_all(emb, params, training=True, rng_seed=63)
+        _, ref_hidden, _, _ = float_mask_reference(emb, params, gold_arr, rng_seed=63)
+        assert np.array_equal(grid.hidden, ref_hidden)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_thread_count_changes_no_output(self, block_threads, masked):
+        emb, params, gold_arr, mask = self.instance(masked)
+        block_threads(1)
+        one = self.run(emb, params, gold_arr, mask)
+        # more threads than cores or blocks, switching as often as possible
+        block_threads(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = [self.run(emb, params, gold_arr, mask) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for out in many:
+            assert np.array_equal(out["grid"].scores, one["grid"].scores)
+            assert np.array_equal(out["grid"].hidden, one["grid"].hidden)
+            assert np.array_equal(out["probs"], one["probs"])
+            assert np.array_equal(out["tags"], one["tags"])
+            assert out["loss"] == one["loss"]
+            for name in ("pair_proj", "pair_bias", "rel_tag_emb", "emb", "loss"):
+                assert np.array_equal(getattr(out["grads"], name), getattr(one["grads"], name))
+
+    def test_blocks_cover_rows_in_order(self, block_threads):
+        block_threads(3)
+        spans = scorer._map_blocks(lambda rows: (rows.start, rows.stop), 37)
+        assert spans == [(0, 16), (16, 32), (32, 37)]
+        assert scorer._map_blocks(lambda rows: (rows.start, rows.stop), 16) == [(0, 16)]
+
+    @pytest.mark.parametrize("failing", [0, 16, 32], ids=["caller", "pool-1", "pool-2"])
+    def test_block_exception_reaches_caller_unchanged(self, block_threads, failing):
+        block_threads(3)
+        error = RuntimeError(f"block at row {failing}")
+
+        def fn(rows):
+            if rows.start == failing:
+                raise error
+            return rows.start
+
+        with pytest.raises(RuntimeError) as info:
+            scorer._map_blocks(fn, 37)
+        assert info.value is error
 
 
 class TestDenseGold:

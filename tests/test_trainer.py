@@ -237,6 +237,25 @@ class TestTraining:
         assert seen == [1, 2]
         assert len(log) == 2
 
+    def test_thread_count_changes_no_checkpoint_or_loss(self, block_threads, tmp_path):
+        # sentences of 20-40 tokens: two or three head-row blocks per grid
+        corpus, relations, _ = generate_corpus(
+            SynthConfig(sentences=6, num_relations=3, min_len=20, max_len=40, seed=45)
+        )
+        config = TrainConfig(epochs=2, batch_size=3, seed=46, dropout_rate=0.3, emb_dim=8)
+        runs = []
+        for threads in (1, 4):
+            block_threads(threads)
+            path = tmp_path / f"model{threads}.npz"
+            _, log = train(corpus, relations, config, checkpoint_path=path)
+            with np.load(path) as arrays:
+                runs.append(({name: arrays[name] for name in arrays.files}, log))
+        (arrays1, log1), (arrays4, log4) = runs
+        assert [r.mean_loss for r in log1] == [r.mean_loss for r in log4]
+        assert arrays1.keys() == arrays4.keys()
+        for name in arrays1:
+            assert np.array_equal(arrays1[name], arrays4[name]), name
+
 
 class TestPredict:
     def zero_model(self, relations):
