@@ -188,29 +188,38 @@ def _read_relations(path: str) -> RelationVocab:
     return RelationVocab(names=tuple(names))
 
 
+def _read_vocab(path: str) -> Vocab:
+    try:
+        return Vocab.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    except ValueError as exc:
+        raise CorpusError(f"bad vocab file {path}: {exc}") from None
+
+
 def _span_mode(match_mode: str | None) -> str:
     # partial-match datasets annotate only the last word of each entity
     return "last-token" if match_mode == "partial" else "whole-span"
 
 
-def _load_corpus(cfg: RunConfig, max_seq_len: int | None):
-    """Shared --data/--format/--relations handling for several commands."""
+def _load_corpus(
+    cfg: RunConfig, max_seq_len: int | None, relations: RelationVocab | None = None
+):
+    """Shared --data/--format/--relations handling for several commands;
+    given `relations` take the place of the --relations file."""
     data = cfg.require("data")
     fmt = cfg.get("format", "native")
-    relations_path = cfg.get("relations")
+    if relations is None and cfg.get("relations"):
+        relations = _read_relations(cfg.get("relations"))
     if fmt == "public":
-        if relations_path is None:
+        if relations is None:
             raise CorpusError("public format requires --relations")
-        vocab = _read_relations(relations_path)
         corpus, warnings = load_public(
-            data, vocab, match_mode=_span_mode(cfg.get("match")), max_seq_len=max_seq_len
+            data, relations, match_mode=_span_mode(cfg.get("match")), max_seq_len=max_seq_len
         )
     else:
-        vocab = _read_relations(relations_path) if relations_path else None
-        corpus, vocab, warnings = load_native(data, vocab, max_seq_len=max_seq_len)
+        corpus, relations, warnings = load_native(data, relations, max_seq_len=max_seq_len)
     for w in warnings:
         logger.warning("%s", w)
-    return corpus, vocab
+    return corpus, relations
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -230,10 +239,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     logger.info("root seed %d", config.seed)
 
     corpus, relations = _load_corpus(cfg, config.max_seq_len)
-    vocab = None
-    vocab_path = cfg.get("vocab")
-    if vocab_path:
-        vocab = Vocab.from_json(json.loads(Path(vocab_path).read_text(encoding="utf-8")))
+    vocab = _read_vocab(cfg.get("vocab")) if cfg.get("vocab") else None
 
     model, log = train(corpus, relations, config, vocab=vocab, checkpoint_path=out)
     write_loss_log(f"{out}.log", log)
@@ -257,26 +263,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise CorpusError("relations file does not match checkpoint relations")
     vocab_path = cfg.get("vocab")
     if vocab_path:
-        given_vocab = Vocab.from_json(json.loads(Path(vocab_path).read_text(encoding="utf-8")))
-        if given_vocab.token_to_index != model.vocab.token_to_index:
+        if _read_vocab(vocab_path).token_to_index != model.vocab.token_to_index:
             raise CorpusError("vocab file does not match checkpoint vocab")
 
     # reuse the checkpoint relations when loading
-    data = cfg.require("data")
-    fmt = cfg.get("format", "native")
-    if fmt == "public":
-        corpus, warnings = load_public(
-            data,
-            model.relations,
-            match_mode=_span_mode(cfg.get("match")),
-            max_seq_len=model.config.max_seq_len,
-        )
-    else:
-        corpus, _, warnings = load_native(
-            data, model.relations, max_seq_len=model.config.max_seq_len
-        )
-    for w in warnings:
-        logger.warning("%s", w)
+    corpus, _ = _load_corpus(cfg, model.config.max_seq_len, model.relations)
 
     started = time.perf_counter()
     predictions = [predict(s.sentence, model) for s in corpus]

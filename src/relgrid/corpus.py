@@ -49,10 +49,6 @@ class Span:
     def overlaps(self, other: "Span") -> bool:
         return not (self.end < other.begin or other.end < self.begin)
 
-    @property
-    def single_token(self) -> bool:
-        return self.begin == self.end
-
 
 @dataclass(frozen=True, order=True)
 class Triple:

@@ -6,7 +6,6 @@ same L x d interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -39,8 +38,20 @@ class Vocab:
         return dict(self.token_to_index)
 
     @classmethod
-    def from_json(cls, data: dict[str, int]) -> "Vocab":
-        return cls(token_to_index={str(k): int(v) for k, v in data.items()})
+    def from_json(cls, data) -> "Vocab":
+        """ValueError unless `data` maps token strings to the distinct
+        integers 0..n-1, with the padding and unknown tokens at 0 and 1."""
+        if not isinstance(data, dict) or not all(isinstance(k, str) for k in data):
+            raise ValueError("vocab must be a JSON object mapping tokens to indices")
+        if sorted(v for v in data.values() if type(v) is int) != list(range(len(data))):
+            raise ValueError(
+                f"vocab indices must be the distinct integers 0..{len(data) - 1}"
+            )
+        if data.get(PAD_TOKEN) != PAD_INDEX or data.get(UNK_TOKEN) != UNK_INDEX:
+            raise ValueError(
+                f"vocab must map {PAD_TOKEN} to {PAD_INDEX} and {UNK_TOKEN} to {UNK_INDEX}"
+            )
+        return cls(token_to_index=dict(data))
 
 
 def build_vocab(corpus: list[AnnotatedSentence], min_count: int = 1) -> Vocab:
@@ -135,52 +146,3 @@ def encode_indices(
             )
         out = out + table.positional[:n]
     return out
-
-
-def read_text_embeddings(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Parse the plain-text import format: token then d space-separated values.
-
-    All rows must agree on d; a mismatched dimension is an error.
-    """
-    tokens: list[str] = []
-    rows: list[list[float]] = []
-    dim = None
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) < 2:
-            raise ValueError(f"{path}:{lineno}: expected token and values")
-        values = [float(v) for v in parts[1:]]
-        if dim is None:
-            dim = len(values)
-        elif len(values) != dim:
-            raise ValueError(
-                f"{path}:{lineno}: dimension {len(values)} != {dim}"
-            )
-        tokens.append(parts[0])
-        rows.append(values)
-    if not rows:
-        raise ValueError(f"{path}: no embeddings found")
-    return tokens, np.array(rows, dtype=np.float64)
-
-
-def import_pretrained(
-    path: str | Path, vocab: Vocab, table: EmbeddingTable
-) -> int:
-    """Overwrite table rows for vocab tokens found in a text embedding file.
-
-    Returns the number of rows replaced; raises on dimension mismatch.
-    """
-    tokens, matrix = read_text_embeddings(path)
-    if matrix.shape[1] != table.dim:
-        raise ValueError(
-            f"pretrained dimension {matrix.shape[1]} != table dimension {table.dim}"
-        )
-    replaced = 0
-    for tok, row in zip(tokens, matrix):
-        idx = vocab.token_to_index.get(tok)
-        if idx is not None and idx != UNK_INDEX:
-            table.tokens[idx] = row
-            replaced += 1
-    return replaced

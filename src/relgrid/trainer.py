@@ -1,6 +1,6 @@
-"""Mini-batch training loop: each sentence scored at its true length, Adam
-updates, per-epoch checkpointing, and end-to-end prediction (score -> tag ->
-decode).
+"""Mini-batch training loop: each sentence encoded once and scored at its
+true length, Adam updates on one flat weight vector, per-epoch
+checkpointing, and end-to-end prediction (score -> tag -> decode).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .scorer import (
     predict_tags,
     score_all,
 )
-from .tagging import TagMatrix, decode, encode
+from .tagging import decode, encode
 
 logger = logging.getLogger(__name__)
 
@@ -109,11 +109,10 @@ class TrainConfig:
 
 @dataclass
 class Batch:
-    """Padded token indices plus per-sentence gold grids."""
+    """Per-sentence token indices and int8 gold tag grids, at true length."""
 
-    token_ids: np.ndarray  # (B, L_pad) int64, 0 = padding
-    lengths: np.ndarray  # (B,) true lengths
-    gold: list[TagMatrix]  # at true length
+    token_ids: list[np.ndarray]  # (n,) int64
+    gold: list[np.ndarray]  # (n, K, n) int8
 
 
 def valid_mask(length: int, padded: int, num_relations: int) -> np.ndarray:
@@ -124,89 +123,75 @@ def valid_mask(length: int, padded: int, num_relations: int) -> np.ndarray:
 
 
 def make_batches(
-    corpus: list[AnnotatedSentence],
-    vocab: Vocab,
-    num_relations: int,
-    config: TrainConfig,
-    shuffle_seed: int | None = None,
+    encoded: list[tuple[np.ndarray, np.ndarray]], batch_size: int, shuffle_seed: int
 ) -> list[Batch]:
-    """Shuffle (when seeded), chunk, pad to each batch's longest sentence.
-
-    The final partial batch is kept. Gold grids come from the tag codec;
-    encoding collisions in gold data are tolerated (priority rule applies).
-    """
-    if not corpus:
-        raise ValueError("empty corpus")
-    order = np.arange(len(corpus))
-    if shuffle_seed is not None:
-        order = np.random.default_rng(shuffle_seed).permutation(len(corpus))
-
+    """Shuffle and chunk (token indices, gold tags) pairs; the final partial
+    batch is kept."""
+    order = np.random.default_rng(shuffle_seed).permutation(len(encoded))
     batches = []
-    for start in range(0, len(corpus), config.batch_size):
-        chunk = [corpus[i] for i in order[start : start + config.batch_size]]
-        lengths = np.array([len(s.sentence) for s in chunk], dtype=np.int64)
-        padded = int(lengths.max())
-        token_ids = np.zeros((len(chunk), padded), dtype=np.int64)
-        gold = []
-        for row, s in enumerate(chunk):
-            token_ids[row, : lengths[row]] = vocab.indices(s.sentence.tokens)
-            matrix, _ = encode(s, num_relations)
-            gold.append(matrix)
-        batches.append(Batch(token_ids=token_ids, lengths=lengths, gold=gold))
+    for start in range(0, len(encoded), batch_size):
+        ids, gold = zip(*(encoded[i] for i in order[start : start + batch_size]))
+        batches.append(Batch(token_ids=list(ids), gold=list(gold)))
     return batches
 
 
 @dataclass
 class AdamState:
-    """First/second moment buffers per parameter group plus the step count."""
+    """Adam's moment vectors, laid out like the weights, and its step count."""
 
-    moments: dict[str, tuple[np.ndarray, np.ndarray]]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
-    def init(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(
-            moments={
-                name: (np.zeros_like(arr), np.zeros_like(arr))
-                for name, arr in params.items()
-            }
-        )
+    def init(cls, weights: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(weights), v=np.zeros_like(weights))
 
 
 def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    config: TrainConfig,
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update, in place."""
+    weights: np.ndarray, grad: np.ndarray, state: AdamState, config: TrainConfig
+) -> None:
+    """One bias-corrected Adam update of the weight vector, in place:
+    weights -= lr * m_hat / (sqrt(v_hat) + eps), evaluated in that order."""
     state.step += 1
     t = state.step
     b1, b2 = config.adam_beta1, config.adam_beta2
-    for name, arr in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient in parameter group {name!r}")
-        m, v = state.moments[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        arr -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
-    return params, state
+    m, v = state.m, state.v
+    step = np.multiply(grad, 1.0 - b1)
+    m *= b1
+    m += step
+    np.multiply(grad, 1.0 - b2, out=step)
+    step *= grad
+    v *= b2
+    v += step
+    np.divide(m, 1.0 - b1**t, out=step)  # m_hat
+    step *= config.learning_rate
+    denom = np.divide(v, 1.0 - b2**t)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += config.adam_epsilon
+    step /= denom
+    weights -= step
 
 
 @dataclass
 class Model:
-    """Everything needed to score unseen sentences."""
+    """Everything needed to score unseen sentences. On construction the
+    trainable arrays are copied into one flat vector, `weights`, in
+    `_trainable` order, and become views into it."""
 
     params: ScorerParams
     table: EmbeddingTable
     vocab: Vocab
     relations: RelationVocab
     config: TrainConfig
+    weights: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        groups = _trainable(self)
+        self.weights = np.concatenate([arr.ravel() for arr in groups.values()])
+        for name, view in _views(self.weights, groups).items():
+            part, attr = _GROUPS[name]
+            setattr(getattr(self, part), attr, view)
 
 
 @dataclass
@@ -239,43 +224,61 @@ def init_model(
     return Model(params=params, table=table, vocab=vocab, relations=relations, config=config)
 
 
+# checkpoint name -> (Model field, attribute) of each trainable array, in
+# the order they sit in Model.weights
+_GROUPS = {
+    "pair_proj": ("params", "pair_proj"),
+    "pair_bias": ("params", "pair_bias"),
+    "rel_tag_emb": ("params", "rel_tag_emb"),
+    "token_table": ("table", "tokens"),
+    "positional_table": ("table", "positional"),
+}
+
+
 def _trainable(model: Model) -> dict[str, np.ndarray]:
-    groups = {
-        "pair_proj": model.params.pair_proj,
-        "pair_bias": model.params.pair_bias,
-        "rel_tag_emb": model.params.rel_tag_emb,
-        "token_table": model.table.tokens,
+    """The trainable arrays by checkpoint name; no positional table when the
+    model has none."""
+    arrays = {
+        name: getattr(getattr(model, part), attr) for name, (part, attr) in _GROUPS.items()
     }
-    if model.config.use_positional:
-        groups["positional_table"] = model.table.positional
-    return groups
+    return {name: arr for name, arr in arrays.items() if arr is not None}
 
 
-def train_step(model: Model, batch: Batch, dropout_seeds: list[int]) -> tuple[float, dict]:
+def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Consecutive slices of `flat`, shaped like the arrays of `like`."""
+    views, offset = {}, 0
+    for name, arr in like.items():
+        views[name] = flat[offset : offset + arr.size].reshape(arr.shape)
+        offset += arr.size
+    return views
+
+
+def train_step(
+    model: Model, batch: Batch, dropout_seeds: list[int]
+) -> tuple[float, np.ndarray]:
     """Forward/backward over one batch, each sentence at its true length (so
-    nothing depends on its batch companions); returns mean loss and grads."""
-    groups = _trainable(model)
-    grads = {name: np.zeros_like(arr) for name, arr in groups.items()}
+    nothing depends on its batch companions); returns the mean loss and the
+    mean gradient, laid out like model.weights."""
+    grad = np.zeros_like(model.weights)
+    groups = _views(grad, _trainable(model))
     batch_loss = 0.0
-    size = batch.token_ids.shape[0]
-    for row in range(size):
-        n = int(batch.lengths[row])
-        ids = batch.token_ids[row, :n]
+    for ids, gold, seed in zip(batch.token_ids, batch.gold, dropout_seeds):
         emb = encode_indices(ids, model.table, model.config.use_positional)
-        grid = score_all(
-            emb, model.params, training=True, rng_seed=dropout_seeds[row]
-        )
-        g = backward(grid, batch.gold[row].tags, None, emb, model.params)
+        grid = score_all(emb, model.params, training=True, rng_seed=seed)
+        g = backward(grid, gold, None, emb, model.params)
         batch_loss += g.loss
-        grads["pair_proj"] += g.pair_proj
-        grads["pair_bias"] += g.pair_bias
-        grads["rel_tag_emb"] += g.rel_tag_emb
-        np.add.at(grads["token_table"], ids, g.emb)
+        groups["pair_proj"] += g.pair_proj
+        groups["pair_bias"] += g.pair_bias
+        groups["rel_tag_emb"] += g.rel_tag_emb
+        np.add.at(groups["token_table"], ids, g.emb)
         if model.config.use_positional:
-            grads["positional_table"][:n] += g.emb
-    for arr in grads.values():
-        arr /= size
-    return batch_loss / size, grads
+            groups["positional_table"][: len(ids)] += g.emb
+    size = len(batch.token_ids)
+    grad /= size
+    if not np.isfinite(grad).all():
+        bad = next(name for name, arr in groups.items() if not np.isfinite(arr).all())
+        raise NumericError(f"non-finite gradient in parameter group {bad!r}")
+    return batch_loss / size, grad
 
 
 def train(
@@ -297,27 +300,28 @@ def train(
     if vocab is None:
         vocab = build_vocab(corpus, min_count=config.min_count)
     model = init_model(relations, vocab, config)
-    groups = _trainable(model)
-    state = AdamState.init(groups)
+    state = AdamState.init(model.weights)
+    # gold grids come from the tag codec; encoding collisions in gold data
+    # are tolerated (priority rule applies)
+    encoded = [
+        (vocab.indices(s.sentence.tokens), encode(s, len(relations))[0].tags)
+        for s in corpus
+    ]
 
     log: list[EpochRecord] = []
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
         batches = make_batches(
-            corpus,
-            vocab,
-            len(relations),
-            config,
-            shuffle_seed=_derived_seed(config.seed, 3, epoch),
+            encoded, config.batch_size, shuffle_seed=_derived_seed(config.seed, 3, epoch)
         )
         weighted_loss = 0.0
         for b_idx, batch in enumerate(batches):
-            size = batch.token_ids.shape[0]
+            size = len(batch.token_ids)
             seeds = [
                 _derived_seed(config.seed, 4, epoch, b_idx, row) for row in range(size)
             ]
-            batch_loss, grads = train_step(model, batch, seeds)
-            adam_step(groups, grads, state, config)
+            batch_loss, grad = train_step(model, batch, seeds)
+            adam_step(model.weights, grad, state, config)
             weighted_loss += batch_loss * size
         mean_loss = weighted_loss / len(corpus)
         if not np.isfinite(mean_loss):
@@ -370,15 +374,7 @@ def save_checkpoint(path: str | Path, model: Model) -> None:
             "vocab_size": len(model.vocab),
         },
     }
-    arrays = {
-        "pair_proj": model.params.pair_proj,
-        "pair_bias": model.params.pair_bias,
-        "rel_tag_emb": model.params.rel_tag_emb,
-        "token_table": model.table.tokens,
-        "header_json": np.array(json.dumps(header)),
-    }
-    if model.table.positional is not None:
-        arrays["positional_table"] = model.table.positional
+    arrays = {**_trainable(model), "header_json": np.array(json.dumps(header))}
     # write a synced sibling file, then rename it over the target, so a
     # crash mid-write leaves the previous checkpoint intact
     path = Path(path)
@@ -405,7 +401,8 @@ def _read_checkpoint(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
         return ValueError(f"corrupt checkpoint {path}: {reason}")
 
     try:
-        with np.load(path, allow_pickle=False) as data:
+        # np.load leaves a file it opened itself open when the archive is bad
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             arrays = {name: data[name] for name in data.files}
     except (zipfile.BadZipFile, EOFError, TypeError, ValueError) as exc:
         raise corrupt(exc) from None

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import zipfile
+from pathlib import Path
 
 import pytest
 
@@ -364,6 +368,44 @@ class TestTrainEval:
         assert stderr.startswith(f"error: corrupt checkpoint {truncated}")
         assert stderr.count("\n") == 1
         assert stdout == ""
+
+    def test_truncated_checkpoint_leaves_no_file_open(self, synth_file, tmp_path, checkpoint):
+        truncated = tmp_path / "truncated.npz"
+        truncated.write_bytes(checkpoint.read_bytes()[:3000])
+        src = str(Path(relgrid.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "relgrid.cli",
+             "eval", "--data", str(synth_file), "--checkpoint", str(truncated)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == EXIT_DATA
+        assert "ResourceWarning" not in proc.stderr
+        assert proc.stderr.startswith(f"error: corrupt checkpoint {truncated}")
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize(
+        "text",
+        ["[1]", '{"a": 5}', '{"<pad>": 0, "<unk>": 1, "a": 1}', '{"<pad>": 1, "<unk>": 0}', "{"],
+        ids=["list", "no-pad-unk", "duplicate-index", "pad-unk-swapped", "not-json"],
+    )
+    def test_malformed_vocab_is_one_line_data_error(
+        self, capsys, request, synth_file, tmp_path, command, text
+    ):
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text(text)
+        out = tmp_path / "m.npz"
+        if command == "train":
+            argv = ["train", "--data", str(synth_file), "--epochs", "1", "--out", str(out)]
+        else:
+            ck = request.getfixturevalue("checkpoint")
+            argv = ["eval", "--data", str(synth_file), "--checkpoint", str(ck)]
+        code, stdout, stderr = run(capsys, *argv, "--vocab", str(vocab))
+        assert code == EXIT_DATA
+        assert stderr.startswith(f"error: bad vocab file {vocab}: ")
+        assert stderr.count("\n") == 1
+        assert stdout == ""
+        assert not out.exists()
 
     def test_checkpoint_without_pair_proj_is_data_error(
         self, capsys, synth_file, tmp_path, checkpoint

@@ -9,9 +9,7 @@ from relgrid.encoder import (
     Vocab,
     build_vocab,
     encode_tokens,
-    import_pretrained,
     init_embedding_table,
-    read_text_embeddings,
 )
 
 from conftest import make_sentence
@@ -55,6 +53,45 @@ class TestBuildVocab:
             build_vocab([], 1)
         with pytest.raises(ValueError):
             build_vocab(corpus_of("a"), 0)
+
+
+class TestVocabJson:
+    def test_roundtrip(self):
+        vocab = build_vocab(corpus_of("a b a c"))
+        assert Vocab.from_json(vocab.to_json()) == vocab
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [1],
+            "vocab",
+            {"a": 5},
+            {},
+            {"<pad>": 0, "<unk>": 1, "a": 1},
+            {"<pad>": 0, "<unk>": 1, "a": 3},
+            {"<pad>": 0, "<unk>": 1, "a": "2"},
+            {"<pad>": 0, "<unk>": 1, "a": 2.0},
+            {"<pad>": 0, "<unk>": True},
+            {"<pad>": 1, "<unk>": 0},
+            {"<unk>": 1, "a": 0},
+        ],
+        ids=[
+            "list",
+            "string",
+            "no-pad-unk",
+            "empty",
+            "duplicate-index",
+            "index-gap",
+            "string-index",
+            "float-index",
+            "bool-index",
+            "pad-unk-swapped",
+            "no-pad",
+        ],
+    )
+    def test_rejects_anything_but_dense_index_map(self, data):
+        with pytest.raises(ValueError, match="vocab"):
+            Vocab.from_json(data)
 
 
 class TestEncodeTokens:
@@ -102,32 +139,3 @@ class TestEncodeTokens:
         np.testing.assert_array_equal(t1.tokens, t2.tokens)
         assert np.all(np.abs(t1.tokens) <= 0.1)
         assert np.all(np.abs(t1.positional) <= 0.1)
-
-
-class TestPretrainedImport:
-    def test_roundtrip_and_replacement(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("a 1.0 2.0 3.0\nb -1.5 0.25 0.0\n")
-        tokens, matrix = read_text_embeddings(path)
-        assert tokens == ["a", "b"]
-        assert matrix.shape == (2, 3)
-
-        vocab = build_vocab(corpus_of("a b c"))
-        table = init_embedding_table(len(vocab), 3, max_seq_len=None, seed=0)
-        replaced = import_pretrained(path, vocab, table)
-        assert replaced == 2
-        np.testing.assert_array_equal(table.tokens[vocab.index("a")], [1.0, 2.0, 3.0])
-
-    def test_dimension_mismatch(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("a 1.0 2.0\n")
-        vocab = build_vocab(corpus_of("a"))
-        table = init_embedding_table(len(vocab), 3, max_seq_len=None, seed=0)
-        with pytest.raises(ValueError, match="dimension"):
-            import_pretrained(path, vocab, table)
-
-    def test_ragged_rows_rejected(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("a 1.0 2.0\nb 1.0\n")
-        with pytest.raises(ValueError, match="dimension"):
-            read_text_embeddings(path)

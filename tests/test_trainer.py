@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from relgrid import trainer
 from relgrid.corpus import RelationVocab, Sentence, Span, Triple
 from relgrid.encoder import build_vocab, encode_indices
 from relgrid.scorer import ScorerParams, backward, dense_gold, loss, score_all
 from relgrid.synthetic import SynthConfig, generate_corpus
-from relgrid.tagging import encode
+from relgrid.tagging import TagMatrix, encode
 from relgrid.trainer import (
     AdamState,
+    Batch,
     EpochRecord,
     Model,
     NumericError,
@@ -27,10 +29,28 @@ from relgrid.trainer import (
 from conftest import make_sentence
 
 
+def encoded(corpus, vocab, num_relations):
+    """(token indices, int8 gold grid) per sentence, as train builds them."""
+    return [(vocab.indices(s.sentence.tokens), encode(s, num_relations)[0].tags) for s in corpus]
+
+
+def batch_of(corpus, vocab, num_relations):
+    """The sentences as one batch, in the given order."""
+    ids, gold = zip(*encoded(corpus, vocab, num_relations))
+    return Batch(token_ids=list(ids), gold=list(gold))
+
+
+def by_group(model, flat):
+    """A flat vector laid out like model.weights, split into named groups."""
+    return trainer._views(flat, trainer._trainable(model))
+
+
 def padded_train_step(model, batch, dropout_seeds):
     """train_step with every row scored at the batch's longest length and the
-    padded cells masked out of the loss (positional model only)."""
-    size, padded = batch.token_ids.shape
+    padded cells masked out of the loss (positional model only); gradients
+    come back as one array per group."""
+    size = len(batch.token_ids)
+    padded = max(len(ids) for ids in batch.token_ids)
     num_rel = model.params.num_relations
     grads = {
         "pair_proj": np.zeros_like(model.params.pair_proj),
@@ -41,11 +61,14 @@ def padded_train_step(model, batch, dropout_seeds):
     }
     batch_loss = 0.0
     for row in range(size):
-        ids = batch.token_ids[row]
+        n = len(batch.token_ids[row])
+        ids = np.zeros(padded, dtype=np.int64)  # 0 = padding
+        ids[:n] = batch.token_ids[row]
         emb = encode_indices(ids, model.table, True)
         grid = score_all(emb, model.params, training=True, rng_seed=dropout_seeds[row])
-        mask = valid_mask(int(batch.lengths[row]), padded, num_rel)
-        g = backward(grid, dense_gold(batch.gold[row], padded), mask, emb, model.params)
+        mask = valid_mask(n, padded, num_rel)
+        gold = dense_gold(TagMatrix(n, num_rel, batch.gold[row]), padded)
+        g = backward(grid, gold, mask, emb, model.params)
         batch_loss += g.loss
         grads["pair_proj"] += g.pair_proj
         grads["pair_bias"] += g.pair_bias
@@ -67,10 +90,21 @@ def tiny_synth():
 class TestBatches:
     def test_batch_sizes_keep_final_partial(self, tiny_synth):
         corpus, relations = tiny_synth
-        vocab = build_vocab(corpus)
-        config = TrainConfig(batch_size=4)
-        batches = make_batches(corpus, vocab, len(relations), config)
-        assert [b.token_ids.shape[0] for b in batches] == [4, 4, 2]
+        sentences = encoded(corpus, build_vocab(corpus), len(relations))
+        batches = make_batches(sentences, 4, shuffle_seed=5)
+        assert [len(b.token_ids) for b in batches] == [4, 4, 2]
+        assert [len(b.gold) for b in batches] == [4, 4, 2]
+
+    def test_every_sentence_once_at_true_length(self, tiny_synth):
+        corpus, relations = tiny_synth
+        sentences = encoded(corpus, build_vocab(corpus), len(relations))
+        batches = make_batches(sentences, 4, shuffle_seed=5)
+        seen = [(id(ids), id(gold)) for b in batches for ids, gold in zip(b.token_ids, b.gold)]
+        assert sorted(seen) == sorted((id(ids), id(gold)) for ids, gold in sentences)
+        for b in batches:
+            for ids, gold in zip(b.token_ids, b.gold):
+                assert gold.dtype == np.int8
+                assert gold.shape == (len(ids), len(relations), len(ids))
 
     def test_mask_admits_exactly_true_length_cells(self):
         mask = valid_mask(3, 5, 2)
@@ -81,22 +115,33 @@ class TestBatches:
 
     def test_same_seed_same_order(self, tiny_synth):
         corpus, relations = tiny_synth
-        vocab = build_vocab(corpus)
-        config = TrainConfig(batch_size=4)
-        b1 = make_batches(corpus, vocab, len(relations), config, shuffle_seed=5)
-        b2 = make_batches(corpus, vocab, len(relations), config, shuffle_seed=5)
+        sentences = encoded(corpus, build_vocab(corpus), len(relations))
+        b1 = make_batches(sentences, 4, shuffle_seed=5)
+        b2 = make_batches(sentences, 4, shuffle_seed=5)
         for x, y in zip(b1, b2):
-            np.testing.assert_array_equal(x.token_ids, y.token_ids)
+            assert [id(ids) for ids in x.token_ids] == [id(ids) for ids in y.token_ids]
 
     def test_different_seed_differs(self, tiny_synth):
         corpus, relations = tiny_synth
-        vocab = build_vocab(corpus)
-        config = TrainConfig(batch_size=4)
-        b1 = make_batches(corpus, vocab, len(relations), config, shuffle_seed=5)
-        b2 = make_batches(corpus, vocab, len(relations), config, shuffle_seed=6)
+        sentences = encoded(corpus, build_vocab(corpus), len(relations))
+        b1 = make_batches(sentences, 4, shuffle_seed=5)
+        b2 = make_batches(sentences, 4, shuffle_seed=6)
         assert any(
-            not np.array_equal(x.token_ids, y.token_ids) for x, y in zip(b1, b2)
+            [id(ids) for ids in x.token_ids] != [id(ids) for ids in y.token_ids]
+            for x, y in zip(b1, b2)
         )
+
+    def test_train_encodes_each_sentence_once(self, tiny_synth, monkeypatch):
+        corpus, relations = tiny_synth
+        calls = []
+
+        def counting_encode(sentence, num_relations):
+            calls.append(sentence.sentence.id)
+            return encode(sentence, num_relations)
+
+        monkeypatch.setattr(trainer, "encode", counting_encode)
+        train(corpus, relations, TrainConfig(epochs=3, batch_size=4, seed=1))
+        assert sorted(calls) == sorted(s.sentence.id for s in corpus)
 
 
 class TestTrainStep:
@@ -107,12 +152,15 @@ class TestTrainStep:
         chunk = [corpus[0], corpus[3], corpus[2]]
         vocab = build_vocab(corpus)
         model = init_model(relations, vocab, TrainConfig(seed=4, dropout_rate=0.0))
-        [batch] = make_batches(chunk, vocab, len(relations), TrainConfig(batch_size=3))
-        assert batch.lengths.max() - batch.lengths.min() >= 5
+        batch = batch_of(chunk, vocab, len(relations))
+        lengths = [len(ids) for ids in batch.token_ids]
+        assert max(lengths) - min(lengths) >= 5
         seeds = [11, 12, 13]
-        got_loss, got = train_step(model, batch, seeds)
+        got_loss, flat = train_step(model, batch, seeds)
+        got = by_group(model, flat)
         ref_loss, ref = padded_train_step(model, batch, seeds)
         assert got_loss == pytest.approx(ref_loss, rel=self.RTOL, abs=self.ATOL)
+        assert flat.shape == model.weights.shape
         assert got.keys() == ref.keys() and len(ref) == 5
         for name in ref:
             np.testing.assert_allclose(
@@ -129,8 +177,8 @@ class TestTrainStep:
         x, y = 21, 22
 
         def step(sentences, seeds):
-            [batch] = make_batches(sentences, vocab, len(relations), config)
-            return train_step(model, batch, seeds)
+            loss, flat = train_step(model, batch_of(sentences, vocab, len(relations)), seeds)
+            return loss, by_group(model, flat)
 
         pair_loss, pair_grads = step([s, t], [x, y])
         s_loss, s_grads = step([s], [x])
@@ -142,44 +190,105 @@ class TestTrainStep:
             )
 
 
+def per_group_adam_step(params, grads, moments, step, config):
+    """Reference: bias-corrected Adam looping over named parameter groups,
+    each with its own (m, v) moment pair; updates in place."""
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    for name, arr in params.items():
+        g = grads[name]
+        m, v = moments[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1**step)
+        v_hat = v / (1.0 - b2**step)
+        arr -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+
+
+# trainable group shapes of the fit-short-k4 benchmark model: emb_dim 64,
+# hidden 192, 4 relations, 260 vocabulary rows, 100 positional rows
+FIT_SHORT_K4_SHAPES = {
+    "pair_proj": (192, 128),
+    "pair_bias": (192,),
+    "rel_tag_emb": (192, 16),
+    "token_table": (260, 64),
+    "positional_table": (100, 64),
+}
+
+
 class TestAdam:
     def test_zero_gradient_is_inert(self):
-        params = {"p": np.array([1.5, -2.0])}
-        state = AdamState.init(params)
-        adam_step(params, {"p": np.zeros(2)}, state, TrainConfig())
-        np.testing.assert_array_equal(params["p"], [1.5, -2.0])
+        weights = np.array([1.5, -2.0])
+        adam_step(weights, np.zeros(2), AdamState.init(weights), TrainConfig())
+        np.testing.assert_array_equal(weights, [1.5, -2.0])
 
     def test_first_step_moves_by_learning_rate(self):
         # hand evaluation: m_hat = 1, v_hat = 1 -> step = lr / (1 + eps)
         config = TrainConfig(learning_rate=1e-5)
-        params = {"p": np.array([0.0])}
-        state = AdamState.init(params)
-        adam_step(params, {"p": np.array([1.0])}, state, config)
+        weights = np.array([0.0])
+        state = AdamState.init(weights)
+        adam_step(weights, np.array([1.0]), state, config)
         expected = -1e-5 / (1.0 + config.adam_epsilon)
-        assert params["p"][0] == pytest.approx(expected, rel=1e-12)
+        assert weights[0] == pytest.approx(expected, rel=1e-12)
         assert state.step == 1
 
     def test_quadratic_objective_decreases(self):
         config = TrainConfig(learning_rate=0.05)
-        params = {"x": np.array([3.0])}
-        state = AdamState.init(params)
+        weights = np.array([3.0])
+        state = AdamState.init(weights)
 
         def objective():
-            return float((params["x"][0] - 1.0) ** 2)
+            return float((weights[0] - 1.0) ** 2)
 
         losses = [objective()]
         for _ in range(200):
-            grad = {"x": 2.0 * (params["x"] - 1.0)}
-            adam_step(params, grad, state, config)
+            adam_step(weights, 2.0 * (weights - 1.0), state, config)
             losses.append(objective())
         assert losses[-1] < 1e-3 < losses[0]
 
-    def test_non_finite_gradient_names_group(self):
-        params = {"pair_bias": np.zeros(3)}
-        state = AdamState.init(params)
-        bad = {"pair_bias": np.array([1.0, np.nan, 0.0])}
+    def test_flat_vector_matches_per_group_reference_bit_for_bit(self):
+        config = TrainConfig(learning_rate=2e-3)
+        rng = np.random.default_rng(0)
+        ends = np.cumsum([np.prod(shape) for shape in FIT_SHORT_K4_SHAPES.values()])
+
+        def split(flat):
+            return {
+                name: flat[end - np.prod(shape) : end].reshape(shape)
+                for end, (name, shape) in zip(ends, FIT_SHORT_K4_SHAPES.items())
+            }
+
+        weights = rng.uniform(-0.1, 0.1, size=ends[-1])
+        state = AdamState.init(weights)
+        params = {name: arr.copy() for name, arr in split(weights).items()}
+        moments = {name: (np.zeros_like(a), np.zeros_like(a)) for name, a in params.items()}
+        for step in range(1, 301):
+            # gradients over several magnitudes, some exactly zero
+            grad = rng.normal(size=weights.size) * 10.0 ** rng.integers(-8, 3, size=weights.size)
+            grad[rng.random(weights.size) < 0.05] = 0.0
+            adam_step(weights, grad, state, config)
+            per_group_adam_step(params, split(grad), moments, step, config)
+        assert state.step == 300
+        for name, arr in split(weights).items():
+            assert np.array_equal(arr, params[name]), name
+        for name, (m, v) in moments.items():
+            assert np.array_equal(split(state.m)[name], m), name
+            assert np.array_equal(split(state.v)[name], v), name
+
+    def test_non_finite_gradient_names_group(self, tiny_synth, monkeypatch):
+        corpus, relations = tiny_synth
+        vocab = build_vocab(corpus)
+        model = init_model(relations, vocab, TrainConfig(seed=4))
+        real_backward = trainer.backward
+
+        def poisoned_backward(*args):
+            g = real_backward(*args)
+            g.pair_bias[1] = np.nan
+            return g
+
+        monkeypatch.setattr(trainer, "backward", poisoned_backward)
         with pytest.raises(NumericError, match="pair_bias"):
-            adam_step(params, bad, state, TrainConfig())
+            train_step(model, batch_of(corpus[:2], vocab, len(relations)), [1, 2])
 
 
 class TestTraining:
@@ -255,6 +364,48 @@ class TestTraining:
         assert arrays1.keys() == arrays4.keys()
         for name in arrays1:
             assert np.array_equal(arrays1[name], arrays4[name]), name
+
+
+def assert_views_of_weights(model):
+    """Every trainable array is a view into model.weights, and together they
+    tile it in group order."""
+    groups = trainer._trainable(model)
+    assert model.weights.ndim == 1 and model.weights.dtype == np.float64
+    assert sum(arr.size for arr in groups.values()) == model.weights.size
+    offset = 0
+    for name, arr in groups.items():
+        assert np.shares_memory(arr, model.weights), name
+        assert arr.ctypes.data == model.weights[offset:].ctypes.data, name
+        offset += arr.size
+
+
+class TestFlatWeights:
+    @pytest.mark.parametrize("use_positional", [True, False])
+    def test_init_model_arrays_share_the_flat_vector(self, tiny_synth, use_positional):
+        corpus, relations = tiny_synth
+        config = TrainConfig(seed=3, use_positional=use_positional)
+        model = init_model(relations, build_vocab(corpus), config)
+        assert_views_of_weights(model)
+        assert len(trainer._trainable(model)) == (5 if use_positional else 4)
+
+    @pytest.mark.parametrize("use_positional", [True, False])
+    def test_loaded_arrays_share_the_flat_vector(self, tiny_synth, tmp_path, use_positional):
+        corpus, relations = tiny_synth
+        config = TrainConfig(epochs=1, seed=3, use_positional=use_positional)
+        model, _ = train(corpus, relations, config)
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, model)
+        loaded = load_checkpoint(path)
+        assert_views_of_weights(loaded)
+        np.testing.assert_array_equal(loaded.weights, model.weights)
+
+    def test_adam_on_the_flat_vector_moves_the_model(self, tiny_synth):
+        corpus, relations = tiny_synth
+        model = init_model(relations, build_vocab(corpus), TrainConfig(seed=3))
+        before = model.params.rel_tag_emb.copy()
+        grad = np.ones_like(model.weights)
+        adam_step(model.weights, grad, AdamState.init(model.weights), TrainConfig())
+        assert not np.array_equal(model.params.rel_tag_emb, before)
 
 
 class TestPredict:
