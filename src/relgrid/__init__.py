@@ -41,7 +41,7 @@ from .scorer import (
     tag_distribution,
 )
 from .synthetic import SynthConfig, generate_corpus
-from .tagging import Tag, TagMatrix, decode, encode, roundtrip_check
+from .tagging import Tag, TagMatrix, decode, decode_array, encode, roundtrip_check
 from .trainer import (
     Model,
     TrainConfig,

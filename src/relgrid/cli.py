@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 A training option of the wrong type or out of range, from a flag or from
 the config file, is a usage error, and so is a config file that is not a
-JSON object or holds a key that is not an option of the subcommand.
+JSON object or holds a key that is not an option of the subcommand or a
+value that flag would refuse. An unreadable or unwritable file is a data error.
 Flag values override config-file values; every command logs its fully
 resolved configuration and the root seed at startup. Set RELGRID_LOG_LEVEL
 (DEBUG/INFO/WARNING/...) to control verbosity.
@@ -27,20 +28,21 @@ from .corpus import (
     Sentence,
     Span,
     Triple,
+    classify_pattern,
     corpus_stats,
     load_native,
     load_public,
     save_native,
 )
 from .encoder import Vocab
-from .evaluation import MATCH_MODES, breakdown, export_relation_embeddings
+from .evaluation import MATCH_MODES, breakdown_rows, export_relation_embeddings, stack_rows, triple_rows
 from .synthetic import GenerationError, SynthConfig, default_mix, generate_corpus
-from .tagging import encode, render_relation_grid, roundtrip_check
+from .tagging import decode_array, encode, render_relation_grid, roundtrip_check
 from .trainer import (
     NumericError,
     TrainConfig,
+    _predict_tags,
     load_checkpoint,
-    predict,
     train,
     write_loss_log,
 )
@@ -76,6 +78,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> CliParser:
     parser = CliParser(prog="relgrid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices  # command name -> its parser
 
     p_train = sub.add_parser("train", help="train a model and write a checkpoint")
     p_train.add_argument("--data", help="training corpus path")
@@ -142,9 +145,9 @@ def build_parser() -> CliParser:
 
 
 class RunConfig:
-    """Flag values layered over an optional JSON config file."""
+    """Flag values layered over an optional JSON config file, checked like the flags."""
 
-    def __init__(self, args: argparse.Namespace):
+    def __init__(self, args: argparse.Namespace, actions: list[argparse.Action]):
         self.args = args
         self.file: dict = {}
         if getattr(args, "config", None):
@@ -158,10 +161,17 @@ class RunConfig:
             if not isinstance(self.file, dict):
                 raise ConfigError(f"config file {path} must hold a JSON object")
             # keys are the subcommand's option names, as spelled on the command line
-            options = {dest.replace("_", "-") for dest in vars(args)} - {"command", "config"}
-            for key in self.file:
-                if key not in options:
+            options = {a.dest.replace("_", "-"): a for a in actions if a.dest in vars(args)}
+            del options["config"]
+            for key, value in self.file.items():
+                action = options.get(key)
+                if action is None:
                     raise ConfigError(f"unknown config key {key!r} in {path}")
+                if action.choices is not None and value not in action.choices:
+                    raise ConfigError(f"config key {key!r} in {path}: invalid choice {value!r} (choose from {', '.join(action.choices)})")
+                # a --mix mapping goes to SynthConfig's checks as it is
+                if action.type is None and key != "mix" and not isinstance(value, str):
+                    raise ConfigError(f"config key {key!r} in {path} must be a string, not {type(value).__name__}")
         self.resolved: dict = {}
 
     def get(self, key: str, default=None):
@@ -222,8 +232,7 @@ def _load_corpus(
     return corpus, relations
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    cfg = RunConfig(args)
+def cmd_train(cfg: RunConfig) -> int:
     config = TrainConfig(
         epochs=cfg.get("epochs", 10),
         batch_size=cfg.get("batch-size", 8),
@@ -250,8 +259,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = RunConfig(args)
+def cmd_eval(cfg: RunConfig) -> int:
     checkpoint = cfg.require("checkpoint")
     cfg.log("eval")
     model = load_checkpoint(checkpoint)
@@ -270,11 +278,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     corpus, _ = _load_corpus(cfg, model.config.max_seq_len, model.relations)
 
     started = time.perf_counter()
-    predictions = [predict(s.sentence, model) for s in corpus]
+    predictions = stack_rows(decode_array(_predict_tags(s.sentence, model)) for s in corpus)
     elapsed = time.perf_counter() - started
 
+    gold = stack_rows(triple_rows(s.triples) for s in corpus)
+    labels = [classify_pattern(s) for s in corpus]
     modes = [cfg.get("match")] if cfg.get("match") else list(MATCH_MODES)
-    reports = [breakdown(corpus, predictions, mode) for mode in modes]
+    reports = [breakdown_rows(predictions, gold, labels, mode) for mode in modes]
     for report in reports:
         print(report.to_text())
     print(
@@ -333,8 +343,7 @@ def _parse_tag_record(raw: str, relations: RelationVocab | None):
     return sentence, vocab
 
 
-def cmd_tag(args: argparse.Namespace) -> int:
-    cfg = RunConfig(args)
+def cmd_tag(cfg: RunConfig) -> int:
     raw = cfg.get("sentence")
     cfg.log("tag")
     if raw is None:
@@ -384,8 +393,7 @@ def _parse_mix(raw: str) -> dict[str, float]:
     return mix
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = RunConfig(args)
+def cmd_synth(cfg: RunConfig) -> int:
     out = cfg.require("out")
     mix = cfg.get("mix", default_mix())  # a config-file value goes to the checks as is
     config = SynthConfig(
@@ -407,8 +415,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    cfg = RunConfig(args)
+def cmd_stats(cfg: RunConfig) -> int:
     cfg.log("stats")
     corpus, _ = _load_corpus(cfg, max_seq_len=None)
     if not corpus:
@@ -434,14 +441,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command](RunConfig(args, parser.subcommands[args.command]._actions))
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except NumericError as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return EXIT_NUMERIC
-    except (CorpusError, GenerationError, FileNotFoundError, ValueError) as exc:
+    except (CorpusError, GenerationError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
 

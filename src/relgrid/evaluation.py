@@ -5,17 +5,24 @@ Matching is one-to-one: each gold triple can satisfy at most one prediction,
 so duplicate-looking predictions cannot inflate recall. Under partial match
 a triple is correct when the relation and the end tokens of both entities
 match; exact match requires full span equality.
+
+All counting is one array core over a corpus's stacked int64 rows
+(s, k, hb, he, tb, te), s the sentence index. A match key packs columns into
+one exact int64: partial (s, k, he, te), exact all six, the entity pair
+either without k, the relation (s, k). A one-to-one count takes the smaller
+multiplicity of each shared key; a sub-task counts distinct shared keys.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
-from .corpus import AnnotatedSentence, BUCKETS, PATTERN_FLAGS, RelationVocab, Triple, classify_pattern
+import numpy as np
+
+from .corpus import AnnotatedSentence, BUCKETS, PATTERN_FLAGS, PatternLabel, RelationVocab, Triple
+from .corpus import classify_pattern
 from .scorer import ScorerParams
 from .tagging import NUM_TAGS, Tag, TAG_NAMES
 
@@ -23,34 +30,64 @@ PARTIAL = "partial"
 EXACT = "exact"
 MATCH_MODES = (PARTIAL, EXACT)
 
-
-# Match keys are plain int tuples, so hashing them never reaches Triple/Span.
-_MATCH_KEYS = {
-    PARTIAL: attrgetter("relation", "head.end", "tail.end"),
-    EXACT: attrgetter("relation", "head.begin", "head.end", "tail.begin", "tail.end"),
+# columns of a stacked row; per match mode the triple key and the entity-pair key
+_S, _K, _HB, _HE, _TB, _TE = range(6)
+_MATCH_COLUMNS = {
+    PARTIAL: ((_S, _K, _HE, _TE), (_S, _HE, _TE)),
+    EXACT: ((_S, _K, _HB, _HE, _TB, _TE), (_S, _HB, _HE, _TB, _TE)),
 }
-# The entity-pair sub-task drops the relation from the match key.
-_PAIR_KEYS = {
-    PARTIAL: attrgetter("head.end", "tail.end"),
-    EXACT: attrgetter("head.begin", "head.end", "tail.begin", "tail.end"),
-}
-_RELATION = attrgetter("relation")
 
 
-def _key(keys: dict, match_mode: str) -> attrgetter:
-    if match_mode not in keys:
+def triple_rows(triples: Iterable[Triple]) -> np.ndarray:
+    """(n, 5) int64 rows (k, hb, he, tb, te), the layout of tagging.decode_array."""
+    rows = [(t.relation, t.head.begin, t.head.end, t.tail.begin, t.tail.end) for t in triples]
+    return np.array(rows, dtype=np.int64).reshape(-1, 5)
+
+
+def stack_rows(per_sentence: Iterable[np.ndarray]) -> np.ndarray:
+    """One (n, 6) int64 array: each sentence's rows behind its index, in order."""
+    per_sentence = [np.empty((0, 5), dtype=np.int64), *per_sentence]
+    sentence = np.repeat(np.arange(len(per_sentence) - 1), [len(r) for r in per_sentence[1:]])
+    return np.column_stack([sentence, np.concatenate(per_sentence)])
+
+
+def _keys(pred: np.ndarray, gold: np.ndarray, columns) -> tuple[np.ndarray, np.ndarray]:
+    """Exact int64 keys of the chosen columns for each side, ordered like the column tuples."""
+    table = np.concatenate([pred, gold])[:, columns]
+    key = table[:, 0]
+    for column in table.T[1:]:
+        column = column - column.min(initial=0)  # a negative relation index from a caller
+        radix = int(column.max(initial=0)) + 1
+        if (int(key.max(initial=0)) + 1) * radix > 2**62:
+            key = np.unique(key, return_inverse=True)[1]  # dense rank: same order, small
+        key = key * radix + column
+    return key[: len(pred)], key[len(pred) :]
+
+
+def _shared(pred: np.ndarray, gold: np.ndarray, columns):
+    """Count the keys of the chosen columns: for every key on both sides its
+    sentence and one-to-one matched count, then the distinct-key counts."""
+    pred_keys, gold_keys = _keys(pred, gold, columns)
+    pred_keys, pred_counts = np.unique(pred_keys, return_counts=True)
+    gold_keys, first, gold_counts = np.unique(gold_keys, return_index=True, return_counts=True)
+    _, p, g = np.intersect1d(pred_keys, gold_keys, assume_unique=True, return_indices=True)
+    distinct = PooledCounts(len(p), len(pred_keys), len(gold_keys))
+    return gold[first[g], _S], np.minimum(pred_counts[p], gold_counts[g]), distinct
+
+
+def _correct(pred: np.ndarray, gold: np.ndarray, match_mode: str, sentences: int) -> np.ndarray:
+    """One-to-one correct count of each sentence."""
+    if match_mode not in _MATCH_COLUMNS:
         raise ValueError(f"unknown match mode {match_mode!r}")
-    return keys[match_mode]
+    sentence, matched, _ = _shared(pred, gold, _MATCH_COLUMNS[match_mode][0])
+    return np.bincount(sentence, weights=matched, minlength=sentences).astype(np.int64)
 
 
 def match_count(pred: Iterable[Triple], gold: Iterable[Triple], match_mode: str) -> int:
     """One-to-one correct count. Partial: relation and both end tokens
     agree; exact: relation and both full spans agree."""
-    key = _key(_MATCH_KEYS, match_mode)
-    gold_counts = Counter(map(key, gold))
-    # only predicted keys that some gold triple has can match; & keeps the smaller count
-    matched = Counter(filter(gold_counts.__contains__, map(key, pred)))
-    return sum((gold_counts & matched).values())
+    rows = [stack_rows([triple_rows(triples)]) for triples in (pred, gold)]
+    return int(_correct(*rows, match_mode, 1).sum())
 
 
 def micro_prf(correct: int, predicted: int, gold: int) -> tuple[float, float, float]:
@@ -140,17 +177,8 @@ def subtask_metrics(
     relations, de-duplicated per sentence, then pooled corpus-wide. The
     entity-pair granularity follows match_mode; relations compare equal.
     """
-    if len(corpus) != len(predictions):
-        raise ValueError("one prediction set per sentence required")
-    pair_key = _key(_PAIR_KEYS, match_mode)
-    pair_pool = PooledCounts()
-    rel_pool = PooledCounts()
-    for s, pred in zip(corpus, predictions):
-        for key, pool in ((pair_key, pair_pool), (_RELATION, rel_pool)):
-            pred_keys = set(map(key, pred))
-            gold_keys = set(map(key, s.triples))
-            pool.add(len(pred_keys & gold_keys), len(pred_keys), len(gold_keys))
-    return pair_pool.prf(), rel_pool.prf()
+    report = breakdown(corpus, predictions, match_mode)
+    return report.entity_pair, report.relation
 
 
 def breakdown(
@@ -165,21 +193,35 @@ def breakdown(
     """
     if len(corpus) != len(predictions):
         raise ValueError("one prediction set per sentence required")
+    pred = stack_rows(map(triple_rows, predictions))
+    gold = stack_rows(triple_rows(s.triples) for s in corpus)
+    return breakdown_rows(pred, gold, [classify_pattern(s) for s in corpus], match_mode)
+
+
+def breakdown_rows(
+    pred: np.ndarray, gold: np.ndarray, labels: list[PatternLabel], match_mode: str
+) -> MetricsReport:
+    """breakdown on stacked predicted and gold rows (see stack_rows), given
+    each sentence's classify_pattern label."""
+    sentences = len(labels)
+    per_sentence = zip(
+        _correct(pred, gold, match_mode, sentences).tolist(),
+        np.bincount(pred[:, _S], minlength=sentences).tolist(),
+        np.bincount(gold[:, _S], minlength=sentences).tolist(),
+    )
     overall = PooledCounts()
     pattern_pools: dict[str, PooledCounts] = {}
     bucket_pools: dict[str, PooledCounts] = {}
-    for s, pred in zip(corpus, predictions):
-        correct = match_count(pred, s.triples, match_mode)
-        counts = (correct, len(pred), len(s.triples))
+    for label, counts in zip(labels, per_sentence):
         overall.add(*counts)
-        label = classify_pattern(s)
         for flag in label.flags:
             pattern_pools.setdefault(flag, PooledCounts()).add(*counts)
         if label.bucket is not None:
             bucket_pools.setdefault(label.bucket, PooledCounts()).add(*counts)
 
     precision, recall, f1 = overall.prf()
-    entity_pair, relation = subtask_metrics(corpus, predictions, match_mode)
+    subtask_keys = (_MATCH_COLUMNS[match_mode][1], (_S, _K))  # entity pair, relation
+    entity_pair, relation = (_shared(pred, gold, columns)[2].prf() for columns in subtask_keys)
     return MetricsReport(
         match_mode=match_mode,
         precision=precision,

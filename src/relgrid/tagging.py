@@ -14,7 +14,7 @@ below the anchor row in the same column, the tail begin the nearest HB_TB at
 or left of the anchor column in the same row; a missing neighbour means a
 single-token head or tail. Both lookups are binary searches over the sorted
 integer keys (k, col, row) of the HE_TE cells and (k, row, col) of the HB_TB
-cells, so no cell becomes a Python object before its triple does.
+cells. decode_array returns integer rows; only decode builds Triple objects.
 
 Single-token heads or tails make two of the three corner assignments land
 on the same cell; that collapse is resolved by the fixed tag priority
@@ -164,8 +164,9 @@ def encode(s: AnnotatedSentence, num_relations: int) -> tuple[TagMatrix, list[Co
     return matrix, collisions
 
 
-def decode(matrix: TagMatrix) -> frozenset[Triple]:
-    """Recover the triple set from a tag grid; total, never raises.
+def decode_array(matrix: TagMatrix) -> np.ndarray:
+    """Recover the triples of a tag grid as an (n, 5) int64 array of rows
+    (k, hb, he, tb, te) in anchor-key (k, hb, te) order; total, never raises.
 
     Per relation, each HB_TE cell (hb, te) anchors one triple: the head end
     is the smallest HE_TE row >= hb in column te (hb itself if none), the
@@ -176,10 +177,10 @@ def decode(matrix: TagMatrix) -> frozenset[Triple]:
     # of a cell is its integer sort key. Tags compare as plain ints: an
     # IntEnum operand sends NumPy down a much slower path.
     by_row = matrix.tags.transpose(1, 0, 2).ravel()
-    by_col = matrix.tags.transpose(1, 2, 0).ravel()
-    anchors = (by_row == _HB_TE).nonzero()[0]
+    anchors = (by_row == _HB_TE).nonzero()[0].astype(np.int64, copy=False)
     if anchors.size == 0:
-        return frozenset()
+        return np.empty((0, 5), dtype=np.int64)
+    by_col = matrix.tags.transpose(1, 2, 0).ravel()
     # sentinels: one key past every HE_TE key, one before every HB_TB key
     he_keys = np.concatenate([(by_col == _HE_TE).nonzero()[0], [by_col.size]])
     tb_keys = np.concatenate([[-1], (by_row == _HB_TB).nonzero()[0]])
@@ -194,7 +195,13 @@ def decode(matrix: TagMatrix) -> frozenset[Triple]:
     row_start = anchors - te
     tb = tb_keys[tb_keys.searchsorted(anchors, side="right") - 1] - row_start
     tb = np.where(tb >= 0, tb, te)
+    return np.column_stack([k, hb, he, tb, te])
 
+
+def decode(matrix: TagMatrix) -> frozenset[Triple]:
+    """The triple set of decode_array(matrix)."""
+    n = matrix.length
+    k, hb, he, tb, te = decode_array(matrix).T
     # one Span object per distinct (begin, end), keyed by begin * n + end
     head_ids = (hb * n + he).tolist()
     tail_ids = (tb * n + te).tolist()

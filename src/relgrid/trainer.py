@@ -35,7 +35,7 @@ from .scorer import (
     predict_tags,
     score_all,
 )
-from .tagging import decode, encode
+from .tagging import TagMatrix, decode, encode
 
 logger = logging.getLogger(__name__)
 
@@ -336,8 +336,8 @@ def train(
     return model, log
 
 
-def predict(sentence: Sentence, model: Model) -> frozenset[Triple]:
-    """decode(predict_tags(score_all(embeddings))), dropout off."""
+def _predict_tags(sentence: Sentence, model: Model) -> TagMatrix:
+    """predict_tags(score_all(embeddings)), dropout off, at most max_seq_len tokens."""
     if len(sentence) > model.config.max_seq_len:
         logger.warning(
             "sentence %r truncated from %d to %d tokens",
@@ -349,8 +349,12 @@ def predict(sentence: Sentence, model: Model) -> frozenset[Triple]:
             tokens=sentence.tokens[: model.config.max_seq_len], id=sentence.id
         )
     emb = encode_tokens(sentence, model.table, model.vocab, model.config.use_positional)
-    grid = score_all(emb, model.params, training=False)
-    return decode(predict_tags(grid))
+    return predict_tags(score_all(emb, model.params, training=False))
+
+
+def predict(sentence: Sentence, model: Model) -> frozenset[Triple]:
+    """decode(predict_tags(score_all(embeddings))), dropout off."""
+    return decode(_predict_tags(sentence, model))
 
 
 def write_loss_log(path: str | Path, log: list[EpochRecord]) -> None:

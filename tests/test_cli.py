@@ -407,6 +407,76 @@ class TestTrainEval:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--data", "{data}", "--checkpoint", "{dir}"],
+            ["stats", "--data", "{dir}"],
+            ["stats", "--data", "{data}", "--relations", "{dir}"],
+            ["stats", "--data", "{data}", "--config", "{dir}"],
+            ["eval", "--data", "{data}", "--checkpoint", "{checkpoint}", "--vocab", "{dir}"],
+            ["eval", "--data", "{data}", "--checkpoint", "{checkpoint}", "--out", "{dir}"],
+        ],
+        ids=["eval-checkpoint", "stats-data", "stats-relations", "stats-config", "eval-vocab", "eval-out"],
+    )
+    def test_directory_in_place_of_a_file_is_one_line_data_error(
+        self, request, synth_file, tmp_path, argv
+    ):
+        directory = tmp_path / "adir"
+        directory.mkdir()
+        paths = {"data": synth_file, "dir": directory}
+        if "{checkpoint}" in argv:
+            paths["checkpoint"] = request.getfixturevalue("checkpoint")
+        src = str(Path(relgrid.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "relgrid.cli", *(arg.format(**paths) for arg in argv)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == EXIT_DATA
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("train", {"vocab": 5}, "config key 'vocab' in {path} must be a string, not int"),
+            ("stats", {"data": 5}, "config key 'data' in {path} must be a string, not int"),
+            ("eval", {"out": 5}, "config key 'out' in {path} must be a string, not int"),
+            ("stats", {"format": "xml"}, "config key 'format' in {path}: invalid choice 'xml'"),
+            ("eval", {"match": "fuzzy"}, "config key 'match' in {path}: invalid choice 'fuzzy'"),
+            ("tag", {"sentence": {"tokens": ["a"]}}, "config key 'sentence' in {path} must be a string"),
+        ],
+        ids=["train-vocab-int", "stats-data-int", "eval-out-int", "stats-format-xml",
+             "eval-match-fuzzy", "tag-sentence-object"],
+    )
+    def test_config_value_meets_the_flag_checks(
+        self, capsys, request, synth_file, tmp_path, command, config, message
+    ):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv = {
+            "train": ["--data", str(synth_file), "--out", str(tmp_path / "m.npz")],
+            "stats": [] if "data" in config else ["--data", str(synth_file)],
+            "eval": ["--data", str(synth_file)],
+            "tag": [],
+        }[command]
+        if command == "eval":
+            argv += ["--checkpoint", str(request.getfixturevalue("checkpoint"))]
+        code, stdout, stderr = run(capsys, command, *argv, "--config", str(path))
+        assert code == EXIT_USAGE
+        assert stderr.startswith("error: " + message.format(path=path))
+        assert stderr.count("\n") == 1
+        assert stdout == ""
+        assert not (tmp_path / "m.npz").exists()
+
+    def test_config_values_of_the_right_kind_are_used(self, capsys, synth_file, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"data": str(synth_file), "format": "native"}))
+        code, stdout, _ = run(capsys, "stats", "--config", str(path))
+        assert code == EXIT_OK
+        assert stdout.startswith("sentences      16\n")
+
     def test_checkpoint_without_pair_proj_is_data_error(
         self, capsys, synth_file, tmp_path, checkpoint
     ):

@@ -1,10 +1,28 @@
+from collections import Counter
+from operator import attrgetter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relgrid.corpus import RelationVocab, Span, Triple
+from relgrid.cli import main
+from relgrid.corpus import (
+    AnnotatedSentence,
+    RelationVocab,
+    Sentence,
+    Span,
+    Triple,
+    classify_pattern,
+    save_native,
+)
+from relgrid.encoder import build_vocab
 from relgrid.evaluation import (
     EXACT,
+    MATCH_MODES,
     PARTIAL,
+    MetricsReport,
+    PooledCounts,
     breakdown,
     export_relation_embeddings,
     match_count,
@@ -14,8 +32,91 @@ from relgrid.evaluation import (
 from relgrid.scorer import init_scorer_params
 from relgrid.synthetic import SynthConfig, generate_corpus
 from relgrid.tagging import NUM_TAGS
+from relgrid.trainer import TrainConfig, init_model, predict, save_checkpoint
 
 from conftest import make_sentence, random_triples
+
+
+# --- reference: the Triple-based counters the array core replaced ----------
+
+REFERENCE_MATCH_KEYS = {
+    PARTIAL: attrgetter("relation", "head.end", "tail.end"),
+    EXACT: attrgetter("relation", "head.begin", "head.end", "tail.begin", "tail.end"),
+}
+REFERENCE_PAIR_KEYS = {
+    PARTIAL: attrgetter("head.end", "tail.end"),
+    EXACT: attrgetter("head.begin", "head.end", "tail.begin", "tail.end"),
+}
+
+
+def reference_match_count(pred, gold, match_mode):
+    key = REFERENCE_MATCH_KEYS[match_mode]
+    gold_counts = Counter(map(key, gold))
+    matched = Counter(filter(gold_counts.__contains__, map(key, pred)))
+    return sum((gold_counts & matched).values())
+
+
+def reference_subtask_metrics(corpus, predictions, match_mode):
+    pair_pool, rel_pool = PooledCounts(), PooledCounts()
+    for s, pred in zip(corpus, predictions):
+        for key, pool in ((REFERENCE_PAIR_KEYS[match_mode], pair_pool), (attrgetter("relation"), rel_pool)):
+            pred_keys = set(map(key, pred))
+            gold_keys = set(map(key, s.triples))
+            pool.add(len(pred_keys & gold_keys), len(pred_keys), len(gold_keys))
+    return pair_pool.prf(), rel_pool.prf()
+
+
+def reference_breakdown(corpus, predictions, match_mode):
+    overall = PooledCounts()
+    pattern_pools, bucket_pools = {}, {}
+    for s, pred in zip(corpus, predictions):
+        counts = (reference_match_count(pred, s.triples, match_mode), len(pred), len(s.triples))
+        overall.add(*counts)
+        label = classify_pattern(s)
+        for flag in label.flags:
+            pattern_pools.setdefault(flag, PooledCounts()).add(*counts)
+        if label.bucket is not None:
+            bucket_pools.setdefault(label.bucket, PooledCounts()).add(*counts)
+    precision, recall, f1 = overall.prf()
+    entity_pair, relation = reference_subtask_metrics(corpus, predictions, match_mode)
+    return MetricsReport(
+        match_mode=match_mode,
+        precision=precision,
+        recall=recall,
+        f1=f1,
+        counts=overall,
+        per_pattern={flag: pool.prf() for flag, pool in pattern_pools.items()},
+        per_bucket={bucket: pool.prf() for bucket, pool in bucket_pools.items()},
+        entity_pair=entity_pair,
+        relation=relation,
+    )
+
+
+def assert_matches_reference(corpus, predictions):
+    for mode in MATCH_MODES:
+        for s, pred in zip(corpus, predictions):
+            assert match_count(pred, s.triples, mode) == reference_match_count(pred, s.triples, mode)
+        assert subtask_metrics(corpus, predictions, mode) == reference_subtask_metrics(
+            corpus, predictions, mode
+        )
+        report = breakdown(corpus, predictions, mode)
+        assert report == reference_breakdown(corpus, predictions, mode)
+        assert report.to_kv() == reference_breakdown(corpus, predictions, mode).to_kv()
+
+
+@st.composite
+def corpora(draw):
+    """Random (corpus, predictions) with empty, sparse and crowded sets.
+    Spans come from a few tokens, so distinct triples often share their
+    partial key (relation and both end tokens)."""
+    length = draw(st.integers(1, 6))
+    num_rel = draw(st.integers(1, 3))
+    ends = st.tuples(st.integers(0, length - 1), st.integers(0, length - 1))
+    span = ends.map(lambda e: Span(min(e), max(e)))
+    triples = st.frozensets(st.builds(Triple, span, st.integers(0, num_rel - 1), span), max_size=10)
+    pairs = draw(st.lists(st.tuples(triples, triples), max_size=6))
+    corpus = [make_sentence(length, gold, sid=str(i)) for i, (gold, _) in enumerate(pairs)]
+    return corpus, [pred for _, pred in pairs]
 
 
 # --- independent oracle: maximum bipartite matching ------------------------
@@ -98,6 +199,28 @@ class TestMatching:
             assert match_count(pred, gold, EXACT) == max_bipartite_matching(
                 pred, gold, exact_compatible
             )
+
+    def test_duplicates_in_a_multiset_match_one_to_one(self):
+        t = Triple(Span(0, 1), 0, Span(3, 3))
+        for mode in MATCH_MODES:
+            assert match_count([t, t], [t], mode) == 1
+            assert match_count([t, t], [t, t], mode) == 2
+            assert match_count([], [t], mode) == 0
+            assert match_count([t], [], mode) == 0
+
+    def test_negative_relation_index_does_not_alias(self):
+        # Packed without a shift, (s=1, k=-1) and (s=0, k=0) would share a
+        # key, and sentence 1's prediction would match sentence 0's gold.
+        t = Triple(Span(0, 0), 0, Span(2, 2))
+        corpus = [make_sentence(4, [t], sid="a"), make_sentence(4, [], sid="b")]
+        predictions = [frozenset(), frozenset({Triple(t.head, -1, t.tail)})]
+        assert_matches_reference(corpus, predictions)
+        assert breakdown(corpus, predictions, EXACT).counts == PooledCounts(0, 1, 1)
+
+    def test_unknown_match_mode_rejected(self):
+        t = Triple(Span(0, 0), 0, Span(1, 1))
+        with pytest.raises(ValueError, match="unknown match mode"):
+            match_count([t], [t], "fuzzy")
 
     def test_exact_never_exceeds_partial(self):
         rng = np.random.default_rng(89)
@@ -245,6 +368,60 @@ class TestSubtasks:
         report = breakdown([make_sentence(8, gold)], [pred], "exact")
         assert report.f1 == pytest.approx(2 / 3)
         assert report.relation[2] == pytest.approx(0.5)
+
+
+class TestArrayCore:
+    @settings(max_examples=300, deadline=None)
+    @given(corpora())
+    def test_counts_equal_the_triple_reference(self, data):
+        assert_matches_reference(*data)
+
+    def test_empty_predictions_and_empty_gold(self):
+        t = Triple(Span(0, 1), 1, Span(2, 2))
+        corpus = [make_sentence(4, [t], sid="a"), make_sentence(4, [], sid="b")]
+        assert_matches_reference(corpus, [frozenset(), frozenset()])
+        assert_matches_reference(corpus, [frozenset(), frozenset({t})])
+        assert_matches_reference([], [])
+
+    def test_keys_past_2_to_the_62_stay_exact(self):
+        # Relations and span ends near 10**6: the exact key's radix product
+        # is about 10**30, so the packed key must fall back to dense ranks.
+        big = 10**6
+        rng = np.random.default_rng(62)
+        tokens = ("w",) * (big + 8)
+
+        def span():
+            begin = big + int(rng.integers(0, 4))
+            return Span(begin, begin + int(rng.integers(0, 4)))
+
+        corpus, predictions = [], []
+        for i in range(8):
+            gold = {Triple(span(), big + int(rng.integers(0, 3)), span()) for _ in range(i % 4 + 1)}
+            pred = {t for t in gold if rng.random() < 0.6}
+            pred |= {Triple(span(), big + int(rng.integers(0, 3)), span()) for _ in range(3)}
+            sentence = Sentence(tokens=tokens, id=str(i))
+            corpus.append(AnnotatedSentence(sentence=sentence, triples=frozenset(gold)))
+            predictions.append(frozenset(pred))
+        assert (big + 1) ** 5 > 2**62
+        assert_matches_reference(corpus, predictions)
+
+    def test_eval_report_matches_reference_on_near_random_model(self, tmp_path, capsys):
+        corpus, relations, _ = generate_corpus(
+            SynthConfig(sentences=6, num_relations=50, min_len=8, max_len=12, seed=41)
+        )
+        model = init_model(relations, build_vocab(corpus), TrainConfig(seed=4))
+        data, checkpoint, out = tmp_path / "c.jsonl", tmp_path / "m.npz", tmp_path / "report.txt"
+        save_native(corpus, relations, data)
+        save_checkpoint(checkpoint, model)
+        code = main(["eval", "--data", str(data), "--checkpoint", str(checkpoint), "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0
+
+        predictions = [predict(s.sentence, model) for s in corpus]
+        # near random: thousands of predicted triples against a handful of gold
+        assert sum(map(len, predictions)) > 1000
+        expected = "\n".join(reference_breakdown(corpus, predictions, m).to_kv() for m in MATCH_MODES)
+        assert out.read_bytes() == (expected + "\n").encode("utf-8")
 
 
 class TestExport:

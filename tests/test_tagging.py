@@ -12,6 +12,7 @@ from relgrid.tagging import (
     Tag,
     TagMatrix,
     decode,
+    decode_array,
     encode,
     render_relation_grid,
     roundtrip_check,
@@ -253,6 +254,26 @@ class TestDecode:
     @given(tag_grids())
     def test_matches_reference_decoder(self, matrix):
         assert decode(matrix) == reference_decode(matrix)
+
+    @settings(max_examples=400, deadline=None)
+    @given(tag_grids())
+    def test_array_rows_match_reference_decoder_in_anchor_order(self, matrix):
+        rows = decode_array(matrix)
+        assert rows.dtype == np.int64 and rows.shape[1:] == (5,)
+        expected = sorted(
+            (t.relation, t.head.begin, t.head.end, t.tail.begin, t.tail.end)
+            for t in reference_decode(matrix)
+        )
+        # anchor-key order is (k, hb, te); one anchor per row, so no ties
+        expected.sort(key=lambda row: (row[0], row[1], row[4]))
+        assert rows.tolist() == [list(row) for row in expected]
+        assert decode(matrix) == frozenset(
+            Triple(Span(hb, he), k, Span(tb, te)) for k, hb, he, tb, te in rows.tolist()
+        )
+
+    def test_empty_grid_gives_no_rows(self):
+        rows = decode_array(TagMatrix(length=5, num_relations=2))
+        assert rows.shape == (0, 5) and rows.dtype == np.int64
 
     def test_nested_heads_sharing_tail_end_column(self):
         # three nested heads on relation 1, all ending their tail at column 6
