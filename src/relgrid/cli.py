@@ -6,8 +6,8 @@ the config file, is a usage error, and so is a config file that is not a
 JSON object or holds a key that is not an option of the subcommand or a
 value that flag would refuse. An unreadable or unwritable file is a data error.
 Flag values override config-file values; every command logs its fully
-resolved configuration and the root seed at startup. Set RELGRID_LOG_LEVEL
-(DEBUG/INFO/WARNING/...) to control verbosity.
+resolved configuration at startup, and train and synth their root seed.
+Set RELGRID_LOG_LEVEL (DEBUG/INFO/WARNING/...) to control verbosity.
 """
 
 from __future__ import annotations
@@ -22,16 +22,15 @@ from pathlib import Path
 
 from .config import ConfigError
 from .corpus import (
-    AnnotatedSentence,
     CorpusError,
     RelationVocab,
-    Sentence,
-    Span,
     Triple,
     classify_pattern,
     corpus_stats,
     load_native,
     load_public,
+    native_sentence,
+    parse_record,
     save_native,
 )
 from .encoder import Vocab
@@ -70,11 +69,6 @@ class CliParser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--seed", type=int, help="root seed (default 0)")
-
-
 def build_parser() -> CliParser:
     parser = CliParser(prog="relgrid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -94,7 +88,6 @@ def build_parser() -> CliParser:
     p_train.add_argument("--max-len", type=int)
     p_train.add_argument("--emb-dim", type=int)
     p_train.add_argument("--min-count", type=int)
-    _add_common(p_train)
 
     p_eval = sub.add_parser("eval", help="score a checkpoint against a corpus")
     p_eval.add_argument("--data", help="evaluation corpus path")
@@ -108,7 +101,6 @@ def build_parser() -> CliParser:
         "--export-relations",
         help="also dump the relation/tag representation columns to this TSV",
     )
-    _add_common(p_eval)
 
     p_tag = sub.add_parser(
         "tag",
@@ -120,7 +112,6 @@ def build_parser() -> CliParser:
         help="native-format JSON record; reads standard input when omitted",
     )
     p_tag.add_argument("--relations", help="relation names, one per line")
-    _add_common(p_tag)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus")
     p_synth.add_argument("--out", help="output corpus path")
@@ -132,15 +123,17 @@ def build_parser() -> CliParser:
     p_synth.add_argument("--num-relations", type=int)
     p_synth.add_argument("--min-len", type=int)
     p_synth.add_argument("--max-len", type=int)
-    _add_common(p_synth)
 
     p_stats = sub.add_parser("stats", help="print corpus pattern/bucket statistics")
     p_stats.add_argument("--data", help="corpus path")
     p_stats.add_argument("--format", choices=("native", "public"), default=None)
     p_stats.add_argument("--relations", help="relation names (public format)")
     p_stats.add_argument("--match", choices=MATCH_MODES, help="span resolution for public data")
-    _add_common(p_stats)
 
+    for p in sub.choices.values():
+        p.add_argument("--config", help="JSON config file; flags override it")
+    for p in (p_train, p_synth):
+        p.add_argument("--seed", type=int, help="root seed (default 0)")
     return parser
 
 
@@ -234,14 +227,14 @@ def _load_corpus(
 
 def cmd_train(cfg: RunConfig) -> int:
     config = TrainConfig(
-        epochs=cfg.get("epochs", 10),
-        batch_size=cfg.get("batch-size", 8),
-        learning_rate=cfg.get("lr", 1e-5),
-        dropout_rate=cfg.get("dropout", 0.1),
-        max_seq_len=cfg.get("max-len", 100),
-        emb_dim=cfg.get("emb-dim", 64),
-        min_count=cfg.get("min-count", 1),
-        seed=cfg.get("seed", 0),
+        epochs=cfg.get("epochs", TrainConfig.epochs),
+        batch_size=cfg.get("batch-size", TrainConfig.batch_size),
+        learning_rate=cfg.get("lr", TrainConfig.learning_rate),
+        dropout_rate=cfg.get("dropout", TrainConfig.dropout_rate),
+        max_seq_len=cfg.get("max-len", TrainConfig.max_seq_len),
+        emb_dim=cfg.get("emb-dim", TrainConfig.emb_dim),
+        min_count=cfg.get("min-count", TrainConfig.min_count),
+        seed=cfg.get("seed", TrainConfig.seed),
     )
     out = cfg.get("out", "checkpoint.npz")
     cfg.log("train")
@@ -304,43 +297,8 @@ def cmd_eval(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _parse_tag_record(raw: str, relations: RelationVocab | None):
-    try:
-        record = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"invalid sentence JSON: {exc}") from exc
-    if not isinstance(record, dict):
-        raise CorpusError("sentence record must be a JSON object")
-    try:
-        tokens = tuple(str(t) for t in record.get("tokens", []))
-        raw_triples = list(record.get("triples", []))
-    except TypeError as exc:
-        raise CorpusError(f"malformed sentence record ({exc})") from None
-    if not tokens:
-        raise CorpusError("sentence record has no tokens")
-    rel_names: list[str] = list(relations.names) if relations else []
-    triples = []
-    for n, raw_triple in enumerate(raw_triples):
-        try:
-            name = str(raw_triple["relation"])
-            head = Span(int(raw_triple["head"][0]), int(raw_triple["head"][1]))
-            tail = Span(int(raw_triple["tail"][0]), int(raw_triple["tail"][1]))
-        except (KeyError, TypeError, IndexError) as exc:
-            raise CorpusError(
-                f"malformed triple {n}: needs relation, head [begin, end] and "
-                f"tail [begin, end] ({type(exc).__name__}: {exc})"
-            ) from None
-        if name not in rel_names:
-            if relations is not None:
-                raise CorpusError(f"unknown relation {name!r}")
-            rel_names.append(name)
-        triples.append(Triple(head, rel_names.index(name), tail))
-    vocab = relations or RelationVocab(names=tuple(rel_names) or ("none",))
-    sentence = AnnotatedSentence(
-        sentence=Sentence(tokens=tokens, id=str(record.get("id", "stdin"))),
-        triples=frozenset(triples),
-    )
-    return sentence, vocab
+def _format_triple(t: Triple, relations: RelationVocab) -> str:
+    return f"({t.head.begin}..{t.head.end}, {relations.names[t.relation]}, {t.tail.begin}..{t.tail.end})"
 
 
 def cmd_tag(cfg: RunConfig) -> int:
@@ -349,7 +307,10 @@ def cmd_tag(cfg: RunConfig) -> int:
     if raw is None:
         raw = sys.stdin.read()
     relations = _read_relations(cfg.get("relations")) if cfg.get("relations") else None
-    sentence, vocab = _parse_tag_record(raw, relations)
+    record = {"id": "stdin", "triples": [], **parse_record(raw, "tag input")}
+    known = {name: i for i, name in enumerate(relations.names)} if relations else {}
+    sentence = native_sentence(record, known, relations is None, "tag input")
+    vocab = relations or RelationVocab(names=tuple(known) or ("none",))
 
     matrix, collisions = encode(sentence, len(vocab))
     for k in matrix.relations_present():
@@ -360,23 +321,18 @@ def cmd_tag(cfg: RunConfig) -> int:
         print(f"collision at {c.cell}: kept {c.kept.name}, dropped {c.dropped.name}")
 
     result = roundtrip_check(sentence, len(vocab))
-    decoded = sorted(result.spurious | (sentence.triples - result.missing))
     print("decoded triples:")
-    for t in decoded:
-        print(
-            f"  ({t.head.begin}..{t.head.end}, {vocab.names[t.relation]}, "
-            f"{t.tail.begin}..{t.tail.end})"
-        )
+    for t in sorted(result.spurious | (sentence.triples - result.missing)):
+        print(f"  {_format_triple(t, vocab)}")
     if result.exact and not sentence.triples:
         print("roundtrip: exact (empty)")
     elif result.exact:
         print("roundtrip: exact")
     else:
         print(f"roundtrip: {result}")
-        for t in sorted(result.missing):
-            print(f"  missing : ({t.head.begin}..{t.head.end}, {vocab.names[t.relation]}, {t.tail.begin}..{t.tail.end})")
-        for t in sorted(result.spurious):
-            print(f"  spurious: ({t.head.begin}..{t.head.end}, {vocab.names[t.relation]}, {t.tail.begin}..{t.tail.end})")
+        for label, triples in (("missing ", result.missing), ("spurious", result.spurious)):
+            for t in sorted(triples):
+                print(f"  {label}: {_format_triple(t, vocab)}")
     return EXIT_OK
 
 
@@ -397,12 +353,12 @@ def cmd_synth(cfg: RunConfig) -> int:
     out = cfg.require("out")
     mix = cfg.get("mix", default_mix())  # a config-file value goes to the checks as is
     config = SynthConfig(
-        sentences=cfg.get("count", 100),
-        num_relations=cfg.get("num-relations", 4),
+        sentences=cfg.get("count", SynthConfig.sentences),
+        num_relations=cfg.get("num-relations", SynthConfig.num_relations),
         mix=_parse_mix(mix) if isinstance(mix, str) else mix,
-        min_len=cfg.get("min-len", 6),
-        max_len=cfg.get("max-len", 14),
-        seed=cfg.get("seed", 0),
+        min_len=cfg.get("min-len", SynthConfig.min_len),
+        max_len=cfg.get("max-len", SynthConfig.max_len),
+        seed=cfg.get("seed", SynthConfig.seed),
     )
     cfg.log("synth")
     logger.info("root seed %d", config.seed)
@@ -418,8 +374,6 @@ def cmd_synth(cfg: RunConfig) -> int:
 def cmd_stats(cfg: RunConfig) -> int:
     cfg.log("stats")
     corpus, _ = _load_corpus(cfg, max_seq_len=None)
-    if not corpus:
-        raise CorpusError("empty corpus")
     print(corpus_stats(corpus).to_text())
     return EXIT_OK
 

@@ -2,8 +2,8 @@
 
 Two on-disk formats are supported:
 
-* native: one JSON object per line with explicit 0-based inclusive token
-  spans::
+* native: one JSON object per line with a list of non-empty token strings
+  and explicit 0-based inclusive token spans, each a pair of integers::
 
       {"id": "s1", "tokens": ["a", "b"],
        "triples": [{"head": [0, 0], "relation": "r", "tail": [1, 1]}]}
@@ -243,6 +243,71 @@ def _truncate(
     return tokens[:max_seq_len], kept
 
 
+def parse_record(text: str, where: str) -> dict:
+    """One JSON object; errors start with `where`."""
+    try:
+        record = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"{where}: invalid JSON ({exc})") from exc
+    if not isinstance(record, dict):
+        raise CorpusError(f"{where}: record must be a JSON object")
+    return record
+
+
+def _records(path: Path) -> Iterable[tuple[int, dict]]:
+    """(line number, record) for each non-blank line of a JSONL file."""
+    if not path.exists():
+        raise CorpusError(f"no such file: {path}")
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if line.strip():
+            yield lineno, parse_record(line, f"{path}:{lineno}")
+
+
+def native_sentence(
+    record: dict,
+    known: dict[str, int],
+    grow: bool,
+    where: str,
+    max_seq_len: int | None = None,
+    warnings: list[str] | None = None,
+) -> AnnotatedSentence:
+    """One native record as an annotated sentence; errors start with `where`.
+
+    Relation names map to indices through `known`, which gains a new name when
+    `grow` is set; otherwise a new name is an error. Truncation to
+    `max_seq_len` appends its notices to `warnings`.
+    """
+    try:
+        sid, tokens, raw_triples = str(record["id"]), record["tokens"], record["triples"]
+        if not (type(tokens) is list and set(map(type, tokens)) <= {str}):
+            raise ValueError("\"tokens\" must be a list of strings")
+        if not isinstance(raw_triples, list):
+            raise ValueError("\"triples\" must be a list")
+        triples = []
+        for n, raw in enumerate(raw_triples):
+            try:
+                head, tail, rel_name = raw["head"], raw["tail"], str(raw["relation"])
+                # exactly two ints each; a JSON bool has its own type
+                spans_ok = list(map(type, head)) == list(map(type, tail)) == [int, int]
+            except (KeyError, TypeError):
+                spans_ok = False
+            if not spans_ok:
+                raise ValueError(f"malformed triple {n} in sentence {sid!r}: needs relation, "
+                                 "head [begin, end] and tail [begin, end] with integer ends")
+            if rel_name not in known:
+                if not grow:
+                    raise ValueError(f"sentence {sid!r}: unknown relation {rel_name!r}")
+                known[rel_name] = len(known)
+            triples.append(Triple(Span(*head), known[rel_name], Span(*tail)))
+        # truncation drops a triple past the cut before the span-bounds check
+        tokens, triples = _truncate(sid, tokens, triples, max_seq_len, warnings)
+        return AnnotatedSentence(Sentence(tuple(tokens), sid), frozenset(triples))
+    except KeyError as exc:
+        raise CorpusError(f"{where}: missing field ({exc})") from None
+    except ValueError as exc:
+        raise CorpusError(f"{where}: {exc}") from None
+
+
 def load_native(
     path: str | Path,
     vocab: RelationVocab | None = None,
@@ -255,67 +320,16 @@ def load_native(
     hold truncation notices when `max_seq_len` is set.
     """
     path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"no such file: {path}")
-
-    known: dict[str, int] = (
-        {name: i for i, name in enumerate(vocab.names)} if vocab else {}
-    )
-    fresh_names: list[str] = []
-    corpus: list[AnnotatedSentence] = []
+    known = {name: i for i, name in enumerate(vocab.names)} if vocab else {}
     warnings: list[str] = []
-
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-        try:
-            sid = str(record["id"])
-            tokens = [str(t) for t in record["tokens"]]
-            raw_triples = record["triples"]
-        except (KeyError, TypeError) as exc:
-            raise CorpusError(f"{path}:{lineno}: missing field ({exc})") from exc
-        if not isinstance(raw_triples, list):
-            raise CorpusError(f"{path}:{lineno}: \"triples\" must be a list")
-
-        triples = []
-        for raw in raw_triples:
-            try:
-                head = Span(int(raw["head"][0]), int(raw["head"][1]))
-                tail = Span(int(raw["tail"][0]), int(raw["tail"][1]))
-                rel_name = str(raw["relation"])
-            except (KeyError, TypeError, IndexError) as exc:
-                raise CorpusError(
-                    f"{path}:{lineno}: malformed triple in sentence {sid!r}"
-                ) from exc
-            except ValueError as exc:
-                raise CorpusError(f"sentence {sid!r}: {exc}") from exc
-            if rel_name not in known:
-                if vocab is not None:
-                    raise CorpusError(
-                        f"sentence {sid!r}: unknown relation {rel_name!r}"
-                    )
-                known[rel_name] = len(known)
-                fresh_names.append(rel_name)
-            triples.append(Triple(head, known[rel_name], tail))
-
-        tokens, triples = _truncate(sid, tokens, triples, max_seq_len, warnings)
-        try:
-            annotated = AnnotatedSentence(
-                sentence=Sentence(tokens=tuple(tokens), id=sid),
-                triples=frozenset(triples),
-            )
-        except ValueError as exc:
-            raise CorpusError(f"{path}:{lineno}: {exc}") from exc
-        corpus.append(annotated)
-
+    corpus = [
+        native_sentence(record, known, vocab is None, f"{path}:{lineno}", max_seq_len, warnings)
+        for lineno, record in _records(path)
+    ]
     if vocab is None:
         if not known:
             raise CorpusError(f"{path}: no relations found and no vocab given")
-        vocab = RelationVocab(names=tuple(fresh_names))
+        vocab = RelationVocab(names=tuple(known))
     return corpus, vocab, warnings
 
 
@@ -388,20 +402,9 @@ def load_public(
     dropped. Unknown relation names and empty text are errors.
     """
     path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"no such file: {path}")
-
     corpus: list[AnnotatedSentence] = []
     warnings: list[str] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-        if not isinstance(record, dict):
-            raise CorpusError(f"{path}:{lineno}: record must be a JSON object")
+    for lineno, record in _records(path):
         text = record.get("text", "")
         if not isinstance(text, str):
             raise CorpusError(f"{path}:{lineno}: \"text\" must be a string")

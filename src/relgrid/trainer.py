@@ -35,7 +35,7 @@ from .scorer import (
     predict_tags,
     score_all,
 )
-from .tagging import TagMatrix, decode, encode
+from .tagging import NUM_TAGS, TagMatrix, decode, encode
 
 logger = logging.getLogger(__name__)
 
@@ -437,6 +437,20 @@ def load_checkpoint(path: str | Path) -> Model:
         raise ValueError(f"invalid checkpoint config: {exc}") from None
     if config.hash() != header["config_hash"]:
         raise ValueError("checkpoint config hash mismatch")
+    vocab = Vocab.from_json(header["vocab"])
+    relations = RelationVocab(names=tuple(header["relations"]))
+    d, hidden = config.emb_dim, config.resolved_hidden_dim()
+    expected = {
+        "pair_proj": (hidden, 2 * d),
+        "pair_bias": (hidden,),
+        "rel_tag_emb": (hidden, NUM_TAGS * len(relations)),
+        "token_table": (len(vocab), d),
+        "positional_table": (config.max_seq_len, d) if config.use_positional else None,
+    }
+    for name, shape in expected.items():
+        found = arrays[name].shape if name in arrays else None
+        if found != shape:
+            raise ValueError(f"corrupt checkpoint {path}: {name} shape {found}, expected {shape}")
     params = ScorerParams(
         pair_proj=arrays["pair_proj"],
         pair_bias=arrays["pair_bias"],
@@ -449,7 +463,7 @@ def load_checkpoint(path: str | Path) -> Model:
     return Model(
         params=params,
         table=table,
-        vocab=Vocab.from_json(header["vocab"]),
-        relations=RelationVocab(names=tuple(header["relations"])),
+        vocab=vocab,
+        relations=relations,
         config=config,
     )

@@ -5,6 +5,7 @@ import sys
 import zipfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import relgrid.cli
@@ -492,6 +493,41 @@ class TestTrainEval:
         assert stderr == f"error: corrupt checkpoint {stripped}: no pair_proj array\n"
         assert stdout == ""
 
+    @pytest.mark.parametrize(
+        "name, change",
+        [
+            ("token_table", lambda a: a[:-1]),
+            ("rel_tag_emb", lambda a: a[:, : 4 * 2]),
+            ("pair_proj", lambda a: a.T),
+            ("pair_bias", lambda a: np.append(a, 0.0)),
+            ("positional_table", lambda a: a[:-1]),
+            ("positional_table", None),
+        ],
+        ids=["short-token-table", "two-of-three-relations", "transposed-pair-proj",
+             "long-pair-bias", "short-positional", "no-positional"],
+    )
+    def test_array_shape_against_header_is_data_error(
+        self, capsys, synth_file, tmp_path, checkpoint, name, change
+    ):
+        with np.load(checkpoint) as data:
+            arrays = {key: data[key] for key in data.files}
+        expected = arrays[name].shape
+        if change is None:
+            del arrays[name]
+        else:
+            arrays[name] = change(arrays[name])
+        found = arrays[name].shape if name in arrays else None
+        edited = tmp_path / "edited.npz"
+        np.savez(edited, **arrays)
+        code, stdout, stderr = run(
+            capsys, "eval", "--data", str(synth_file), "--checkpoint", str(edited)
+        )
+        assert code == EXIT_DATA
+        assert stderr == (
+            f"error: corrupt checkpoint {edited}: {name} shape {found}, expected {expected}\n"
+        )
+        assert stdout == ""
+
     def test_eval_missing_checkpoint(self, capsys, synth_file):
         code, _, _ = run(
             capsys, "eval", "--data", str(synth_file), "--checkpoint", "/nope/c.npz"
@@ -517,6 +553,11 @@ class TestTag:
         code, stdout, _ = run(capsys, "tag", "--sentence", json.dumps(record))
         assert code == EXIT_OK
         assert "roundtrip: exact (empty)" in stdout
+
+    def test_record_without_id_and_triples_takes_the_defaults(self, capsys):
+        code, stdout, _ = run(capsys, "tag", "--sentence", json.dumps({"tokens": ["a", "b"]}))
+        assert code == EXIT_OK
+        assert stdout == "decoded triples:\nroundtrip: exact (empty)\n"
 
     def test_hto_tags_near_diagonal(self, capsys):
         record = {
@@ -561,11 +602,60 @@ class TestTag:
         assert stdout == ""
 
 
+BAD_NATIVE_RECORDS = {
+    "tokens-string": {"id": "b", "tokens": "abc", "triples": []},
+    "tokens-number": {"id": "b", "tokens": ["a", 1], "triples": []},
+    "span-floats": {"id": "b", "tokens": ["a", "b"],
+                    "triples": [{"head": [0.9, 1.7], "relation": "r", "tail": [1, 1]}]},
+    "span-bools": {"id": "b", "tokens": ["a", "b"],
+                   "triples": [{"head": [False, True], "relation": "r", "tail": [1, 1]}]},
+    "span-string": {"id": "b", "tokens": ["a", "b"],
+                    "triples": [{"head": "01", "relation": "r", "tail": [1, 1]}]},
+    "span-three": {"id": "b", "tokens": ["a", "b"],
+                   "triples": [{"head": [0, 0, 1], "relation": "r", "tail": [1, 1]}]},
+    "span-negative": {"id": "b", "tokens": ["a", "b"],
+                      "triples": [{"head": [-1, 0], "relation": "r", "tail": [1, 1]}]},
+    "triples-object": {"id": "b", "tokens": ["a", "b"], "triples": {}},
+    "record-array": [1, 2],
+}
+
+
+class TestBadNativeRecord:
+    """`stats` and `tag` read a native record through one parser, so each bad
+    record is one data error under both: exit 2 and a single `error:` line on
+    stderr (an exception escaping `main` would fail the test instead)."""
+
+    @pytest.mark.parametrize("command", ["stats", "tag"])
+    @pytest.mark.parametrize("record", BAD_NATIVE_RECORDS.values(), ids=BAD_NATIVE_RECORDS.keys())
+    def test_bad_record_is_one_line_data_error(self, capsys, tmp_path, command, record):
+        if command == "stats":
+            data = tmp_path / "native.jsonl"
+            good = {"id": "a", "tokens": ["a", "b"],
+                    "triples": [{"head": [0, 0], "relation": "r", "tail": [1, 1]}]}
+            data.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+            argv = ["stats", "--data", str(data)]
+        else:
+            argv = ["tag", "--sentence", json.dumps(record)]
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == EXIT_DATA
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert stdout == ""
+        if command == "stats":
+            assert stderr.startswith(f"error: {data}:2: ")
+
+
 class TestUsage:
     def test_unknown_flag_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--nonsense"])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["eval", "tag", "stats"])
+    def test_seed_is_not_an_option(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "5"])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
     def test_missing_subcommand_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

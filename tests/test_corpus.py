@@ -229,6 +229,24 @@ class TestNativeFormat:
         assert len(corpus[0].triples) == 1
         assert any("dropped by truncation" in w for w in warnings)
 
+    def test_truncation_comes_before_the_span_bounds_check(self, tmp_path):
+        # a triple past the sentence end is also past the cut: dropped, not rejected
+        record = {
+            "id": "long",
+            "tokens": [f"w{i}" for i in range(12)],
+            "triples": [
+                {"head": [0, 1], "relation": "r0", "tail": [3, 4]},
+                {"head": [0, 1], "relation": "r0", "tail": [9, 15]},
+            ],
+        }
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        corpus, _, warnings = load_native(path, max_seq_len=8)
+        assert corpus[0].triples == {Triple(Span(0, 1), 0, Span(3, 4))}
+        assert any("dropped by truncation" in w for w in warnings)
+        with pytest.raises(CorpusError, match="exceeds length 12"):
+            load_native(path)
+
 
 class TestPublicFormat:
     def vocab(self):
