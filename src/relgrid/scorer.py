@@ -7,34 +7,27 @@ scores of all relations and all four tag classes at once:
     scores(i, k, tag, j) = rel_tag_emb[:, 4k + tag] . hidden(i, j)
 
 Concatenation order is (e_i, e_j), so scores are not symmetric in (i, j);
-asymmetric relations need that. Dropout is applied before the rectifier,
-inverted-scaled, and only when training is requested, so inference is a
-plain forward pass. The keep mask is used once and discarded: a dropped
-unit is zero after the rectifier, so backward needs only the scalar scale.
-Training scores each sentence at its true length, never padded.
-Everything is float64 and seeded for reproducibility.
+asymmetric relations need that. Inverted dropout comes before the rectifier,
+only in training, so backward needs only its scalar scale. No [e_i; e_j] is
+built: with pair_proj = [W_h | W_t] the pre-activation is the broadcast sum
+of W_h e_i and W_t e_j + b, and backward sums the pair gradient over j
+(resp. i) before it meets W_h (resp. W_t). All is float64.
 
-The [e_i; e_j] pairs are never built. With pair_proj = [W_h | W_t] split
-by columns, pair_proj @ [e_i; e_j] = W_h e_i + W_t e_j, so the
-pre-activation is the broadcast sum of two L x hidden_dim matrices. That is
-the same linear map; only the float summation order differs. In backward,
-the pair gradient reaches e_i only through W_h and e_j only through W_t, so
-it is summed over j (resp. i) before it meets the weights.
+The grid is worked in blocks of 16 head rows i by shared kernels:
+_hidden_block (pre-activation, dropout, rectifier), _softmax_nll and
+_tag_gradient (tag softmax, NLL, p - onehot(gold)), _hidden_gradient (to
+rel_tag_emb, d_heads, d_tails) and _tags (argmax, ties to NONE). train_grads
+and tag_grid, used by training and prediction, take each block from hidden
+layer to gradients or int8 tags, keeping no grid; score_all keeps the scores
+and hidden layer for loss, tag_distribution, backward and predict_tags.
 
-score_all, loss, tag_distribution, backward and predict_tags work on blocks
-of 16 head rows i (the last block may be shorter). The blocks run on the
-calling thread plus a pool of one thread per further available core,
-started on first need; NumPy ufuncs and BLAS release the interpreter lock,
-so the blocks run in parallel. A grid of at most 16 rows is one block and
-runs inline. The split depends on L alone, each block writes only its own
-rows, and the few sums across blocks (loss, rel_tag_emb and tail-side
-gradients) are added in block order, so no result depends on the number of
-threads. Each block draws its dropout units from its offset in the same
-stream as one rng.random((L * L, hidden_dim)) draw, so hidden activations
-and the tags predicted from given scores equal an unsplit computation bit
-for bit. Scores can differ from an unsplit product in the last bit, because
-BLAS may round the edge tiles of a product differently for another row
-count; for L > 16 loss and gradients also differ in float summation order.
+The blocks run on the calling thread plus one pool thread per further core
+(ufuncs and BLAS release the interpreter lock). The split depends on L alone
+and sums across blocks are added in block order, so no result depends on the
+thread count. Each block draws its dropout units from its offset in one
+rng.random((L * L, hidden_dim)) stream, so hidden activations, and the tags
+of given scores, equal an unsplit computation bit for bit; scores may differ
+in the last bit (BLAS edge tiles), loss and gradients in summation order.
 """
 
 from __future__ import annotations
@@ -196,54 +189,176 @@ def _map_blocks(fn, length: int) -> list:
     return results
 
 
-def score_all(
-    emb: np.ndarray,
-    params: ScorerParams,
-    training: bool = False,
-    rng_seed: int = 0,
-) -> ScoreGrid:
-    """Score every (i, relation, tag, j) cell, one block of head rows at a time."""
-    if emb.ndim != 2 or emb.shape[1] != params.emb_dim:
-        raise ValueError(
-            f"embedding shape {emb.shape} incompatible with emb_dim {params.emb_dim}"
-        )
-    length = emb.shape[0]
-    num_rel = params.num_relations
+def _projections(emb: np.ndarray, params: ScorerParams) -> tuple[np.ndarray, np.ndarray]:
+    """The two L x hidden_dim halves of the pre-activation: W_h e_i and W_t e_j + b."""
     d = params.emb_dim
-    hidden_dim = params.hidden_dim
+    if emb.ndim != 2 or emb.shape[1] != d:
+        raise ValueError(f"embedding shape {emb.shape} incompatible with emb_dim {d}")
+    return emb @ params.pair_proj[:, :d].T, emb @ params.pair_proj[:, d:].T + params.pair_bias
 
-    heads = emb @ params.pair_proj[:, :d].T
-    tails = emb @ params.pair_proj[:, d:].T + params.pair_bias
-    hidden = np.empty((length, length, hidden_dim))
-    scores = np.empty((length, num_rel, NUM_TAGS, length))
-    dropout = training and params.dropout_rate > 0.0
-    scale = 1.0 / (1.0 - params.dropout_rate) if dropout else 1.0
+
+def _dropout(params: ScorerParams, training: bool, rng_seed: int) -> tuple[int | None, float]:
+    """The dropout stream's seed (None when dropout is off) and the inverted-dropout scale."""
+    on = training and params.dropout_rate > 0.0
+    return (rng_seed, 1.0 / (1.0 - params.dropout_rate)) if on else (None, 1.0)
+
+
+def _hidden_block(heads, tails, rows, params, seed=None, scale=1.0, out=None) -> np.ndarray:
+    """Post-rectifier activations of the pairs (i, j), i in rows, as a
+    (rows * L) x hidden_dim array; dropout is drawn when seed is not None."""
+    pre = np.add(heads[rows, None, :], tails, out=out)
+    if seed is not None:
+        # these rows' part of one rng.random((L * L, hidden_dim)) draw
+        bits = np.random.PCG64(seed).advance(rows.start * tails.size)
+        pre *= np.random.Generator(bits).random(pre.shape) >= params.dropout_rate
+        pre *= scale
+    np.maximum(pre, 0.0, out=pre)
+    return pre.reshape(-1, tails.shape[1])
+
+
+def _softmax_nll(s: np.ndarray, gold: np.ndarray | None = None, mask: np.ndarray | None = None):
+    """Tag softmax, in place, over the planes s[..., t] of a C-contiguous
+    (cells..., 4) score block. Given gold tags in s's cell order, returns the
+    NLL sum over masked-in cells and the gold flat indices 4 * cell + tag."""
+    p0, p1, p2, p3 = (s[..., t] for t in range(NUM_TAGS))
+    s -= np.maximum(np.maximum(p0, p1), np.maximum(p2, p3))[..., None]
+    if gold is not None:
+        flat_gold = np.arange(0, s.size, NUM_TAGS) + gold.ravel()
+        gold_shifted = s.ravel()[flat_gold]
+    np.exp(s, out=s)
+    norm = p0 + p1
+    norm += p2
+    norm += p3
+    s /= norm[..., None]
+    if gold is not None:
+        nll = np.log(norm).ravel() - gold_shifted
+        return (nll.sum() if mask is None else nll[mask.ravel()].sum()), flat_gold
+
+
+def _tag_gradient(s: np.ndarray, gold: np.ndarray, mask: np.ndarray | None, count: int):
+    """Turn a (cells..., 4) score block, in place, into the mean loss's gradient
+    (p - onehot(gold)) * mask / count with respect to it; returns its NLL sum."""
+    nll, flat_gold = _softmax_nll(s, gold, mask)
+    s.reshape(-1)[flat_gold] -= 1.0
+    if mask is not None:
+        s *= mask[..., None]
+    s /= count
+    return nll
+
+
+def _hidden_gradient(d_scores, hidden, rows, params, scale, d_heads):
+    """Back from a block's (rows * L) x 4K score gradient through rel_tag_emb,
+    the rectifier and dropout: fills d_heads[rows], returns d_rel and d_tails."""
+    d_rel = hidden.T @ d_scores
+    d_hidden = d_scores @ params.rel_tag_emb.T
+    d_hidden *= hidden > 0.0  # rectifier active set, dropped units included
+    d_hidden *= scale
+    # pre(i, j) = W_h e_i + W_t e_j + b: reduce over the partner token first
+    d_pre = d_hidden.reshape(rows.stop - rows.start, -1, hidden.shape[1])
+    d_heads[rows] = d_pre.sum(axis=1)  # summed over tails j
+    return d_rel, d_pre.sum(axis=0)
+
+
+@dataclass
+class ScorerGrads:
+    """Gradients of the mean loss for every trainable array, plus that loss."""
+
+    pair_proj: np.ndarray
+    pair_bias: np.ndarray
+    rel_tag_emb: np.ndarray
+    emb: np.ndarray
+    loss: float
+
+
+def _sum_grads(blocks: list, d_heads, emb, params, count: int) -> ScorerGrads:
+    """Add the blocks' (NLL sum, d_rel, d_tails) in block order and go back
+    through the two projections to the parameters and embeddings."""
+    nll_sums, d_rels, d_tails_parts = zip(*blocks)
+    d = params.emb_dim
+    d_tails = sum(d_tails_parts)  # L x hidden_dim, summed over heads i
+    return ScorerGrads(
+        pair_proj=np.concatenate([d_heads.T @ emb, d_tails.T @ emb], axis=1),
+        pair_bias=d_heads.sum(axis=0),
+        rel_tag_emb=sum(d_rels),
+        emb=d_heads @ params.pair_proj[:, :d] + d_tails @ params.pair_proj[:, d:],
+        loss=float(sum(nll_sums) / count),
+    )
+
+
+# bits 0-2 set where tags 1-3 hold the top non-NONE score -> the sole such tag, else NONE
+_SOLE_TAG = np.array([0, 1, 2, 0, 3, 0, 0, 0], dtype=np.int8)
+
+
+def _tags(s: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """int8 argmax over the four tag planes s[..., t] of a (cells..., 4)
+    block. Exact ties and masked-out cells give NONE: a tie carries no
+    evidence for a boundary, and a spurious boundary tag fabricates triples."""
+    top = np.maximum(np.maximum(s[..., 1], s[..., 2]), s[..., 3])
+    hits = np.equal(s[..., 1], top).view(np.uint8)
+    hits += np.equal(s[..., 2], top).view(np.uint8) << 1
+    hits += np.equal(s[..., 3], top).view(np.uint8) << 2
+    best = _SOLE_TAG[hits]
+    best *= np.less(s[..., 0], top)  # NONE takes every tie it is part of
+    if mask is not None:
+        best *= mask
+    return best
+
+
+def train_grads(
+    emb: np.ndarray, gold: np.ndarray, params: ScorerParams, rng_seed: int
+) -> ScorerGrads:
+    """backward(score_all(emb, params, True, rng_seed), gold, None, emb, params)
+    for (L, K, L) int gold tags, each block taken from hidden layer to
+    gradients in one pass; the sums may differ in float summation order."""
+    heads, tails = _projections(emb, params)
+    length, num_rel = emb.shape[0], params.num_relations
+    if gold.shape != (length, num_rel, length):
+        raise ValueError(f"gold shape {gold.shape} != grid cells {(length, num_rel, length)}")
+    seed, scale = _dropout(params, True, rng_seed)
+    d_heads = np.empty((length, params.hidden_dim))
+
+    def block(rows: slice) -> tuple:
+        hidden = _hidden_block(heads, tails, rows, params, seed, scale)
+        d_scores = hidden @ params.rel_tag_emb  # (rows * L) x 4K: cells (i, j, k)
+        cells = d_scores.reshape(len(hidden), num_rel, NUM_TAGS)
+        nll = _tag_gradient(cells, gold[rows].transpose(0, 2, 1), None, gold.size)
+        return nll, *_hidden_gradient(d_scores, hidden, rows, params, scale, d_heads)
+
+    return _sum_grads(_map_blocks(block, length), d_heads, emb, params, gold.size)
+
+
+def tag_grid(emb: np.ndarray, params: ScorerParams) -> TagMatrix:
+    """predict_tags(score_all(emb, params)), bit for bit, with each block
+    of head rows taken from hidden layer to int8 tags in one pass."""
+    heads, tails = _projections(emb, params)
+    length, num_rel = emb.shape[0], params.num_relations
+    tags = np.empty((length, num_rel, length), dtype=np.int8)
 
     def block(rows: slice) -> None:
-        pre = np.add(heads[rows, None, :], tails, out=hidden[rows])
-        if dropout:
-            # these rows' part of one rng.random((L * L, hidden_dim)) draw
-            bits = np.random.PCG64(rng_seed).advance(rows.start * length * hidden_dim)
-            pre *= np.random.Generator(bits).random(pre.shape) >= params.dropout_rate
-            pre *= scale
-        np.maximum(pre, 0.0, out=pre)
-        flat = pre.reshape(-1, hidden_dim) @ params.rel_tag_emb  # (rows * L, 4K)
+        scores = _hidden_block(heads, tails, rows, params) @ params.rel_tag_emb
+        tags[rows] = _tags(scores.reshape(-1, length, num_rel, NUM_TAGS)).transpose(0, 2, 1)
+
+    _map_blocks(block, length)
+    return TagMatrix(length, num_rel, tags)
+
+
+def score_all(
+    emb: np.ndarray, params: ScorerParams, training: bool = False, rng_seed: int = 0
+) -> ScoreGrid:
+    """Score every (i, relation, tag, j) cell, one block of head rows at a time."""
+    heads, tails = _projections(emb, params)
+    length, num_rel = emb.shape[0], params.num_relations
+    seed, scale = _dropout(params, training, rng_seed)
+    hidden = np.empty((length, length, params.hidden_dim))
+    scores = np.empty((length, num_rel, NUM_TAGS, length))
+
+    def block(rows: slice) -> None:
+        flat = _hidden_block(heads, tails, rows, params, seed, scale, hidden[rows])
+        flat = flat @ params.rel_tag_emb  # (rows * L, 4K)
         scores[rows] = flat.reshape(-1, length, num_rel, NUM_TAGS).transpose(0, 2, 3, 1)
 
     _map_blocks(block, length)
     return ScoreGrid(scores=scores, hidden=hidden, dropout_scale=scale)
-
-
-def _softmax(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Max-subtracted tag-axis softmax of a block of score rows, in
-    rows x K x L x 4 order: the scores minus each cell's max, the
-    probabilities, and the log normalizers."""
-    s = np.moveaxis(scores, 2, 3)
-    shifted = s - s.max(axis=3, keepdims=True)
-    probs = np.exp(shifted)
-    norm = probs.sum(axis=3)
-    probs /= norm[..., None]
-    return shifted, probs, np.log(norm)
 
 
 def tag_distribution(grid: ScoreGrid) -> np.ndarray:
@@ -251,7 +366,8 @@ def tag_distribution(grid: ScoreGrid) -> np.ndarray:
     probs = np.empty((grid.length, grid.num_relations, grid.length, NUM_TAGS))
 
     def block(rows: slice) -> None:
-        probs[rows] = _softmax(grid.scores[rows])[1]
+        probs[rows] = grid.scores[rows].transpose(0, 1, 3, 2)
+        _softmax_nll(probs[rows])
 
     _map_blocks(block, grid.length)
     return probs
@@ -283,36 +399,15 @@ def _gold_and_count(
     return gold_arr, count
 
 
-def _nll_sum(
-    shifted: np.ndarray, log_norm: np.ndarray, gold: np.ndarray, mask: np.ndarray | None
-) -> float:
-    """Summed negative log-probability of the gold tag over masked-in cells."""
-    nll = log_norm - np.take_along_axis(shifted, gold[..., None], axis=3).squeeze(3)
-    return nll.sum() if mask is None else nll[mask].sum()
-
-
-def loss(
-    grid: ScoreGrid, gold: TagMatrix | np.ndarray, mask: np.ndarray | None = None
-) -> float:
+def loss(grid: ScoreGrid, gold: TagMatrix | np.ndarray, mask: np.ndarray | None = None) -> float:
     """Mean negative log-probability of the gold tag over masked-in cells."""
     gold_arr, count = _gold_and_count(grid, gold, mask)
 
     def block(rows: slice) -> float:
-        shifted, _, log_norm = _softmax(grid.scores[rows])
-        return _nll_sum(shifted, log_norm, gold_arr[rows], None if mask is None else mask[rows])
+        scores = grid.scores[rows].transpose(0, 1, 3, 2).copy()  # cells (i, k, j)
+        return _softmax_nll(scores, gold_arr[rows], None if mask is None else mask[rows])[0]
 
     return float(sum(_map_blocks(block, grid.length)) / count)
-
-
-@dataclass
-class ScorerGrads:
-    """Gradients of the mean loss for every trainable array, plus that loss."""
-
-    pair_proj: np.ndarray
-    pair_bias: np.ndarray
-    rel_tag_emb: np.ndarray
-    emb: np.ndarray
-    loss: float
 
 
 def backward(
@@ -328,75 +423,33 @@ def backward(
     cached hidden activations and dropout scale are reused). The
     returned loss is loss(grid, gold, mask), from the same softmax.
     """
-    length = grid.length
-    num_rel = grid.num_relations
-    d = params.emb_dim
-    hidden_dim = params.hidden_dim
+    length, num_rel, hidden_dim = grid.length, grid.num_relations, params.hidden_dim
     if grid.hidden.shape != (length, length, hidden_dim):
         raise ValueError("stale cache: hidden shape mismatch")
-    if emb.shape != (length, d):
+    if emb.shape != (length, params.emb_dim):
         raise ValueError("stale cache: embedding shape mismatch")
     if num_rel != params.num_relations:
         raise ValueError("stale cache: relation count mismatch")
     gold_arr, count = _gold_and_count(grid, gold, mask)
     d_heads = np.empty((length, hidden_dim))
 
-    def block(rows: slice) -> tuple[float, np.ndarray, np.ndarray]:
-        """This block's NLL sum, rel_tag_emb gradient and d_tails; fills d_heads[rows]."""
-        gold_rows = gold_arr[rows]
-        mask_rows = None if mask is None else mask[rows]
-        shifted, d_logits, log_norm = _softmax(grid.scores[rows])  # d_logits: probabilities so far
-        nll = _nll_sum(shifted, log_norm, gold_rows, mask_rows)
-        del shifted  # free it before the gradient temporaries are allocated
-        gold_idx = gold_rows[..., None]
-        np.put_along_axis(
-            d_logits, gold_idx, np.take_along_axis(d_logits, gold_idx, axis=3) - 1.0, axis=3
-        )
-        if mask_rows is not None:
-            d_logits *= mask_rows[..., None]
-        d_logits /= count
-
+    def block(rows: slice) -> tuple:
+        d_scores = grid.scores[rows].transpose(0, 1, 3, 2).copy()  # cells (i, k, j)
+        nll = _tag_gradient(d_scores, gold_arr[rows], None if mask is None else mask[rows], count)
         # (i, k, j, tag) -> (i, j, 4k + tag), matching rel_tag_emb's column layout
-        d_flat = d_logits.transpose(0, 2, 1, 3).reshape(-1, num_rel * NUM_TAGS)
-        hidden_flat = grid.hidden[rows].reshape(-1, hidden_dim)
-        d_rel = hidden_flat.T @ d_flat
-        d_hidden = d_flat @ params.rel_tag_emb.T
-        d_hidden *= hidden_flat > 0.0  # rectifier active set, dropped units included
-        d_hidden *= grid.dropout_scale
+        d_flat = d_scores.transpose(0, 2, 1, 3).reshape(-1, num_rel * NUM_TAGS)
+        hidden = grid.hidden[rows].reshape(-1, hidden_dim)
+        return nll, *_hidden_gradient(d_flat, hidden, rows, params, grid.dropout_scale, d_heads)
 
-        # pre(i, j) = W_h e_i + W_t e_j + b: reduce over the partner token first
-        d_pre = d_hidden.reshape(-1, length, hidden_dim)
-        d_heads[rows] = d_pre.sum(axis=1)  # summed over tails j
-        return nll, d_rel, d_pre.sum(axis=0)  # the last: d_tails over this block's heads
-
-    nll_sums, d_rels, d_tails_parts = zip(*_map_blocks(block, length))
-    d_rel = sum(d_rels)
-    d_tails = sum(d_tails_parts)  # L x hidden_dim, summed over heads i
-    d_proj = np.concatenate([d_heads.T @ emb, d_tails.T @ emb], axis=1)
-    d_bias = d_heads.sum(axis=0)
-    d_emb = d_heads @ params.pair_proj[:, :d] + d_tails @ params.pair_proj[:, d:]
-
-    mean_loss = float(sum(nll_sums) / count)
-    return ScorerGrads(
-        pair_proj=d_proj, pair_bias=d_bias, rel_tag_emb=d_rel, emb=d_emb, loss=mean_loss
-    )
+    return _sum_grads(_map_blocks(block, length), d_heads, emb, params, count)
 
 
 def predict_tags(grid: ScoreGrid, mask: np.ndarray | None = None) -> TagMatrix:
-    """Argmax tag per masked-in cell; exact ties resolve to NONE.
-
-    NONE picks up all ties because a tie carries no evidence for a boundary
-    and a spurious boundary tag fabricates triples.
-    """
+    """Argmax tag per masked-in cell, by _tags: exact ties resolve to NONE."""
 
     def block(rows: slice) -> np.ndarray:
-        s = grid.scores[rows]
-        hit = s == s.max(axis=2, keepdims=True)
-        best = hit.argmax(axis=2).astype(np.int8)
-        best[hit.sum(axis=2) > 1] = Tag.NONE
-        if mask is not None:
-            best[~mask[rows]] = Tag.NONE
-        return best
+        cells = grid.scores[rows].transpose(0, 1, 3, 2)  # a view: (rows, K, L, 4)
+        return _tags(cells, None if mask is None else mask[rows])
 
     best = np.concatenate(_map_blocks(block, grid.length))
     return TagMatrix(grid.length, grid.num_relations, best)

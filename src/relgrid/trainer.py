@@ -28,13 +28,7 @@ from .encoder import (
     encode_tokens,
     init_embedding_table,
 )
-from .scorer import (
-    ScorerParams,
-    backward,
-    init_scorer_params,
-    predict_tags,
-    score_all,
-)
+from .scorer import ScorerParams, init_scorer_params, tag_grid, train_grads
 from .tagging import NUM_TAGS, TagMatrix, decode, encode
 
 logger = logging.getLogger(__name__)
@@ -264,8 +258,7 @@ def train_step(
     batch_loss = 0.0
     for ids, gold, seed in zip(batch.token_ids, batch.gold, dropout_seeds):
         emb = encode_indices(ids, model.table, model.config.use_positional)
-        grid = score_all(emb, model.params, training=True, rng_seed=seed)
-        g = backward(grid, gold, None, emb, model.params)
+        g = train_grads(emb, gold, model.params, seed)
         batch_loss += g.loss
         groups["pair_proj"] += g.pair_proj
         groups["pair_bias"] += g.pair_bias
@@ -317,9 +310,9 @@ def train(
         weighted_loss = 0.0
         for b_idx, batch in enumerate(batches):
             size = len(batch.token_ids)
-            seeds = [
-                _derived_seed(config.seed, 4, epoch, b_idx, row) for row in range(size)
-            ]
+            seeds = [0] * size  # read only when dropout is on
+            if config.dropout_rate > 0.0:
+                seeds = [_derived_seed(config.seed, 4, epoch, b_idx, row) for row in range(size)]
             batch_loss, grad = train_step(model, batch, seeds)
             adam_step(model.weights, grad, state, config)
             weighted_loss += batch_loss * size
@@ -337,7 +330,7 @@ def train(
 
 
 def _predict_tags(sentence: Sentence, model: Model) -> TagMatrix:
-    """predict_tags(score_all(embeddings)), dropout off, at most max_seq_len tokens."""
+    """tag_grid(embeddings), dropout off, at most max_seq_len tokens."""
     if len(sentence) > model.config.max_seq_len:
         logger.warning(
             "sentence %r truncated from %d to %d tokens",
@@ -349,11 +342,11 @@ def _predict_tags(sentence: Sentence, model: Model) -> TagMatrix:
             tokens=sentence.tokens[: model.config.max_seq_len], id=sentence.id
         )
     emb = encode_tokens(sentence, model.table, model.vocab, model.config.use_positional)
-    return predict_tags(score_all(emb, model.params, training=False))
+    return tag_grid(emb, model.params)
 
 
 def predict(sentence: Sentence, model: Model) -> frozenset[Triple]:
-    """decode(predict_tags(score_all(embeddings))), dropout off."""
+    """decode(tag_grid(embeddings)), dropout off."""
     return decode(_predict_tags(sentence, model))
 
 
@@ -371,12 +364,6 @@ def save_checkpoint(path: str | Path, model: Model) -> None:
         "config_hash": model.config.hash(),
         "relations": list(model.relations.names),
         "vocab": model.vocab.to_json(),
-        "dims": {
-            "emb_dim": model.config.emb_dim,
-            "hidden_dim": model.config.resolved_hidden_dim(),
-            "num_relations": len(model.relations),
-            "vocab_size": len(model.vocab),
-        },
     }
     arrays = {**_trainable(model), "header_json": np.array(json.dumps(header))}
     # write a synced sibling file, then rename it over the target, so a
@@ -408,7 +395,7 @@ def _read_checkpoint(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
         # np.load leaves a file it opened itself open when the archive is bad
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             arrays = {name: data[name] for name in data.files}
-    except (zipfile.BadZipFile, EOFError, TypeError, ValueError) as exc:
+    except (zipfile.BadZipFile, EOFError, NotImplementedError, TypeError, ValueError) as exc:
         raise corrupt(exc) from None
     missing = [name for name in _CHECKPOINT_ARRAYS if name not in arrays]
     if missing:

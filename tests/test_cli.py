@@ -528,6 +528,28 @@ class TestTrainEval:
         )
         assert stdout == ""
 
+    def test_header_written_without_dims_and_read_with_them(
+        self, capsys, synth_file, tmp_path, checkpoint
+    ):
+        with np.load(checkpoint) as data:
+            arrays = {name: data[name] for name in data.files}
+        header = json.loads(str(arrays["header_json"]))
+        assert header.keys() == relgrid.trainer._HEADER_KEYS
+        # checkpoints written before the dims block was dropped still carry it
+        header["dims"] = {"emb_dim": 64, "hidden_dim": 192, "num_relations": 3, "vocab_size": 9}
+        arrays["header_json"] = np.array(json.dumps(header))
+        with_dims = tmp_path / "with_dims.npz"
+        np.savez(with_dims, **arrays)
+
+        def report(path):
+            code, stdout, stderr = run(
+                capsys, "eval", "--data", str(synth_file), "--checkpoint", str(path)
+            )
+            assert (code, stderr) == (EXIT_OK, "")
+            return [line for line in stdout.splitlines() if "wall-clock" not in line]
+
+        assert report(with_dims) == report(checkpoint)
+
     def test_eval_missing_checkpoint(self, capsys, synth_file):
         code, _, _ = run(
             capsys, "eval", "--data", str(synth_file), "--checkpoint", "/nope/c.npz"
@@ -684,3 +706,38 @@ class TestUsage:
         lines = tsv.read_text().splitlines()
         assert len(lines) == 3 * 4  # relations x tag classes
         assert lines[0].split("\t")[0] == "rel0/NONE"
+
+
+class TestCorruptCheckpointFuzz:
+    """Every single-byte flip or truncation of a small checkpoint either
+    still evaluates or ends in one `error:` line and exit 2."""
+
+    def test_flipped_or_truncated_bytes_never_raise(self, capsys, tmp_path):
+        data, good = tmp_path / "c.jsonl", tmp_path / "m.npz"
+        run(capsys, "synth", "--count", "4", "--num-relations", "3", "--min-len", "4",
+            "--max-len", "6", "--seed", "1", "--out", str(data))
+        code, _, _ = run(capsys, "train", "--data", str(data), "--out", str(good),
+                         "--epochs", "1", "--emb-dim", "4")
+        assert code == EXIT_OK
+        original = good.read_bytes()
+        # every byte of the zip central directory and end records, where a
+        # flip can name an unsupported compression method or zip version,
+        # plus a seeded sample of the archive's other bytes
+        end = original.rfind(b"PK\x05\x06")
+        central = int.from_bytes(original[end + 16 : end + 20], "little")
+        rng = np.random.default_rng(17)
+        flips = [*range(central, len(original)), *rng.integers(0, central, 150).tolist()]
+        cases = [("flip", offset) for offset in flips]
+        cases += [("truncate", size) for size in rng.integers(0, len(original), 100).tolist()]
+        bad = tmp_path / "bad.npz"
+        for kind, offset in cases:
+            damaged = bytearray(original)
+            if kind == "flip":
+                damaged[offset] ^= int(rng.integers(1, 256))
+            else:
+                del damaged[offset:]
+            bad.write_bytes(damaged)
+            code, _, stderr = run(capsys, "eval", "--data", str(data), "--checkpoint", str(bad))
+            assert code in (EXIT_OK, EXIT_DATA), (kind, offset)
+            if code == EXIT_DATA:
+                assert stderr.startswith("error: ") and stderr.count("\n") == 1, (kind, offset)

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from relgrid.scorer import (
     predict_tags,
     score_all,
     tag_distribution,
+    tag_grid,
+    train_grads,
 )
 from relgrid.tagging import NUM_TAGS, Tag, TagMatrix
 
@@ -676,3 +679,110 @@ class TestPredictTags:
         mask = np.ones((3, 2, 3), dtype=bool)
         mask[2, :, :] = False
         assert predict_tags(grid, mask).cells == {(0, 0, 1): Tag.HB_TE}
+
+
+class TestFusedDrivers:
+    """train_grads and tag_grid take each block of head rows from the hidden
+    layer to gradients or tags without keeping a grid. They must equal the
+    two-step drivers: gradients and loss up to float summation order, tags
+    bit for bit, and both bit for bit under any thread count."""
+
+    RTOL, ATOL = 1e-12, 1e-14
+    lengths = st.one_of(st.sampled_from([1, 16, 17, 37]), st.integers(1, 40))
+
+    def instance(self, seed, length, num_rel, dropout=0.0, emb_dim=5):
+        emb, params, _ = random_instance(seed, length, num_rel, emb_dim, dropout)
+        gold = np.random.default_rng(seed).integers(0, NUM_TAGS, (length, num_rel, length))
+        return emb, params, gold.astype(np.int8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        length=lengths,
+        num_rel=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        dropout=st.sampled_from([0.0, 0.3]),
+    )
+    def test_train_grads_match_backward(self, length, num_rel, seed, dropout):
+        emb, params, gold = self.instance(seed, length, num_rel, dropout)
+        fused = train_grads(emb, gold, params, seed)
+        grid = score_all(emb, params, training=True, rng_seed=seed)
+        ref = backward(grid, gold, None, emb, params)
+        for name in ("pair_proj", "pair_bias", "rel_tag_emb", "emb"):
+            np.testing.assert_allclose(
+                getattr(fused, name), getattr(ref, name), rtol=self.RTOL, atol=self.ATOL,
+                err_msg=name,
+            )
+        assert fused.loss == pytest.approx(ref.loss, rel=self.RTOL, abs=self.ATOL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        length=lengths,
+        num_rel=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        halves=st.booleans(),
+    )
+    def test_tag_grid_matches_predict_tags(self, length, num_rel, seed, halves):
+        emb, params, _ = self.instance(seed, length, num_rel)
+        if halves:
+            # half-integer inputs give exact scores, so many cells tie
+            for arr in (emb, params.pair_proj, params.pair_bias, params.rel_tag_emb):
+                arr[...] = np.round(2.0 * arr) / 2.0
+        tags = tag_grid(emb, params).tags
+        assert tags.dtype == np.int8
+        assert np.array_equal(tags, predict_tags(score_all(emb, params)).tags)
+
+    def test_tag_grid_ties_and_all_equal_grid(self):
+        emb, params, _ = self.instance(81, 37, 3)
+        for arr in (emb, params.pair_proj, params.pair_bias, params.rel_tag_emb):
+            arr[...] = np.round(2.0 * arr) / 2.0
+        scores = score_all(emb, params).scores
+        top = scores.max(axis=2, keepdims=True)
+        assert ((scores == top).sum(axis=2) > 1).any()  # the instance has ties
+        assert np.array_equal(tag_grid(emb, params).tags, predict_tags(score_all(emb, params)).tags)
+        params.rel_tag_emb[...] = params.rel_tag_emb[:, :1]  # all four tags score alike
+        assert not tag_grid(emb, params).tags.any()
+
+    def test_train_grads_rejects_gold_of_another_shape(self):
+        emb, params, gold = self.instance(91, 6, 2)
+        for bad in (gold[:, :, :-1], gold.transpose(0, 2, 1), gold[:1, :1, :1]):
+            with pytest.raises(ValueError, match="gold shape"):
+                train_grads(emb, bad, params, 0)
+
+    def test_thread_count_changes_no_output(self, block_threads):
+        emb, params, gold = self.instance(61, 37, 5, dropout=0.3, emb_dim=8)
+
+        def run():
+            return train_grads(emb, gold, params, 63), tag_grid(emb, params).tags
+
+        block_threads(1)
+        one_grads, one_tags = run()
+        block_threads(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = [run() for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for grads, tags in many:
+            assert np.array_equal(tags, one_tags)
+            for name in ("pair_proj", "pair_bias", "rel_tag_emb", "emb", "loss"):
+                assert np.array_equal(getattr(grads, name), getattr(one_grads, name)), name
+
+    @pytest.mark.parametrize("driver", ["train_grads", "tag_grid"])
+    def test_peak_memory_below_one_hidden_grid(self, block_threads, driver):
+        block_threads(1)
+        length = 100
+        emb, params, gold = self.instance(71, length, 24, dropout=0.1, emb_dim=64)
+        assert params.hidden_dim == 192
+        call = {
+            "train_grads": lambda: train_grads(emb, gold, params, 5),
+            "tag_grid": lambda: tag_grid(emb, params),
+        }[driver]
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < length * length * params.hidden_dim * 8  # 15.36 MB

@@ -279,14 +279,14 @@ class TestAdam:
         corpus, relations = tiny_synth
         vocab = build_vocab(corpus)
         model = init_model(relations, vocab, TrainConfig(seed=4))
-        real_backward = trainer.backward
+        real_train_grads = trainer.train_grads
 
-        def poisoned_backward(*args):
-            g = real_backward(*args)
+        def poisoned_train_grads(*args):
+            g = real_train_grads(*args)
             g.pair_bias[1] = np.nan
             return g
 
-        monkeypatch.setattr(trainer, "backward", poisoned_backward)
+        monkeypatch.setattr(trainer, "train_grads", poisoned_train_grads)
         with pytest.raises(NumericError, match="pair_bias"):
             train_step(model, batch_of(corpus[:2], vocab, len(relations)), [1, 2])
 
