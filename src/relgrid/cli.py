@@ -277,7 +277,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     gold = stack_rows(triple_rows(s.triples) for s in corpus)
     labels = [classify_pattern(s) for s in corpus]
     modes = [cfg.get("match")] if cfg.get("match") else list(MATCH_MODES)
-    reports = [breakdown_rows(predictions, gold, labels, mode) for mode in modes]
+    reports = breakdown_rows(predictions, gold, labels, modes)
     for report in reports:
         print(report.to_text())
     print(

@@ -6,11 +6,13 @@ so duplicate-looking predictions cannot inflate recall. Under partial match
 a triple is correct when the relation and the end tokens of both entities
 match; exact match requires full span equality.
 
-All counting is one array core over a corpus's stacked int64 rows
-(s, k, hb, he, tb, te), s the sentence index. A match key packs columns into
-one exact int64: partial (s, k, he, te), exact all six, the entity pair
-either without k, the relation (s, k). A one-to-one count takes the smaller
-multiplicity of each shared key; a sub-task counts distinct shared keys.
+All counting is one array core over a corpus's stacked column-major int64
+rows (s, k, hb, he, tb, te), s the sentence index. A match key packs columns,
+one at a time, into one exact int64: partial (s, k, he, te), exact all six,
+the entity pair either without k, the relation (s, k). A one-to-one count
+looks each predicted key up among the sorted distinct gold keys, so no
+predicted triple key is sorted; only the sub-task keys are, to count the
+distinct predicted keys by an adjacent compare.
 """
 
 from __future__ import annotations
@@ -45,42 +47,58 @@ def triple_rows(triples: Iterable[Triple]) -> np.ndarray:
 
 
 def stack_rows(per_sentence: Iterable[np.ndarray]) -> np.ndarray:
-    """One (n, 6) int64 array: each sentence's rows behind its index, in order."""
+    """One column-major (n, 6) int64 array: each sentence's rows behind its index, in order."""
     per_sentence = [np.empty((0, 5), dtype=np.int64), *per_sentence]
-    sentence = np.repeat(np.arange(len(per_sentence) - 1), [len(r) for r in per_sentence[1:]])
-    return np.column_stack([sentence, np.concatenate(per_sentence)])
+    lengths = [len(r) for r in per_sentence[1:]]
+    stacked = np.empty((sum(lengths), 6), dtype=np.int64, order="F")
+    stacked[:, _S] = np.repeat(np.arange(len(lengths)), lengths)
+    np.concatenate(per_sentence, out=stacked[:, 1:])
+    return stacked
 
 
-def _keys(pred: np.ndarray, gold: np.ndarray, columns) -> tuple[np.ndarray, np.ndarray]:
-    """Exact int64 keys of the chosen columns for each side, ordered like the column tuples."""
-    table = np.concatenate([pred, gold])[:, columns]
-    key = table[:, 0]
-    for column in table.T[1:]:
-        column = column - column.min(initial=0)  # a negative relation index from a caller
-        radix = int(column.max(initial=0)) + 1
-        if (int(key.max(initial=0)) + 1) * radix > 2**62:
-            key = np.unique(key, return_inverse=True)[1]  # dense rank: same order, small
-        key = key * radix + column
-    return key[: len(pred)], key[len(pred) :]
+def _keys(pred: np.ndarray, gold: np.ndarray, columns) -> list[np.ndarray]:
+    """Exact int64 keys >= 0 of the chosen columns for each side, packed one
+    column at a time under the running product of the radices."""
+    keys, bound = [np.zeros(len(pred), np.int64), np.zeros(len(gold), np.int64)], 1
+    for c in columns:
+        low = min(0, *(int(side[:, c].min(initial=0)) for side in (pred, gold)))  # a caller's negative relation
+        radix = max(int(side[:, c].max(initial=0)) for side in (pred, gold)) - low + 1
+        if bound * radix > 2**62:
+            unique, rank = np.unique(np.concatenate(keys), return_inverse=True)  # dense rank: same order
+            keys, bound = np.split(rank, [len(pred)]), len(unique)
+        for key, side in zip(keys, (pred, gold)):
+            key *= radix
+            key += side[:, c] - low if low else side[:, c]
+        bound *= radix
+    return keys
 
 
 def _shared(pred: np.ndarray, gold: np.ndarray, columns):
-    """Count the keys of the chosen columns: for every key on both sides its
-    sentence and one-to-one matched count, then the distinct-key counts."""
+    """Look up each predicted key of the chosen columns among the distinct gold
+    keys: for every gold key its sentence, gold count and predicted count."""
     pred_keys, gold_keys = _keys(pred, gold, columns)
-    pred_keys, pred_counts = np.unique(pred_keys, return_counts=True)
     gold_keys, first, gold_counts = np.unique(gold_keys, return_index=True, return_counts=True)
-    _, p, g = np.intersect1d(pred_keys, gold_keys, assume_unique=True, return_indices=True)
-    distinct = PooledCounts(len(p), len(pred_keys), len(gold_keys))
-    return gold[first[g], _S], np.minimum(pred_counts[p], gold_counts[g]), distinct
+    slot = np.searchsorted(gold_keys, pred_keys)
+    hit = np.append(gold_keys, -1).take(slot) == pred_keys  # slot len(gold_keys) is a miss
+    return gold[first, _S], gold_counts, np.bincount(slot[hit], minlength=len(gold_keys))
+
+
+def _distinct(pred: np.ndarray, gold: np.ndarray, columns) -> PooledCounts:
+    """Distinct-key counts of the chosen columns: shared, predicted, gold."""
+    pred_keys, gold_keys = _keys(pred, gold, columns)
+    pred_keys = np.sort(pred_keys)  # plain np.unique(keys) takes a slow hash path in NumPy 2.4
+    gold_keys = np.unique(gold_keys, return_counts=True)[0]
+    shared = np.append(pred_keys, -1).take(np.searchsorted(pred_keys, gold_keys)) == gold_keys
+    predicted = np.count_nonzero(pred_keys[1:] != pred_keys[:-1]) + (len(pred_keys) > 0)
+    return PooledCounts(int(np.count_nonzero(shared)), int(predicted), len(gold_keys))
 
 
 def _correct(pred: np.ndarray, gold: np.ndarray, match_mode: str, sentences: int) -> np.ndarray:
     """One-to-one correct count of each sentence."""
     if match_mode not in _MATCH_COLUMNS:
         raise ValueError(f"unknown match mode {match_mode!r}")
-    sentence, matched, _ = _shared(pred, gold, _MATCH_COLUMNS[match_mode][0])
-    return np.bincount(sentence, weights=matched, minlength=sentences).astype(np.int64)
+    sentence, gold_counts, hits = _shared(pred, gold, _MATCH_COLUMNS[match_mode][0])
+    return np.bincount(sentence, weights=np.minimum(gold_counts, hits), minlength=sentences).astype(np.int64)
 
 
 def match_count(pred: Iterable[Triple], gold: Iterable[Triple], match_mode: str) -> int:
@@ -195,44 +213,45 @@ def breakdown(
         raise ValueError("one prediction set per sentence required")
     pred = stack_rows(map(triple_rows, predictions))
     gold = stack_rows(triple_rows(s.triples) for s in corpus)
-    return breakdown_rows(pred, gold, [classify_pattern(s) for s in corpus], match_mode)
+    return breakdown_rows(pred, gold, [classify_pattern(s) for s in corpus], [match_mode])[0]
 
 
 def breakdown_rows(
-    pred: np.ndarray, gold: np.ndarray, labels: list[PatternLabel], match_mode: str
-) -> MetricsReport:
-    """breakdown on stacked predicted and gold rows (see stack_rows), given
-    each sentence's classify_pattern label."""
+    pred: np.ndarray, gold: np.ndarray, labels: list[PatternLabel], match_modes: Iterable[str]
+) -> list[MetricsReport]:
+    """breakdown in each match mode on stacked predicted and gold rows (see
+    stack_rows), given each sentence's classify_pattern label."""
     sentences = len(labels)
-    per_sentence = zip(
-        _correct(pred, gold, match_mode, sentences).tolist(),
-        np.bincount(pred[:, _S], minlength=sentences).tolist(),
-        np.bincount(gold[:, _S], minlength=sentences).tolist(),
-    )
-    overall = PooledCounts()
-    pattern_pools: dict[str, PooledCounts] = {}
-    bucket_pools: dict[str, PooledCounts] = {}
-    for label, counts in zip(labels, per_sentence):
-        overall.add(*counts)
-        for flag in label.flags:
-            pattern_pools.setdefault(flag, PooledCounts()).add(*counts)
-        if label.bucket is not None:
-            bucket_pools.setdefault(label.bucket, PooledCounts()).add(*counts)
-
-    precision, recall, f1 = overall.prf()
-    subtask_keys = (_MATCH_COLUMNS[match_mode][1], (_S, _K))  # entity pair, relation
-    entity_pair, relation = (_shared(pred, gold, columns)[2].prf() for columns in subtask_keys)
-    return MetricsReport(
-        match_mode=match_mode,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        counts=overall,
-        per_pattern={flag: pool.prf() for flag, pool in pattern_pools.items()},
-        per_bucket={bucket: pool.prf() for bucket, pool in bucket_pools.items()},
-        entity_pair=entity_pair,
-        relation=relation,
-    )
+    predicted, gold_count = (np.bincount(rows[:, _S], minlength=sentences) for rows in (pred, gold))
+    last = max(len(predicted), len(gold_count)) - 1
+    if last >= sentences:
+        raise ValueError(f"row of sentence index {last} but only {sentences} pattern labels")
+    relation = _distinct(pred, gold, (_S, _K)).prf()  # the same in every match mode
+    reports = []
+    for match_mode in match_modes:
+        correct = _correct(pred, gold, match_mode, sentences)
+        overall = PooledCounts()
+        pattern_pools: dict[str, PooledCounts] = {}
+        bucket_pools: dict[str, PooledCounts] = {}
+        for label, *counts in zip(labels, correct.tolist(), predicted.tolist(), gold_count.tolist()):
+            overall.add(*counts)
+            for flag in label.flags:
+                pattern_pools.setdefault(flag, PooledCounts()).add(*counts)
+            if label.bucket is not None:
+                bucket_pools.setdefault(label.bucket, PooledCounts()).add(*counts)
+        precision, recall, f1 = overall.prf()
+        reports.append(MetricsReport(
+            match_mode=match_mode,
+            precision=precision,
+            recall=recall,
+            f1=f1,
+            counts=overall,
+            per_pattern={flag: pool.prf() for flag, pool in pattern_pools.items()},
+            per_bucket={bucket: pool.prf() for bucket, pool in bucket_pools.items()},
+            entity_pair=_distinct(pred, gold, _MATCH_COLUMNS[match_mode][1]).prf(),
+            relation=relation,
+        ))
+    return reports
 
 
 def export_relation_embeddings(

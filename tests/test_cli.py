@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relgrid.cli
 from relgrid.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
@@ -741,3 +746,149 @@ class TestCorruptCheckpointFuzz:
             assert code in (EXIT_OK, EXIT_DATA), (kind, offset)
             if code == EXIT_DATA:
                 assert stderr.startswith("error: ") and stderr.count("\n") == 1, (kind, offset)
+
+
+# --- fuzz: malformed records and config files ------------------------------
+
+# Strings stay short and come from a small alphabet: a config value may name a
+# path, and the commands run inside a fresh empty directory.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats()
+    | st.text(alphabet="ab.-_/0 é", max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+GOOD_RECORD = {
+    "id": "a",
+    "tokens": ["a", "b", "c"],
+    "triples": [{"head": [0, 0], "relation": "r", "tail": [2, 2]}],
+}
+
+
+@st.composite
+def record_lines(draw):
+    """One native record line: the good record with one field at some depth
+    replaced or deleted, any JSON value, or text that may not be JSON."""
+    kind = draw(st.sampled_from(["record", "triple", "span", "value", "text"]))
+    if kind == "value":
+        return json.dumps(draw(JSON_VALUES))
+    if kind == "text":
+        return draw(st.text(max_size=24).filter(lambda t: "\n" not in t and "\r" not in t))
+    record = json.loads(json.dumps(GOOD_RECORD))
+    triple = record["triples"][0]
+    target, keys = {"record": (record, list(record)), "triple": (triple, list(triple)), "span": (triple["head"], [0, 1])}[kind]
+    key = draw(st.sampled_from(keys))
+    if kind != "span" and draw(st.booleans()):
+        del target[key]
+    else:
+        target[key] = draw(JSON_VALUES)
+    return json.dumps(record)
+
+
+# per config key: values it accepts or nearly accepts, drawn two times in
+# three; else any JSON value
+CONFIG_VALUES = {
+    "epochs": st.integers(1, 2),
+    "emb-dim": st.integers(1, 6),
+    "batch-size": st.integers(1, 4),
+    "lr": st.floats(0, 0.1) | st.sampled_from([1e300, float("nan"), float("inf")]),
+    "dropout": st.floats(0, 1),
+    "max-len": st.integers(1, 8),
+    "min-count": st.integers(1, 3),
+    "seed": st.integers(-1, 2**64),
+    "format": st.sampled_from(["native", "public"]),
+    "match": st.sampled_from(["exact", "partial", "Exact"]),
+    "relations": st.sampled_from(["", ".", "missing.txt"]),
+    "vocab": st.sampled_from(["", ".", "data.jsonl"]),
+}
+CONFIG_KEYS = {
+    "train": list(CONFIG_VALUES),
+    "stats": ["format", "relations", "match"],
+    "tag": ["relations"],
+}
+# training time grows with these; a train config always sets them, and
+# never to an integer above these
+WORK_LIMITS = {"epochs": 2, "emb-dim": 6}
+SMALL_TRAIN_CONFIG = {"epochs": 1, "emb-dim": 4}
+
+
+@st.composite
+def configs(draw, command):
+    """A config file's text for `command`: mostly a JSON object of its own
+    keys, at times with an unknown key; else any JSON value or text."""
+    kind = draw(st.sampled_from(["object", "object", "object", "value", "text"]))
+    if kind == "value":
+        return json.dumps(draw(JSON_VALUES))
+    if kind == "text":
+        return draw(st.text(max_size=24))
+    keys = set(draw(st.lists(st.sampled_from(CONFIG_KEYS[command]), max_size=4)))
+    if command == "train":
+        keys |= set(WORK_LIMITS)
+    config = {key: draw(st.one_of(CONFIG_VALUES[key], CONFIG_VALUES[key], JSON_VALUES)) for key in sorted(keys)}
+    for key, largest in WORK_LIMITS.items():
+        if key in config and type(config[key]) is int and config[key] > largest:
+            config[key] = largest
+    if draw(st.integers(0, 4)) == 0:
+        config[draw(st.sampled_from(["bach-size", "batch_size", "data ", ""]))] = 1
+    return json.dumps(config)
+
+
+def run_in_empty_directory(command, lines, config):
+    """Run `command` on the record lines and config text inside a fresh empty
+    directory; return its exit code and stderr."""
+    previous, err = os.getcwd(), io.StringIO()
+    with tempfile.TemporaryDirectory() as name:
+        directory = Path(name)
+        data, path = directory / "data.jsonl", directory / "config.json"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_text(config, encoding="utf-8")
+        argv = {
+            "stats": ["stats", "--data", str(data)],
+            "train": ["train", "--data", str(data), "--out", str(directory / "m.npz")],
+            "tag": ["tag", f"--sentence={lines[0]}"],
+        }[command] + ["--config", str(path)]
+        os.chdir(directory)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            os.chdir(previous)
+    return code, err.getvalue()
+
+
+def assert_one_line_failure(code, stderr):
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC)
+    assert "Traceback" not in stderr
+    if code != EXIT_OK:
+        failures = [line for line in stderr.splitlines() if line.startswith(("error: ", "numeric failure: "))]
+        assert len(failures) == 1
+        assert failures[0].startswith("numeric failure: " if code == EXIT_NUMERIC else "error: ")
+
+
+COMMANDS = st.sampled_from(["stats", "train", "tag"])
+RECORD_LINES = st.lists(record_lines() | st.just(json.dumps(GOOD_RECORD)), min_size=1, max_size=3)
+
+
+class TestMalformedInputFuzz:
+    """`stats`, `train` and `tag` on malformed native records or config
+    files: a documented exit code, no traceback, and on failure exactly one
+    failure line (`numeric failure:` for exit 3, `error:` otherwise). An
+    exception escaping `main` fails the test too."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(COMMANDS, RECORD_LINES)
+    def test_malformed_records(self, command, lines):
+        config = SMALL_TRAIN_CONFIG if command == "train" else {}
+        assert_one_line_failure(*run_in_empty_directory(command, lines, json.dumps(config)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(COMMANDS.flatmap(lambda command: st.tuples(st.just(command), configs(command))))
+    def test_malformed_configs(self, case):
+        command, config = case
+        lines = [json.dumps(GOOD_RECORD), json.dumps({**GOOD_RECORD, "id": "b"})]
+        assert_one_line_failure(*run_in_empty_directory(command, lines, config))

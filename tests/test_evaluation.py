@@ -24,10 +24,13 @@ from relgrid.evaluation import (
     MetricsReport,
     PooledCounts,
     breakdown,
+    breakdown_rows,
     export_relation_embeddings,
     match_count,
     micro_prf,
+    stack_rows,
     subtask_metrics,
+    triple_rows,
 )
 from relgrid.scorer import init_scorer_params
 from relgrid.synthetic import SynthConfig, generate_corpus
@@ -422,6 +425,60 @@ class TestArrayCore:
         assert sum(map(len, predictions)) > 1000
         expected = "\n".join(reference_breakdown(corpus, predictions, m).to_kv() for m in MATCH_MODES)
         assert out.read_bytes() == (expected + "\n").encode("utf-8")
+
+
+class TestCountingCore:
+    @pytest.mark.parametrize(
+        "lengths",
+        [[3, 0, 2, 0, 5], [0, 4], [2, 0], [0, 0], [4], []],
+        ids=["ragged", "empty-first", "empty-last", "all-empty", "one", "none"],
+    )
+    def test_stack_rows_equals_column_stack(self, lengths):
+        rng = np.random.default_rng(len(lengths))
+        per_sentence = [rng.integers(-3, 50, size=(n, 5)) for n in lengths]
+        sentence = np.array([s for s, n in enumerate(lengths) for _ in range(n)], dtype=np.int64)
+        reference = np.column_stack([sentence, np.concatenate([np.empty((0, 5), np.int64), *per_sentence])])
+        stacked = stack_rows(iter(per_sentence))
+        assert stacked.shape == reference.shape == (sum(lengths), 6)
+        assert stacked.dtype == reference.dtype == np.int64
+        np.testing.assert_array_equal(stacked, reference)
+        assert stacked.flags.f_contiguous
+
+    @pytest.mark.parametrize("side", ["pred", "gold"])
+    def test_rows_past_the_labels_are_rejected(self, side):
+        # rows of three sentences, labels of two: the third sentence's rows
+        # would be left out of the pools but counted by the sub-tasks
+        t = Triple(Span(0, 0), 0, Span(1, 1))
+        corpus = [make_sentence(3, [t], sid=str(i)) for i in range(3)]
+        rows = stack_rows(triple_rows(s.triples) for s in corpus)
+        other = stack_rows(triple_rows(s.triples) for s in corpus[:2])
+        pred, gold = (rows, other) if side == "pred" else (other, rows)
+        labels = [classify_pattern(s) for s in corpus]
+        with pytest.raises(ValueError, match="sentence index 2 but only 2 pattern labels"):
+            breakdown_rows(pred, gold, labels[:2], MATCH_MODES)
+        report = breakdown_rows(pred, gold, labels, [EXACT])[0]
+        assert report.counts == (PooledCounts(2, 3, 2) if side == "pred" else PooledCounts(2, 2, 3))
+
+
+    def test_wrapped_keys_would_collide_without_dense_ranks(self):
+        # Relation radix 2**32 + 1 and tail-end radix 2**32: packed in plain
+        # int64, relation 2**32 with tail end 0 wraps to the key of relation
+        # 0 with tail end 0.
+        span = Span(0, 0)
+        pred = [Triple(span, 2**32, span)]
+        gold = [Triple(span, 0, span), Triple(span, 0, Span(2**32 - 1, 2**32 - 1))]
+        for mode in MATCH_MODES:
+            assert match_count(pred, gold, mode) == reference_match_count(pred, gold, mode) == 0
+
+    @pytest.mark.parametrize("pred_relation, gold_relation", [(-1, -2), (-2, -1)])
+    def test_negative_relations_with_zero_spans_match_nothing(self, pred_relation, gold_relation):
+        # every other column is 0, so unshifted relations -1 and -2 would pack
+        # to the keys -1 and -2, and -1 is the key lookup's mark for a miss
+        span = Span(0, 0)
+        pred, gold = [Triple(span, pred_relation, span)], [Triple(span, gold_relation, span)]
+        for mode in MATCH_MODES:
+            assert match_count(pred, gold, mode) == 0
+        assert_matches_reference([make_sentence(1, gold)], [frozenset(pred)])
 
 
 class TestExport:
