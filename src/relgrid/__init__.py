@@ -28,18 +28,8 @@ from .evaluation import (
     export_relation_embeddings,
     match_count,
     micro_prf,
-    subtask_metrics,
 )
-from .scorer import (
-    ScoreGrid,
-    ScorerParams,
-    backward,
-    init_scorer_params,
-    loss,
-    predict_tags,
-    score_all,
-    tag_distribution,
-)
+from .scorer import ScorerParams, init_scorer_params, tag_grid, train_grads
 from .synthetic import SynthConfig, generate_corpus
 from .tagging import Tag, TagMatrix, decode, decode_array, encode, roundtrip_check
 from .trainer import (

@@ -399,7 +399,8 @@ def load_public(
 
     Text is whitespace-tokenized. Triples whose entities cannot be located
     are skipped and reported in the returned warning list, never silently
-    dropped. Unknown relation names and empty text are errors.
+    dropped. Unknown relation names, empty text and a triple that is not a
+    list of three strings are errors.
     """
     path = Path(path)
     corpus: list[AnnotatedSentence] = []
@@ -417,11 +418,11 @@ def load_public(
             raise CorpusError(f"{path}:{lineno}: \"triple_list\" must be a list")
 
         triples = []
-        for raw in raw_triples:
-            try:
-                head_str, rel_name, tail_str = str(raw[0]), str(raw[1]), str(raw[2])
-            except (IndexError, KeyError, TypeError) as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed triple {raw!r}") from exc
+        for n, raw in enumerate(raw_triples):
+            if not (isinstance(raw, list) and list(map(type, raw)) == [str, str, str]):
+                raise CorpusError(f"{path}:{lineno}: malformed triple {n} in sentence {sid!r}: "
+                                  "needs [head, relation, tail] as three strings")
+            head_str, rel_name, tail_str = raw
             rel = vocab.index(rel_name)
             head = resolve_entity(tokens, head_str, match_mode)
             tail = resolve_entity(tokens, tail_str, match_mode)

@@ -184,21 +184,6 @@ class MetricsReport:
         return "\n".join(f"{k}={rows[k]}" for k in sorted(rows))
 
 
-def subtask_metrics(
-    corpus: list[AnnotatedSentence],
-    predictions: list[frozenset[Triple]],
-    match_mode: str,
-) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-    """Entity-pair and relation sub-task P/R/F1.
-
-    Triples are projected per sentence to (head, tail) pairs or to bare
-    relations, de-duplicated per sentence, then pooled corpus-wide. The
-    entity-pair granularity follows match_mode; relations compare equal.
-    """
-    report = breakdown(corpus, predictions, match_mode)
-    return report.entity_pair, report.relation
-
-
 def breakdown(
     corpus: list[AnnotatedSentence],
     predictions: list[frozenset[Triple]],
@@ -208,6 +193,9 @@ def breakdown(
 
     Pattern pools are non-exclusive: a sentence carrying several flags
     contributes its counts to each. Buckets follow the gold triple count.
+    The entity-pair and relation sub-tasks project each sentence's triples
+    to distinct (head, tail) pairs, at match_mode's granularity, or to
+    distinct relations, and pool those corpus-wide.
     """
     if len(corpus) != len(predictions):
         raise ValueError("one prediction set per sentence required")

@@ -13,21 +13,21 @@ built: with pair_proj = [W_h | W_t] the pre-activation is the broadcast sum
 of W_h e_i and W_t e_j + b, and backward sums the pair gradient over j
 (resp. i) before it meets W_h (resp. W_t). All is float64.
 
-The grid is worked in blocks of 16 head rows i by shared kernels:
-_hidden_block (pre-activation, dropout, rectifier), _softmax_nll and
-_tag_gradient (tag softmax, NLL, p - onehot(gold)), _hidden_gradient (to
-rel_tag_emb, d_heads, d_tails) and _tags (argmax, ties to NONE). train_grads
-and tag_grid, used by training and prediction, take each block from hidden
-layer to gradients or int8 tags, keeping no grid; score_all keeps the scores
-and hidden layer for loss, tag_distribution, backward and predict_tags.
+The grid is worked in blocks of 16 head rows by shared kernels:
+_hidden_block (pre-activation, dropout, rectifier), _tag_gradient (tag
+softmax, NLL, softmax - onehot(gold)), _hidden_gradient (to rel_tag_emb,
+d_heads, d_tails) and _tags (argmax, ties to NONE). The two drivers take
+each block through them in one pass and keep no L x L grid: train_grads,
+for training, from hidden layer to the loss and its gradients, and
+tag_grid, for prediction, from hidden layer to int8 tags.
 
 The blocks run on the calling thread plus one pool thread per further core
 (ufuncs and BLAS release the interpreter lock). The split depends on L alone
 and sums across blocks are added in block order, so no result depends on the
 thread count. Each block draws its dropout units from its offset in one
-rng.random((L * L, hidden_dim)) stream, so hidden activations, and the tags
-of given scores, equal an unsplit computation bit for bit; scores may differ
-in the last bit (BLAS edge tiles), loss and gradients in summation order.
+rng.random((L * L, hidden_dim)) stream, so hidden activations equal an
+unsplit computation bit for bit; scores may differ in the last bit (BLAS
+edge tiles), loss and gradients in summation order.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tagging import NUM_TAGS, Tag, TagMatrix
+from .tagging import NUM_TAGS, TagMatrix
 
 
 @dataclass
@@ -111,29 +111,6 @@ def init_scorer_params(
     )
 
 
-@dataclass
-class ScoreGrid:
-    """Scores for all cells plus the activations the backward pass needs.
-
-    scores:        L x K x 4 x L
-    hidden:        L x L x hidden_dim, post-rectifier pair activations
-    dropout_scale: inverted-dropout factor 1 / (1 - rate) on the kept
-                   units, 1.0 when dropout was inactive
-    """
-
-    scores: np.ndarray
-    hidden: np.ndarray
-    dropout_scale: float
-
-    @property
-    def length(self) -> int:
-        return self.scores.shape[0]
-
-    @property
-    def num_relations(self) -> int:
-        return self.scores.shape[1]
-
-
 # Head rows per block. The split depends on L alone, so no result depends
 # on the number of threads.
 _BLOCK_ROWS = 16
@@ -197,16 +174,10 @@ def _projections(emb: np.ndarray, params: ScorerParams) -> tuple[np.ndarray, np.
     return emb @ params.pair_proj[:, :d].T, emb @ params.pair_proj[:, d:].T + params.pair_bias
 
 
-def _dropout(params: ScorerParams, training: bool, rng_seed: int) -> tuple[int | None, float]:
-    """The dropout stream's seed (None when dropout is off) and the inverted-dropout scale."""
-    on = training and params.dropout_rate > 0.0
-    return (rng_seed, 1.0 / (1.0 - params.dropout_rate)) if on else (None, 1.0)
-
-
-def _hidden_block(heads, tails, rows, params, seed=None, scale=1.0, out=None) -> np.ndarray:
+def _hidden_block(heads, tails, rows, params, seed=None, scale=1.0) -> np.ndarray:
     """Post-rectifier activations of the pairs (i, j), i in rows, as a
     (rows * L) x hidden_dim array; dropout is drawn when seed is not None."""
-    pre = np.add(heads[rows, None, :], tails, out=out)
+    pre = heads[rows, None, :] + tails
     if seed is not None:
         # these rows' part of one rng.random((L * L, hidden_dim)) draw
         bits = np.random.PCG64(seed).advance(rows.start * tails.size)
@@ -216,32 +187,21 @@ def _hidden_block(heads, tails, rows, params, seed=None, scale=1.0, out=None) ->
     return pre.reshape(-1, tails.shape[1])
 
 
-def _softmax_nll(s: np.ndarray, gold: np.ndarray | None = None, mask: np.ndarray | None = None):
-    """Tag softmax, in place, over the planes s[..., t] of a C-contiguous
-    (cells..., 4) score block. Given gold tags in s's cell order, returns the
-    NLL sum over masked-in cells and the gold flat indices 4 * cell + tag."""
+def _tag_gradient(s: np.ndarray, gold: np.ndarray, count: int) -> float:
+    """Turn a C-contiguous (cells..., 4) score block, in place, into the mean
+    loss's gradient (softmax - onehot(gold)) / count with respect to it, for
+    gold tags in s's cell order; returns the block's NLL sum."""
     p0, p1, p2, p3 = (s[..., t] for t in range(NUM_TAGS))
     s -= np.maximum(np.maximum(p0, p1), np.maximum(p2, p3))[..., None]
-    if gold is not None:
-        flat_gold = np.arange(0, s.size, NUM_TAGS) + gold.ravel()
-        gold_shifted = s.ravel()[flat_gold]
+    flat_gold = np.arange(0, s.size, NUM_TAGS) + gold.ravel()
+    gold_shifted = s.ravel()[flat_gold]
     np.exp(s, out=s)
     norm = p0 + p1
     norm += p2
     norm += p3
     s /= norm[..., None]
-    if gold is not None:
-        nll = np.log(norm).ravel() - gold_shifted
-        return (nll.sum() if mask is None else nll[mask.ravel()].sum()), flat_gold
-
-
-def _tag_gradient(s: np.ndarray, gold: np.ndarray, mask: np.ndarray | None, count: int):
-    """Turn a (cells..., 4) score block, in place, into the mean loss's gradient
-    (p - onehot(gold)) * mask / count with respect to it; returns its NLL sum."""
-    nll, flat_gold = _softmax_nll(s, gold, mask)
+    nll = (np.log(norm).ravel() - gold_shifted).sum()
     s.reshape(-1)[flat_gold] -= 1.0
-    if mask is not None:
-        s *= mask[..., None]
     s /= count
     return nll
 
@@ -289,47 +249,46 @@ def _sum_grads(blocks: list, d_heads, emb, params, count: int) -> ScorerGrads:
 _SOLE_TAG = np.array([0, 1, 2, 0, 3, 0, 0, 0], dtype=np.int8)
 
 
-def _tags(s: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+def _tags(s: np.ndarray) -> np.ndarray:
     """int8 argmax over the four tag planes s[..., t] of a (cells..., 4)
-    block. Exact ties and masked-out cells give NONE: a tie carries no
-    evidence for a boundary, and a spurious boundary tag fabricates triples."""
+    block. Exact ties give NONE: a tie carries no evidence for a boundary,
+    and a spurious boundary tag fabricates triples."""
     top = np.maximum(np.maximum(s[..., 1], s[..., 2]), s[..., 3])
     hits = np.equal(s[..., 1], top).view(np.uint8)
     hits += np.equal(s[..., 2], top).view(np.uint8) << 1
     hits += np.equal(s[..., 3], top).view(np.uint8) << 2
     best = _SOLE_TAG[hits]
     best *= np.less(s[..., 0], top)  # NONE takes every tie it is part of
-    if mask is not None:
-        best *= mask
     return best
 
 
 def train_grads(
     emb: np.ndarray, gold: np.ndarray, params: ScorerParams, rng_seed: int
 ) -> ScorerGrads:
-    """backward(score_all(emb, params, True, rng_seed), gold, None, emb, params)
-    for (L, K, L) int gold tags, each block taken from hidden layer to
-    gradients in one pass; the sums may differ in float summation order."""
+    """The mean tag NLL over all L x K x L cells against (L, K, L) int gold
+    tags, and its exact gradients, with dropout drawn from rng_seed when the
+    rate is above 0; each block goes from hidden layer to gradients in one pass."""
     heads, tails = _projections(emb, params)
     length, num_rel = emb.shape[0], params.num_relations
     if gold.shape != (length, num_rel, length):
         raise ValueError(f"gold shape {gold.shape} != grid cells {(length, num_rel, length)}")
-    seed, scale = _dropout(params, True, rng_seed)
+    rate = params.dropout_rate
+    seed, scale = (rng_seed, 1.0 / (1.0 - rate)) if rate > 0.0 else (None, 1.0)
     d_heads = np.empty((length, params.hidden_dim))
 
     def block(rows: slice) -> tuple:
         hidden = _hidden_block(heads, tails, rows, params, seed, scale)
         d_scores = hidden @ params.rel_tag_emb  # (rows * L) x 4K: cells (i, j, k)
         cells = d_scores.reshape(len(hidden), num_rel, NUM_TAGS)
-        nll = _tag_gradient(cells, gold[rows].transpose(0, 2, 1), None, gold.size)
+        nll = _tag_gradient(cells, gold[rows].transpose(0, 2, 1), gold.size)
         return nll, *_hidden_gradient(d_scores, hidden, rows, params, scale, d_heads)
 
     return _sum_grads(_map_blocks(block, length), d_heads, emb, params, gold.size)
 
 
 def tag_grid(emb: np.ndarray, params: ScorerParams) -> TagMatrix:
-    """predict_tags(score_all(emb, params)), bit for bit, with each block
-    of head rows taken from hidden layer to int8 tags in one pass."""
+    """The argmax tag of every (i, k, j) cell, exact ties to NONE, with no
+    dropout; each block goes from hidden layer to int8 tags in one pass."""
     heads, tails = _projections(emb, params)
     length, num_rel = emb.shape[0], params.num_relations
     tags = np.empty((length, num_rel, length), dtype=np.int8)
@@ -340,116 +299,3 @@ def tag_grid(emb: np.ndarray, params: ScorerParams) -> TagMatrix:
 
     _map_blocks(block, length)
     return TagMatrix(length, num_rel, tags)
-
-
-def score_all(
-    emb: np.ndarray, params: ScorerParams, training: bool = False, rng_seed: int = 0
-) -> ScoreGrid:
-    """Score every (i, relation, tag, j) cell, one block of head rows at a time."""
-    heads, tails = _projections(emb, params)
-    length, num_rel = emb.shape[0], params.num_relations
-    seed, scale = _dropout(params, training, rng_seed)
-    hidden = np.empty((length, length, params.hidden_dim))
-    scores = np.empty((length, num_rel, NUM_TAGS, length))
-
-    def block(rows: slice) -> None:
-        flat = _hidden_block(heads, tails, rows, params, seed, scale, hidden[rows])
-        flat = flat @ params.rel_tag_emb  # (rows * L, 4K)
-        scores[rows] = flat.reshape(-1, length, num_rel, NUM_TAGS).transpose(0, 2, 3, 1)
-
-    _map_blocks(block, length)
-    return ScoreGrid(scores=scores, hidden=hidden, dropout_scale=scale)
-
-
-def tag_distribution(grid: ScoreGrid) -> np.ndarray:
-    """L x K x L x 4 softmax over the tag axis, max-subtracted for stability."""
-    probs = np.empty((grid.length, grid.num_relations, grid.length, NUM_TAGS))
-
-    def block(rows: slice) -> None:
-        probs[rows] = grid.scores[rows].transpose(0, 1, 3, 2)
-        _softmax_nll(probs[rows])
-
-    _map_blocks(block, grid.length)
-    return probs
-
-
-def dense_gold(gold: TagMatrix, padded: int | None = None) -> np.ndarray:
-    """Dense (n, K, n) int tags, n = padded or the true length; others NONE."""
-    size = gold.length if padded is None else padded
-    arr = np.zeros((size, gold.num_relations, size), dtype=np.int64)
-    arr[: gold.length, :, : gold.length] = gold.tags
-    return arr
-
-
-def _gold_and_count(
-    grid: ScoreGrid, gold: TagMatrix | np.ndarray, mask: np.ndarray | None
-) -> tuple[np.ndarray, int]:
-    """The dense gold tags and the number of masked-in cells."""
-    gold_arr = gold if isinstance(gold, np.ndarray) else dense_gold(gold)
-    cell_shape = (grid.length, grid.num_relations, grid.length)
-    if gold_arr.shape != cell_shape:
-        raise ValueError(f"gold shape {gold_arr.shape} != grid cells {cell_shape}")
-    if mask is None:
-        return gold_arr, gold_arr.size
-    if mask.shape != cell_shape:
-        raise ValueError(f"mask shape {mask.shape} != grid cells {cell_shape}")
-    count = int(mask.sum())
-    if count == 0:
-        raise ValueError("no masked-in cells")
-    return gold_arr, count
-
-
-def loss(grid: ScoreGrid, gold: TagMatrix | np.ndarray, mask: np.ndarray | None = None) -> float:
-    """Mean negative log-probability of the gold tag over masked-in cells."""
-    gold_arr, count = _gold_and_count(grid, gold, mask)
-
-    def block(rows: slice) -> float:
-        scores = grid.scores[rows].transpose(0, 1, 3, 2).copy()  # cells (i, k, j)
-        return _softmax_nll(scores, gold_arr[rows], None if mask is None else mask[rows])[0]
-
-    return float(sum(_map_blocks(block, grid.length)) / count)
-
-
-def backward(
-    grid: ScoreGrid,
-    gold: TagMatrix | np.ndarray,
-    mask: np.ndarray | None,
-    emb: np.ndarray,
-    params: ScorerParams,
-) -> ScorerGrads:
-    """Exact gradients of loss() with respect to parameters and embeddings.
-
-    Requires the grid produced by score_all on the same emb/params (the
-    cached hidden activations and dropout scale are reused). The
-    returned loss is loss(grid, gold, mask), from the same softmax.
-    """
-    length, num_rel, hidden_dim = grid.length, grid.num_relations, params.hidden_dim
-    if grid.hidden.shape != (length, length, hidden_dim):
-        raise ValueError("stale cache: hidden shape mismatch")
-    if emb.shape != (length, params.emb_dim):
-        raise ValueError("stale cache: embedding shape mismatch")
-    if num_rel != params.num_relations:
-        raise ValueError("stale cache: relation count mismatch")
-    gold_arr, count = _gold_and_count(grid, gold, mask)
-    d_heads = np.empty((length, hidden_dim))
-
-    def block(rows: slice) -> tuple:
-        d_scores = grid.scores[rows].transpose(0, 1, 3, 2).copy()  # cells (i, k, j)
-        nll = _tag_gradient(d_scores, gold_arr[rows], None if mask is None else mask[rows], count)
-        # (i, k, j, tag) -> (i, j, 4k + tag), matching rel_tag_emb's column layout
-        d_flat = d_scores.transpose(0, 2, 1, 3).reshape(-1, num_rel * NUM_TAGS)
-        hidden = grid.hidden[rows].reshape(-1, hidden_dim)
-        return nll, *_hidden_gradient(d_flat, hidden, rows, params, grid.dropout_scale, d_heads)
-
-    return _sum_grads(_map_blocks(block, length), d_heads, emb, params, count)
-
-
-def predict_tags(grid: ScoreGrid, mask: np.ndarray | None = None) -> TagMatrix:
-    """Argmax tag per masked-in cell, by _tags: exact ties resolve to NONE."""
-
-    def block(rows: slice) -> np.ndarray:
-        cells = grid.scores[rows].transpose(0, 1, 3, 2)  # a view: (rows, K, L, 4)
-        return _tags(cells, None if mask is None else mask[rows])
-
-    best = np.concatenate(_map_blocks(block, grid.length))
-    return TagMatrix(grid.length, grid.num_relations, best)

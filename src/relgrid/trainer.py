@@ -109,13 +109,6 @@ class Batch:
     gold: list[np.ndarray]  # (n, K, n) int8
 
 
-def valid_mask(length: int, padded: int, num_relations: int) -> np.ndarray:
-    """True exactly where both token indices are below the true length."""
-    mask = np.zeros((padded, num_relations, padded), dtype=bool)
-    mask[:length, :, :length] = True
-    return mask
-
-
 def make_batches(
     encoded: list[tuple[np.ndarray, np.ndarray]], batch_size: int, shuffle_seed: int
 ) -> list[Batch]:

@@ -7,6 +7,7 @@ Run with: pytest tests/test_acceptance.py -v
 import json
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from relgrid.corpus import (
 )
 from relgrid.encoder import build_vocab, encode_indices
 from relgrid.evaluation import EXACT, PARTIAL, breakdown, match_count, micro_prf
-from relgrid.scorer import ScorerParams, dense_gold, loss, score_all
+from relgrid.scorer import ScorerParams, train_grads
 from relgrid.synthetic import SynthConfig, generate_corpus
 from relgrid.tagging import Tag, encode, roundtrip_check
 from relgrid.trainer import (
@@ -32,7 +33,6 @@ from relgrid.trainer import (
     init_model,
     predict,
     train,
-    valid_mask,
 )
 
 from conftest import make_sentence, random_triples
@@ -42,7 +42,13 @@ from test_evaluation import (
     partial_compatible,
     perturb,
 )
-from test_scorer import gradcheck, min_preactivation, random_instance
+from test_scorer import (
+    concat_reference,
+    gradcheck,
+    min_preactivation,
+    pad_cells,
+    random_instance,
+)
 
 
 @pytest.fixture
@@ -172,7 +178,7 @@ def test_criterion_4_uniform_loss_anchor(report):
             emb = rng.normal(size=(length, emb_dim))
             s = make_sentence(length, random_triples(rng, length, num_rel))
             gold, _ = encode(s, num_rel)
-            value = loss(score_all(emb, params), gold)
+            value = train_grads(emb, gold.tags, params, 0).loss
             worst = max(worst, abs(value - np.log(4.0)))
             cases += 1
     ok = worst <= 1e-9
@@ -253,32 +259,33 @@ def test_criterion_5_overfit_to_perfect_exact_f1(report, tmp_path, capsys):
 
 
 def test_criterion_6_padding_inertia(report):
+    # the true-length loss the program trains on, against the loss over
+    # the same sentence padded with token 0 and its padded cells masked out
     config = SynthConfig(sentences=12, num_relations=3, seed=606)
     corpus, relations, _ = generate_corpus(config)
     vocab = build_vocab(corpus)
     model = init_model(relations, vocab, TrainConfig(seed=8))
+    params = replace(model.params, dropout_rate=0.0)
     num_rel = len(relations)
 
     worst = 0.0
     for s in corpus:
         n = len(s.sentence)
         gold, _ = encode(s, num_rel)
-        values = []
-        for pad in (n, n + 1, n + 9, n + 17):
-            ids = np.zeros(pad, dtype=np.int64)
-            ids[:n] = vocab.indices(s.sentence.tokens)
-            emb = encode_indices(ids, model.table, True)
-            grid = score_all(emb, model.params, training=False)
-            values.append(
-                loss(grid, dense_gold(gold, pad), valid_mask(n, pad, num_rel))
-            )
+        ids = np.zeros(n + 17, dtype=np.int64)
+        ids[:n] = vocab.indices(s.sentence.tokens)
+        emb = encode_indices(ids[:n], model.table, True)
+        values = [train_grads(emb, gold.tags, params, 0).loss]
+        for pad in (n + 1, n + 9, n + 17):
+            emb = encode_indices(ids[:pad], model.table, True)
+            values.append(concat_reference(emb, params, *pad_cells(gold.tags, pad))[1])
         worst = max(worst, max(values) - min(values))
     ok = worst <= 1e-12
     report(
         6,
         ok,
-        f"losses across four padding lengths on {len(corpus)} sentences differ "
-        f"by at most {worst:.2e} (<= 1e-12)",
+        f"true-length loss and masked losses at three padding lengths on "
+        f"{len(corpus)} sentences differ by at most {worst:.2e} (<= 1e-12)",
     )
 
 

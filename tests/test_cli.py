@@ -173,6 +173,32 @@ class TestStats:
         )
         assert code == EXIT_DATA
         assert stderr == f"error: {data}:2: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text, triple",
+        [("x r y", "xry"), ("None r 1.5", [None, "r", 1.5]), ("a r c", ["a", "r", "c", "extra"])],
+        ids=["string", "null-and-number", "four-elements"],
+    )
+    def test_public_triple_not_three_strings_is_one_line_data_error(
+        self, capsys, tmp_path, text, triple
+    ):
+        # each one resolves to spans if read through str(): a triple must
+        # be exactly a list of three strings
+        data = tmp_path / "pub.jsonl"
+        good = {"text": text, "triple_list": [[text.split()[0], "r", text.split()[2]]]}
+        bad = {"id": "s2", "text": text, "triple_list": [good["triple_list"][0], triple]}
+        data.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        relations = tmp_path / "rels.txt"
+        relations.write_text("r\n")
+        code, stdout, stderr = run(
+            capsys, "stats", "--format", "public", "--data", str(data),
+            "--relations", str(relations),
+        )
+        assert code == EXIT_DATA and stdout == ""
+        assert stderr == (
+            f"error: {data}:2: malformed triple 1 in sentence 's2': "
+            "needs [head, relation, tail] as three strings\n"
+        )
         assert stdout == ""
 
 

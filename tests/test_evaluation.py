@@ -29,7 +29,6 @@ from relgrid.evaluation import (
     match_count,
     micro_prf,
     stack_rows,
-    subtask_metrics,
     triple_rows,
 )
 from relgrid.scorer import init_scorer_params
@@ -99,10 +98,10 @@ def assert_matches_reference(corpus, predictions):
     for mode in MATCH_MODES:
         for s, pred in zip(corpus, predictions):
             assert match_count(pred, s.triples, mode) == reference_match_count(pred, s.triples, mode)
-        assert subtask_metrics(corpus, predictions, mode) == reference_subtask_metrics(
+        report = breakdown(corpus, predictions, mode)
+        assert (report.entity_pair, report.relation) == reference_subtask_metrics(
             corpus, predictions, mode
         )
-        report = breakdown(corpus, predictions, mode)
         assert report == reference_breakdown(corpus, predictions, mode)
         assert report.to_kv() == reference_breakdown(corpus, predictions, mode).to_kv()
 
@@ -310,9 +309,9 @@ class TestSubtasks:
         gold = [Triple(Span(0, 0), 0, Span(2, 2))]
         pred = frozenset({Triple(Span(0, 0), 1, Span(2, 2))})
         s = make_sentence(4, gold)
-        (pair, relation) = subtask_metrics([s], [pred], "exact")
-        assert pair == (1.0, 1.0, 1.0)
-        assert relation == (0.0, 0.0, 0.0)
+        report = breakdown([s], [pred], "exact")
+        assert report.entity_pair == (1.0, 1.0, 1.0)
+        assert report.relation == (0.0, 0.0, 0.0)
 
     def test_projection_dedup_matches_set_oracle(self):
         rng = np.random.default_rng(91)
@@ -321,7 +320,8 @@ class TestSubtasks:
             gold = random_triples(rng, length, 3)
             pred = perturb(rng, gold, length, 3)
             s = make_sentence(length, gold)
-            (pair, relation) = subtask_metrics([s], [pred], "exact")
+            report = breakdown([s], [pred], "exact")
+            pair, relation = report.entity_pair, report.relation
 
             gold_pairs = {(t.head, t.tail) for t in gold}
             pred_pairs = {(t.head, t.tail) for t in pred}

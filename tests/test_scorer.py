@@ -7,20 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relgrid import scorer
-from relgrid.scorer import (
-    ScoreGrid,
-    ScorerParams,
-    backward,
-    dense_gold,
-    init_scorer_params,
-    loss,
-    predict_tags,
-    score_all,
-    tag_distribution,
-    tag_grid,
-    train_grads,
-)
+from relgrid.scorer import ScorerParams, init_scorer_params, tag_grid, train_grads
 from relgrid.tagging import NUM_TAGS, Tag, TagMatrix
+
+GRAD_NAMES = ("pair_proj", "pair_bias", "rel_tag_emb", "emb")
 
 
 # --- independent oracles ---------------------------------------------------
@@ -32,27 +22,40 @@ def naive_cell_score(emb, params, i, k, tag, j):
     return float(params.rel_tag_emb[:, NUM_TAGS * k + tag] @ hidden)
 
 
-def scalar_loss(grid, gold_cells, length, num_rel):
-    """Sum of -log softmax(gold) over all cells, one cell at a time."""
+def naive_scores(emb, params):
+    """L x K x 4 x L scores from naive_cell_score, one cell at a time."""
+    length, num_rel = emb.shape[0], params.num_relations
+    scores = np.empty((length, num_rel, NUM_TAGS, length))
+    for idx in np.ndindex(scores.shape):
+        scores[idx] = naive_cell_score(emb, params, *idx)
+    return scores
+
+
+def scalar_loss(scores, gold_cells, length, num_rel):
+    """Mean of -log softmax(gold) over all cells of L x K x 4 x L scores,
+    one cell at a time."""
     total = 0.0
     for i in range(length):
         for k in range(num_rel):
             for j in range(length):
-                scores = grid.scores[i, k, :, j]
+                cell = scores[i, k, :, j]
                 gold = gold_cells.get((i, k, j), 0)
-                e = np.exp(scores - scores.max())
+                e = np.exp(cell - cell.max())
                 total -= np.log(e[gold] / e.sum())
     return total / (length * num_rel * length)
 
 
-def concat_reference(emb, params, gold_arr, mask, training=False, rng_seed=0):
+def concat_reference(emb, params, gold_arr, mask=None, training=False, rng_seed=0):
     """Scores, loss and gradients with the pair layer applied to an explicit
     L x L x 2d tensor of [e_i; e_j] concatenations (the unfactorized form).
+    The loss is the mean over the cells where mask is set (all by default).
 
     Returns (scores as L x K x 4 x L, mean loss, dict of gradients).
     """
     length, d = emb.shape
     num_rel = params.num_relations
+    if mask is None:
+        mask = np.ones(gold_arr.shape, dtype=bool)
     heads = np.broadcast_to(emb[:, None, :], (length, length, d))
     tails = np.broadcast_to(emb[None, :, :], (length, length, d))
     pairs = np.concatenate([heads, tails], axis=2).reshape(length * length, 2 * d)
@@ -84,12 +87,22 @@ def concat_reference(emb, params, gold_arr, mask, training=False, rng_seed=0):
     return scores, mean_loss, grads
 
 
+def pad_cells(gold_arr, padded):
+    """(n, K, n) gold tags placed in a (padded, K, padded) grid of NONE,
+    and the mask of the n x K x n true-length cells."""
+    n, num_rel, _ = gold_arr.shape
+    gold = np.zeros((padded, num_rel, padded), dtype=gold_arr.dtype)
+    gold[:n, :, :n] = gold_arr
+    mask = np.zeros(gold.shape, dtype=bool)
+    mask[:n, :, :n] = True
+    return gold, mask
+
+
 def float_mask_reference(emb, params, gold_arr, rng_seed):
-    """Training-mode score_all and unmasked backward with the dropout
+    """Training-mode scores, loss and gradients with the dropout
     realization kept as a float L x L x hidden_dim array of 0 and
     1 / (1 - rate), multiplied into the pre-activation and again into the
-    hidden gradient. Same operations, in the same order, as the scorer
-    otherwise.
+    hidden gradient, over the whole grid at once.
 
     Returns (scores as L x K x 4 x L, hidden as L x L x H, loss, gradients).
     """
@@ -134,15 +147,15 @@ def float_mask_reference(emb, params, gold_arr, rng_seed):
     return scores, hidden.reshape(length, length, -1), mean_loss, grads
 
 
-def reference_predict_tags(scores, mask):
-    """{(i, k, j): Tag} from one argmax per cell; ties and masked-out cells
-    give NONE and are left out."""
+def reference_predict_tags(scores):
+    """{(i, k, j): Tag} from one argmax per cell of L x K x 4 x L scores;
+    ties give NONE and are left out."""
     length, num_rel = scores.shape[:2]
     cells = {}
     for i, k, j in np.ndindex(length, num_rel, length):
         cell = scores[i, k, :, j]
         best = int(np.argmax(cell))
-        if (cell == cell[best]).sum() > 1 or (mask is not None and not mask[i, k, j]):
+        if (cell == cell[best]).sum() > 1:
             best = 0
         if best:
             cells[(i, k, j)] = Tag(best)
@@ -176,6 +189,13 @@ def random_instance(seed, length=3, num_rel=2, emb_dim=4, dropout=0.0):
     return emb, params, gold
 
 
+def to_half_integers(emb, params):
+    """Round the inputs, in place, to multiples of 1/2: every score is then
+    exact in float64 under any summation order, and many cells tie."""
+    for arr in (emb, params.pair_proj, params.pair_bias, params.rel_tag_emb):
+        arr[...] = np.round(2.0 * arr) / 2.0
+
+
 def relative_errors(analytic, numeric):
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
     errs = np.abs(analytic - numeric) / denom
@@ -194,20 +214,19 @@ def min_preactivation(emb, params):
 
 
 def gradcheck(seed, dropout=0.0, rng_seed=0, tol=1e-4):
-    """Full-coordinate central-difference check; returns worst relative error.
+    """Full-coordinate central-difference check of train_grads' loss;
+    returns worst relative error. With dropout on, rng_seed fixes one
+    realization for every evaluation.
 
     Instances with pre-activations near the rectifier kink are rejected by
     the caller (finite differences would step across the kink).
     """
     emb, params, gold = random_instance(seed, dropout=dropout)
-    training = dropout > 0.0
 
     def run_loss():
-        grid = score_all(emb, params, training=training, rng_seed=rng_seed)
-        return loss(grid, gold)
+        return train_grads(emb, gold.tags, params, rng_seed).loss
 
-    grid = score_all(emb, params, training=training, rng_seed=rng_seed)
-    grads = backward(grid, gold, None, emb, params)
+    grads = train_grads(emb, gold.tags, params, rng_seed)
 
     worst = 0.0
     for arr, analytic in (
@@ -223,7 +242,22 @@ def gradcheck(seed, dropout=0.0, rng_seed=0, tol=1e-4):
     return worst
 
 
+def no_gold(length, num_rel):
+    return np.zeros((length, num_rel, length), dtype=np.int8)
+
+
 class TestScoreAll:
+    """The score of every cell, as train_grads' loss and tag_grid's tags
+    show it."""
+
+    def assert_all_scores_zero(self, emb, params):
+        length, num_rel = emb.shape[0], params.num_relations
+        grads = train_grads(emb, no_gold(length, num_rel), params, 0)
+        assert grads.loss == pytest.approx(np.log(4.0), abs=1e-15)
+        for name in GRAD_NAMES:
+            assert not getattr(grads, name).any(), name  # no unit is active
+        assert not tag_grid(emb, params).tags.any()
+
     def test_zero_params_zero_scores(self):
         emb = np.random.default_rng(0).normal(size=(3, 4))
         params = ScorerParams(
@@ -232,7 +266,7 @@ class TestScoreAll:
             rel_tag_emb=np.zeros((12, 8)),
             dropout_rate=0.0,
         )
-        assert np.all(score_all(emb, params).scores == 0.0)
+        self.assert_all_scores_zero(emb, params)
 
     def test_negative_bias_kills_scores(self):
         emb = np.random.default_rng(1).normal(size=(3, 4))
@@ -242,86 +276,55 @@ class TestScoreAll:
             rel_tag_emb=np.random.default_rng(2).normal(size=(12, 8)),
             dropout_rate=0.0,
         )
-        assert np.all(score_all(emb, params).scores == 0.0)
+        self.assert_all_scores_zero(emb, params)
 
     def test_matches_naive_per_cell_oracle(self):
-        emb, params, _ = random_instance(7)
-        grid = score_all(emb, params)
-        for i in range(3):
-            for k in range(2):
-                for tag in range(NUM_TAGS):
-                    for j in range(3):
-                        assert grid.scores[i, k, tag, j] == pytest.approx(
-                            naive_cell_score(emb, params, i, k, tag, j), abs=1e-10
-                        )
+        emb, params, gold = random_instance(7)
+        scores = naive_scores(emb, params)
+        assert train_grads(emb, gold.tags, params, 0).loss == pytest.approx(
+            scalar_loss(scores, gold.cells, 3, 2), rel=1e-12
+        )
+        assert tag_grid(emb, params).cells == reference_predict_tags(scores)
 
     def test_shape_mismatch_rejected(self):
         emb = np.zeros((3, 5))
         params = init_scorer_params(4, 2, seed=0)
         with pytest.raises(ValueError, match="incompatible"):
-            score_all(emb, params)
+            tag_grid(emb, params)
+        with pytest.raises(ValueError, match="incompatible"):
+            train_grads(emb, no_gold(3, 2), params, 0)
 
     def test_asymmetry_is_constructible(self):
-        # projection reads only the first (head) half of the pair, so the
-        # score follows e_i alone and swapping i/j must change it
+        # projection reads only the first (head) half of the pair and only
+        # tag HB-TB reads the hidden unit, so the tag follows e_i alone and
+        # swapping i/j must change it
         params = ScorerParams(
             pair_proj=np.array([[1.0, 0.0]]),
             pair_bias=np.zeros(1),
-            rel_tag_emb=np.ones((1, 4)),
+            rel_tag_emb=np.array([[0.0, 1.0, 0.0, 0.0]]),
             dropout_rate=0.0,
         )
-        emb = np.array([[1.0], [2.0]])
-        grid = score_all(emb, params)
-        assert grid.scores[0, 0, 0, 1] != grid.scores[1, 0, 0, 0]
+        emb = np.array([[1.0], [-1.0]])
+        tags = tag_grid(emb, params)
+        assert tags.get(0, 0, 1) == Tag.HB_TB
+        assert tags.get(1, 0, 0) == Tag.NONE
 
     def test_dropout_reproducible_and_scaled(self):
-        emb, params, _ = random_instance(5, dropout=0.5)
-        g1 = score_all(emb, params, training=True, rng_seed=42)
-        g2 = score_all(emb, params, training=True, rng_seed=42)
-        np.testing.assert_array_equal(g1.scores, g2.scores)
-        g3 = score_all(emb, params, training=True, rng_seed=43)
-        assert not np.array_equal(g1.scores, g3.scores)
-        # inverted dropout: inference pass needs no rescaling
-        plain = score_all(emb, params, training=False)
-        assert plain.dropout_scale == 1.0 and g1.dropout_scale == 2.0
-        # every training unit is dropped (0) or kept and scaled by exactly 2
-        dropped = g1.hidden == 0.0
-        assert np.all(dropped | (g1.hidden == 2.0 * plain.hidden))
-        assert np.any(dropped & (plain.hidden > 0.0))
+        emb, params, gold = random_instance(5, dropout=0.5)
+        g1 = train_grads(emb, gold.tags, params, 42)
+        g2 = train_grads(emb, gold.tags, params, 42)
+        for name in GRAD_NAMES + ("loss",):
+            assert np.array_equal(getattr(g1, name), getattr(g2, name)), name
+        assert train_grads(emb, gold.tags, params, 43).loss != g1.loss
+        # inverted dropout: every unit is dropped (0) or kept and scaled by
+        # exactly 1 / (1 - 0.5) = 2, so inference needs no rescaling
+        heads, tails = scorer._projections(emb, params)
+        plain = scorer._hidden_block(heads, tails, slice(0, 3), params)
+        trained = scorer._hidden_block(heads, tails, slice(0, 3), params, 42, 2.0)
+        dropped = trained == 0.0
+        assert np.all(dropped | (trained == 2.0 * plain))
+        assert np.any(dropped & (plain > 0.0))
         assert np.any(~dropped)
-
-
-class TestTagDistribution:
-    def test_uniform_on_zero_scores(self):
-        emb = np.zeros((2, 4))
-        params = ScorerParams(
-            pair_proj=np.zeros((12, 8)),
-            pair_bias=np.zeros(12),
-            rel_tag_emb=np.zeros((12, 4)),
-            dropout_rate=0.0,
-        )
-        probs = tag_distribution(score_all(emb, params))
-        np.testing.assert_allclose(probs, 0.25)
-
-    def test_limit_case_saturates(self):
-        emb, params, _ = random_instance(3)
-        grid = score_all(emb, params)
-        grid.scores[0, 0, 2, 1] = 1e4
-        probs = tag_distribution(grid)
-        assert probs[0, 0, 1, 2] == pytest.approx(1.0, abs=1e-12)
-
-    def test_matches_direct_formula_and_normalizes(self):
-        emb, params, _ = random_instance(11)
-        grid = score_all(emb, params)
-        probs = tag_distribution(grid)
-        sums = probs.sum(axis=3)
-        np.testing.assert_allclose(sums, 1.0, atol=1e-9)
-        for i in range(3):
-            for k in range(2):
-                for j in range(3):
-                    direct = np.exp(grid.scores[i, k, :, j])
-                    direct /= direct.sum()
-                    np.testing.assert_allclose(probs[i, k, j], direct, rtol=1e-12)
 
 
 class TestLoss:
@@ -335,48 +338,37 @@ class TestLoss:
         )
         gold = TagMatrix(length=4, num_relations=3)
         gold.set(0, 1, 2, Tag.HB_TE)
-        assert loss(score_all(emb, params), gold) == pytest.approx(
+        assert train_grads(emb, gold.tags, params, 0).loss == pytest.approx(
             np.log(4.0), abs=1e-9
         )
 
     def test_perfect_scores_drive_loss_to_zero(self):
+        # one-hot tokens and one hidden unit per pair (a, b), active only at
+        # (i, j) = (a, b); each unit gives its cells' gold tags a score of 60
         emb, params, gold = random_instance(9)
-        grid = score_all(emb, params)
-        arr = dense_gold(gold)
-        grid.scores[:] = 0.0
-        for idx in np.ndindex(arr.shape):
-            i, k, j = idx
-            grid.scores[i, k, arr[idx], j] = 60.0
-        assert loss(grid, gold) == pytest.approx(0.0, abs=1e-12)
+        length, num_rel = gold.tags.shape[:2]
+        emb = np.eye(length)
+        a, b = np.divmod(np.arange(length * length), length)
+        rel_tag_emb = np.zeros((length * length, NUM_TAGS * num_rel))
+        cols = NUM_TAGS * np.arange(num_rel) + gold.tags[a, :, b]
+        rel_tag_emb[np.arange(length * length)[:, None], cols] = 60.0
+        params = ScorerParams(
+            pair_proj=np.concatenate([emb[a], emb[b]], axis=1),
+            pair_bias=np.full(length * length, -1.0),
+            rel_tag_emb=rel_tag_emb,
+            dropout_rate=0.0,
+        )
+        grads = train_grads(emb, gold.tags, params, 0)
+        assert grads.loss == pytest.approx(0.0, abs=1e-12)
+        for name in GRAD_NAMES:
+            assert np.max(np.abs(getattr(grads, name))) < 1e-20, name
+        assert np.array_equal(tag_grid(emb, params).tags, gold.tags)
 
     def test_matches_scalar_reimplementation(self):
         emb, params, gold = random_instance(13)
-        grid = score_all(emb, params)
-        assert loss(grid, gold) == pytest.approx(
-            scalar_loss(grid, gold.cells, 3, 2), rel=1e-12
+        assert train_grads(emb, gold.tags, params, 0).loss == pytest.approx(
+            scalar_loss(naive_scores(emb, params), gold.cells, 3, 2), rel=1e-12
         )
-
-    def test_masked_normalization(self):
-        emb, params, gold = random_instance(15)
-        grid = score_all(emb, params)
-        mask = np.zeros((3, 2, 3), dtype=bool)
-        mask[0, :, :] = True
-        masked = loss(grid, gold, mask)
-        # recompute over the masked cells only
-        total = 0.0
-        for k in range(2):
-            for j in range(3):
-                scores = grid.scores[0, k, :, j]
-                gold_tag = gold.cells.get((0, k, j), 0)
-                e = np.exp(scores - scores.max())
-                total -= np.log(e[gold_tag] / e.sum())
-        assert masked == pytest.approx(total / mask.sum(), rel=1e-12)
-
-    def test_empty_mask_is_error(self):
-        emb, params, gold = random_instance(15)
-        grid = score_all(emb, params)
-        with pytest.raises(ValueError, match="masked-in"):
-            loss(grid, gold, np.zeros((3, 2, 3), dtype=bool))
 
 
 class TestBackward:
@@ -402,172 +394,106 @@ class TestBackward:
             assert gradcheck(seed, dropout=0.3, rng_seed=7) <= 1e-4
             checked += 1
 
-    def test_relation_isolation_under_mask(self):
-        emb, params, gold = random_instance(21)
-        grid = score_all(emb, params)
-        mask = np.zeros((3, 2, 3), dtype=bool)
-        mask[:, 0, :] = True  # only relation 0 contributes
-        grads = backward(grid, gold, mask, emb, params)
-        np.testing.assert_array_equal(grads.rel_tag_emb[:, NUM_TAGS:], 0.0)
-        assert np.any(grads.rel_tag_emb[:, :NUM_TAGS] != 0.0)
-
-    def test_masked_out_perfect_region_has_zero_grads(self):
-        emb, params, gold = random_instance(23)
-        grid = score_all(emb, params)
-        mask = np.zeros((3, 2, 3), dtype=bool)
-        mask[1, 1, 1] = True
-        grid.scores[1, 1, :, 1] = [60.0, 0.0, 0.0, 0.0]
-        gold = TagMatrix(length=3, num_relations=2)  # gold NONE at the only masked cell
-        grads = backward(grid, gold, mask, emb, params)
-        for arr in (grads.pair_proj, grads.pair_bias, grads.rel_tag_emb, grads.emb):
-            assert np.max(np.abs(arr)) < 1e-20
-
-    def test_stale_cache_rejected(self):
-        emb, params, gold = random_instance(25)
-        grid = score_all(emb, params)
-        with pytest.raises(ValueError, match="stale cache"):
-            backward(grid, gold, None, emb[:2], params)
-
 
 class TestFactorizedPairLayer:
-    """score_all/backward against the concatenated-pair reference at a size
-    where row/column reductions matter: L=12 padded from 9, K=3, dropout on."""
+    """train_grads and tag_grid against the concatenated-pair reference at a
+    size where row/column reductions matter: L=12, K=3, dropout on."""
 
     RTOL, ATOL = 1e-12, 1e-14
 
     def instance(self, seed):
         emb, params, gold = random_instance(seed, length=12, num_rel=3, emb_dim=6, dropout=0.3)
-        mask = np.zeros((12, 3, 12), dtype=bool)
-        mask[:9, :, :9] = True
-        return emb, params, dense_gold(gold), mask
+        return emb, params, gold.tags
 
     @pytest.mark.parametrize("seed", [41, 42, 43])
     def test_matches_concat_reference(self, seed):
-        emb, params, gold_arr, mask = self.instance(seed)
-        grid = score_all(emb, params, training=True, rng_seed=seed)
-        grads = backward(grid, gold_arr, mask, emb, params)
-        ref_scores, ref_loss, ref_grads = concat_reference(
-            emb, params, gold_arr, mask, training=True, rng_seed=seed
+        emb, params, gold = self.instance(seed)
+        grads = train_grads(emb, gold, params, seed)
+        _, ref_loss, ref_grads = concat_reference(emb, params, gold, training=True, rng_seed=seed)
+        assert grads.loss == pytest.approx(ref_loss, rel=self.RTOL, abs=self.ATOL)
+        for name, ref in ref_grads.items():
+            np.testing.assert_allclose(
+                getattr(grads, name), ref, rtol=self.RTOL, atol=self.ATOL, err_msg=name
+            )
+        to_half_integers(emb, params)
+        ref_scores = concat_reference(emb, params, gold)[0]
+        assert tag_grid(emb, params).cells == reference_predict_tags(ref_scores)
+
+
+class TestScalarDropoutScale:
+    """The scalar dropout scale gives the float-mask formulation's hidden
+    layer bit for bit, and its loss and all four gradients up to float
+    summation order."""
+
+    RTOL, ATOL = 1e-12, 1e-14
+
+    @pytest.mark.parametrize("seed, dropout", [(51, 0.1), (52, 0.3), (53, 0.5)])
+    def test_bit_identical_to_float_mask_reference(self, seed, dropout):
+        emb, params, gold = random_instance(seed, length=12, num_rel=3, emb_dim=6, dropout=dropout)
+        gold_arr = gold.tags  # the int8 grid, as training passes it
+        grads = train_grads(emb, gold_arr, params, seed)
+        _, ref_hidden, ref_loss, ref_grads = float_mask_reference(
+            emb, params, gold_arr, rng_seed=seed
         )
-        np.testing.assert_allclose(grid.scores, ref_scores, rtol=self.RTOL, atol=self.ATOL)
+        heads, tails = scorer._projections(emb, params)
+        hidden = scorer._hidden_block(heads, tails, slice(0, 12), params, seed, 1 / (1 - dropout))
+        assert np.array_equal(hidden, ref_hidden.reshape(hidden.shape))
         assert grads.loss == pytest.approx(ref_loss, rel=self.RTOL, abs=self.ATOL)
         for name, ref in ref_grads.items():
             np.testing.assert_allclose(
                 getattr(grads, name), ref, rtol=self.RTOL, atol=self.ATOL, err_msg=name
             )
 
-    def test_backward_loss_is_loss_bit_for_bit(self):
-        emb, params, gold_arr, mask = self.instance(44)
-        grid = score_all(emb, params, training=True, rng_seed=44)
-        assert backward(grid, gold_arr, mask, emb, params).loss == loss(grid, gold_arr, mask)
-        assert backward(grid, gold_arr, None, emb, params).loss == loss(grid, gold_arr)
-
-
-class TestScalarDropoutScale:
-    """The scalar dropout scale reproduces the float-mask formulation bit
-    for bit: the forward pass and all four gradients."""
-
-    @pytest.mark.parametrize("seed, dropout", [(51, 0.1), (52, 0.3), (53, 0.5)])
-    def test_bit_identical_to_float_mask_reference(self, seed, dropout):
-        emb, params, gold = random_instance(seed, length=12, num_rel=3, emb_dim=6, dropout=dropout)
-        gold_arr = gold.tags  # the int8 grid, as training passes it
-        grid = score_all(emb, params, training=True, rng_seed=seed)
-        grads = backward(grid, gold_arr, None, emb, params)
-        ref_scores, ref_hidden, ref_loss, ref_grads = float_mask_reference(
-            emb, params, gold_arr, rng_seed=seed
-        )
-        assert np.array_equal(grid.scores, ref_scores)
-        assert np.array_equal(grid.hidden, ref_hidden)
-        assert grads.loss == ref_loss
-        for name, ref in ref_grads.items():
-            assert np.array_equal(getattr(grads, name), ref), name
-
 
 class TestHeadRowBlocks:
     """The pair grid is computed in blocks of head rows: at L=37 there are
     three, the last one 5 rows high. Against a one-block run, the hidden
-    layer and the tags of a given grid must be equal; scores, loss and
-    gradients may differ in float summation order (BLAS rounds the edge
-    tiles of a product by its shape). Against any thread count, everything
-    must be equal."""
+    layer, and the tags of an instance whose scores are exact, must be
+    equal; loss and gradients may differ in float summation order (BLAS
+    rounds the edge tiles of a product by its shape)."""
 
     RTOL, ATOL = 1e-12, 1e-14
     LENGTH, NUM_REL = 37, 5
 
-    def instance(self, masked):
+    def instance(self):
         emb, params, gold = random_instance(
             61, length=self.LENGTH, num_rel=self.NUM_REL, emb_dim=8, dropout=0.3
         )
-        cells = (self.LENGTH, self.NUM_REL, self.LENGTH)
-        mask = np.random.default_rng(62).random(cells) < 0.7 if masked else None
-        return emb, params, gold.tags, mask
+        return emb, params, gold.tags
 
-    def run(self, emb, params, gold_arr, mask):
-        grid = score_all(emb, params, training=True, rng_seed=63)
-        return {
-            "grid": grid,
-            "grads": backward(grid, gold_arr, mask, emb, params),
-            "loss": loss(grid, gold_arr, mask),
-            "probs": tag_distribution(grid),
-            "tags": predict_tags(grid, mask).tags,
-        }
+    @pytest.mark.parametrize("halves", [False, True])
+    def test_matches_one_block_run(self, monkeypatch, halves):
+        emb, params, gold = self.instance()
+        if halves:
+            to_half_integers(emb, params)
 
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_matches_one_block_run(self, monkeypatch, masked):
-        emb, params, gold_arr, mask = self.instance(masked)
-        blocked = self.run(emb, params, gold_arr, mask)
+        def run():
+            return train_grads(emb, gold, params, 63), tag_grid(emb, params).tags
+
+        blocked_grads, blocked_tags = run()
         monkeypatch.setattr(scorer, "_BLOCK_ROWS", 64)
-        whole = self.run(emb, params, gold_arr, mask)
-
-        assert np.array_equal(blocked["grid"].hidden, whole["grid"].hidden)
-        np.testing.assert_allclose(
-            blocked["grid"].scores, whole["grid"].scores, rtol=self.RTOL, atol=self.ATOL
-        )
-        assert np.array_equal(predict_tags(blocked["grid"], mask).tags, blocked["tags"])
-        assert np.array_equal(tag_distribution(blocked["grid"]), blocked["probs"])
-        assert blocked["loss"] == pytest.approx(whole["loss"], rel=self.RTOL, abs=self.ATOL)
-        for name in ("pair_proj", "pair_bias", "rel_tag_emb", "emb", "loss"):
+        whole_grads, whole_tags = run()
+        for name in GRAD_NAMES + ("loss",):
             np.testing.assert_allclose(
-                getattr(blocked["grads"], name),
-                getattr(whole["grads"], name),
+                getattr(blocked_grads, name),
+                getattr(whole_grads, name),
                 rtol=self.RTOL,
                 atol=self.ATOL,
                 err_msg=name,
             )
-
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_backward_loss_is_loss_bit_for_bit(self, masked):
-        emb, params, gold_arr, mask = self.instance(masked)
-        out = self.run(emb, params, gold_arr, mask)
-        assert out["grads"].loss == out["loss"]
+        if halves:
+            assert np.array_equal(blocked_tags, whole_tags)
 
     def test_dropout_stream_is_one_draw_over_the_grid(self):
-        emb, params, gold_arr, _ = self.instance(False)
-        grid = score_all(emb, params, training=True, rng_seed=63)
-        _, ref_hidden, _, _ = float_mask_reference(emb, params, gold_arr, rng_seed=63)
-        assert np.array_equal(grid.hidden, ref_hidden)
-
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_thread_count_changes_no_output(self, block_threads, masked):
-        emb, params, gold_arr, mask = self.instance(masked)
-        block_threads(1)
-        one = self.run(emb, params, gold_arr, mask)
-        # more threads than cores or blocks, switching as often as possible
-        block_threads(4)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            many = [self.run(emb, params, gold_arr, mask) for _ in range(3)]
-        finally:
-            sys.setswitchinterval(interval)
-        for out in many:
-            assert np.array_equal(out["grid"].scores, one["grid"].scores)
-            assert np.array_equal(out["grid"].hidden, one["grid"].hidden)
-            assert np.array_equal(out["probs"], one["probs"])
-            assert np.array_equal(out["tags"], one["tags"])
-            assert out["loss"] == one["loss"]
-            for name in ("pair_proj", "pair_bias", "rel_tag_emb", "emb", "loss"):
-                assert np.array_equal(getattr(out["grads"], name), getattr(one["grads"], name))
+        emb, params, gold = self.instance()
+        heads, tails = scorer._projections(emb, params)
+        scale = 1.0 / (1.0 - params.dropout_rate)
+        blocks = scorer._map_blocks(
+            lambda rows: scorer._hidden_block(heads, tails, rows, params, 63, scale), self.LENGTH
+        )
+        assert len(blocks) == 3
+        _, ref_hidden, _, _ = float_mask_reference(emb, params, gold, rng_seed=63)
+        assert np.array_equal(np.concatenate(blocks), ref_hidden.reshape(-1, params.hidden_dim))
 
     def test_blocks_cover_rows_in_order(self, block_threads):
         block_threads(3)
@@ -590,23 +516,10 @@ class TestHeadRowBlocks:
         assert info.value is error
 
 
-class TestDenseGold:
-    def test_matches_cells_and_pads_with_none(self):
-        gold = TagMatrix(length=3, num_relations=2)
-        gold.set(0, 1, 2, Tag.HB_TE)
-        gold.set(2, 0, 2, Tag.HE_TE)
-        for padded in (None, 3, 5):
-            arr = dense_gold(gold, padded)
-            size = 3 if padded is None else padded
-            assert arr.shape == (size, 2, size)
-            expected = np.zeros_like(arr)
-            expected[0, 1, 2] = int(Tag.HB_TE)
-            expected[2, 0, 2] = int(Tag.HE_TE)
-            np.testing.assert_array_equal(arr, expected)
-        assert not dense_gold(TagMatrix(length=2, num_relations=1), 4).any()
-
-
 class TestPredictTags:
+    """_tags, the argmax kernel, on hand-built (cells..., 4) score blocks,
+    and tag_grid against per-cell oracles."""
+
     def test_four_way_tie_gives_empty_matrix(self):
         emb = np.zeros((3, 4))
         params = ScorerParams(
@@ -615,77 +528,60 @@ class TestPredictTags:
             rel_tag_emb=np.zeros((12, 8)),
             dropout_rate=0.0,
         )
-        assert predict_tags(score_all(emb, params)).cells == {}
+        assert tag_grid(emb, params).cells == {}
 
     def test_single_favoured_cell(self):
-        emb, params, _ = random_instance(27, length=9)
-        grid = score_all(emb, params)
-        grid.scores[:] = 0.0
-        grid.scores[0, 1, int(Tag.HB_TE), 8] = 5.0
-        matrix = predict_tags(grid)
-        assert matrix.cells == {(0, 1, 8): Tag.HB_TE}
+        scores = np.zeros((9, 2, 9, NUM_TAGS))  # cells (i, k, j)
+        scores[0, 1, 8, int(Tag.HB_TE)] = 5.0
+        assert TagMatrix(9, 2, scorer._tags(scores)).cells == {(0, 1, 8): Tag.HB_TE}
 
     def test_matches_per_cell_argmax_oracle(self):
         emb, params, _ = random_instance(29)
-        grid = score_all(emb, params)
-        matrix = predict_tags(grid)
+        matrix = tag_grid(emb, params)
         for i in range(3):
             for k in range(2):
                 for j in range(3):
-                    scores = grid.scores[i, k, :, j]
+                    scores = [naive_cell_score(emb, params, i, k, t, j) for t in range(NUM_TAGS)]
                     best = int(np.argmax(scores))
-                    if (scores == scores[best]).sum() > 1:
+                    if scores.count(scores[best]) > 1:
                         best = 0
                     assert int(matrix.get(i, k, j)) == best
 
     def test_two_way_non_none_tie_resolves_to_none(self):
-        emb, params, _ = random_instance(31)
-        grid = score_all(emb, params)
-        grid.scores[:] = 0.0
-        grid.scores[1, 0, int(Tag.HB_TB), 2] = 3.0
-        grid.scores[1, 0, int(Tag.HE_TE), 2] = 3.0
-        assert predict_tags(grid).cells == {}
+        scores = np.zeros((3, 2, 3, NUM_TAGS))
+        scores[1, 0, 2, int(Tag.HB_TB)] = 3.0
+        scores[1, 0, 2, int(Tag.HE_TE)] = 3.0
+        assert not scorer._tags(scores).any()
 
     def test_invariant_under_constant_shift(self):
-        emb, params, _ = random_instance(33)
-        grid = score_all(emb, params)
-        before = predict_tags(grid).cells
-        grid.scores += 17.5  # same constant for all 4 tags of every cell
-        assert predict_tags(grid).cells == before
+        emb, params, gold = random_instance(33)
+        scores = np.moveaxis(concat_reference(emb, params, gold.tags)[0], 2, 3)
+        before = scorer._tags(scores)
+        assert before.any()
+        # the same constant for all 4 tags of every cell
+        assert np.array_equal(scorer._tags(scores + 17.5), before)
 
     @settings(max_examples=120, deadline=None)
     @given(
         length=st.integers(1, 20),
         num_rel=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
-        masked=st.booleans(),
     )
-    def test_matches_per_cell_reference_on_tied_scores(self, length, num_rel, seed, masked):
+    def test_matches_per_cell_reference_on_tied_scores(self, length, num_rel, seed):
         # scores from {-2, ..., 2}: many cells tie, some at the top only
         rng = np.random.default_rng(seed)
         scores = rng.integers(-2, 3, size=(length, num_rel, NUM_TAGS, length)).astype(float)
-        mask = rng.random((length, num_rel, length)) < 0.7 if masked else None
-        grid = ScoreGrid(scores=scores, hidden=np.zeros((length, length, 1)), dropout_scale=1.0)
-        matrix = predict_tags(grid, mask)
-        assert matrix.tags.dtype == np.int8
-        assert matrix.cells == reference_predict_tags(scores, mask)
-
-    def test_mask_excludes_cells(self):
-        emb, params, _ = random_instance(35)
-        grid = score_all(emb, params)
-        grid.scores[:] = 0.0
-        grid.scores[0, 0, int(Tag.HB_TE), 1] = 4.0
-        grid.scores[2, 0, int(Tag.HB_TE), 1] = 4.0
-        mask = np.ones((3, 2, 3), dtype=bool)
-        mask[2, :, :] = False
-        assert predict_tags(grid, mask).cells == {(0, 0, 1): Tag.HB_TE}
+        tags = scorer._tags(np.moveaxis(scores, 2, 3))
+        assert tags.dtype == np.int8
+        assert TagMatrix(length, num_rel, tags).cells == reference_predict_tags(scores)
 
 
 class TestFusedDrivers:
     """train_grads and tag_grid take each block of head rows from the hidden
     layer to gradients or tags without keeping a grid. They must equal the
-    two-step drivers: gradients and loss up to float summation order, tags
-    bit for bit, and both bit for bit under any thread count."""
+    concatenated-pair reference: gradients and loss up to float summation
+    order, tags bit for bit where every score is exact; and both bit for
+    bit under any thread count."""
 
     RTOL, ATOL = 1e-12, 1e-14
     lengths = st.one_of(st.sampled_from([1, 16, 17, 37]), st.integers(1, 40))
@@ -702,43 +598,35 @@ class TestFusedDrivers:
         seed=st.integers(0, 2**32 - 1),
         dropout=st.sampled_from([0.0, 0.3]),
     )
-    def test_train_grads_match_backward(self, length, num_rel, seed, dropout):
+    def test_train_grads_match_concat_reference(self, length, num_rel, seed, dropout):
         emb, params, gold = self.instance(seed, length, num_rel, dropout)
         fused = train_grads(emb, gold, params, seed)
-        grid = score_all(emb, params, training=True, rng_seed=seed)
-        ref = backward(grid, gold, None, emb, params)
-        for name in ("pair_proj", "pair_bias", "rel_tag_emb", "emb"):
+        _, ref_loss, ref_grads = concat_reference(
+            emb, params, gold, training=dropout > 0.0, rng_seed=seed
+        )
+        for name in GRAD_NAMES:
             np.testing.assert_allclose(
-                getattr(fused, name), getattr(ref, name), rtol=self.RTOL, atol=self.ATOL,
+                getattr(fused, name), ref_grads[name], rtol=self.RTOL, atol=self.ATOL,
                 err_msg=name,
             )
-        assert fused.loss == pytest.approx(ref.loss, rel=self.RTOL, abs=self.ATOL)
+        assert fused.loss == pytest.approx(ref_loss, rel=self.RTOL, abs=self.ATOL)
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        length=lengths,
-        num_rel=st.integers(1, 4),
-        seed=st.integers(0, 2**32 - 1),
-        halves=st.booleans(),
-    )
-    def test_tag_grid_matches_predict_tags(self, length, num_rel, seed, halves):
-        emb, params, _ = self.instance(seed, length, num_rel)
-        if halves:
-            # half-integer inputs give exact scores, so many cells tie
-            for arr in (emb, params.pair_proj, params.pair_bias, params.rel_tag_emb):
-                arr[...] = np.round(2.0 * arr) / 2.0
-        tags = tag_grid(emb, params).tags
-        assert tags.dtype == np.int8
-        assert np.array_equal(tags, predict_tags(score_all(emb, params)).tags)
+    @given(length=lengths, num_rel=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_tag_grid_matches_reference_predict_tags(self, length, num_rel, seed):
+        emb, params, gold = self.instance(seed, length, num_rel)
+        to_half_integers(emb, params)
+        tags = tag_grid(emb, params)
+        assert tags.tags.dtype == np.int8
+        assert tags.cells == reference_predict_tags(concat_reference(emb, params, gold)[0])
 
     def test_tag_grid_ties_and_all_equal_grid(self):
-        emb, params, _ = self.instance(81, 37, 3)
-        for arr in (emb, params.pair_proj, params.pair_bias, params.rel_tag_emb):
-            arr[...] = np.round(2.0 * arr) / 2.0
-        scores = score_all(emb, params).scores
+        emb, params, gold = self.instance(81, 37, 3)
+        to_half_integers(emb, params)
+        scores = concat_reference(emb, params, gold)[0]
         top = scores.max(axis=2, keepdims=True)
         assert ((scores == top).sum(axis=2) > 1).any()  # the instance has ties
-        assert np.array_equal(tag_grid(emb, params).tags, predict_tags(score_all(emb, params)).tags)
+        assert tag_grid(emb, params).cells == reference_predict_tags(scores)
         params.rel_tag_emb[...] = params.rel_tag_emb[:, :1]  # all four tags score alike
         assert not tag_grid(emb, params).tags.any()
 

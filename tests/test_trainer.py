@@ -4,9 +4,9 @@ import pytest
 from relgrid import trainer
 from relgrid.corpus import RelationVocab, Sentence, Span, Triple
 from relgrid.encoder import build_vocab, encode_indices
-from relgrid.scorer import ScorerParams, backward, dense_gold, loss, score_all
+from relgrid.scorer import train_grads
 from relgrid.synthetic import SynthConfig, generate_corpus
-from relgrid.tagging import TagMatrix, encode
+from relgrid.tagging import encode
 from relgrid.trainer import (
     AdamState,
     Batch,
@@ -22,11 +22,11 @@ from relgrid.trainer import (
     save_checkpoint,
     train,
     train_step,
-    valid_mask,
     write_loss_log,
 )
 
 from conftest import make_sentence
+from test_scorer import concat_reference, pad_cells
 
 
 def encoded(corpus, vocab, num_relations):
@@ -45,13 +45,12 @@ def by_group(model, flat):
     return trainer._views(flat, trainer._trainable(model))
 
 
-def padded_train_step(model, batch, dropout_seeds):
-    """train_step with every row scored at the batch's longest length and the
-    padded cells masked out of the loss (positional model only); gradients
-    come back as one array per group."""
+def padded_train_step(model, batch):
+    """train_step, dropout off, with every row scored by concat_reference at
+    the batch's longest length and the padded cells masked out of the loss
+    (positional model only); gradients come back as one array per group."""
     size = len(batch.token_ids)
     padded = max(len(ids) for ids in batch.token_ids)
-    num_rel = model.params.num_relations
     grads = {
         "pair_proj": np.zeros_like(model.params.pair_proj),
         "pair_bias": np.zeros_like(model.params.pair_bias),
@@ -65,16 +64,13 @@ def padded_train_step(model, batch, dropout_seeds):
         ids = np.zeros(padded, dtype=np.int64)  # 0 = padding
         ids[:n] = batch.token_ids[row]
         emb = encode_indices(ids, model.table, True)
-        grid = score_all(emb, model.params, training=True, rng_seed=dropout_seeds[row])
-        mask = valid_mask(n, padded, num_rel)
-        gold = dense_gold(TagMatrix(n, num_rel, batch.gold[row]), padded)
-        g = backward(grid, gold, mask, emb, model.params)
-        batch_loss += g.loss
-        grads["pair_proj"] += g.pair_proj
-        grads["pair_bias"] += g.pair_bias
-        grads["rel_tag_emb"] += g.rel_tag_emb
-        np.add.at(grads["token_table"], ids, g.emb)
-        grads["positional_table"][:padded] += g.emb
+        gold, mask = pad_cells(batch.gold[row], padded)
+        _, loss, g = concat_reference(emb, model.params, gold, mask)
+        batch_loss += loss
+        for name in ("pair_proj", "pair_bias", "rel_tag_emb"):
+            grads[name] += g[name]
+        np.add.at(grads["token_table"], ids, g["emb"])
+        grads["positional_table"][:padded] += g["emb"]
     for arr in grads.values():
         arr /= size
     return batch_loss / size, grads
@@ -105,13 +101,6 @@ class TestBatches:
             for ids, gold in zip(b.token_ids, b.gold):
                 assert gold.dtype == np.int8
                 assert gold.shape == (len(ids), len(relations), len(ids))
-
-    def test_mask_admits_exactly_true_length_cells(self):
-        mask = valid_mask(3, 5, 2)
-        assert mask.sum() == 3 * 2 * 3
-        assert mask[:3, :, :3].all()
-        assert not mask[3:, :, :].any()
-        assert not mask[:, :, 3:].any()
 
     def test_same_seed_same_order(self, tiny_synth):
         corpus, relations = tiny_synth
@@ -158,7 +147,7 @@ class TestTrainStep:
         seeds = [11, 12, 13]
         got_loss, flat = train_step(model, batch, seeds)
         got = by_group(model, flat)
-        ref_loss, ref = padded_train_step(model, batch, seeds)
+        ref_loss, ref = padded_train_step(model, batch)
         assert got_loss == pytest.approx(ref_loss, rel=self.RTOL, abs=self.ATOL)
         assert flat.shape == model.weights.shape
         assert got.keys() == ref.keys() and len(ref) == 5
@@ -293,24 +282,23 @@ class TestAdam:
 
 class TestTraining:
     def test_padding_never_changes_loss(self, tiny_synth):
+        # the true-length loss train_grads reports equals the masked loss
+        # over the grid of the same sentence padded with token 0
         corpus, relations = tiny_synth
         vocab = build_vocab(corpus)
-        model = init_model(relations, vocab, TrainConfig(seed=2))
+        model = init_model(relations, vocab, TrainConfig(seed=2, dropout_rate=0.0))
         num_rel = len(relations)
         for s in corpus[:4]:
             gold, _ = encode(s, num_rel)
             n = len(s.sentence)
-            losses = []
-            for pad in (n, n + 1, n + 9):
-                ids = np.zeros(pad, dtype=np.int64)
-                ids[:n] = vocab.indices(s.sentence.tokens)
-                emb = encode_indices(ids, model.table, True)
-                grid = score_all(emb, model.params, training=False)
-                losses.append(
-                    loss(grid, dense_gold(gold, pad), valid_mask(n, pad, num_rel))
-                )
-            assert abs(losses[0] - losses[1]) <= 1e-12
-            assert abs(losses[0] - losses[2]) <= 1e-12
+            ids = np.zeros(n + 9, dtype=np.int64)
+            ids[:n] = vocab.indices(s.sentence.tokens)
+            emb = encode_indices(ids[:n], model.table, True)
+            true_length = train_grads(emb, gold.tags, model.params, 0).loss
+            for pad in (n + 1, n + 9):
+                emb = encode_indices(ids[:pad], model.table, True)
+                padded = concat_reference(emb, model.params, *pad_cells(gold.tags, pad))[1]
+                assert abs(padded - true_length) <= 1e-12
 
     def test_seeded_runs_are_bit_identical(self, tiny_synth):
         corpus, relations = tiny_synth
