@@ -173,6 +173,7 @@ class TestStats:
         )
         assert code == EXIT_DATA
         assert stderr == f"error: {data}:2: {message}\n"
+        assert stdout == ""
 
     @pytest.mark.parametrize(
         "text, triple",
@@ -199,7 +200,6 @@ class TestStats:
             f"error: {data}:2: malformed triple 1 in sentence 's2': "
             "needs [head, relation, tail] as three strings\n"
         )
-        assert stdout == ""
 
 
     @pytest.mark.parametrize("triples", ["5", "null", "{}"], ids=["number", "null", "object"])
