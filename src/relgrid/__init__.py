@@ -21,17 +21,11 @@ from .corpus import (
     load_public,
     save_native,
 )
-from .encoder import EmbeddingTable, Vocab, build_vocab, encode_tokens
-from .evaluation import (
-    MetricsReport,
-    breakdown,
-    export_relation_embeddings,
-    match_count,
-    micro_prf,
-)
+from .encoder import EmbeddingTable, Vocab, build_vocab, encode_indices
+from .evaluation import MetricsReport, breakdown, export_relation_embeddings, micro_prf, stack_rows
 from .scorer import ScorerParams, init_scorer_params, tag_grid, train_grads
 from .synthetic import SynthConfig, generate_corpus
-from .tagging import Tag, TagMatrix, decode, decode_array, encode, roundtrip_check
+from .tagging import Tag, decode, encode, roundtrip_check, triple_rows
 from .trainer import (
     Model,
     TrainConfig,

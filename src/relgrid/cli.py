@@ -20,11 +20,12 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .config import ConfigError
 from .corpus import (
     CorpusError,
     RelationVocab,
-    Triple,
     classify_pattern,
     corpus_stats,
     load_native,
@@ -34,17 +35,10 @@ from .corpus import (
     save_native,
 )
 from .encoder import Vocab
-from .evaluation import MATCH_MODES, breakdown_rows, export_relation_embeddings, stack_rows, triple_rows
+from .evaluation import MATCH_MODES, breakdown, export_relation_embeddings, stack_rows
 from .synthetic import GenerationError, SynthConfig, default_mix, generate_corpus
-from .tagging import decode_array, encode, render_relation_grid, roundtrip_check
-from .trainer import (
-    NumericError,
-    TrainConfig,
-    _predict_tags,
-    load_checkpoint,
-    train,
-    write_loss_log,
-)
+from .tagging import encode, render_relation_grid, roundtrip_check, triple_rows
+from .trainer import NumericError, TrainConfig, load_checkpoint, predict, train, write_loss_log
 
 logger = logging.getLogger("relgrid")
 
@@ -271,13 +265,13 @@ def cmd_eval(cfg: RunConfig) -> int:
     corpus, _ = _load_corpus(cfg, model.config.max_seq_len, model.relations)
 
     started = time.perf_counter()
-    predictions = stack_rows(decode_array(_predict_tags(s.sentence, model)) for s in corpus)
+    predictions = stack_rows(predict(s.sentence, model) for s in corpus)
     elapsed = time.perf_counter() - started
 
     gold = stack_rows(triple_rows(s.triples) for s in corpus)
     labels = [classify_pattern(s) for s in corpus]
     modes = [cfg.get("match")] if cfg.get("match") else list(MATCH_MODES)
-    reports = breakdown_rows(predictions, gold, labels, modes)
+    reports = breakdown(predictions, gold, labels, modes)
     for report in reports:
         print(report.to_text())
     print(
@@ -297,8 +291,11 @@ def cmd_eval(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _format_triple(t: Triple, relations: RelationVocab) -> str:
-    return f"({t.head.begin}..{t.head.end}, {relations.names[t.relation]}, {t.tail.begin}..{t.tail.end})"
+def _triple_lines(rows, relations: RelationVocab) -> list[str]:
+    """The text (hb..he, name, tb..te) of each row (k, hb, he, tb, te), in
+    Triple order."""
+    ordered = sorted((hb, he, k, tb, te) for k, hb, he, tb, te in rows)
+    return [f"({hb}..{he}, {relations.names[k]}, {tb}..{te})" for hb, he, k, tb, te in ordered]
 
 
 def cmd_tag(cfg: RunConfig) -> int:
@@ -312,27 +309,28 @@ def cmd_tag(cfg: RunConfig) -> int:
     sentence = native_sentence(record, known, relations is None, "tag input")
     vocab = relations or RelationVocab(names=tuple(known) or ("none",))
 
-    matrix, collisions = encode(sentence, len(vocab))
-    for k in matrix.relations_present():
+    tags, collisions = encode(sentence, len(vocab))
+    for k in np.flatnonzero(tags.any(axis=(0, 2))).tolist():
         print(f"relation: {vocab.names[k]}")
-        print(render_relation_grid(matrix, k, sentence.sentence.tokens))
+        print(render_relation_grid(tags, k, sentence.sentence.tokens))
         print()
     for c in collisions:
         print(f"collision at {c.cell}: kept {c.kept.name}, dropped {c.dropped.name}")
 
     result = roundtrip_check(sentence, len(vocab))
+    gold = frozenset(map(tuple, triple_rows(sentence.triples).tolist()))
     print("decoded triples:")
-    for t in sorted(result.spurious | (sentence.triples - result.missing)):
-        print(f"  {_format_triple(t, vocab)}")
+    for line in _triple_lines(result.spurious | (gold - result.missing), vocab):
+        print(f"  {line}")
     if result.exact and not sentence.triples:
         print("roundtrip: exact (empty)")
     elif result.exact:
         print("roundtrip: exact")
     else:
         print(f"roundtrip: {result}")
-        for label, triples in (("missing ", result.missing), ("spurious", result.spurious)):
-            for t in sorted(triples):
-                print(f"  {label}: {_format_triple(t, vocab)}")
+        for label, rows in (("missing ", result.missing), ("spurious", result.spurious)):
+            for line in _triple_lines(rows, vocab):
+                print(f"  {label}: {line}")
     return EXIT_OK
 
 

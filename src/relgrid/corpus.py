@@ -278,7 +278,9 @@ def native_sentence(
     `max_seq_len` appends its notices to `warnings`.
     """
     try:
-        sid, tokens, raw_triples = str(record["id"]), record["tokens"], record["triples"]
+        sid, tokens, raw_triples = record["id"], record["tokens"], record["triples"]
+        if not isinstance(sid, str):
+            raise ValueError("\"id\" must be a string")
         if not (type(tokens) is list and set(map(type, tokens)) <= {str}):
             raise ValueError("\"tokens\" must be a list of strings")
         if not isinstance(raw_triples, list):
@@ -286,13 +288,13 @@ def native_sentence(
         triples = []
         for n, raw in enumerate(raw_triples):
             try:
-                head, tail, rel_name = raw["head"], raw["tail"], str(raw["relation"])
+                head, tail, rel_name = raw["head"], raw["tail"], raw["relation"]
                 # exactly two ints each; a JSON bool has its own type
-                spans_ok = list(map(type, head)) == list(map(type, tail)) == [int, int]
+                ok = type(rel_name) is str and list(map(type, head)) == list(map(type, tail)) == [int, int]
             except (KeyError, TypeError):
-                spans_ok = False
-            if not spans_ok:
-                raise ValueError(f"malformed triple {n} in sentence {sid!r}: needs relation, "
+                ok = False
+            if not ok:
+                raise ValueError(f"malformed triple {n} in sentence {sid!r}: needs a relation string, "
                                  "head [begin, end] and tail [begin, end] with integer ends")
             if rel_name not in known:
                 if not grow:
@@ -412,7 +414,9 @@ def load_public(
         tokens = tuple(text.split())
         if not tokens:
             raise CorpusError(f"{path}:{lineno}: empty text")
-        sid = str(record.get("id", lineno))
+        sid = record.get("id", str(lineno))
+        if not isinstance(sid, str):
+            raise CorpusError(f"{path}:{lineno}: \"id\" must be a string")
         raw_triples = record.get("triple_list", [])
         if not isinstance(raw_triples, list):
             raise CorpusError(f"{path}:{lineno}: \"triple_list\" must be a list")
@@ -423,6 +427,8 @@ def load_public(
                 raise CorpusError(f"{path}:{lineno}: malformed triple {n} in sentence {sid!r}: "
                                   "needs [head, relation, tail] as three strings")
             head_str, rel_name, tail_str = raw
+            if rel_name not in vocab.names:
+                raise CorpusError(f"{path}:{lineno}: sentence {sid!r}: unknown relation {rel_name!r}")
             rel = vocab.index(rel_name)
             head = resolve_entity(tokens, head_str, match_mode)
             tail = resolve_entity(tokens, tail_str, match_mode)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import AnnotatedSentence, Sentence
+from .corpus import AnnotatedSentence
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -117,17 +117,6 @@ def init_embedding_table(
     if max_seq_len is not None:
         positional = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(max_seq_len, dim))
     return EmbeddingTable(tokens=tokens, positional=positional)
-
-
-def encode_tokens(
-    s: Sentence,
-    table: EmbeddingTable,
-    vocab: Vocab,
-    use_positional: bool = True,
-) -> np.ndarray:
-    """L x d embedding matrix: token row (plus positional row when enabled)."""
-    idx = vocab.indices(s.tokens)
-    return encode_indices(idx, table, use_positional)
 
 
 def encode_indices(

@@ -7,12 +7,13 @@ a triple is correct when the relation and the end tokens of both entities
 match; exact match requires full span equality.
 
 All counting is one array core over a corpus's stacked column-major int64
-rows (s, k, hb, he, tb, te), s the sentence index. A match key packs columns,
-one at a time, into one exact int64: partial (s, k, he, te), exact all six,
-the entity pair either without k, the relation (s, k). A one-to-one count
-looks each predicted key up among the sorted distinct gold keys, so no
-predicted triple key is sorted; only the sub-task keys are, to count the
-distinct predicted keys by an adjacent compare.
+rows (s, k, hb, he, tb, te): each sentence's tagging.decode or triple_rows
+rows behind its index s. A match key packs columns, one at a time, into one
+exact int64: partial (s, k, he, te), exact all six, the entity pair either
+without k, the relation (s, k). A one-to-one count looks each predicted key
+up among the sorted distinct gold keys, so no predicted triple key is
+sorted; only the sub-task keys are, to count the distinct predicted keys by
+an adjacent compare.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .corpus import AnnotatedSentence, BUCKETS, PATTERN_FLAGS, PatternLabel, RelationVocab, Triple
-from .corpus import classify_pattern
+from .corpus import BUCKETS, PATTERN_FLAGS, PatternLabel, RelationVocab
 from .scorer import ScorerParams
 from .tagging import NUM_TAGS, Tag, TAG_NAMES
 
@@ -38,12 +38,6 @@ _MATCH_COLUMNS = {
     PARTIAL: ((_S, _K, _HE, _TE), (_S, _HE, _TE)),
     EXACT: ((_S, _K, _HB, _HE, _TB, _TE), (_S, _HB, _HE, _TB, _TE)),
 }
-
-
-def triple_rows(triples: Iterable[Triple]) -> np.ndarray:
-    """(n, 5) int64 rows (k, hb, he, tb, te), the layout of tagging.decode_array."""
-    rows = [(t.relation, t.head.begin, t.head.end, t.tail.begin, t.tail.end) for t in triples]
-    return np.array(rows, dtype=np.int64).reshape(-1, 5)
 
 
 def stack_rows(per_sentence: Iterable[np.ndarray]) -> np.ndarray:
@@ -99,13 +93,6 @@ def _correct(pred: np.ndarray, gold: np.ndarray, match_mode: str, sentences: int
         raise ValueError(f"unknown match mode {match_mode!r}")
     sentence, gold_counts, hits = _shared(pred, gold, _MATCH_COLUMNS[match_mode][0])
     return np.bincount(sentence, weights=np.minimum(gold_counts, hits), minlength=sentences).astype(np.int64)
-
-
-def match_count(pred: Iterable[Triple], gold: Iterable[Triple], match_mode: str) -> int:
-    """One-to-one correct count. Partial: relation and both end tokens
-    agree; exact: relation and both full spans agree."""
-    rows = [stack_rows([triple_rows(triples)]) for triples in (pred, gold)]
-    return int(_correct(*rows, match_mode, 1).sum())
 
 
 def micro_prf(correct: int, predicted: int, gold: int) -> tuple[float, float, float]:
@@ -185,30 +172,18 @@ class MetricsReport:
 
 
 def breakdown(
-    corpus: list[AnnotatedSentence],
-    predictions: list[frozenset[Triple]],
-    match_mode: str,
-) -> MetricsReport:
-    """Overall metrics plus per-pattern, per-bucket and sub-task scores.
+    pred: np.ndarray, gold: np.ndarray, labels: list[PatternLabel], match_modes: Iterable[str]
+) -> list[MetricsReport]:
+    """One report per match mode: overall metrics plus per-pattern, per-bucket
+    and sub-task scores, from stacked predicted and gold rows (see stack_rows)
+    and each sentence's classify_pattern label.
 
     Pattern pools are non-exclusive: a sentence carrying several flags
     contributes its counts to each. Buckets follow the gold triple count.
     The entity-pair and relation sub-tasks project each sentence's triples
-    to distinct (head, tail) pairs, at match_mode's granularity, or to
+    to distinct (head, tail) pairs, at the match mode's granularity, or to
     distinct relations, and pool those corpus-wide.
     """
-    if len(corpus) != len(predictions):
-        raise ValueError("one prediction set per sentence required")
-    pred = stack_rows(map(triple_rows, predictions))
-    gold = stack_rows(triple_rows(s.triples) for s in corpus)
-    return breakdown_rows(pred, gold, [classify_pattern(s) for s in corpus], [match_mode])[0]
-
-
-def breakdown_rows(
-    pred: np.ndarray, gold: np.ndarray, labels: list[PatternLabel], match_modes: Iterable[str]
-) -> list[MetricsReport]:
-    """breakdown in each match mode on stacked predicted and gold rows (see
-    stack_rows), given each sentence's classify_pattern label."""
     sentences = len(labels)
     predicted, gold_count = (np.bincount(rows[:, _S], minlength=sentences) for rows in (pred, gold))
     last = max(len(predicted), len(gold_count)) - 1

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tagging import NUM_TAGS, TagMatrix
+from .tagging import NUM_TAGS
 
 
 @dataclass
@@ -286,9 +286,9 @@ def train_grads(
     return _sum_grads(_map_blocks(block, length), d_heads, emb, params, gold.size)
 
 
-def tag_grid(emb: np.ndarray, params: ScorerParams) -> TagMatrix:
-    """The argmax tag of every (i, k, j) cell, exact ties to NONE, with no
-    dropout; each block goes from hidden layer to int8 tags in one pass."""
+def tag_grid(emb: np.ndarray, params: ScorerParams) -> np.ndarray:
+    """The (L, K, L) int8 grid of every cell's argmax tag, exact ties to NONE,
+    with no dropout; each block goes from hidden layer to tags in one pass."""
     heads, tails = _projections(emb, params)
     length, num_rel = emb.shape[0], params.num_relations
     tags = np.empty((length, num_rel, length), dtype=np.int8)
@@ -298,4 +298,4 @@ def tag_grid(emb: np.ndarray, params: ScorerParams) -> TagMatrix:
         tags[rows] = _tags(scores.reshape(-1, length, num_rel, NUM_TAGS)).transpose(0, 2, 1)
 
     _map_blocks(block, length)
-    return TagMatrix(length, num_rel, tags)
+    return tags

@@ -14,7 +14,8 @@ below the anchor row in the same column, the tail begin the nearest HB_TB at
 or left of the anchor column in the same row; a missing neighbour means a
 single-token head or tail. Both lookups are binary searches over the sorted
 integer keys (k, col, row) of the HE_TE cells and (k, row, col) of the HB_TB
-cells. decode_array returns integer rows; only decode builds Triple objects.
+cells. Decoded triples are (n, 5) int64 rows (k, hb, he, tb, te), the layout
+triple_rows gives a Triple set, and stay rows through evaluation.
 
 Single-token heads or tails make two of the three corner assignments land
 on the same cell; that collapse is resolved by the fixed tag priority
@@ -25,13 +26,13 @@ collision report and may lose information.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from .corpus import AnnotatedSentence, Span, Triple
+from .corpus import AnnotatedSentence, Triple
 
 
 class Tag(IntEnum):
@@ -65,61 +66,6 @@ class Collision:
     dropped: Tag
 
 
-class TagMatrix:
-    """Dense L x K x L tag grid: one int8 array of Tag values, 0 = NONE."""
-
-    def __init__(self, length: int, num_relations: int, tags: np.ndarray | None = None):
-        shape = (length, num_relations, length)
-        if tags is None:
-            tags = np.zeros(shape, dtype=np.int8)
-        elif tags.shape != shape or tags.dtype != np.int8:
-            raise ValueError(f"tags must be an int8 array of shape {shape}")
-        self.length = length
-        self.num_relations = num_relations
-        self.tags = tags
-
-    def _check(self, i: int, k: int, j: int) -> tuple[int, int, int]:
-        if not (0 <= i < self.length and 0 <= j < self.length and 0 <= k < self.num_relations):
-            raise ValueError(f"cell ({i}, {k}, {j}) outside the {self.tags.shape} grid")
-        return i, k, j
-
-    def get(self, i: int, k: int, j: int) -> Tag:
-        return _TAGS[self.tags[self._check(i, k, j)]]
-
-    def set(self, i: int, k: int, j: int, tag: Tag) -> None:
-        self.tags[self._check(i, k, j)] = tag
-
-    @property
-    def cells(self) -> "TagCells":
-        return TagCells(self.tags)
-
-    def relations_present(self) -> list[int]:
-        return np.flatnonzero(self.tags.any(axis=(0, 2))).tolist()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TagMatrix) and np.array_equal(self.tags, other.tags)
-
-
-class TagCells(Mapping):
-    """Read-only live view {(i, k, j): Tag} of a grid's tagged cells; its
-    length is one count over the array, and writing through it raises."""
-
-    def __init__(self, tags: np.ndarray):
-        self._tags = tags
-
-    def __getitem__(self, cell: tuple[int, int, int]) -> Tag:
-        shape = self._tags.shape
-        if len(cell) == 3 and all(0 <= c < n for c, n in zip(cell, shape)) and self._tags[cell]:
-            return _TAGS[self._tags[cell]]
-        raise KeyError(cell)
-
-    def __iter__(self):
-        return zip(*(c.tolist() for c in np.nonzero(self._tags)))
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self._tags))
-
-
 def _corner_assignments(t: Triple) -> dict[tuple[int, int, int], Tag]:
     """The (up to three) cells of one triple, collapse already resolved."""
     hb, he = t.head.begin, t.head.end
@@ -136,15 +82,15 @@ def _corner_assignments(t: Triple) -> dict[tuple[int, int, int], Tag]:
     return cells
 
 
-def encode(s: AnnotatedSentence, num_relations: int) -> tuple[TagMatrix, list[Collision]]:
-    """Write every triple's corner cells into a fresh grid.
+def encode(s: AnnotatedSentence, num_relations: int) -> tuple[np.ndarray, list[Collision]]:
+    """Write every triple's corner cells into a fresh (L, K, L) int8 grid.
 
     Cross-triple overwrites resolve by TAG_PRIORITY and are returned as the
     collision report; an empty report means no tag was destroyed by another
     triple. Within-triple single-token collapses are silent (lossless).
     """
-    matrix = TagMatrix(length=len(s.sentence), num_relations=num_relations)
-    tags = matrix.tags
+    length = len(s.sentence)
+    tags = np.zeros((length, num_relations, length), dtype=np.int8)
     collisions: list[Collision] = []
     for t in s.sorted_triples():
         if not 0 <= t.relation < num_relations:
@@ -161,26 +107,26 @@ def encode(s: AnnotatedSentence, num_relations: int) -> tuple[TagMatrix, list[Co
                 collisions.append(Collision(cell=cell, kept=tag, dropped=old))
             else:
                 collisions.append(Collision(cell=cell, kept=old, dropped=tag))
-    return matrix, collisions
+    return tags, collisions
 
 
-def decode_array(matrix: TagMatrix) -> np.ndarray:
-    """Recover the triples of a tag grid as an (n, 5) int64 array of rows
+def decode(tags: np.ndarray) -> np.ndarray:
+    """Recover the triples of an (L, K, L) tag grid as an (n, 5) int64 array of rows
     (k, hb, he, tb, te) in anchor-key (k, hb, te) order; total, never raises.
 
     Per relation, each HB_TE cell (hb, te) anchors one triple: the head end
     is the smallest HE_TE row >= hb in column te (hb itself if none), the
     tail begin the largest HB_TB column <= te in row hb (te itself if none).
     """
-    n = matrix.length
+    n = tags.shape[0]
     # In these C-order (k, row, col) and (k, col, row) copies, the position
     # of a cell is its integer sort key. Tags compare as plain ints: an
     # IntEnum operand sends NumPy down a much slower path.
-    by_row = matrix.tags.transpose(1, 0, 2).ravel()
+    by_row = tags.transpose(1, 0, 2).ravel()
     anchors = (by_row == _HB_TE).nonzero()[0].astype(np.int64, copy=False)
     if anchors.size == 0:
         return np.empty((0, 5), dtype=np.int64)
-    by_col = matrix.tags.transpose(1, 2, 0).ravel()
+    by_col = tags.transpose(1, 2, 0).ravel()
     # sentinels: one key past every HE_TE key, one before every HB_TB key
     he_keys = np.concatenate([(by_col == _HE_TE).nonzero()[0], [by_col.size]])
     tb_keys = np.concatenate([[-1], (by_row == _HB_TB).nonzero()[0]])
@@ -198,26 +144,20 @@ def decode_array(matrix: TagMatrix) -> np.ndarray:
     return np.column_stack([k, hb, he, tb, te])
 
 
-def decode(matrix: TagMatrix) -> frozenset[Triple]:
-    """The triple set of decode_array(matrix)."""
-    n = matrix.length
-    k, hb, he, tb, te = decode_array(matrix).T
-    # one Span object per distinct (begin, end), keyed by begin * n + end
-    head_ids = (hb * n + he).tolist()
-    tail_ids = (tb * n + te).tolist()
-    spans = {i: Span(*divmod(i, n)) for i in {*head_ids, *tail_ids}}
-    return frozenset(
-        map(Triple, map(spans.__getitem__, head_ids), k.tolist(), map(spans.__getitem__, tail_ids))
-    )
+def triple_rows(triples: Iterable[Triple]) -> np.ndarray:
+    """(n, 5) int64 rows (k, hb, he, tb, te) of a Triple set, decode's layout."""
+    rows = [(t.relation, t.head.begin, t.head.end, t.tail.begin, t.tail.end) for t in triples]
+    return np.array(rows, dtype=np.int64).reshape(-1, 5)
 
 
 @dataclass(frozen=True)
 class RoundtripResult:
-    """Outcome of decode(encode(s)) compared against the gold triples."""
+    """Outcome of decode(encode(s)) compared against the gold triples, as
+    row tuples (k, hb, he, tb, te)."""
 
     exact: bool
-    missing: frozenset[Triple]
-    spurious: frozenset[Triple]
+    missing: frozenset[tuple[int, ...]]
+    spurious: frozenset[tuple[int, ...]]
     collisions: tuple[Collision, ...]
 
     def __str__(self) -> str:
@@ -228,10 +168,11 @@ class RoundtripResult:
 
 def roundtrip_check(s: AnnotatedSentence, num_relations: int) -> RoundtripResult:
     """Encode then decode and report the symmetric difference to the gold set."""
-    matrix, collisions = encode(s, num_relations)
-    decoded = decode(matrix)
-    missing = frozenset(s.triples - decoded)
-    spurious = frozenset(decoded - s.triples)
+    tags, collisions = encode(s, num_relations)
+    decoded = frozenset(map(tuple, decode(tags).tolist()))
+    gold = frozenset(map(tuple, triple_rows(s.triples).tolist()))
+    missing = gold - decoded
+    spurious = decoded - gold
     return RoundtripResult(
         exact=not missing and not spurious,
         missing=missing,
@@ -241,7 +182,7 @@ def roundtrip_check(s: AnnotatedSentence, num_relations: int) -> RoundtripResult
 
 
 def render_relation_grid(
-    matrix: TagMatrix, relation: int, tokens: tuple[str, ...], cell_width: int = 7
+    tags: np.ndarray, relation: int, tokens: tuple[str, ...], cell_width: int = 7
 ) -> str:
     """Fixed-width text rendering of one relation's sub-grid.
 
@@ -256,7 +197,7 @@ def render_relation_grid(
 
     header = clip("") + " " + " ".join(clip(tok) for tok in tokens)
     lines = [header]
-    for tok, row_tags in zip(tokens, matrix.tags[:, relation, :].tolist()):
+    for tok, row_tags in zip(tokens, tags[:, relation, :].tolist()):
         row = [clip(tok)] + [clip(TAG_GLYPHS[_TAGS[tag]]) for tag in row_tags]
         lines.append(" ".join(row))
     return "\n".join(lines)

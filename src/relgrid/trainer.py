@@ -1,6 +1,6 @@
 """Mini-batch training loop: each sentence encoded once and scored at its
 true length, Adam updates on one flat weight vector, per-epoch
-checkpointing, and end-to-end prediction (score -> tag -> decode).
+checkpointing, and end-to-end prediction (tag_grid -> decode rows).
 """
 
 from __future__ import annotations
@@ -19,17 +19,10 @@ from typing import Callable
 import numpy as np
 
 from .config import ConfigError, check_fields, is_int, is_real
-from .corpus import AnnotatedSentence, RelationVocab, Sentence, Triple
-from .encoder import (
-    EmbeddingTable,
-    Vocab,
-    build_vocab,
-    encode_indices,
-    encode_tokens,
-    init_embedding_table,
-)
+from .corpus import AnnotatedSentence, RelationVocab, Sentence
+from .encoder import EmbeddingTable, Vocab, build_vocab, encode_indices, init_embedding_table
 from .scorer import ScorerParams, init_scorer_params, tag_grid, train_grads
-from .tagging import NUM_TAGS, TagMatrix, decode, encode
+from .tagging import NUM_TAGS, decode, encode
 
 logger = logging.getLogger(__name__)
 
@@ -92,9 +85,14 @@ class TrainConfig:
         return asdict(self)
 
     @classmethod
-    def from_json(cls, data: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in data.items() if k in known})
+    def from_json(cls, data) -> "TrainConfig":
+        """ConfigError unless `data` is an object whose keys are all fields."""
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object")
+        unknown = sorted(data.keys() - cls.__dataclass_fields__.keys())
+        if unknown:
+            raise ConfigError(f"unknown keys {unknown}")
+        return cls(**data)
 
     def hash(self) -> str:
         blob = json.dumps(self.to_json(), sort_keys=True).encode("utf-8")
@@ -290,8 +288,7 @@ def train(
     # gold grids come from the tag codec; encoding collisions in gold data
     # are tolerated (priority rule applies)
     encoded = [
-        (vocab.indices(s.sentence.tokens), encode(s, len(relations))[0].tags)
-        for s in corpus
+        (vocab.indices(s.sentence.tokens), encode(s, len(relations))[0]) for s in corpus
     ]
 
     log: list[EpochRecord] = []
@@ -322,25 +319,20 @@ def train(
     return model, log
 
 
-def _predict_tags(sentence: Sentence, model: Model) -> TagMatrix:
-    """tag_grid(embeddings), dropout off, at most max_seq_len tokens."""
-    if len(sentence) > model.config.max_seq_len:
+def predict(sentence: Sentence, model: Model) -> np.ndarray:
+    """decode(tag_grid(embeddings)), dropout off, at most max_seq_len tokens:
+    the predicted triples as (n, 5) int64 rows (k, hb, he, tb, te)."""
+    tokens = sentence.tokens
+    if len(tokens) > model.config.max_seq_len:
         logger.warning(
             "sentence %r truncated from %d to %d tokens",
             sentence.id,
-            len(sentence),
+            len(tokens),
             model.config.max_seq_len,
         )
-        sentence = Sentence(
-            tokens=sentence.tokens[: model.config.max_seq_len], id=sentence.id
-        )
-    emb = encode_tokens(sentence, model.table, model.vocab, model.config.use_positional)
-    return tag_grid(emb, model.params)
-
-
-def predict(sentence: Sentence, model: Model) -> frozenset[Triple]:
-    """decode(tag_grid(embeddings)), dropout off."""
-    return decode(_predict_tags(sentence, model))
+        tokens = tokens[: model.config.max_seq_len]
+    emb = encode_indices(model.vocab.indices(tokens), model.table, model.config.use_positional)
+    return decode(tag_grid(emb, model.params))
 
 
 def write_loss_log(path: str | Path, log: list[EpochRecord]) -> None:

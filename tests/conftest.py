@@ -5,6 +5,7 @@ from hypothesis import settings
 from relgrid import scorer
 from relgrid.corpus import AnnotatedSentence, RelationVocab, Sentence, Span, Triple
 from relgrid.synthetic import SynthConfig, generate_corpus
+from relgrid.tagging import Tag
 
 # Property tests draw the same examples on every run and keep no example
 # database on disk.
@@ -17,6 +18,16 @@ def make_sentence(n_tokens, triples, sid="s"):
     return AnnotatedSentence(
         sentence=Sentence(tokens=tokens, id=sid), triples=frozenset(triples)
     )
+
+
+def tag_cells(tags):
+    """{(i, k, j): Tag} of the tagged cells of an (L, K, L) int8 grid."""
+    return {(i, k, j): Tag(int(tags[i, k, j])) for i, k, j in np.argwhere(tags).tolist()}
+
+
+def as_triples(rows):
+    """The Triple set of (n, 5) rows (k, hb, he, tb, te)."""
+    return frozenset(Triple(Span(hb, he), k, Span(tb, te)) for k, hb, he, tb, te in rows.tolist())
 
 
 def random_triples(rng, length, num_relations, max_triples=4, max_width=3):

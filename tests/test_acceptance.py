@@ -24,10 +24,10 @@ from relgrid.corpus import (
     save_native,
 )
 from relgrid.encoder import build_vocab, encode_indices
-from relgrid.evaluation import EXACT, PARTIAL, breakdown, match_count, micro_prf
+from relgrid.evaluation import EXACT, PARTIAL, breakdown, micro_prf, stack_rows
 from relgrid.scorer import ScorerParams, train_grads
 from relgrid.synthetic import SynthConfig, generate_corpus
-from relgrid.tagging import Tag, encode, roundtrip_check
+from relgrid.tagging import Tag, encode, roundtrip_check, triple_rows
 from relgrid.trainer import (
     TrainConfig,
     init_model,
@@ -35,8 +35,9 @@ from relgrid.trainer import (
     train,
 )
 
-from conftest import make_sentence, random_triples
+from conftest import make_sentence, random_triples, tag_cells
 from test_evaluation import (
+    correct_count,
     exact_compatible,
     max_bipartite_matching,
     partial_compatible,
@@ -108,29 +109,29 @@ def test_criterion_2_documented_tagging_scenarios(fig2_sentence, report):
     failures = []
 
     # scenario (a): one located-in triple -> the three documented corners
-    matrix, collisions = encode(fig2_sentence["single"], 1)
+    tags, collisions = encode(fig2_sentence["single"], 1)
     want_a = {(0, 0, 6): Tag.HB_TB, (0, 0, 8): Tag.HB_TE, (2, 0, 8): Tag.HE_TE}
-    if matrix.cells != want_a or collisions:
+    if tag_cells(tags) != want_a or collisions:
         failures.append("single-triple cells")
     if not roundtrip_check(fig2_sentence["single"], 1).exact:
         failures.append("single-triple roundtrip")
 
     # scenario (a)+(b): the entity-pair-overlap pair lands in two sub-grids
-    matrix, collisions = encode(fig2_sentence["epo_pair"], 2)
+    tags, collisions = encode(fig2_sentence["epo_pair"], 2)
     want_ab = dict(want_a)
     want_ab.update(
         {(6, 1, 0): Tag.HB_TB, (6, 1, 2): Tag.HB_TE, (8, 1, 2): Tag.HE_TE}
     )
-    if matrix.cells != want_ab or collisions:
+    if tag_cells(tags) != want_ab or collisions:
         failures.append("epo-pair cells")
     if not roundtrip_check(fig2_sentence["epo_pair"], 2).exact:
         failures.append("epo-pair roundtrip")
 
     # scenario (c): overlapping head/tail sits by the diagonal and decodes
     hto = make_sentence(3, [Triple(Span(0, 2), 0, Span(0, 1))], sid="fig2c")
-    matrix, collisions = encode(hto, 1)
+    tags, collisions = encode(hto, 1)
     want_c = {(0, 0, 0): Tag.HB_TB, (0, 0, 1): Tag.HB_TE, (2, 0, 1): Tag.HE_TE}
-    if matrix.cells != want_c or collisions:
+    if tag_cells(tags) != want_c or collisions:
         failures.append("hto cells")
     if not roundtrip_check(hto, 1).exact:
         failures.append("hto roundtrip")
@@ -178,7 +179,7 @@ def test_criterion_4_uniform_loss_anchor(report):
             emb = rng.normal(size=(length, emb_dim))
             s = make_sentence(length, random_triples(rng, length, num_rel))
             gold, _ = encode(s, num_rel)
-            value = train_grads(emb, gold.tags, params, 0).loss
+            value = train_grads(emb, gold, params, 0).loss
             worst = max(worst, abs(value - np.log(4.0)))
             cases += 1
     ok = worst <= 1e-9
@@ -214,11 +215,17 @@ def test_criterion_5_overfit_to_perfect_exact_f1(report, tmp_path, capsys):
     started = time.perf_counter()
     reached: list[int] = []
 
+    gold = stack_rows(triple_rows(s.triples) for s in corpus)
+    labels = [classify_pattern(s) for s in corpus]
+
+    def exact_f1(model):
+        predictions = stack_rows(predict(s.sentence, model) for s in corpus)
+        return breakdown(predictions, gold, labels, [EXACT])[0].f1
+
     def stop_when_fit(epoch, model, mean_loss):
         if epoch % 5:
             return False
-        predictions = [predict(s.sentence, model) for s in corpus]
-        if breakdown(corpus, predictions, "exact").f1 == 1.0:
+        if exact_f1(model) == 1.0:
             reached.append(epoch)
             return True
         return False
@@ -229,8 +236,7 @@ def test_criterion_5_overfit_to_perfect_exact_f1(report, tmp_path, capsys):
     )
     elapsed = time.perf_counter() - started
 
-    predictions = [predict(s.sentence, model) for s in corpus]
-    final_f1 = breakdown(corpus, predictions, "exact").f1
+    final_f1 = exact_f1(model)
 
     # the checkpoint evaluated on its own training corpus via the CLI
     # reports the same perfect score
@@ -275,10 +281,10 @@ def test_criterion_6_padding_inertia(report):
         ids = np.zeros(n + 17, dtype=np.int64)
         ids[:n] = vocab.indices(s.sentence.tokens)
         emb = encode_indices(ids[:n], model.table, True)
-        values = [train_grads(emb, gold.tags, params, 0).loss]
+        values = [train_grads(emb, gold, params, 0).loss]
         for pad in (n + 1, n + 9, n + 17):
             emb = encode_indices(ids[:pad], model.table, True)
-            values.append(concat_reference(emb, params, *pad_cells(gold.tags, pad))[1])
+            values.append(concat_reference(emb, params, *pad_cells(gold, pad))[1])
         worst = max(worst, max(values) - min(values))
     ok = worst <= 1e-12
     report(
@@ -300,8 +306,8 @@ def test_criterion_7_metrics_against_brute_force_oracles(report):
         pred = perturb(rng, gold, length, 4)
         pairs += 1
 
-        partial = match_count(pred, gold, PARTIAL)
-        exact = match_count(pred, gold, EXACT)
+        partial = correct_count(pred, gold, PARTIAL)
+        exact = correct_count(pred, gold, EXACT)
         if partial != max_bipartite_matching(pred, gold, partial_compatible):
             mismatches += 1
         if exact != max_bipartite_matching(pred, gold, exact_compatible):

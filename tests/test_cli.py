@@ -157,8 +157,13 @@ class TestStats:
             ('{"text": ["a", "b"]}', '"text" must be a string'),
             ('{"text": "a b", "triple_list": 5}', '"triple_list" must be a list'),
             ('{"text": "a b", "triple_list": null}', '"triple_list" must be a list'),
+            ('{"id": null, "text": "a b"}', '"id" must be a string'),
+            ('{"id": 7, "text": "a b"}', '"id" must be a string'),
+            ('{"id": ["x"], "text": "a b"}', '"id" must be a string'),
+            ('{"text": "a b", "triple_list": [["a", "nope", "b"]]}', "sentence '2': unknown relation 'nope'"),
         ],
-        ids=["list-record", "number-text", "list-text", "number-triples", "null-triples"],
+        ids=["list-record", "number-text", "list-text", "number-triples", "null-triples",
+             "null-id", "number-id", "list-id", "unknown-relation"],
     )
     def test_malformed_public_record_is_one_line_data_error(
         self, capsys, tmp_path, line, message
@@ -559,6 +564,30 @@ class TestTrainEval:
         )
         assert stdout == ""
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda config: {**config, "bogus": [1]}, "unknown keys ['bogus']"),
+            (lambda config: list(config.values()), "config must be a JSON object"),
+        ],
+        ids=["unknown-key", "list"],
+    )
+    def test_header_config_not_of_train_config_fields_is_data_error(
+        self, capsys, synth_file, tmp_path, checkpoint, change, message
+    ):
+        with np.load(checkpoint) as data:
+            arrays = {name: data[name] for name in data.files}
+        header = json.loads(str(arrays["header_json"]))
+        header["config"] = change(header["config"])
+        arrays["header_json"] = np.array(json.dumps(header))
+        edited = tmp_path / "edited.npz"
+        np.savez(edited, **arrays)
+        code, stdout, stderr = run(
+            capsys, "eval", "--data", str(synth_file), "--checkpoint", str(edited)
+        )
+        assert (code, stdout) == (EXIT_DATA, "")
+        assert stderr == f"error: invalid checkpoint config: {message}\n"
+
     def test_header_written_without_dims_and_read_with_them(
         self, capsys, synth_file, tmp_path, checkpoint
     ):
@@ -627,6 +656,53 @@ class TestTag:
         assert "HE-TE" in city_row
         assert "roundtrip: exact" in stdout
 
+    def test_lossy_record_prints_in_triple_order(self, capsys):
+        # (0..0, r, 8..8) overwrites the HB-TB of (0..5, r, 8..9), and the
+        # nested head (2..3) splices (0..5) into (0..3, r, 9..9); relation s
+        # sorts after r in the grid but between the heads in the lists
+        record = {
+            "id": "x",
+            "tokens": list("abcdefghij"),
+            "triples": [
+                {"head": [0, 5], "relation": "r", "tail": [8, 9]},
+                {"head": [2, 3], "relation": "r", "tail": [8, 9]},
+                {"head": [0, 0], "relation": "r", "tail": [8, 8]},
+                {"head": [1, 1], "relation": "s", "tail": [4, 4]},
+            ],
+        }
+        code, stdout, stderr = run(capsys, "tag", "--sentence", json.dumps(record))
+        assert (code, stderr) == (EXIT_OK, "")
+        header = "        a       b       c       d       e       f       g       h       i       j      "
+        blank = "-       -       -       -       -       -       -       -       -       -      "
+        assert stdout.split("\n") == [
+            "relation: r",
+            header,
+            "a       -       -       -       -       -       -       -       -       HB-TE   HB-TE  ",
+            "b       " + blank,
+            "c       -       -       -       -       -       -       -       -       HB-TB   HB-TE  ",
+            "d       -       -       -       -       -       -       -       -       -       HE-TE  ",
+            "e       " + blank,
+            "f       -       -       -       -       -       -       -       -       -       HE-TE  ",
+            *(f"{tok}       " + blank for tok in "ghij"),
+            "",
+            "relation: s",
+            header,
+            "a       " + blank,
+            "b       -       -       -       -       HB-TE   -       -       -       -       -      ",
+            *(f"{tok}       " + blank for tok in "cdefghij"),
+            "",
+            "collision at (0, 0, 8): kept HB_TE, dropped HB_TB",
+            "decoded triples:",
+            "  (0..0, r, 8..8)",
+            "  (0..3, r, 9..9)",
+            "  (1..1, s, 4..4)",
+            "  (2..3, r, 8..9)",
+            "roundtrip: lossy (missing 1, spurious 1)",
+            "  missing : (0..5, r, 8..9)",
+            "  spurious: (0..3, r, 9..9)",
+            "",
+        ]
+
     def test_malformed_input_is_data_error(self, capsys):
         code, _, stderr = run(capsys, "tag", "--sentence", "{broken")
         assert code == EXIT_DATA
@@ -644,11 +720,19 @@ class TestTag:
                 "malformed triple 0",
             ),
             ([1], "must be a JSON object"),
+            (
+                {"tokens": ["a", "b"], "triples": [{"head": [0, 0], "relation": "nope", "tail": [1, 1]}]},
+                "tag input: sentence 'stdin': unknown relation 'nope'",
+            ),
         ],
-        ids=["no-relation", "one-index-head", "not-an-object"],
+        ids=["no-relation", "one-index-head", "not-an-object", "unknown-relation"],
     )
-    def test_malformed_record_is_one_line_data_error(self, capsys, record, message):
-        code, stdout, stderr = run(capsys, "tag", "--sentence", json.dumps(record))
+    def test_malformed_record_is_one_line_data_error(self, capsys, tmp_path, record, message):
+        relations = tmp_path / "rels.txt"
+        relations.write_text("r\n")
+        code, stdout, stderr = run(
+            capsys, "tag", "--sentence", json.dumps(record), "--relations", str(relations)
+        )
         assert code == EXIT_DATA
         assert stderr.startswith("error: ") and message in stderr
         assert stderr.count("\n") == 1
@@ -670,6 +754,13 @@ BAD_NATIVE_RECORDS = {
                       "triples": [{"head": [-1, 0], "relation": "r", "tail": [1, 1]}]},
     "triples-object": {"id": "b", "tokens": ["a", "b"], "triples": {}},
     "record-array": [1, 2],
+    "id-null": {"id": None, "tokens": ["a", "b"], "triples": []},
+    "id-number": {"id": 7, "tokens": ["a", "b"], "triples": []},
+    "id-list": {"id": ["x"], "tokens": ["a", "b"], "triples": []},
+    "relation-list": {"id": "b", "tokens": ["a", "b"],
+                      "triples": [{"head": [0, 0], "relation": ["r"], "tail": [1, 1]}]},
+    "relation-null": {"id": "b", "tokens": ["a", "b"],
+                      "triples": [{"head": [0, 0], "relation": None, "tail": [1, 1]}]},
 }
 
 

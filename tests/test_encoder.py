@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from relgrid.corpus import Sentence
 from relgrid.encoder import (
     PAD_INDEX,
     UNK_INDEX,
     EmbeddingTable,
     Vocab,
     build_vocab,
-    encode_tokens,
+    encode_indices,
     init_embedding_table,
 )
 
@@ -98,40 +97,36 @@ class TestEncodeTokens:
     def test_zero_table_gives_zero_output(self):
         vocab = build_vocab(corpus_of("a b"))
         table = EmbeddingTable(tokens=np.zeros((4, 3)), positional=np.zeros((10, 3)))
-        out = encode_tokens(Sentence(tokens=("a", "b")), table, vocab)
+        out = encode_indices(vocab.indices(["a", "b"]), table)
         assert out.shape == (2, 3)
         assert np.all(out == 0.0)
 
     def test_lookup_identity_without_positionals(self):
         vocab = build_vocab(corpus_of("a b"))
         table = init_embedding_table(4, 5, max_seq_len=None, seed=0)
-        out = encode_tokens(Sentence(tokens=("b",)), table, vocab, use_positional=False)
+        out = encode_indices(vocab.indices(["b"]), table, use_positional=False)
         np.testing.assert_array_equal(out[0], table.tokens[vocab.index("b")])
 
     def test_positional_addition_elementwise(self):
         vocab = build_vocab(corpus_of("a b c"))
         table = init_embedding_table(5, 4, max_seq_len=8, seed=1)
-        sentence = Sentence(tokens=("c", "a"))
-        out = encode_tokens(sentence, table, vocab, use_positional=True)
-        for i, tok in enumerate(sentence.tokens):
+        tokens = ["c", "a"]
+        out = encode_indices(vocab.indices(tokens), table, use_positional=True)
+        for i, tok in enumerate(tokens):
             expected = table.tokens[vocab.index(tok)] + table.positional[i]
             np.testing.assert_array_equal(out[i], expected)
 
     def test_unknown_token_uses_unk_row(self):
         vocab = build_vocab(corpus_of("a"))
         table = init_embedding_table(3, 4, max_seq_len=None, seed=2)
-        out = encode_tokens(
-            Sentence(tokens=("never-seen",)), table, vocab, use_positional=False
-        )
+        out = encode_indices(vocab.indices(["never-seen"]), table, use_positional=False)
         np.testing.assert_array_equal(out[0], table.tokens[UNK_INDEX])
 
     def test_deterministic(self):
         vocab = build_vocab(corpus_of("a b c d"))
         table = init_embedding_table(len(vocab), 6, max_seq_len=10, seed=3)
-        s = Sentence(tokens=("a", "d", "q"))
-        np.testing.assert_array_equal(
-            encode_tokens(s, table, vocab), encode_tokens(s, table, vocab)
-        )
+        ids = vocab.indices(["a", "d", "q"])
+        np.testing.assert_array_equal(encode_indices(ids, table), encode_indices(ids, table))
 
     def test_init_bounds_and_seeding(self):
         t1 = init_embedding_table(10, 8, max_seq_len=5, seed=7)

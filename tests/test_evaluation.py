@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from relgrid.cli import main
 from relgrid.corpus import (
     AnnotatedSentence,
+    PatternLabel,
     RelationVocab,
     Sentence,
     Span,
@@ -24,19 +25,31 @@ from relgrid.evaluation import (
     MetricsReport,
     PooledCounts,
     breakdown,
-    breakdown_rows,
     export_relation_embeddings,
-    match_count,
     micro_prf,
     stack_rows,
-    triple_rows,
 )
 from relgrid.scorer import init_scorer_params
 from relgrid.synthetic import SynthConfig, generate_corpus
-from relgrid.tagging import NUM_TAGS
+from relgrid.tagging import NUM_TAGS, triple_rows
 from relgrid.trainer import TrainConfig, init_model, predict, save_checkpoint
 
-from conftest import make_sentence, random_triples
+from conftest import as_triples, make_sentence, random_triples
+
+
+def breakdown_of(corpus, predictions, match_mode):
+    """breakdown in one match mode of each sentence's predicted Triple set."""
+    pred = stack_rows(map(triple_rows, predictions))
+    gold = stack_rows(triple_rows(s.triples) for s in corpus)
+    return breakdown(pred, gold, [classify_pattern(s) for s in corpus], [match_mode])[0]
+
+
+def correct_count(pred, gold, match_mode):
+    """breakdown's one-to-one correct count of one sentence's predicted and
+    gold triples. Partial: relation and both end tokens agree; exact:
+    relation and both full spans agree."""
+    rows = [stack_rows([triple_rows(triples)]) for triples in (pred, gold)]
+    return breakdown(*rows, [PatternLabel(frozenset(), None)], [match_mode])[0].counts.correct
 
 
 # --- reference: the Triple-based counters the array core replaced ----------
@@ -51,7 +64,7 @@ REFERENCE_PAIR_KEYS = {
 }
 
 
-def reference_match_count(pred, gold, match_mode):
+def reference_correct_count(pred, gold, match_mode):
     key = REFERENCE_MATCH_KEYS[match_mode]
     gold_counts = Counter(map(key, gold))
     matched = Counter(filter(gold_counts.__contains__, map(key, pred)))
@@ -72,7 +85,7 @@ def reference_breakdown(corpus, predictions, match_mode):
     overall = PooledCounts()
     pattern_pools, bucket_pools = {}, {}
     for s, pred in zip(corpus, predictions):
-        counts = (reference_match_count(pred, s.triples, match_mode), len(pred), len(s.triples))
+        counts = (reference_correct_count(pred, s.triples, match_mode), len(pred), len(s.triples))
         overall.add(*counts)
         label = classify_pattern(s)
         for flag in label.flags:
@@ -97,8 +110,8 @@ def reference_breakdown(corpus, predictions, match_mode):
 def assert_matches_reference(corpus, predictions):
     for mode in MATCH_MODES:
         for s, pred in zip(corpus, predictions):
-            assert match_count(pred, s.triples, mode) == reference_match_count(pred, s.triples, mode)
-        report = breakdown(corpus, predictions, mode)
+            assert correct_count(pred, s.triples, mode) == reference_correct_count(pred, s.triples, mode)
+        report = breakdown_of(corpus, predictions, mode)
         assert (report.entity_pair, report.relation) == reference_subtask_metrics(
             corpus, predictions, mode
         )
@@ -172,14 +185,14 @@ class TestMatching:
     def test_identical_sets(self):
         rng = np.random.default_rng(1)
         gold = frozenset(random_triples(rng, 10, 3))
-        assert match_count(gold, gold, PARTIAL) == len(gold)
-        assert match_count(gold, gold, EXACT) == len(gold)
+        assert correct_count(gold, gold, PARTIAL) == len(gold)
+        assert correct_count(gold, gold, EXACT) == len(gold)
 
     def test_partial_accepts_matching_end_tokens(self):
         gold = frozenset({Triple(Span(1, 2), 0, Span(5, 6))})
         pred = frozenset({Triple(Span(0, 2), 0, Span(5, 6))})
-        assert match_count(pred, gold, PARTIAL) == 1
-        assert match_count(pred, gold, EXACT) == 0
+        assert correct_count(pred, gold, PARTIAL) == 1
+        assert correct_count(pred, gold, EXACT) == 0
 
     def test_each_gold_matched_at_most_once(self):
         gold = frozenset({Triple(Span(0, 2), 0, Span(5, 6))})
@@ -187,7 +200,7 @@ class TestMatching:
             {Triple(Span(0, 2), 0, Span(5, 6)), Triple(Span(1, 2), 0, Span(4, 6))}
         )
         # both predictions hit the same gold under partial match
-        assert match_count(pred, gold, PARTIAL) == 1
+        assert correct_count(pred, gold, PARTIAL) == 1
 
     def test_agrees_with_bipartite_oracle(self):
         rng = np.random.default_rng(88)
@@ -195,20 +208,20 @@ class TestMatching:
             length = int(rng.integers(5, 12))
             gold = frozenset(random_triples(rng, length, 3))
             pred = perturb(rng, gold, length, 3)
-            assert match_count(pred, gold, PARTIAL) == max_bipartite_matching(
+            assert correct_count(pred, gold, PARTIAL) == max_bipartite_matching(
                 pred, gold, partial_compatible
             )
-            assert match_count(pred, gold, EXACT) == max_bipartite_matching(
+            assert correct_count(pred, gold, EXACT) == max_bipartite_matching(
                 pred, gold, exact_compatible
             )
 
     def test_duplicates_in_a_multiset_match_one_to_one(self):
         t = Triple(Span(0, 1), 0, Span(3, 3))
         for mode in MATCH_MODES:
-            assert match_count([t, t], [t], mode) == 1
-            assert match_count([t, t], [t, t], mode) == 2
-            assert match_count([], [t], mode) == 0
-            assert match_count([t], [], mode) == 0
+            assert correct_count([t, t], [t], mode) == 1
+            assert correct_count([t, t], [t, t], mode) == 2
+            assert correct_count([], [t], mode) == 0
+            assert correct_count([t], [], mode) == 0
 
     def test_negative_relation_index_does_not_alias(self):
         # Packed without a shift, (s=1, k=-1) and (s=0, k=0) would share a
@@ -217,12 +230,12 @@ class TestMatching:
         corpus = [make_sentence(4, [t], sid="a"), make_sentence(4, [], sid="b")]
         predictions = [frozenset(), frozenset({Triple(t.head, -1, t.tail)})]
         assert_matches_reference(corpus, predictions)
-        assert breakdown(corpus, predictions, EXACT).counts == PooledCounts(0, 1, 1)
+        assert breakdown_of(corpus, predictions, EXACT).counts == PooledCounts(0, 1, 1)
 
     def test_unknown_match_mode_rejected(self):
         t = Triple(Span(0, 0), 0, Span(1, 1))
         with pytest.raises(ValueError, match="unknown match mode"):
-            match_count([t], [t], "fuzzy")
+            correct_count([t], [t], "fuzzy")
 
     def test_exact_never_exceeds_partial(self):
         rng = np.random.default_rng(89)
@@ -230,7 +243,7 @@ class TestMatching:
             length = int(rng.integers(5, 12))
             gold = frozenset(random_triples(rng, length, 3))
             pred = perturb(rng, gold, length, 3)
-            assert match_count(pred, gold, EXACT) <= match_count(pred, gold, PARTIAL)
+            assert correct_count(pred, gold, EXACT) <= correct_count(pred, gold, PARTIAL)
 
 
 class TestMicroPrf:
@@ -266,7 +279,7 @@ class TestMicroPrf:
                 }
             ),
         ]
-        report = breakdown(corpus, predictions, "exact")
+        report = breakdown_of(corpus, predictions, "exact")
         assert report.precision == pytest.approx(0.25)
         assert report.recall == pytest.approx(0.5)
 
@@ -274,7 +287,7 @@ class TestMicroPrf:
 class TestBreakdown:
     def test_perfect_normal_sentence(self):
         s = make_sentence(6, [Triple(Span(0, 1), 0, Span(3, 4))])
-        report = breakdown([s], [s.triples], "exact")
+        report = breakdown_of([s], [s.triples], "exact")
         assert report.f1 == 1.0
         assert report.per_pattern == {"normal": (1.0, 1.0, 1.0)}
         assert set(report.per_bucket) == {"1"}
@@ -285,7 +298,7 @@ class TestBreakdown:
         a, b, c = Span(0, 0), Span(2, 2), Span(4, 4)
         triples = [Triple(a, 0, b), Triple(b, 1, a), Triple(a, 1, c)]
         s = make_sentence(6, triples)  # epo (a,b reversed) + seo (shares a)
-        report = breakdown([s], [frozenset(triples)], "exact")
+        report = breakdown_of([s], [frozenset(triples)], "exact")
         assert set(report.per_pattern) == {"epo", "seo"}
         assert report.per_pattern["epo"] == (1.0, 1.0, 1.0)
         assert report.per_pattern["seo"] == (1.0, 1.0, 1.0)
@@ -295,13 +308,8 @@ class TestBreakdown:
         many_predictions = frozenset(
             {Triple(Span(i, i), 0, Span(i + 4, i + 4)) for i in range(3)}
         )
-        report = breakdown([s], [many_predictions], "exact")
+        report = breakdown_of([s], [many_predictions], "exact")
         assert set(report.per_bucket) == {"1"}
-
-    def test_prediction_count_mismatch(self):
-        s = make_sentence(4, [])
-        with pytest.raises(ValueError):
-            breakdown([s], [], "exact")
 
 
 class TestSubtasks:
@@ -309,7 +317,7 @@ class TestSubtasks:
         gold = [Triple(Span(0, 0), 0, Span(2, 2))]
         pred = frozenset({Triple(Span(0, 0), 1, Span(2, 2))})
         s = make_sentence(4, gold)
-        report = breakdown([s], [pred], "exact")
+        report = breakdown_of([s], [pred], "exact")
         assert report.entity_pair == (1.0, 1.0, 1.0)
         assert report.relation == (0.0, 0.0, 0.0)
 
@@ -320,7 +328,7 @@ class TestSubtasks:
             gold = random_triples(rng, length, 3)
             pred = perturb(rng, gold, length, 3)
             s = make_sentence(length, gold)
-            report = breakdown([s], [pred], "exact")
+            report = breakdown_of([s], [pred], "exact")
             pair, relation = report.entity_pair, report.relation
 
             gold_pairs = {(t.head, t.tail) for t in gold}
@@ -347,7 +355,7 @@ class TestSubtasks:
                     corpus.append(make_sentence(length, gold))
                     pred = sorted(perturb(rng, gold, length, 3))[:1]
                     predictions.append(frozenset(pred))
-                report = breakdown(corpus, predictions, mode)
+                report = breakdown_of(corpus, predictions, mode)
                 assert report.entity_pair[2] >= report.f1 - 1e-12
                 assert report.relation[2] >= report.f1 - 1e-12
 
@@ -368,7 +376,7 @@ class TestSubtasks:
                 Triple(Span(1, 1), 2, Span(3, 3)),
             }
         )
-        report = breakdown([make_sentence(8, gold)], [pred], "exact")
+        report = breakdown_of([make_sentence(8, gold)], [pred], "exact")
         assert report.f1 == pytest.approx(2 / 3)
         assert report.relation[2] == pytest.approx(0.5)
 
@@ -420,7 +428,7 @@ class TestArrayCore:
         capsys.readouterr()
         assert code == 0
 
-        predictions = [predict(s.sentence, model) for s in corpus]
+        predictions = [as_triples(predict(s.sentence, model)) for s in corpus]
         # near random: thousands of predicted triples against a handful of gold
         assert sum(map(len, predictions)) > 1000
         expected = "\n".join(reference_breakdown(corpus, predictions, m).to_kv() for m in MATCH_MODES)
@@ -455,8 +463,8 @@ class TestCountingCore:
         pred, gold = (rows, other) if side == "pred" else (other, rows)
         labels = [classify_pattern(s) for s in corpus]
         with pytest.raises(ValueError, match="sentence index 2 but only 2 pattern labels"):
-            breakdown_rows(pred, gold, labels[:2], MATCH_MODES)
-        report = breakdown_rows(pred, gold, labels, [EXACT])[0]
+            breakdown(pred, gold, labels[:2], MATCH_MODES)
+        report = breakdown(pred, gold, labels, [EXACT])[0]
         assert report.counts == (PooledCounts(2, 3, 2) if side == "pred" else PooledCounts(2, 2, 3))
 
 
@@ -468,7 +476,7 @@ class TestCountingCore:
         pred = [Triple(span, 2**32, span)]
         gold = [Triple(span, 0, span), Triple(span, 0, Span(2**32 - 1, 2**32 - 1))]
         for mode in MATCH_MODES:
-            assert match_count(pred, gold, mode) == reference_match_count(pred, gold, mode) == 0
+            assert correct_count(pred, gold, mode) == reference_correct_count(pred, gold, mode) == 0
 
     @pytest.mark.parametrize("pred_relation, gold_relation", [(-1, -2), (-2, -1)])
     def test_negative_relations_with_zero_spans_match_nothing(self, pred_relation, gold_relation):
@@ -477,7 +485,7 @@ class TestCountingCore:
         span = Span(0, 0)
         pred, gold = [Triple(span, pred_relation, span)], [Triple(span, gold_relation, span)]
         for mode in MATCH_MODES:
-            assert match_count(pred, gold, mode) == 0
+            assert correct_count(pred, gold, mode) == 0
         assert_matches_reference([make_sentence(1, gold)], [frozenset(pred)])
 
 

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from relgrid import scorer
 from relgrid.scorer import ScorerParams, init_scorer_params, tag_grid, train_grads
-from relgrid.tagging import NUM_TAGS, Tag, TagMatrix
+from relgrid.tagging import NUM_TAGS, Tag
+
+from conftest import tag_cells
 
 GRAD_NAMES = ("pair_proj", "pair_bias", "rel_tag_emb", "emb")
 
@@ -182,10 +184,10 @@ def random_instance(seed, length=3, num_rel=2, emb_dim=4, dropout=0.0):
     params.pair_proj += rng.normal(scale=0.3, size=params.pair_proj.shape)
     params.pair_bias += rng.normal(scale=0.1, size=params.pair_bias.shape)
     params.rel_tag_emb += rng.normal(scale=0.3, size=params.rel_tag_emb.shape)
-    gold = TagMatrix(length=length, num_relations=num_rel)
+    gold = np.zeros((length, num_rel, length), dtype=np.int8)
     for _ in range(4):
         cell = tuple(int(v) for v in (rng.integers(0, length), rng.integers(0, num_rel), rng.integers(0, length)))
-        gold.set(*cell, Tag(int(rng.integers(1, 4))))
+        gold[cell] = rng.integers(1, 4)
     return emb, params, gold
 
 
@@ -224,9 +226,9 @@ def gradcheck(seed, dropout=0.0, rng_seed=0, tol=1e-4):
     emb, params, gold = random_instance(seed, dropout=dropout)
 
     def run_loss():
-        return train_grads(emb, gold.tags, params, rng_seed).loss
+        return train_grads(emb, gold, params, rng_seed).loss
 
-    grads = train_grads(emb, gold.tags, params, rng_seed)
+    grads = train_grads(emb, gold, params, rng_seed)
 
     worst = 0.0
     for arr, analytic in (
@@ -256,7 +258,7 @@ class TestScoreAll:
         assert grads.loss == pytest.approx(np.log(4.0), abs=1e-15)
         for name in GRAD_NAMES:
             assert not getattr(grads, name).any(), name  # no unit is active
-        assert not tag_grid(emb, params).tags.any()
+        assert not tag_grid(emb, params).any()
 
     def test_zero_params_zero_scores(self):
         emb = np.random.default_rng(0).normal(size=(3, 4))
@@ -281,10 +283,10 @@ class TestScoreAll:
     def test_matches_naive_per_cell_oracle(self):
         emb, params, gold = random_instance(7)
         scores = naive_scores(emb, params)
-        assert train_grads(emb, gold.tags, params, 0).loss == pytest.approx(
-            scalar_loss(scores, gold.cells, 3, 2), rel=1e-12
+        assert train_grads(emb, gold, params, 0).loss == pytest.approx(
+            scalar_loss(scores, tag_cells(gold), 3, 2), rel=1e-12
         )
-        assert tag_grid(emb, params).cells == reference_predict_tags(scores)
+        assert tag_cells(tag_grid(emb, params)) == reference_predict_tags(scores)
 
     def test_shape_mismatch_rejected(self):
         emb = np.zeros((3, 5))
@@ -306,16 +308,16 @@ class TestScoreAll:
         )
         emb = np.array([[1.0], [-1.0]])
         tags = tag_grid(emb, params)
-        assert tags.get(0, 0, 1) == Tag.HB_TB
-        assert tags.get(1, 0, 0) == Tag.NONE
+        assert tags[0, 0, 1] == Tag.HB_TB
+        assert tags[1, 0, 0] == Tag.NONE
 
     def test_dropout_reproducible_and_scaled(self):
         emb, params, gold = random_instance(5, dropout=0.5)
-        g1 = train_grads(emb, gold.tags, params, 42)
-        g2 = train_grads(emb, gold.tags, params, 42)
+        g1 = train_grads(emb, gold, params, 42)
+        g2 = train_grads(emb, gold, params, 42)
         for name in GRAD_NAMES + ("loss",):
             assert np.array_equal(getattr(g1, name), getattr(g2, name)), name
-        assert train_grads(emb, gold.tags, params, 43).loss != g1.loss
+        assert train_grads(emb, gold, params, 43).loss != g1.loss
         # inverted dropout: every unit is dropped (0) or kept and scaled by
         # exactly 1 / (1 - 0.5) = 2, so inference needs no rescaling
         heads, tails = scorer._projections(emb, params)
@@ -336,9 +338,9 @@ class TestLoss:
             rel_tag_emb=np.zeros((12, 12)),
             dropout_rate=0.0,
         )
-        gold = TagMatrix(length=4, num_relations=3)
-        gold.set(0, 1, 2, Tag.HB_TE)
-        assert train_grads(emb, gold.tags, params, 0).loss == pytest.approx(
+        gold = np.zeros((4, 3, 4), dtype=np.int8)
+        gold[0, 1, 2] = Tag.HB_TE
+        assert train_grads(emb, gold, params, 0).loss == pytest.approx(
             np.log(4.0), abs=1e-9
         )
 
@@ -346,11 +348,11 @@ class TestLoss:
         # one-hot tokens and one hidden unit per pair (a, b), active only at
         # (i, j) = (a, b); each unit gives its cells' gold tags a score of 60
         emb, params, gold = random_instance(9)
-        length, num_rel = gold.tags.shape[:2]
+        length, num_rel = gold.shape[:2]
         emb = np.eye(length)
         a, b = np.divmod(np.arange(length * length), length)
         rel_tag_emb = np.zeros((length * length, NUM_TAGS * num_rel))
-        cols = NUM_TAGS * np.arange(num_rel) + gold.tags[a, :, b]
+        cols = NUM_TAGS * np.arange(num_rel) + gold[a, :, b]
         rel_tag_emb[np.arange(length * length)[:, None], cols] = 60.0
         params = ScorerParams(
             pair_proj=np.concatenate([emb[a], emb[b]], axis=1),
@@ -358,16 +360,16 @@ class TestLoss:
             rel_tag_emb=rel_tag_emb,
             dropout_rate=0.0,
         )
-        grads = train_grads(emb, gold.tags, params, 0)
+        grads = train_grads(emb, gold, params, 0)
         assert grads.loss == pytest.approx(0.0, abs=1e-12)
         for name in GRAD_NAMES:
             assert np.max(np.abs(getattr(grads, name))) < 1e-20, name
-        assert np.array_equal(tag_grid(emb, params).tags, gold.tags)
+        assert np.array_equal(tag_grid(emb, params), gold)
 
     def test_matches_scalar_reimplementation(self):
         emb, params, gold = random_instance(13)
-        assert train_grads(emb, gold.tags, params, 0).loss == pytest.approx(
-            scalar_loss(naive_scores(emb, params), gold.cells, 3, 2), rel=1e-12
+        assert train_grads(emb, gold, params, 0).loss == pytest.approx(
+            scalar_loss(naive_scores(emb, params), tag_cells(gold), 3, 2), rel=1e-12
         )
 
 
@@ -402,8 +404,7 @@ class TestFactorizedPairLayer:
     RTOL, ATOL = 1e-12, 1e-14
 
     def instance(self, seed):
-        emb, params, gold = random_instance(seed, length=12, num_rel=3, emb_dim=6, dropout=0.3)
-        return emb, params, gold.tags
+        return random_instance(seed, length=12, num_rel=3, emb_dim=6, dropout=0.3)
 
     @pytest.mark.parametrize("seed", [41, 42, 43])
     def test_matches_concat_reference(self, seed):
@@ -417,7 +418,7 @@ class TestFactorizedPairLayer:
             )
         to_half_integers(emb, params)
         ref_scores = concat_reference(emb, params, gold)[0]
-        assert tag_grid(emb, params).cells == reference_predict_tags(ref_scores)
+        assert tag_cells(tag_grid(emb, params)) == reference_predict_tags(ref_scores)
 
 
 class TestScalarDropoutScale:
@@ -430,11 +431,8 @@ class TestScalarDropoutScale:
     @pytest.mark.parametrize("seed, dropout", [(51, 0.1), (52, 0.3), (53, 0.5)])
     def test_bit_identical_to_float_mask_reference(self, seed, dropout):
         emb, params, gold = random_instance(seed, length=12, num_rel=3, emb_dim=6, dropout=dropout)
-        gold_arr = gold.tags  # the int8 grid, as training passes it
-        grads = train_grads(emb, gold_arr, params, seed)
-        _, ref_hidden, ref_loss, ref_grads = float_mask_reference(
-            emb, params, gold_arr, rng_seed=seed
-        )
+        grads = train_grads(emb, gold, params, seed)
+        _, ref_hidden, ref_loss, ref_grads = float_mask_reference(emb, params, gold, rng_seed=seed)
         heads, tails = scorer._projections(emb, params)
         hidden = scorer._hidden_block(heads, tails, slice(0, 12), params, seed, 1 / (1 - dropout))
         assert np.array_equal(hidden, ref_hidden.reshape(hidden.shape))
@@ -456,10 +454,7 @@ class TestHeadRowBlocks:
     LENGTH, NUM_REL = 37, 5
 
     def instance(self):
-        emb, params, gold = random_instance(
-            61, length=self.LENGTH, num_rel=self.NUM_REL, emb_dim=8, dropout=0.3
-        )
-        return emb, params, gold.tags
+        return random_instance(61, length=self.LENGTH, num_rel=self.NUM_REL, emb_dim=8, dropout=0.3)
 
     @pytest.mark.parametrize("halves", [False, True])
     def test_matches_one_block_run(self, monkeypatch, halves):
@@ -468,7 +463,7 @@ class TestHeadRowBlocks:
             to_half_integers(emb, params)
 
         def run():
-            return train_grads(emb, gold, params, 63), tag_grid(emb, params).tags
+            return train_grads(emb, gold, params, 63), tag_grid(emb, params)
 
         blocked_grads, blocked_tags = run()
         monkeypatch.setattr(scorer, "_BLOCK_ROWS", 64)
@@ -528,16 +523,16 @@ class TestPredictTags:
             rel_tag_emb=np.zeros((12, 8)),
             dropout_rate=0.0,
         )
-        assert tag_grid(emb, params).cells == {}
+        assert tag_cells(tag_grid(emb, params)) == {}
 
     def test_single_favoured_cell(self):
         scores = np.zeros((9, 2, 9, NUM_TAGS))  # cells (i, k, j)
         scores[0, 1, 8, int(Tag.HB_TE)] = 5.0
-        assert TagMatrix(9, 2, scorer._tags(scores)).cells == {(0, 1, 8): Tag.HB_TE}
+        assert tag_cells(scorer._tags(scores)) == {(0, 1, 8): Tag.HB_TE}
 
     def test_matches_per_cell_argmax_oracle(self):
         emb, params, _ = random_instance(29)
-        matrix = tag_grid(emb, params)
+        tags = tag_grid(emb, params)
         for i in range(3):
             for k in range(2):
                 for j in range(3):
@@ -545,7 +540,7 @@ class TestPredictTags:
                     best = int(np.argmax(scores))
                     if scores.count(scores[best]) > 1:
                         best = 0
-                    assert int(matrix.get(i, k, j)) == best
+                    assert tags[i, k, j] == best
 
     def test_two_way_non_none_tie_resolves_to_none(self):
         scores = np.zeros((3, 2, 3, NUM_TAGS))
@@ -555,7 +550,7 @@ class TestPredictTags:
 
     def test_invariant_under_constant_shift(self):
         emb, params, gold = random_instance(33)
-        scores = np.moveaxis(concat_reference(emb, params, gold.tags)[0], 2, 3)
+        scores = np.moveaxis(concat_reference(emb, params, gold)[0], 2, 3)
         before = scorer._tags(scores)
         assert before.any()
         # the same constant for all 4 tags of every cell
@@ -573,7 +568,7 @@ class TestPredictTags:
         scores = rng.integers(-2, 3, size=(length, num_rel, NUM_TAGS, length)).astype(float)
         tags = scorer._tags(np.moveaxis(scores, 2, 3))
         assert tags.dtype == np.int8
-        assert TagMatrix(length, num_rel, tags).cells == reference_predict_tags(scores)
+        assert tag_cells(tags) == reference_predict_tags(scores)
 
 
 class TestFusedDrivers:
@@ -617,8 +612,8 @@ class TestFusedDrivers:
         emb, params, gold = self.instance(seed, length, num_rel)
         to_half_integers(emb, params)
         tags = tag_grid(emb, params)
-        assert tags.tags.dtype == np.int8
-        assert tags.cells == reference_predict_tags(concat_reference(emb, params, gold)[0])
+        assert tags.dtype == np.int8
+        assert tag_cells(tags) == reference_predict_tags(concat_reference(emb, params, gold)[0])
 
     def test_tag_grid_ties_and_all_equal_grid(self):
         emb, params, gold = self.instance(81, 37, 3)
@@ -626,9 +621,9 @@ class TestFusedDrivers:
         scores = concat_reference(emb, params, gold)[0]
         top = scores.max(axis=2, keepdims=True)
         assert ((scores == top).sum(axis=2) > 1).any()  # the instance has ties
-        assert tag_grid(emb, params).cells == reference_predict_tags(scores)
+        assert tag_cells(tag_grid(emb, params)) == reference_predict_tags(scores)
         params.rel_tag_emb[...] = params.rel_tag_emb[:, :1]  # all four tags score alike
-        assert not tag_grid(emb, params).tags.any()
+        assert not tag_grid(emb, params).any()
 
     def test_train_grads_rejects_gold_of_another_shape(self):
         emb, params, gold = self.instance(91, 6, 2)
@@ -640,7 +635,7 @@ class TestFusedDrivers:
         emb, params, gold = self.instance(61, 37, 5, dropout=0.3, emb_dim=8)
 
         def run():
-            return train_grads(emb, gold, params, 63), tag_grid(emb, params).tags
+            return train_grads(emb, gold, params, 63), tag_grid(emb, params)
 
         block_threads(1)
         one_grads, one_tags = run()

@@ -31,7 +31,7 @@ from test_scorer import concat_reference, pad_cells
 
 def encoded(corpus, vocab, num_relations):
     """(token indices, int8 gold grid) per sentence, as train builds them."""
-    return [(vocab.indices(s.sentence.tokens), encode(s, num_relations)[0].tags) for s in corpus]
+    return [(vocab.indices(s.sentence.tokens), encode(s, num_relations)[0]) for s in corpus]
 
 
 def batch_of(corpus, vocab, num_relations):
@@ -294,10 +294,10 @@ class TestTraining:
             ids = np.zeros(n + 9, dtype=np.int64)
             ids[:n] = vocab.indices(s.sentence.tokens)
             emb = encode_indices(ids[:n], model.table, True)
-            true_length = train_grads(emb, gold.tags, model.params, 0).loss
+            true_length = train_grads(emb, gold, model.params, 0).loss
             for pad in (n + 1, n + 9):
                 emb = encode_indices(ids[:pad], model.table, True)
-                padded = concat_reference(emb, model.params, *pad_cells(gold.tags, pad))[1]
+                padded = concat_reference(emb, model.params, *pad_cells(gold, pad))[1]
                 assert abs(padded - true_length) <= 1e-12
 
     def test_seeded_runs_are_bit_identical(self, tiny_synth):
@@ -411,13 +411,14 @@ class TestPredict:
         relations = RelationVocab(names=("r0", "r1"))
         model = self.zero_model(relations)
         s = Sentence(tokens=("a", "b", "c"))
-        assert predict(s, model) == frozenset()
+        rows = predict(s, model)
+        assert rows.shape == (0, 5) and rows.dtype == np.int64
 
     def test_deterministic_across_calls(self, tiny_synth):
         corpus, relations = tiny_synth
         model, _ = train(corpus, relations, TrainConfig(epochs=1, seed=3))
         s = corpus[0].sentence
-        assert predict(s, model) == predict(s, model)
+        np.testing.assert_array_equal(predict(s, model), predict(s, model))
 
     def test_long_sentence_truncated_with_warning(self, caplog):
         relations = RelationVocab(names=("r0",))
@@ -426,7 +427,7 @@ class TestPredict:
         long_sentence = Sentence(tokens=tuple(f"t{i}" for i in range(9)), id="long")
         with caplog.at_level("WARNING"):
             result = predict(long_sentence, model)
-        assert result == frozenset()
+        assert result.shape == (0, 5)
         assert any("truncated" in rec.message for rec in caplog.records)
 
 
@@ -448,7 +449,7 @@ class TestCheckpoint:
         assert loaded.config == model.config
 
         s = corpus[0].sentence
-        assert predict(s, loaded) == predict(s, model)
+        np.testing.assert_array_equal(predict(s, loaded), predict(s, model))
 
     def test_failed_overwrite_keeps_previous_checkpoint(
         self, tiny_synth, tmp_path, monkeypatch
