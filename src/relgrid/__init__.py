@@ -21,7 +21,7 @@ from .corpus import (
     load_public,
     save_native,
 )
-from .encoder import EmbeddingTable, Vocab, build_vocab, encode_indices
+from .encoder import Vocab, build_vocab, encode_indices
 from .evaluation import MetricsReport, breakdown, export_relation_embeddings, micro_prf, stack_rows
 from .scorer import ScorerParams, init_scorer_params, tag_grid, train_grads
 from .synthetic import SynthConfig, generate_corpus

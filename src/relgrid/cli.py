@@ -37,7 +37,7 @@ from .corpus import (
 from .encoder import Vocab
 from .evaluation import MATCH_MODES, breakdown, export_relation_embeddings, stack_rows
 from .synthetic import GenerationError, SynthConfig, default_mix, generate_corpus
-from .tagging import encode, render_relation_grid, roundtrip_check, triple_rows
+from .tagging import render_relation_grid, roundtrip_check, triple_rows
 from .trainer import NumericError, TrainConfig, load_checkpoint, predict, train, write_loss_log
 
 logger = logging.getLogger("relgrid")
@@ -309,18 +309,16 @@ def cmd_tag(cfg: RunConfig) -> int:
     sentence = native_sentence(record, known, relations is None, "tag input")
     vocab = relations or RelationVocab(names=tuple(known) or ("none",))
 
-    tags, collisions = encode(sentence, len(vocab))
-    for k in np.flatnonzero(tags.any(axis=(0, 2))).tolist():
+    result = roundtrip_check(sentence, len(vocab))
+    for k in np.flatnonzero(result.tags.any(axis=(0, 2))).tolist():
         print(f"relation: {vocab.names[k]}")
-        print(render_relation_grid(tags, k, sentence.sentence.tokens))
+        print(render_relation_grid(result.tags, k, sentence.sentence.tokens))
         print()
-    for c in collisions:
+    for c in result.collisions:
         print(f"collision at {c.cell}: kept {c.kept.name}, dropped {c.dropped.name}")
 
-    result = roundtrip_check(sentence, len(vocab))
-    gold = frozenset(map(tuple, triple_rows(sentence.triples).tolist()))
     print("decoded triples:")
-    for line in _triple_lines(result.spurious | (gold - result.missing), vocab):
+    for line in _triple_lines(result.decoded, vocab):
         print(f"  {line}")
     if result.exact and not sentence.triples:
         print("roundtrip: exact (empty)")

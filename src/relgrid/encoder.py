@@ -1,6 +1,6 @@
-"""Token encoder: a trainable embedding lookup with optional learned
-positional rows, standing in for a contextual sentence encoder behind the
-same L x d interface.
+"""Token encoder: the token vocabulary and the embedding lookup (token rows
+plus optional learned positional rows, both held by the trainer's model),
+standing in for a contextual sentence encoder behind the same L x d interface.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 PAD_INDEX = 0
 UNK_INDEX = 1
-
-INIT_SCALE = 0.1
 
 
 @dataclass(frozen=True)
@@ -81,57 +79,17 @@ def build_vocab(corpus: list[AnnotatedSentence], min_count: int = 1) -> Vocab:
     return Vocab(token_to_index=mapping)
 
 
-@dataclass
-class EmbeddingTable:
-    """V x d token rows plus an optional P x d positional table (float64)."""
-
-    tokens: np.ndarray
-    positional: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.tokens.ndim != 2 or self.tokens.shape[1] < 1:
-            raise ValueError(f"bad token table shape {self.tokens.shape}")
-        if not np.all(np.isfinite(self.tokens)):
-            raise ValueError("non-finite token embedding")
-        if self.positional is not None:
-            if self.positional.shape[1] != self.tokens.shape[1]:
-                raise ValueError("positional dimension mismatch")
-            if not np.all(np.isfinite(self.positional)):
-                raise ValueError("non-finite positional embedding")
-
-    @property
-    def dim(self) -> int:
-        return self.tokens.shape[1]
-
-
-def init_embedding_table(
-    vocab_size: int,
-    dim: int,
-    max_seq_len: int | None,
-    seed: int,
-) -> EmbeddingTable:
-    """Uniform init in [-0.1, 0.1]; positional rows only when max_seq_len set."""
-    rng = np.random.default_rng(seed)
-    tokens = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(vocab_size, dim))
-    positional = None
-    if max_seq_len is not None:
-        positional = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(max_seq_len, dim))
-    return EmbeddingTable(tokens=tokens, positional=positional)
-
-
 def encode_indices(
-    indices: np.ndarray, table: EmbeddingTable, use_positional: bool = True
+    indices: np.ndarray, tokens: np.ndarray, positional: np.ndarray | None = None
 ) -> np.ndarray:
-    """Lookup by precomputed token indices (padded rows use the pad index)."""
-    out = table.tokens[indices]
-    if use_positional:
-        if table.positional is None:
-            raise ValueError("positional rows requested but table has none")
+    """Rows of the token table at precomputed token indices (padded rows use
+    the pad index), plus the first len(indices) positional rows when given."""
+    out = tokens[indices]
+    if positional is not None:
         n = len(indices)
-        if n > table.positional.shape[0]:
+        if n > positional.shape[0]:
             raise ValueError(
-                f"sequence length {n} exceeds positional table "
-                f"{table.positional.shape[0]}"
+                f"sequence length {n} exceeds positional table {positional.shape[0]}"
             )
-        out = out + table.positional[:n]
+        out = out + positional[:n]
     return out

@@ -27,7 +27,7 @@ collision report and may lose information.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
@@ -153,9 +153,11 @@ def triple_rows(triples: Iterable[Triple]) -> np.ndarray:
 @dataclass(frozen=True)
 class RoundtripResult:
     """Outcome of decode(encode(s)) compared against the gold triples, as
-    row tuples (k, hb, he, tb, te)."""
+    row tuples (k, hb, he, tb, te), with the grid encode made."""
 
     exact: bool
+    tags: np.ndarray = field(compare=False, repr=False)
+    decoded: frozenset[tuple[int, ...]]
     missing: frozenset[tuple[int, ...]]
     spurious: frozenset[tuple[int, ...]]
     collisions: tuple[Collision, ...]
@@ -171,12 +173,12 @@ def roundtrip_check(s: AnnotatedSentence, num_relations: int) -> RoundtripResult
     tags, collisions = encode(s, num_relations)
     decoded = frozenset(map(tuple, decode(tags).tolist()))
     gold = frozenset(map(tuple, triple_rows(s.triples).tolist()))
-    missing = gold - decoded
-    spurious = decoded - gold
     return RoundtripResult(
-        exact=not missing and not spurious,
-        missing=missing,
-        spurious=spurious,
+        exact=decoded == gold,
+        tags=tags,
+        decoded=decoded,
+        missing=gold - decoded,
+        spurious=decoded - gold,
         collisions=tuple(collisions),
     )
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import ConfigError, check_fields, is_int, is_real
 from .corpus import AnnotatedSentence, RelationVocab, Sentence
-from .encoder import EmbeddingTable, Vocab, build_vocab, encode_indices, init_embedding_table
+from .encoder import Vocab, build_vocab, encode_indices
 from .scorer import ScorerParams, init_scorer_params, tag_grid, train_grads
 from .tagging import NUM_TAGS, decode, encode
 
@@ -158,25 +158,59 @@ def adam_step(
     weights -= step
 
 
+# checkpoint names of the trainable arrays, in the order they sit in
+# Model.weights; every checkpoint holds all but positional_table
+_GROUPS = ("pair_proj", "pair_bias", "rel_tag_emb", "token_table", "positional_table")
+_CHECKPOINT_ARRAYS = ("header_json", *_GROUPS[:-1])
+
+
+def _layout(config: TrainConfig, vocab_size: int, num_relations: int) -> dict[str, tuple]:
+    """The shape of each trainable array by checkpoint name, in weight
+    order; positional rows only when the config uses them."""
+    d, hidden = config.emb_dim, config.resolved_hidden_dim()
+    layout = {
+        "pair_proj": (hidden, 2 * d),
+        "pair_bias": (hidden,),
+        "rel_tag_emb": (hidden, NUM_TAGS * num_relations),
+        "token_table": (vocab_size, d),
+    }
+    if config.use_positional:
+        layout["positional_table"] = (config.max_seq_len, d)
+    return layout
+
+
+def _views(flat: np.ndarray, layout: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """Consecutive slices of `flat`, by name, in the shapes of `layout`."""
+    views, offset = {}, 0
+    for name, shape in layout.items():
+        size = math.prod(shape)
+        views[name] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    return views
+
+
 @dataclass
 class Model:
-    """Everything needed to score unseen sentences. On construction the
-    trainable arrays are copied into one flat vector, `weights`, in
-    `_trainable` order, and become views into it."""
+    """Everything needed to score unseen sentences. Every trainable array is
+    a view into one flat vector, `weights`, laid out by `_layout`: `arrays`
+    holds them by checkpoint name, `params` the scorer's three."""
 
-    params: ScorerParams
-    table: EmbeddingTable
+    weights: np.ndarray = field(repr=False)
     vocab: Vocab
     relations: RelationVocab
     config: TrainConfig
-    weights: np.ndarray = field(init=False, repr=False)
+    arrays: dict[str, np.ndarray] = field(init=False, repr=False)
+    params: ScorerParams = field(init=False, repr=False)
 
     def __post_init__(self):
-        groups = _trainable(self)
-        self.weights = np.concatenate([arr.ravel() for arr in groups.values()])
-        for name, view in _views(self.weights, groups).items():
-            part, attr = _GROUPS[name]
-            setattr(getattr(self, part), attr, view)
+        layout = _layout(self.config, len(self.vocab), len(self.relations))
+        self.arrays = _views(self.weights, layout)
+        self.params = ScorerParams(
+            pair_proj=self.arrays["pair_proj"],
+            pair_bias=self.arrays["pair_bias"],
+            rel_tag_emb=self.arrays["rel_tag_emb"],
+            dropout_rate=self.config.dropout_rate,
+        )
 
 
 @dataclass
@@ -193,49 +227,23 @@ def _derived_seed(*parts: int) -> int:
 def init_model(
     relations: RelationVocab, vocab: Vocab, config: TrainConfig
 ) -> Model:
-    table = init_embedding_table(
-        vocab_size=len(vocab),
-        dim=config.emb_dim,
-        max_seq_len=config.max_seq_len if config.use_positional else None,
-        seed=_derived_seed(config.seed, 1),
+    """The scorer's arrays from one derived seed; token rows, then positional
+    rows, uniform in [-0.1, 0.1] from another."""
+    layout = _layout(config, len(vocab), len(relations))
+    drawn = vars(
+        init_scorer_params(
+            emb_dim=config.emb_dim,
+            num_relations=len(relations),
+            seed=_derived_seed(config.seed, 2),
+            hidden_dim=config.resolved_hidden_dim(),
+        )
     )
-    params = init_scorer_params(
-        emb_dim=config.emb_dim,
-        num_relations=len(relations),
-        seed=_derived_seed(config.seed, 2),
-        hidden_dim=config.resolved_hidden_dim(),
-        dropout_rate=config.dropout_rate,
-    )
-    return Model(params=params, table=table, vocab=vocab, relations=relations, config=config)
-
-
-# checkpoint name -> (Model field, attribute) of each trainable array, in
-# the order they sit in Model.weights
-_GROUPS = {
-    "pair_proj": ("params", "pair_proj"),
-    "pair_bias": ("params", "pair_bias"),
-    "rel_tag_emb": ("params", "rel_tag_emb"),
-    "token_table": ("table", "tokens"),
-    "positional_table": ("table", "positional"),
-}
-
-
-def _trainable(model: Model) -> dict[str, np.ndarray]:
-    """The trainable arrays by checkpoint name; no positional table when the
-    model has none."""
-    arrays = {
-        name: getattr(getattr(model, part), attr) for name, (part, attr) in _GROUPS.items()
-    }
-    return {name: arr for name, arr in arrays.items() if arr is not None}
-
-
-def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Consecutive slices of `flat`, shaped like the arrays of `like`."""
-    views, offset = {}, 0
-    for name, arr in like.items():
-        views[name] = flat[offset : offset + arr.size].reshape(arr.shape)
-        offset += arr.size
-    return views
+    rng = np.random.default_rng(_derived_seed(config.seed, 1))
+    for name in ("token_table", "positional_table"):
+        if name in layout:
+            drawn[name] = rng.uniform(-0.1, 0.1, size=layout[name])
+    weights = np.concatenate([drawn[name].ravel() for name in layout])
+    return Model(weights, vocab, relations, config)
 
 
 def train_step(
@@ -245,17 +253,18 @@ def train_step(
     nothing depends on its batch companions); returns the mean loss and the
     mean gradient, laid out like model.weights."""
     grad = np.zeros_like(model.weights)
-    groups = _views(grad, _trainable(model))
+    groups = _views(grad, {name: arr.shape for name, arr in model.arrays.items()})
+    tokens, positional = model.arrays["token_table"], model.arrays.get("positional_table")
     batch_loss = 0.0
     for ids, gold, seed in zip(batch.token_ids, batch.gold, dropout_seeds):
-        emb = encode_indices(ids, model.table, model.config.use_positional)
+        emb = encode_indices(ids, tokens, positional)
         g = train_grads(emb, gold, model.params, seed)
         batch_loss += g.loss
         groups["pair_proj"] += g.pair_proj
         groups["pair_bias"] += g.pair_bias
         groups["rel_tag_emb"] += g.rel_tag_emb
         np.add.at(groups["token_table"], ids, g.emb)
-        if model.config.use_positional:
+        if positional is not None:
             groups["positional_table"][: len(ids)] += g.emb
     size = len(batch.token_ids)
     grad /= size
@@ -331,7 +340,9 @@ def predict(sentence: Sentence, model: Model) -> np.ndarray:
             model.config.max_seq_len,
         )
         tokens = tokens[: model.config.max_seq_len]
-    emb = encode_indices(model.vocab.indices(tokens), model.table, model.config.use_positional)
+    emb = encode_indices(
+        model.vocab.indices(tokens), model.arrays["token_table"], model.arrays.get("positional_table")
+    )
     return decode(tag_grid(emb, model.params))
 
 
@@ -350,7 +361,7 @@ def save_checkpoint(path: str | Path, model: Model) -> None:
         "relations": list(model.relations.names),
         "vocab": model.vocab.to_json(),
     }
-    arrays = {**_trainable(model), "header_json": np.array(json.dumps(header))}
+    arrays = {**model.arrays, "header_json": np.array(json.dumps(header))}
     # write a synced sibling file, then rename it over the target, so a
     # crash mid-write leaves the previous checkpoint intact
     path = Path(path)
@@ -365,7 +376,6 @@ def save_checkpoint(path: str | Path, model: Model) -> None:
         tmp.unlink(missing_ok=True)
 
 
-_CHECKPOINT_ARRAYS = ("header_json", "pair_proj", "pair_bias", "rel_tag_emb", "token_table")
 _HEADER_KEYS = {"version", "config", "config_hash", "relations", "vocab"}
 
 
@@ -395,6 +405,9 @@ def _read_checkpoint(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
         raise ValueError(f"unsupported checkpoint version {header.get('version')!r}")
     if not _HEADER_KEYS <= header.keys():
         raise corrupt(f"header lacks {sorted(_HEADER_KEYS - header.keys())}")
+    names = header["relations"]
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise corrupt("relations must be a JSON list of strings")
     return header, arrays
 
 
@@ -411,31 +424,14 @@ def load_checkpoint(path: str | Path) -> Model:
         raise ValueError("checkpoint config hash mismatch")
     vocab = Vocab.from_json(header["vocab"])
     relations = RelationVocab(names=tuple(header["relations"]))
-    d, hidden = config.emb_dim, config.resolved_hidden_dim()
-    expected = {
-        "pair_proj": (hidden, 2 * d),
-        "pair_bias": (hidden,),
-        "rel_tag_emb": (hidden, NUM_TAGS * len(relations)),
-        "token_table": (len(vocab), d),
-        "positional_table": (config.max_seq_len, d) if config.use_positional else None,
-    }
-    for name, shape in expected.items():
-        found = arrays[name].shape if name in arrays else None
-        if found != shape:
-            raise ValueError(f"corrupt checkpoint {path}: {name} shape {found}, expected {shape}")
-    params = ScorerParams(
-        pair_proj=arrays["pair_proj"],
-        pair_bias=arrays["pair_bias"],
-        rel_tag_emb=arrays["rel_tag_emb"],
-        dropout_rate=config.dropout_rate,
-    )
-    table = EmbeddingTable(
-        tokens=arrays["token_table"], positional=arrays.get("positional_table")
-    )
-    return Model(
-        params=params,
-        table=table,
-        vocab=vocab,
-        relations=relations,
-        config=config,
-    )
+    layout = _layout(config, len(vocab), len(relations))
+    for name in _GROUPS:
+        found, expected = (arrays[name].shape if name in arrays else None), layout.get(name)
+        if found != expected:
+            raise ValueError(f"corrupt checkpoint {path}: {name} shape {found}, expected {expected}")
+        if found is not None and arrays[name].dtype != np.float64:
+            raise ValueError(f"corrupt checkpoint {path}: {name} dtype {arrays[name].dtype}, not float64")
+        if found is not None and not np.isfinite(arrays[name]).all():
+            raise ValueError(f"corrupt checkpoint {path}: non-finite values in {name}")
+    weights = np.concatenate([arrays[name].ravel() for name in layout])
+    return Model(weights, vocab, relations, config)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from relgrid import scorer
-from relgrid.corpus import AnnotatedSentence, RelationVocab, Sentence, Span, Triple
+from relgrid.corpus import AnnotatedSentence, Sentence, Span, Triple
 from relgrid.synthetic import SynthConfig, generate_corpus
 from relgrid.tagging import Tag
 

@@ -273,6 +273,7 @@ def test_criterion_6_padding_inertia(report):
     model = init_model(relations, vocab, TrainConfig(seed=8))
     params = replace(model.params, dropout_rate=0.0)
     num_rel = len(relations)
+    tables = model.arrays["token_table"], model.arrays["positional_table"]
 
     worst = 0.0
     for s in corpus:
@@ -280,10 +281,10 @@ def test_criterion_6_padding_inertia(report):
         gold, _ = encode(s, num_rel)
         ids = np.zeros(n + 17, dtype=np.int64)
         ids[:n] = vocab.indices(s.sentence.tokens)
-        emb = encode_indices(ids[:n], model.table, True)
+        emb = encode_indices(ids[:n], *tables)
         values = [train_grads(emb, gold, params, 0).loss]
         for pad in (n + 1, n + 9, n + 17):
-            emb = encode_indices(ids[:pad], model.table, True)
+            emb = encode_indices(ids[:pad], *tables)
             values.append(concat_reference(emb, params, *pad_cells(gold, pad))[1])
         worst = max(worst, max(values) - min(values))
     ok = worst <= 1e-12

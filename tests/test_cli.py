@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import relgrid.cli
 from relgrid.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from relgrid.tagging import encode
 from relgrid.trainer import NumericError
 
 FIG2A_RECORD = {
@@ -22,6 +23,13 @@ FIG2A_RECORD = {
     "tokens": ["New", "York", "City", "is", "located", "in", "New", "York", "State"],
     "triples": [{"head": [0, 2], "relation": "located_in", "tail": [6, 8]}],
 }
+
+
+def with_value(array, value):
+    """A copy of `array` with `value` in its middle element."""
+    array = array.copy()
+    array.flat[array.size // 2] = value
+    return array
 
 
 def run(capsys, *argv):
@@ -538,13 +546,24 @@ class TestTrainEval:
             ("pair_bias", lambda a: np.append(a, 0.0)),
             ("positional_table", lambda a: a[:-1]),
             ("positional_table", None),
+            ("pair_proj", lambda a: with_value(a, np.nan)),
+            ("pair_bias", lambda a: with_value(a, np.inf)),
+            ("rel_tag_emb", lambda a: with_value(a, np.nan)),
+            ("token_table", lambda a: with_value(a, -np.inf)),
+            ("positional_table", lambda a: with_value(a, np.nan)),
+            ("pair_bias", lambda a: a.astype(str)),
+            ("token_table", lambda a: a.astype(np.float32)),
         ],
         ids=["short-token-table", "two-of-three-relations", "transposed-pair-proj",
-             "long-pair-bias", "short-positional", "no-positional"],
+             "long-pair-bias", "short-positional", "no-positional", "nan-pair-proj",
+             "inf-pair-bias", "nan-rel-tag-emb", "inf-token-table", "nan-positional",
+             "string-pair-bias", "float32-token-table"],
     )
     def test_array_shape_against_header_is_data_error(
         self, capsys, synth_file, tmp_path, checkpoint, name, change
     ):
+        """An array of the wrong shape, or of the right shape but not of
+        float64 or holding a non-finite value, is named in one data error."""
         with np.load(checkpoint) as data:
             arrays = {key: data[key] for key in data.files}
         expected = arrays[name].shape
@@ -553,15 +572,19 @@ class TestTrainEval:
         else:
             arrays[name] = change(arrays[name])
         found = arrays[name].shape if name in arrays else None
+        if found != expected:
+            reason = f"{name} shape {found}, expected {expected}"
+        elif arrays[name].dtype != np.float64:
+            reason = f"{name} dtype {arrays[name].dtype}, not float64"
+        else:
+            reason = f"non-finite values in {name}"
         edited = tmp_path / "edited.npz"
         np.savez(edited, **arrays)
         code, stdout, stderr = run(
             capsys, "eval", "--data", str(synth_file), "--checkpoint", str(edited)
         )
         assert code == EXIT_DATA
-        assert stderr == (
-            f"error: corrupt checkpoint {edited}: {name} shape {found}, expected {expected}\n"
-        )
+        assert stderr == f"error: corrupt checkpoint {edited}: {reason}\n"
         assert stdout == ""
 
     @pytest.mark.parametrize(
@@ -587,6 +610,27 @@ class TestTrainEval:
         )
         assert (code, stdout) == (EXIT_DATA, "")
         assert stderr == f"error: invalid checkpoint config: {message}\n"
+
+    @pytest.mark.parametrize(
+        "relations", [5, None, "rel0rel1", [0, 1, 2, 3]], ids=["number", "null", "string", "integers"]
+    )
+    def test_header_relations_not_a_list_of_strings_is_data_error(
+        self, capsys, synth_file, tmp_path, checkpoint, relations
+    ):
+        with np.load(checkpoint) as data:
+            arrays = {name: data[name] for name in data.files}
+        header = json.loads(str(arrays["header_json"]))
+        header["relations"] = relations
+        arrays["header_json"] = np.array(json.dumps(header))
+        edited = tmp_path / "edited.npz"
+        np.savez(edited, **arrays)
+        code, stdout, stderr = run(
+            capsys, "eval", "--data", str(synth_file), "--checkpoint", str(edited)
+        )
+        assert (code, stdout) == (EXIT_DATA, "")
+        assert stderr == (
+            f"error: corrupt checkpoint {edited}: relations must be a JSON list of strings\n"
+        )
 
     def test_header_written_without_dims_and_read_with_them(
         self, capsys, synth_file, tmp_path, checkpoint
@@ -702,6 +746,20 @@ class TestTag:
             "  spurious: (0..3, r, 9..9)",
             "",
         ]
+
+    def test_encodes_the_sentence_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting_encode(sentence, num_relations):
+            calls.append(sentence.sentence.id)
+            return encode(sentence, num_relations)
+
+        # wherever the command might look it up
+        for module in (relgrid.tagging, relgrid.cli):
+            monkeypatch.setattr(module, "encode", counting_encode, raising=False)
+        code, _, _ = run(capsys, "tag", "--sentence", json.dumps(FIG2A_RECORD))
+        assert code == EXIT_OK
+        assert calls == ["fig2a"]
 
     def test_malformed_input_is_data_error(self, capsys):
         code, _, stderr = run(capsys, "tag", "--sentence", "{broken")

@@ -10,7 +10,6 @@ from relgrid.corpus import (
     HTO,
     NORMAL,
     SEO,
-    AnnotatedSentence,
     CorpusError,
     RelationVocab,
     Sentence,
@@ -23,7 +22,6 @@ from relgrid.corpus import (
     resolve_entity,
     save_native,
 )
-from relgrid.synthetic import SynthConfig, generate_corpus
 
 from conftest import make_sentence, random_triples
 

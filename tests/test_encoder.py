@@ -1,17 +1,9 @@
 import numpy as np
 import pytest
 
-from relgrid.encoder import (
-    PAD_INDEX,
-    UNK_INDEX,
-    EmbeddingTable,
-    Vocab,
-    build_vocab,
-    encode_indices,
-    init_embedding_table,
-)
-
-from conftest import make_sentence
+from relgrid.corpus import RelationVocab
+from relgrid.encoder import UNK_INDEX, Vocab, build_vocab, encode_indices
+from relgrid.trainer import TrainConfig, init_model
 
 
 def corpus_of(*texts):
@@ -93,44 +85,62 @@ class TestVocabJson:
             Vocab.from_json(data)
 
 
+def tables(vocab, dim, max_seq_len, seed):
+    """The token and positional tables (None without positional rows) of a
+    freshly initialised model over `vocab`."""
+    config = TrainConfig(
+        emb_dim=dim,
+        max_seq_len=max_seq_len or TrainConfig.max_seq_len,
+        use_positional=max_seq_len is not None,
+        seed=seed,
+    )
+    model = init_model(RelationVocab(names=("r",)), vocab, config)
+    return model.arrays["token_table"], model.arrays.get("positional_table")
+
+
 class TestEncodeTokens:
     def test_zero_table_gives_zero_output(self):
         vocab = build_vocab(corpus_of("a b"))
-        table = EmbeddingTable(tokens=np.zeros((4, 3)), positional=np.zeros((10, 3)))
-        out = encode_indices(vocab.indices(["a", "b"]), table)
+        out = encode_indices(vocab.indices(["a", "b"]), np.zeros((4, 3)), np.zeros((10, 3)))
         assert out.shape == (2, 3)
         assert np.all(out == 0.0)
 
     def test_lookup_identity_without_positionals(self):
         vocab = build_vocab(corpus_of("a b"))
-        table = init_embedding_table(4, 5, max_seq_len=None, seed=0)
-        out = encode_indices(vocab.indices(["b"]), table, use_positional=False)
-        np.testing.assert_array_equal(out[0], table.tokens[vocab.index("b")])
+        tokens, positional = tables(vocab, 5, max_seq_len=None, seed=0)
+        assert positional is None
+        out = encode_indices(vocab.indices(["b"]), tokens)
+        np.testing.assert_array_equal(out[0], tokens[vocab.index("b")])
 
     def test_positional_addition_elementwise(self):
         vocab = build_vocab(corpus_of("a b c"))
-        table = init_embedding_table(5, 4, max_seq_len=8, seed=1)
-        tokens = ["c", "a"]
-        out = encode_indices(vocab.indices(tokens), table, use_positional=True)
-        for i, tok in enumerate(tokens):
-            expected = table.tokens[vocab.index(tok)] + table.positional[i]
+        tokens, positional = tables(vocab, 4, max_seq_len=8, seed=1)
+        words = ["c", "a"]
+        out = encode_indices(vocab.indices(words), tokens, positional)
+        for i, tok in enumerate(words):
+            expected = tokens[vocab.index(tok)] + positional[i]
             np.testing.assert_array_equal(out[i], expected)
 
     def test_unknown_token_uses_unk_row(self):
         vocab = build_vocab(corpus_of("a"))
-        table = init_embedding_table(3, 4, max_seq_len=None, seed=2)
-        out = encode_indices(vocab.indices(["never-seen"]), table, use_positional=False)
-        np.testing.assert_array_equal(out[0], table.tokens[UNK_INDEX])
+        tokens, _ = tables(vocab, 4, max_seq_len=None, seed=2)
+        out = encode_indices(vocab.indices(["never-seen"]), tokens)
+        np.testing.assert_array_equal(out[0], tokens[UNK_INDEX])
 
     def test_deterministic(self):
         vocab = build_vocab(corpus_of("a b c d"))
-        table = init_embedding_table(len(vocab), 6, max_seq_len=10, seed=3)
+        tokens, positional = tables(vocab, 6, max_seq_len=10, seed=3)
         ids = vocab.indices(["a", "d", "q"])
-        np.testing.assert_array_equal(encode_indices(ids, table), encode_indices(ids, table))
+        np.testing.assert_array_equal(
+            encode_indices(ids, tokens, positional), encode_indices(ids, tokens, positional)
+        )
 
     def test_init_bounds_and_seeding(self):
-        t1 = init_embedding_table(10, 8, max_seq_len=5, seed=7)
-        t2 = init_embedding_table(10, 8, max_seq_len=5, seed=7)
-        np.testing.assert_array_equal(t1.tokens, t2.tokens)
-        assert np.all(np.abs(t1.tokens) <= 0.1)
-        assert np.all(np.abs(t1.positional) <= 0.1)
+        vocab = build_vocab(corpus_of("a b c d e f g h"))
+        t1, p1 = tables(vocab, 8, max_seq_len=5, seed=7)
+        t2, p2 = tables(vocab, 8, max_seq_len=5, seed=7)
+        np.testing.assert_array_equal(t1, t2)
+        np.testing.assert_array_equal(p1, p2)
+        assert t1.shape == (10, 8) and p1.shape == (5, 8)
+        assert np.all(np.abs(t1) <= 0.1)
+        assert np.all(np.abs(p1) <= 0.1)

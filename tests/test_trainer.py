@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relgrid import trainer
-from relgrid.corpus import RelationVocab, Sentence, Span, Triple
+from relgrid.corpus import RelationVocab, Sentence
 from relgrid.encoder import build_vocab, encode_indices
 from relgrid.scorer import train_grads
 from relgrid.synthetic import SynthConfig, generate_corpus
@@ -11,7 +11,6 @@ from relgrid.trainer import (
     AdamState,
     Batch,
     EpochRecord,
-    Model,
     NumericError,
     TrainConfig,
     adam_step,
@@ -42,7 +41,12 @@ def batch_of(corpus, vocab, num_relations):
 
 def by_group(model, flat):
     """A flat vector laid out like model.weights, split into named groups."""
-    return trainer._views(flat, trainer._trainable(model))
+    return trainer._views(flat, {name: arr.shape for name, arr in model.arrays.items()})
+
+
+def embedding_tables(model):
+    """The model's token and positional tables."""
+    return model.arrays["token_table"], model.arrays["positional_table"]
 
 
 def padded_train_step(model, batch):
@@ -51,19 +55,13 @@ def padded_train_step(model, batch):
     (positional model only); gradients come back as one array per group."""
     size = len(batch.token_ids)
     padded = max(len(ids) for ids in batch.token_ids)
-    grads = {
-        "pair_proj": np.zeros_like(model.params.pair_proj),
-        "pair_bias": np.zeros_like(model.params.pair_bias),
-        "rel_tag_emb": np.zeros_like(model.params.rel_tag_emb),
-        "token_table": np.zeros_like(model.table.tokens),
-        "positional_table": np.zeros_like(model.table.positional),
-    }
+    grads = {name: np.zeros_like(arr) for name, arr in model.arrays.items()}
     batch_loss = 0.0
     for row in range(size):
         n = len(batch.token_ids[row])
         ids = np.zeros(padded, dtype=np.int64)  # 0 = padding
         ids[:n] = batch.token_ids[row]
-        emb = encode_indices(ids, model.table, True)
+        emb = encode_indices(ids, *embedding_tables(model))
         gold, mask = pad_cells(batch.gold[row], padded)
         _, loss, g = concat_reference(emb, model.params, gold, mask)
         batch_loss += loss
@@ -293,10 +291,10 @@ class TestTraining:
             n = len(s.sentence)
             ids = np.zeros(n + 9, dtype=np.int64)
             ids[:n] = vocab.indices(s.sentence.tokens)
-            emb = encode_indices(ids[:n], model.table, True)
+            emb = encode_indices(ids[:n], *embedding_tables(model))
             true_length = train_grads(emb, gold, model.params, 0).loss
             for pad in (n + 1, n + 9):
-                emb = encode_indices(ids[:pad], model.table, True)
+                emb = encode_indices(ids[:pad], *embedding_tables(model))
                 padded = concat_reference(emb, model.params, *pad_cells(gold, pad))[1]
                 assert abs(padded - true_length) <= 1e-12
 
@@ -357,7 +355,7 @@ class TestTraining:
 def assert_views_of_weights(model):
     """Every trainable array is a view into model.weights, and together they
     tile it in group order."""
-    groups = trainer._trainable(model)
+    groups = model.arrays
     assert model.weights.ndim == 1 and model.weights.dtype == np.float64
     assert sum(arr.size for arr in groups.values()) == model.weights.size
     offset = 0
@@ -374,7 +372,7 @@ class TestFlatWeights:
         config = TrainConfig(seed=3, use_positional=use_positional)
         model = init_model(relations, build_vocab(corpus), config)
         assert_views_of_weights(model)
-        assert len(trainer._trainable(model)) == (5 if use_positional else 4)
+        assert len(model.arrays) == (5 if use_positional else 4)
 
     @pytest.mark.parametrize("use_positional", [True, False])
     def test_loaded_arrays_share_the_flat_vector(self, tiny_synth, tmp_path, use_positional):
@@ -442,8 +440,8 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.params.pair_proj, model.params.pair_proj)
         np.testing.assert_array_equal(loaded.params.pair_bias, model.params.pair_bias)
         np.testing.assert_array_equal(loaded.params.rel_tag_emb, model.params.rel_tag_emb)
-        np.testing.assert_array_equal(loaded.table.tokens, model.table.tokens)
-        np.testing.assert_array_equal(loaded.table.positional, model.table.positional)
+        for name in ("token_table", "positional_table"):
+            np.testing.assert_array_equal(loaded.arrays[name], model.arrays[name])
         assert loaded.vocab.token_to_index == model.vocab.token_to_index
         assert loaded.relations.names == relations.names
         assert loaded.config == model.config
