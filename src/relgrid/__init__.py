@@ -23,7 +23,7 @@ from .corpus import (
 )
 from .encoder import Vocab, build_vocab, encode_indices
 from .evaluation import MetricsReport, breakdown, export_relation_embeddings, micro_prf, stack_rows
-from .scorer import ScorerParams, init_scorer_params, tag_grid, train_grads
+from .scorer import tag_grid, train_grads
 from .synthetic import SynthConfig, generate_corpus
 from .tagging import Tag, decode, encode, roundtrip_check, triple_rows
 from .trainer import (

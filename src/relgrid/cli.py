@@ -286,7 +286,7 @@ def cmd_eval(cfg: RunConfig) -> int:
         print(kv)
     export_path = cfg.get("export-relations")
     if export_path:
-        export_relation_embeddings(model.params, model.relations, export_path)
+        export_relation_embeddings(model.arrays["rel_tag_emb"], model.relations, export_path)
         print(f"relation representations: {export_path}")
     return EXIT_OK
 

@@ -25,7 +25,6 @@ from typing import Iterable
 import numpy as np
 
 from .corpus import BUCKETS, PATTERN_FLAGS, PatternLabel, RelationVocab
-from .scorer import ScorerParams
 from .tagging import NUM_TAGS, Tag, TAG_NAMES
 
 PARTIAL = "partial"
@@ -218,9 +217,10 @@ def breakdown(
 
 
 def export_relation_embeddings(
-    params: ScorerParams, relations: RelationVocab, path: str | Path
+    rel_tag_emb: np.ndarray, relations: RelationVocab, path: str | Path
 ) -> None:
-    """Tab-separated dump of rel_tag_emb, one row per (relation, tag) column.
+    """Tab-separated dump of the hidden_dim x 4K rel_tag_emb array, one row
+    per (relation, tag) column.
 
     Row label is `relation_name/tag_name`; values round-trip float64 exactly
     (shortest-repr formatting).
@@ -228,7 +228,7 @@ def export_relation_embeddings(
     lines = []
     for k, name in enumerate(relations.names):
         for tag in Tag:
-            column = params.rel_tag_emb[:, NUM_TAGS * k + int(tag)]
+            column = rel_tag_emb[:, NUM_TAGS * k + int(tag)]
             label = f"{name}/{TAG_NAMES[tag]}"
             lines.append("\t".join([label] + [repr(float(v)) for v in column]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

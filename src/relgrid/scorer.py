@@ -13,6 +13,10 @@ built: with pair_proj = [W_h | W_t] the pre-activation is the broadcast sum
 of W_h e_i and W_t e_j + b, and backward sums the pair gradient over j
 (resp. i) before it meets W_h (resp. W_t). All is float64.
 
+The three parameters are the model's named arrays (trainer._layout gives
+their shapes): the drivers read them from a dict by name, and train_grads
+adds their gradients into the same names of another dict.
+
 The grid is worked in blocks of 16 head rows by shared kernels:
 _hidden_block (pre-activation, dropout, rectifier), _tag_gradient (tag
 softmax, NLL, softmax - onehot(gold)), _hidden_gradient (to rel_tag_emb,
@@ -34,81 +38,10 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
 from .tagging import NUM_TAGS
-
-
-@dataclass
-class ScorerParams:
-    """Trainable classifier parameters.
-
-    pair_proj:   hidden_dim x 2*emb_dim projection of [e_i; e_j]
-    pair_bias:   hidden_dim
-    rel_tag_emb: hidden_dim x 4*num_relations; columns 4k..4k+3 hold
-                 relation k's four tag representations
-    """
-
-    pair_proj: np.ndarray
-    pair_bias: np.ndarray
-    rel_tag_emb: np.ndarray
-    dropout_rate: float = 0.1
-
-    def __post_init__(self):
-        hidden_dim = self.pair_proj.shape[0]
-        if self.pair_proj.ndim != 2 or self.pair_proj.shape[1] % 2 != 0:
-            raise ValueError(f"bad pair_proj shape {self.pair_proj.shape}")
-        if self.pair_bias.shape != (hidden_dim,):
-            raise ValueError(f"bad pair_bias shape {self.pair_bias.shape}")
-        if self.rel_tag_emb.ndim != 2 or self.rel_tag_emb.shape[0] != hidden_dim:
-            raise ValueError(f"bad rel_tag_emb shape {self.rel_tag_emb.shape}")
-        if self.rel_tag_emb.shape[1] % NUM_TAGS != 0:
-            raise ValueError("rel_tag_emb columns must be a multiple of 4")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate {self.dropout_rate} outside [0, 1)")
-        for name in ("pair_proj", "pair_bias", "rel_tag_emb"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"non-finite values in {name}")
-
-    @property
-    def emb_dim(self) -> int:
-        return self.pair_proj.shape[1] // 2
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.pair_proj.shape[0]
-
-    @property
-    def num_relations(self) -> int:
-        return self.rel_tag_emb.shape[1] // NUM_TAGS
-
-
-def init_scorer_params(
-    emb_dim: int,
-    num_relations: int,
-    seed: int,
-    hidden_dim: int | None = None,
-    dropout_rate: float = 0.1,
-) -> ScorerParams:
-    """Glorot-uniform weights, zero bias; hidden_dim defaults to 3 * emb_dim."""
-    if hidden_dim is None:
-        hidden_dim = 3 * emb_dim
-    rng = np.random.default_rng(seed)
-
-    def glorot(fan_in, fan_out, shape):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, size=shape)
-
-    return ScorerParams(
-        pair_proj=glorot(2 * emb_dim, hidden_dim, (hidden_dim, 2 * emb_dim)),
-        pair_bias=np.zeros(hidden_dim),
-        rel_tag_emb=glorot(
-            hidden_dim, NUM_TAGS * num_relations, (hidden_dim, NUM_TAGS * num_relations)
-        ),
-        dropout_rate=dropout_rate,
-    )
 
 
 # Head rows per block. The split depends on L alone, so no result depends
@@ -166,22 +99,23 @@ def _map_blocks(fn, length: int) -> list:
     return results
 
 
-def _projections(emb: np.ndarray, params: ScorerParams) -> tuple[np.ndarray, np.ndarray]:
+def _projections(emb: np.ndarray, arrays: dict) -> tuple[np.ndarray, np.ndarray]:
     """The two L x hidden_dim halves of the pre-activation: W_h e_i and W_t e_j + b."""
-    d = params.emb_dim
+    pair_proj = arrays["pair_proj"]
+    d = pair_proj.shape[1] // 2
     if emb.ndim != 2 or emb.shape[1] != d:
         raise ValueError(f"embedding shape {emb.shape} incompatible with emb_dim {d}")
-    return emb @ params.pair_proj[:, :d].T, emb @ params.pair_proj[:, d:].T + params.pair_bias
+    return emb @ pair_proj[:, :d].T, emb @ pair_proj[:, d:].T + arrays["pair_bias"]
 
 
-def _hidden_block(heads, tails, rows, params, seed=None, scale=1.0) -> np.ndarray:
+def _hidden_block(heads, tails, rows, seed=None, rate=0.0, scale=1.0) -> np.ndarray:
     """Post-rectifier activations of the pairs (i, j), i in rows, as a
     (rows * L) x hidden_dim array; dropout is drawn when seed is not None."""
     pre = heads[rows, None, :] + tails
     if seed is not None:
         # these rows' part of one rng.random((L * L, hidden_dim)) draw
         bits = np.random.PCG64(seed).advance(rows.start * tails.size)
-        pre *= np.random.Generator(bits).random(pre.shape) >= params.dropout_rate
+        pre *= np.random.Generator(bits).random(pre.shape) >= rate
         pre *= scale
     np.maximum(pre, 0.0, out=pre)
     return pre.reshape(-1, tails.shape[1])
@@ -206,43 +140,17 @@ def _tag_gradient(s: np.ndarray, gold: np.ndarray, count: int) -> float:
     return nll
 
 
-def _hidden_gradient(d_scores, hidden, rows, params, scale, d_heads):
+def _hidden_gradient(d_scores, hidden, rows, rel_tag_emb, scale, d_heads):
     """Back from a block's (rows * L) x 4K score gradient through rel_tag_emb,
     the rectifier and dropout: fills d_heads[rows], returns d_rel and d_tails."""
     d_rel = hidden.T @ d_scores
-    d_hidden = d_scores @ params.rel_tag_emb.T
+    d_hidden = d_scores @ rel_tag_emb.T
     d_hidden *= hidden > 0.0  # rectifier active set, dropped units included
     d_hidden *= scale
     # pre(i, j) = W_h e_i + W_t e_j + b: reduce over the partner token first
     d_pre = d_hidden.reshape(rows.stop - rows.start, -1, hidden.shape[1])
     d_heads[rows] = d_pre.sum(axis=1)  # summed over tails j
     return d_rel, d_pre.sum(axis=0)
-
-
-@dataclass
-class ScorerGrads:
-    """Gradients of the mean loss for every trainable array, plus that loss."""
-
-    pair_proj: np.ndarray
-    pair_bias: np.ndarray
-    rel_tag_emb: np.ndarray
-    emb: np.ndarray
-    loss: float
-
-
-def _sum_grads(blocks: list, d_heads, emb, params, count: int) -> ScorerGrads:
-    """Add the blocks' (NLL sum, d_rel, d_tails) in block order and go back
-    through the two projections to the parameters and embeddings."""
-    nll_sums, d_rels, d_tails_parts = zip(*blocks)
-    d = params.emb_dim
-    d_tails = sum(d_tails_parts)  # L x hidden_dim, summed over heads i
-    return ScorerGrads(
-        pair_proj=np.concatenate([d_heads.T @ emb, d_tails.T @ emb], axis=1),
-        pair_bias=d_heads.sum(axis=0),
-        rel_tag_emb=sum(d_rels),
-        emb=d_heads @ params.pair_proj[:, :d] + d_tails @ params.pair_proj[:, d:],
-        loss=float(sum(nll_sums) / count),
-    )
 
 
 # bits 0-2 set where tags 1-3 hold the top non-NONE score -> the sole such tag, else NONE
@@ -263,38 +171,55 @@ def _tags(s: np.ndarray) -> np.ndarray:
 
 
 def train_grads(
-    emb: np.ndarray, gold: np.ndarray, params: ScorerParams, rng_seed: int
-) -> ScorerGrads:
+    emb: np.ndarray,
+    gold: np.ndarray,
+    arrays: dict,
+    dropout_rate: float,
+    rng_seed: int,
+    grads: dict,
+) -> tuple[float, np.ndarray]:
     """The mean tag NLL over all L x K x L cells against (L, K, L) int gold
-    tags, and its exact gradients, with dropout drawn from rng_seed when the
-    rate is above 0; each block goes from hidden layer to gradients in one pass."""
-    heads, tails = _projections(emb, params)
-    length, num_rel = emb.shape[0], params.num_relations
+    tags, with dropout drawn from rng_seed when the rate is above 0; each
+    block goes from hidden layer to gradients in one pass. Adds the loss's
+    gradients to the three parameter arrays into the same names of `grads`
+    and returns the loss and its L x emb_dim embedding gradient."""
+    heads, tails = _projections(emb, arrays)
+    pair_proj, rel_tag_emb = arrays["pair_proj"], arrays["rel_tag_emb"]
+    length, num_rel = emb.shape[0], rel_tag_emb.shape[1] // NUM_TAGS
     if gold.shape != (length, num_rel, length):
         raise ValueError(f"gold shape {gold.shape} != grid cells {(length, num_rel, length)}")
-    rate = params.dropout_rate
-    seed, scale = (rng_seed, 1.0 / (1.0 - rate)) if rate > 0.0 else (None, 1.0)
-    d_heads = np.empty((length, params.hidden_dim))
+    seed, scale = (rng_seed, 1.0 / (1.0 - dropout_rate)) if dropout_rate > 0.0 else (None, 1.0)
+    d_heads = np.empty_like(heads)
 
     def block(rows: slice) -> tuple:
-        hidden = _hidden_block(heads, tails, rows, params, seed, scale)
-        d_scores = hidden @ params.rel_tag_emb  # (rows * L) x 4K: cells (i, j, k)
+        hidden = _hidden_block(heads, tails, rows, seed, dropout_rate, scale)
+        d_scores = hidden @ rel_tag_emb  # (rows * L) x 4K: cells (i, j, k)
         cells = d_scores.reshape(len(hidden), num_rel, NUM_TAGS)
         nll = _tag_gradient(cells, gold[rows].transpose(0, 2, 1), gold.size)
-        return nll, *_hidden_gradient(d_scores, hidden, rows, params, scale, d_heads)
+        return nll, *_hidden_gradient(d_scores, hidden, rows, rel_tag_emb, scale, d_heads)
 
-    return _sum_grads(_map_blocks(block, length), d_heads, emb, params, gold.size)
+    # add the blocks' parts in block order, then go back through the projections
+    nll_sums, d_rels, d_tails_parts = zip(*_map_blocks(block, length))
+    d_tails = sum(d_tails_parts)  # L x hidden_dim, summed over heads i
+    d = emb.shape[1]
+    grads["pair_proj"][:, :d] += d_heads.T @ emb
+    grads["pair_proj"][:, d:] += d_tails.T @ emb
+    grads["pair_bias"] += d_heads.sum(axis=0)
+    grads["rel_tag_emb"] += sum(d_rels)
+    d_emb = d_heads @ pair_proj[:, :d] + d_tails @ pair_proj[:, d:]
+    return float(sum(nll_sums) / gold.size), d_emb
 
 
-def tag_grid(emb: np.ndarray, params: ScorerParams) -> np.ndarray:
+def tag_grid(emb: np.ndarray, arrays: dict) -> np.ndarray:
     """The (L, K, L) int8 grid of every cell's argmax tag, exact ties to NONE,
     with no dropout; each block goes from hidden layer to tags in one pass."""
-    heads, tails = _projections(emb, params)
-    length, num_rel = emb.shape[0], params.num_relations
+    heads, tails = _projections(emb, arrays)
+    rel_tag_emb = arrays["rel_tag_emb"]
+    length, num_rel = emb.shape[0], rel_tag_emb.shape[1] // NUM_TAGS
     tags = np.empty((length, num_rel, length), dtype=np.int8)
 
     def block(rows: slice) -> None:
-        scores = _hidden_block(heads, tails, rows, params) @ params.rel_tag_emb
+        scores = _hidden_block(heads, tails, rows) @ rel_tag_emb
         tags[rows] = _tags(scores.reshape(-1, length, num_rel, NUM_TAGS)).transpose(0, 2, 1)
 
     _map_blocks(block, length)

@@ -21,7 +21,7 @@ import numpy as np
 from .config import ConfigError, check_fields, is_int, is_real
 from .corpus import AnnotatedSentence, RelationVocab, Sentence
 from .encoder import Vocab, build_vocab, encode_indices
-from .scorer import ScorerParams, init_scorer_params, tag_grid, train_grads
+from .scorer import tag_grid, train_grads
 from .tagging import NUM_TAGS, decode, encode
 
 logger = logging.getLogger(__name__)
@@ -99,25 +99,16 @@ class TrainConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
-@dataclass
-class Batch:
-    """Per-sentence token indices and int8 gold tag grids, at true length."""
-
-    token_ids: list[np.ndarray]  # (n,) int64
-    gold: list[np.ndarray]  # (n, K, n) int8
-
-
 def make_batches(
     encoded: list[tuple[np.ndarray, np.ndarray]], batch_size: int, shuffle_seed: int
-) -> list[Batch]:
-    """Shuffle and chunk (token indices, gold tags) pairs; the final partial
-    batch is kept."""
+) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """Shuffle and chunk (token indices, int8 gold tags) pairs, each at its
+    sentence's true length; the final partial batch is kept."""
     order = np.random.default_rng(shuffle_seed).permutation(len(encoded))
-    batches = []
-    for start in range(0, len(encoded), batch_size):
-        ids, gold = zip(*(encoded[i] for i in order[start : start + batch_size]))
-        batches.append(Batch(token_ids=list(ids), gold=list(gold)))
-    return batches
+    return [
+        [encoded[i] for i in order[start : start + batch_size]]
+        for start in range(0, len(encoded), batch_size)
+    ]
 
 
 @dataclass
@@ -192,25 +183,18 @@ def _views(flat: np.ndarray, layout: dict[str, tuple]) -> dict[str, np.ndarray]:
 @dataclass
 class Model:
     """Everything needed to score unseen sentences. Every trainable array is
-    a view into one flat vector, `weights`, laid out by `_layout`: `arrays`
-    holds them by checkpoint name, `params` the scorer's three."""
+    a view into one flat vector, `weights`, laid out by `_layout`; `arrays`
+    holds them by checkpoint name, and the scorer reads its three there."""
 
     weights: np.ndarray = field(repr=False)
     vocab: Vocab
     relations: RelationVocab
     config: TrainConfig
     arrays: dict[str, np.ndarray] = field(init=False, repr=False)
-    params: ScorerParams = field(init=False, repr=False)
 
     def __post_init__(self):
         layout = _layout(self.config, len(self.vocab), len(self.relations))
         self.arrays = _views(self.weights, layout)
-        self.params = ScorerParams(
-            pair_proj=self.arrays["pair_proj"],
-            pair_bias=self.arrays["pair_bias"],
-            rel_tag_emb=self.arrays["rel_tag_emb"],
-            dropout_rate=self.config.dropout_rate,
-        )
 
 
 @dataclass
@@ -227,46 +211,43 @@ def _derived_seed(*parts: int) -> int:
 def init_model(
     relations: RelationVocab, vocab: Vocab, config: TrainConfig
 ) -> Model:
-    """The scorer's arrays from one derived seed; token rows, then positional
-    rows, uniform in [-0.1, 0.1] from another."""
-    layout = _layout(config, len(vocab), len(relations))
-    drawn = vars(
-        init_scorer_params(
-            emb_dim=config.emb_dim,
-            num_relations=len(relations),
-            seed=_derived_seed(config.seed, 2),
-            hidden_dim=config.resolved_hidden_dim(),
-        )
-    )
-    rng = np.random.default_rng(_derived_seed(config.seed, 1))
-    for name in ("token_table", "positional_table"):
-        if name in layout:
-            drawn[name] = rng.uniform(-0.1, 0.1, size=layout[name])
-    weights = np.concatenate([drawn[name].ravel() for name in layout])
-    return Model(weights, vocab, relations, config)
+    """Fresh weights, drawn in layout order: pair_proj, then rel_tag_emb,
+    Glorot-uniform in +-sqrt(6 / (rows + cols)) from one derived seed, and
+    pair_bias zero; token rows, then positional rows, uniform in
+    [-0.1, 0.1] from another."""
+    glorot = np.random.default_rng(_derived_seed(config.seed, 2))
+    tables = np.random.default_rng(_derived_seed(config.seed, 1))
+    drawn = []
+    for name, shape in _layout(config, len(vocab), len(relations)).items():
+        if name == "pair_bias":
+            drawn.append(np.zeros(shape))
+        elif name in ("pair_proj", "rel_tag_emb"):
+            bound = np.sqrt(6.0 / sum(shape))
+            drawn.append(glorot.uniform(-bound, bound, size=shape))
+        else:
+            drawn.append(tables.uniform(-0.1, 0.1, size=shape))
+    return Model(np.concatenate([arr.ravel() for arr in drawn]), vocab, relations, config)
 
 
 def train_step(
-    model: Model, batch: Batch, dropout_seeds: list[int]
+    model: Model, batch: list[tuple[np.ndarray, np.ndarray]], dropout_seeds: list[int]
 ) -> tuple[float, np.ndarray]:
-    """Forward/backward over one batch, each sentence at its true length (so
-    nothing depends on its batch companions); returns the mean loss and the
-    mean gradient, laid out like model.weights."""
+    """Forward/backward over one batch of (token indices, gold tags) pairs,
+    each sentence at its true length (so nothing depends on its batch
+    companions); returns the mean loss and the mean gradient, laid out like
+    model.weights."""
     grad = np.zeros_like(model.weights)
     groups = _views(grad, {name: arr.shape for name, arr in model.arrays.items()})
     tokens, positional = model.arrays["token_table"], model.arrays.get("positional_table")
     batch_loss = 0.0
-    for ids, gold, seed in zip(batch.token_ids, batch.gold, dropout_seeds):
+    for (ids, gold), seed in zip(batch, dropout_seeds):
         emb = encode_indices(ids, tokens, positional)
-        g = train_grads(emb, gold, model.params, seed)
-        batch_loss += g.loss
-        groups["pair_proj"] += g.pair_proj
-        groups["pair_bias"] += g.pair_bias
-        groups["rel_tag_emb"] += g.rel_tag_emb
-        np.add.at(groups["token_table"], ids, g.emb)
+        loss, d_emb = train_grads(emb, gold, model.arrays, model.config.dropout_rate, seed, groups)
+        batch_loss += loss
+        np.add.at(groups["token_table"], ids, d_emb)
         if positional is not None:
-            groups["positional_table"][: len(ids)] += g.emb
-    size = len(batch.token_ids)
+            groups["positional_table"][: len(ids)] += d_emb
+    size = len(batch)
     grad /= size
     if not np.isfinite(grad).all():
         bad = next(name for name, arr in groups.items() if not np.isfinite(arr).all())
@@ -308,7 +289,7 @@ def train(
         )
         weighted_loss = 0.0
         for b_idx, batch in enumerate(batches):
-            size = len(batch.token_ids)
+            size = len(batch)
             seeds = [0] * size  # read only when dropout is on
             if config.dropout_rate > 0.0:
                 seeds = [_derived_seed(config.seed, 4, epoch, b_idx, row) for row in range(size)]
@@ -343,7 +324,7 @@ def predict(sentence: Sentence, model: Model) -> np.ndarray:
     emb = encode_indices(
         model.vocab.indices(tokens), model.arrays["token_table"], model.arrays.get("positional_table")
     )
-    return decode(tag_grid(emb, model.params))
+    return decode(tag_grid(emb, model.arrays))
 
 
 def write_loss_log(path: str | Path, log: list[EpochRecord]) -> None:
@@ -379,9 +360,13 @@ def save_checkpoint(path: str | Path, model: Model) -> None:
 _HEADER_KEYS = {"version", "config", "config_hash", "relations", "vocab"}
 
 
-def _read_checkpoint(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Header and arrays of a checkpoint; ValueError naming the first defect
-    when the file is not a complete archive of the current version."""
+def load_checkpoint(path: str | Path) -> Model:
+    """The model a checkpoint holds; ValueError naming the file and its first
+    defect when it is not a complete, self-consistent archive of the current
+    version."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"no such checkpoint: {path}")
 
     def corrupt(reason) -> ValueError:
         return ValueError(f"corrupt checkpoint {path}: {reason}")
@@ -408,30 +393,25 @@ def _read_checkpoint(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
     names = header["relations"]
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
         raise corrupt("relations must be a JSON list of strings")
-    return header, arrays
-
-
-def load_checkpoint(path: str | Path) -> Model:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such checkpoint: {path}")
-    header, arrays = _read_checkpoint(path)
     try:
         config = TrainConfig.from_json(header["config"])
     except ConfigError as exc:
-        raise ValueError(f"invalid checkpoint config: {exc}") from None
+        raise corrupt(f"invalid config: {exc}") from None
     if config.hash() != header["config_hash"]:
-        raise ValueError("checkpoint config hash mismatch")
-    vocab = Vocab.from_json(header["vocab"])
-    relations = RelationVocab(names=tuple(header["relations"]))
+        raise corrupt("config hash mismatch")
+    try:
+        vocab = Vocab.from_json(header["vocab"])
+        relations = RelationVocab(names=tuple(names))
+    except ValueError as exc:
+        raise corrupt(exc) from None
     layout = _layout(config, len(vocab), len(relations))
     for name in _GROUPS:
         found, expected = (arrays[name].shape if name in arrays else None), layout.get(name)
         if found != expected:
-            raise ValueError(f"corrupt checkpoint {path}: {name} shape {found}, expected {expected}")
+            raise corrupt(f"{name} shape {found}, expected {expected}")
         if found is not None and arrays[name].dtype != np.float64:
-            raise ValueError(f"corrupt checkpoint {path}: {name} dtype {arrays[name].dtype}, not float64")
+            raise corrupt(f"{name} dtype {arrays[name].dtype}, not float64")
         if found is not None and not np.isfinite(arrays[name]).all():
-            raise ValueError(f"corrupt checkpoint {path}: non-finite values in {name}")
+            raise corrupt(f"non-finite values in {name}")
     weights = np.concatenate([arrays[name].ravel() for name in layout])
     return Model(weights, vocab, relations, config)

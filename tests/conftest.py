@@ -30,6 +30,24 @@ def as_triples(rows):
     return frozenset(Triple(Span(hb, he), k, Span(tb, te)) for k, hb, he, tb, te in rows.tolist())
 
 
+def glorot_arrays(emb_dim, num_relations, seed, hidden_dim=None):
+    """The scorer's three arrays by name, hidden_dim 3 * emb_dim unless
+    given: pair_proj, then rel_tag_emb, Glorot-uniform in
+    +-sqrt(6 / (rows + cols)) from default_rng(seed), and a zero pair_bias."""
+    hidden = 3 * emb_dim if hidden_dim is None else hidden_dim
+    rng = np.random.default_rng(seed)
+
+    def glorot(rows, cols):
+        bound = np.sqrt(6.0 / (rows + cols))
+        return rng.uniform(-bound, bound, size=(rows, cols))
+
+    return {
+        "pair_proj": glorot(hidden, 2 * emb_dim),
+        "pair_bias": np.zeros(hidden),
+        "rel_tag_emb": glorot(hidden, 4 * num_relations),
+    }
+
+
 def random_triples(rng, length, num_relations, max_triples=4, max_width=3):
     """Unconstrained random triple set; may carry any overlap pattern."""
     triples = set()

@@ -7,7 +7,6 @@ Run with: pytest tests/test_acceptance.py -v
 import json
 import os
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,6 @@ from relgrid.corpus import (
 )
 from relgrid.encoder import build_vocab, encode_indices
 from relgrid.evaluation import EXACT, PARTIAL, breakdown, micro_prf, stack_rows
-from relgrid.scorer import ScorerParams, train_grads
 from relgrid.synthetic import SynthConfig, generate_corpus
 from relgrid.tagging import Tag, encode, roundtrip_check, triple_rows
 from relgrid.trainer import (
@@ -49,6 +47,7 @@ from test_scorer import (
     min_preactivation,
     pad_cells,
     random_instance,
+    scorer_grads,
 )
 
 
@@ -150,8 +149,8 @@ def test_criterion_3_gradients_match_finite_differences(report):
     worst = 0.0
     while checked < 20:
         seed += 1
-        emb, params, _ = random_instance(seed)
-        if min_preactivation(emb, params) < 1e-3:
+        emb, arrays, _ = random_instance(seed)
+        if min_preactivation(emb, arrays) < 1e-3:
             continue  # finite differences would cross the rectifier kink
         worst = max(worst, gradcheck(seed, tol=1e-4))
         checked += 1
@@ -169,17 +168,16 @@ def test_criterion_4_uniform_loss_anchor(report):
     worst = 0.0
     cases = 0
     for length, num_rel, emb_dim in ((1, 1, 2), (3, 2, 4), (7, 5, 6), (20, 3, 8)):
-        params = ScorerParams(
+        arrays = dict(
             pair_proj=np.zeros((3 * emb_dim, 2 * emb_dim)),
             pair_bias=np.zeros(3 * emb_dim),
             rel_tag_emb=np.zeros((3 * emb_dim, 4 * num_rel)),
-            dropout_rate=0.0,
         )
         for _ in range(3):
             emb = rng.normal(size=(length, emb_dim))
             s = make_sentence(length, random_triples(rng, length, num_rel))
             gold, _ = encode(s, num_rel)
-            value = train_grads(emb, gold, params, 0).loss
+            value = scorer_grads(emb, gold, arrays)["loss"]
             worst = max(worst, abs(value - np.log(4.0)))
             cases += 1
     ok = worst <= 1e-9
@@ -271,7 +269,6 @@ def test_criterion_6_padding_inertia(report):
     corpus, relations, _ = generate_corpus(config)
     vocab = build_vocab(corpus)
     model = init_model(relations, vocab, TrainConfig(seed=8))
-    params = replace(model.params, dropout_rate=0.0)
     num_rel = len(relations)
     tables = model.arrays["token_table"], model.arrays["positional_table"]
 
@@ -282,10 +279,10 @@ def test_criterion_6_padding_inertia(report):
         ids = np.zeros(n + 17, dtype=np.int64)
         ids[:n] = vocab.indices(s.sentence.tokens)
         emb = encode_indices(ids[:n], *tables)
-        values = [train_grads(emb, gold, params, 0).loss]
+        values = [scorer_grads(emb, gold, model.arrays)["loss"]]
         for pad in (n + 1, n + 9, n + 17):
             emb = encode_indices(ids[:pad], *tables)
-            values.append(concat_reference(emb, params, *pad_cells(gold, pad))[1])
+            values.append(concat_reference(emb, model.arrays, *pad_cells(gold, pad))[1])
         worst = max(worst, max(values) - min(values))
     ok = worst <= 1e-12
     report(

@@ -32,6 +32,18 @@ def with_value(array, value):
     return array
 
 
+def with_header_field(checkpoint, path, field, change):
+    """Write to `path` a copy of `checkpoint` whose header field is
+    change(field); return the path."""
+    with np.load(checkpoint) as data:
+        arrays = {name: data[name] for name in data.files}
+    header = json.loads(str(arrays["header_json"]))
+    header[field] = change(header[field])
+    arrays["header_json"] = np.array(json.dumps(header))
+    np.savez(path, **arrays)
+    return path
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -598,18 +610,37 @@ class TestTrainEval:
     def test_header_config_not_of_train_config_fields_is_data_error(
         self, capsys, synth_file, tmp_path, checkpoint, change, message
     ):
-        with np.load(checkpoint) as data:
-            arrays = {name: data[name] for name in data.files}
-        header = json.loads(str(arrays["header_json"]))
-        header["config"] = change(header["config"])
-        arrays["header_json"] = np.array(json.dumps(header))
-        edited = tmp_path / "edited.npz"
-        np.savez(edited, **arrays)
+        edited = with_header_field(checkpoint, tmp_path / "edited.npz", "config", change)
         code, stdout, stderr = run(
             capsys, "eval", "--data", str(synth_file), "--checkpoint", str(edited)
         )
         assert (code, stdout) == (EXIT_DATA, "")
-        assert stderr == f"error: invalid checkpoint config: {message}\n"
+        assert stderr == f"error: corrupt checkpoint {edited}: invalid config: {message}\n"
+
+    @pytest.mark.parametrize(
+        "field, change, reason",
+        [
+            ("relations", lambda names: names[:1] * len(names), "duplicate relation names"),
+            ("relations", lambda names: [], "relation vocabulary is empty"),
+            ("vocab", list, "vocab must be a JSON object mapping tokens to indices"),
+            ("vocab", lambda vocab: {**vocab, "<unk>": 0},
+             "vocab indices must be the distinct integers 0..{last}"),
+            ("config_hash", lambda digest: "0" * len(digest), "config hash mismatch"),
+        ],
+        ids=["duplicate-relations", "no-relations", "list-vocab", "repeated-vocab-index",
+             "wrong-config-hash"],
+    )
+    def test_inconsistent_header_is_data_error_naming_the_file(
+        self, capsys, synth_file, tmp_path, checkpoint, field, change, reason
+    ):
+        edited = with_header_field(checkpoint, tmp_path / "edited.npz", field, change)
+        code, stdout, stderr = run(
+            capsys, "eval", "--data", str(synth_file), "--checkpoint", str(edited)
+        )
+        with np.load(checkpoint) as data:
+            last = len(json.loads(str(data["header_json"]))["vocab"]) - 1
+        assert (code, stdout) == (EXIT_DATA, "")
+        assert stderr == f"error: corrupt checkpoint {edited}: {reason.format(last=last)}\n"
 
     @pytest.mark.parametrize(
         "relations", [5, None, "rel0rel1", [0, 1, 2, 3]], ids=["number", "null", "string", "integers"]
@@ -617,13 +648,9 @@ class TestTrainEval:
     def test_header_relations_not_a_list_of_strings_is_data_error(
         self, capsys, synth_file, tmp_path, checkpoint, relations
     ):
-        with np.load(checkpoint) as data:
-            arrays = {name: data[name] for name in data.files}
-        header = json.loads(str(arrays["header_json"]))
-        header["relations"] = relations
-        arrays["header_json"] = np.array(json.dumps(header))
-        edited = tmp_path / "edited.npz"
-        np.savez(edited, **arrays)
+        edited = with_header_field(
+            checkpoint, tmp_path / "edited.npz", "relations", lambda _: relations
+        )
         code, stdout, stderr = run(
             capsys, "eval", "--data", str(synth_file), "--checkpoint", str(edited)
         )
@@ -963,6 +990,31 @@ def record_lines(draw):
     return json.dumps(record)
 
 
+GOOD_PUBLIC_RECORD = {"id": "a", "text": "a b c", "triple_list": [["a", "r", "c"]]}
+# entity and relation strings that resolve, resolve elsewhere or not at all
+PUBLIC_STRINGS = st.sampled_from(["a", "b c", "c", "r", "z", ""])
+
+
+@st.composite
+def public_record_lines(draw):
+    """One public record line: the good record with a field or a triple
+    element replaced or deleted, any JSON value, or text that may not be
+    JSON."""
+    kind = draw(st.sampled_from(["record", "triple", "value", "text"]))
+    if kind == "value":
+        return json.dumps(draw(JSON_VALUES))
+    if kind == "text":
+        return draw(st.text(max_size=24).filter(lambda t: "\n" not in t and "\r" not in t))
+    record = json.loads(json.dumps(GOOD_PUBLIC_RECORD))
+    target = record if kind == "record" else record["triple_list"][0]
+    key = draw(st.sampled_from(list(record) if kind == "record" else [0, 1, 2]))
+    if draw(st.booleans()):
+        del target[key]
+    else:
+        target[key] = draw(PUBLIC_STRINGS | JSON_VALUES)
+    return json.dumps(record)
+
+
 # per config key: values it accepts or nearly accepts, drawn two times in
 # three; else any JSON value
 CONFIG_VALUES = {
@@ -1011,9 +1063,10 @@ def configs(draw, command):
     return json.dumps(config)
 
 
-def run_in_empty_directory(command, lines, config):
+def run_in_empty_directory(command, lines, config, public=False, checkpoint=None):
     """Run `command` on the record lines and config text inside a fresh empty
-    directory; return its exit code and stderr."""
+    directory, public records with a relations file naming "r", eval
+    against `checkpoint`; return its exit code and stderr."""
     previous, err = os.getcwd(), io.StringIO()
     with tempfile.TemporaryDirectory() as name:
         directory = Path(name)
@@ -1023,8 +1076,13 @@ def run_in_empty_directory(command, lines, config):
         argv = {
             "stats": ["stats", "--data", str(data)],
             "train": ["train", "--data", str(data), "--out", str(directory / "m.npz")],
+            "eval": ["eval", "--data", str(data), "--checkpoint", str(checkpoint)],
             "tag": ["tag", f"--sentence={lines[0]}"],
         }[command] + ["--config", str(path)]
+        if public:
+            relations = directory / "relations.txt"
+            relations.write_text("r\n", encoding="utf-8")
+            argv += ["--format", "public", "--relations", str(relations)]
         os.chdir(directory)
         try:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -1047,13 +1105,29 @@ def assert_one_line_failure(code, stderr):
 
 COMMANDS = st.sampled_from(["stats", "train", "tag"])
 RECORD_LINES = st.lists(record_lines() | st.just(json.dumps(GOOD_RECORD)), min_size=1, max_size=3)
+PUBLIC_RECORD_LINES = st.lists(
+    public_record_lines() | st.just(json.dumps(GOOD_PUBLIC_RECORD)), min_size=1, max_size=3
+)
+
+
+@pytest.fixture(scope="module")
+def good_checkpoint(tmp_path_factory):
+    """A small model of the relation "r", trained once on the good record."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    data, checkpoint = directory / "good.jsonl", directory / "good.npz"
+    data.write_text(json.dumps(GOOD_RECORD) + "\n", encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["train", "--data", str(data), "--out", str(checkpoint),
+                     "--epochs", "1", "--emb-dim", "4"])
+    assert code == EXIT_OK
+    return checkpoint
 
 
 class TestMalformedInputFuzz:
-    """`stats`, `train` and `tag` on malformed native records or config
-    files: a documented exit code, no traceback, and on failure exactly one
-    failure line (`numeric failure:` for exit 3, `error:` otherwise). An
-    exception escaping `main` fails the test too."""
+    """`stats`, `train`, `eval` and `tag` on malformed native or public
+    records or config files: a documented exit code, no traceback, and on
+    failure exactly one failure line (`numeric failure:` for exit 3,
+    `error:` otherwise). An exception escaping `main` fails the test too."""
 
     @settings(max_examples=200, deadline=None)
     @given(COMMANDS, RECORD_LINES)
@@ -1067,3 +1141,18 @@ class TestMalformedInputFuzz:
         command, config = case
         lines = [json.dumps(GOOD_RECORD), json.dumps({**GOOD_RECORD, "id": "b"})]
         assert_one_line_failure(*run_in_empty_directory(command, lines, config))
+
+    @settings(max_examples=120, deadline=None)
+    @given(lines=RECORD_LINES)
+    def test_malformed_records_under_eval(self, good_checkpoint, lines):
+        assert_one_line_failure(
+            *run_in_empty_directory("eval", lines, "{}", checkpoint=good_checkpoint)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(command=st.sampled_from(["stats", "train", "eval"]), lines=PUBLIC_RECORD_LINES)
+    def test_malformed_public_records(self, good_checkpoint, command, lines):
+        config = SMALL_TRAIN_CONFIG if command == "train" else {}
+        assert_one_line_failure(*run_in_empty_directory(
+            command, lines, json.dumps(config), public=True, checkpoint=good_checkpoint
+        ))

@@ -10,6 +10,7 @@ from relgrid.corpus import (
     HTO,
     NORMAL,
     SEO,
+    AnnotatedSentence,
     CorpusError,
     RelationVocab,
     Sentence,
@@ -22,6 +23,8 @@ from relgrid.corpus import (
     resolve_entity,
     save_native,
 )
+
+from relgrid.synthetic import SynthConfig, generate_corpus
 
 from conftest import make_sentence, random_triples
 
@@ -246,9 +249,74 @@ class TestNativeFormat:
             load_native(path)
 
 
+def save_public(corpus, relations, path):
+    """Write annotated sentences as public-format JSONL: the text, and each
+    triple as its head words, relation name and tail words."""
+
+    def words(tokens, span):
+        return " ".join(tokens[span.begin : span.end + 1])
+
+    lines = []
+    for s in corpus:
+        tokens = s.sentence.tokens
+        triple_list = [
+            [words(tokens, t.head), relations.names[t.relation], words(tokens, t.tail)]
+            for t in sorted(s.triples)
+        ]
+        lines.append(json.dumps({"id": s.sentence.id, "text": " ".join(tokens), "triple_list": triple_list}))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 class TestPublicFormat:
     def vocab(self):
         return RelationVocab(names=("r0", "r1"))
+
+    @pytest.fixture(scope="class")
+    def synth(self):
+        corpus, relations, _ = generate_corpus(SynthConfig(sentences=120, num_relations=3, seed=31))
+        return corpus, relations
+
+    def test_synthetic_corpus_resolves_to_its_own_spans(self, tmp_path, synth):
+        # generated sentences never repeat a token, so every entity's words
+        # occur once, at its own span
+        corpus, relations = synth
+        path = tmp_path / "public.jsonl"
+        save_public(corpus, relations, path)
+        loaded, warnings = load_public(path, relations)
+        assert warnings == []
+        assert [(s.sentence, s.triples) for s in loaded] == [(s.sentence, s.triples) for s in corpus]
+
+    def test_entity_words_occurring_earlier_resolve_to_the_leftmost_match(self, tmp_path, synth):
+        # each sentence led by a copy of its first head's words: an entity
+        # whose words occur in the copy resolves there, and every other span
+        # moves with the text
+        corpus, relations = synth
+        moved, expected, earlier = [], [], 0
+        for s in corpus:
+            first = min(s.triples).head
+            tokens = s.sentence.tokens[first.begin : first.end + 1] + s.sentence.tokens
+            offset = first.end - first.begin + 1
+
+            def shift(span):
+                return Span(span.begin + offset, span.end + offset)
+
+            def leftmost(span):
+                words, width = tokens[span.begin : span.end + 1], span.end - span.begin + 1
+                begin = next(i for i in range(len(tokens)) if tokens[i : i + width] == words)
+                return Span(begin, begin + width - 1)
+
+            triples = [Triple(shift(t.head), t.relation, shift(t.tail)) for t in s.triples]
+            resolved = [Triple(leftmost(t.head), t.relation, leftmost(t.tail)) for t in triples]
+            earlier += sum(t != r for t, r in zip(triples, resolved))
+            sentence = Sentence(tokens=tokens, id=s.sentence.id)
+            moved.append(AnnotatedSentence(sentence, frozenset(triples)))
+            expected.append(AnnotatedSentence(sentence, frozenset(resolved)))
+        path = tmp_path / "public.jsonl"
+        save_public(moved, relations, path)
+        loaded, warnings = load_public(path, relations)
+        assert warnings == []
+        assert loaded == expected
+        assert earlier >= len(corpus)  # each copied head resolves to its copy
 
     def test_unique_substring_match(self, tmp_path):
         path = tmp_path / "p.jsonl"

@@ -29,12 +29,11 @@ from relgrid.evaluation import (
     micro_prf,
     stack_rows,
 )
-from relgrid.scorer import init_scorer_params
 from relgrid.synthetic import SynthConfig, generate_corpus
 from relgrid.tagging import NUM_TAGS, triple_rows
 from relgrid.trainer import TrainConfig, init_model, predict, save_checkpoint
 
-from conftest import as_triples, make_sentence, random_triples
+from conftest import as_triples, glorot_arrays, make_sentence, random_triples
 
 
 def breakdown_of(corpus, predictions, match_mode):
@@ -492,9 +491,9 @@ class TestCountingCore:
 class TestExport:
     def test_row_count_and_bit_exact_values(self, tmp_path):
         relations = RelationVocab(names=("born_in", "works_for"))
-        params = init_scorer_params(emb_dim=4, num_relations=2, seed=6)
+        rel_tag_emb = glorot_arrays(emb_dim=4, num_relations=2, seed=6)["rel_tag_emb"]
         path = tmp_path / "relations.tsv"
-        export_relation_embeddings(params, relations, path)
+        export_relation_embeddings(rel_tag_emb, relations, path)
 
         lines = path.read_text().splitlines()
         assert len(lines) == 8  # 4 tag columns per relation
@@ -505,6 +504,6 @@ class TestExport:
         for row, line in enumerate(lines):
             parts = line.split("\t")[1:]
             k, tag = divmod(row, NUM_TAGS)
-            expected = params.rel_tag_emb[:, NUM_TAGS * k + tag]
+            expected = rel_tag_emb[:, NUM_TAGS * k + tag]
             parsed = np.array([float(v) for v in parts])
             np.testing.assert_array_equal(parsed, expected)

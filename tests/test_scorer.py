@@ -7,29 +7,43 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relgrid import scorer
-from relgrid.scorer import ScorerParams, init_scorer_params, tag_grid, train_grads
+from relgrid.scorer import tag_grid, train_grads
 from relgrid.tagging import NUM_TAGS, Tag
 
-from conftest import tag_cells
+from conftest import glorot_arrays, tag_cells
 
 GRAD_NAMES = ("pair_proj", "pair_bias", "rel_tag_emb", "emb")
 
 
 # --- independent oracles ---------------------------------------------------
+# Each takes the scorer's three arrays by name, as train_grads and tag_grid
+# do, and a dropout rate where training needs one.
 
-def naive_cell_score(emb, params, i, k, tag, j):
+def relation_count(arrays):
+    return arrays["rel_tag_emb"].shape[1] // NUM_TAGS
+
+
+def scorer_grads(emb, gold, arrays, rate=0.0, rng_seed=0):
+    """train_grads into zeroed gradient arrays: the three parameter
+    gradients, "emb" and "loss", by name."""
+    grads = {name: np.zeros_like(arrays[name]) for name in GRAD_NAMES[:3]}
+    grads["loss"], grads["emb"] = train_grads(emb, gold, arrays, rate, rng_seed, grads)
+    return grads
+
+
+def naive_cell_score(emb, arrays, i, k, tag, j):
     """Per-cell recomputation straight from the definition, no batching."""
     pair = np.concatenate([emb[i], emb[j]])
-    hidden = np.maximum(params.pair_proj @ pair + params.pair_bias, 0.0)
-    return float(params.rel_tag_emb[:, NUM_TAGS * k + tag] @ hidden)
+    hidden = np.maximum(arrays["pair_proj"] @ pair + arrays["pair_bias"], 0.0)
+    return float(arrays["rel_tag_emb"][:, NUM_TAGS * k + tag] @ hidden)
 
 
-def naive_scores(emb, params):
+def naive_scores(emb, arrays):
     """L x K x 4 x L scores from naive_cell_score, one cell at a time."""
-    length, num_rel = emb.shape[0], params.num_relations
+    length, num_rel = emb.shape[0], relation_count(arrays)
     scores = np.empty((length, num_rel, NUM_TAGS, length))
     for idx in np.ndindex(scores.shape):
-        scores[idx] = naive_cell_score(emb, params, *idx)
+        scores[idx] = naive_cell_score(emb, arrays, *idx)
     return scores
 
 
@@ -47,27 +61,29 @@ def scalar_loss(scores, gold_cells, length, num_rel):
     return total / (length * num_rel * length)
 
 
-def concat_reference(emb, params, gold_arr, mask=None, training=False, rng_seed=0):
+def concat_reference(emb, arrays, gold_arr, mask=None, rate=0.0, rng_seed=0):
     """Scores, loss and gradients with the pair layer applied to an explicit
     L x L x 2d tensor of [e_i; e_j] concatenations (the unfactorized form).
-    The loss is the mean over the cells where mask is set (all by default).
+    The loss is the mean over the cells where mask is set (all by default);
+    dropout at `rate` is drawn from rng_seed when the rate is above 0.
 
     Returns (scores as L x K x 4 x L, mean loss, dict of gradients).
     """
+    pair_proj, rel_tag_emb = arrays["pair_proj"], arrays["rel_tag_emb"]
     length, d = emb.shape
-    num_rel = params.num_relations
+    num_rel = relation_count(arrays)
     if mask is None:
         mask = np.ones(gold_arr.shape, dtype=bool)
     heads = np.broadcast_to(emb[:, None, :], (length, length, d))
     tails = np.broadcast_to(emb[None, :, :], (length, length, d))
     pairs = np.concatenate([heads, tails], axis=2).reshape(length * length, 2 * d)
-    pre = pairs @ params.pair_proj.T + params.pair_bias
+    pre = pairs @ pair_proj.T + arrays["pair_bias"]
     drop = np.ones_like(pre)
-    if training:
+    if rate > 0.0:
         rng = np.random.default_rng(rng_seed)
-        drop = (rng.random(pre.shape) >= params.dropout_rate) / (1.0 - params.dropout_rate)
+        drop = (rng.random(pre.shape) >= rate) / (1.0 - rate)
     hidden = np.maximum(pre * drop, 0.0)
-    flat_scores = hidden @ params.rel_tag_emb
+    flat_scores = hidden @ rel_tag_emb
     scores = flat_scores.reshape(length, length, num_rel, NUM_TAGS).transpose(0, 2, 3, 1)
 
     cell_major = np.moveaxis(scores, 2, 3)  # L x K x L x 4
@@ -78,8 +94,8 @@ def concat_reference(emb, params, gold_arr, mask=None, training=False, rng_seed=
     mean_loss = -np.log(probs[onehot == 1.0].reshape(gold_arr.shape))[mask].sum() / count
     d_logits = (probs - onehot) * mask[..., None] / count
     d_flat = d_logits.transpose(0, 2, 1, 3).reshape(length * length, -1)
-    d_hidden = (d_flat @ params.rel_tag_emb.T) * (hidden > 0.0) * drop
-    d_pairs = (d_hidden @ params.pair_proj).reshape(length, length, 2 * d)
+    d_hidden = (d_flat @ rel_tag_emb.T) * (hidden > 0.0) * drop
+    d_pairs = (d_hidden @ pair_proj).reshape(length, length, 2 * d)
     grads = {
         "pair_proj": d_hidden.T @ pairs,
         "pair_bias": d_hidden.sum(axis=0),
@@ -100,7 +116,7 @@ def pad_cells(gold_arr, padded):
     return gold, mask
 
 
-def float_mask_reference(emb, params, gold_arr, rng_seed):
+def float_mask_reference(emb, arrays, gold_arr, rate, rng_seed):
     """Training-mode scores, loss and gradients with the dropout
     realization kept as a float L x L x hidden_dim array of 0 and
     1 / (1 - rate), multiplied into the pre-activation and again into the
@@ -108,17 +124,18 @@ def float_mask_reference(emb, params, gold_arr, rng_seed):
 
     Returns (scores as L x K x 4 x L, hidden as L x L x H, loss, gradients).
     """
+    pair_proj, rel_tag_emb = arrays["pair_proj"], arrays["rel_tag_emb"]
     length, d = emb.shape
-    num_rel = params.num_relations
-    heads = emb @ params.pair_proj[:, :d].T
-    tails = emb @ params.pair_proj[:, d:].T + params.pair_bias
+    num_rel = relation_count(arrays)
+    heads = emb @ pair_proj[:, :d].T
+    tails = emb @ pair_proj[:, d:].T + arrays["pair_bias"]
     pre = (heads[:, None, :] + tails[None, :, :]).reshape(length * length, -1)
     rng = np.random.default_rng(rng_seed)
-    drop_mask = (rng.random(pre.shape) >= params.dropout_rate) / (1.0 - params.dropout_rate)
+    drop_mask = (rng.random(pre.shape) >= rate) / (1.0 - rate)
     pre *= drop_mask
     hidden = np.maximum(pre, 0.0, out=pre)
     scores = (
-        (hidden @ params.rel_tag_emb)
+        (hidden @ rel_tag_emb)
         .reshape(length, length, num_rel, NUM_TAGS)
         .transpose(0, 2, 3, 1)
         .copy()
@@ -135,7 +152,7 @@ def float_mask_reference(emb, params, gold_arr, rng_seed):
     np.put_along_axis(probs, gold_idx, np.take_along_axis(probs, gold_idx, axis=3) - 1.0, axis=3)
     probs /= nll.size
     d_flat = probs.transpose(0, 2, 1, 3).reshape(length * length, num_rel * NUM_TAGS)
-    d_hidden = d_flat @ params.rel_tag_emb.T
+    d_hidden = d_flat @ rel_tag_emb.T
     d_hidden *= hidden > 0.0
     d_hidden *= drop_mask
     d_pre = d_hidden.reshape(length, length, -1)
@@ -144,7 +161,7 @@ def float_mask_reference(emb, params, gold_arr, rng_seed):
         "pair_proj": np.concatenate([d_heads.T @ emb, d_tails.T @ emb], axis=1),
         "pair_bias": d_heads.sum(axis=0),
         "rel_tag_emb": hidden.T @ d_flat,
-        "emb": d_heads @ params.pair_proj[:, :d] + d_tails @ params.pair_proj[:, d:],
+        "emb": d_heads @ pair_proj[:, :d] + d_tails @ pair_proj[:, d:],
     }
     return scores, hidden.reshape(length, length, -1), mean_loss, grads
 
@@ -174,27 +191,26 @@ def finite_difference(f, arr, idx, step=1e-5):
     return (up - down) / (2 * step)
 
 
-def random_instance(seed, length=3, num_rel=2, emb_dim=4, dropout=0.0):
+def random_instance(seed, length=3, num_rel=2, emb_dim=4):
+    """Embeddings, the scorer's three arrays and gold tags, all seeded."""
     rng = np.random.default_rng(seed)
     emb = rng.normal(scale=0.8, size=(length, emb_dim))
-    params = init_scorer_params(
-        emb_dim, num_rel, seed=seed + 1, dropout_rate=dropout
-    )
+    arrays = glorot_arrays(emb_dim, num_rel, seed=seed + 1)
     # lift weights off the tiny init so activations are comfortably nonzero
-    params.pair_proj += rng.normal(scale=0.3, size=params.pair_proj.shape)
-    params.pair_bias += rng.normal(scale=0.1, size=params.pair_bias.shape)
-    params.rel_tag_emb += rng.normal(scale=0.3, size=params.rel_tag_emb.shape)
+    arrays["pair_proj"] += rng.normal(scale=0.3, size=arrays["pair_proj"].shape)
+    arrays["pair_bias"] += rng.normal(scale=0.1, size=arrays["pair_bias"].shape)
+    arrays["rel_tag_emb"] += rng.normal(scale=0.3, size=arrays["rel_tag_emb"].shape)
     gold = np.zeros((length, num_rel, length), dtype=np.int8)
     for _ in range(4):
         cell = tuple(int(v) for v in (rng.integers(0, length), rng.integers(0, num_rel), rng.integers(0, length)))
         gold[cell] = rng.integers(1, 4)
-    return emb, params, gold
+    return emb, arrays, gold
 
 
-def to_half_integers(emb, params):
+def to_half_integers(emb, arrays):
     """Round the inputs, in place, to multiples of 1/2: every score is then
     exact in float64 under any summation order, and many cells tie."""
-    for arr in (emb, params.pair_proj, params.pair_bias, params.rel_tag_emb):
+    for arr in (emb, *arrays.values()):
         arr[...] = np.round(2.0 * arr) / 2.0
 
 
@@ -205,12 +221,12 @@ def relative_errors(analytic, numeric):
     return errs
 
 
-def min_preactivation(emb, params):
+def min_preactivation(emb, arrays):
     length = emb.shape[0]
     worst = np.inf
     for i in range(length):
         for j in range(length):
-            pre = params.pair_proj @ np.concatenate([emb[i], emb[j]]) + params.pair_bias
+            pre = arrays["pair_proj"] @ np.concatenate([emb[i], emb[j]]) + arrays["pair_bias"]
             worst = min(worst, np.abs(pre).min())
     return worst
 
@@ -223,24 +239,21 @@ def gradcheck(seed, dropout=0.0, rng_seed=0, tol=1e-4):
     Instances with pre-activations near the rectifier kink are rejected by
     the caller (finite differences would step across the kink).
     """
-    emb, params, gold = random_instance(seed, dropout=dropout)
+    emb, arrays, gold = random_instance(seed)
 
     def run_loss():
-        return train_grads(emb, gold, params, rng_seed).loss
+        return scorer_grads(emb, gold, arrays, dropout, rng_seed)["loss"]
 
-    grads = train_grads(emb, gold, params, rng_seed)
+    grads = scorer_grads(emb, gold, arrays, dropout, rng_seed)
 
+    inputs = {**arrays, "emb": emb}
     worst = 0.0
-    for arr, analytic in (
-        (params.pair_proj, grads.pair_proj),
-        (params.pair_bias, grads.pair_bias),
-        (params.rel_tag_emb, grads.rel_tag_emb),
-        (emb, grads.emb),
-    ):
+    for name in GRAD_NAMES:
+        arr = inputs[name]
         numeric = np.zeros_like(arr)
         for idx in np.ndindex(arr.shape):
             numeric[idx] = finite_difference(run_loss, arr, idx)
-        worst = max(worst, float(relative_errors(analytic, numeric).max()))
+        worst = max(worst, float(relative_errors(grads[name], numeric).max()))
     return worst
 
 
@@ -252,77 +265,74 @@ class TestScoreAll:
     """The score of every cell, as train_grads' loss and tag_grid's tags
     show it."""
 
-    def assert_all_scores_zero(self, emb, params):
-        length, num_rel = emb.shape[0], params.num_relations
-        grads = train_grads(emb, no_gold(length, num_rel), params, 0)
-        assert grads.loss == pytest.approx(np.log(4.0), abs=1e-15)
+    def assert_all_scores_zero(self, emb, arrays):
+        length, num_rel = emb.shape[0], relation_count(arrays)
+        grads = scorer_grads(emb, no_gold(length, num_rel), arrays)
+        assert grads["loss"] == pytest.approx(np.log(4.0), abs=1e-15)
         for name in GRAD_NAMES:
-            assert not getattr(grads, name).any(), name  # no unit is active
-        assert not tag_grid(emb, params).any()
+            assert not grads[name].any(), name  # no unit is active
+        assert not tag_grid(emb, arrays).any()
 
     def test_zero_params_zero_scores(self):
         emb = np.random.default_rng(0).normal(size=(3, 4))
-        params = ScorerParams(
+        arrays = dict(
             pair_proj=np.zeros((12, 8)),
             pair_bias=np.zeros(12),
             rel_tag_emb=np.zeros((12, 8)),
-            dropout_rate=0.0,
         )
-        self.assert_all_scores_zero(emb, params)
+        self.assert_all_scores_zero(emb, arrays)
 
     def test_negative_bias_kills_scores(self):
         emb = np.random.default_rng(1).normal(size=(3, 4))
-        params = ScorerParams(
+        arrays = dict(
             pair_proj=np.zeros((12, 8)),
             pair_bias=np.full(12, -0.5),
             rel_tag_emb=np.random.default_rng(2).normal(size=(12, 8)),
-            dropout_rate=0.0,
         )
-        self.assert_all_scores_zero(emb, params)
+        self.assert_all_scores_zero(emb, arrays)
 
     def test_matches_naive_per_cell_oracle(self):
-        emb, params, gold = random_instance(7)
-        scores = naive_scores(emb, params)
-        assert train_grads(emb, gold, params, 0).loss == pytest.approx(
+        emb, arrays, gold = random_instance(7)
+        scores = naive_scores(emb, arrays)
+        assert scorer_grads(emb, gold, arrays)["loss"] == pytest.approx(
             scalar_loss(scores, tag_cells(gold), 3, 2), rel=1e-12
         )
-        assert tag_cells(tag_grid(emb, params)) == reference_predict_tags(scores)
+        assert tag_cells(tag_grid(emb, arrays)) == reference_predict_tags(scores)
 
     def test_shape_mismatch_rejected(self):
         emb = np.zeros((3, 5))
-        params = init_scorer_params(4, 2, seed=0)
+        arrays = glorot_arrays(4, 2, seed=0)
         with pytest.raises(ValueError, match="incompatible"):
-            tag_grid(emb, params)
+            tag_grid(emb, arrays)
         with pytest.raises(ValueError, match="incompatible"):
-            train_grads(emb, no_gold(3, 2), params, 0)
+            scorer_grads(emb, no_gold(3, 2), arrays)
 
     def test_asymmetry_is_constructible(self):
         # projection reads only the first (head) half of the pair and only
         # tag HB-TB reads the hidden unit, so the tag follows e_i alone and
         # swapping i/j must change it
-        params = ScorerParams(
+        arrays = dict(
             pair_proj=np.array([[1.0, 0.0]]),
             pair_bias=np.zeros(1),
             rel_tag_emb=np.array([[0.0, 1.0, 0.0, 0.0]]),
-            dropout_rate=0.0,
         )
         emb = np.array([[1.0], [-1.0]])
-        tags = tag_grid(emb, params)
+        tags = tag_grid(emb, arrays)
         assert tags[0, 0, 1] == Tag.HB_TB
         assert tags[1, 0, 0] == Tag.NONE
 
     def test_dropout_reproducible_and_scaled(self):
-        emb, params, gold = random_instance(5, dropout=0.5)
-        g1 = train_grads(emb, gold, params, 42)
-        g2 = train_grads(emb, gold, params, 42)
+        emb, arrays, gold = random_instance(5)
+        g1 = scorer_grads(emb, gold, arrays, 0.5, 42)
+        g2 = scorer_grads(emb, gold, arrays, 0.5, 42)
         for name in GRAD_NAMES + ("loss",):
-            assert np.array_equal(getattr(g1, name), getattr(g2, name)), name
-        assert train_grads(emb, gold, params, 43).loss != g1.loss
+            assert np.array_equal(g1[name], g2[name]), name
+        assert scorer_grads(emb, gold, arrays, 0.5, 43)["loss"] != g1["loss"]
         # inverted dropout: every unit is dropped (0) or kept and scaled by
         # exactly 1 / (1 - 0.5) = 2, so inference needs no rescaling
-        heads, tails = scorer._projections(emb, params)
-        plain = scorer._hidden_block(heads, tails, slice(0, 3), params)
-        trained = scorer._hidden_block(heads, tails, slice(0, 3), params, 42, 2.0)
+        heads, tails = scorer._projections(emb, arrays)
+        plain = scorer._hidden_block(heads, tails, slice(0, 3))
+        trained = scorer._hidden_block(heads, tails, slice(0, 3), 42, 0.5, 2.0)
         dropped = trained == 0.0
         assert np.all(dropped | (trained == 2.0 * plain))
         assert np.any(dropped & (plain > 0.0))
@@ -332,44 +342,42 @@ class TestScoreAll:
 class TestLoss:
     def test_uniform_scores_give_ln4(self):
         emb = np.random.default_rng(0).normal(size=(4, 4))
-        params = ScorerParams(
+        arrays = dict(
             pair_proj=np.zeros((12, 8)),
             pair_bias=np.zeros(12),
             rel_tag_emb=np.zeros((12, 12)),
-            dropout_rate=0.0,
         )
         gold = np.zeros((4, 3, 4), dtype=np.int8)
         gold[0, 1, 2] = Tag.HB_TE
-        assert train_grads(emb, gold, params, 0).loss == pytest.approx(
+        assert scorer_grads(emb, gold, arrays)["loss"] == pytest.approx(
             np.log(4.0), abs=1e-9
         )
 
     def test_perfect_scores_drive_loss_to_zero(self):
         # one-hot tokens and one hidden unit per pair (a, b), active only at
         # (i, j) = (a, b); each unit gives its cells' gold tags a score of 60
-        emb, params, gold = random_instance(9)
+        _, _, gold = random_instance(9)
         length, num_rel = gold.shape[:2]
         emb = np.eye(length)
         a, b = np.divmod(np.arange(length * length), length)
         rel_tag_emb = np.zeros((length * length, NUM_TAGS * num_rel))
         cols = NUM_TAGS * np.arange(num_rel) + gold[a, :, b]
         rel_tag_emb[np.arange(length * length)[:, None], cols] = 60.0
-        params = ScorerParams(
+        arrays = dict(
             pair_proj=np.concatenate([emb[a], emb[b]], axis=1),
             pair_bias=np.full(length * length, -1.0),
             rel_tag_emb=rel_tag_emb,
-            dropout_rate=0.0,
         )
-        grads = train_grads(emb, gold, params, 0)
-        assert grads.loss == pytest.approx(0.0, abs=1e-12)
+        grads = scorer_grads(emb, gold, arrays)
+        assert grads["loss"] == pytest.approx(0.0, abs=1e-12)
         for name in GRAD_NAMES:
-            assert np.max(np.abs(getattr(grads, name))) < 1e-20, name
-        assert np.array_equal(tag_grid(emb, params), gold)
+            assert np.max(np.abs(grads[name])) < 1e-20, name
+        assert np.array_equal(tag_grid(emb, arrays), gold)
 
     def test_matches_scalar_reimplementation(self):
-        emb, params, gold = random_instance(13)
-        assert train_grads(emb, gold, params, 0).loss == pytest.approx(
-            scalar_loss(naive_scores(emb, params), tag_cells(gold), 3, 2), rel=1e-12
+        emb, arrays, gold = random_instance(13)
+        assert scorer_grads(emb, gold, arrays)["loss"] == pytest.approx(
+            scalar_loss(naive_scores(emb, arrays), tag_cells(gold), 3, 2), rel=1e-12
         )
 
 
@@ -379,8 +387,8 @@ class TestBackward:
         seed = 0
         while checked < 3:
             seed += 1
-            emb, params, _ = random_instance(seed)
-            if min_preactivation(emb, params) < 1e-3:
+            emb, arrays, _ = random_instance(seed)
+            if min_preactivation(emb, arrays) < 1e-3:
                 continue  # too close to the rectifier kink for fd
             assert gradcheck(seed) <= 1e-4
             checked += 1
@@ -390,8 +398,8 @@ class TestBackward:
         seed = 100
         while checked < 2:
             seed += 1
-            emb, params, _ = random_instance(seed, dropout=0.3)
-            if min_preactivation(emb, params) < 1e-3:
+            emb, arrays, _ = random_instance(seed)
+            if min_preactivation(emb, arrays) < 1e-3:
                 continue
             assert gradcheck(seed, dropout=0.3, rng_seed=7) <= 1e-4
             checked += 1
@@ -403,22 +411,19 @@ class TestFactorizedPairLayer:
 
     RTOL, ATOL = 1e-12, 1e-14
 
-    def instance(self, seed):
-        return random_instance(seed, length=12, num_rel=3, emb_dim=6, dropout=0.3)
-
     @pytest.mark.parametrize("seed", [41, 42, 43])
     def test_matches_concat_reference(self, seed):
-        emb, params, gold = self.instance(seed)
-        grads = train_grads(emb, gold, params, seed)
-        _, ref_loss, ref_grads = concat_reference(emb, params, gold, training=True, rng_seed=seed)
-        assert grads.loss == pytest.approx(ref_loss, rel=self.RTOL, abs=self.ATOL)
+        emb, arrays, gold = random_instance(seed, length=12, num_rel=3, emb_dim=6)
+        grads = scorer_grads(emb, gold, arrays, 0.3, seed)
+        _, ref_loss, ref_grads = concat_reference(emb, arrays, gold, rate=0.3, rng_seed=seed)
+        assert grads["loss"] == pytest.approx(ref_loss, rel=self.RTOL, abs=self.ATOL)
         for name, ref in ref_grads.items():
             np.testing.assert_allclose(
-                getattr(grads, name), ref, rtol=self.RTOL, atol=self.ATOL, err_msg=name
+                grads[name], ref, rtol=self.RTOL, atol=self.ATOL, err_msg=name
             )
-        to_half_integers(emb, params)
-        ref_scores = concat_reference(emb, params, gold)[0]
-        assert tag_cells(tag_grid(emb, params)) == reference_predict_tags(ref_scores)
+        to_half_integers(emb, arrays)
+        ref_scores = concat_reference(emb, arrays, gold)[0]
+        assert tag_cells(tag_grid(emb, arrays)) == reference_predict_tags(ref_scores)
 
 
 class TestScalarDropoutScale:
@@ -430,16 +435,16 @@ class TestScalarDropoutScale:
 
     @pytest.mark.parametrize("seed, dropout", [(51, 0.1), (52, 0.3), (53, 0.5)])
     def test_bit_identical_to_float_mask_reference(self, seed, dropout):
-        emb, params, gold = random_instance(seed, length=12, num_rel=3, emb_dim=6, dropout=dropout)
-        grads = train_grads(emb, gold, params, seed)
-        _, ref_hidden, ref_loss, ref_grads = float_mask_reference(emb, params, gold, rng_seed=seed)
-        heads, tails = scorer._projections(emb, params)
-        hidden = scorer._hidden_block(heads, tails, slice(0, 12), params, seed, 1 / (1 - dropout))
+        emb, arrays, gold = random_instance(seed, length=12, num_rel=3, emb_dim=6)
+        grads = scorer_grads(emb, gold, arrays, dropout, seed)
+        _, ref_hidden, ref_loss, ref_grads = float_mask_reference(emb, arrays, gold, dropout, seed)
+        heads, tails = scorer._projections(emb, arrays)
+        hidden = scorer._hidden_block(heads, tails, slice(0, 12), seed, dropout, 1 / (1 - dropout))
         assert np.array_equal(hidden, ref_hidden.reshape(hidden.shape))
-        assert grads.loss == pytest.approx(ref_loss, rel=self.RTOL, abs=self.ATOL)
+        assert grads["loss"] == pytest.approx(ref_loss, rel=self.RTOL, abs=self.ATOL)
         for name, ref in ref_grads.items():
             np.testing.assert_allclose(
-                getattr(grads, name), ref, rtol=self.RTOL, atol=self.ATOL, err_msg=name
+                grads[name], ref, rtol=self.RTOL, atol=self.ATOL, err_msg=name
             )
 
 
@@ -454,24 +459,24 @@ class TestHeadRowBlocks:
     LENGTH, NUM_REL = 37, 5
 
     def instance(self):
-        return random_instance(61, length=self.LENGTH, num_rel=self.NUM_REL, emb_dim=8, dropout=0.3)
+        return random_instance(61, length=self.LENGTH, num_rel=self.NUM_REL, emb_dim=8)
 
     @pytest.mark.parametrize("halves", [False, True])
     def test_matches_one_block_run(self, monkeypatch, halves):
-        emb, params, gold = self.instance()
+        emb, arrays, gold = self.instance()
         if halves:
-            to_half_integers(emb, params)
+            to_half_integers(emb, arrays)
 
         def run():
-            return train_grads(emb, gold, params, 63), tag_grid(emb, params)
+            return scorer_grads(emb, gold, arrays, 0.3, 63), tag_grid(emb, arrays)
 
         blocked_grads, blocked_tags = run()
         monkeypatch.setattr(scorer, "_BLOCK_ROWS", 64)
         whole_grads, whole_tags = run()
         for name in GRAD_NAMES + ("loss",):
             np.testing.assert_allclose(
-                getattr(blocked_grads, name),
-                getattr(whole_grads, name),
+                blocked_grads[name],
+                whole_grads[name],
                 rtol=self.RTOL,
                 atol=self.ATOL,
                 err_msg=name,
@@ -480,15 +485,15 @@ class TestHeadRowBlocks:
             assert np.array_equal(blocked_tags, whole_tags)
 
     def test_dropout_stream_is_one_draw_over_the_grid(self):
-        emb, params, gold = self.instance()
-        heads, tails = scorer._projections(emb, params)
-        scale = 1.0 / (1.0 - params.dropout_rate)
+        emb, arrays, gold = self.instance()
+        heads, tails = scorer._projections(emb, arrays)
         blocks = scorer._map_blocks(
-            lambda rows: scorer._hidden_block(heads, tails, rows, params, 63, scale), self.LENGTH
+            lambda rows: scorer._hidden_block(heads, tails, rows, 63, 0.3, 1.0 / (1.0 - 0.3)),
+            self.LENGTH,
         )
         assert len(blocks) == 3
-        _, ref_hidden, _, _ = float_mask_reference(emb, params, gold, rng_seed=63)
-        assert np.array_equal(np.concatenate(blocks), ref_hidden.reshape(-1, params.hidden_dim))
+        _, ref_hidden, _, _ = float_mask_reference(emb, arrays, gold, 0.3, 63)
+        assert np.array_equal(np.concatenate(blocks), ref_hidden.reshape(-1, heads.shape[1]))
 
     def test_blocks_cover_rows_in_order(self, block_threads):
         block_threads(3)
@@ -517,13 +522,12 @@ class TestPredictTags:
 
     def test_four_way_tie_gives_empty_matrix(self):
         emb = np.zeros((3, 4))
-        params = ScorerParams(
+        arrays = dict(
             pair_proj=np.zeros((12, 8)),
             pair_bias=np.zeros(12),
             rel_tag_emb=np.zeros((12, 8)),
-            dropout_rate=0.0,
         )
-        assert tag_cells(tag_grid(emb, params)) == {}
+        assert tag_cells(tag_grid(emb, arrays)) == {}
 
     def test_single_favoured_cell(self):
         scores = np.zeros((9, 2, 9, NUM_TAGS))  # cells (i, k, j)
@@ -531,12 +535,12 @@ class TestPredictTags:
         assert tag_cells(scorer._tags(scores)) == {(0, 1, 8): Tag.HB_TE}
 
     def test_matches_per_cell_argmax_oracle(self):
-        emb, params, _ = random_instance(29)
-        tags = tag_grid(emb, params)
+        emb, arrays, _ = random_instance(29)
+        tags = tag_grid(emb, arrays)
         for i in range(3):
             for k in range(2):
                 for j in range(3):
-                    scores = [naive_cell_score(emb, params, i, k, t, j) for t in range(NUM_TAGS)]
+                    scores = [naive_cell_score(emb, arrays, i, k, t, j) for t in range(NUM_TAGS)]
                     best = int(np.argmax(scores))
                     if scores.count(scores[best]) > 1:
                         best = 0
@@ -549,8 +553,8 @@ class TestPredictTags:
         assert not scorer._tags(scores).any()
 
     def test_invariant_under_constant_shift(self):
-        emb, params, gold = random_instance(33)
-        scores = np.moveaxis(concat_reference(emb, params, gold)[0], 2, 3)
+        emb, arrays, gold = random_instance(33)
+        scores = np.moveaxis(concat_reference(emb, arrays, gold)[0], 2, 3)
         before = scorer._tags(scores)
         assert before.any()
         # the same constant for all 4 tags of every cell
@@ -581,10 +585,10 @@ class TestFusedDrivers:
     RTOL, ATOL = 1e-12, 1e-14
     lengths = st.one_of(st.sampled_from([1, 16, 17, 37]), st.integers(1, 40))
 
-    def instance(self, seed, length, num_rel, dropout=0.0, emb_dim=5):
-        emb, params, _ = random_instance(seed, length, num_rel, emb_dim, dropout)
+    def instance(self, seed, length, num_rel, emb_dim=5):
+        emb, arrays, _ = random_instance(seed, length, num_rel, emb_dim)
         gold = np.random.default_rng(seed).integers(0, NUM_TAGS, (length, num_rel, length))
-        return emb, params, gold.astype(np.int8)
+        return emb, arrays, gold.astype(np.int8)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -594,48 +598,45 @@ class TestFusedDrivers:
         dropout=st.sampled_from([0.0, 0.3]),
     )
     def test_train_grads_match_concat_reference(self, length, num_rel, seed, dropout):
-        emb, params, gold = self.instance(seed, length, num_rel, dropout)
-        fused = train_grads(emb, gold, params, seed)
-        _, ref_loss, ref_grads = concat_reference(
-            emb, params, gold, training=dropout > 0.0, rng_seed=seed
-        )
+        emb, arrays, gold = self.instance(seed, length, num_rel)
+        fused = scorer_grads(emb, gold, arrays, dropout, seed)
+        _, ref_loss, ref_grads = concat_reference(emb, arrays, gold, rate=dropout, rng_seed=seed)
         for name in GRAD_NAMES:
             np.testing.assert_allclose(
-                getattr(fused, name), ref_grads[name], rtol=self.RTOL, atol=self.ATOL,
-                err_msg=name,
+                fused[name], ref_grads[name], rtol=self.RTOL, atol=self.ATOL, err_msg=name
             )
-        assert fused.loss == pytest.approx(ref_loss, rel=self.RTOL, abs=self.ATOL)
+        assert fused["loss"] == pytest.approx(ref_loss, rel=self.RTOL, abs=self.ATOL)
 
     @settings(max_examples=60, deadline=None)
     @given(length=lengths, num_rel=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     def test_tag_grid_matches_reference_predict_tags(self, length, num_rel, seed):
-        emb, params, gold = self.instance(seed, length, num_rel)
-        to_half_integers(emb, params)
-        tags = tag_grid(emb, params)
+        emb, arrays, gold = self.instance(seed, length, num_rel)
+        to_half_integers(emb, arrays)
+        tags = tag_grid(emb, arrays)
         assert tags.dtype == np.int8
-        assert tag_cells(tags) == reference_predict_tags(concat_reference(emb, params, gold)[0])
+        assert tag_cells(tags) == reference_predict_tags(concat_reference(emb, arrays, gold)[0])
 
     def test_tag_grid_ties_and_all_equal_grid(self):
-        emb, params, gold = self.instance(81, 37, 3)
-        to_half_integers(emb, params)
-        scores = concat_reference(emb, params, gold)[0]
+        emb, arrays, gold = self.instance(81, 37, 3)
+        to_half_integers(emb, arrays)
+        scores = concat_reference(emb, arrays, gold)[0]
         top = scores.max(axis=2, keepdims=True)
         assert ((scores == top).sum(axis=2) > 1).any()  # the instance has ties
-        assert tag_cells(tag_grid(emb, params)) == reference_predict_tags(scores)
-        params.rel_tag_emb[...] = params.rel_tag_emb[:, :1]  # all four tags score alike
-        assert not tag_grid(emb, params).any()
+        assert tag_cells(tag_grid(emb, arrays)) == reference_predict_tags(scores)
+        arrays["rel_tag_emb"][...] = arrays["rel_tag_emb"][:, :1]  # all four tags score alike
+        assert not tag_grid(emb, arrays).any()
 
     def test_train_grads_rejects_gold_of_another_shape(self):
-        emb, params, gold = self.instance(91, 6, 2)
+        emb, arrays, gold = self.instance(91, 6, 2)
         for bad in (gold[:, :, :-1], gold.transpose(0, 2, 1), gold[:1, :1, :1]):
             with pytest.raises(ValueError, match="gold shape"):
-                train_grads(emb, bad, params, 0)
+                scorer_grads(emb, bad, arrays)
 
     def test_thread_count_changes_no_output(self, block_threads):
-        emb, params, gold = self.instance(61, 37, 5, dropout=0.3, emb_dim=8)
+        emb, arrays, gold = self.instance(61, 37, 5, emb_dim=8)
 
         def run():
-            return train_grads(emb, gold, params, 63), tag_grid(emb, params)
+            return scorer_grads(emb, gold, arrays, 0.3, 63), tag_grid(emb, arrays)
 
         block_threads(1)
         one_grads, one_tags = run()
@@ -648,18 +649,20 @@ class TestFusedDrivers:
             sys.setswitchinterval(interval)
         for grads, tags in many:
             assert np.array_equal(tags, one_tags)
-            for name in ("pair_proj", "pair_bias", "rel_tag_emb", "emb", "loss"):
-                assert np.array_equal(getattr(grads, name), getattr(one_grads, name)), name
+            for name in GRAD_NAMES + ("loss",):
+                assert np.array_equal(grads[name], one_grads[name]), name
 
     @pytest.mark.parametrize("driver", ["train_grads", "tag_grid"])
     def test_peak_memory_below_one_hidden_grid(self, block_threads, driver):
         block_threads(1)
         length = 100
-        emb, params, gold = self.instance(71, length, 24, dropout=0.1, emb_dim=64)
-        assert params.hidden_dim == 192
+        emb, arrays, gold = self.instance(71, length, 24, emb_dim=64)
+        hidden_dim = arrays["pair_bias"].size
+        assert hidden_dim == 192
+        grads = {name: np.zeros_like(arr) for name, arr in arrays.items()}
         call = {
-            "train_grads": lambda: train_grads(emb, gold, params, 5),
-            "tag_grid": lambda: tag_grid(emb, params),
+            "train_grads": lambda: train_grads(emb, gold, arrays, 0.1, 5, grads),
+            "tag_grid": lambda: tag_grid(emb, arrays),
         }[driver]
         call()
         tracemalloc.start()
@@ -668,4 +671,4 @@ class TestFusedDrivers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < length * length * params.hidden_dim * 8  # 15.36 MB
+        assert peak < length * length * hidden_dim * 8  # 15.36 MB

@@ -4,12 +4,10 @@ import pytest
 from relgrid import trainer
 from relgrid.corpus import RelationVocab, Sentence
 from relgrid.encoder import build_vocab, encode_indices
-from relgrid.scorer import train_grads
 from relgrid.synthetic import SynthConfig, generate_corpus
 from relgrid.tagging import encode
 from relgrid.trainer import (
     AdamState,
-    Batch,
     EpochRecord,
     NumericError,
     TrainConfig,
@@ -24,19 +22,14 @@ from relgrid.trainer import (
     write_loss_log,
 )
 
-from conftest import make_sentence
-from test_scorer import concat_reference, pad_cells
+from conftest import glorot_arrays, make_sentence
+from test_scorer import concat_reference, pad_cells, scorer_grads
 
 
 def encoded(corpus, vocab, num_relations):
-    """(token indices, int8 gold grid) per sentence, as train builds them."""
+    """(token indices, int8 gold grid) per sentence, as train builds them;
+    in the given order, one batch as train_step takes it."""
     return [(vocab.indices(s.sentence.tokens), encode(s, num_relations)[0]) for s in corpus]
-
-
-def batch_of(corpus, vocab, num_relations):
-    """The sentences as one batch, in the given order."""
-    ids, gold = zip(*encoded(corpus, vocab, num_relations))
-    return Batch(token_ids=list(ids), gold=list(gold))
 
 
 def by_group(model, flat):
@@ -53,17 +46,17 @@ def padded_train_step(model, batch):
     """train_step, dropout off, with every row scored by concat_reference at
     the batch's longest length and the padded cells masked out of the loss
     (positional model only); gradients come back as one array per group."""
-    size = len(batch.token_ids)
-    padded = max(len(ids) for ids in batch.token_ids)
+    size = len(batch)
+    padded = max(len(ids) for ids, _ in batch)
     grads = {name: np.zeros_like(arr) for name, arr in model.arrays.items()}
     batch_loss = 0.0
-    for row in range(size):
-        n = len(batch.token_ids[row])
+    for row_ids, row_gold in batch:
+        n = len(row_ids)
         ids = np.zeros(padded, dtype=np.int64)  # 0 = padding
-        ids[:n] = batch.token_ids[row]
+        ids[:n] = row_ids
         emb = encode_indices(ids, *embedding_tables(model))
-        gold, mask = pad_cells(batch.gold[row], padded)
-        _, loss, g = concat_reference(emb, model.params, gold, mask)
+        gold, mask = pad_cells(row_gold, padded)
+        _, loss, g = concat_reference(emb, model.arrays, gold, mask)
         batch_loss += loss
         for name in ("pair_proj", "pair_bias", "rel_tag_emb"):
             grads[name] += g[name]
@@ -86,17 +79,16 @@ class TestBatches:
         corpus, relations = tiny_synth
         sentences = encoded(corpus, build_vocab(corpus), len(relations))
         batches = make_batches(sentences, 4, shuffle_seed=5)
-        assert [len(b.token_ids) for b in batches] == [4, 4, 2]
-        assert [len(b.gold) for b in batches] == [4, 4, 2]
+        assert [len(b) for b in batches] == [4, 4, 2]
 
     def test_every_sentence_once_at_true_length(self, tiny_synth):
         corpus, relations = tiny_synth
         sentences = encoded(corpus, build_vocab(corpus), len(relations))
         batches = make_batches(sentences, 4, shuffle_seed=5)
-        seen = [(id(ids), id(gold)) for b in batches for ids, gold in zip(b.token_ids, b.gold)]
+        seen = [(id(ids), id(gold)) for b in batches for ids, gold in b]
         assert sorted(seen) == sorted((id(ids), id(gold)) for ids, gold in sentences)
         for b in batches:
-            for ids, gold in zip(b.token_ids, b.gold):
+            for ids, gold in b:
                 assert gold.dtype == np.int8
                 assert gold.shape == (len(ids), len(relations), len(ids))
 
@@ -106,17 +98,14 @@ class TestBatches:
         b1 = make_batches(sentences, 4, shuffle_seed=5)
         b2 = make_batches(sentences, 4, shuffle_seed=5)
         for x, y in zip(b1, b2):
-            assert [id(ids) for ids in x.token_ids] == [id(ids) for ids in y.token_ids]
+            assert [id(ids) for ids, _ in x] == [id(ids) for ids, _ in y]
 
     def test_different_seed_differs(self, tiny_synth):
         corpus, relations = tiny_synth
         sentences = encoded(corpus, build_vocab(corpus), len(relations))
         b1 = make_batches(sentences, 4, shuffle_seed=5)
         b2 = make_batches(sentences, 4, shuffle_seed=6)
-        assert any(
-            [id(ids) for ids in x.token_ids] != [id(ids) for ids in y.token_ids]
-            for x, y in zip(b1, b2)
-        )
+        assert any([id(ids) for ids, _ in x] != [id(ids) for ids, _ in y] for x, y in zip(b1, b2))
 
     def test_train_encodes_each_sentence_once(self, tiny_synth, monkeypatch):
         corpus, relations = tiny_synth
@@ -139,8 +128,8 @@ class TestTrainStep:
         chunk = [corpus[0], corpus[3], corpus[2]]
         vocab = build_vocab(corpus)
         model = init_model(relations, vocab, TrainConfig(seed=4, dropout_rate=0.0))
-        batch = batch_of(chunk, vocab, len(relations))
-        lengths = [len(ids) for ids in batch.token_ids]
+        batch = encoded(chunk, vocab, len(relations))
+        lengths = [len(ids) for ids, _ in batch]
         assert max(lengths) - min(lengths) >= 5
         seeds = [11, 12, 13]
         got_loss, flat = train_step(model, batch, seeds)
@@ -164,7 +153,7 @@ class TestTrainStep:
         x, y = 21, 22
 
         def step(sentences, seeds):
-            loss, flat = train_step(model, batch_of(sentences, vocab, len(relations)), seeds)
+            loss, flat = train_step(model, encoded(sentences, vocab, len(relations)), seeds)
             return loss, by_group(model, flat)
 
         pair_loss, pair_grads = step([s, t], [x, y])
@@ -269,13 +258,13 @@ class TestAdam:
         real_train_grads = trainer.train_grads
 
         def poisoned_train_grads(*args):
-            g = real_train_grads(*args)
-            g.pair_bias[1] = np.nan
-            return g
+            result = real_train_grads(*args)
+            args[-1]["pair_bias"][1] = np.nan  # into train_step's gradient
+            return result
 
         monkeypatch.setattr(trainer, "train_grads", poisoned_train_grads)
         with pytest.raises(NumericError, match="pair_bias"):
-            train_step(model, batch_of(corpus[:2], vocab, len(relations)), [1, 2])
+            train_step(model, encoded(corpus[:2], vocab, len(relations)), [1, 2])
 
 
 class TestTraining:
@@ -292,10 +281,10 @@ class TestTraining:
             ids = np.zeros(n + 9, dtype=np.int64)
             ids[:n] = vocab.indices(s.sentence.tokens)
             emb = encode_indices(ids[:n], *embedding_tables(model))
-            true_length = train_grads(emb, gold, model.params, 0).loss
+            true_length = scorer_grads(emb, gold, model.arrays)["loss"]
             for pad in (n + 1, n + 9):
                 emb = encode_indices(ids[:pad], *embedding_tables(model))
-                padded = concat_reference(emb, model.params, *pad_cells(gold, pad))[1]
+                padded = concat_reference(emb, model.arrays, *pad_cells(gold, pad))[1]
                 assert abs(padded - true_length) <= 1e-12
 
     def test_seeded_runs_are_bit_identical(self, tiny_synth):
@@ -374,6 +363,15 @@ class TestFlatWeights:
         assert_views_of_weights(model)
         assert len(model.arrays) == (5 if use_positional else 4)
 
+    @pytest.mark.parametrize("seed, hidden_dim", [(3, None), (8, 20)])
+    def test_init_model_draws_scorer_arrays_glorot_uniform(self, tiny_synth, seed, hidden_dim):
+        corpus, relations = tiny_synth
+        config = TrainConfig(seed=seed, emb_dim=8, hidden_dim=hidden_dim)
+        model = init_model(relations, build_vocab(corpus), config)
+        expected = glorot_arrays(8, len(relations), trainer._derived_seed(seed, 2), hidden_dim)
+        for name, arr in expected.items():
+            assert np.array_equal(model.arrays[name], arr), name
+
     @pytest.mark.parametrize("use_positional", [True, False])
     def test_loaded_arrays_share_the_flat_vector(self, tiny_synth, tmp_path, use_positional):
         corpus, relations = tiny_synth
@@ -388,10 +386,10 @@ class TestFlatWeights:
     def test_adam_on_the_flat_vector_moves_the_model(self, tiny_synth):
         corpus, relations = tiny_synth
         model = init_model(relations, build_vocab(corpus), TrainConfig(seed=3))
-        before = model.params.rel_tag_emb.copy()
+        before = model.arrays["rel_tag_emb"].copy()
         grad = np.ones_like(model.weights)
         adam_step(model.weights, grad, AdamState.init(model.weights), TrainConfig())
-        assert not np.array_equal(model.params.rel_tag_emb, before)
+        assert not np.array_equal(model.arrays["rel_tag_emb"], before)
 
 
 class TestPredict:
@@ -400,9 +398,8 @@ class TestPredict:
         vocab = build_vocab(corpus)
         config = TrainConfig(seed=0, emb_dim=4)
         model = init_model(relations, vocab, config)
-        model.params.pair_proj[:] = 0.0
-        model.params.pair_bias[:] = 0.0
-        model.params.rel_tag_emb[:] = 0.0
+        for name in ("pair_proj", "pair_bias", "rel_tag_emb"):
+            model.arrays[name][:] = 0.0
         return model
 
     def test_zero_params_predict_empty(self):
@@ -437,10 +434,8 @@ class TestCheckpoint:
         save_checkpoint(path, model)
         loaded = load_checkpoint(path)
 
-        np.testing.assert_array_equal(loaded.params.pair_proj, model.params.pair_proj)
-        np.testing.assert_array_equal(loaded.params.pair_bias, model.params.pair_bias)
-        np.testing.assert_array_equal(loaded.params.rel_tag_emb, model.params.rel_tag_emb)
-        for name in ("token_table", "positional_table"):
+        assert loaded.arrays.keys() == model.arrays.keys()
+        for name in model.arrays:
             np.testing.assert_array_equal(loaded.arrays[name], model.arrays[name])
         assert loaded.vocab.token_to_index == model.vocab.token_to_index
         assert loaded.relations.names == relations.names
@@ -457,14 +452,14 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         save_checkpoint(path, model)
         before = path.read_bytes()
-        saved_bias = model.params.pair_bias.copy()
+        saved_bias = model.arrays["pair_bias"].copy()
 
         def crash_mid_write(fh, **arrays):
             fh.write(b"PK\x03\x04 partial archive")
             raise OSError("disk full")
 
         monkeypatch.setattr(np, "savez", crash_mid_write)
-        model.params.pair_bias += 1.0
+        model.arrays["pair_bias"] += 1.0
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, model)
         monkeypatch.undo()
@@ -472,7 +467,7 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz"]
         loaded = load_checkpoint(path)
-        np.testing.assert_array_equal(loaded.params.pair_bias, saved_bias)
+        np.testing.assert_array_equal(loaded.arrays["pair_bias"], saved_bias)
 
     def test_missing_checkpoint(self, tmp_path):
         with pytest.raises(FileNotFoundError):
