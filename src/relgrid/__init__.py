@@ -13,8 +13,7 @@ from .corpus import (
     PatternLabel,
     RelationVocab,
     Sentence,
-    Span,
-    Triple,
+    canonical_rows,
     classify_pattern,
     corpus_stats,
     load_native,
@@ -25,7 +24,7 @@ from .encoder import Vocab, build_vocab, encode_indices
 from .evaluation import MetricsReport, breakdown, export_relation_embeddings, micro_prf, stack_rows
 from .scorer import tag_grid, train_grads
 from .synthetic import SynthConfig, generate_corpus
-from .tagging import Tag, decode, encode, roundtrip_check, triple_rows
+from .tagging import Tag, decode, encode, roundtrip_check
 from .trainer import (
     Model,
     TrainConfig,

@@ -37,7 +37,7 @@ from .corpus import (
 from .encoder import Vocab
 from .evaluation import MATCH_MODES, breakdown, export_relation_embeddings, stack_rows
 from .synthetic import GenerationError, SynthConfig, default_mix, generate_corpus
-from .tagging import render_relation_grid, roundtrip_check, triple_rows
+from .tagging import render_relation_grid, roundtrip_check
 from .trainer import NumericError, TrainConfig, load_checkpoint, predict, train, write_loss_log
 
 logger = logging.getLogger("relgrid")
@@ -182,7 +182,10 @@ def _read_relations(path: str) -> RelationVocab:
     if not p.exists():
         raise CorpusError(f"no such relations file: {p}")
     names = [line.strip() for line in p.read_text(encoding="utf-8").splitlines() if line.strip()]
-    return RelationVocab(names=tuple(names))
+    try:
+        return RelationVocab(names=tuple(names))
+    except ValueError as exc:
+        raise CorpusError(f"bad relations file {path}: {exc}") from None
 
 
 def _read_vocab(path: str) -> Vocab:
@@ -268,7 +271,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     predictions = stack_rows(predict(s.sentence, model) for s in corpus)
     elapsed = time.perf_counter() - started
 
-    gold = stack_rows(triple_rows(s.triples) for s in corpus)
+    gold = stack_rows(s.triples for s in corpus)
     labels = [classify_pattern(s) for s in corpus]
     modes = [cfg.get("match")] if cfg.get("match") else list(MATCH_MODES)
     reports = breakdown(predictions, gold, labels, modes)
@@ -293,7 +296,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 def _triple_lines(rows, relations: RelationVocab) -> list[str]:
     """The text (hb..he, name, tb..te) of each row (k, hb, he, tb, te), in
-    Triple order."""
+    (hb, he, k, tb, te) order, the order of a sentence's gold rows."""
     ordered = sorted((hb, he, k, tb, te) for k, hb, he, tb, te in rows)
     return [f"({hb}..{he}, {relations.names[k]}, {tb}..{te})" for hb, he, k, tb, te in ordered]
 
@@ -320,7 +323,7 @@ def cmd_tag(cfg: RunConfig) -> int:
     print("decoded triples:")
     for line in _triple_lines(result.decoded, vocab):
         print(f"  {line}")
-    if result.exact and not sentence.triples:
+    if result.exact and len(sentence.triples) == 0:
         print("roundtrip: exact (empty)")
     elif result.exact:
         print("roundtrip: exact")

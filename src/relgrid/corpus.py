@@ -1,4 +1,8 @@
-"""Corpus data model: sentences, spans, triples, loaders and overlap statistics.
+"""Corpus data model: sentences, triple rows, loaders and overlap statistics.
+
+A sentence's gold triples are one read-only (n, 5) int64 array of distinct
+rows (k, hb, he, tb, te): relation index, then the inclusive 0-based token
+spans hb..he of the head and tb..te of the tail, sorted by (hb, he, k, tb, te).
 
 Two on-disk formats are supported:
 
@@ -19,8 +23,11 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 NORMAL = "normal"
 EPO = "epo"
@@ -33,30 +40,6 @@ BUCKETS = ("1", "2", "3", "4", "5+")
 
 class CorpusError(ValueError):
     """Malformed corpus file or record."""
-
-
-@dataclass(frozen=True, order=True)
-class Span:
-    """Inclusive token span [begin, end], 0-based."""
-
-    begin: int
-    end: int
-
-    def __post_init__(self):
-        if not (0 <= self.begin <= self.end):
-            raise ValueError(f"invalid span ({self.begin}, {self.end})")
-
-    def overlaps(self, other: "Span") -> bool:
-        return not (self.end < other.begin or other.end < self.begin)
-
-
-@dataclass(frozen=True, order=True)
-class Triple:
-    """(head span, relation index, tail span)."""
-
-    head: Span
-    relation: int
-    tail: Span
 
 
 @dataclass(frozen=True)
@@ -96,24 +79,24 @@ class RelationVocab:
             raise CorpusError(f"unknown relation name {name!r}") from None
 
 
+Row = tuple[int, int, int, int, int]  # (k, hb, he, tb, te)
+
+_canonical_order = itemgetter(1, 2, 0, 3, 4)  # (hb, he, k, tb, te)
+
+
+def canonical_rows(triples: Iterable[Row]) -> np.ndarray:
+    """The read-only (n, 5) int64 rows of the distinct triples, sorted by (hb, he, k, tb, te)."""
+    rows = np.array(sorted(set(triples), key=_canonical_order), dtype=np.int64).reshape(-1, 5)
+    rows.flags.writeable = False
+    return rows
+
+
 @dataclass(frozen=True)
 class AnnotatedSentence:
+    """A sentence and its gold triples as canonical_rows."""
+
     sentence: Sentence
-    triples: frozenset[Triple]
-
-    def __post_init__(self):
-        n = len(self.sentence)
-        for t in self.triples:
-            for span in (t.head, t.tail):
-                if span.end >= n:
-                    raise ValueError(
-                        f"sentence {self.sentence.id!r}: span ({span.begin}, "
-                        f"{span.end}) exceeds length {n}"
-                    )
-
-    def sorted_triples(self) -> list[Triple]:
-        """Canonical deterministic ordering, independent of set iteration."""
-        return sorted(self.triples)
+    triples: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -128,17 +111,6 @@ class PatternLabel:
     bucket: str | None
 
 
-def _shared_span_count(a: Triple, b: Triple) -> int:
-    """Number of entity spans shared by two triples, with multiplicity."""
-    remaining = [b.head, b.tail]
-    shared = 0
-    for span in (a.head, a.tail):
-        if span in remaining:
-            remaining.remove(span)
-            shared += 1
-    return shared
-
-
 def classify_pattern(s: AnnotatedSentence) -> PatternLabel:
     """Assign overlap flags (normal/epo/seo/hto) and a triple-count bucket.
 
@@ -147,24 +119,23 @@ def classify_pattern(s: AnnotatedSentence) -> PatternLabel:
     hto: some single triple's head and tail spans overlap as token ranges.
     normal: at least one triple and none of the above.
     """
-    triples = s.sorted_triples()
-    if not triples:
+    pairs = [((hb, he), (tb, te)) for _, hb, he, tb, te in s.triples.tolist()]
+    if not pairs:
         return PatternLabel(flags=frozenset(), bucket=None)
 
     flags = set()
-    if any(t.head.overlaps(t.tail) for t in triples):
+    if any(he >= tb and te >= hb for (hb, he), (tb, te) in pairs):
         flags.add(HTO)
-    for i in range(len(triples)):
-        for j in range(i + 1, len(triples)):
-            shared = _shared_span_count(triples[i], triples[j])
-            if shared == 2:
+    for i, (head, tail) in enumerate(pairs):
+        for other in pairs[i + 1 :]:
+            if other == (head, tail) or other == (tail, head):
                 flags.add(EPO)
-            elif shared == 1:
+            elif head in other or tail in other:
                 flags.add(SEO)
     if not flags:
         flags.add(NORMAL)
 
-    bucket = BUCKETS[min(len(triples), 5) - 1]
+    bucket = BUCKETS[min(len(pairs), 5) - 1]
     return PatternLabel(flags=frozenset(flags), bucket=bucket)
 
 
@@ -223,21 +194,21 @@ def corpus_stats(corpus: list[AnnotatedSentence]) -> CorpusStats:
 def _truncate(
     sid: str,
     tokens: list[str],
-    triples: Iterable[Triple],
+    triples: list[Row],
     max_seq_len: int | None,
     warnings: list[str],
-) -> tuple[list[str], list[Triple]]:
+) -> tuple[list[str], list[Row]]:
     """Cut tokens at max_seq_len and drop triples reaching past the cut."""
     if max_seq_len is None or len(tokens) <= max_seq_len:
-        return tokens, list(triples)
+        return tokens, triples
     kept = []
-    for t in triples:
-        if t.head.end < max_seq_len and t.tail.end < max_seq_len:
-            kept.append(t)
+    for k, hb, he, tb, te in triples:
+        if he < max_seq_len and te < max_seq_len:
+            kept.append((k, hb, he, tb, te))
         else:
             warnings.append(
-                f"sentence {sid!r}: triple {t} dropped by truncation to "
-                f"{max_seq_len} tokens"
+                f"sentence {sid!r}: triple ({hb}..{he}, {k}, {tb}..{te}) dropped by "
+                f"truncation to {max_seq_len} tokens"
             )
     warnings.append(f"sentence {sid!r}: truncated to {max_seq_len} tokens")
     return tokens[:max_seq_len], kept
@@ -300,10 +271,18 @@ def native_sentence(
                 if not grow:
                     raise ValueError(f"sentence {sid!r}: unknown relation {rel_name!r}")
                 known[rel_name] = len(known)
-            triples.append(Triple(Span(*head), known[rel_name], Span(*tail)))
+            for begin, end in (head, tail):
+                if not 0 <= begin <= end:
+                    raise ValueError(f"invalid span ({begin}, {end})")
+            triples.append((known[rel_name], *head, *tail))
         # truncation drops a triple past the cut before the span-bounds check
         tokens, triples = _truncate(sid, tokens, triples, max_seq_len, warnings)
-        return AnnotatedSentence(Sentence(tuple(tokens), sid), frozenset(triples))
+        sentence = Sentence(tuple(tokens), sid)
+        for _, hb, he, tb, te in triples:
+            for begin, end in ((hb, he), (tb, te)):
+                if end >= len(tokens):
+                    raise ValueError(f"sentence {sid!r}: span ({begin}, {end}) exceeds length {len(tokens)}")
+        return AnnotatedSentence(sentence, canonical_rows(triples))
     except KeyError as exc:
         raise CorpusError(f"{where}: missing field ({exc})") from None
     except ValueError as exc:
@@ -345,12 +324,8 @@ def save_native(
             "id": s.sentence.id,
             "tokens": list(s.sentence.tokens),
             "triples": [
-                {
-                    "head": [t.head.begin, t.head.end],
-                    "relation": vocab.names[t.relation],
-                    "tail": [t.tail.begin, t.tail.end],
-                }
-                for t in s.sorted_triples()
+                {"head": [hb, he], "relation": vocab.names[k], "tail": [tb, te]}
+                for k, hb, he, tb, te in s.triples.tolist()
             ],
         }
         lines.append(json.dumps(record, ensure_ascii=False))
@@ -368,8 +343,8 @@ def _find_subsequence(tokens: tuple[str, ...], needle: list[str]) -> int:
 
 def resolve_entity(
     tokens: tuple[str, ...], entity: str, match_mode: str
-) -> Span | None:
-    """Resolve an entity string to a token span, or None when absent.
+) -> tuple[int, int] | None:
+    """Resolve an entity string to a token span (begin, end), or None when absent.
 
     whole-span: leftmost full-token-sequence match.
     last-token: leftmost match of the entity's last token (single-token span).
@@ -381,12 +356,12 @@ def resolve_entity(
         start = _find_subsequence(tokens, parts)
         if start < 0:
             return None
-        return Span(start, start + len(parts) - 1)
+        return start, start + len(parts) - 1
     if match_mode == "last-token":
         last = parts[-1]
         for i, tok in enumerate(tokens):
             if tok == last:
-                return Span(i, i)
+                return i, i
         return None
     raise ValueError(f"unknown match_mode {match_mode!r}")
 
@@ -439,13 +414,13 @@ def load_public(
                     f"({head_str!r}, {rel_name!r}, {tail_str!r}) skipped"
                 )
                 continue
-            triples.append(Triple(head, rel, tail))
+            triples.append((rel, *head, *tail))
 
         token_list, triples = _truncate(sid, list(tokens), triples, max_seq_len, warnings)
         corpus.append(
             AnnotatedSentence(
                 sentence=Sentence(tokens=tuple(token_list), id=sid),
-                triples=frozenset(triples),
+                triples=canonical_rows(triples),
             )
         )
     return corpus, warnings

@@ -23,9 +23,9 @@ from .corpus import (
     SEO,
     AnnotatedSentence,
     RelationVocab,
+    Row,
     Sentence,
-    Span,
-    Triple,
+    canonical_rows,
     classify_pattern,
 )
 from .tagging import roundtrip_check
@@ -117,9 +117,9 @@ def _validate(config: SynthConfig, counts: dict[str, int]) -> None:
 
 def _carve_spans(
     rng: np.random.Generator, length: int, widths: list[tuple[int, int]]
-) -> list[Span] | None:
-    """Disjoint random spans with per-span (min, max) widths, or None."""
-    spans: list[Span] = []
+) -> list[tuple[int, int]] | None:
+    """Disjoint random (begin, end) spans with per-span (min, max) widths, or None."""
+    spans: list[tuple[int, int]] = []
     for min_w, max_w in widths:
         placed = False
         for _ in range(60):
@@ -127,9 +127,9 @@ def _carve_spans(
             if w > length:
                 break
             start = int(rng.integers(0, length - w + 1))
-            candidate = Span(start, start + w - 1)
-            if all(not candidate.overlaps(s) for s in spans):
-                spans.append(candidate)
+            end = start + w - 1
+            if all(end < b or e < start for b, e in spans):
+                spans.append((start, end))
                 placed = True
                 break
         if not placed:
@@ -137,22 +137,25 @@ def _carve_spans(
     return spans
 
 
-def _hto_pair(rng: np.random.Generator, region: Span) -> tuple[Span, Span]:
+def _hto_pair(
+    rng: np.random.Generator, region: tuple[int, int]
+) -> tuple[tuple[int, int], tuple[int, int]]:
     """Head/tail spans overlapping inside `region`."""
+    begin, end = region
     variants = ["identical", "nested_tail", "nested_head"]
-    if region.end - region.begin >= 2:
+    if end - begin >= 2:
         variants.append("staggered")
     variant = variants[int(rng.integers(0, len(variants)))]
     if variant == "identical":
         return region, region
     if variant == "staggered":
-        mid = int(rng.integers(region.begin + 1, region.end))
-        return Span(region.begin, mid), Span(mid, region.end)
+        mid = int(rng.integers(begin + 1, end))
+        return (begin, mid), (mid, end)
     # strict nesting; the inner span drops one edge token of the region
     if rng.random() < 0.5:
-        inner = Span(region.begin, region.end - 1)
+        inner = (begin, end - 1)
     else:
-        inner = Span(region.begin + 1, region.end)
+        inner = (begin + 1, end)
     if variant == "nested_tail":
         return region, inner
     return inner, region
@@ -160,7 +163,7 @@ def _hto_pair(rng: np.random.Generator, region: Span) -> tuple[Span, Span]:
 
 def _build_triples(
     rng: np.random.Generator, pattern: str, length: int, config: SynthConfig
-) -> list[Triple] | None:
+) -> list[Row] | None:
     k = config.num_relations
     width = (1, config.max_span_width)
     extras = int(rng.integers(0, config.max_extra_triples + 1))
@@ -168,13 +171,16 @@ def _build_triples(
     def rel() -> int:
         return int(rng.integers(0, k))
 
+    def triple(head: tuple[int, int], relation: int, tail: tuple[int, int]) -> Row:
+        return (relation, *head, *tail)
+
     if pattern == NORMAL:
         main = 1 + int(rng.integers(0, 2))
         spans = _carve_spans(rng, length, [width] * (2 * (main + extras)))
         if spans is None:
             return None
         triples = [
-            Triple(spans[2 * i], rel(), spans[2 * i + 1]) for i in range(main + extras)
+            triple(spans[2 * i], rel(), spans[2 * i + 1]) for i in range(main + extras)
         ]
     elif pattern == EPO:
         spans = _carve_spans(rng, length, [width] * (2 + 2 * extras))
@@ -184,11 +190,11 @@ def _build_triples(
         rels = rng.choice(k, size=2, replace=False)
         r1, r2 = int(rels[0]), int(rels[1])
         if rng.random() < 0.5:
-            triples = [Triple(a, r1, b), Triple(a, r2, b)]
+            triples = [triple(a, r1, b), triple(a, r2, b)]
         else:
-            triples = [Triple(a, r1, b), Triple(b, r2, a)]
+            triples = [triple(a, r1, b), triple(b, r2, a)]
         triples += [
-            Triple(spans[2 + 2 * i], rel(), spans[3 + 2 * i]) for i in range(extras)
+            triple(spans[2 + 2 * i], rel(), spans[3 + 2 * i]) for i in range(extras)
         ]
     elif pattern == SEO:
         spans = _carve_spans(rng, length, [width] * (3 + 2 * extras))
@@ -197,13 +203,13 @@ def _build_triples(
         a, b, c = spans[0], spans[1], spans[2]
         variant = int(rng.integers(0, 3))
         if variant == 0:  # shared head
-            triples = [Triple(a, rel(), b), Triple(a, rel(), c)]
+            triples = [triple(a, rel(), b), triple(a, rel(), c)]
         elif variant == 1:  # shared tail
-            triples = [Triple(b, rel(), a), Triple(c, rel(), a)]
+            triples = [triple(b, rel(), a), triple(c, rel(), a)]
         else:  # chain: tail of one is head of the other
-            triples = [Triple(a, rel(), b), Triple(b, rel(), c)]
+            triples = [triple(a, rel(), b), triple(b, rel(), c)]
         triples += [
-            Triple(spans[3 + 2 * i], rel(), spans[4 + 2 * i]) for i in range(extras)
+            triple(spans[3 + 2 * i], rel(), spans[4 + 2 * i]) for i in range(extras)
         ]
     elif pattern == HTO:
         region_width = (2, max(2, config.max_span_width))
@@ -211,9 +217,9 @@ def _build_triples(
         if spans is None:
             return None
         head, tail = _hto_pair(rng, spans[0])
-        triples = [Triple(head, rel(), tail)]
+        triples = [triple(head, rel(), tail)]
         triples += [
-            Triple(spans[1 + 2 * i], rel(), spans[2 + 2 * i]) for i in range(extras)
+            triple(spans[1 + 2 * i], rel(), spans[2 + 2 * i]) for i in range(extras)
         ]
     else:
         raise GenerationError(f"unknown pattern {pattern!r}")
@@ -238,7 +244,7 @@ def generate_sentence(
         tokens = tuple(f"w{int(i):04d}" for i in word_ids)
         candidate = AnnotatedSentence(
             sentence=Sentence(tokens=tokens, id=sentence_id),
-            triples=frozenset(triples),
+            triples=canonical_rows(triples),
         )
         if classify_pattern(candidate).flags != frozenset({pattern}):
             continue

@@ -15,7 +15,8 @@ or left of the anchor column in the same row; a missing neighbour means a
 single-token head or tail. Both lookups are binary searches over the sorted
 integer keys (k, col, row) of the HE_TE cells and (k, row, col) of the HB_TB
 cells. Decoded triples are (n, 5) int64 rows (k, hb, he, tb, te), the layout
-triple_rows gives a Triple set, and stay rows through evaluation.
+of a sentence's gold AnnotatedSentence.triples, and stay rows through
+evaluation.
 
 Single-token heads or tails make two of the three corner assignments land
 on the same cell; that collapse is resolved by the fixed tag priority
@@ -26,13 +27,12 @@ collision report and may lose information.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
 
-from .corpus import AnnotatedSentence, Triple
+from .corpus import AnnotatedSentence
 
 
 class Tag(IntEnum):
@@ -66,22 +66,6 @@ class Collision:
     dropped: Tag
 
 
-def _corner_assignments(t: Triple) -> dict[tuple[int, int, int], Tag]:
-    """The (up to three) cells of one triple, collapse already resolved."""
-    hb, he = t.head.begin, t.head.end
-    tb, te = t.tail.begin, t.tail.end
-    cells: dict[tuple[int, int, int], Tag] = {}
-    for cell, tag in (
-        ((hb, t.relation, tb), Tag.HB_TB),
-        ((hb, t.relation, te), Tag.HB_TE),
-        ((he, t.relation, te), Tag.HE_TE),
-    ):
-        old = cells.get(cell)
-        if old is None or TAG_PRIORITY[tag] > TAG_PRIORITY[old]:
-            cells[cell] = tag
-    return cells
-
-
 def encode(s: AnnotatedSentence, num_relations: int) -> tuple[np.ndarray, list[Collision]]:
     """Write every triple's corner cells into a fresh (L, K, L) int8 grid.
 
@@ -92,12 +76,16 @@ def encode(s: AnnotatedSentence, num_relations: int) -> tuple[np.ndarray, list[C
     length = len(s.sentence)
     tags = np.zeros((length, num_relations, length), dtype=np.int8)
     collisions: list[Collision] = []
-    for t in s.sorted_triples():
-        if not 0 <= t.relation < num_relations:
-            raise ValueError(
-                f"relation index {t.relation} outside [0, {num_relations})"
-            )
-        for cell, tag in sorted(_corner_assignments(t).items()):
+    for k, hb, he, tb, te in s.triples.tolist():
+        if not 0 <= k < num_relations:
+            raise ValueError(f"relation index {k} outside [0, {num_relations})")
+        # the corners in cell order, as begin <= end; a single-token tail
+        # folds HB_TB, and a single-token head HE_TE, into the HB_TE cell
+        corners = [((hb, k, tb), Tag.HB_TB)] if tb != te else []
+        corners.append(((hb, k, te), Tag.HB_TE))
+        if he != hb:
+            corners.append(((he, k, te), Tag.HE_TE))
+        for cell, tag in corners:
             old = _TAGS[tags[cell]]
             if old == Tag.NONE or old == tag:
                 tags[cell] = tag
@@ -144,12 +132,6 @@ def decode(tags: np.ndarray) -> np.ndarray:
     return np.column_stack([k, hb, he, tb, te])
 
 
-def triple_rows(triples: Iterable[Triple]) -> np.ndarray:
-    """(n, 5) int64 rows (k, hb, he, tb, te) of a Triple set, decode's layout."""
-    rows = [(t.relation, t.head.begin, t.head.end, t.tail.begin, t.tail.end) for t in triples]
-    return np.array(rows, dtype=np.int64).reshape(-1, 5)
-
-
 @dataclass(frozen=True)
 class RoundtripResult:
     """Outcome of decode(encode(s)) compared against the gold triples, as
@@ -172,7 +154,7 @@ def roundtrip_check(s: AnnotatedSentence, num_relations: int) -> RoundtripResult
     """Encode then decode and report the symmetric difference to the gold set."""
     tags, collisions = encode(s, num_relations)
     decoded = frozenset(map(tuple, decode(tags).tolist()))
-    gold = frozenset(map(tuple, triple_rows(s.triples).tolist()))
+    gold = frozenset(map(tuple, s.triples.tolist()))
     return RoundtripResult(
         exact=decoded == gold,
         tags=tags,

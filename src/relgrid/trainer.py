@@ -387,7 +387,7 @@ def load_checkpoint(path: str | Path) -> Model:
     if not isinstance(header, dict):
         raise corrupt("header is not a JSON object")
     if header.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {header.get('version')!r}")
+        raise corrupt(f"unsupported version {header.get('version')!r}")
     if not _HEADER_KEYS <= header.keys():
         raise corrupt(f"header lacks {sorted(_HEADER_KEYS - header.keys())}")
     names = header["relations"]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from relgrid import scorer
-from relgrid.corpus import AnnotatedSentence, Sentence, Span, Triple
+from relgrid.corpus import AnnotatedSentence, Sentence, canonical_rows
 from relgrid.synthetic import SynthConfig, generate_corpus
 from relgrid.tagging import Tag
 
@@ -13,11 +13,24 @@ settings.register_profile("relgrid", derandomize=True, database=None)
 settings.load_profile("relgrid")
 
 
+def triple(head, relation, tail):
+    """The row (k, hb, he, tb, te) of a head span (hb, he), a relation index k
+    and a tail span (tb, te)."""
+    return (relation, *head, *tail)
+
+
 def make_sentence(n_tokens, triples, sid="s"):
+    """Tokens t0, t1, ... and the canonical rows of the given row tuples."""
     tokens = tuple(f"t{i}" for i in range(n_tokens))
     return AnnotatedSentence(
-        sentence=Sentence(tokens=tokens, id=sid), triples=frozenset(triples)
+        sentence=Sentence(tokens=tokens, id=sid), triples=canonical_rows(triples)
     )
+
+
+def corpus_items(corpus):
+    """Each sentence of a corpus with its rows as a tuple of row tuples, so
+    corpora compare with ==."""
+    return [(s.sentence, tuple(map(tuple, s.triples.tolist()))) for s in corpus]
 
 
 def tag_cells(tags):
@@ -26,8 +39,8 @@ def tag_cells(tags):
 
 
 def as_triples(rows):
-    """The Triple set of (n, 5) rows (k, hb, he, tb, te)."""
-    return frozenset(Triple(Span(hb, he), k, Span(tb, te)) for k, hb, he, tb, te in rows.tolist())
+    """The set of row tuples (k, hb, he, tb, te) of (n, 5) rows."""
+    return frozenset(map(tuple, rows.tolist()))
 
 
 def glorot_arrays(emb_dim, num_relations, seed, hidden_dim=None):
@@ -49,15 +62,16 @@ def glorot_arrays(emb_dim, num_relations, seed, hidden_dim=None):
 
 
 def random_triples(rng, length, num_relations, max_triples=4, max_width=3):
-    """Unconstrained random triple set; may carry any overlap pattern."""
+    """Unconstrained random set of row tuples (k, hb, he, tb, te); may carry
+    any overlap pattern."""
     triples = set()
     for _ in range(rng.integers(1, max_triples + 1)):
         def span():
             w = int(rng.integers(1, max_width + 1))
             start = int(rng.integers(0, max(length - w + 1, 1)))
-            return Span(start, min(start + w - 1, length - 1))
+            return start, min(start + w - 1, length - 1)
 
-        triples.add(Triple(span(), int(rng.integers(0, num_relations)), span()))
+        triples.add(triple(span(), int(rng.integers(0, num_relations)), span()))
     return triples
 
 
@@ -73,7 +87,7 @@ def fig2_sentence():
     """The worked 'New York City is located in New York State' example."""
     tokens = tuple("New York City is located in New York State".split())
     located_in, contains = 0, 1
-    nyc, nys = Span(0, 2), Span(6, 8)
+    nyc, nys = (0, 2), (6, 8)
     return {
         "tokens": tokens,
         "located_in": located_in,
@@ -82,13 +96,11 @@ def fig2_sentence():
         "nys": nys,
         "single": AnnotatedSentence(
             sentence=Sentence(tokens=tokens, id="fig2a"),
-            triples=frozenset({Triple(nyc, located_in, nys)}),
+            triples=canonical_rows([triple(nyc, located_in, nys)]),
         ),
         "epo_pair": AnnotatedSentence(
             sentence=Sentence(tokens=tokens, id="fig2ab"),
-            triples=frozenset(
-                {Triple(nyc, located_in, nys), Triple(nys, contains, nyc)}
-            ),
+            triples=canonical_rows([triple(nyc, located_in, nys), triple(nys, contains, nyc)]),
         ),
     }
 

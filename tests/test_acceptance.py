@@ -15,8 +15,6 @@ import pytest
 from relgrid.cli import main as cli_main
 from relgrid.corpus import (
     RelationVocab,
-    Span,
-    Triple,
     classify_pattern,
     corpus_stats,
     load_public,
@@ -25,7 +23,7 @@ from relgrid.corpus import (
 from relgrid.encoder import build_vocab, encode_indices
 from relgrid.evaluation import EXACT, PARTIAL, breakdown, micro_prf, stack_rows
 from relgrid.synthetic import SynthConfig, generate_corpus
-from relgrid.tagging import Tag, encode, roundtrip_check, triple_rows
+from relgrid.tagging import Tag, encode, roundtrip_check
 from relgrid.trainer import (
     TrainConfig,
     init_model,
@@ -33,7 +31,7 @@ from relgrid.trainer import (
     train,
 )
 
-from conftest import make_sentence, random_triples, tag_cells
+from conftest import make_sentence, random_triples, tag_cells, triple
 from test_evaluation import (
     correct_count,
     exact_compatible,
@@ -127,7 +125,7 @@ def test_criterion_2_documented_tagging_scenarios(fig2_sentence, report):
         failures.append("epo-pair roundtrip")
 
     # scenario (c): overlapping head/tail sits by the diagonal and decodes
-    hto = make_sentence(3, [Triple(Span(0, 2), 0, Span(0, 1))], sid="fig2c")
+    hto = make_sentence(3, [triple((0, 2), 0, (0, 1))], sid="fig2c")
     tags, collisions = encode(hto, 1)
     want_c = {(0, 0, 0): Tag.HB_TB, (0, 0, 1): Tag.HB_TE, (2, 0, 1): Tag.HE_TE}
     if tag_cells(tags) != want_c or collisions:
@@ -213,7 +211,7 @@ def test_criterion_5_overfit_to_perfect_exact_f1(report, tmp_path, capsys):
     started = time.perf_counter()
     reached: list[int] = []
 
-    gold = stack_rows(triple_rows(s.triples) for s in corpus)
+    gold = stack_rows(s.triples for s in corpus)
     labels = [classify_pattern(s) for s in corpus]
 
     def exact_f1(model):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import relgrid.cli
 from relgrid.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from relgrid.corpus import load_native, save_native
 from relgrid.tagging import encode
 from relgrid.trainer import NumericError
 
@@ -227,6 +228,22 @@ class TestStats:
         )
 
 
+    @pytest.mark.parametrize(
+        "names, reason",
+        [("r\nr\n", "duplicate relation names"), ("\n \n", "relation vocabulary is empty")],
+        ids=["duplicate", "empty"],
+    )
+    def test_bad_relations_file_is_data_error_naming_the_file(self, capsys, tmp_path, names, reason):
+        data = tmp_path / "pub.jsonl"
+        data.write_text('{"text": "a b", "triple_list": []}\n')
+        relations = tmp_path / "rels.txt"
+        relations.write_text(names)
+        code, stdout, stderr = run(
+            capsys, "stats", "--format", "public", "--data", str(data), "--relations", str(relations)
+        )
+        assert (code, stdout) == (EXIT_DATA, "")
+        assert stderr == f"error: bad relations file {relations}: {reason}\n"
+
     @pytest.mark.parametrize("triples", ["5", "null", "{}"], ids=["number", "null", "object"])
     def test_native_triples_not_a_list_is_one_line_data_error(self, capsys, tmp_path, triples):
         data = tmp_path / "native.jsonl"
@@ -353,6 +370,28 @@ class TestTrainEval:
         assert "match mode: exact" in stdout
         assert "inference wall-clock" in stdout
         assert "partial.f1=" in stdout and "exact.f1=" in stdout
+
+    def test_repeated_triple_counts_once(self, capsys, tmp_path):
+        # three triples listed, one of them twice and out of canonical order
+        record = {"id": "d", "tokens": list("abcdef"), "triples": [
+            {"head": [3, 4], "relation": "r", "tail": [0, 0]},
+            {"head": [0, 1], "relation": "r", "tail": [3, 4]},
+            {"head": [3, 4], "relation": "r", "tail": [0, 0]},
+        ]}
+        data, ck, report = tmp_path / "d.jsonl", tmp_path / "d.npz", tmp_path / "report.txt"
+        data.write_text(json.dumps(record) + "\n")
+        code, stdout, _ = run(capsys, "stats", "--data", str(data))
+        assert code == EXIT_OK
+        assert "triples        2\n" in stdout and "N=2            1\n" in stdout
+
+        assert run(capsys, "train", "--data", str(data), "--epochs", "1", "--out", str(ck))[0] == EXIT_OK
+        code, _, _ = run(capsys, "eval", "--data", str(data), "--checkpoint", str(ck), "--out", str(report))
+        assert code == EXIT_OK
+        assert "exact.gold=2\n" in report.read_text()
+
+        corpus, relations, _ = load_native(data)
+        save_native(corpus, relations, tmp_path / "saved.jsonl")
+        assert json.loads((tmp_path / "saved.jsonl").read_text())["triples"] == record["triples"][1:]
 
     def test_eval_vocab_mismatch_is_data_error(self, capsys, synth_file, tmp_path):
         ck = tmp_path / "m.npz"
@@ -626,9 +665,10 @@ class TestTrainEval:
             ("vocab", lambda vocab: {**vocab, "<unk>": 0},
              "vocab indices must be the distinct integers 0..{last}"),
             ("config_hash", lambda digest: "0" * len(digest), "config hash mismatch"),
+            ("version", lambda version: 2, "unsupported version 2"),
         ],
         ids=["duplicate-relations", "no-relations", "list-vocab", "repeated-vocab-index",
-             "wrong-config-hash"],
+             "wrong-config-hash", "version-2"],
     )
     def test_inconsistent_header_is_data_error_naming_the_file(
         self, capsys, synth_file, tmp_path, checkpoint, field, change, reason
@@ -837,6 +877,8 @@ BAD_NATIVE_RECORDS = {
                    "triples": [{"head": [0, 0, 1], "relation": "r", "tail": [1, 1]}]},
     "span-negative": {"id": "b", "tokens": ["a", "b"],
                       "triples": [{"head": [-1, 0], "relation": "r", "tail": [1, 1]}]},
+    "span-reversed": {"id": "b", "tokens": ["a", "b"],
+                      "triples": [{"head": [1, 0], "relation": "r", "tail": [1, 1]}]},
     "triples-object": {"id": "b", "tokens": ["a", "b"], "triples": {}},
     "record-array": [1, 2],
     "id-null": {"id": None, "tokens": ["a", "b"], "triples": []},

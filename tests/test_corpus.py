@@ -14,33 +14,34 @@ from relgrid.corpus import (
     CorpusError,
     RelationVocab,
     Sentence,
-    Span,
-    Triple,
+    canonical_rows,
     classify_pattern,
     corpus_stats,
     load_native,
     load_public,
+    native_sentence,
     resolve_entity,
     save_native,
 )
 
 from relgrid.synthetic import SynthConfig, generate_corpus
 
-from conftest import make_sentence, random_triples
+from conftest import corpus_items, make_sentence, random_triples, triple
 
 
 # --- independent oracle: pairwise pattern flags by definition -------------
 
 def brute_force_flags(triples):
-    triples = list(triples)
+    """Flags of a set of row tuples (k, hb, he, tb, te), by definition."""
+    pairs = [((hb, he), (tb, te)) for _, hb, he, tb, te in triples]
     flags = set()
-    for t in triples:
-        if not (t.head.end < t.tail.begin or t.tail.end < t.head.begin):
+    for head, tail in pairs:
+        if not (head[1] < tail[0] or tail[1] < head[0]):
             flags.add(HTO)
-    for x in range(len(triples)):
-        for y in range(x + 1, len(triples)):
-            pair_x = sorted([triples[x].head, triples[x].tail])
-            pair_y = sorted([triples[y].head, triples[y].tail])
+    for x in range(len(pairs)):
+        for y in range(x + 1, len(pairs)):
+            pair_x = sorted(pairs[x])
+            pair_y = sorted(pairs[y])
             if pair_x == pair_y:
                 flags.add(EPO)
             else:
@@ -51,17 +52,24 @@ def brute_force_flags(triples):
                         shared += 1
                 if shared == 1:
                     flags.add(SEO)
-    if triples and not flags:
+    if pairs and not flags:
         flags.add(NORMAL)
     return flags
 
 
+def parse(tokens, *spans):
+    """native_sentence of a record holding one r0 triple per (head, tail) pair."""
+    triples = [{"head": head, "relation": "r0", "tail": tail} for head, tail in spans]
+    record = {"id": "s", "tokens": [f"w{i}" for i in range(tokens)], "triples": triples}
+    return native_sentence(record, {"r0": 0}, False, "here")
+
+
 class TestTypes:
     def test_span_rejects_inverted(self):
-        with pytest.raises(ValueError):
-            Span(3, 2)
-        with pytest.raises(ValueError):
-            Span(-1, 0)
+        with pytest.raises(CorpusError, match=r"^here: invalid span \(3, 2\)$"):
+            parse(5, ([3, 2], [4, 4]))
+        with pytest.raises(CorpusError, match=r"^here: invalid span \(-1, 0\)$"):
+            parse(5, ([0, 0], [-1, 0]))
 
     def test_sentence_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -70,8 +78,15 @@ class TestTypes:
             Sentence(tokens=("a", ""))
 
     def test_span_containment_enforced_at_construction(self):
-        with pytest.raises(ValueError, match="exceeds length"):
-            make_sentence(10, [Triple(Span(0, 0), 0, Span(5, 12))])
+        with pytest.raises(CorpusError, match=r"^here: sentence 's': span \(5, 12\) exceeds length 10$"):
+            parse(10, ([0, 0], [5, 12]))
+
+    def test_canonical_rows_are_distinct_sorted_and_read_only(self):
+        rows = canonical_rows([(1, 2, 2, 0, 0), (0, 2, 2, 0, 0), (3, 0, 1, 5, 5), (1, 2, 2, 0, 0)])
+        assert rows.tolist() == [[3, 0, 1, 5, 5], [0, 2, 2, 0, 0], [1, 2, 2, 0, 0]]
+        assert rows.dtype == np.int64 and not rows.flags.writeable
+        empty = canonical_rows([])
+        assert empty.shape == (0, 5) and empty.dtype == np.int64 and not empty.flags.writeable
 
     def test_relation_vocab_unique(self):
         with pytest.raises(ValueError):
@@ -88,29 +103,29 @@ class TestClassifyPattern:
         assert label.bucket == "2"
 
     def test_single_disjoint_triple_is_normal(self):
-        s = make_sentence(6, [Triple(Span(0, 1), 0, Span(3, 4))])
+        s = make_sentence(6, [triple((0, 1), 0, (3, 4))])
         assert classify_pattern(s) == classify_pattern(s)
         label = classify_pattern(s)
         assert label.flags == {NORMAL}
         assert label.bucket == "1"
 
     def test_nested_head_tail_is_hto(self):
-        s = make_sentence(5, [Triple(Span(0, 2), 0, Span(0, 1))])
+        s = make_sentence(5, [triple((0, 2), 0, (0, 1))])
         assert classify_pattern(s).flags == {HTO}
 
     def test_identical_head_tail_is_hto(self):
-        s = make_sentence(5, [Triple(Span(1, 2), 0, Span(1, 2))])
+        s = make_sentence(5, [triple((1, 2), 0, (1, 2))])
         assert classify_pattern(s).flags == {HTO}
 
     def test_same_pair_same_direction_is_epo(self):
         s = make_sentence(
-            6, [Triple(Span(0, 1), 0, Span(3, 4)), Triple(Span(0, 1), 1, Span(3, 4))]
+            6, [triple((0, 1), 0, (3, 4)), triple((0, 1), 1, (3, 4))]
         )
         assert classify_pattern(s).flags == {EPO}
 
     def test_shared_single_entity_is_seo(self):
         s = make_sentence(
-            8, [Triple(Span(0, 1), 0, Span(3, 4)), Triple(Span(0, 1), 0, Span(6, 7))]
+            8, [triple((0, 1), 0, (3, 4)), triple((0, 1), 0, (6, 7))]
         )
         assert classify_pattern(s).flags == {SEO}
 
@@ -120,7 +135,7 @@ class TestClassifyPattern:
         assert label.bucket is None
 
     def test_bucket_caps_at_five_plus(self):
-        triples = [Triple(Span(i, i), 0, Span(i + 6, i + 6)) for i in range(6)]
+        triples = [triple((i, i), 0, (i + 6, i + 6)) for i in range(6)]
         assert classify_pattern(make_sentence(12, triples)).bucket == "5+"
 
     @settings(max_examples=300, deadline=None)
@@ -135,7 +150,7 @@ class TestClassifyPattern:
             b2 = data.draw(st.integers(0, length - 1))
             e2 = data.draw(st.integers(b2, min(b2 + 2, length - 1)))
             rel = data.draw(st.integers(0, 2))
-            triples.add(Triple(Span(b1, e1), rel, Span(b2, e2)))
+            triples.add(triple((b1, e1), rel, (b2, e2)))
         s = make_sentence(length, triples)
         assert classify_pattern(s).flags == brute_force_flags(triples)
 
@@ -144,7 +159,7 @@ class TestClassifyPattern:
         for _ in range(50):
             triples = random_triples(rng, 10, 3)
             s = make_sentence(10, triples)
-            # frozenset input already order-free; re-check via list rotations
+            # a set is already order-free; re-check via list rotations
             expected = classify_pattern(s)
             rotated = list(triples)[::-1]
             assert classify_pattern(make_sentence(10, rotated)) == expected
@@ -163,8 +178,7 @@ class TestNativeFormat:
         assert len(corpus) == 1
         assert vocab.names == ("r0",)
         assert warnings == []
-        (triple,) = corpus[0].triples
-        assert triple == Triple(Span(0, 1), 0, Span(4, 6))
+        assert corpus[0].triples.tolist() == [[0, 0, 1, 4, 6]]
 
     def test_out_of_range_span_names_sentence(self, tmp_path):
         record = {
@@ -212,7 +226,7 @@ class TestNativeFormat:
         for a, b in zip(corpus, reloaded):
             assert a.sentence.tokens == b.sentence.tokens
             assert a.sentence.id == b.sentence.id
-            assert a.triples == b.triples
+            assert np.array_equal(a.triples, b.triples)
 
     def test_truncation_drops_overflowing_triples(self, tmp_path):
         record = {
@@ -243,7 +257,7 @@ class TestNativeFormat:
         path = tmp_path / "t.jsonl"
         path.write_text(json.dumps(record) + "\n")
         corpus, _, warnings = load_native(path, max_seq_len=8)
-        assert corpus[0].triples == {Triple(Span(0, 1), 0, Span(3, 4))}
+        assert corpus[0].triples.tolist() == [list(triple((0, 1), 0, (3, 4)))]
         assert any("dropped by truncation" in w for w in warnings)
         with pytest.raises(CorpusError, match="exceeds length 12"):
             load_native(path)
@@ -253,15 +267,15 @@ def save_public(corpus, relations, path):
     """Write annotated sentences as public-format JSONL: the text, and each
     triple as its head words, relation name and tail words."""
 
-    def words(tokens, span):
-        return " ".join(tokens[span.begin : span.end + 1])
+    def words(tokens, begin, end):
+        return " ".join(tokens[begin : end + 1])
 
     lines = []
     for s in corpus:
         tokens = s.sentence.tokens
         triple_list = [
-            [words(tokens, t.head), relations.names[t.relation], words(tokens, t.tail)]
-            for t in sorted(s.triples)
+            [words(tokens, hb, he), relations.names[k], words(tokens, tb, te)]
+            for k, hb, he, tb, te in s.triples.tolist()
         ]
         lines.append(json.dumps({"id": s.sentence.id, "text": " ".join(tokens), "triple_list": triple_list}))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -284,7 +298,7 @@ class TestPublicFormat:
         save_public(corpus, relations, path)
         loaded, warnings = load_public(path, relations)
         assert warnings == []
-        assert [(s.sentence, s.triples) for s in loaded] == [(s.sentence, s.triples) for s in corpus]
+        assert corpus_items(loaded) == corpus_items(corpus)
 
     def test_entity_words_occurring_earlier_resolve_to_the_leftmost_match(self, tmp_path, synth):
         # each sentence led by a copy of its first head's words: an entity
@@ -293,29 +307,26 @@ class TestPublicFormat:
         corpus, relations = synth
         moved, expected, earlier = [], [], 0
         for s in corpus:
-            first = min(s.triples).head
-            tokens = s.sentence.tokens[first.begin : first.end + 1] + s.sentence.tokens
-            offset = first.end - first.begin + 1
+            _, first_begin, first_end, _, _ = s.triples[0].tolist()  # rows sort by head first
+            tokens = s.sentence.tokens[first_begin : first_end + 1] + s.sentence.tokens
+            offset = first_end - first_begin + 1
 
-            def shift(span):
-                return Span(span.begin + offset, span.end + offset)
-
-            def leftmost(span):
-                words, width = tokens[span.begin : span.end + 1], span.end - span.begin + 1
+            def leftmost(begin, end):
+                words, width = tokens[begin : end + 1], end - begin + 1
                 begin = next(i for i in range(len(tokens)) if tokens[i : i + width] == words)
-                return Span(begin, begin + width - 1)
+                return begin, begin + width - 1
 
-            triples = [Triple(shift(t.head), t.relation, shift(t.tail)) for t in s.triples]
-            resolved = [Triple(leftmost(t.head), t.relation, leftmost(t.tail)) for t in triples]
+            triples = [(k, *(v + offset for v in ends)) for k, *ends in s.triples.tolist()]
+            resolved = [(k, *leftmost(hb, he), *leftmost(tb, te)) for k, hb, he, tb, te in triples]
             earlier += sum(t != r for t, r in zip(triples, resolved))
             sentence = Sentence(tokens=tokens, id=s.sentence.id)
-            moved.append(AnnotatedSentence(sentence, frozenset(triples)))
-            expected.append(AnnotatedSentence(sentence, frozenset(resolved)))
+            moved.append(AnnotatedSentence(sentence, canonical_rows(triples)))
+            expected.append(AnnotatedSentence(sentence, canonical_rows(resolved)))
         path = tmp_path / "public.jsonl"
         save_public(moved, relations, path)
         loaded, warnings = load_public(path, relations)
         assert warnings == []
-        assert loaded == expected
+        assert corpus_items(loaded) == corpus_items(expected)
         assert earlier >= len(corpus)  # each copied head resolves to its copy
 
     def test_unique_substring_match(self, tmp_path):
@@ -323,9 +334,7 @@ class TestPublicFormat:
         path.write_text(json.dumps({"text": "a b c", "triple_list": [["b c", "r0", "a"]]}) + "\n")
         corpus, warnings = load_public(path, self.vocab())
         assert warnings == []
-        (triple,) = corpus[0].triples
-        assert triple.head == Span(1, 2)
-        assert triple.tail == Span(0, 0)
+        assert corpus[0].triples.tolist() == [list(triple((1, 2), 0, (0, 0)))]
 
     def test_absent_entity_warns_and_skips(self, tmp_path):
         path = tmp_path / "p.jsonl"
@@ -354,14 +363,13 @@ class TestPublicFormat:
             json.dumps({"text": "new york is big", "triple_list": [["new york", "r0", "big"]]}) + "\n"
         )
         corpus, _ = load_public(path, self.vocab(), match_mode="last-token")
-        (triple,) = corpus[0].triples
-        assert triple.head == Span(1, 1)  # leftmost "york"
-        assert triple.tail == Span(3, 3)
+        # leftmost "york"
+        assert corpus[0].triples.tolist() == [list(triple((1, 1), 0, (3, 3)))]
 
     def test_leftmost_match_wins(self):
         tokens = tuple("x a b x a b".split())
-        assert resolve_entity(tokens, "a b", "whole-span") == Span(1, 2)
-        assert resolve_entity(tokens, "b", "last-token") == Span(2, 2)
+        assert resolve_entity(tokens, "a b", "whole-span") == (1, 2)
+        assert resolve_entity(tokens, "b", "last-token") == (2, 2)
 
     def test_determinism(self, tmp_path):
         path = tmp_path / "p.jsonl"
@@ -372,7 +380,7 @@ class TestPublicFormat:
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
         first, _ = load_public(path, self.vocab())
         second, _ = load_public(path, self.vocab())
-        assert [s.triples for s in first] == [s.triples for s in second]
+        assert corpus_items(first) == corpus_items(second)
 
     def test_resolved_corpus_survives_native_roundtrip(self, tmp_path):
         path = tmp_path / "p.jsonl"
@@ -386,12 +394,12 @@ class TestPublicFormat:
         native = tmp_path / "n.jsonl"
         save_native(corpus, vocab, native)
         reloaded, _, _ = load_native(native, vocab=vocab)
-        assert [s.triples for s in reloaded] == [s.triples for s in corpus]
+        assert corpus_items(reloaded) == corpus_items(corpus)
 
 
 class TestCorpusStats:
     def test_single_normal_sentence(self):
-        s = make_sentence(6, [Triple(Span(0, 1), 0, Span(3, 4))])
+        s = make_sentence(6, [triple((0, 1), 0, (3, 4))])
         stats = corpus_stats([s])
         assert stats.pattern_counts == {NORMAL: 1}
         assert stats.bucket_counts == {"1": 1}
@@ -410,12 +418,12 @@ class TestCorpusStats:
 
     def test_pattern_counts_can_exceed_sentences(self):
         # one sentence that is EPO and SEO and HTO at once
-        a, b, c = Span(0, 1), Span(3, 4), Span(6, 7)
+        a, b, c = (0, 1), (3, 4), (6, 7)
         triples = [
-            Triple(a, 0, b),
-            Triple(b, 1, a),   # reversed pair -> epo
-            Triple(a, 1, c),   # shares exactly a -> seo
-            Triple(c, 0, Span(6, 6)),  # nested -> hto
+            triple(a, 0, b),
+            triple(b, 1, a),   # reversed pair -> epo
+            triple(a, 1, c),   # shares exactly a -> seo
+            triple(c, 0, (6, 6)),  # nested -> hto
         ]
         stats = corpus_stats([make_sentence(9, triples)])
         assert stats.pattern_counts == {EPO: 1, SEO: 1, HTO: 1}

@@ -11,10 +11,10 @@ def corpus_of(*texts):
 
 
 def make_sentence_from(text, i):
-    from relgrid.corpus import AnnotatedSentence, Sentence
+    from relgrid.corpus import AnnotatedSentence, Sentence, canonical_rows
 
     return AnnotatedSentence(
-        sentence=Sentence(tokens=tuple(text.split()), id=str(i)), triples=frozenset()
+        sentence=Sentence(tokens=tuple(text.split()), id=str(i)), triples=canonical_rows([])
     )
 
 

@@ -1,5 +1,5 @@
 from collections import Counter
-from operator import attrgetter
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -12,8 +12,7 @@ from relgrid.corpus import (
     PatternLabel,
     RelationVocab,
     Sentence,
-    Span,
-    Triple,
+    canonical_rows,
     classify_pattern,
     save_native,
 )
@@ -30,16 +29,21 @@ from relgrid.evaluation import (
     stack_rows,
 )
 from relgrid.synthetic import SynthConfig, generate_corpus
-from relgrid.tagging import NUM_TAGS, triple_rows
+from relgrid.tagging import NUM_TAGS
 from relgrid.trainer import TrainConfig, init_model, predict, save_checkpoint
 
-from conftest import as_triples, glorot_arrays, make_sentence, random_triples
+from conftest import as_triples, glorot_arrays, make_sentence, random_triples, triple
+
+
+def rows_of(triples):
+    """(n, 5) int64 rows of row tuples (k, hb, he, tb, te), repeats kept."""
+    return np.array(list(triples), dtype=np.int64).reshape(-1, 5)
 
 
 def breakdown_of(corpus, predictions, match_mode):
-    """breakdown in one match mode of each sentence's predicted Triple set."""
-    pred = stack_rows(map(triple_rows, predictions))
-    gold = stack_rows(triple_rows(s.triples) for s in corpus)
+    """breakdown in one match mode of each sentence's predicted row tuples."""
+    pred = stack_rows(map(rows_of, predictions))
+    gold = stack_rows(s.triples for s in corpus)
     return breakdown(pred, gold, [classify_pattern(s) for s in corpus], [match_mode])[0]
 
 
@@ -47,20 +51,25 @@ def correct_count(pred, gold, match_mode):
     """breakdown's one-to-one correct count of one sentence's predicted and
     gold triples. Partial: relation and both end tokens agree; exact:
     relation and both full spans agree."""
-    rows = [stack_rows([triple_rows(triples)]) for triples in (pred, gold)]
+    rows = [stack_rows([rows_of(triples)]) for triples in (pred, gold)]
     return breakdown(*rows, [PatternLabel(frozenset(), None)], [match_mode])[0].counts.correct
 
 
-# --- reference: the Triple-based counters the array core replaced ----------
+# --- reference: per-triple counters over row tuples (k, hb, he, tb, te) ----
 
 REFERENCE_MATCH_KEYS = {
-    PARTIAL: attrgetter("relation", "head.end", "tail.end"),
-    EXACT: attrgetter("relation", "head.begin", "head.end", "tail.begin", "tail.end"),
+    PARTIAL: itemgetter(0, 2, 4),  # relation, head end, tail end
+    EXACT: itemgetter(0, 1, 2, 3, 4),
 }
 REFERENCE_PAIR_KEYS = {
-    PARTIAL: attrgetter("head.end", "tail.end"),
-    EXACT: attrgetter("head.begin", "head.end", "tail.begin", "tail.end"),
+    PARTIAL: itemgetter(2, 4),
+    EXACT: itemgetter(1, 2, 3, 4),
 }
+
+
+def gold_of(s):
+    """A sentence's gold triples as row tuples."""
+    return list(map(tuple, s.triples.tolist()))
 
 
 def reference_correct_count(pred, gold, match_mode):
@@ -73,9 +82,9 @@ def reference_correct_count(pred, gold, match_mode):
 def reference_subtask_metrics(corpus, predictions, match_mode):
     pair_pool, rel_pool = PooledCounts(), PooledCounts()
     for s, pred in zip(corpus, predictions):
-        for key, pool in ((REFERENCE_PAIR_KEYS[match_mode], pair_pool), (attrgetter("relation"), rel_pool)):
+        for key, pool in ((REFERENCE_PAIR_KEYS[match_mode], pair_pool), (itemgetter(0), rel_pool)):
             pred_keys = set(map(key, pred))
-            gold_keys = set(map(key, s.triples))
+            gold_keys = set(map(key, gold_of(s)))
             pool.add(len(pred_keys & gold_keys), len(pred_keys), len(gold_keys))
     return pair_pool.prf(), rel_pool.prf()
 
@@ -84,7 +93,7 @@ def reference_breakdown(corpus, predictions, match_mode):
     overall = PooledCounts()
     pattern_pools, bucket_pools = {}, {}
     for s, pred in zip(corpus, predictions):
-        counts = (reference_correct_count(pred, s.triples, match_mode), len(pred), len(s.triples))
+        counts = (reference_correct_count(pred, gold_of(s), match_mode), len(pred), len(s.triples))
         overall.add(*counts)
         label = classify_pattern(s)
         for flag in label.flags:
@@ -109,7 +118,7 @@ def reference_breakdown(corpus, predictions, match_mode):
 def assert_matches_reference(corpus, predictions):
     for mode in MATCH_MODES:
         for s, pred in zip(corpus, predictions):
-            assert correct_count(pred, s.triples, mode) == reference_correct_count(pred, s.triples, mode)
+            assert correct_count(pred, gold_of(s), mode) == reference_correct_count(pred, gold_of(s), mode)
         report = breakdown_of(corpus, predictions, mode)
         assert (report.entity_pair, report.relation) == reference_subtask_metrics(
             corpus, predictions, mode
@@ -126,8 +135,8 @@ def corpora(draw):
     length = draw(st.integers(1, 6))
     num_rel = draw(st.integers(1, 3))
     ends = st.tuples(st.integers(0, length - 1), st.integers(0, length - 1))
-    span = ends.map(lambda e: Span(min(e), max(e)))
-    triples = st.frozensets(st.builds(Triple, span, st.integers(0, num_rel - 1), span), max_size=10)
+    span = ends.map(lambda e: (min(e), max(e)))
+    triples = st.frozensets(st.builds(triple, span, st.integers(0, num_rel - 1), span), max_size=10)
     pairs = draw(st.lists(st.tuples(triples, triples), max_size=6))
     corpus = [make_sentence(length, gold, sid=str(i)) for i, (gold, _) in enumerate(pairs)]
     return corpus, [pred for _, pred in pairs]
@@ -158,7 +167,7 @@ def max_bipartite_matching(pred, gold, compatible):
 
 
 def partial_compatible(p, g):
-    return p.relation == g.relation and p.head.end == g.head.end and p.tail.end == g.tail.end
+    return REFERENCE_MATCH_KEYS[PARTIAL](p) == REFERENCE_MATCH_KEYS[PARTIAL](g)
 
 
 def exact_compatible(p, g):
@@ -173,8 +182,8 @@ def perturb(rng, triples, length, num_rel):
         if roll < 0.4:
             out.add(t)
         elif roll < 0.7:
-            begin = max(t.head.begin - 1, 0)
-            out.add(Triple(Span(begin, t.head.end), t.relation, t.tail))
+            k, hb, he, tb, te = t
+            out.add((k, max(hb - 1, 0), he, tb, te))
         # else dropped
     out |= random_triples(rng, length, num_rel, max_triples=2)
     return frozenset(out)
@@ -188,15 +197,15 @@ class TestMatching:
         assert correct_count(gold, gold, EXACT) == len(gold)
 
     def test_partial_accepts_matching_end_tokens(self):
-        gold = frozenset({Triple(Span(1, 2), 0, Span(5, 6))})
-        pred = frozenset({Triple(Span(0, 2), 0, Span(5, 6))})
+        gold = frozenset({triple((1, 2), 0, (5, 6))})
+        pred = frozenset({triple((0, 2), 0, (5, 6))})
         assert correct_count(pred, gold, PARTIAL) == 1
         assert correct_count(pred, gold, EXACT) == 0
 
     def test_each_gold_matched_at_most_once(self):
-        gold = frozenset({Triple(Span(0, 2), 0, Span(5, 6))})
+        gold = frozenset({triple((0, 2), 0, (5, 6))})
         pred = frozenset(
-            {Triple(Span(0, 2), 0, Span(5, 6)), Triple(Span(1, 2), 0, Span(4, 6))}
+            {triple((0, 2), 0, (5, 6)), triple((1, 2), 0, (4, 6))}
         )
         # both predictions hit the same gold under partial match
         assert correct_count(pred, gold, PARTIAL) == 1
@@ -215,7 +224,7 @@ class TestMatching:
             )
 
     def test_duplicates_in_a_multiset_match_one_to_one(self):
-        t = Triple(Span(0, 1), 0, Span(3, 3))
+        t = triple((0, 1), 0, (3, 3))
         for mode in MATCH_MODES:
             assert correct_count([t, t], [t], mode) == 1
             assert correct_count([t, t], [t, t], mode) == 2
@@ -225,14 +234,14 @@ class TestMatching:
     def test_negative_relation_index_does_not_alias(self):
         # Packed without a shift, (s=1, k=-1) and (s=0, k=0) would share a
         # key, and sentence 1's prediction would match sentence 0's gold.
-        t = Triple(Span(0, 0), 0, Span(2, 2))
+        t = triple((0, 0), 0, (2, 2))
         corpus = [make_sentence(4, [t], sid="a"), make_sentence(4, [], sid="b")]
-        predictions = [frozenset(), frozenset({Triple(t.head, -1, t.tail)})]
+        predictions = [frozenset(), frozenset({(-1, *t[1:])})]
         assert_matches_reference(corpus, predictions)
         assert breakdown_of(corpus, predictions, EXACT).counts == PooledCounts(0, 1, 1)
 
     def test_unknown_match_mode_rejected(self):
-        t = Triple(Span(0, 0), 0, Span(1, 1))
+        t = triple((0, 0), 0, (1, 1))
         with pytest.raises(ValueError, match="unknown match mode"):
             correct_count([t], [t], "fuzzy")
 
@@ -247,7 +256,6 @@ class TestMatching:
 
 class TestMicroPrf:
     def test_half_recall(self):
-        t1 = Triple(Span(0, 0), 0, Span(1, 1))
         p, r, f1 = micro_prf(1, 1, 2)
         assert (p, r) == (1.0, 0.5)
         assert f1 == pytest.approx(2 / 3, abs=1e-4)
@@ -265,16 +273,16 @@ class TestMicroPrf:
         # sentence A: 1/1 correct; sentence B: 0/3 correct, 1 gold
         # pooled P = 1/4; per-sentence average would be 1/2
         corpus = [
-            make_sentence(6, [Triple(Span(0, 0), 0, Span(2, 2))], sid="a"),
-            make_sentence(6, [Triple(Span(1, 1), 0, Span(3, 3))], sid="b"),
+            make_sentence(6, [triple((0, 0), 0, (2, 2))], sid="a"),
+            make_sentence(6, [triple((1, 1), 0, (3, 3))], sid="b"),
         ]
         predictions = [
-            frozenset({Triple(Span(0, 0), 0, Span(2, 2))}),
+            frozenset({triple((0, 0), 0, (2, 2))}),
             frozenset(
                 {
-                    Triple(Span(0, 0), 0, Span(4, 4)),
-                    Triple(Span(1, 1), 0, Span(5, 5)),
-                    Triple(Span(2, 2), 0, Span(5, 5)),
+                    triple((0, 0), 0, (4, 4)),
+                    triple((1, 1), 0, (5, 5)),
+                    triple((2, 2), 0, (5, 5)),
                 }
             ),
         ]
@@ -285,8 +293,8 @@ class TestMicroPrf:
 
 class TestBreakdown:
     def test_perfect_normal_sentence(self):
-        s = make_sentence(6, [Triple(Span(0, 1), 0, Span(3, 4))])
-        report = breakdown_of([s], [s.triples], "exact")
+        s = make_sentence(6, [triple((0, 1), 0, (3, 4))])
+        report = breakdown_of([s], [gold_of(s)], "exact")
         assert report.f1 == 1.0
         assert report.per_pattern == {"normal": (1.0, 1.0, 1.0)}
         assert set(report.per_bucket) == {"1"}
@@ -294,8 +302,8 @@ class TestBreakdown:
         assert report.relation == (1.0, 1.0, 1.0)
 
     def test_multi_flag_sentence_feeds_every_pool(self):
-        a, b, c = Span(0, 0), Span(2, 2), Span(4, 4)
-        triples = [Triple(a, 0, b), Triple(b, 1, a), Triple(a, 1, c)]
+        a, b, c = (0, 0), (2, 2), (4, 4)
+        triples = [triple(a, 0, b), triple(b, 1, a), triple(a, 1, c)]
         s = make_sentence(6, triples)  # epo (a,b reversed) + seo (shares a)
         report = breakdown_of([s], [frozenset(triples)], "exact")
         assert set(report.per_pattern) == {"epo", "seo"}
@@ -303,9 +311,9 @@ class TestBreakdown:
         assert report.per_pattern["seo"] == (1.0, 1.0, 1.0)
 
     def test_bucket_follows_gold_count(self):
-        s = make_sentence(8, [Triple(Span(0, 0), 0, Span(2, 2))])
+        s = make_sentence(8, [triple((0, 0), 0, (2, 2))])
         many_predictions = frozenset(
-            {Triple(Span(i, i), 0, Span(i + 4, i + 4)) for i in range(3)}
+            {triple((i, i), 0, (i + 4, i + 4)) for i in range(3)}
         )
         report = breakdown_of([s], [many_predictions], "exact")
         assert set(report.per_bucket) == {"1"}
@@ -313,8 +321,8 @@ class TestBreakdown:
 
 class TestSubtasks:
     def test_wrong_relation_right_pair(self):
-        gold = [Triple(Span(0, 0), 0, Span(2, 2))]
-        pred = frozenset({Triple(Span(0, 0), 1, Span(2, 2))})
+        gold = [triple((0, 0), 0, (2, 2))]
+        pred = frozenset({triple((0, 0), 1, (2, 2))})
         s = make_sentence(4, gold)
         report = breakdown_of([s], [pred], "exact")
         assert report.entity_pair == (1.0, 1.0, 1.0)
@@ -330,13 +338,13 @@ class TestSubtasks:
             report = breakdown_of([s], [pred], "exact")
             pair, relation = report.entity_pair, report.relation
 
-            gold_pairs = {(t.head, t.tail) for t in gold}
-            pred_pairs = {(t.head, t.tail) for t in pred}
+            gold_pairs = {t[1:] for t in gold}
+            pred_pairs = {t[1:] for t in pred}
             correct = len(gold_pairs & pred_pairs)
             assert pair == micro_prf(correct, len(pred_pairs), len(gold_pairs))
 
-            gold_rels = {t.relation for t in gold}
-            pred_rels = {t.relation for t in pred}
+            gold_rels = {t[0] for t in gold}
+            pred_rels = {t[0] for t in pred}
             correct_r = len(gold_rels & pred_rels)
             assert relation == micro_prf(correct_r, len(pred_rels), len(gold_rels))
 
@@ -364,15 +372,15 @@ class TestSubtasks:
         # relation sub-task can score BELOW the full-triple score. Sub-task
         # dominance is a tendency of real data, not a theorem.
         gold = [
-            Triple(Span(0, 0), 0, Span(2, 2)),
-            Triple(Span(4, 4), 0, Span(6, 6)),
-            Triple(Span(1, 1), 1, Span(3, 3)),
+            triple((0, 0), 0, (2, 2)),
+            triple((4, 4), 0, (6, 6)),
+            triple((1, 1), 1, (3, 3)),
         ]
         pred = frozenset(
             {
-                Triple(Span(0, 0), 0, Span(2, 2)),
-                Triple(Span(4, 4), 0, Span(6, 6)),
-                Triple(Span(1, 1), 2, Span(3, 3)),
+                triple((0, 0), 0, (2, 2)),
+                triple((4, 4), 0, (6, 6)),
+                triple((1, 1), 2, (3, 3)),
             }
         )
         report = breakdown_of([make_sentence(8, gold)], [pred], "exact")
@@ -387,7 +395,7 @@ class TestArrayCore:
         assert_matches_reference(*data)
 
     def test_empty_predictions_and_empty_gold(self):
-        t = Triple(Span(0, 1), 1, Span(2, 2))
+        t = triple((0, 1), 1, (2, 2))
         corpus = [make_sentence(4, [t], sid="a"), make_sentence(4, [], sid="b")]
         assert_matches_reference(corpus, [frozenset(), frozenset()])
         assert_matches_reference(corpus, [frozenset(), frozenset({t})])
@@ -402,15 +410,15 @@ class TestArrayCore:
 
         def span():
             begin = big + int(rng.integers(0, 4))
-            return Span(begin, begin + int(rng.integers(0, 4)))
+            return begin, begin + int(rng.integers(0, 4))
 
         corpus, predictions = [], []
         for i in range(8):
-            gold = {Triple(span(), big + int(rng.integers(0, 3)), span()) for _ in range(i % 4 + 1)}
+            gold = {triple(span(), big + int(rng.integers(0, 3)), span()) for _ in range(i % 4 + 1)}
             pred = {t for t in gold if rng.random() < 0.6}
-            pred |= {Triple(span(), big + int(rng.integers(0, 3)), span()) for _ in range(3)}
+            pred |= {triple(span(), big + int(rng.integers(0, 3)), span()) for _ in range(3)}
             sentence = Sentence(tokens=tokens, id=str(i))
-            corpus.append(AnnotatedSentence(sentence=sentence, triples=frozenset(gold)))
+            corpus.append(AnnotatedSentence(sentence=sentence, triples=canonical_rows(gold)))
             predictions.append(frozenset(pred))
         assert (big + 1) ** 5 > 2**62
         assert_matches_reference(corpus, predictions)
@@ -455,10 +463,10 @@ class TestCountingCore:
     def test_rows_past_the_labels_are_rejected(self, side):
         # rows of three sentences, labels of two: the third sentence's rows
         # would be left out of the pools but counted by the sub-tasks
-        t = Triple(Span(0, 0), 0, Span(1, 1))
+        t = triple((0, 0), 0, (1, 1))
         corpus = [make_sentence(3, [t], sid=str(i)) for i in range(3)]
-        rows = stack_rows(triple_rows(s.triples) for s in corpus)
-        other = stack_rows(triple_rows(s.triples) for s in corpus[:2])
+        rows = stack_rows(s.triples for s in corpus)
+        other = stack_rows(s.triples for s in corpus[:2])
         pred, gold = (rows, other) if side == "pred" else (other, rows)
         labels = [classify_pattern(s) for s in corpus]
         with pytest.raises(ValueError, match="sentence index 2 but only 2 pattern labels"):
@@ -471,9 +479,9 @@ class TestCountingCore:
         # Relation radix 2**32 + 1 and tail-end radix 2**32: packed in plain
         # int64, relation 2**32 with tail end 0 wraps to the key of relation
         # 0 with tail end 0.
-        span = Span(0, 0)
-        pred = [Triple(span, 2**32, span)]
-        gold = [Triple(span, 0, span), Triple(span, 0, Span(2**32 - 1, 2**32 - 1))]
+        span = (0, 0)
+        pred = [triple(span, 2**32, span)]
+        gold = [triple(span, 0, span), triple(span, 0, (2**32 - 1, 2**32 - 1))]
         for mode in MATCH_MODES:
             assert correct_count(pred, gold, mode) == reference_correct_count(pred, gold, mode) == 0
 
@@ -481,8 +489,8 @@ class TestCountingCore:
     def test_negative_relations_with_zero_spans_match_nothing(self, pred_relation, gold_relation):
         # every other column is 0, so unshifted relations -1 and -2 would pack
         # to the keys -1 and -2, and -1 is the key lookup's mark for a miss
-        span = Span(0, 0)
-        pred, gold = [Triple(span, pred_relation, span)], [Triple(span, gold_relation, span)]
+        span = (0, 0)
+        pred, gold = [triple(span, pred_relation, span)], [triple(span, gold_relation, span)]
         for mode in MATCH_MODES:
             assert correct_count(pred, gold, mode) == 0
         assert_matches_reference([make_sentence(1, gold)], [frozenset(pred)])

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from relgrid.corpus import Span, Triple
 from relgrid.synthetic import SynthConfig, generate_corpus
 from relgrid.tagging import Tag, decode, encode, render_relation_grid, roundtrip_check
 
-from conftest import as_triples, make_sentence, random_triples, tag_cells
+from conftest import as_triples, make_sentence, random_triples, tag_cells, triple
 
 
 # --- reference oracle: the dict + bisect decoder ---------------------------
@@ -39,7 +38,7 @@ def reference_decode(tags):
             pos = bisect_right(cols, te)
             tb = cols[pos - 1] if pos > 0 else te
             if hb <= he and tb <= te:
-                triples.add(Triple(Span(hb, he), k, Span(tb, te)))
+                triples.add((k, hb, he, tb, te))
     return frozenset(triples)
 
 
@@ -66,6 +65,32 @@ def tag_grids(draw):
     return tags
 
 
+# --- reference oracle: the per-triple corner walk --------------------------
+
+def reference_encode(triples):
+    """{(i, k, j): Tag} and collisions (cell, kept, dropped) of a set of row
+    tuples (k, hb, he, tb, te): the triples in (hb, he, k, tb, te) order, each
+    one's three corners collapsed by priority in a dict, then written in cell
+    order; overwriting a different tag of another triple is a collision."""
+    priority = {Tag.HB_TE: 3, Tag.HE_TE: 2, Tag.HB_TB: 1}
+    cells, collisions = {}, []
+    for k, hb, he, tb, te in sorted(triples, key=lambda t: (t[1], t[2], t[0], t[3], t[4])):
+        corners = {}
+        for cell, tag in (((hb, k, tb), Tag.HB_TB), ((hb, k, te), Tag.HB_TE), ((he, k, te), Tag.HE_TE)):
+            if cell not in corners or priority[tag] > priority[corners[cell]]:
+                corners[cell] = tag
+        for cell, tag in sorted(corners.items()):
+            old = cells.get(cell)
+            if old is None or old == tag:
+                cells[cell] = tag
+            elif priority[tag] > priority[old]:
+                cells[cell] = tag
+                collisions.append((cell, tag, old))
+            else:
+                collisions.append((cell, old, tag))
+    return cells, collisions
+
+
 class TestEncode:
     def test_three_corner_cells(self, fig2_sentence):
         tags, collisions = encode(fig2_sentence["single"], 1)
@@ -83,38 +108,38 @@ class TestEncode:
         assert collisions == []
 
     def test_single_token_head_collapse_is_silent(self):
-        s = make_sentence(8, [Triple(Span(3, 3), 0, Span(5, 6))])
+        s = make_sentence(8, [triple((3, 3), 0, (5, 6))])
         tags, collisions = encode(s, 1)
         # HE_TE lands on (3, 6) and loses to HB_TE per priority
         assert tag_cells(tags) == {(3, 0, 5): Tag.HB_TB, (3, 0, 6): Tag.HB_TE}
         assert collisions == []
 
     def test_single_token_tail_collapse_is_silent(self):
-        s = make_sentence(8, [Triple(Span(0, 1), 0, Span(3, 3))])
+        s = make_sentence(8, [triple((0, 1), 0, (3, 3))])
         tags, collisions = encode(s, 1)
         assert tag_cells(tags) == {(0, 0, 3): Tag.HB_TE, (1, 0, 3): Tag.HE_TE}
         assert collisions == []
 
     def test_single_token_head_and_tail(self):
-        s = make_sentence(8, [Triple(Span(2, 2), 0, Span(5, 5))])
+        s = make_sentence(8, [triple((2, 2), 0, (5, 5))])
         tags, collisions = encode(s, 1)
         assert tag_cells(tags) == {(2, 0, 5): Tag.HB_TE}
         assert collisions == []
 
     def test_relation_out_of_range(self):
-        s = make_sentence(6, [Triple(Span(0, 1), 2, Span(3, 4))])
+        s = make_sentence(6, [triple((0, 1), 2, (3, 4))])
         with pytest.raises(ValueError, match="relation index 2"):
             encode(s, 2)
 
     def test_negative_relation_rejected(self):
-        s = make_sentence(6, [Triple(Span(0, 1), -1, Span(3, 4))])
+        s = make_sentence(6, [triple((0, 1), -1, (3, 4))])
         with pytest.raises(ValueError, match="relation index -1"):
             encode(s, 2)
 
     def test_cross_triple_collision_recorded_with_priority(self):
         # t1's HB_TE cell (0, 0, 2) is also t2's HB_TB cell
-        t1 = Triple(Span(0, 0), 0, Span(2, 2))
-        t2 = Triple(Span(0, 3), 0, Span(2, 4))
+        t1 = triple((0, 0), 0, (2, 2))
+        t2 = triple((0, 3), 0, (2, 4))
         tags, collisions = encode(make_sentence(6, [t1, t2]), 1)
         assert tag_cells(tags)[(0, 0, 2)] == Tag.HB_TE
         assert len(collisions) == 1
@@ -124,8 +149,8 @@ class TestEncode:
 
     def test_same_tag_rewrite_is_benign(self):
         # two triples sharing head begin and tail begin write the same HB_TB
-        t1 = Triple(Span(0, 1), 0, Span(3, 4))
-        t2 = Triple(Span(0, 2), 0, Span(3, 5))
+        t1 = triple((0, 1), 0, (3, 4))
+        t2 = triple((0, 2), 0, (3, 5))
         _, collisions = encode(make_sentence(7, [t1, t2]), 1)
         assert collisions == []
 
@@ -138,10 +163,25 @@ class TestEncode:
                 continue
             assert 1 <= len(tag_cells(tags)) <= 3 * len(triples)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.integers(1, 3), st.integers(1, 8))
+    def test_matches_reference_walk(self, seed, length, num_rel, max_triples):
+        # short sentences and many triples: collisions, lossy sets among them
+        triples = random_triples(np.random.default_rng(seed), length, num_rel, max_triples)
+        tags, collisions = encode(make_sentence(length, triples), num_rel)
+        cells, expected = reference_encode(triples)
+        assert tag_cells(tags) == cells
+        assert [(c.cell, c.kept, c.dropped) for c in collisions] == expected
+
+    def test_reference_walk_draws_include_lossy_sets(self):
+        rng = np.random.default_rng(5)
+        results = [roundtrip_check(make_sentence(5, random_triples(rng, 5, 2, 8)), 2) for _ in range(200)]
+        assert sum(bool(r.collisions) and not r.exact for r in results) >= 50
+
     def test_exactly_3n_cells_without_sharing_or_collapse(self):
         triples = [
-            Triple(Span(0, 1), 0, Span(3, 4)),
-            Triple(Span(6, 7), 1, Span(9, 10)),
+            triple((0, 1), 0, (3, 4)),
+            triple((6, 7), 1, (9, 10)),
         ]
         tags, collisions = encode(make_sentence(12, triples), 2)
         assert collisions == []
@@ -167,7 +207,7 @@ class TestDecode:
     def test_hto_near_diagonal_cells(self):
         # head "New York City" (0..2), tail "New York" (0..1)
         tags = grid(3, 1, {(0, 0, 0): Tag.HB_TB, (0, 0, 1): Tag.HB_TE, (2, 0, 1): Tag.HE_TE})
-        assert as_triples(decode(tags)) == frozenset({Triple(Span(0, 2), 0, Span(0, 1))})
+        assert as_triples(decode(tags)) == frozenset({triple((0, 2), 0, (0, 1))})
 
     def test_unanchored_cells_emit_nothing(self):
         tags = grid(6, 1, {(0, 0, 2): Tag.HB_TB, (3, 0, 4): Tag.HE_TE})
@@ -200,9 +240,7 @@ class TestDecode:
             for k in range(4):
                 only_k = grid(10, 4)
                 only_k[:, k] = tags[:, k]
-                assert as_triples(decode(only_k)) == frozenset(
-                    t for t in full if t.relation == k
-                )
+                assert as_triples(decode(only_k)) == frozenset(t for t in full if t[0] == k)
 
 
     @settings(max_examples=400, deadline=None)
@@ -215,10 +253,7 @@ class TestDecode:
     def test_array_rows_match_reference_decoder_in_anchor_order(self, tags):
         rows = decode(tags)
         assert rows.dtype == np.int64 and rows.shape[1:] == (5,)
-        expected = sorted(
-            (t.relation, t.head.begin, t.head.end, t.tail.begin, t.tail.end)
-            for t in reference_decode(tags)
-        )
+        expected = sorted(reference_decode(tags))
         # anchor-key order is (k, hb, te); one anchor per row, so no ties
         expected.sort(key=lambda row: (row[0], row[1], row[4]))
         assert rows.tolist() == [list(row) for row in expected]
@@ -237,9 +272,9 @@ class TestDecode:
         assert decoded == reference_decode(tags)
         assert decoded == frozenset(
             {
-                Triple(Span(0, 3), 1, Span(6, 6)),
-                Triple(Span(1, 3), 1, Span(5, 6)),
-                Triple(Span(2, 3), 1, Span(6, 6)),
+                triple((0, 3), 1, (6, 6)),
+                triple((1, 3), 1, (5, 6)),
+                triple((2, 3), 1, (6, 6)),
             }
         )
 
@@ -264,7 +299,7 @@ class TestRoundtrip:
         assert roundtrip_check(make_sentence(4, []), 2).exact
 
     def test_hto_roundtrip(self):
-        s = make_sentence(3, [Triple(Span(0, 2), 0, Span(0, 1))])
+        s = make_sentence(3, [triple((0, 2), 0, (0, 1))])
         assert roundtrip_check(s, 1).exact
 
     def test_collision_free_generated_sentences_roundtrip(self):
@@ -279,8 +314,8 @@ class TestRoundtrip:
 
     def test_lossy_case_reports_diff(self):
         # two triples colliding on the anchor cell destroy one of them
-        t1 = Triple(Span(0, 0), 0, Span(2, 2))  # HB_TE at (0, 0, 2)
-        t2 = Triple(Span(0, 3), 0, Span(2, 4))  # HB_TB at (0, 0, 2)
+        t1 = triple((0, 0), 0, (2, 2))  # HB_TE at (0, 0, 2)
+        t2 = triple((0, 3), 0, (2, 4))  # HB_TB at (0, 0, 2)
         result = roundtrip_check(make_sentence(6, [t1, t2]), 1)
         assert result.collisions
         assert not result.exact
@@ -291,8 +326,8 @@ class TestRoundtrip:
         # interleave HE_TE rows, so decoding splices the wrong head end even
         # though no cell was overwritten. The empty collision report does
         # not cover this; roundtrip_check is the authoritative verdict.
-        t1 = Triple(Span(0, 5), 0, Span(8, 9))
-        t2 = Triple(Span(2, 3), 0, Span(8, 9))
+        t1 = triple((0, 5), 0, (8, 9))
+        t2 = triple((2, 3), 0, (8, 9))
         result = roundtrip_check(make_sentence(10, [t1, t2]), 1)
         assert result.collisions == ()
         assert not result.exact
