@@ -33,6 +33,7 @@ from .corpus import (
     native_sentence,
     parse_record,
     save_native,
+    write_lines,
 )
 from .encoder import Vocab
 from .evaluation import MATCH_MODES, breakdown, export_relation_embeddings, stack_rows
@@ -281,12 +282,12 @@ def cmd_eval(cfg: RunConfig) -> int:
         f"inference wall-clock: {elapsed:.3f}s total, "
         f"{1000.0 * elapsed / max(len(corpus), 1):.2f}ms per sentence"
     )
-    kv = "\n".join(report.to_kv() for report in reports)
+    kv = [report.to_kv() for report in reports]
     out = cfg.get("out")
     if out:
-        Path(out).write_text(kv + "\n", encoding="utf-8")
+        write_lines(out, kv)
     else:
-        print(kv)
+        print("\n".join(kv))
     export_path = cfg.get("export-relations")
     if export_path:
         export_relation_embeddings(model.arrays["rel_tag_emb"], model.relations, export_path)

@@ -1,4 +1,4 @@
-"""Corpus data model: sentences, triple rows, loaders and overlap statistics.
+"""Corpus data model: sentences, triple rows, loaders, overlap statistics and the file writer.
 
 A sentence's gold triples are one read-only (n, 5) int64 array of distinct
 rows (k, hb, he, tb, te): relation index, then the inclusive 0-based token
@@ -21,11 +21,12 @@ Two on-disk formats are supported:
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import BinaryIO, Callable, Iterable
 
 import numpy as np
 
@@ -71,12 +72,6 @@ class RelationVocab:
 
     def __len__(self) -> int:
         return len(self.names)
-
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise CorpusError(f"unknown relation name {name!r}") from None
 
 
 Row = tuple[int, int, int, int, int]  # (k, hb, he, tb, te)
@@ -214,6 +209,26 @@ def _truncate(
     return tokens[:max_seq_len], kept
 
 
+def write_file(path: str | Path, write: Callable[[BinaryIO], object]) -> None:
+    """Replace `path` with what `write` puts into a binary handle, through a synced
+    sibling file renamed over it: a crash or failed write leaves the old file intact."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """write_file of UTF-8 text, each line ended by a newline (one newline for no lines)."""
+    write_file(path, lambda fh: fh.write(("\n".join(lines) + "\n").encode("utf-8")))
+
+
 def parse_record(text: str, where: str) -> dict:
     """One JSON object; errors start with `where`."""
     try:
@@ -329,7 +344,7 @@ def save_native(
             ],
         }
         lines.append(json.dumps(record, ensure_ascii=False))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 def _find_subsequence(tokens: tuple[str, ...], needle: list[str]) -> int:
@@ -380,6 +395,7 @@ def load_public(
     list of three strings are errors.
     """
     path = Path(path)
+    known = {name: i for i, name in enumerate(vocab.names)}
     corpus: list[AnnotatedSentence] = []
     warnings: list[str] = []
     for lineno, record in _records(path):
@@ -402,9 +418,8 @@ def load_public(
                 raise CorpusError(f"{path}:{lineno}: malformed triple {n} in sentence {sid!r}: "
                                   "needs [head, relation, tail] as three strings")
             head_str, rel_name, tail_str = raw
-            if rel_name not in vocab.names:
+            if rel_name not in known:
                 raise CorpusError(f"{path}:{lineno}: sentence {sid!r}: unknown relation {rel_name!r}")
-            rel = vocab.index(rel_name)
             head = resolve_entity(tokens, head_str, match_mode)
             tail = resolve_entity(tokens, tail_str, match_mode)
             if head is None or tail is None:
@@ -414,7 +429,7 @@ def load_public(
                     f"({head_str!r}, {rel_name!r}, {tail_str!r}) skipped"
                 )
                 continue
-            triples.append((rel, *head, *tail))
+            triples.append((known[rel_name], *head, *tail))
 
         token_list, triples = _truncate(sid, list(tokens), triples, max_seq_len, warnings)
         corpus.append(

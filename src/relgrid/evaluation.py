@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .corpus import BUCKETS, PATTERN_FLAGS, PatternLabel, RelationVocab
+from .corpus import BUCKETS, PATTERN_FLAGS, PatternLabel, RelationVocab, write_lines
 from .tagging import NUM_TAGS, Tag, TAG_NAMES
 
 PARTIAL = "partial"
@@ -231,4 +231,4 @@ def export_relation_embeddings(
             column = rel_tag_emb[:, NUM_TAGS * k + int(tag)]
             label = f"{name}/{TAG_NAMES[tag]}"
             lines.append("\t".join([label] + [repr(float(v)) for v in column]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)

@@ -30,6 +30,8 @@ from .corpus import (
 )
 from .tagging import roundtrip_check
 
+_MAX_ATTEMPTS = 200  # candidates drawn per sentence before giving up
+
 
 class GenerationError(RuntimeError):
     """The requested mix cannot be generated."""
@@ -232,10 +234,9 @@ def generate_sentence(
     pattern: str,
     config: SynthConfig,
     sentence_id: str,
-    max_attempts: int = 200,
 ) -> AnnotatedSentence:
     """One sentence that classifies as exactly `pattern` and round-trips."""
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         length = int(rng.integers(config.min_len, config.max_len + 1))
         triples = _build_triples(rng, pattern, length, config)
         if triples is None:
@@ -251,9 +252,7 @@ def generate_sentence(
         result = roundtrip_check(candidate, config.num_relations)
         if result.exact and not result.collisions:
             return candidate
-    raise GenerationError(
-        f"could not generate a {pattern!r} sentence in {max_attempts} attempts"
-    )
+    raise GenerationError(f"could not generate a {pattern!r} sentence in {_MAX_ATTEMPTS} attempts")
 
 
 def generate_corpus(

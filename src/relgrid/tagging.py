@@ -55,6 +55,7 @@ TAG_PRIORITY = {Tag.HB_TE: 3, Tag.HE_TE: 2, Tag.HB_TB: 1}
 
 TAG_GLYPHS = {Tag.NONE: "-", Tag.HB_TB: "HB-TB", Tag.HB_TE: "HB-TE", Tag.HE_TE: "HE-TE"}
 TAG_NAMES = {Tag.NONE: "NONE", Tag.HB_TB: "HB-TB", Tag.HB_TE: "HB-TE", Tag.HE_TE: "HE-TE"}
+_CELL_WIDTH = 7  # of render_relation_grid's columns; the widest glyph takes 5
 
 
 @dataclass(frozen=True)
@@ -165,19 +166,16 @@ def roundtrip_check(s: AnnotatedSentence, num_relations: int) -> RoundtripResult
     )
 
 
-def render_relation_grid(
-    tags: np.ndarray, relation: int, tokens: tuple[str, ...], cell_width: int = 7
-) -> str:
+def render_relation_grid(tags: np.ndarray, relation: int, tokens: tuple[str, ...]) -> str:
     """Fixed-width text rendering of one relation's sub-grid.
 
     Rows are head tokens, columns tail tokens; cells show HB-TB / HB-TE /
     HE-TE, and "-" for untagged cells. Tokens longer than the cell width are
     truncated.
     """
-    width = max(cell_width, 5)
 
     def clip(text: str) -> str:
-        return text[:width].ljust(width)
+        return text[:_CELL_WIDTH].ljust(_CELL_WIDTH)
 
     header = clip("") + " " + " ".join(clip(tok) for tok in tokens)
     lines = [header]

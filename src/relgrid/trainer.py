@@ -9,7 +9,6 @@ import hashlib
 import json
 import logging
 import math
-import os
 import time
 import zipfile
 from dataclasses import asdict, dataclass, field
@@ -19,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .config import ConfigError, check_fields, is_int, is_real
-from .corpus import AnnotatedSentence, RelationVocab, Sentence
+from .corpus import AnnotatedSentence, RelationVocab, Sentence, write_file, write_lines
 from .encoder import Vocab, build_vocab, encode_indices
 from .scorer import tag_grid, train_grads
 from .tagging import NUM_TAGS, decode, encode
@@ -149,12 +148,6 @@ def adam_step(
     weights -= step
 
 
-# checkpoint names of the trainable arrays, in the order they sit in
-# Model.weights; every checkpoint holds all but positional_table
-_GROUPS = ("pair_proj", "pair_bias", "rel_tag_emb", "token_table", "positional_table")
-_CHECKPOINT_ARRAYS = ("header_json", *_GROUPS[:-1])
-
-
 def _layout(config: TrainConfig, vocab_size: int, num_relations: int) -> dict[str, tuple]:
     """The shape of each trainable array by checkpoint name, in weight
     order; positional rows only when the config uses them."""
@@ -168,6 +161,11 @@ def _layout(config: TrainConfig, vocab_size: int, num_relations: int) -> dict[st
     if config.use_positional:
         layout["positional_table"] = (config.max_seq_len, d)
     return layout
+
+
+# names in weight order; every checkpoint holds all but the last, positional_table
+_GROUPS = tuple(_layout(TrainConfig(), 1, 1))
+_CHECKPOINT_ARRAYS = ("header_json", *_GROUPS[:-1])
 
 
 def _views(flat: np.ndarray, layout: dict[str, tuple]) -> dict[str, np.ndarray]:
@@ -329,8 +327,7 @@ def predict(sentence: Sentence, model: Model) -> np.ndarray:
 
 def write_loss_log(path: str | Path, log: list[EpochRecord]) -> None:
     """Plain-text per-epoch log: epoch, mean loss, wall-clock seconds."""
-    lines = [f"{rec.epoch}\t{rec.mean_loss!r}\t{rec.seconds:.3f}" for rec in log]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, [f"{rec.epoch}\t{rec.mean_loss!r}\t{rec.seconds:.3f}" for rec in log])
 
 
 def save_checkpoint(path: str | Path, model: Model) -> None:
@@ -343,18 +340,7 @@ def save_checkpoint(path: str | Path, model: Model) -> None:
         "vocab": model.vocab.to_json(),
     }
     arrays = {**model.arrays, "header_json": np.array(json.dumps(header))}
-    # write a synced sibling file, then rename it over the target, so a
-    # crash mid-write leaves the previous checkpoint intact
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    write_file(path, lambda fh: np.savez(fh, **arrays))
 
 
 _HEADER_KEYS = {"version", "config", "config_hash", "relations", "vocab"}

@@ -15,9 +15,13 @@ from hypothesis import strategies as st
 
 import relgrid.cli
 from relgrid.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from relgrid.corpus import load_native, save_native
+from relgrid.corpus import RelationVocab, load_native, save_native
+from relgrid.encoder import build_vocab
+from relgrid.evaluation import export_relation_embeddings
 from relgrid.tagging import encode
-from relgrid.trainer import NumericError
+from relgrid.trainer import EpochRecord, NumericError, TrainConfig, init_model, save_checkpoint, write_loss_log
+
+from conftest import make_sentence, triple
 
 FIG2A_RECORD = {
     "id": "fig2a",
@@ -955,6 +959,43 @@ class TestUsage:
         lines = tsv.read_text().splitlines()
         assert len(lines) == 3 * 4  # relations x tag classes
         assert lines[0].split("\t")[0] == "rel0/NONE"
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize(
+        "writer",
+        ["save_checkpoint", "write_loss_log", "export_relation_embeddings", "save_native", "eval-out"],
+    )
+    def test_failed_write_leaves_the_old_file(self, capsys, monkeypatch, tmp_path, writer):
+        relations = RelationVocab(names=("r",))
+        corpus = [make_sentence(3, [triple((0, 0), 0, (2, 2))])]
+        model = init_model(relations, build_vocab(corpus), TrainConfig(emb_dim=4))
+        data, checkpoint, target = tmp_path / "data.jsonl", tmp_path / "model.npz", tmp_path / "target"
+        save_native(corpus, relations, data)
+        save_checkpoint(checkpoint, model)
+        target.write_bytes(b"old bytes\n")
+        write = {
+            "save_checkpoint": lambda: save_checkpoint(target, model),
+            "write_loss_log": lambda: write_loss_log(target, [EpochRecord(1, 0.5, 0.1)]),
+            "export_relation_embeddings": lambda: export_relation_embeddings(
+                model.arrays["rel_tag_emb"], relations, target),
+            "save_native": lambda: save_native(corpus, relations, target),
+        }
+
+        def disk_full(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", disk_full)
+        if writer == "eval-out":
+            code, _, stderr = run(capsys, "eval", "--data", str(data), "--checkpoint", str(checkpoint),
+                                  "--out", str(target))
+            assert code == EXIT_DATA
+            assert stderr == "error: [Errno 28] No space left on device\n"
+        else:
+            with pytest.raises(OSError, match="No space left"):
+                write[writer]()
+        assert target.read_bytes() == b"old bytes\n"
+        assert list(tmp_path.glob(".*.tmp")) == []
 
 
 class TestCorruptCheckpointFuzz:

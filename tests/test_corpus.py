@@ -91,8 +91,6 @@ class TestTypes:
     def test_relation_vocab_unique(self):
         with pytest.raises(ValueError):
             RelationVocab(names=("a", "a"))
-        with pytest.raises(CorpusError):
-            RelationVocab(names=("a", "b")).index("c")
 
 
 class TestClassifyPattern:

@@ -1,6 +1,8 @@
-"""Every module of the package and of the tests reads each name it imports."""
+"""Every module of the package and of the tests reads each name it imports,
+and only `corpus.write_file` writes a file in the package."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ MODULES = sorted(
     for path in [*(ROOT / "src" / "relgrid").glob("*.py"), *(ROOT / "tests").glob("*.py")]
     if path.name != "__init__.py"
 )
+PACKAGE = sorted((ROOT / "src" / "relgrid").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,3 +40,49 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[f"{p.parent.name}/{p.name}" for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _mode(call: ast.Call) -> str | None:
+    """The mode string an open call is given: its `mode=` keyword, else the
+    first of its first two arguments that is a string of mode letters."""
+    given = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[:2]
+    for arg in given:
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str) and re.fullmatch(r"[rwaxbt+]+", arg.value):
+            return arg.value
+    return None
+
+
+def direct_writes(source: str) -> list[str]:
+    """Calls outside a function named write_file that write, replace or sync
+    a file: write_text, write_bytes, os.replace, os.fsync, and open or .open
+    with a w, a or x mode."""
+    tree = ast.parse(source)
+    helper = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+              and fn.name == "write_file" for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in helper:
+            continue
+        call = ast.unparse(node.func)
+        name = call.rsplit(".", 1)[-1]
+        if (name in ("write_text", "write_bytes") or call in ("os.replace", "os.fsync")
+                or name == "open" and set(_mode(node) or "") & set("wax")):
+            found.append((node.lineno, call))
+    return [f"line {lineno}: {call}" for lineno, call in sorted(found)]
+
+
+def test_finds_a_direct_write():
+    source = (
+        "import os\n"
+        "def write_file(p):\n    open(p, 'wb')\n    os.fsync(3)\n    os.replace(p, q)\n"
+        "def other(p):\n    p.write_text('a')\n    open(p, 'rb')\n    open(p)\n    p.open('a')\n"
+        "    open(p, mode='x')\n    os.fsync(3)\n    p.read_text()\n    gzip.open(p, 'wt')\n"
+    )
+    assert direct_writes(source) == [
+        "line 7: p.write_text", "line 10: p.open", "line 11: open", "line 12: os.fsync", "line 14: gzip.open",
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[p.name for p in PACKAGE])
+def test_only_write_file_writes(path):
+    assert direct_writes(path.read_text(encoding="utf-8")) == []
