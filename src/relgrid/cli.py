@@ -32,6 +32,7 @@ from .corpus import (
     load_public,
     native_sentence,
     parse_record,
+    read_text,
     save_native,
     write_lines,
 )
@@ -143,9 +144,11 @@ class RunConfig:
             if not path.exists():
                 raise CorpusError(f"no such config file: {path}")
             try:
-                self.file = json.loads(path.read_text(encoding="utf-8"))
+                self.file = json.loads(read_text(path))
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+            except CorpusError as exc:  # not UTF-8
+                raise ConfigError(f"config file {exc}") from None
             if not isinstance(self.file, dict):
                 raise ConfigError(f"config file {path} must hold a JSON object")
             # keys are the subcommand's option names, as spelled on the command line
@@ -182,7 +185,7 @@ def _read_relations(path: str) -> RelationVocab:
     p = Path(path)
     if not p.exists():
         raise CorpusError(f"no such relations file: {p}")
-    names = [line.strip() for line in p.read_text(encoding="utf-8").splitlines() if line.strip()]
+    names = [line.strip() for line in read_text(p).splitlines() if line.strip()]
     try:
         return RelationVocab(names=tuple(names))
     except ValueError as exc:

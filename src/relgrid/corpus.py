@@ -240,11 +240,19 @@ def parse_record(text: str, where: str) -> dict:
     return record
 
 
+def read_text(path: Path) -> str:
+    """The text of a UTF-8 file; CorpusError naming the file when it does not decode."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def _records(path: Path) -> Iterable[tuple[int, dict]]:
     """(line number, record) for each non-blank line of a JSONL file."""
     if not path.exists():
         raise CorpusError(f"no such file: {path}")
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if line.strip():
             yield lineno, parse_record(line, f"{path}:{lineno}")
 

@@ -23,7 +23,8 @@ softmax, NLL, softmax - onehot(gold)), _hidden_gradient (to rel_tag_emb,
 d_heads, d_tails) and _tags (argmax, ties to NONE). The two drivers take
 each block through them in one pass and keep no L x L grid: train_grads,
 for training, from hidden layer to the loss and its gradients, and
-tag_grid, for prediction, from hidden layer to int8 tags.
+tag_grid, for prediction, from hidden layer to int8 tags. In training one
+rows * L x hidden_dim buffer per block carries draw -> pre-activation -> hidden -> its gradient.
 
 The blocks run on the calling thread plus one pool thread per further core
 (ufuncs and BLAS release the interpreter lock). The split depends on L alone
@@ -110,12 +111,16 @@ def _projections(emb: np.ndarray, arrays: dict) -> tuple[np.ndarray, np.ndarray]
 
 def _hidden_block(heads, tails, rows, seed=None, rate=0.0, scale=1.0) -> np.ndarray:
     """Post-rectifier activations of the pairs (i, j), i in rows, as a
-    (rows * L) x hidden_dim array; dropout is drawn when seed is not None."""
-    pre = heads[rows, None, :] + tails
-    if seed is not None:
+    (rows * L) x hidden_dim array; dropout is drawn, into the same buffer, when seed is not None."""
+    if seed is None:
+        pre = heads[rows, None, :] + tails
+    else:
         # these rows' part of one rng.random((L * L, hidden_dim)) draw
         bits = np.random.PCG64(seed).advance(rows.start * tails.size)
-        pre *= np.random.Generator(bits).random(pre.shape) >= rate
+        pre = np.random.Generator(bits).random((rows.stop - rows.start, *tails.shape))
+        keep = pre >= rate
+        np.add(heads[rows, None, :], tails, out=pre)
+        pre *= keep
         pre *= scale
     np.maximum(pre, 0.0, out=pre)
     return pre.reshape(-1, tails.shape[1])
@@ -126,15 +131,19 @@ def _tag_gradient(s: np.ndarray, gold: np.ndarray, count: int) -> float:
     loss's gradient (softmax - onehot(gold)) / count with respect to it, for
     gold tags in s's cell order; returns the block's NLL sum."""
     p0, p1, p2, p3 = (s[..., t] for t in range(NUM_TAGS))
-    s -= np.maximum(np.maximum(p0, p1), np.maximum(p2, p3))[..., None]
-    flat_gold = np.arange(0, s.size, NUM_TAGS) + gold.ravel()
+    top = np.maximum(p0, p1)  # one running max: max rounds nothing, so the order changes no value
+    np.maximum(top, p2, out=top)
+    np.maximum(top, p3, out=top)
+    s -= top[..., None]
+    flat_gold = np.arange(0, s.size, NUM_TAGS)
+    flat_gold += gold.ravel()
     gold_shifted = s.ravel()[flat_gold]
     np.exp(s, out=s)
-    norm = p0 + p1
+    norm = np.add(p0, p1, out=top)
     norm += p2
     norm += p3
     s /= norm[..., None]
-    nll = (np.log(norm).ravel() - gold_shifted).sum()
+    nll = np.subtract(np.log(norm, out=norm).ravel(), gold_shifted, out=gold_shifted).sum()
     s.reshape(-1)[flat_gold] -= 1.0
     s /= count
     return nll
@@ -142,10 +151,11 @@ def _tag_gradient(s: np.ndarray, gold: np.ndarray, count: int) -> float:
 
 def _hidden_gradient(d_scores, hidden, rows, rel_tag_emb, scale, d_heads):
     """Back from a block's (rows * L) x 4K score gradient through rel_tag_emb,
-    the rectifier and dropout: fills d_heads[rows], returns d_rel and d_tails."""
+    the rectifier and dropout, in hidden's buffer: fills d_heads[rows], returns d_rel and d_tails."""
     d_rel = hidden.T @ d_scores
-    d_hidden = d_scores @ rel_tag_emb.T
-    d_hidden *= hidden > 0.0  # rectifier active set, dropped units included
+    active = hidden > 0.0  # rectifier active set, dropped units included
+    d_hidden = np.matmul(d_scores, rel_tag_emb.T, out=hidden)
+    d_hidden *= active
     d_hidden *= scale
     # pre(i, j) = W_h e_i + W_t e_j + b: reduce over the partner token first
     d_pre = d_hidden.reshape(rows.stop - rows.start, -1, hidden.shape[1])
@@ -161,7 +171,8 @@ def _tags(s: np.ndarray) -> np.ndarray:
     """int8 argmax over the four tag planes s[..., t] of a (cells..., 4)
     block. Exact ties give NONE: a tie carries no evidence for a boundary,
     and a spurious boundary tag fabricates triples."""
-    top = np.maximum(np.maximum(s[..., 1], s[..., 2]), s[..., 3])
+    top = np.maximum(s[..., 1], s[..., 2])
+    np.maximum(top, s[..., 3], out=top)
     hits = np.equal(s[..., 1], top).view(np.uint8)
     hits += np.equal(s[..., 2], top).view(np.uint8) << 1
     hits += np.equal(s[..., 3], top).view(np.uint8) << 2

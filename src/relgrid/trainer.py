@@ -112,36 +112,38 @@ def make_batches(
 
 @dataclass
 class AdamState:
-    """Adam's moment vectors, laid out like the weights, and its step count."""
+    """Adam's moment vectors and a scratch vector, laid out like the weights, and its step count."""
 
     m: np.ndarray
     v: np.ndarray
+    scratch: np.ndarray = field(repr=False)
     step: int = 0
 
     @classmethod
     def init(cls, weights: np.ndarray) -> "AdamState":
-        return cls(m=np.zeros_like(weights), v=np.zeros_like(weights))
+        return cls(m=np.zeros_like(weights), v=np.zeros_like(weights), scratch=np.empty_like(weights))
 
 
 def adam_step(
     weights: np.ndarray, grad: np.ndarray, state: AdamState, config: TrainConfig
 ) -> None:
     """One bias-corrected Adam update of the weight vector, in place:
-    weights -= lr * m_hat / (sqrt(v_hat) + eps), evaluated in that order."""
+    weights -= lr * m_hat / (sqrt(v_hat) + eps), evaluated in that order.
+    Consumes the caller's `grad` as its step buffer; allocates no weight-sized array."""
     state.step += 1
     t = state.step
     b1, b2 = config.adam_beta1, config.adam_beta2
-    m, v = state.m, state.v
-    step = np.multiply(grad, 1.0 - b1)
+    m, v, scratch = state.m, state.v, state.scratch
+    np.multiply(grad, 1.0 - b1, out=scratch)
     m *= b1
-    m += step
-    np.multiply(grad, 1.0 - b2, out=step)
-    step *= grad
+    m += scratch
+    np.multiply(grad, 1.0 - b2, out=scratch)
+    scratch *= grad
     v *= b2
-    v += step
-    np.divide(m, 1.0 - b1**t, out=step)  # m_hat
+    v += scratch
+    step = np.divide(m, 1.0 - b1**t, out=grad)  # m_hat
     step *= config.learning_rate
-    denom = np.divide(v, 1.0 - b2**t)  # v_hat
+    denom = np.divide(v, 1.0 - b2**t, out=scratch)  # v_hat
     np.sqrt(denom, out=denom)
     denom += config.adam_epsilon
     step /= denom
@@ -228,13 +230,13 @@ def init_model(
 
 
 def train_step(
-    model: Model, batch: list[tuple[np.ndarray, np.ndarray]], dropout_seeds: list[int]
-) -> tuple[float, np.ndarray]:
+    model: Model, batch: list[tuple[np.ndarray, np.ndarray]], dropout_seeds: list[int], grad: np.ndarray
+) -> float:
     """Forward/backward over one batch of (token indices, gold tags) pairs,
     each sentence at its true length (so nothing depends on its batch
-    companions); returns the mean loss and the mean gradient, laid out like
-    model.weights."""
-    grad = np.zeros_like(model.weights)
+    companions); returns the mean loss. It zeroes `grad`, the caller's vector
+    laid out like model.weights, and fills it with the mean gradient."""
+    grad.fill(0.0)
     groups = _views(grad, {name: arr.shape for name, arr in model.arrays.items()})
     tokens, positional = model.arrays["token_table"], model.arrays.get("positional_table")
     batch_loss = 0.0
@@ -250,7 +252,7 @@ def train_step(
     if not np.isfinite(grad).all():
         bad = next(name for name, arr in groups.items() if not np.isfinite(arr).all())
         raise NumericError(f"non-finite gradient in parameter group {bad!r}")
-    return batch_loss / size, grad
+    return batch_loss / size
 
 
 def train(
@@ -273,6 +275,7 @@ def train(
         vocab = build_vocab(corpus, min_count=config.min_count)
     model = init_model(relations, vocab, config)
     state = AdamState.init(model.weights)
+    grad = np.empty_like(model.weights)  # filled by train_step, consumed by adam_step
     # gold grids come from the tag codec; encoding collisions in gold data
     # are tolerated (priority rule applies)
     encoded = [
@@ -291,7 +294,7 @@ def train(
             seeds = [0] * size  # read only when dropout is on
             if config.dropout_rate > 0.0:
                 seeds = [_derived_seed(config.seed, 4, epoch, b_idx, row) for row in range(size)]
-            batch_loss, grad = train_step(model, batch, seeds)
+            batch_loss = train_step(model, batch, seeds, grad)
             adam_step(model.weights, grad, state, config)
             weighted_loss += batch_loss * size
         mean_loss = weighted_loss / len(corpus)

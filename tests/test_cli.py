@@ -538,6 +538,36 @@ class TestTrainEval:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "argv, exit_code, message",
+        [
+            (["stats", "--data", "{bad}"], EXIT_DATA, "{bad}: not UTF-8 text"),
+            (["stats", "--data", "{bad}", "--format", "public", "--relations", "{relations}"],
+             EXIT_DATA, "{bad}: not UTF-8 text"),
+            (["train", "--data", "{bad}", "--out", "{out}"], EXIT_DATA, "{bad}: not UTF-8 text"),
+            (["eval", "--data", "{bad}", "--checkpoint", "{checkpoint}"], EXIT_DATA, "{bad}: not UTF-8 text"),
+            (["train", "--data", "{data}", "--relations", "{bad}", "--out", "{out}"],
+             EXIT_DATA, "{bad}: not UTF-8 text"),
+            (["stats", "--data", "{data}", "--config", "{bad}"], EXIT_USAGE, "config file {bad}: not UTF-8 text"),
+        ],
+        ids=["stats-corpus", "stats-public-corpus", "train-corpus", "eval-corpus", "relations", "config"],
+    )
+    def test_file_not_utf8_is_one_line_error_naming_it(
+        self, capsys, request, synth_file, tmp_path, argv, exit_code, message
+    ):
+        bad, relations, out = tmp_path / "bad.txt", tmp_path / "relations.txt", tmp_path / "m.npz"
+        bad.write_bytes(b'{"id": "\xff"}\n')
+        relations.write_text("r\n")
+        paths = {"bad": bad, "data": synth_file, "relations": relations, "out": out}
+        if "{checkpoint}" in argv:
+            paths["checkpoint"] = request.getfixturevalue("checkpoint")
+        code, stdout, stderr = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == exit_code
+        assert stderr.startswith("error: " + message.format(bad=bad))
+        assert stderr.count("\n") == 1
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command, config, message",
         [
             ("train", {"vocab": 5}, "config key 'vocab' in {path} must be a string, not int"),

@@ -448,6 +448,98 @@ class TestScalarDropoutScale:
             )
 
 
+# --- the block kernels as they were when every step allocated its result ---
+# Byte-for-byte references for the kernels that now write into buffers they
+# already hold: the same operations on the same values in the same order.
+
+def allocating_hidden_block(heads, tails, rows, seed=None, rate=0.0, scale=1.0):
+    pre = heads[rows, None, :] + tails
+    if seed is not None:
+        bits = np.random.PCG64(seed).advance(rows.start * tails.size)
+        pre *= np.random.Generator(bits).random(pre.shape) >= rate
+        pre *= scale
+    np.maximum(pre, 0.0, out=pre)
+    return pre.reshape(-1, tails.shape[1])
+
+
+def allocating_tag_gradient(s, gold, count):
+    p0, p1, p2, p3 = (s[..., t] for t in range(NUM_TAGS))
+    s -= np.maximum(np.maximum(p0, p1), np.maximum(p2, p3))[..., None]
+    flat_gold = np.arange(0, s.size, NUM_TAGS) + gold.ravel()
+    gold_shifted = s.ravel()[flat_gold]
+    np.exp(s, out=s)
+    norm = p0 + p1
+    norm += p2
+    norm += p3
+    s /= norm[..., None]
+    nll = (np.log(norm).ravel() - gold_shifted).sum()
+    s.reshape(-1)[flat_gold] -= 1.0
+    s /= count
+    return nll
+
+
+def allocating_hidden_gradient(d_scores, hidden, rows, rel_tag_emb, scale, d_heads):
+    d_rel = hidden.T @ d_scores
+    d_hidden = d_scores @ rel_tag_emb.T
+    d_hidden *= hidden > 0.0
+    d_hidden *= scale
+    d_pre = d_hidden.reshape(rows.stop - rows.start, -1, hidden.shape[1])
+    d_heads[rows] = d_pre.sum(axis=1)
+    return d_rel, d_pre.sum(axis=0)
+
+
+def traced_peak(call):
+    """tracemalloc's peak, in bytes, over allocations made during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def same_bytes(got, ref):
+    """Equal shapes and float64 bit patterns, so -0.0 differs from 0.0."""
+    got, ref = np.ascontiguousarray(got, np.float64), np.ascontiguousarray(ref, np.float64)
+    return got.shape == ref.shape and np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+class TestInPlaceKernels:
+    """_hidden_block, _tag_gradient and _hidden_gradient write into buffers
+    they already hold; every block's results equal the allocating
+    references bit for bit, at the benchmark's three shapes."""
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("length, num_rel", [(14, 4), (100, 24), (40, 171)])
+    def test_blocks_equal_the_allocating_kernels_byte_for_byte(self, length, num_rel, dropout):
+        emb, arrays, _ = random_instance(length + num_rel, length, num_rel, emb_dim=64)
+        gold = np.random.default_rng(length).integers(0, NUM_TAGS, (length, num_rel, length)).astype(np.int8)
+        heads, tails = scorer._projections(emb, arrays)
+        rel_tag_emb = arrays["rel_tag_emb"]
+        seed, scale = (17, 1.0 / (1.0 - dropout)) if dropout else (None, 1.0)
+        d_heads, ref_d_heads = np.zeros_like(heads), np.zeros_like(heads)
+        for start in range(0, length, scorer._BLOCK_ROWS):
+            rows = slice(start, min(start + scorer._BLOCK_ROWS, length))
+            hidden = scorer._hidden_block(heads, tails, rows, seed, dropout, scale)
+            ref_hidden = allocating_hidden_block(heads, tails, rows, seed, dropout, scale)
+            assert same_bytes(hidden, ref_hidden)
+            assert (hidden == 0.0).any() and (hidden > 0.0).any()
+
+            d_scores, ref_d_scores = hidden @ rel_tag_emb, ref_hidden @ rel_tag_emb
+            block_gold = gold[rows].transpose(0, 2, 1)
+            cells = (len(hidden), num_rel, NUM_TAGS)
+            nll = scorer._tag_gradient(d_scores.reshape(cells), block_gold, gold.size)
+            ref_nll = allocating_tag_gradient(ref_d_scores.reshape(cells), block_gold, gold.size)
+            assert same_bytes(d_scores, ref_d_scores)
+            assert same_bytes(np.float64(nll), np.float64(ref_nll))
+
+            ref = allocating_hidden_gradient(ref_d_scores, ref_hidden, rows, rel_tag_emb, scale, ref_d_heads)
+            got = scorer._hidden_gradient(d_scores, hidden, rows, rel_tag_emb, scale, d_heads)
+            for part, ref_part in zip(got, ref):
+                assert same_bytes(part, ref_part)
+            assert same_bytes(d_heads, ref_d_heads)
+
+
 class TestHeadRowBlocks:
     """The pair grid is computed in blocks of head rows: at L=37 there are
     three, the last one 5 rows high. Against a one-block run, the hidden
@@ -651,6 +743,17 @@ class TestFusedDrivers:
             assert np.array_equal(tags, one_tags)
             for name in GRAD_NAMES + ("loss",):
                 assert np.array_equal(grads[name], one_grads[name]), name
+
+    def test_train_grads_peak_below_three_hidden_blocks(self, block_threads):
+        # one block's draw, hidden layer and hidden gradient share a buffer
+        block_threads(1)
+        length = 100
+        emb, arrays, gold = self.instance(71, length, 24, emb_dim=64)
+        grads = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+        train_grads(emb, gold, arrays, 0.1, 5, grads)
+        peak = traced_peak(lambda: train_grads(emb, gold, arrays, 0.1, 5, grads))
+        block = scorer._BLOCK_ROWS * length * arrays["pair_bias"].size * 8  # 2.46 MB
+        assert peak < 3 * block
 
     @pytest.mark.parametrize("driver", ["train_grads", "tag_grid"])
     def test_peak_memory_below_one_hidden_grid(self, block_threads, driver):

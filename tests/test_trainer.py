@@ -23,7 +23,7 @@ from relgrid.trainer import (
 )
 
 from conftest import glorot_arrays, make_sentence
-from test_scorer import concat_reference, pad_cells, scorer_grads
+from test_scorer import concat_reference, pad_cells, same_bytes, scorer_grads, traced_peak
 
 
 def encoded(corpus, vocab, num_relations):
@@ -132,7 +132,8 @@ class TestTrainStep:
         lengths = [len(ids) for ids, _ in batch]
         assert max(lengths) - min(lengths) >= 5
         seeds = [11, 12, 13]
-        got_loss, flat = train_step(model, batch, seeds)
+        flat = np.full_like(model.weights, np.nan)  # train_step zeroes it first
+        got_loss = train_step(model, batch, seeds, flat)
         got = by_group(model, flat)
         ref_loss, ref = padded_train_step(model, batch)
         assert got_loss == pytest.approx(ref_loss, rel=self.RTOL, abs=self.ATOL)
@@ -153,7 +154,8 @@ class TestTrainStep:
         x, y = 21, 22
 
         def step(sentences, seeds):
-            loss, flat = train_step(model, encoded(sentences, vocab, len(relations)), seeds)
+            flat = np.empty_like(model.weights)
+            loss = train_step(model, encoded(sentences, vocab, len(relations)), seeds, flat)
             return loss, by_group(model, flat)
 
         pair_loss, pair_grads = step([s, t], [x, y])
@@ -180,6 +182,26 @@ def per_group_adam_step(params, grads, moments, step, config):
         m_hat = m / (1.0 - b1**step)
         v_hat = v / (1.0 - b2**step)
         arr -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+
+
+def allocating_adam_step(weights, grad, m, v, step, config):
+    """Reference: adam_step as it was when every step allocated its step
+    and denominator vectors; the same operations in the same order."""
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    update = np.multiply(grad, 1.0 - b1)
+    m *= b1
+    m += update
+    np.multiply(grad, 1.0 - b2, out=update)
+    update *= grad
+    v *= b2
+    v += update
+    np.divide(m, 1.0 - b1**step, out=update)  # m_hat
+    update *= config.learning_rate
+    denom = np.divide(v, 1.0 - b2**step)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += config.adam_epsilon
+    update /= denom
+    weights -= update
 
 
 # trainable group shapes of the fit-short-k4 benchmark model: emb_dim 64,
@@ -242,14 +264,39 @@ class TestAdam:
             # gradients over several magnitudes, some exactly zero
             grad = rng.normal(size=weights.size) * 10.0 ** rng.integers(-8, 3, size=weights.size)
             grad[rng.random(weights.size) < 0.05] = 0.0
-            adam_step(weights, grad, state, config)
             per_group_adam_step(params, split(grad), moments, step, config)
+            adam_step(weights, grad, state, config)  # consumes grad
         assert state.step == 300
         for name, arr in split(weights).items():
             assert np.array_equal(arr, params[name]), name
         for name, (m, v) in moments.items():
             assert np.array_equal(split(state.m)[name], m), name
             assert np.array_equal(split(state.v)[name], v), name
+
+    def test_matches_the_allocating_step_byte_for_byte(self):
+        config = TrainConfig(learning_rate=2e-3)
+        rng = np.random.default_rng(1)
+        size = 5000
+        weights = rng.uniform(-0.1, 0.1, size=size)
+        weights[:50] = 0.0
+        state = AdamState.init(weights)
+        ref_weights, ref_m, ref_v = weights.copy(), np.zeros(size), np.zeros(size)
+        subnormal = np.finfo(np.float64).smallest_subnormal
+        for step in range(1, 9):
+            grad = rng.normal(size=size) * 10.0 ** rng.integers(-8, 3, size=size)
+            grad[0::9] = 0.0
+            grad[1::9] = -0.0
+            grad[2::9] = subnormal * rng.integers(-2000, 2000, size=grad[2::9].size)
+            grad[3::9] = -subnormal
+            allocating_adam_step(ref_weights, grad.copy(), ref_m, ref_v, step, config)
+            adam_step(weights, grad, state, config)
+            assert same_bytes(weights, ref_weights), step
+            assert same_bytes(state.m, ref_m), step
+            assert same_bytes(state.v, ref_v), step
+        assert state.step == 8
+        subnormal_moments = state.m[2::9]
+        assert (subnormal_moments != 0.0).any()
+        assert (np.abs(subnormal_moments) < np.finfo(np.float64).tiny).all()
 
     def test_non_finite_gradient_names_group(self, tiny_synth, monkeypatch):
         corpus, relations = tiny_synth
@@ -264,7 +311,37 @@ class TestAdam:
 
         monkeypatch.setattr(trainer, "train_grads", poisoned_train_grads)
         with pytest.raises(NumericError, match="pair_bias"):
-            train_step(model, encoded(corpus[:2], vocab, len(relations)), [1, 2])
+            train_step(model, encoded(corpus[:2], vocab, len(relations)), [1, 2], np.empty_like(model.weights))
+
+
+class TestStepMemory:
+    """A training step writes its weight-sized work into vectors the run
+    already holds: the gradient train allocates once, and AdamState's
+    scratch vector."""
+
+    def test_adam_step_allocates_no_weight_sized_array(self):
+        rng = np.random.default_rng(2)
+        weights = rng.uniform(-0.1, 0.1, size=50_000)
+        state = AdamState.init(weights)
+        grad = rng.normal(size=weights.size)
+        assert traced_peak(lambda: adam_step(weights, grad, state, TrainConfig())) < weights.nbytes
+
+    def test_train_step_allocates_no_weight_sized_array(self):
+        # fit-short-k4's model: 4 relations, emb_dim 64, dropout 0 and the
+        # distinct tokens of 24 sentences of 6-14 tokens. The batch is its
+        # four shortest sentences, whose scorer temporaries stay well below
+        # the weight vector, so a weight-sized array would show in the peak.
+        corpus, relations, _ = generate_corpus(
+            SynthConfig(sentences=24, num_relations=4, lexicon_size=1_000_000, seed=3)
+        )
+        vocab = build_vocab(corpus)
+        model = init_model(relations, vocab, TrainConfig(seed=0, dropout_rate=0.0))
+        assert model.weights.size > 45_000
+        batch = sorted(encoded(corpus, vocab, len(relations)), key=lambda pair: len(pair[0]))[:4]
+        grad = np.empty_like(model.weights)
+        train_step(model, batch, [0] * 4, grad)
+        peak = traced_peak(lambda: train_step(model, batch, [0] * 4, grad))
+        assert peak < model.weights.nbytes
 
 
 class TestTraining:
