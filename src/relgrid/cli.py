@@ -205,10 +205,11 @@ def _span_mode(match_mode: str | None) -> str:
 
 
 def _load_corpus(
-    cfg: RunConfig, max_seq_len: int | None, relations: RelationVocab | None = None
+    cfg: RunConfig, max_seq_len: int | None, relations: RelationVocab | None = None, allow_empty: bool = False
 ):
     """Shared --data/--format/--relations handling for several commands;
-    given `relations` take the place of the --relations file."""
+    given `relations` take the place of the --relations file. A corpus with
+    no sentences is a data error naming the file unless `allow_empty`."""
     data = cfg.require("data")
     fmt = cfg.get("format", "native")
     if relations is None and cfg.get("relations"):
@@ -223,6 +224,8 @@ def _load_corpus(
         corpus, relations, warnings = load_native(data, relations, max_seq_len=max_seq_len)
     for w in warnings:
         logger.warning("%s", w)
+    if not corpus and not allow_empty:
+        raise CorpusError(f"{data}: empty corpus")
     return corpus, relations
 
 
@@ -269,7 +272,7 @@ def cmd_eval(cfg: RunConfig) -> int:
             raise CorpusError("vocab file does not match checkpoint vocab")
 
     # reuse the checkpoint relations when loading
-    corpus, _ = _load_corpus(cfg, model.config.max_seq_len, model.relations)
+    corpus, _ = _load_corpus(cfg, model.config.max_seq_len, model.relations, allow_empty=True)
 
     started = time.perf_counter()
     predictions = stack_rows(predict(s.sentence, model) for s in corpus)
@@ -405,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return EXIT_NUMERIC
-    except (CorpusError, GenerationError, OSError, ValueError) as exc:
+    except (CorpusError, GenerationError, OSError, ValueError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
 

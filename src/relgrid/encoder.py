@@ -1,5 +1,5 @@
 """Token encoder: the token vocabulary and the embedding lookup (token rows
-plus optional learned positional rows, both held by the trainer's model),
+plus learned positional rows, both held by the trainer's model),
 standing in for a contextual sentence encoder behind the same L x d interface.
 """
 
@@ -74,22 +74,14 @@ def build_vocab(corpus: list[AnnotatedSentence], min_count: int = 1) -> Vocab:
         key=lambda tok: (-counts[tok], first_seen[tok]),
     )
     mapping = {PAD_TOKEN: PAD_INDEX, UNK_TOKEN: UNK_INDEX}
-    for tok in qualified:
-        mapping[tok] = len(mapping)
+    for tok in qualified:  # a corpus token spelled <pad> or <unk> keeps its reserved row
+        mapping.setdefault(tok, len(mapping))
     return Vocab(token_to_index=mapping)
 
 
-def encode_indices(
-    indices: np.ndarray, tokens: np.ndarray, positional: np.ndarray | None = None
-) -> np.ndarray:
-    """Rows of the token table at precomputed token indices (padded rows use
-    the pad index), plus the first len(indices) positional rows when given."""
-    out = tokens[indices]
-    if positional is not None:
-        n = len(indices)
-        if n > positional.shape[0]:
-            raise ValueError(
-                f"sequence length {n} exceeds positional table {positional.shape[0]}"
-            )
-        out = out + positional[:n]
-    return out
+def encode_indices(indices: np.ndarray, tokens: np.ndarray, positional: np.ndarray) -> np.ndarray:
+    """Token-table rows at precomputed token indices plus the first len(indices) positional rows."""
+    n = len(indices)
+    if n > positional.shape[0]:
+        raise ValueError(f"sequence length {n} exceeds positional table {positional.shape[0]}")
+    return tokens[indices] + positional[:n]

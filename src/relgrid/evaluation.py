@@ -219,7 +219,7 @@ def breakdown(
 def export_relation_embeddings(
     rel_tag_emb: np.ndarray, relations: RelationVocab, path: str | Path
 ) -> None:
-    """Tab-separated dump of the hidden_dim x 4K rel_tag_emb array, one row
+    """Tab-separated dump of the hidden x 4K rel_tag_emb array, one row
     per (relation, tag) column.
 
     Row label is `relation_name/tag_name`; values round-trip float64 exactly

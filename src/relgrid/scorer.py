@@ -24,13 +24,13 @@ d_heads, d_tails) and _tags (argmax, ties to NONE). The two drivers take
 each block through them in one pass and keep no L x L grid: train_grads,
 for training, from hidden layer to the loss and its gradients, and
 tag_grid, for prediction, from hidden layer to int8 tags. In training one
-rows * L x hidden_dim buffer per block carries draw -> pre-activation -> hidden -> its gradient.
+rows * L x hidden buffer per block carries draw -> pre-activation -> hidden -> its gradient.
 
 The blocks run on the calling thread plus one pool thread per further core
 (ufuncs and BLAS release the interpreter lock). The split depends on L alone
 and sums across blocks are added in block order, so no result depends on the
 thread count. Each block draws its dropout units from its offset in one
-rng.random((L * L, hidden_dim)) stream, so hidden activations equal an
+rng.random((L * L, hidden)) stream, so hidden activations equal an
 unsplit computation bit for bit; scores may differ in the last bit (BLAS
 edge tiles), loss and gradients in summation order.
 """
@@ -101,7 +101,7 @@ def _map_blocks(fn, length: int) -> list:
 
 
 def _projections(emb: np.ndarray, arrays: dict) -> tuple[np.ndarray, np.ndarray]:
-    """The two L x hidden_dim halves of the pre-activation: W_h e_i and W_t e_j + b."""
+    """The two L x hidden halves of the pre-activation: W_h e_i and W_t e_j + b."""
     pair_proj = arrays["pair_proj"]
     d = pair_proj.shape[1] // 2
     if emb.ndim != 2 or emb.shape[1] != d:
@@ -111,11 +111,11 @@ def _projections(emb: np.ndarray, arrays: dict) -> tuple[np.ndarray, np.ndarray]
 
 def _hidden_block(heads, tails, rows, seed=None, rate=0.0, scale=1.0) -> np.ndarray:
     """Post-rectifier activations of the pairs (i, j), i in rows, as a
-    (rows * L) x hidden_dim array; dropout is drawn, into the same buffer, when seed is not None."""
+    (rows * L) x hidden array; dropout is drawn, into the same buffer, when seed is not None."""
     if seed is None:
         pre = heads[rows, None, :] + tails
     else:
-        # these rows' part of one rng.random((L * L, hidden_dim)) draw
+        # these rows' part of one rng.random((L * L, hidden)) draw
         bits = np.random.PCG64(seed).advance(rows.start * tails.size)
         pre = np.random.Generator(bits).random((rows.stop - rows.start, *tails.shape))
         keep = pre >= rate
@@ -211,7 +211,7 @@ def train_grads(
 
     # add the blocks' parts in block order, then go back through the projections
     nll_sums, d_rels, d_tails_parts = zip(*_map_blocks(block, length))
-    d_tails = sum(d_tails_parts)  # L x hidden_dim, summed over heads i
+    d_tails = sum(d_tails_parts)  # L x hidden, summed over heads i
     d = emb.shape[1]
     grads["pair_proj"][:, :d] += d_heads.T @ emb
     grads["pair_proj"][:, d:] += d_tails.T @ emb

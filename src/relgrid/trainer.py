@@ -27,6 +27,11 @@ logger = logging.getLogger(__name__)
 
 CHECKPOINT_VERSION = 1
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # moment decay rates, denominator term
+
+# config keys that older checkpoint headers carry and loading drops
+_RETIRED_KEYS = {"adam_beta1", "adam_beta2", "adam_epsilon", "hidden_dim", "use_positional"}
+
 
 class NumericError(RuntimeError):
     """Non-finite value encountered during optimization."""
@@ -37,65 +42,48 @@ _CONFIG_RULES = {
     "epochs": (is_int, lambda v: v >= 1, "an integer >= 1"),
     "batch_size": (is_int, lambda v: v >= 1, "an integer >= 1"),
     "learning_rate": (is_real, lambda v: 0.0 < v < math.inf, "a finite number > 0"),
-    "adam_beta1": (is_real, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)"),
-    "adam_beta2": (is_real, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)"),
-    "adam_epsilon": (is_real, lambda v: 0.0 < v < math.inf, "a finite number > 0"),
     "seed": (is_int, lambda v: v >= 0, "an integer >= 0"),
     "dropout_rate": (is_real, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)"),
     "max_seq_len": (is_int, lambda v: v >= 1, "an integer >= 1"),
     "emb_dim": (is_int, lambda v: v >= 1, "an integer >= 1"),
-    "hidden_dim": (
-        lambda v: v is None or is_int(v),
-        lambda v: v is None or v >= 1,
-        "null or an integer >= 1",
-    ),
-    "use_positional": (lambda v: isinstance(v, bool), lambda v: True, "true or false"),
     "min_count": (is_int, lambda v: v >= 1, "an integer >= 1"),
 }
 
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters; defaults follow the reference training recipe
-    (batch 8, Adam at lr 1e-5, dropout 0.1, max length 100, hidden = 3x).
-    """
+    """The `train` options, one field per flag (--epochs, --batch-size, --lr, --seed,
+    --dropout, --max-len, --emb-dim, --min-count); defaults follow the reference
+    training recipe (batch 8, Adam at lr 1e-5, dropout 0.1, max length 100)."""
 
     epochs: int = 10
     batch_size: int = 8
     learning_rate: float = 1e-5
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     seed: int = 0
     dropout_rate: float = 0.1
     max_seq_len: int = 100
     emb_dim: int = 64
-    hidden_dim: int | None = None  # defaults to 3 * emb_dim
-    use_positional: bool = True
     min_count: int = 1
 
     def __post_init__(self):
         check_fields(self, _CONFIG_RULES)
-
-    def resolved_hidden_dim(self) -> int:
-        return self.hidden_dim if self.hidden_dim is not None else 3 * self.emb_dim
 
     def to_json(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_json(cls, data) -> "TrainConfig":
-        """ConfigError unless `data` is an object whose keys are all fields."""
+        """ConfigError unless `data` is an object of fields and retired keys; drops the retired ones."""
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = sorted(data.keys() - cls.__dataclass_fields__.keys())
+        unknown = sorted(data.keys() - cls.__dataclass_fields__.keys() - _RETIRED_KEYS)
         if unknown:
             raise ConfigError(f"unknown keys {unknown}")
-        return cls(**data)
+        return cls(**{key: value for key, value in data.items() if key not in _RETIRED_KEYS})
 
-    def hash(self) -> str:
-        blob = json.dumps(self.to_json(), sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
+
+def _config_hash(config: dict) -> str:
+    return hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 def make_batches(
@@ -132,7 +120,7 @@ def adam_step(
     Consumes the caller's `grad` as its step buffer; allocates no weight-sized array."""
     state.step += 1
     t = state.step
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m, v, scratch = state.m, state.v, state.scratch
     np.multiply(grad, 1.0 - b1, out=scratch)
     m *= b1
@@ -145,29 +133,25 @@ def adam_step(
     step *= config.learning_rate
     denom = np.divide(v, 1.0 - b2**t, out=scratch)  # v_hat
     np.sqrt(denom, out=denom)
-    denom += config.adam_epsilon
+    denom += ADAM_EPSILON
     step /= denom
     weights -= step
 
 
 def _layout(config: TrainConfig, vocab_size: int, num_relations: int) -> dict[str, tuple]:
     """The shape of each trainable array by checkpoint name, in weight
-    order; positional rows only when the config uses them."""
-    d, hidden = config.emb_dim, config.resolved_hidden_dim()
-    layout = {
+    order; the pair layer's hidden width is 3 * emb_dim."""
+    d, hidden = config.emb_dim, 3 * config.emb_dim
+    return {
         "pair_proj": (hidden, 2 * d),
         "pair_bias": (hidden,),
         "rel_tag_emb": (hidden, NUM_TAGS * num_relations),
         "token_table": (vocab_size, d),
+        "positional_table": (config.max_seq_len, d),
     }
-    if config.use_positional:
-        layout["positional_table"] = (config.max_seq_len, d)
-    return layout
 
 
-# names in weight order; every checkpoint holds all but the last, positional_table
-_GROUPS = tuple(_layout(TrainConfig(), 1, 1))
-_CHECKPOINT_ARRAYS = ("header_json", *_GROUPS[:-1])
+_CHECKPOINT_ARRAYS = ("header_json", *_layout(TrainConfig(), 1, 1))
 
 
 def _views(flat: np.ndarray, layout: dict[str, tuple]) -> dict[str, np.ndarray]:
@@ -238,15 +222,14 @@ def train_step(
     laid out like model.weights, and fills it with the mean gradient."""
     grad.fill(0.0)
     groups = _views(grad, {name: arr.shape for name, arr in model.arrays.items()})
-    tokens, positional = model.arrays["token_table"], model.arrays.get("positional_table")
+    tokens, positional = model.arrays["token_table"], model.arrays["positional_table"]
     batch_loss = 0.0
     for (ids, gold), seed in zip(batch, dropout_seeds):
         emb = encode_indices(ids, tokens, positional)
         loss, d_emb = train_grads(emb, gold, model.arrays, model.config.dropout_rate, seed, groups)
         batch_loss += loss
         np.add.at(groups["token_table"], ids, d_emb)
-        if positional is not None:
-            groups["positional_table"][: len(ids)] += d_emb
+        groups["positional_table"][: len(ids)] += d_emb
     size = len(batch)
     grad /= size
     if not np.isfinite(grad).all():
@@ -323,7 +306,7 @@ def predict(sentence: Sentence, model: Model) -> np.ndarray:
         )
         tokens = tokens[: model.config.max_seq_len]
     emb = encode_indices(
-        model.vocab.indices(tokens), model.arrays["token_table"], model.arrays.get("positional_table")
+        model.vocab.indices(tokens), model.arrays["token_table"], model.arrays["positional_table"]
     )
     return decode(tag_grid(emb, model.arrays))
 
@@ -338,7 +321,7 @@ def save_checkpoint(path: str | Path, model: Model) -> None:
     header = {
         "version": CHECKPOINT_VERSION,
         "config": model.config.to_json(),
-        "config_hash": model.config.hash(),
+        "config_hash": _config_hash(model.config.to_json()),
         "relations": list(model.relations.names),
         "vocab": model.vocab.to_json(),
     }
@@ -386,7 +369,8 @@ def load_checkpoint(path: str | Path) -> Model:
         config = TrainConfig.from_json(header["config"])
     except ConfigError as exc:
         raise corrupt(f"invalid config: {exc}") from None
-    if config.hash() != header["config_hash"]:
+    # the hash covers the config as written, retired keys and all
+    if _config_hash(header["config"]) != header["config_hash"]:
         raise corrupt("config hash mismatch")
     try:
         vocab = Vocab.from_json(header["vocab"])
@@ -394,13 +378,13 @@ def load_checkpoint(path: str | Path) -> Model:
     except ValueError as exc:
         raise corrupt(exc) from None
     layout = _layout(config, len(vocab), len(relations))
-    for name in _GROUPS:
-        found, expected = (arrays[name].shape if name in arrays else None), layout.get(name)
-        if found != expected:
-            raise corrupt(f"{name} shape {found}, expected {expected}")
-        if found is not None and arrays[name].dtype != np.float64:
-            raise corrupt(f"{name} dtype {arrays[name].dtype}, not float64")
-        if found is not None and not np.isfinite(arrays[name]).all():
+    for name, expected in layout.items():
+        found = arrays[name]
+        if found.shape != expected:
+            raise corrupt(f"{name} shape {found.shape}, expected {expected}")
+        if found.dtype != np.float64:
+            raise corrupt(f"{name} dtype {found.dtype}, not float64")
+        if not np.isfinite(found).all():
             raise corrupt(f"non-finite values in {name}")
     weights = np.concatenate([arrays[name].ravel() for name in layout])
     return Model(weights, vocab, relations, config)

@@ -43,11 +43,11 @@ def as_triples(rows):
     return frozenset(map(tuple, rows.tolist()))
 
 
-def glorot_arrays(emb_dim, num_relations, seed, hidden_dim=None):
-    """The scorer's three arrays by name, hidden_dim 3 * emb_dim unless
-    given: pair_proj, then rel_tag_emb, Glorot-uniform in
+def glorot_arrays(emb_dim, num_relations, seed):
+    """The scorer's three arrays by name, hidden width 3 * emb_dim:
+    pair_proj, then rel_tag_emb, Glorot-uniform in
     +-sqrt(6 / (rows + cols)) from default_rng(seed), and a zero pair_bias."""
-    hidden = 3 * emb_dim if hidden_dim is None else hidden_dim
+    hidden = 3 * emb_dim
     rng = np.random.default_rng(seed)
 
     def glorot(rows, cols):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -53,6 +54,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def eval_report(capsys, data, checkpoint):
+    """The stdout lines of a successful eval, the wall-clock line left out."""
+    code, stdout, stderr = run(capsys, "eval", "--data", str(data), "--checkpoint", str(checkpoint))
+    assert (code, stderr) == (EXIT_OK, "")
+    return [line for line in stdout.splitlines() if "wall-clock" not in line]
 
 
 @pytest.fixture(scope="module")
@@ -168,11 +176,14 @@ class TestStats:
         empty.write_text("")
         relations = tmp_path / "rels.txt"
         relations.write_text("r0\n")
-        code, _, stderr = run(
-            capsys, "stats", "--data", str(empty), "--relations", str(relations)
-        )
-        assert code == EXIT_DATA
-        assert "empty corpus" in stderr
+        out = tmp_path / "m.npz"
+        for command in (["stats"], ["train", "--out", str(out)]):
+            code, stdout, stderr = run(
+                capsys, *command, "--data", str(empty), "--relations", str(relations)
+            )
+            assert (code, stdout) == (EXIT_DATA, "")
+            assert stderr == f"error: {empty}: empty corpus\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "line, message",
@@ -351,6 +362,35 @@ class TestTrainEval:
         assert stderr.count("\n") == 1
         assert stdout == ""
         assert not (tmp_path / "m.npz").exists()
+
+    def test_corpus_tokens_spelled_pad_and_unk_train_a_checkpoint_eval_reads(
+        self, capsys, tmp_path
+    ):
+        records = [
+            {"id": "x", "tokens": ["a", "<pad>", "b"],
+             "triples": [{"head": [0, 0], "relation": "r", "tail": [2, 2]}]},
+            {"id": "y", "tokens": ["<unk>", "c", "b"], "triples": []},
+        ]
+        data, ck = tmp_path / "d.jsonl", tmp_path / "m.npz"
+        data.write_text("".join(json.dumps(record) + "\n" for record in records))
+        assert run(capsys, "train", "--data", str(data), "--epochs", "1", "--out", str(ck))[0] == EXIT_OK
+        code, _, stderr = run(capsys, "eval", "--data", str(data), "--checkpoint", str(ck))
+        assert (code, stderr) == (EXIT_OK, "")
+        with np.load(ck) as saved:
+            vocab = json.loads(str(saved["header_json"]))["vocab"]
+        assert sorted(vocab.values()) == list(range(len(vocab)))
+        assert (vocab["<pad>"], vocab["<unk>"]) == (0, 1)
+
+    def test_out_of_memory_is_one_line_data_error(self, capsys, synth_file, tmp_path):
+        # 2**52 positional rows of 64 float64s is 2 EiB, more than any user
+        # address space holds, so the allocation fails before a page is touched
+        ck = tmp_path / "m.npz"
+        code, stdout, stderr = run(
+            capsys, "train", "--data", str(synth_file), "--max-len", str(2**52), "--out", str(ck)
+        )
+        assert (code, stdout) == (EXIT_DATA, "")
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert not ck.exists()
 
     def test_eval_prints_both_modes(self, capsys, synth_file, tmp_path):
         ck = tmp_path / "e.npz"
@@ -654,15 +694,15 @@ class TestTrainEval:
         expected = arrays[name].shape
         if change is None:
             del arrays[name]
+            reason = f"no {name} array"
         else:
-            arrays[name] = change(arrays[name])
-        found = arrays[name].shape if name in arrays else None
-        if found != expected:
-            reason = f"{name} shape {found}, expected {expected}"
-        elif arrays[name].dtype != np.float64:
-            reason = f"{name} dtype {arrays[name].dtype}, not float64"
-        else:
-            reason = f"non-finite values in {name}"
+            arrays[name] = found = change(arrays[name])
+            if found.shape != expected:
+                reason = f"{name} shape {found.shape}, expected {expected}"
+            elif found.dtype != np.float64:
+                reason = f"{name} dtype {found.dtype}, not float64"
+            else:
+                reason = f"non-finite values in {name}"
         edited = tmp_path / "edited.npz"
         np.savez(edited, **arrays)
         code, stdout, stderr = run(
@@ -746,14 +786,29 @@ class TestTrainEval:
         with_dims = tmp_path / "with_dims.npz"
         np.savez(with_dims, **arrays)
 
-        def report(path):
-            code, stdout, stderr = run(
-                capsys, "eval", "--data", str(synth_file), "--checkpoint", str(path)
-            )
-            assert (code, stderr) == (EXIT_OK, "")
-            return [line for line in stdout.splitlines() if "wall-clock" not in line]
+        assert eval_report(capsys, synth_file, with_dims) == eval_report(capsys, synth_file, checkpoint)
 
-        assert report(with_dims) == report(checkpoint)
+    @pytest.mark.parametrize("adam_beta1", [0.9, 0.5], ids=["as-written", "other-beta1"])
+    def test_header_config_written_with_retired_keys_is_read(
+        self, capsys, synth_file, tmp_path, checkpoint, adam_beta1
+    ):
+        """Checkpoints written before five settings became constants carry
+        them in their config, hashed with it; prediction reads none of them."""
+        with np.load(checkpoint) as data:
+            arrays = {name: data[name] for name in data.files}
+        header = json.loads(str(arrays["header_json"]))
+        assert header["config"].keys() == TrainConfig.__dataclass_fields__.keys()
+        header["config"].update(
+            adam_beta1=adam_beta1, adam_beta2=0.999, adam_epsilon=1e-8,
+            hidden_dim=None, use_positional=True,
+        )
+        blob = json.dumps(header["config"], sort_keys=True).encode("utf-8")
+        header["config_hash"] = hashlib.sha256(blob).hexdigest()
+        arrays["header_json"] = np.array(json.dumps(header))
+        retired = tmp_path / "retired.npz"
+        np.savez(retired, **arrays)
+
+        assert eval_report(capsys, synth_file, retired) == eval_report(capsys, synth_file, checkpoint)
 
     def test_eval_missing_checkpoint(self, capsys, synth_file):
         code, _, _ = run(

@@ -39,6 +39,11 @@ class TestBuildVocab:
             qualifying = sum(1 for c in counts.values() if c >= min_count)
             assert len(build_vocab(corpus, min_count)) == 2 + qualifying
 
+    def test_corpus_tokens_spelled_pad_or_unk_keep_their_reserved_rows(self):
+        vocab = build_vocab(corpus_of("a <pad> b", "<unk> c b"))
+        assert vocab.token_to_index == {"<pad>": 0, "<unk>": 1, "b": 2, "a": 3, "c": 4}
+        assert Vocab.from_json(vocab.to_json()) == vocab
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             build_vocab([], 1)
@@ -86,16 +91,10 @@ class TestVocabJson:
 
 
 def tables(vocab, dim, max_seq_len, seed):
-    """The token and positional tables (None without positional rows) of a
-    freshly initialised model over `vocab`."""
-    config = TrainConfig(
-        emb_dim=dim,
-        max_seq_len=max_seq_len or TrainConfig.max_seq_len,
-        use_positional=max_seq_len is not None,
-        seed=seed,
-    )
+    """The token and positional tables of a freshly initialised model over `vocab`."""
+    config = TrainConfig(emb_dim=dim, max_seq_len=max_seq_len, seed=seed)
     model = init_model(RelationVocab(names=("r",)), vocab, config)
-    return model.arrays["token_table"], model.arrays.get("positional_table")
+    return model.arrays["token_table"], model.arrays["positional_table"]
 
 
 class TestEncodeTokens:
@@ -104,13 +103,6 @@ class TestEncodeTokens:
         out = encode_indices(vocab.indices(["a", "b"]), np.zeros((4, 3)), np.zeros((10, 3)))
         assert out.shape == (2, 3)
         assert np.all(out == 0.0)
-
-    def test_lookup_identity_without_positionals(self):
-        vocab = build_vocab(corpus_of("a b"))
-        tokens, positional = tables(vocab, 5, max_seq_len=None, seed=0)
-        assert positional is None
-        out = encode_indices(vocab.indices(["b"]), tokens)
-        np.testing.assert_array_equal(out[0], tokens[vocab.index("b")])
 
     def test_positional_addition_elementwise(self):
         vocab = build_vocab(corpus_of("a b c"))
@@ -123,9 +115,9 @@ class TestEncodeTokens:
 
     def test_unknown_token_uses_unk_row(self):
         vocab = build_vocab(corpus_of("a"))
-        tokens, _ = tables(vocab, 4, max_seq_len=None, seed=2)
-        out = encode_indices(vocab.indices(["never-seen"]), tokens)
-        np.testing.assert_array_equal(out[0], tokens[UNK_INDEX])
+        tokens, positional = tables(vocab, 4, max_seq_len=3, seed=2)
+        out = encode_indices(vocab.indices(["never-seen"]), tokens, positional)
+        np.testing.assert_array_equal(out[0], tokens[UNK_INDEX] + positional[0])
 
     def test_deterministic(self):
         vocab = build_vocab(corpus_of("a b c d"))

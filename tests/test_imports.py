@@ -1,11 +1,14 @@
 """Every module of the package and of the tests reads each name it imports,
-and only `corpus.write_file` writes a file in the package."""
+only `corpus.write_file` writes a file in the package, and `train` sets
+every field of `TrainConfig`."""
 
 import ast
 import re
 from pathlib import Path
 
 import pytest
+
+from relgrid.trainer import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 # a package __init__ imports names to re-export them
@@ -86,3 +89,18 @@ def test_finds_a_direct_write():
 @pytest.mark.parametrize("path", PACKAGE, ids=[p.name for p in PACKAGE])
 def test_only_write_file_writes(path):
     assert direct_writes(path.read_text(encoding="utf-8")) == []
+
+
+def test_train_sets_every_train_config_field():
+    """The keywords of the one TrainConfig call in cli.cmd_train are the
+    dataclass's fields, so no setting is out of the command line's reach."""
+    tree = ast.parse((ROOT / "src" / "relgrid" / "cli.py").read_text(encoding="utf-8"))
+    cmd_train = next(
+        node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "cmd_train"
+    )
+    calls = [
+        node for node in ast.walk(cmd_train)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "TrainConfig"
+    ]
+    assert len(calls) == 1
+    assert {kw.arg for kw in calls[0].keywords} == TrainConfig.__dataclass_fields__.keys()

@@ -171,7 +171,7 @@ class TestTrainStep:
 def per_group_adam_step(params, grads, moments, step, config):
     """Reference: bias-corrected Adam looping over named parameter groups,
     each with its own (m, v) moment pair; updates in place."""
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = trainer.ADAM_BETA1, trainer.ADAM_BETA2
     for name, arr in params.items():
         g = grads[name]
         m, v = moments[name]
@@ -181,13 +181,13 @@ def per_group_adam_step(params, grads, moments, step, config):
         v += (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1**step)
         v_hat = v / (1.0 - b2**step)
-        arr -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+        arr -= config.learning_rate * m_hat / (np.sqrt(v_hat) + trainer.ADAM_EPSILON)
 
 
 def allocating_adam_step(weights, grad, m, v, step, config):
     """Reference: adam_step as it was when every step allocated its step
     and denominator vectors; the same operations in the same order."""
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = trainer.ADAM_BETA1, trainer.ADAM_BETA2
     update = np.multiply(grad, 1.0 - b1)
     m *= b1
     m += update
@@ -199,7 +199,7 @@ def allocating_adam_step(weights, grad, m, v, step, config):
     update *= config.learning_rate
     denom = np.divide(v, 1.0 - b2**step)  # v_hat
     np.sqrt(denom, out=denom)
-    denom += config.adam_epsilon
+    denom += trainer.ADAM_EPSILON
     update /= denom
     weights -= update
 
@@ -227,7 +227,7 @@ class TestAdam:
         weights = np.array([0.0])
         state = AdamState.init(weights)
         adam_step(weights, np.array([1.0]), state, config)
-        expected = -1e-5 / (1.0 + config.adam_epsilon)
+        expected = -1e-5 / (1.0 + trainer.ADAM_EPSILON)
         assert weights[0] == pytest.approx(expected, rel=1e-12)
         assert state.step == 1
 
@@ -432,27 +432,24 @@ def assert_views_of_weights(model):
 
 
 class TestFlatWeights:
-    @pytest.mark.parametrize("use_positional", [True, False])
-    def test_init_model_arrays_share_the_flat_vector(self, tiny_synth, use_positional):
+    def test_init_model_arrays_share_the_flat_vector(self, tiny_synth):
         corpus, relations = tiny_synth
-        config = TrainConfig(seed=3, use_positional=use_positional)
-        model = init_model(relations, build_vocab(corpus), config)
+        model = init_model(relations, build_vocab(corpus), TrainConfig(seed=3))
         assert_views_of_weights(model)
-        assert len(model.arrays) == (5 if use_positional else 4)
+        assert len(model.arrays) == 5
 
-    @pytest.mark.parametrize("seed, hidden_dim", [(3, None), (8, 20)])
-    def test_init_model_draws_scorer_arrays_glorot_uniform(self, tiny_synth, seed, hidden_dim):
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_init_model_draws_scorer_arrays_glorot_uniform(self, tiny_synth, seed):
         corpus, relations = tiny_synth
-        config = TrainConfig(seed=seed, emb_dim=8, hidden_dim=hidden_dim)
+        config = TrainConfig(seed=seed, emb_dim=8)
         model = init_model(relations, build_vocab(corpus), config)
-        expected = glorot_arrays(8, len(relations), trainer._derived_seed(seed, 2), hidden_dim)
+        expected = glorot_arrays(8, len(relations), trainer._derived_seed(seed, 2))
         for name, arr in expected.items():
             assert np.array_equal(model.arrays[name], arr), name
 
-    @pytest.mark.parametrize("use_positional", [True, False])
-    def test_loaded_arrays_share_the_flat_vector(self, tiny_synth, tmp_path, use_positional):
+    def test_loaded_arrays_share_the_flat_vector(self, tiny_synth, tmp_path):
         corpus, relations = tiny_synth
-        config = TrainConfig(epochs=1, seed=3, use_positional=use_positional)
+        config = TrainConfig(epochs=1, seed=3)
         model, _ = train(corpus, relations, config)
         path = tmp_path / "model.npz"
         save_checkpoint(path, model)
