@@ -8,11 +8,11 @@ micro-P/R/F1 evaluation harness with overlap-pattern breakdowns.
 """
 
 from .corpus import (
-    AnnotatedSentence,
     CorpusError,
     PatternLabel,
     RelationVocab,
     Sentence,
+    build_sentence,
     canonical_rows,
     classify_pattern,
     corpus_stats,

@@ -26,6 +26,7 @@ from .config import ConfigError
 from .corpus import (
     CorpusError,
     RelationVocab,
+    canonical_rows,
     classify_pattern,
     corpus_stats,
     load_native,
@@ -144,7 +145,7 @@ class RunConfig:
             if not path.exists():
                 raise CorpusError(f"no such config file: {path}")
             try:
-                self.file = json.loads(read_text(path))
+                self.file = json.loads(read_text(path, "config file"))
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
             except CorpusError as exc:  # not UTF-8
@@ -182,10 +183,7 @@ class RunConfig:
 
 
 def _read_relations(path: str) -> RelationVocab:
-    p = Path(path)
-    if not p.exists():
-        raise CorpusError(f"no such relations file: {p}")
-    names = [line.strip() for line in read_text(p).splitlines() if line.strip()]
+    names = [line.strip() for line in read_text(Path(path), "relations file").splitlines() if line.strip()]
     try:
         return RelationVocab(names=tuple(names))
     except ValueError as exc:
@@ -193,8 +191,9 @@ def _read_relations(path: str) -> RelationVocab:
 
 
 def _read_vocab(path: str) -> Vocab:
+    text = read_text(Path(path), "vocab file")  # its CorpusError is a ValueError: read outside the try
     try:
-        return Vocab.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+        return Vocab.from_json(json.loads(text))
     except ValueError as exc:
         raise CorpusError(f"bad vocab file {path}: {exc}") from None
 
@@ -275,7 +274,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     corpus, _ = _load_corpus(cfg, model.config.max_seq_len, model.relations, allow_empty=True)
 
     started = time.perf_counter()
-    predictions = stack_rows(predict(s.sentence, model) for s in corpus)
+    predictions = stack_rows(predict(s, model) for s in corpus)
     elapsed = time.perf_counter() - started
 
     gold = stack_rows(s.triples for s in corpus)
@@ -284,10 +283,8 @@ def cmd_eval(cfg: RunConfig) -> int:
     reports = breakdown(predictions, gold, labels, modes)
     for report in reports:
         print(report.to_text())
-    print(
-        f"inference wall-clock: {elapsed:.3f}s total, "
-        f"{1000.0 * elapsed / max(len(corpus), 1):.2f}ms per sentence"
-    )
+    per_sentence = f"{1000.0 * elapsed / len(corpus):.2f}ms per sentence" if corpus else "no sentences"
+    print(f"inference wall-clock: {elapsed:.3f}s total, {per_sentence}")
     kv = [report.to_kv() for report in reports]
     out = cfg.get("out")
     if out:
@@ -302,10 +299,11 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def _triple_lines(rows, relations: RelationVocab) -> list[str]:
-    """The text (hb..he, name, tb..te) of each row (k, hb, he, tb, te), in
-    (hb, he, k, tb, te) order, the order of a sentence's gold rows."""
-    ordered = sorted((hb, he, k, tb, te) for k, hb, he, tb, te in rows)
-    return [f"({hb}..{he}, {relations.names[k]}, {tb}..{te})" for hb, he, k, tb, te in ordered]
+    """The text (hb..he, name, tb..te) of each distinct row (k, hb, he, tb, te),
+    in the order of a sentence's gold rows."""
+    return [
+        f"({hb}..{he}, {relations.names[k]}, {tb}..{te})" for k, hb, he, tb, te in canonical_rows(rows).tolist()
+    ]
 
 
 def cmd_tag(cfg: RunConfig) -> int:
@@ -322,7 +320,7 @@ def cmd_tag(cfg: RunConfig) -> int:
     result = roundtrip_check(sentence, len(vocab))
     for k in np.flatnonzero(result.tags.any(axis=(0, 2))).tolist():
         print(f"relation: {vocab.names[k]}")
-        print(render_relation_grid(result.tags, k, sentence.sentence.tokens))
+        print(render_relation_grid(result.tags, k, sentence.tokens))
         print()
     for c in result.collisions:
         print(f"collision at {c.cell}: kept {c.kept.name}, dropped {c.dropped.name}")

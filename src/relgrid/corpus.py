@@ -1,8 +1,12 @@
 """Corpus data model: sentences, triple rows, loaders, overlap statistics and the file writer.
 
-A sentence's gold triples are one read-only (n, 5) int64 array of distinct
-rows (k, hb, he, tb, te): relation index, then the inclusive 0-based token
-spans hb..he of the head and tb..te of the tail, sorted by (hb, he, k, tb, te).
+A loaded sentence is one record, `Sentence`: its tokens, its gold triples and
+its id. The triples are one read-only (n, 5) int64 array of distinct rows
+(k, hb, he, tb, te): relation index, then the inclusive 0-based token spans
+hb..he of the head and tb..te of the tail, sorted by (hb, he, k, tb, te).
+Every sentence source (both loaders, `tag` and the synthetic generator) makes
+its sentences through `build_sentence`, so truncation and every check are
+the same whichever way a sentence comes in.
 
 Two on-disk formats are supported:
 
@@ -23,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable
@@ -41,21 +45,6 @@ BUCKETS = ("1", "2", "3", "4", "5+")
 
 class CorpusError(ValueError):
     """Malformed corpus file or record."""
-
-
-@dataclass(frozen=True)
-class Sentence:
-    tokens: tuple[str, ...]
-    id: str = ""
-
-    def __post_init__(self):
-        if len(self.tokens) < 1:
-            raise ValueError(f"sentence {self.id!r} has no tokens")
-        if any(not t for t in self.tokens):
-            raise ValueError(f"sentence {self.id!r} contains an empty token")
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
 
 @dataclass(frozen=True)
@@ -86,12 +75,57 @@ def canonical_rows(triples: Iterable[Row]) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True)
-class AnnotatedSentence:
-    """A sentence and its gold triples as canonical_rows."""
+@dataclass(frozen=True, eq=False)  # an array field has no one truth value: compare by identity
+class Sentence:
+    """A sentence's tokens, its gold triples as canonical_rows and its id; made by build_sentence."""
 
-    sentence: Sentence
-    triples: np.ndarray
+    tokens: tuple[str, ...]
+    triples: np.ndarray = field(default_factory=lambda: canonical_rows(()))
+    id: str = ""
+
+    def __post_init__(self):
+        if len(self.tokens) < 1:
+            raise ValueError(f"sentence {self.id!r} has no tokens")
+        if any(not t for t in self.tokens):
+            raise ValueError(f"sentence {self.id!r} contains an empty token")
+
+    def __len__(self) -> int:
+        return len(self.tokens)
+
+
+def build_sentence(
+    sid: str,
+    tokens: Iterable[str],
+    triples: list[Row],
+    max_seq_len: int | None = None,
+    warnings: list[str] | None = None,
+) -> Sentence:
+    """The one way to make a Sentence, checked in this order; ValueError names the sentence.
+
+    First the tokens are cut at `max_seq_len`, and each triple reaching past
+    the cut is dropped, with notices appended to `warnings` (which must then
+    be given); then the token checks; then every span must end inside the
+    sentence, checked in the given order, head before tail.
+    """
+    tokens = tuple(tokens)
+    if max_seq_len is not None and len(tokens) > max_seq_len:
+        kept = []
+        for k, hb, he, tb, te in triples:
+            if he < max_seq_len and te < max_seq_len:
+                kept.append((k, hb, he, tb, te))
+            else:
+                warnings.append(
+                    f"sentence {sid!r}: triple ({hb}..{he}, {k}, {tb}..{te}) dropped by "
+                    f"truncation to {max_seq_len} tokens"
+                )
+        warnings.append(f"sentence {sid!r}: truncated to {max_seq_len} tokens")
+        tokens, triples = tokens[:max_seq_len], kept
+    sentence = Sentence(tokens, canonical_rows(triples), sid)
+    for _, hb, he, tb, te in triples:
+        for begin, end in ((hb, he), (tb, te)):
+            if end >= len(tokens):
+                raise ValueError(f"sentence {sid!r}: span ({begin}, {end}) exceeds length {len(tokens)}")
+    return sentence
 
 
 @dataclass(frozen=True)
@@ -106,7 +140,7 @@ class PatternLabel:
     bucket: str | None
 
 
-def classify_pattern(s: AnnotatedSentence) -> PatternLabel:
+def classify_pattern(s: Sentence) -> PatternLabel:
     """Assign overlap flags (normal/epo/seo/hto) and a triple-count bucket.
 
     epo: some pair of triples has the same unordered entity-span pair.
@@ -156,7 +190,7 @@ class CorpusStats:
         return "\n".join(lines)
 
 
-def corpus_stats(corpus: list[AnnotatedSentence]) -> CorpusStats:
+def corpus_stats(corpus: list[Sentence]) -> CorpusStats:
     """Table-style breakdown: per-flag, per-bucket and total triple counts.
 
     Pattern counts may sum to more than the sentence count since flags are
@@ -184,29 +218,6 @@ def corpus_stats(corpus: list[AnnotatedSentence]) -> CorpusStats:
         bucket_counts=dict(bucket_counts),
         no_triple_sentences=no_triples,
     )
-
-
-def _truncate(
-    sid: str,
-    tokens: list[str],
-    triples: list[Row],
-    max_seq_len: int | None,
-    warnings: list[str],
-) -> tuple[list[str], list[Row]]:
-    """Cut tokens at max_seq_len and drop triples reaching past the cut."""
-    if max_seq_len is None or len(tokens) <= max_seq_len:
-        return tokens, triples
-    kept = []
-    for k, hb, he, tb, te in triples:
-        if he < max_seq_len and te < max_seq_len:
-            kept.append((k, hb, he, tb, te))
-        else:
-            warnings.append(
-                f"sentence {sid!r}: triple ({hb}..{he}, {k}, {tb}..{te}) dropped by "
-                f"truncation to {max_seq_len} tokens"
-            )
-    warnings.append(f"sentence {sid!r}: truncated to {max_seq_len} tokens")
-    return tokens[:max_seq_len], kept
 
 
 def write_file(path: str | Path, write: Callable[[BinaryIO], object]) -> None:
@@ -240,8 +251,11 @@ def parse_record(text: str, where: str) -> dict:
     return record
 
 
-def read_text(path: Path) -> str:
-    """The text of a UTF-8 file; CorpusError naming the file when it does not decode."""
+def read_text(path: Path, what: str) -> str:
+    """The text of a UTF-8 file; CorpusError naming the file, as a `what`
+    when it does not exist, and when it does not decode."""
+    if not path.exists():
+        raise CorpusError(f"no such {what}: {path}")
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -250,9 +264,7 @@ def read_text(path: Path) -> str:
 
 def _records(path: Path) -> Iterable[tuple[int, dict]]:
     """(line number, record) for each non-blank line of a JSONL file."""
-    if not path.exists():
-        raise CorpusError(f"no such file: {path}")
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+    for lineno, line in enumerate(read_text(path, "file").splitlines(), 1):
         if line.strip():
             yield lineno, parse_record(line, f"{path}:{lineno}")
 
@@ -264,8 +276,8 @@ def native_sentence(
     where: str,
     max_seq_len: int | None = None,
     warnings: list[str] | None = None,
-) -> AnnotatedSentence:
-    """One native record as an annotated sentence; errors start with `where`.
+) -> Sentence:
+    """One native record as a Sentence; errors start with `where`.
 
     Relation names map to indices through `known`, which gains a new name when
     `grow` is set; otherwise a new name is an error. Truncation to
@@ -298,14 +310,7 @@ def native_sentence(
                 if not 0 <= begin <= end:
                     raise ValueError(f"invalid span ({begin}, {end})")
             triples.append((known[rel_name], *head, *tail))
-        # truncation drops a triple past the cut before the span-bounds check
-        tokens, triples = _truncate(sid, tokens, triples, max_seq_len, warnings)
-        sentence = Sentence(tuple(tokens), sid)
-        for _, hb, he, tb, te in triples:
-            for begin, end in ((hb, he), (tb, te)):
-                if end >= len(tokens):
-                    raise ValueError(f"sentence {sid!r}: span ({begin}, {end}) exceeds length {len(tokens)}")
-        return AnnotatedSentence(sentence, canonical_rows(triples))
+        return build_sentence(sid, tokens, triples, max_seq_len, warnings)
     except KeyError as exc:
         raise CorpusError(f"{where}: missing field ({exc})") from None
     except ValueError as exc:
@@ -316,7 +321,7 @@ def load_native(
     path: str | Path,
     vocab: RelationVocab | None = None,
     max_seq_len: int | None = None,
-) -> tuple[list[AnnotatedSentence], RelationVocab, list[str]]:
+) -> tuple[list[Sentence], RelationVocab, list[str]]:
     """Read a native-format JSONL corpus.
 
     When `vocab` is None the relation vocabulary is built from the file, in
@@ -338,14 +343,14 @@ def load_native(
 
 
 def save_native(
-    corpus: list[AnnotatedSentence], vocab: RelationVocab, path: str | Path
+    corpus: list[Sentence], vocab: RelationVocab, path: str | Path
 ) -> None:
     """Write a corpus in the native JSONL format (triples in canonical order)."""
     lines = []
     for s in corpus:
         record = {
-            "id": s.sentence.id,
-            "tokens": list(s.sentence.tokens),
+            "id": s.id,
+            "tokens": list(s.tokens),
             "triples": [
                 {"head": [hb, he], "relation": vocab.names[k], "tail": [tb, te]}
                 for k, hb, he, tb, te in s.triples.tolist()
@@ -394,7 +399,7 @@ def load_public(
     vocab: RelationVocab,
     match_mode: str = "whole-span",
     max_seq_len: int | None = None,
-) -> tuple[list[AnnotatedSentence], list[str]]:
+) -> tuple[list[Sentence], list[str]]:
     """Read a public-format JSONL corpus, resolving entity strings to spans.
 
     Text is whitespace-tokenized. Triples whose entities cannot be located
@@ -404,7 +409,7 @@ def load_public(
     """
     path = Path(path)
     known = {name: i for i, name in enumerate(vocab.names)}
-    corpus: list[AnnotatedSentence] = []
+    corpus: list[Sentence] = []
     warnings: list[str] = []
     for lineno, record in _records(path):
         text = record.get("text", "")
@@ -439,11 +444,5 @@ def load_public(
                 continue
             triples.append((known[rel_name], *head, *tail))
 
-        token_list, triples = _truncate(sid, list(tokens), triples, max_seq_len, warnings)
-        corpus.append(
-            AnnotatedSentence(
-                sentence=Sentence(tokens=tuple(token_list), id=sid),
-                triples=canonical_rows(triples),
-            )
-        )
+        corpus.append(build_sentence(sid, tokens, triples, max_seq_len, warnings))
     return corpus, warnings

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import AnnotatedSentence
+from .corpus import Sentence
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -52,7 +52,7 @@ class Vocab:
         return cls(token_to_index=dict(data))
 
 
-def build_vocab(corpus: list[AnnotatedSentence], min_count: int = 1) -> Vocab:
+def build_vocab(corpus: list[Sentence], min_count: int = 1) -> Vocab:
     """Index tokens with frequency >= min_count, most frequent first;
     ties break on first occurrence. Everything else maps to the unknown row.
     """
@@ -64,7 +64,7 @@ def build_vocab(corpus: list[AnnotatedSentence], min_count: int = 1) -> Vocab:
     first_seen: dict[str, int] = {}
     position = 0
     for s in corpus:
-        for tok in s.sentence.tokens:
+        for tok in s.tokens:
             counts[tok] = counts.get(tok, 0) + 1
             if tok not in first_seen:
                 first_seen[tok] = position

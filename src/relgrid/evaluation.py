@@ -8,7 +8,7 @@ match; exact match requires full span equality.
 
 All counting is one array core over a corpus's stacked column-major int64
 rows (s, k, hb, he, tb, te): each sentence's tagging.decode rows or gold
-AnnotatedSentence.triples behind its index s. A match key packs columns, one
+Sentence.triples behind its index s. A match key packs columns, one
 at a time, into one exact int64: partial (s, k, he, te), exact all six, the
 entity pair either without k, the relation (s, k). A one-to-one count looks
 each predicted key up among the sorted distinct gold keys, so no predicted

@@ -21,11 +21,10 @@ from .corpus import (
     HTO,
     NORMAL,
     SEO,
-    AnnotatedSentence,
     RelationVocab,
     Row,
     Sentence,
-    canonical_rows,
+    build_sentence,
     classify_pattern,
 )
 from .tagging import roundtrip_check
@@ -173,59 +172,40 @@ def _build_triples(
     def rel() -> int:
         return int(rng.integers(0, k))
 
-    def triple(head: tuple[int, int], relation: int, tail: tuple[int, int]) -> Row:
-        return (relation, *head, *tail)
-
+    # the pattern's own spans come first; after them, each pair of spans is
+    # one disjoint triple (a normal sentence is made of such pairs only)
     if pattern == NORMAL:
-        main = 1 + int(rng.integers(0, 2))
-        spans = _carve_spans(rng, length, [width] * (2 * (main + extras)))
-        if spans is None:
-            return None
-        triples = [
-            triple(spans[2 * i], rel(), spans[2 * i + 1]) for i in range(main + extras)
-        ]
+        own: list[tuple[int, int]] = []
+        extras += 1 + int(rng.integers(0, 2))
     elif pattern == EPO:
-        spans = _carve_spans(rng, length, [width] * (2 + 2 * extras))
-        if spans is None:
-            return None
-        a, b = spans[0], spans[1]
-        rels = rng.choice(k, size=2, replace=False)
-        r1, r2 = int(rels[0]), int(rels[1])
-        if rng.random() < 0.5:
-            triples = [triple(a, r1, b), triple(a, r2, b)]
-        else:
-            triples = [triple(a, r1, b), triple(b, r2, a)]
-        triples += [
-            triple(spans[2 + 2 * i], rel(), spans[3 + 2 * i]) for i in range(extras)
-        ]
+        own = [width] * 2
     elif pattern == SEO:
-        spans = _carve_spans(rng, length, [width] * (3 + 2 * extras))
-        if spans is None:
-            return None
-        a, b, c = spans[0], spans[1], spans[2]
-        variant = int(rng.integers(0, 3))
-        if variant == 0:  # shared head
-            triples = [triple(a, rel(), b), triple(a, rel(), c)]
-        elif variant == 1:  # shared tail
-            triples = [triple(b, rel(), a), triple(c, rel(), a)]
-        else:  # chain: tail of one is head of the other
-            triples = [triple(a, rel(), b), triple(b, rel(), c)]
-        triples += [
-            triple(spans[3 + 2 * i], rel(), spans[4 + 2 * i]) for i in range(extras)
-        ]
+        own = [width] * 3
     elif pattern == HTO:
-        region_width = (2, max(2, config.max_span_width))
-        spans = _carve_spans(rng, length, [region_width] + [width] * (2 * extras))
-        if spans is None:
-            return None
-        head, tail = _hto_pair(rng, spans[0])
-        triples = [triple(head, rel(), tail)]
-        triples += [
-            triple(spans[1 + 2 * i], rel(), spans[2 + 2 * i]) for i in range(extras)
-        ]
+        own = [(2, max(2, config.max_span_width))]
     else:
         raise GenerationError(f"unknown pattern {pattern!r}")
+    spans = _carve_spans(rng, length, own + [width] * (2 * extras))
+    if spans is None:
+        return None
 
+    if pattern == EPO:
+        a, b = spans[:2]
+        r1, r2 = map(int, rng.choice(k, size=2, replace=False))
+        # the same pair under two relations, in the same or reversed direction
+        triples = [(r1, *a, *b), (r2, *a, *b) if rng.random() < 0.5 else (r2, *b, *a)]
+    elif pattern == SEO:
+        a, b, c = spans[:3]
+        # shared head, shared tail, or a chain (the tail of one is the head of the other)
+        pairs = [[(a, b), (a, c)], [(b, a), (c, a)], [(a, b), (b, c)]][int(rng.integers(0, 3))]
+        triples = [(rel(), *head, *tail) for head, tail in pairs]
+    elif pattern == HTO:
+        head, tail = _hto_pair(rng, spans[0])
+        triples = [(rel(), *head, *tail)]
+    else:
+        triples = []
+    rest = spans[len(own) :]
+    triples += [(rel(), *head, *tail) for head, tail in zip(rest[::2], rest[1::2])]
     return triples if len(set(triples)) == len(triples) else None
 
 
@@ -234,7 +214,7 @@ def generate_sentence(
     pattern: str,
     config: SynthConfig,
     sentence_id: str,
-) -> AnnotatedSentence:
+) -> Sentence:
     """One sentence that classifies as exactly `pattern` and round-trips."""
     for _ in range(_MAX_ATTEMPTS):
         length = int(rng.integers(config.min_len, config.max_len + 1))
@@ -243,10 +223,7 @@ def generate_sentence(
             continue
         word_ids = rng.choice(config.lexicon_size, size=length, replace=False)
         tokens = tuple(f"w{int(i):04d}" for i in word_ids)
-        candidate = AnnotatedSentence(
-            sentence=Sentence(tokens=tokens, id=sentence_id),
-            triples=canonical_rows(triples),
-        )
+        candidate = build_sentence(sentence_id, tokens, triples)
         if classify_pattern(candidate).flags != frozenset({pattern}):
             continue
         result = roundtrip_check(candidate, config.num_relations)
@@ -257,7 +234,7 @@ def generate_sentence(
 
 def generate_corpus(
     config: SynthConfig,
-) -> tuple[list[AnnotatedSentence], RelationVocab, dict[str, int]]:
+) -> tuple[list[Sentence], RelationVocab, dict[str, int]]:
     """Corpus with the configured pattern mix, plus bookkeeping counts.
 
     Returns (corpus, relation vocab, intended-pattern counts); sentence ids

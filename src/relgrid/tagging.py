@@ -15,7 +15,7 @@ or left of the anchor column in the same row; a missing neighbour means a
 single-token head or tail. Both lookups are binary searches over the sorted
 integer keys (k, col, row) of the HE_TE cells and (k, row, col) of the HB_TB
 cells. Decoded triples are (n, 5) int64 rows (k, hb, he, tb, te), the layout
-of a sentence's gold AnnotatedSentence.triples, and stay rows through
+of a sentence's gold Sentence.triples, and stay rows through
 evaluation.
 
 Single-token heads or tails make two of the three corner assignments land
@@ -32,7 +32,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .corpus import AnnotatedSentence
+from .corpus import Sentence
 
 
 class Tag(IntEnum):
@@ -67,14 +67,14 @@ class Collision:
     dropped: Tag
 
 
-def encode(s: AnnotatedSentence, num_relations: int) -> tuple[np.ndarray, list[Collision]]:
+def encode(s: Sentence, num_relations: int) -> tuple[np.ndarray, list[Collision]]:
     """Write every triple's corner cells into a fresh (L, K, L) int8 grid.
 
     Cross-triple overwrites resolve by TAG_PRIORITY and are returned as the
     collision report; an empty report means no tag was destroyed by another
     triple. Within-triple single-token collapses are silent (lossless).
     """
-    length = len(s.sentence)
+    length = len(s)
     tags = np.zeros((length, num_relations, length), dtype=np.int8)
     collisions: list[Collision] = []
     for k, hb, he, tb, te in s.triples.tolist():
@@ -151,7 +151,7 @@ class RoundtripResult:
         return f"lossy (missing {len(self.missing)}, spurious {len(self.spurious)})"
 
 
-def roundtrip_check(s: AnnotatedSentence, num_relations: int) -> RoundtripResult:
+def roundtrip_check(s: Sentence, num_relations: int) -> RoundtripResult:
     """Encode then decode and report the symmetric difference to the gold set."""
     tags, collisions = encode(s, num_relations)
     decoded = frozenset(map(tuple, decode(tags).tolist()))

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .config import ConfigError, check_fields, is_int, is_real
-from .corpus import AnnotatedSentence, RelationVocab, Sentence, write_file, write_lines
+from .corpus import RelationVocab, Sentence, write_file, write_lines
 from .encoder import Vocab, build_vocab, encode_indices
 from .scorer import tag_grid, train_grads
 from .tagging import NUM_TAGS, decode, encode
@@ -239,7 +239,7 @@ def train_step(
 
 
 def train(
-    corpus: list[AnnotatedSentence],
+    corpus: list[Sentence],
     relations: RelationVocab,
     config: TrainConfig,
     vocab: Vocab | None = None,
@@ -262,7 +262,7 @@ def train(
     # gold grids come from the tag codec; encoding collisions in gold data
     # are tolerated (priority rule applies)
     encoded = [
-        (vocab.indices(s.sentence.tokens), encode(s, len(relations))[0]) for s in corpus
+        (vocab.indices(s.tokens), encode(s, len(relations))[0]) for s in corpus
     ]
 
     log: list[EpochRecord] = []

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from relgrid import scorer
-from relgrid.corpus import AnnotatedSentence, Sentence, canonical_rows
+from relgrid.corpus import build_sentence
 from relgrid.synthetic import SynthConfig, generate_corpus
 from relgrid.tagging import Tag
 
@@ -20,17 +20,14 @@ def triple(head, relation, tail):
 
 
 def make_sentence(n_tokens, triples, sid="s"):
-    """Tokens t0, t1, ... and the canonical rows of the given row tuples."""
-    tokens = tuple(f"t{i}" for i in range(n_tokens))
-    return AnnotatedSentence(
-        sentence=Sentence(tokens=tokens, id=sid), triples=canonical_rows(triples)
-    )
+    """The sentence of tokens t0, t1, ... and the given row tuples."""
+    return build_sentence(sid, (f"t{i}" for i in range(n_tokens)), list(triples))
 
 
 def corpus_items(corpus):
-    """Each sentence of a corpus with its rows as a tuple of row tuples, so
-    corpora compare with ==."""
-    return [(s.sentence, tuple(map(tuple, s.triples.tolist()))) for s in corpus]
+    """Each sentence of a corpus as its id, tokens and rows as a tuple of row
+    tuples, so corpora compare with ==."""
+    return [(s.id, s.tokens, tuple(map(tuple, s.triples.tolist()))) for s in corpus]
 
 
 def tag_cells(tags):
@@ -94,13 +91,9 @@ def fig2_sentence():
         "contains": contains,
         "nyc": nyc,
         "nys": nys,
-        "single": AnnotatedSentence(
-            sentence=Sentence(tokens=tokens, id="fig2a"),
-            triples=canonical_rows([triple(nyc, located_in, nys)]),
-        ),
-        "epo_pair": AnnotatedSentence(
-            sentence=Sentence(tokens=tokens, id="fig2ab"),
-            triples=canonical_rows([triple(nyc, located_in, nys), triple(nys, contains, nyc)]),
+        "single": build_sentence("fig2a", tokens, [triple(nyc, located_in, nys)]),
+        "epo_pair": build_sentence(
+            "fig2ab", tokens, [triple(nyc, located_in, nys), triple(nys, contains, nyc)]
         ),
     }
 

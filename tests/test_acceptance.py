@@ -215,7 +215,7 @@ def test_criterion_5_overfit_to_perfect_exact_f1(report, tmp_path, capsys):
     labels = [classify_pattern(s) for s in corpus]
 
     def exact_f1(model):
-        predictions = stack_rows(predict(s.sentence, model) for s in corpus)
+        predictions = stack_rows(predict(s, model) for s in corpus)
         return breakdown(predictions, gold, labels, [EXACT])[0].f1
 
     def stop_when_fit(epoch, model, mean_loss):
@@ -272,10 +272,10 @@ def test_criterion_6_padding_inertia(report):
 
     worst = 0.0
     for s in corpus:
-        n = len(s.sentence)
+        n = len(s)
         gold, _ = encode(s, num_rel)
         ids = np.zeros(n + 17, dtype=np.int64)
-        ids[:n] = vocab.indices(s.sentence.tokens)
+        ids[:n] = vocab.indices(s.tokens)
         emb = encode_indices(ids[:n], *tables)
         values = [scorer_grads(emb, gold, model.arrays)["loss"]]
         for pad in (n + 1, n + 9, n + 17):

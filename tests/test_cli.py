@@ -185,6 +185,20 @@ class TestStats:
             assert stderr == f"error: {empty}: empty corpus\n"
         assert not out.exists()
 
+    def test_eval_of_an_empty_corpus_reports_no_per_sentence_time(self, capsys, synth_file, tmp_path):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        ck = tmp_path / "m.npz"
+        code, _, _ = run(
+            capsys, "train", "--data", str(synth_file), "--epochs", "1", "--emb-dim", "4", "--out", str(ck)
+        )
+        assert code == EXIT_OK
+        code, stdout, stderr = run(capsys, "eval", "--data", str(empty), "--checkpoint", str(ck))
+        assert (code, stderr) == (EXIT_OK, "")
+        [timing] = [line for line in stdout.splitlines() if "wall-clock" in line]
+        total = timing.removeprefix("inference wall-clock: ").removesuffix("s total, no sentences")
+        assert float(total) >= 0.0 and "per sentence" not in stdout
+
     @pytest.mark.parametrize(
         "line, message",
         [
@@ -588,8 +602,9 @@ class TestTrainEval:
             (["train", "--data", "{data}", "--relations", "{bad}", "--out", "{out}"],
              EXIT_DATA, "{bad}: not UTF-8 text"),
             (["stats", "--data", "{data}", "--config", "{bad}"], EXIT_USAGE, "config file {bad}: not UTF-8 text"),
+            (["train", "--data", "{data}", "--vocab", "{bad}", "--out", "{out}"], EXIT_DATA, "{bad}: not UTF-8 text"),
         ],
-        ids=["stats-corpus", "stats-public-corpus", "train-corpus", "eval-corpus", "relations", "config"],
+        ids=["stats-corpus", "stats-public-corpus", "train-corpus", "eval-corpus", "relations", "config", "vocab"],
     )
     def test_file_not_utf8_is_one_line_error_naming_it(
         self, capsys, request, synth_file, tmp_path, argv, exit_code, message
@@ -605,6 +620,30 @@ class TestTrainEval:
         assert stderr.startswith("error: " + message.format(bad=bad))
         assert stderr.count("\n") == 1
         assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["stats", "--data", "{missing}"], "no such file: {missing}"),
+            (["train", "--data", "{data}", "--relations", "{missing}", "--out", "{out}"],
+             "no such relations file: {missing}"),
+            (["train", "--data", "{data}", "--vocab", "{missing}", "--out", "{out}"], "no such vocab file: {missing}"),
+            (["eval", "--data", "{data}", "--checkpoint", "{checkpoint}", "--vocab", "{missing}"],
+             "no such vocab file: {missing}"),
+        ],
+        ids=["corpus", "relations", "train-vocab", "eval-vocab"],
+    )
+    def test_missing_file_is_one_line_data_error_naming_it(
+        self, capsys, request, synth_file, tmp_path, argv, message
+    ):
+        out = tmp_path / "m.npz"
+        paths = {"missing": tmp_path / "nope.json", "data": synth_file, "out": out}
+        if "{checkpoint}" in argv:
+            paths["checkpoint"] = request.getfixturevalue("checkpoint")
+        code, stdout, stderr = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert (code, stdout) == (EXIT_DATA, "")
+        assert stderr == f"error: {message.format(**paths)}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -907,7 +946,7 @@ class TestTag:
         calls = []
 
         def counting_encode(sentence, num_relations):
-            calls.append(sentence.sentence.id)
+            calls.append(sentence.id)
             return encode(sentence, num_relations)
 
         # wherever the command might look it up

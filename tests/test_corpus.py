@@ -10,10 +10,10 @@ from relgrid.corpus import (
     HTO,
     NORMAL,
     SEO,
-    AnnotatedSentence,
     CorpusError,
     RelationVocab,
     Sentence,
+    build_sentence,
     canonical_rows,
     classify_pattern,
     corpus_stats,
@@ -80,6 +80,21 @@ class TestTypes:
     def test_span_containment_enforced_at_construction(self):
         with pytest.raises(CorpusError, match=r"^here: sentence 's': span \(5, 12\) exceeds length 10$"):
             parse(10, ([0, 0], [5, 12]))
+
+    def test_build_sentence_truncates_then_checks_tokens_then_spans(self):
+        # an empty token and a span past the cut are cut away, not rejected
+        warnings = []
+        s = build_sentence("s", ["a", "b", "", "c"], [(0, 0, 0, 1, 1), (0, 0, 0, 3, 5)], 2, warnings)
+        assert s.tokens == ("a", "b") and s.triples.tolist() == [[0, 0, 0, 1, 1]]
+        assert warnings == ["sentence 's': triple (0..0, 0, 3..5) dropped by truncation to 2 tokens",
+                            "sentence 's': truncated to 2 tokens"]
+        with pytest.raises(ValueError, match=r"^sentence 's' contains an empty token$"):
+            build_sentence("s", ["a", ""], [(0, 0, 9, 1, 1)])
+        # the first bad span in the given order, not in row order, head before tail
+        with pytest.raises(ValueError, match=r"^sentence 's': span \(5, 6\) exceeds length 2$"):
+            build_sentence("s", ["a", "b"], [(0, 1, 1, 5, 6), (0, 0, 7, 1, 1)])
+        with pytest.raises(ValueError, match=r"^sentence 's': span \(0, 8\) exceeds length 2$"):
+            build_sentence("s", ["a", "b"], [(0, 0, 8, 0, 9)])
 
     def test_canonical_rows_are_distinct_sorted_and_read_only(self):
         rows = canonical_rows([(1, 2, 2, 0, 0), (0, 2, 2, 0, 0), (3, 0, 1, 5, 5), (1, 2, 2, 0, 0)])
@@ -222,8 +237,8 @@ class TestNativeFormat:
         assert vocab2.names == relations.names
         assert len(reloaded) == len(corpus)
         for a, b in zip(corpus, reloaded):
-            assert a.sentence.tokens == b.sentence.tokens
-            assert a.sentence.id == b.sentence.id
+            assert a.tokens == b.tokens
+            assert a.id == b.id
             assert np.array_equal(a.triples, b.triples)
 
     def test_truncation_drops_overflowing_triples(self, tmp_path):
@@ -238,7 +253,7 @@ class TestNativeFormat:
         path = tmp_path / "t.jsonl"
         path.write_text(json.dumps(record) + "\n")
         corpus, _, warnings = load_native(path, max_seq_len=8)
-        assert len(corpus[0].sentence) == 8
+        assert len(corpus[0]) == 8
         assert len(corpus[0].triples) == 1
         assert any("dropped by truncation" in w for w in warnings)
 
@@ -270,12 +285,12 @@ def save_public(corpus, relations, path):
 
     lines = []
     for s in corpus:
-        tokens = s.sentence.tokens
+        tokens = s.tokens
         triple_list = [
             [words(tokens, hb, he), relations.names[k], words(tokens, tb, te)]
             for k, hb, he, tb, te in s.triples.tolist()
         ]
-        lines.append(json.dumps({"id": s.sentence.id, "text": " ".join(tokens), "triple_list": triple_list}))
+        lines.append(json.dumps({"id": s.id, "text": " ".join(tokens), "triple_list": triple_list}))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -306,7 +321,7 @@ class TestPublicFormat:
         moved, expected, earlier = [], [], 0
         for s in corpus:
             _, first_begin, first_end, _, _ = s.triples[0].tolist()  # rows sort by head first
-            tokens = s.sentence.tokens[first_begin : first_end + 1] + s.sentence.tokens
+            tokens = s.tokens[first_begin : first_end + 1] + s.tokens
             offset = first_end - first_begin + 1
 
             def leftmost(begin, end):
@@ -317,9 +332,8 @@ class TestPublicFormat:
             triples = [(k, *(v + offset for v in ends)) for k, *ends in s.triples.tolist()]
             resolved = [(k, *leftmost(hb, he), *leftmost(tb, te)) for k, hb, he, tb, te in triples]
             earlier += sum(t != r for t, r in zip(triples, resolved))
-            sentence = Sentence(tokens=tokens, id=s.sentence.id)
-            moved.append(AnnotatedSentence(sentence, canonical_rows(triples)))
-            expected.append(AnnotatedSentence(sentence, canonical_rows(resolved)))
+            moved.append(build_sentence(s.id, tokens, triples))
+            expected.append(build_sentence(s.id, tokens, resolved))
         path = tmp_path / "public.jsonl"
         save_public(moved, relations, path)
         loaded, warnings = load_public(path, relations)
@@ -342,6 +356,29 @@ class TestPublicFormat:
         corpus, warnings = load_public(path, self.vocab())
         assert len(corpus[0].triples) == 1
         assert len(warnings) == 1 and "zz" in warnings[0]
+
+    def test_truncation_cuts_and_warns_as_the_native_loader_does(self, tmp_path):
+        tokens = [f"w{i}" for i in range(12)]
+        public, native = tmp_path / "p.jsonl", tmp_path / "n.jsonl"
+        public.write_text(json.dumps({
+            "id": "long", "text": " ".join(tokens),
+            "triple_list": [["w0 w1", "r0", "w3 w4"], ["w0 w1", "r1", "w9 w10 w11"]],
+        }) + "\n")
+        native.write_text(json.dumps({
+            "id": "long", "tokens": tokens,
+            "triples": [{"head": [0, 1], "relation": "r0", "tail": [3, 4]},
+                        {"head": [0, 1], "relation": "r1", "tail": [9, 11]}],
+        }) + "\n")
+        corpus, warnings = load_public(public, self.vocab(), max_seq_len=8)
+        assert corpus[0].tokens == tuple(tokens[:8])
+        assert corpus[0].triples.tolist() == [list(triple((0, 1), 0, (3, 4)))]
+        assert warnings == [
+            "sentence 'long': triple (0..1, 1, 9..11) dropped by truncation to 8 tokens",
+            "sentence 'long': truncated to 8 tokens",
+        ]
+        native_corpus, _, native_warnings = load_native(native, self.vocab(), max_seq_len=8)
+        assert native_warnings == warnings
+        assert corpus_items(native_corpus) == corpus_items(corpus)
 
     def test_unknown_relation_is_error(self, tmp_path):
         path = tmp_path / "p.jsonl"

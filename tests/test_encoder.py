@@ -11,11 +11,9 @@ def corpus_of(*texts):
 
 
 def make_sentence_from(text, i):
-    from relgrid.corpus import AnnotatedSentence, Sentence, canonical_rows
+    from relgrid.corpus import build_sentence
 
-    return AnnotatedSentence(
-        sentence=Sentence(tokens=tuple(text.split()), id=str(i)), triples=canonical_rows([])
-    )
+    return build_sentence(str(i), text.split(), [])
 
 
 class TestBuildVocab:

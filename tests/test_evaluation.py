@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from relgrid.cli import main
 from relgrid.corpus import (
-    AnnotatedSentence,
     PatternLabel,
     RelationVocab,
-    Sentence,
-    canonical_rows,
+    build_sentence,
     classify_pattern,
     save_native,
 )
@@ -417,8 +415,7 @@ class TestArrayCore:
             gold = {triple(span(), big + int(rng.integers(0, 3)), span()) for _ in range(i % 4 + 1)}
             pred = {t for t in gold if rng.random() < 0.6}
             pred |= {triple(span(), big + int(rng.integers(0, 3)), span()) for _ in range(3)}
-            sentence = Sentence(tokens=tokens, id=str(i))
-            corpus.append(AnnotatedSentence(sentence=sentence, triples=canonical_rows(gold)))
+            corpus.append(build_sentence(str(i), tokens, list(gold)))
             predictions.append(frozenset(pred))
         assert (big + 1) ** 5 > 2**62
         assert_matches_reference(corpus, predictions)
@@ -435,7 +432,7 @@ class TestArrayCore:
         capsys.readouterr()
         assert code == 0
 
-        predictions = [as_triples(predict(s.sentence, model)) for s in corpus]
+        predictions = [as_triples(predict(s, model)) for s in corpus]
         # near random: thousands of predicted triples against a handful of gold
         assert sum(map(len, predictions)) > 1000
         expected = "\n".join(reference_breakdown(corpus, predictions, m).to_kv() for m in MATCH_MODES)

@@ -1,6 +1,7 @@
 """Every module of the package and of the tests reads each name it imports,
-only `corpus.write_file` writes a file in the package, and `train` sets
-every field of `TrainConfig`."""
+only `corpus.write_file` writes a file in the package, only
+`corpus.build_sentence` makes a `Sentence` there, and `train` sets every
+field of `TrainConfig`."""
 
 import ast
 import re
@@ -89,6 +90,35 @@ def test_finds_a_direct_write():
 @pytest.mark.parametrize("path", PACKAGE, ids=[p.name for p in PACKAGE])
 def test_only_write_file_writes(path):
     assert direct_writes(path.read_text(encoding="utf-8")) == []
+
+
+def sentence_calls(source: str, builder: str | None) -> list[str]:
+    """Calls of `Sentence`, by that name or as an attribute, outside a
+    function named `builder`."""
+    tree = ast.parse(source)
+    inside = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+              and fn.name == builder for node in ast.walk(fn)}
+    found = [
+        (node.lineno, ast.unparse(node.func)) for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and id(node) not in inside
+        and ast.unparse(node.func).rsplit(".", 1)[-1] == "Sentence"
+    ]
+    return [f"line {lineno}: {call}" for lineno, call in sorted(found)]
+
+
+def test_finds_a_direct_sentence_call():
+    source = (
+        "def build_sentence(t):\n    return Sentence(t)\n"
+        "def other(t):\n    corpus.Sentence(t)\n    make(Sentence)\n    return Sentence(tokens=t, id='x')\n"
+    )
+    assert sentence_calls(source, "build_sentence") == ["line 4: corpus.Sentence", "line 6: Sentence"]
+    assert sentence_calls(source, None) == ["line 2: Sentence", "line 4: corpus.Sentence", "line 6: Sentence"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[p.name for p in PACKAGE])
+def test_only_build_sentence_makes_a_sentence(path):
+    builder = "build_sentence" if path.name == "corpus.py" else None
+    assert sentence_calls(path.read_text(encoding="utf-8"), builder) == []
 
 
 def test_train_sets_every_train_config_field():

@@ -48,7 +48,7 @@ class TestGenerateCorpus:
     def test_each_sentence_classifies_as_its_id_pattern(self, small_synth):
         corpus, _, _ = small_synth
         for s in corpus:
-            intended = s.sentence.id.rsplit("-", 1)[1]
+            intended = s.id.rsplit("-", 1)[1]
             assert classify_pattern(s).flags == {intended}
 
     def test_every_sentence_roundtrips_exactly(self, small_synth):
@@ -61,7 +61,7 @@ class TestGenerateCorpus:
         corpus, _, _ = small_synth
         for s in corpus:
             assert len(s.triples) >= 1
-            assert 6 <= len(s.sentence) <= 14
+            assert 6 <= len(s) <= 14
 
     def test_fixed_seed_gives_identical_bytes(self, tmp_path):
         config = SynthConfig(sentences=30, num_relations=3, seed=17)
@@ -76,7 +76,7 @@ class TestGenerateCorpus:
     def test_different_seeds_differ(self):
         c1, _, _ = generate_corpus(SynthConfig(sentences=5, seed=1))
         c2, _, _ = generate_corpus(SynthConfig(sentences=5, seed=2))
-        assert [s.sentence.tokens for s in c1] != [s.sentence.tokens for s in c2]
+        assert [s.tokens for s in c1] != [s.tokens for s in c2]
 
     def test_epo_with_one_relation_is_infeasible(self):
         config = SynthConfig(sentences=4, num_relations=1, mix={"epo": 1.0})

@@ -310,7 +310,7 @@ class TestRoundtrip:
         for s in corpus:
             result = roundtrip_check(s, 6)
             assert result.collisions == ()
-            assert result.exact, (s.sentence.id, result)
+            assert result.exact, (s.id, result)
 
     def test_lossy_case_reports_diff(self):
         # two triples colliding on the anchor cell destroy one of them

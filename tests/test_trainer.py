@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relgrid import trainer
-from relgrid.corpus import RelationVocab, Sentence
+from relgrid.corpus import RelationVocab
 from relgrid.encoder import build_vocab, encode_indices
 from relgrid.synthetic import SynthConfig, generate_corpus
 from relgrid.tagging import encode
@@ -29,7 +29,7 @@ from test_scorer import concat_reference, pad_cells, same_bytes, scorer_grads, t
 def encoded(corpus, vocab, num_relations):
     """(token indices, int8 gold grid) per sentence, as train builds them;
     in the given order, one batch as train_step takes it."""
-    return [(vocab.indices(s.sentence.tokens), encode(s, num_relations)[0]) for s in corpus]
+    return [(vocab.indices(s.tokens), encode(s, num_relations)[0]) for s in corpus]
 
 
 def by_group(model, flat):
@@ -112,12 +112,12 @@ class TestBatches:
         calls = []
 
         def counting_encode(sentence, num_relations):
-            calls.append(sentence.sentence.id)
+            calls.append(sentence.id)
             return encode(sentence, num_relations)
 
         monkeypatch.setattr(trainer, "encode", counting_encode)
         train(corpus, relations, TrainConfig(epochs=3, batch_size=4, seed=1))
-        assert sorted(calls) == sorted(s.sentence.id for s in corpus)
+        assert sorted(calls) == sorted(s.id for s in corpus)
 
 
 class TestTrainStep:
@@ -147,7 +147,7 @@ class TestTrainStep:
     def test_dropout_ignores_batch_companions(self, tiny_synth):
         corpus, relations = tiny_synth
         s, t = corpus[3], corpus[0]
-        assert len(t.sentence) > len(s.sentence)
+        assert len(t) > len(s)
         vocab = build_vocab(corpus)
         config = TrainConfig(seed=4, dropout_rate=0.3, batch_size=2)
         model = init_model(relations, vocab, config)
@@ -354,9 +354,9 @@ class TestTraining:
         num_rel = len(relations)
         for s in corpus[:4]:
             gold, _ = encode(s, num_rel)
-            n = len(s.sentence)
+            n = len(s)
             ids = np.zeros(n + 9, dtype=np.int64)
-            ids[:n] = vocab.indices(s.sentence.tokens)
+            ids[:n] = vocab.indices(s.tokens)
             emb = encode_indices(ids[:n], *embedding_tables(model))
             true_length = scorer_grads(emb, gold, model.arrays)["loss"]
             for pad in (n + 1, n + 9):
@@ -479,21 +479,20 @@ class TestPredict:
     def test_zero_params_predict_empty(self):
         relations = RelationVocab(names=("r0", "r1"))
         model = self.zero_model(relations)
-        s = Sentence(tokens=("a", "b", "c"))
-        rows = predict(s, model)
+        rows = predict(make_sentence(3, []), model)
         assert rows.shape == (0, 5) and rows.dtype == np.int64
 
     def test_deterministic_across_calls(self, tiny_synth):
         corpus, relations = tiny_synth
         model, _ = train(corpus, relations, TrainConfig(epochs=1, seed=3))
-        s = corpus[0].sentence
+        s = corpus[0]
         np.testing.assert_array_equal(predict(s, model), predict(s, model))
 
     def test_long_sentence_truncated_with_warning(self, caplog):
         relations = RelationVocab(names=("r0",))
         model = self.zero_model(relations)
         model.config.max_seq_len = 5
-        long_sentence = Sentence(tokens=tuple(f"t{i}" for i in range(9)), id="long")
+        long_sentence = make_sentence(9, [], sid="long")
         with caplog.at_level("WARNING"):
             result = predict(long_sentence, model)
         assert result.shape == (0, 5)
@@ -515,7 +514,7 @@ class TestCheckpoint:
         assert loaded.relations.names == relations.names
         assert loaded.config == model.config
 
-        s = corpus[0].sentence
+        s = corpus[0]
         np.testing.assert_array_equal(predict(s, loaded), predict(s, model))
 
     def test_failed_overwrite_keeps_previous_checkpoint(
