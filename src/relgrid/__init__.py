@@ -9,7 +9,6 @@ micro-P/R/F1 evaluation harness with overlap-pattern breakdowns.
 
 from .corpus import (
     CorpusError,
-    PatternLabel,
     RelationVocab,
     Sentence,
     build_sentence,
@@ -18,6 +17,7 @@ from .corpus import (
     corpus_stats,
     load_native,
     load_public,
+    pattern_pools,
     save_native,
 )
 from .encoder import Vocab, build_vocab, encode_indices

@@ -18,6 +18,7 @@ import logging
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -278,9 +279,9 @@ def cmd_eval(cfg: RunConfig) -> int:
     elapsed = time.perf_counter() - started
 
     gold = stack_rows(s.triples for s in corpus)
-    labels = [classify_pattern(s) for s in corpus]
+    flags = [classify_pattern(s) for s in corpus]
     modes = [cfg.get("match")] if cfg.get("match") else list(MATCH_MODES)
-    reports = breakdown(predictions, gold, labels, modes)
+    reports = breakdown(predictions, gold, flags, modes)
     for report in reports:
         print(report.to_text())
     per_sentence = f"{1000.0 * elapsed / len(corpus):.2f}ms per sentence" if corpus else "no sentences"
@@ -399,7 +400,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](RunConfig(args, parser.subcommands[args.command]._actions))
+        with warnings.catch_warnings():
+            # a diverging run ends in one NumericError line, not NumPy's overflow warnings first;
+            # filters are process-wide, so this covers the scorer's pool threads too
+            warnings.filterwarnings("ignore", category=RuntimeWarning, module=r"relgrid\.")
+            return COMMANDS[args.command](RunConfig(args, parser.subcommands[args.command]._actions))
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

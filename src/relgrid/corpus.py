@@ -1,4 +1,4 @@
-"""Corpus data model: sentences, triple rows, loaders, overlap statistics and the file writer.
+"""Corpus data model: sentences, triple rows, loaders, overlap pools and the file writer.
 
 A loaded sentence is one record, `Sentence`: its tokens, its gold triples and
 its id. The triples are one read-only (n, 5) int64 array of distinct rows
@@ -7,6 +7,11 @@ hb..he of the head and tb..te of the tail, sorted by (hb, he, k, tb, te).
 Every sentence source (both loaders, `tag` and the synthetic generator) makes
 its sentences through `build_sentence`, so truncation and every check are
 the same whichever way a sentence comes in.
+
+`classify_pattern` gives a sentence's overlap flags (normal/epo/seo/hto).
+`pattern_pools` is the one place sentences are grouped by flag and by
+triple-count bucket (1..4, 5+): `corpus_stats` and `evaluation.breakdown`
+both sum their per-sentence counts through it.
 
 Two on-disk formats are supported:
 
@@ -26,7 +31,6 @@ from __future__ import annotations
 
 import json
 import os
-from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
@@ -128,20 +132,8 @@ def build_sentence(
     return sentence
 
 
-@dataclass(frozen=True)
-class PatternLabel:
-    """Overlap flags plus triple-count bucket.
-
-    `bucket` is None exactly when the sentence carries no triples (the
-    explicit no-triples marker); in that case `flags` is empty too.
-    """
-
-    flags: frozenset[str]
-    bucket: str | None
-
-
-def classify_pattern(s: Sentence) -> PatternLabel:
-    """Assign overlap flags (normal/epo/seo/hto) and a triple-count bucket.
+def classify_pattern(s: Sentence) -> frozenset[str]:
+    """The sentence's overlap flags (normal/epo/seo/hto); empty when it has no triples.
 
     epo: some pair of triples has the same unordered entity-span pair.
     seo: some pair of triples shares exactly one entity span.
@@ -149,9 +141,6 @@ def classify_pattern(s: Sentence) -> PatternLabel:
     normal: at least one triple and none of the above.
     """
     pairs = [((hb, he), (tb, te)) for _, hb, he, tb, te in s.triples.tolist()]
-    if not pairs:
-        return PatternLabel(flags=frozenset(), bucket=None)
-
     flags = set()
     if any(he >= tb and te >= hb for (hb, he), (tb, te) in pairs):
         flags.add(HTO)
@@ -161,11 +150,30 @@ def classify_pattern(s: Sentence) -> PatternLabel:
                 flags.add(EPO)
             elif head in other or tail in other:
                 flags.add(SEO)
-    if not flags:
+    if pairs and not flags:
         flags.add(NORMAL)
+    return frozenset(flags)
 
-    bucket = BUCKETS[min(len(pairs), 5) - 1]
-    return PatternLabel(flags=frozenset(flags), bucket=bucket)
+
+def pattern_pools(
+    flags: list[frozenset[str]], triples: np.ndarray, values: np.ndarray
+) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
+    """Column sums of `values`, an (n, c) int64 array of per-sentence counts,
+    over the sentences of each overlap flag and of each triple-count bucket,
+    given each sentence's classify_pattern flags and gold triple count.
+
+    Returns (per flag, per bucket), each naming only the pools at least one
+    sentence joins, in PATTERN_FLAGS and BUCKETS order, with Python int sums.
+    Flags are non-exclusive; a sentence without triples joins no bucket.
+    """
+    count = np.minimum(triples, len(BUCKETS))
+    member = np.array(
+        [[flag in f for f in flags] for flag in PATTERN_FLAGS] + [count == n for n in range(1, len(BUCKETS) + 1)],
+        dtype=bool,
+    )
+    sums = (member.astype(np.int64) @ values).tolist()
+    pools = {name: total for name, total, joined in zip(PATTERN_FLAGS + BUCKETS, sums, member.any(axis=1)) if joined}
+    return {f: pools[f] for f in PATTERN_FLAGS if f in pools}, {b: pools[b] for b in BUCKETS if b in pools}
 
 
 @dataclass
@@ -198,25 +206,16 @@ def corpus_stats(corpus: list[Sentence]) -> CorpusStats:
     """
     if not corpus:
         raise CorpusError("empty corpus")
-    pattern_counts: Counter = Counter()
-    bucket_counts: Counter = Counter()
-    no_triples = 0
-    total_triples = 0
-    for s in corpus:
-        label = classify_pattern(s)
-        total_triples += len(s.triples)
-        if label.bucket is None:
-            no_triples += 1
-            continue
-        for flag in label.flags:
-            pattern_counts[flag] += 1
-        bucket_counts[label.bucket] += 1
+    triples = np.array([len(s.triples) for s in corpus])
+    per_flag, per_bucket = pattern_pools(
+        [classify_pattern(s) for s in corpus], triples, np.ones((len(corpus), 1), dtype=np.int64)
+    )
     return CorpusStats(
         sentences=len(corpus),
-        triples=total_triples,
-        pattern_counts=dict(pattern_counts),
-        bucket_counts=dict(bucket_counts),
-        no_triple_sentences=no_triples,
+        triples=int(triples.sum()),
+        pattern_counts={flag: n for flag, (n,) in per_flag.items()},
+        bucket_counts={bucket: n for bucket, (n,) in per_bucket.items()},
+        no_triple_sentences=int(np.count_nonzero(triples == 0)),
     )
 
 

@@ -13,7 +13,8 @@ at a time, into one exact int64: partial (s, k, he, te), exact all six, the
 entity pair either without k, the relation (s, k). A one-to-one count looks
 each predicted key up among the sorted distinct gold keys, so no predicted
 triple key is sorted; only the sub-task keys are, to count the distinct
-predicted keys by an adjacent compare.
+predicted keys by an adjacent compare. The per-sentence counts are summed
+per overlap pattern and per triple-count bucket by corpus.pattern_pools.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .corpus import BUCKETS, PATTERN_FLAGS, PatternLabel, RelationVocab, write_lines
+from .corpus import BUCKETS, PATTERN_FLAGS, RelationVocab, pattern_pools, write_lines
 from .tagging import NUM_TAGS, Tag, TAG_NAMES
 
 PARTIAL = "partial"
@@ -110,11 +111,6 @@ class PooledCounts:
     predicted: int = 0
     gold: int = 0
 
-    def add(self, correct: int, predicted: int, gold: int) -> None:
-        self.correct += correct
-        self.predicted += predicted
-        self.gold += gold
-
     def prf(self) -> tuple[float, float, float]:
         return micro_prf(self.correct, self.predicted, self.gold)
 
@@ -171,19 +167,21 @@ class MetricsReport:
 
 
 def breakdown(
-    pred: np.ndarray, gold: np.ndarray, labels: list[PatternLabel], match_modes: Iterable[str]
+    pred: np.ndarray, gold: np.ndarray, flags: list[frozenset[str]], match_modes: Iterable[str]
 ) -> list[MetricsReport]:
     """One report per match mode: overall metrics plus per-pattern, per-bucket
     and sub-task scores, from stacked predicted and gold rows (see stack_rows)
-    and each sentence's classify_pattern label.
+    and each sentence's classify_pattern flags.
 
-    Pattern pools are non-exclusive: a sentence carrying several flags
-    contributes its counts to each. Buckets follow the gold triple count.
+    The per-sentence (correct, predicted, gold) counts are pooled through
+    corpus.pattern_pools: pattern pools are non-exclusive, so a sentence
+    carrying several flags contributes its counts to each, and buckets follow
+    the gold triple count, so a sentence without gold triples joins none.
     The entity-pair and relation sub-tasks project each sentence's triples
     to distinct (head, tail) pairs, at the match mode's granularity, or to
     distinct relations, and pool those corpus-wide.
     """
-    sentences = len(labels)
+    sentences = len(flags)
     predicted, gold_count = (np.bincount(rows[:, _S], minlength=sentences) for rows in (pred, gold))
     last = max(len(predicted), len(gold_count)) - 1
     if last >= sentences:
@@ -191,16 +189,9 @@ def breakdown(
     relation = _distinct(pred, gold, (_S, _K)).prf()  # the same in every match mode
     reports = []
     for match_mode in match_modes:
-        correct = _correct(pred, gold, match_mode, sentences)
-        overall = PooledCounts()
-        pattern_pools: dict[str, PooledCounts] = {}
-        bucket_pools: dict[str, PooledCounts] = {}
-        for label, *counts in zip(labels, correct.tolist(), predicted.tolist(), gold_count.tolist()):
-            overall.add(*counts)
-            for flag in label.flags:
-                pattern_pools.setdefault(flag, PooledCounts()).add(*counts)
-            if label.bucket is not None:
-                bucket_pools.setdefault(label.bucket, PooledCounts()).add(*counts)
+        counts = np.column_stack([_correct(pred, gold, match_mode, sentences), predicted, gold_count])
+        per_flag, per_bucket = pattern_pools(flags, gold_count, counts)
+        overall = PooledCounts(*counts.sum(axis=0).tolist())
         precision, recall, f1 = overall.prf()
         reports.append(MetricsReport(
             match_mode=match_mode,
@@ -208,8 +199,8 @@ def breakdown(
             recall=recall,
             f1=f1,
             counts=overall,
-            per_pattern={flag: pool.prf() for flag, pool in pattern_pools.items()},
-            per_bucket={bucket: pool.prf() for bucket, pool in bucket_pools.items()},
+            per_pattern={flag: micro_prf(*pool) for flag, pool in per_flag.items()},
+            per_bucket={bucket: micro_prf(*pool) for bucket, pool in per_bucket.items()},
             entity_pair=_distinct(pred, gold, _MATCH_COLUMNS[match_mode][1]).prf(),
             relation=relation,
         ))

@@ -11,6 +11,7 @@ in the returned bookkeeping counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,6 +90,8 @@ def pattern_counts(config: SynthConfig) -> dict[str, int]:
     if any(v < 0 for v in mix.values()) or sum(mix.values()) <= 0:
         raise GenerationError("mix proportions must be non-negative and sum > 0")
     total = sum(mix.values())
+    if not math.isfinite(config.sentences * total):
+        raise GenerationError("mix proportions times the sentence count must be finite")
     shares = {p: config.sentences * v / total for p, v in mix.items() if v > 0}
     counts = {p: int(share) for p, share in shares.items()}
     remainder = config.sentences - sum(counts.values())
@@ -224,7 +227,7 @@ def generate_sentence(
         word_ids = rng.choice(config.lexicon_size, size=length, replace=False)
         tokens = tuple(f"w{int(i):04d}" for i in word_ids)
         candidate = build_sentence(sentence_id, tokens, triples)
-        if classify_pattern(candidate).flags != frozenset({pattern}):
+        if classify_pattern(candidate) != {pattern}:
             continue
         result = roundtrip_check(candidate, config.num_relations)
         if result.exact and not result.collisions:

@@ -294,19 +294,11 @@ def train(
 
 
 def predict(sentence: Sentence, model: Model) -> np.ndarray:
-    """decode(tag_grid(embeddings)), dropout off, at most max_seq_len tokens:
-    the predicted triples as (n, 5) int64 rows (k, hb, he, tb, te)."""
-    tokens = sentence.tokens
-    if len(tokens) > model.config.max_seq_len:
-        logger.warning(
-            "sentence %r truncated from %d to %d tokens",
-            sentence.id,
-            len(tokens),
-            model.config.max_seq_len,
-        )
-        tokens = tokens[: model.config.max_seq_len]
+    """decode(tag_grid(embeddings)), dropout off: the predicted triples as
+    (n, 5) int64 rows (k, hb, he, tb, te). A sentence longer than the
+    positional table (max_seq_len) is a ValueError; build_sentence cuts one."""
     emb = encode_indices(
-        model.vocab.indices(tokens), model.arrays["token_table"], model.arrays["positional_table"]
+        model.vocab.indices(sentence.tokens), model.arrays["token_table"], model.arrays["positional_table"]
     )
     return decode(tag_grid(emb, model.arrays))
 

@@ -77,7 +77,7 @@ def test_criterion_1_codec_roundtrip_at_scale(report):
 
     flags = set()
     for s in sentences:
-        flags |= classify_pattern(s).flags
+        flags |= classify_pattern(s)
 
     started = time.perf_counter()
     exact = 0
@@ -212,11 +212,11 @@ def test_criterion_5_overfit_to_perfect_exact_f1(report, tmp_path, capsys):
     reached: list[int] = []
 
     gold = stack_rows(s.triples for s in corpus)
-    labels = [classify_pattern(s) for s in corpus]
+    flags = [classify_pattern(s) for s in corpus]
 
     def exact_f1(model):
         predictions = stack_rows(predict(s, model) for s in corpus)
-        return breakdown(predictions, gold, labels, [EXACT])[0].f1
+        return breakdown(predictions, gold, flags, [EXACT])[0].f1
 
     def stop_when_fit(epoch, model, mean_loss):
         if epoch % 5:

@@ -148,6 +148,26 @@ class TestSynth:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--count", "4", "--mix", "normal=nan"], {}),
+            (["--count", "4", "--mix", "normal=inf,epo=1"], {}),
+            (["--count", "4"], {"mix": {"normal": 1e999}}),
+            (["--count", "10", "--mix", "normal=1e308"], {}),
+        ],
+        ids=["nan", "inf", "config-1e999", "overflow"],
+    )
+    def test_non_finite_mix_is_one_line_data_error(self, capsys, tmp_path, flags, config):
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps(config))  # 1e999 is written as Infinity
+        out = tmp_path / "z.jsonl"
+        code, stdout, stderr = run(capsys, "synth", "--out", str(out), "--config", str(path), *flags)
+        assert code == EXIT_DATA
+        assert stderr == "error: mix proportions times the sentence count must be finite\n"
+        assert stdout == ""
+        assert not out.exists()
+
     def test_empty_config_mix_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "synth.json"
         path.write_text(json.dumps({"mix": {}}))
@@ -1069,6 +1089,19 @@ class TestUsage:
         code, _, stderr = run(capsys, "train", "--data", str(synth_file), "--epochs", "1")
         assert code == EXIT_NUMERIC
         assert "pair_proj" in stderr
+
+    def test_diverging_run_is_one_line_numeric_failure(self, capsys, tmp_path):
+        # sentences past one 16-row block, so the scorer's pool threads run too;
+        # NumPy's overflow warnings must not precede (or, as errors, replace) the one line
+        data, checkpoint = tmp_path / "long.jsonl", tmp_path / "m.npz"
+        code, _, _ = run(capsys, "synth", "--out", str(data), "--count", "3",
+                         "--min-len", "40", "--max-len", "60", "--seed", "2")
+        assert code == EXIT_OK
+        code, _, stderr = run(capsys, "train", "--data", str(data), "--out", str(checkpoint), "--lr", "1e300",
+                              "--epochs", "2", "--batch-size", "1", "--emb-dim", "8")
+        assert code == EXIT_NUMERIC
+        assert stderr == "numeric failure: non-finite gradient in parameter group 'pair_proj'\n"
+        assert not checkpoint.exists()
 
     def test_eval_can_export_relation_columns(self, capsys, synth_file, tmp_path):
         ck = tmp_path / "x.npz"

@@ -20,6 +20,7 @@ from relgrid.corpus import (
     load_native,
     load_public,
     native_sentence,
+    pattern_pools,
     resolve_entity,
     save_native,
 )
@@ -110,46 +111,45 @@ class TestTypes:
 
 class TestClassifyPattern:
     def test_epo_reversed_entity_pair(self, fig2_sentence):
-        label = classify_pattern(fig2_sentence["epo_pair"])
-        assert EPO in label.flags
-        assert label.flags == {EPO}
-        assert label.bucket == "2"
+        s = fig2_sentence["epo_pair"]
+        assert set(classify_pattern(s)) == {EPO}
+        assert corpus_stats([s]).bucket_counts == {"2": 1}
 
     def test_single_disjoint_triple_is_normal(self):
         s = make_sentence(6, [triple((0, 1), 0, (3, 4))])
         assert classify_pattern(s) == classify_pattern(s)
-        label = classify_pattern(s)
-        assert label.flags == {NORMAL}
-        assert label.bucket == "1"
+        assert set(classify_pattern(s)) == {NORMAL}
+        assert corpus_stats([s]).bucket_counts == {"1": 1}
 
     def test_nested_head_tail_is_hto(self):
         s = make_sentence(5, [triple((0, 2), 0, (0, 1))])
-        assert classify_pattern(s).flags == {HTO}
+        assert set(classify_pattern(s)) == {HTO}
 
     def test_identical_head_tail_is_hto(self):
         s = make_sentence(5, [triple((1, 2), 0, (1, 2))])
-        assert classify_pattern(s).flags == {HTO}
+        assert set(classify_pattern(s)) == {HTO}
 
     def test_same_pair_same_direction_is_epo(self):
         s = make_sentence(
             6, [triple((0, 1), 0, (3, 4)), triple((0, 1), 1, (3, 4))]
         )
-        assert classify_pattern(s).flags == {EPO}
+        assert set(classify_pattern(s)) == {EPO}
 
     def test_shared_single_entity_is_seo(self):
         s = make_sentence(
             8, [triple((0, 1), 0, (3, 4)), triple((0, 1), 0, (6, 7))]
         )
-        assert classify_pattern(s).flags == {SEO}
+        assert set(classify_pattern(s)) == {SEO}
 
     def test_no_triples_marker(self):
-        label = classify_pattern(make_sentence(4, []))
-        assert label.flags == frozenset()
-        assert label.bucket is None
+        s = make_sentence(4, [])
+        assert set(classify_pattern(s)) == set()
+        stats = corpus_stats([s])
+        assert (stats.bucket_counts, stats.no_triple_sentences) == ({}, 1)
 
     def test_bucket_caps_at_five_plus(self):
         triples = [triple((i, i), 0, (i + 6, i + 6)) for i in range(6)]
-        assert classify_pattern(make_sentence(12, triples)).bucket == "5+"
+        assert corpus_stats([make_sentence(12, triples)]).bucket_counts == {"5+": 1}
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -165,7 +165,7 @@ class TestClassifyPattern:
             rel = data.draw(st.integers(0, 2))
             triples.add(triple((b1, e1), rel, (b2, e2)))
         s = make_sentence(length, triples)
-        assert classify_pattern(s).flags == brute_force_flags(triples)
+        assert set(classify_pattern(s)) == brute_force_flags(triples)
 
     def test_invariant_under_triple_reordering(self):
         rng = np.random.default_rng(0)
@@ -176,6 +176,21 @@ class TestClassifyPattern:
             expected = classify_pattern(s)
             rotated = list(triples)[::-1]
             assert classify_pattern(make_sentence(10, rotated)) == expected
+
+
+class TestPatternPools:
+    def test_sums_each_flag_and_bucket_a_sentence_joins(self):
+        flags = [frozenset({EPO, SEO}), frozenset(), frozenset({NORMAL}), frozenset({HTO})]
+        triples = np.array([3, 0, 7, 1])
+        values = np.array([[1, 10], [2, 20], [4, 40], [8, 80]], dtype=np.int64)
+        per_flag, per_bucket = pattern_pools(flags, triples, values)
+        # the two-flag sentence joins both pools; the one without triples joins none
+        assert list(per_flag.items()) == [(NORMAL, [4, 40]), (EPO, [1, 10]), (SEO, [1, 10]), (HTO, [8, 80])]
+        assert list(per_bucket.items()) == [("1", [8, 80]), ("3", [1, 10]), ("5+", [4, 40])]
+        assert {type(n) for pool in (per_flag, per_bucket) for sums in pool.values() for n in sums} == {int}
+
+    def test_no_sentences_no_pools(self):
+        assert pattern_pools([], np.array([], dtype=np.int64), np.zeros((0, 3), dtype=np.int64)) == ({}, {})
 
 
 class TestNativeFormat:

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from relgrid.cli import main
 from relgrid.corpus import (
-    PatternLabel,
     RelationVocab,
     build_sentence,
     classify_pattern,
+    corpus_stats,
     save_native,
 )
 from relgrid.encoder import build_vocab
@@ -50,7 +50,7 @@ def correct_count(pred, gold, match_mode):
     gold triples. Partial: relation and both end tokens agree; exact:
     relation and both full spans agree."""
     rows = [stack_rows([rows_of(triples)]) for triples in (pred, gold)]
-    return breakdown(*rows, [PatternLabel(frozenset(), None)], [match_mode])[0].counts.correct
+    return breakdown(*rows, [frozenset()], [match_mode])[0].counts.correct
 
 
 # --- reference: per-triple counters over row tuples (k, hb, he, tb, te) ----
@@ -77,27 +77,31 @@ def reference_correct_count(pred, gold, match_mode):
     return sum((gold_counts & matched).values())
 
 
+def add(pools, name, counts):
+    """Add one sentence's (correct, predicted, gold) to the pool `name`, started at zero."""
+    pools[name] = [a + b for a, b in zip(pools.get(name, (0, 0, 0)), counts)]
+
+
 def reference_subtask_metrics(corpus, predictions, match_mode):
-    pair_pool, rel_pool = PooledCounts(), PooledCounts()
+    pools = {}
     for s, pred in zip(corpus, predictions):
-        for key, pool in ((REFERENCE_PAIR_KEYS[match_mode], pair_pool), (itemgetter(0), rel_pool)):
+        for name, key in (("pair", REFERENCE_PAIR_KEYS[match_mode]), ("relation", itemgetter(0))):
             pred_keys = set(map(key, pred))
             gold_keys = set(map(key, gold_of(s)))
-            pool.add(len(pred_keys & gold_keys), len(pred_keys), len(gold_keys))
-    return pair_pool.prf(), rel_pool.prf()
+            add(pools, name, (len(pred_keys & gold_keys), len(pred_keys), len(gold_keys)))
+    return tuple(micro_prf(*pools.get(name, (0, 0, 0))) for name in ("pair", "relation"))
 
 
 def reference_breakdown(corpus, predictions, match_mode):
-    overall = PooledCounts()
-    pattern_pools, bucket_pools = {}, {}
+    pools, pattern_pools, bucket_pools = {}, {}, {}
     for s, pred in zip(corpus, predictions):
         counts = (reference_correct_count(pred, gold_of(s), match_mode), len(pred), len(s.triples))
-        overall.add(*counts)
-        label = classify_pattern(s)
-        for flag in label.flags:
-            pattern_pools.setdefault(flag, PooledCounts()).add(*counts)
-        if label.bucket is not None:
-            bucket_pools.setdefault(label.bucket, PooledCounts()).add(*counts)
+        add(pools, "overall", counts)
+        for flag in classify_pattern(s):
+            add(pattern_pools, flag, counts)
+        if len(s.triples):
+            add(bucket_pools, str(len(s.triples)) if len(s.triples) < 5 else "5+", counts)
+    overall = PooledCounts(*pools.get("overall", (0, 0, 0)))
     precision, recall, f1 = overall.prf()
     entity_pair, relation = reference_subtask_metrics(corpus, predictions, match_mode)
     return MetricsReport(
@@ -106,8 +110,8 @@ def reference_breakdown(corpus, predictions, match_mode):
         recall=recall,
         f1=f1,
         counts=overall,
-        per_pattern={flag: pool.prf() for flag, pool in pattern_pools.items()},
-        per_bucket={bucket: pool.prf() for bucket, pool in bucket_pools.items()},
+        per_pattern={flag: micro_prf(*pool) for flag, pool in pattern_pools.items()},
+        per_bucket={bucket: micro_prf(*pool) for bucket, pool in bucket_pools.items()},
         entity_pair=entity_pair,
         relation=relation,
     )
@@ -123,6 +127,10 @@ def assert_matches_reference(corpus, predictions):
         )
         assert report == reference_breakdown(corpus, predictions, mode)
         assert report.to_kv() == reference_breakdown(corpus, predictions, mode).to_kv()
+        if corpus:  # both group the corpus into the same pools
+            stats = corpus_stats(corpus)
+            assert stats.pattern_counts.keys() == report.per_pattern.keys()
+            assert stats.bucket_counts.keys() == report.per_bucket.keys()
 
 
 @st.composite
@@ -465,10 +473,10 @@ class TestCountingCore:
         rows = stack_rows(s.triples for s in corpus)
         other = stack_rows(s.triples for s in corpus[:2])
         pred, gold = (rows, other) if side == "pred" else (other, rows)
-        labels = [classify_pattern(s) for s in corpus]
+        flags = [classify_pattern(s) for s in corpus]
         with pytest.raises(ValueError, match="sentence index 2 but only 2 pattern labels"):
-            breakdown(pred, gold, labels[:2], MATCH_MODES)
-        report = breakdown(pred, gold, labels, [EXACT])[0]
+            breakdown(pred, gold, flags[:2], MATCH_MODES)
+        report = breakdown(pred, gold, flags, [EXACT])[0]
         assert report.counts == (PooledCounts(2, 3, 2) if side == "pred" else PooledCounts(2, 2, 3))
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relgrid import trainer
-from relgrid.corpus import RelationVocab
+from relgrid.corpus import RelationVocab, build_sentence
 from relgrid.encoder import build_vocab, encode_indices
 from relgrid.synthetic import SynthConfig, generate_corpus
 from relgrid.tagging import encode
@@ -467,10 +467,10 @@ class TestFlatWeights:
 
 
 class TestPredict:
-    def zero_model(self, relations):
+    def zero_model(self, relations, **config):
         corpus = [make_sentence(3, [], sid="z")]
         vocab = build_vocab(corpus)
-        config = TrainConfig(seed=0, emb_dim=4)
+        config = TrainConfig(seed=0, emb_dim=4, **config)
         model = init_model(relations, vocab, config)
         for name in ("pair_proj", "pair_bias", "rel_tag_emb"):
             model.arrays[name][:] = 0.0
@@ -488,15 +488,17 @@ class TestPredict:
         s = corpus[0]
         np.testing.assert_array_equal(predict(s, model), predict(s, model))
 
-    def test_long_sentence_truncated_with_warning(self, caplog):
-        relations = RelationVocab(names=("r0",))
-        model = self.zero_model(relations)
-        model.config.max_seq_len = 5
+    def test_long_sentence_truncated_with_warning(self):
+        # predict cuts nothing: a sentence past the positional table is refused,
+        # and build_sentence is the one place it is cut, with its warning
+        model = self.zero_model(RelationVocab(names=("r0",)), max_seq_len=5)
         long_sentence = make_sentence(9, [], sid="long")
-        with caplog.at_level("WARNING"):
-            result = predict(long_sentence, model)
-        assert result.shape == (0, 5)
-        assert any("truncated" in rec.message for rec in caplog.records)
+        with pytest.raises(ValueError, match="sequence length 9 exceeds positional table 5"):
+            predict(long_sentence, model)
+        warnings = []
+        cut = build_sentence(long_sentence.id, long_sentence.tokens, [], max_seq_len=5, warnings=warnings)
+        assert predict(cut, model).shape == (0, 5)
+        assert warnings == ["sentence 'long': truncated to 5 tokens"]
 
 
 class TestCheckpoint:
