@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 A training option of the wrong type or out of range, from a flag or from
 the config file, is a usage error, and so is a config file that is not a
-JSON object or holds a key that is not an option of the subcommand or a
-value that flag would refuse. An unreadable or unwritable file is a data error.
+JSON object, names a key twice in any object, or holds a key that is not
+an option of the subcommand or a value that flag would refuse. An
+unreadable or unwritable file is a data error.
 Flag values override config-file values; every command logs its fully
 resolved configuration at startup, and train and synth their root seed.
 Set RELGRID_LOG_LEVEL (DEBUG/INFO/WARNING/...) to control verbosity.
@@ -145,8 +146,17 @@ class RunConfig:
             path = Path(args.config)
             if not path.exists():
                 raise CorpusError(f"no such config file: {path}")
+
+            def unique_keys(pairs: list) -> dict:
+                obj = {}
+                for key, value in pairs:
+                    if key in obj:
+                        raise ConfigError(f"config file {path} repeats the key {key!r}")
+                    obj[key] = value
+                return obj
+
             try:
-                self.file = json.loads(read_text(path, "config file"))
+                self.file = json.loads(read_text(path, "config file"), object_pairs_hook=unique_keys)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
             except CorpusError as exc:  # not UTF-8
@@ -348,9 +358,12 @@ def _parse_mix(raw: str) -> dict[str, float]:
             continue
         try:
             name, value = part.split("=")
-            mix[name.strip()] = float(value)
+            value = float(value)
         except ValueError as exc:
             raise CorpusError(f"bad mix entry {part!r}") from exc
+        if name.strip() in mix:
+            raise CorpusError(f"bad mix entry {part!r}: {name.strip()!r} is named twice")
+        mix[name.strip()] = value
     return mix
 
 

@@ -15,17 +15,20 @@ each predicted key up among the sorted distinct gold keys, so no predicted
 triple key is sorted; only the sub-task keys are, to count the distinct
 predicted keys by an adjacent compare. The per-sentence counts are summed
 per overlap pattern and per triple-count bucket by corpus.pattern_pools.
+
+A MetricsReport keeps every pool as its (correct, predicted, gold) int
+counts; P/R/F1 are derived from them by micro_prf only when it is printed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .corpus import BUCKETS, PATTERN_FLAGS, RelationVocab, pattern_pools, write_lines
+from .corpus import RelationVocab, pattern_pools, write_lines
 from .tagging import NUM_TAGS, Tag, TAG_NAMES
 
 PARTIAL = "partial"
@@ -77,14 +80,14 @@ def _shared(pred: np.ndarray, gold: np.ndarray, columns):
     return gold[first, _S], gold_counts, np.bincount(slot[hit], minlength=len(gold_keys))
 
 
-def _distinct(pred: np.ndarray, gold: np.ndarray, columns) -> PooledCounts:
+def _distinct(pred: np.ndarray, gold: np.ndarray, columns) -> tuple[int, int, int]:
     """Distinct-key counts of the chosen columns: shared, predicted, gold."""
     pred_keys, gold_keys = _keys(pred, gold, columns)
     pred_keys = np.sort(pred_keys)  # plain np.unique(keys) takes a slow hash path in NumPy 2.4
     gold_keys = np.unique(gold_keys, return_counts=True)[0]
     shared = np.append(pred_keys, -1).take(np.searchsorted(pred_keys, gold_keys)) == gold_keys
     predicted = np.count_nonzero(pred_keys[1:] != pred_keys[:-1]) + (len(pred_keys) > 0)
-    return PooledCounts(int(np.count_nonzero(shared)), int(predicted), len(gold_keys))
+    return int(np.count_nonzero(shared)), int(predicted), len(gold_keys)
 
 
 def _correct(pred: np.ndarray, gold: np.ndarray, match_mode: str, sentences: int) -> np.ndarray:
@@ -106,72 +109,59 @@ def micro_prf(correct: int, predicted: int, gold: int) -> tuple[float, float, fl
 
 
 @dataclass
-class PooledCounts:
-    correct: int = 0
-    predicted: int = 0
-    gold: int = 0
-
-    def prf(self) -> tuple[float, float, float]:
-        return micro_prf(self.correct, self.predicted, self.gold)
-
-
-@dataclass
 class MetricsReport:
+    """One match mode's pooled (correct, predicted, gold) counts: overall, per
+    overlap pattern, per triple-count bucket and per sub-task. P/R/F1 are
+    derived from them by micro_prf when the report is printed."""
+
     match_mode: str
-    precision: float
-    recall: float
-    f1: float
-    counts: PooledCounts
-    per_pattern: dict[str, tuple[float, float, float]] = field(default_factory=dict)
-    per_bucket: dict[str, tuple[float, float, float]] = field(default_factory=dict)
-    entity_pair: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    relation: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    counts: tuple[int, int, int]
+    per_pattern: dict[str, tuple[int, int, int]]
+    per_bucket: dict[str, tuple[int, int, int]]
+    entity_pair: tuple[int, int, int]
+    relation: tuple[int, int, int]
+
+    @property
+    def f1(self) -> float:
+        return micro_prf(*self.counts)[2]
+
+    def _pools(self) -> list[tuple[str, str, tuple[int, int, int]]]:
+        """(table label, key name, counts) of each pool after the overall one, in print
+        order: patterns and buckets in dict order (breakdown's: PATTERN_FLAGS, BUCKETS)."""
+        return [
+            *((flag, f"pattern.{flag}", counts) for flag, counts in self.per_pattern.items()),
+            *((f"N={bucket}", f"bucket.{bucket}", counts) for bucket, counts in self.per_bucket.items()),
+            ("entity-pair", "entity_pair", self.entity_pair),
+            ("relation", "relation", self.relation),
+        ]
 
     def to_text(self) -> str:
+        def row(label, counts):
+            p, r, f1 = micro_prf(*counts)
+            return f"  {label:<11} P {p:.4f}  R {r:.4f}  F1 {f1:.4f}"
+
+        correct, predicted, gold = self.counts
         lines = [
             f"match mode: {self.match_mode}",
-            f"  overall     P {self.precision:.4f}  R {self.recall:.4f}  F1 {self.f1:.4f}"
-            f"  (correct {self.counts.correct} / pred {self.counts.predicted}"
-            f" / gold {self.counts.gold})",
+            row("overall", self.counts) + f"  (correct {correct} / pred {predicted} / gold {gold})",
         ]
-        for flag in PATTERN_FLAGS:
-            if flag in self.per_pattern:
-                p, r, f1 = self.per_pattern[flag]
-                lines.append(f"  {flag:<11} P {p:.4f}  R {r:.4f}  F1 {f1:.4f}")
-        for bucket in BUCKETS:
-            if bucket in self.per_bucket:
-                p, r, f1 = self.per_bucket[bucket]
-                lines.append(f"  N={bucket:<9} P {p:.4f}  R {r:.4f}  F1 {f1:.4f}")
-        ep, rel = self.entity_pair, self.relation
-        lines.append(f"  entity-pair P {ep[0]:.4f}  R {ep[1]:.4f}  F1 {ep[2]:.4f}")
-        lines.append(f"  relation    P {rel[0]:.4f}  R {rel[1]:.4f}  F1 {rel[2]:.4f}")
+        lines += [row(label, counts) for label, _, counts in self._pools()]
         return "\n".join(lines)
 
     def to_kv(self) -> str:
         """Stable key=value lines for machine diffing."""
-        rows = {
-            f"{self.match_mode}.precision": self.precision,
-            f"{self.match_mode}.recall": self.recall,
-            f"{self.match_mode}.f1": self.f1,
-            f"{self.match_mode}.correct": self.counts.correct,
-            f"{self.match_mode}.predicted": self.counts.predicted,
-            f"{self.match_mode}.gold": self.counts.gold,
-        }
-        for flag, (p, r, f1) in self.per_pattern.items():
-            rows[f"{self.match_mode}.pattern.{flag}.f1"] = f1
-        for bucket, (p, r, f1) in self.per_bucket.items():
-            rows[f"{self.match_mode}.bucket.{bucket}.f1"] = f1
-        rows[f"{self.match_mode}.entity_pair.f1"] = self.entity_pair[2]
-        rows[f"{self.match_mode}.relation.f1"] = self.relation[2]
-        return "\n".join(f"{k}={rows[k]}" for k in sorted(rows))
+        rows = dict(zip(("precision", "recall", "f1"), micro_prf(*self.counts)))
+        rows.update(zip(("correct", "predicted", "gold"), self.counts))
+        rows.update((f"{key}.f1", micro_prf(*counts)[2]) for _, key, counts in self._pools())
+        return "\n".join(f"{self.match_mode}.{k}={rows[k]}" for k in sorted(rows))
 
 
 def breakdown(
     pred: np.ndarray, gold: np.ndarray, flags: list[frozenset[str]], match_modes: Iterable[str]
 ) -> list[MetricsReport]:
-    """One report per match mode: overall metrics plus per-pattern, per-bucket
-    and sub-task scores, from stacked predicted and gold rows (see stack_rows)
-    and each sentence's classify_pattern flags.
+    """One report per match mode: the pooled counts overall, per pattern, per
+    bucket and per sub-task, from stacked predicted and gold rows (see
+    stack_rows) and each sentence's classify_pattern flags.
 
     The per-sentence (correct, predicted, gold) counts are pooled through
     corpus.pattern_pools: pattern pools are non-exclusive, so a sentence
@@ -186,22 +176,17 @@ def breakdown(
     last = max(len(predicted), len(gold_count)) - 1
     if last >= sentences:
         raise ValueError(f"row of sentence index {last} but only {sentences} pattern labels")
-    relation = _distinct(pred, gold, (_S, _K)).prf()  # the same in every match mode
+    relation = _distinct(pred, gold, (_S, _K))  # the same in every match mode
     reports = []
     for match_mode in match_modes:
         counts = np.column_stack([_correct(pred, gold, match_mode, sentences), predicted, gold_count])
         per_flag, per_bucket = pattern_pools(flags, gold_count, counts)
-        overall = PooledCounts(*counts.sum(axis=0).tolist())
-        precision, recall, f1 = overall.prf()
         reports.append(MetricsReport(
             match_mode=match_mode,
-            precision=precision,
-            recall=recall,
-            f1=f1,
-            counts=overall,
-            per_pattern={flag: micro_prf(*pool) for flag, pool in per_flag.items()},
-            per_bucket={bucket: micro_prf(*pool) for bucket, pool in per_bucket.items()},
-            entity_pair=_distinct(pred, gold, _MATCH_COLUMNS[match_mode][1]).prf(),
+            counts=tuple(counts.sum(axis=0).tolist()),
+            per_pattern={flag: tuple(pool) for flag, pool in per_flag.items()},
+            per_bucket={bucket: tuple(pool) for bucket, pool in per_bucket.items()},
+            entity_pair=_distinct(pred, gold, _MATCH_COLUMNS[match_mode][1]),
             relation=relation,
         ))
     return reports

@@ -168,6 +168,27 @@ class TestSynth:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [('{"count": 3, "count": 2}', "count"), ('{"mix": {"normal": 1, "normal": 0}}', "normal")],
+        ids=["top-level", "nested-mix"],
+    )
+    def test_config_key_named_twice_is_usage_error(self, capsys, tmp_path, text, key):
+        path = tmp_path / "synth.json"
+        path.write_text(text)
+        out = tmp_path / "c.jsonl"
+        code, stdout, stderr = run(capsys, "synth", "--out", str(out), "--config", str(path))
+        assert (code, stdout) == (EXIT_USAGE, "")
+        assert stderr == f"error: config file {path} repeats the key {key!r}\n"
+        assert not out.exists()
+
+    def test_mix_naming_a_pattern_twice_is_data_error(self, capsys, tmp_path):
+        out = tmp_path / "c.jsonl"
+        code, stdout, stderr = run(capsys, "synth", "--out", str(out), "--mix", "normal=0.5,normal=0.5,epo=0")
+        assert (code, stdout) == (EXIT_DATA, "")
+        assert stderr == "error: bad mix entry 'normal=0.5': 'normal' is named twice\n"
+        assert not out.exists()
+
     def test_empty_config_mix_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "synth.json"
         path.write_text(json.dumps({"mix": {}}))
@@ -448,6 +469,73 @@ class TestTrainEval:
         assert "match mode: exact" in stdout
         assert "inference wall-clock" in stdout
         assert "partial.f1=" in stdout and "exact.f1=" in stdout
+
+    def test_eval_report_layout_is_pinned(self, capsys, tmp_path):
+        # an epo+seo sentence (3 triples), a sentence without triples and one
+        # in the 5+ bucket, scored by an untrained seeded model
+        def t(head, relation, tail):
+            return {"head": list(head), "relation": relation, "tail": list(tail)}
+
+        records = [
+            {"id": "multi", "tokens": list("abcdef"),
+             "triples": [t((0, 0), "r0", (2, 2)), t((2, 2), "r1", (0, 0)), t((0, 0), "r1", (4, 4))]},
+            {"id": "none", "tokens": list("abcd"), "triples": []},
+            {"id": "five", "tokens": list("abcdefghij"),
+             "triples": [t((i, i), "r0", (i + 5, i + 5)) for i in range(4)] + [t((4, 4), "r1", (9, 9))]},
+        ]
+        data, ck, report = tmp_path / "c.jsonl", tmp_path / "m.npz", tmp_path / "report.txt"
+        data.write_text("".join(json.dumps(r) + "\n" for r in records))
+        corpus, relations, _ = load_native(data)
+        save_checkpoint(ck, init_model(relations, build_vocab(corpus), TrainConfig(emb_dim=8, seed=2)))
+        code, stdout, stderr = run(capsys, "eval", "--data", str(data), "--checkpoint", str(ck), "--out", str(report))
+        assert (code, stderr) == (EXIT_OK, "")
+        assert [line for line in stdout.splitlines() if "wall-clock" not in line] == """\
+match mode: partial
+  overall     P 0.0526  R 0.2500  F1 0.0870  (correct 2 / pred 38 / gold 8)
+  normal      P 0.0400  R 0.2000  F1 0.0667
+  epo         P 0.1250  R 0.3333  F1 0.1818
+  seo         P 0.1250  R 0.3333  F1 0.1818
+  N=3         P 0.1250  R 0.3333  F1 0.1818
+  N=5+        P 0.0400  R 0.2000  F1 0.0667
+  entity-pair P 0.0606  R 0.2500  F1 0.0976
+  relation    P 0.6667  R 1.0000  F1 0.8000
+match mode: exact
+  overall     P 0.0263  R 0.1250  F1 0.0435  (correct 1 / pred 38 / gold 8)
+  normal      P 0.0000  R 0.0000  F1 0.0000
+  epo         P 0.1250  R 0.3333  F1 0.1818
+  seo         P 0.1250  R 0.3333  F1 0.1818
+  N=3         P 0.1250  R 0.3333  F1 0.1818
+  N=5+        P 0.0000  R 0.0000  F1 0.0000
+  entity-pair P 0.0263  R 0.1250  F1 0.0435
+  relation    P 0.6667  R 1.0000  F1 0.8000""".splitlines()
+        assert report.read_bytes() == b"""\
+partial.bucket.3.f1=0.18181818181818182
+partial.bucket.5+.f1=0.06666666666666667
+partial.correct=2
+partial.entity_pair.f1=0.0975609756097561
+partial.f1=0.08695652173913043
+partial.gold=8
+partial.pattern.epo.f1=0.18181818181818182
+partial.pattern.normal.f1=0.06666666666666667
+partial.pattern.seo.f1=0.18181818181818182
+partial.precision=0.05263157894736842
+partial.predicted=38
+partial.recall=0.25
+partial.relation.f1=0.8
+exact.bucket.3.f1=0.18181818181818182
+exact.bucket.5+.f1=0.0
+exact.correct=1
+exact.entity_pair.f1=0.043478260869565216
+exact.f1=0.043478260869565216
+exact.gold=8
+exact.pattern.epo.f1=0.18181818181818182
+exact.pattern.normal.f1=0.0
+exact.pattern.seo.f1=0.18181818181818182
+exact.precision=0.02631578947368421
+exact.predicted=38
+exact.recall=0.125
+exact.relation.f1=0.8
+"""
 
     def test_repeated_triple_counts_once(self, capsys, tmp_path):
         # three triples listed, one of them twice and out of canonical order

@@ -20,7 +20,6 @@ from relgrid.evaluation import (
     MATCH_MODES,
     PARTIAL,
     MetricsReport,
-    PooledCounts,
     breakdown,
     export_relation_embeddings,
     micro_prf,
@@ -50,7 +49,7 @@ def correct_count(pred, gold, match_mode):
     gold triples. Partial: relation and both end tokens agree; exact:
     relation and both full spans agree."""
     rows = [stack_rows([rows_of(triples)]) for triples in (pred, gold)]
-    return breakdown(*rows, [frozenset()], [match_mode])[0].counts.correct
+    return breakdown(*rows, [frozenset()], [match_mode])[0].counts[0]
 
 
 # --- reference: per-triple counters over row tuples (k, hb, he, tb, te) ----
@@ -79,7 +78,7 @@ def reference_correct_count(pred, gold, match_mode):
 
 def add(pools, name, counts):
     """Add one sentence's (correct, predicted, gold) to the pool `name`, started at zero."""
-    pools[name] = [a + b for a, b in zip(pools.get(name, (0, 0, 0)), counts)]
+    pools[name] = tuple(a + b for a, b in zip(pools.get(name, (0, 0, 0)), counts))
 
 
 def reference_subtask_metrics(corpus, predictions, match_mode):
@@ -89,7 +88,7 @@ def reference_subtask_metrics(corpus, predictions, match_mode):
             pred_keys = set(map(key, pred))
             gold_keys = set(map(key, gold_of(s)))
             add(pools, name, (len(pred_keys & gold_keys), len(pred_keys), len(gold_keys)))
-    return tuple(micro_prf(*pools.get(name, (0, 0, 0))) for name in ("pair", "relation"))
+    return tuple(pools.get(name, (0, 0, 0)) for name in ("pair", "relation"))
 
 
 def reference_breakdown(corpus, predictions, match_mode):
@@ -101,17 +100,12 @@ def reference_breakdown(corpus, predictions, match_mode):
             add(pattern_pools, flag, counts)
         if len(s.triples):
             add(bucket_pools, str(len(s.triples)) if len(s.triples) < 5 else "5+", counts)
-    overall = PooledCounts(*pools.get("overall", (0, 0, 0)))
-    precision, recall, f1 = overall.prf()
     entity_pair, relation = reference_subtask_metrics(corpus, predictions, match_mode)
     return MetricsReport(
         match_mode=match_mode,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        counts=overall,
-        per_pattern={flag: micro_prf(*pool) for flag, pool in pattern_pools.items()},
-        per_bucket={bucket: micro_prf(*pool) for bucket, pool in bucket_pools.items()},
+        counts=pools.get("overall", (0, 0, 0)),
+        per_pattern=pattern_pools,
+        per_bucket=bucket_pools,
         entity_pair=entity_pair,
         relation=relation,
     )
@@ -126,6 +120,9 @@ def assert_matches_reference(corpus, predictions):
             corpus, predictions, mode
         )
         assert report == reference_breakdown(corpus, predictions, mode)
+        pools = [report.counts, *report.per_pattern.values(), *report.per_bucket.values()]
+        pools += [report.entity_pair, report.relation]
+        assert {type(pool) for pool in pools} == {tuple} and {type(n) for pool in pools for n in pool} == {int}
         assert report.to_kv() == reference_breakdown(corpus, predictions, mode).to_kv()
         if corpus:  # both group the corpus into the same pools
             stats = corpus_stats(corpus)
@@ -244,7 +241,7 @@ class TestMatching:
         corpus = [make_sentence(4, [t], sid="a"), make_sentence(4, [], sid="b")]
         predictions = [frozenset(), frozenset({(-1, *t[1:])})]
         assert_matches_reference(corpus, predictions)
-        assert breakdown_of(corpus, predictions, EXACT).counts == PooledCounts(0, 1, 1)
+        assert breakdown_of(corpus, predictions, EXACT).counts == (0, 1, 1)
 
     def test_unknown_match_mode_rejected(self):
         t = triple((0, 0), 0, (1, 1))
@@ -293,8 +290,8 @@ class TestMicroPrf:
             ),
         ]
         report = breakdown_of(corpus, predictions, "exact")
-        assert report.precision == pytest.approx(0.25)
-        assert report.recall == pytest.approx(0.5)
+        assert report.counts == (1, 4, 2)
+        assert micro_prf(*report.counts)[:2] == (0.25, 0.5)
 
 
 class TestBreakdown:
@@ -302,19 +299,17 @@ class TestBreakdown:
         s = make_sentence(6, [triple((0, 1), 0, (3, 4))])
         report = breakdown_of([s], [gold_of(s)], "exact")
         assert report.f1 == 1.0
-        assert report.per_pattern == {"normal": (1.0, 1.0, 1.0)}
-        assert set(report.per_bucket) == {"1"}
-        assert report.entity_pair == (1.0, 1.0, 1.0)
-        assert report.relation == (1.0, 1.0, 1.0)
+        assert report.per_pattern == {"normal": (1, 1, 1)}
+        assert report.per_bucket == {"1": (1, 1, 1)}
+        assert report.entity_pair == (1, 1, 1)
+        assert report.relation == (1, 1, 1)
 
     def test_multi_flag_sentence_feeds_every_pool(self):
         a, b, c = (0, 0), (2, 2), (4, 4)
         triples = [triple(a, 0, b), triple(b, 1, a), triple(a, 1, c)]
         s = make_sentence(6, triples)  # epo (a,b reversed) + seo (shares a)
         report = breakdown_of([s], [frozenset(triples)], "exact")
-        assert set(report.per_pattern) == {"epo", "seo"}
-        assert report.per_pattern["epo"] == (1.0, 1.0, 1.0)
-        assert report.per_pattern["seo"] == (1.0, 1.0, 1.0)
+        assert report.per_pattern == {"epo": (3, 3, 3), "seo": (3, 3, 3)}
 
     def test_bucket_follows_gold_count(self):
         s = make_sentence(8, [triple((0, 0), 0, (2, 2))])
@@ -322,7 +317,7 @@ class TestBreakdown:
             {triple((i, i), 0, (i + 4, i + 4)) for i in range(3)}
         )
         report = breakdown_of([s], [many_predictions], "exact")
-        assert set(report.per_bucket) == {"1"}
+        assert report.per_bucket == {"1": (0, 3, 1)}
 
 
 class TestSubtasks:
@@ -331,8 +326,8 @@ class TestSubtasks:
         pred = frozenset({triple((0, 0), 1, (2, 2))})
         s = make_sentence(4, gold)
         report = breakdown_of([s], [pred], "exact")
-        assert report.entity_pair == (1.0, 1.0, 1.0)
-        assert report.relation == (0.0, 0.0, 0.0)
+        assert report.entity_pair == (1, 1, 1)
+        assert report.relation == (0, 1, 1)
 
     def test_projection_dedup_matches_set_oracle(self):
         rng = np.random.default_rng(91)
@@ -347,12 +342,12 @@ class TestSubtasks:
             gold_pairs = {t[1:] for t in gold}
             pred_pairs = {t[1:] for t in pred}
             correct = len(gold_pairs & pred_pairs)
-            assert pair == micro_prf(correct, len(pred_pairs), len(gold_pairs))
+            assert pair == (correct, len(pred_pairs), len(gold_pairs))
 
             gold_rels = {t[0] for t in gold}
             pred_rels = {t[0] for t in pred}
             correct_r = len(gold_rels & pred_rels)
-            assert relation == micro_prf(correct_r, len(pred_rels), len(gold_rels))
+            assert relation == (correct_r, len(pred_rels), len(gold_rels))
 
     def test_subtask_f1_at_least_triple_f1_when_projection_is_injective(self):
         # With at most one gold and one predicted triple per sentence no
@@ -369,8 +364,8 @@ class TestSubtasks:
                     pred = sorted(perturb(rng, gold, length, 3))[:1]
                     predictions.append(frozenset(pred))
                 report = breakdown_of(corpus, predictions, mode)
-                assert report.entity_pair[2] >= report.f1 - 1e-12
-                assert report.relation[2] >= report.f1 - 1e-12
+                assert micro_prf(*report.entity_pair)[2] >= report.f1 - 1e-12
+                assert micro_prf(*report.relation)[2] >= report.f1 - 1e-12
 
     def test_projection_merging_can_break_subtask_dominance(self):
         # Dedup merges the two correct relation-0 triples into one correct
@@ -390,8 +385,10 @@ class TestSubtasks:
             }
         )
         report = breakdown_of([make_sentence(8, gold)], [pred], "exact")
+        assert report.counts == (2, 3, 3)
+        assert report.relation == (1, 2, 2)
         assert report.f1 == pytest.approx(2 / 3)
-        assert report.relation[2] == pytest.approx(0.5)
+        assert micro_prf(*report.relation)[2] == pytest.approx(0.5)
 
 
 class TestArrayCore:
@@ -477,7 +474,7 @@ class TestCountingCore:
         with pytest.raises(ValueError, match="sentence index 2 but only 2 pattern labels"):
             breakdown(pred, gold, flags[:2], MATCH_MODES)
         report = breakdown(pred, gold, flags, [EXACT])[0]
-        assert report.counts == (PooledCounts(2, 3, 2) if side == "pred" else PooledCounts(2, 2, 3))
+        assert report.counts == ((2, 3, 2) if side == "pred" else (2, 2, 3))
 
 
     def test_wrapped_keys_would_collide_without_dense_ranks(self):
