@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 A training option of the wrong type or out of range, from a flag or from
 the config file, is a usage error, and so is a config file that is not a
 JSON object, names a key twice in any object, or holds a key that is not
-an option of the subcommand or a value that flag would refuse. An
-unreadable or unwritable file is a data error.
+an option of the subcommand or a value that flag would refuse. An unreadable
+or unwritable file, or a record or vocab file naming a key twice, is a data error.
 Flag values override config-file values; every command logs its fully
 resolved configuration at startup, and train and synth their root seed.
 Set RELGRID_LOG_LEVEL (DEBUG/INFO/WARNING/...) to control verbosity.
@@ -28,6 +28,7 @@ from .config import ConfigError
 from .corpus import (
     CorpusError,
     RelationVocab,
+    RepeatedKeyError,
     canonical_rows,
     classify_pattern,
     corpus_stats,
@@ -37,6 +38,7 @@ from .corpus import (
     parse_record,
     read_text,
     save_native,
+    unique_keys,
     write_lines,
 )
 from .encoder import Vocab
@@ -51,6 +53,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+
+_EVAL_CHUNK_ROWS = 2**15  # predicted rows eval counts at once, give or take the last sentence
 
 GRID_HELP = (
     "The tag grid is printed per relation as a fixed-width table: rows are "
@@ -146,19 +150,12 @@ class RunConfig:
             path = Path(args.config)
             if not path.exists():
                 raise CorpusError(f"no such config file: {path}")
-
-            def unique_keys(pairs: list) -> dict:
-                obj = {}
-                for key, value in pairs:
-                    if key in obj:
-                        raise ConfigError(f"config file {path} repeats the key {key!r}")
-                    obj[key] = value
-                return obj
-
             try:
                 self.file = json.loads(read_text(path, "config file"), object_pairs_hook=unique_keys)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+            except RepeatedKeyError as exc:
+                raise ConfigError(f"config file {path} {exc}") from None
             except CorpusError as exc:  # not UTF-8
                 raise ConfigError(f"config file {exc}") from None
             if not isinstance(self.file, dict):
@@ -204,7 +201,7 @@ def _read_relations(path: str) -> RelationVocab:
 def _read_vocab(path: str) -> Vocab:
     text = read_text(Path(path), "vocab file")  # its CorpusError is a ValueError: read outside the try
     try:
-        return Vocab.from_json(json.loads(text))
+        return Vocab.from_json(json.loads(text, object_pairs_hook=unique_keys))
     except ValueError as exc:
         raise CorpusError(f"bad vocab file {path}: {exc}") from None
 
@@ -266,6 +263,23 @@ def cmd_train(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _eval_reports(corpus: list, model, modes: list[str]) -> tuple[list, float]:
+    """breakdown's reports on the corpus, and the seconds spent in predict, summed over chunks
+    that each end once their predicted rows reach _EVAL_CHUNK_ROWS: one chunk's rows are held."""
+    reports, seconds, start, predictions, held = None, 0.0, 0, [], 0
+    for end, sentence in enumerate(corpus, 1):
+        started = time.perf_counter()
+        predictions.append(predict(sentence, model))
+        seconds += time.perf_counter() - started
+        held += len(predictions[-1])
+        if held >= _EVAL_CHUNK_ROWS or end == len(corpus):
+            chunk, pred = corpus[start:end], stack_rows(predictions)
+            start, predictions, held = end, [], 0
+            counted = breakdown(pred, stack_rows(s.triples for s in chunk), [classify_pattern(s) for s in chunk], modes)
+            reports = counted if reports is None else [a + b for a, b in zip(reports, counted)]
+    return reports or breakdown(stack_rows([]), stack_rows([]), [], modes), seconds  # or an empty corpus's
+
+
 def cmd_eval(cfg: RunConfig) -> int:
     checkpoint = cfg.require("checkpoint")
     cfg.log("eval")
@@ -284,14 +298,8 @@ def cmd_eval(cfg: RunConfig) -> int:
     # reuse the checkpoint relations when loading
     corpus, _ = _load_corpus(cfg, model.config.max_seq_len, model.relations, allow_empty=True)
 
-    started = time.perf_counter()
-    predictions = stack_rows(predict(s, model) for s in corpus)
-    elapsed = time.perf_counter() - started
-
-    gold = stack_rows(s.triples for s in corpus)
-    flags = [classify_pattern(s) for s in corpus]
     modes = [cfg.get("match")] if cfg.get("match") else list(MATCH_MODES)
-    reports = breakdown(predictions, gold, flags, modes)
+    reports, elapsed = _eval_reports(corpus, model, modes)
     for report in reports:
         print(report.to_text())
     per_sentence = f"{1000.0 * elapsed / len(corpus):.2f}ms per sentence" if corpus else "no sentences"

@@ -239,12 +239,27 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     write_file(path, lambda fh: fh.write(("\n".join(lines) + "\n").encode("utf-8")))
 
 
+class RepeatedKeyError(CorpusError):
+    """A JSON object names one key twice."""
+
+
+def unique_keys(pairs: list) -> dict:
+    """json's object_pairs_hook for every JSON text relgrid reads: the object, or
+    RepeatedKeyError for a key named twice (plain json keeps the last value)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):  # name the first key to come again
+        raise RepeatedKeyError(f"repeats the key {next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))!r}")
+    return obj
+
+
 def parse_record(text: str, where: str) -> dict:
     """One JSON object; errors start with `where`."""
     try:
-        record = json.loads(text)
+        record = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{where}: invalid JSON ({exc})") from exc
+    except RepeatedKeyError as exc:
+        raise CorpusError(f"{where}: {exc}") from None
     if not isinstance(record, dict):
         raise CorpusError(f"{where}: record must be a JSON object")
     return record

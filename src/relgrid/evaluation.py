@@ -17,7 +17,7 @@ predicted keys by an adjacent compare. The per-sentence counts are summed
 per overlap pattern and per triple-count bucket by corpus.pattern_pools.
 
 A MetricsReport keeps every pool as its (correct, predicted, gold) int
-counts; P/R/F1 are derived from them by micro_prf only when it is printed.
+counts; P/R/F1 are derived from them by micro_prf only when printed; reports add.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .corpus import RelationVocab, pattern_pools, write_lines
+from .corpus import BUCKETS, PATTERN_FLAGS, RelationVocab, pattern_pools, write_lines
 from .tagging import NUM_TAGS, Tag, TAG_NAMES
 
 PARTIAL = "partial"
@@ -124,6 +124,20 @@ class MetricsReport:
     @property
     def f1(self) -> float:
         return micro_prf(*self.counts)[2]
+
+    def __add__(self, other: MetricsReport) -> MetricsReport:
+        """The pool-by-pool sum with the same mode's report on other sentences, exact as every
+        match key carries its sentence; a pool one side lacks counts (0, 0, 0) there."""
+        if other.match_mode != self.match_mode:
+            raise ValueError(f"cannot add a {other.match_mode} report to a {self.match_mode} one")
+
+        def add(a, b):  # counts, or pools of them by name in PATTERN_FLAGS and BUCKETS order
+            if isinstance(a, tuple):
+                return tuple(x + y for x, y in zip(a, b))
+            return {n: add(a.get(n, (0,) * 3), b.get(n, (0,) * 3)) for n in PATTERN_FLAGS + BUCKETS if n in a or n in b}
+
+        pools = ("counts", "per_pattern", "per_bucket", "entity_pair", "relation")  # the fields after match_mode
+        return MetricsReport(self.match_mode, *(add(getattr(self, f), getattr(other, f)) for f in pools))
 
     def _pools(self) -> list[tuple[str, str, tuple[int, int, int]]]:
         """(table label, key name, counts) of each pool after the overall one, in print

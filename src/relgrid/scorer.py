@@ -17,7 +17,7 @@ The three parameters are the model's named arrays (trainer._layout gives
 their shapes): the drivers read them from a dict by name, and train_grads
 adds their gradients into the same names of another dict.
 
-The grid is worked in blocks of 16 head rows by shared kernels:
+The grid is worked in blocks of at most 16 head rows (see _map_blocks) by shared kernels:
 _hidden_block (pre-activation, dropout, rectifier), _tag_gradient (tag
 softmax, NLL, softmax - onehot(gold)), _hidden_gradient (to rel_tag_emb,
 d_heads, d_tails) and _tags (argmax, ties to NONE). The two drivers take
@@ -45,8 +45,8 @@ import numpy as np
 from .tagging import NUM_TAGS
 
 
-# Head rows per block. The split depends on L alone, so no result depends
-# on the number of threads.
+# Most head rows per block. The split depends on L alone, so no result
+# depends on the number of threads.
 _BLOCK_ROWS = 16
 # Threads that run blocks: the calling thread plus _THREADS - 1 pool threads.
 _THREADS = (
@@ -68,12 +68,13 @@ def _executor():
 
 
 def _map_blocks(fn, length: int) -> list:
-    """[fn(rows) for rows in the blocks of _BLOCK_ROWS head rows], in block order.
+    """[fn(rows) for rows in the blocks of head rows], in block order.
 
-    With W = min(_THREADS, blocks) > 1 the calling thread runs blocks
-    0, W, 2W, ... and pool thread w the blocks w, W + w, ...; the caller
-    takes its share because temporaries made on a pool thread come from
-    that thread's malloc arena, which keeps what is freed. An exception
+    L > _BLOCK_ROWS rows make ceil(L / _BLOCK_ROWS), rounded up to even, near-equal
+    blocks, the first ones a row taller, so two threads share the work within one row.
+    With W = min(_THREADS, blocks) > 1 the calling thread runs blocks 0, W, 2W, ... and pool
+    thread w the blocks w, W + w, ...; the caller takes its share because temporaries made on a
+    pool thread come from that thread's malloc arena, which keeps what is freed. An exception
     from a block is re-raised unchanged once every block has finished.
     """
     if length <= _BLOCK_ROWS:
@@ -82,7 +83,9 @@ def _map_blocks(fn, length: int) -> list:
     def run(own: list[slice]) -> list:
         return [fn(rows) for rows in own]
 
-    blocks = [slice(a, min(a + _BLOCK_ROWS, length)) for a in range(0, length, _BLOCK_ROWS)]
+    count = 2 * -(-length // (2 * _BLOCK_ROWS))
+    starts = [b * (length // count) + min(b, length % count) for b in range(count + 1)]
+    blocks = [slice(a, b) for a, b in zip(starts, starts[1:])]
     threads = min(_THREADS, len(blocks))
     if threads == 1:
         return run(blocks)

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .config import ConfigError, check_fields, is_int, is_real
-from .corpus import RelationVocab, Sentence, write_file, write_lines
+from .corpus import RelationVocab, Sentence, unique_keys, write_file, write_lines
 from .encoder import Vocab, build_vocab, encode_indices
 from .scorer import tag_grid, train_grads
 from .tagging import NUM_TAGS, decode, encode
@@ -345,7 +345,7 @@ def load_checkpoint(path: str | Path) -> Model:
     if missing:
         raise corrupt(f"no {', '.join(missing)} array")
     try:
-        header = json.loads(str(arrays["header_json"]))
+        header = json.loads(str(arrays["header_json"]), object_pairs_hook=unique_keys)
     except ValueError as exc:
         raise corrupt(f"unparsable header ({exc})") from None
     if not isinstance(header, dict):

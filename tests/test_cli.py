@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import zipfile
 from pathlib import Path
 
@@ -18,7 +19,8 @@ import relgrid.cli
 from relgrid.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from relgrid.corpus import RelationVocab, load_native, save_native
 from relgrid.encoder import build_vocab
-from relgrid.evaluation import export_relation_embeddings
+from relgrid.evaluation import breakdown, export_relation_embeddings
+from relgrid.synthetic import SynthConfig, generate_corpus
 from relgrid.tagging import encode
 from relgrid.trainer import EpochRecord, NumericError, TrainConfig, init_model, save_checkpoint, write_loss_log
 
@@ -964,6 +966,81 @@ exact.relation.f1=0.8
         assert code == EXIT_DATA
 
 
+class TestChunkedEval:
+    """eval predicts, stacks and counts a bounded chunk of sentences at a
+    time; the chunk reports add up to one breakdown of the whole corpus."""
+
+    def corpus_and_checkpoint(self, tmp_path, records):
+        data, ck = tmp_path / "c.jsonl", tmp_path / "m.npz"
+        data.write_text("".join(json.dumps(r) + "\n" for r in records))
+        if records:
+            corpus, relations, _ = load_native(data)
+        else:  # an empty corpus, scored by a model of the same relations
+            corpus, relations = [], RelationVocab(names=("r0", "r1"))
+        vocab = build_vocab(corpus or [make_sentence(3, [])])
+        save_checkpoint(ck, init_model(relations, vocab, TrainConfig(emb_dim=8, seed=2)))
+        return data, ck
+
+    def outputs(self, capsys, tmp_path, data, ck, match):
+        report = tmp_path / "report.txt"
+        code, stdout, stderr = run(
+            capsys, "eval", "--data", str(data), "--checkpoint", str(ck), "--out", str(report), *match
+        )
+        assert (code, stderr) == (EXIT_OK, "")
+        return [line for line in stdout.splitlines() if "wall-clock" not in line], report.read_bytes()
+
+    @pytest.mark.parametrize("match", [[], ["--match", "partial"], ["--match", "exact"]], ids=["both", "partial", "exact"])
+    @pytest.mark.parametrize("empty", [False, True], ids=["corpus", "empty"])
+    def test_one_row_chunks_report_what_one_chunk_does(self, capsys, monkeypatch, tmp_path, match, empty):
+        def t(head, relation, tail):
+            return {"head": [head, head], "relation": relation, "tail": [tail, tail]}
+
+        # an epo+seo sentence, one without triples, a 5+ one, and more of each
+        records = [
+            {"id": "multi", "tokens": list("abcdef"), "triples": [t(0, "r0", 2), t(2, "r1", 0), t(0, "r1", 4)]},
+            {"id": "none", "tokens": list("abcd"), "triples": []},
+            {"id": "five", "tokens": list("abcdefghij"), "triples": [t(i, "r0", i + 5) for i in range(4)] + [t(4, "r1", 9)]},
+            {"id": "one", "tokens": list("abc"), "triples": [t(0, "r1", 2)]},
+            {"id": "none2", "tokens": list("ab"), "triples": []},
+            {"id": "hto", "tokens": list("abcdefg"), "triples": [{"head": [0, 3], "relation": "r0", "tail": [2, 2]}]},
+        ]
+        data, ck = self.corpus_and_checkpoint(tmp_path, [] if empty else records)
+        calls = []
+        monkeypatch.setattr(relgrid.cli, "breakdown", lambda *args: calls.append(args) or breakdown(*args))
+        one_chunk = self.outputs(capsys, tmp_path, data, ck, match)
+        assert len(calls) == 1
+        monkeypatch.setattr(relgrid.cli, "_EVAL_CHUNK_ROWS", 1)
+        chunked = self.outputs(capsys, tmp_path, data, ck, match)
+        if not empty:  # each chunk ends at a sentence that predicts a row
+            predicted = [len(calls[0][0][calls[0][0][:, 0] == i]) for i in range(len(records))]
+            assert len(calls) - 1 == sum(n > 0 for n in predicted[:-1]) + 1 > 2
+        assert chunked == one_chunk
+
+    def test_peak_memory_stays_flat_over_sentences(self, capsys, monkeypatch, tmp_path):
+        # a near-random K=50 model predicts thousands of triples per sentence
+        corpus, relations, _ = generate_corpus(
+            SynthConfig(sentences=8, num_relations=50, min_len=16, max_len=16, seed=41)
+        )
+        ck = tmp_path / "m.npz"
+        save_checkpoint(ck, init_model(relations, build_vocab(corpus), TrainConfig(seed=4)))
+        monkeypatch.setattr(relgrid.cli, "_EVAL_CHUNK_ROWS", 1)
+        peaks = {}
+        for count in (2, 8):
+            data = tmp_path / f"c{count}.jsonl"
+            save_native(corpus[:count], relations, data)
+            argv = ["eval", "--data", str(data), "--checkpoint", str(ck), "--out", str(tmp_path / "r.txt")]
+            assert main(argv) == EXIT_OK  # warm
+            tracemalloc.start()
+            try:
+                assert main(argv) == EXIT_OK
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        # all 8 sentences' rows, held at once, would add about 1.6 MB
+        assert peaks[8] - peaks[2] < 256 * 1024, peaks
+
+
 class TestTag:
     def test_documented_cells_in_grid(self, capsys):
         code, stdout, _ = run(
@@ -1149,6 +1226,72 @@ class TestBadNativeRecord:
         assert stdout == ""
         if command == "stats":
             assert stderr.startswith(f"error: {data}:2: ")
+
+
+class TestRepeatedKeys:
+    """A JSON object that names a key twice is refused wherever relgrid reads
+    JSON, instead of keeping the last value: a data error (exit 2) in a
+    corpus record, a tag record or a vocab file, a usage error in a config file."""
+
+    GOOD = {"id": "a", "tokens": ["a", "b"], "triples": [{"head": [0, 0], "relation": "r", "tail": [1, 1]}]}
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ('{"id": "b", "tokens": ["a", "b"], "triples": [{"head": [0, 0], "relation": "r", "tail": [1, 1]}], "triples": []}', "triples"),
+            ('{"id": "b", "tokens": ["a", "b"], "triples": [{"head": [0, 0], "head": [1, 1], "relation": "r", "tail": [1, 1]}]}', "head"),
+        ],
+        ids=["record", "triple"],
+    )
+    def test_native_record(self, capsys, tmp_path, line, key):
+        data = tmp_path / "native.jsonl"
+        data.write_text(json.dumps(self.GOOD) + "\n" + line + "\n")
+        code, stdout, stderr = run(capsys, "stats", "--data", str(data))
+        assert (code, stdout) == (EXIT_DATA, "")
+        assert stderr == f"error: {data}:2: repeats the key {key!r}\n"
+
+    def test_public_record(self, capsys, tmp_path):
+        data, relations = tmp_path / "pub.jsonl", tmp_path / "rels.txt"
+        data.write_text('{"text": "a b", "triple_list": []}\n{"text": "a b", "triple_list": [["a", "r", "b"]], "triple_list": []}\n')
+        relations.write_text("r\n")
+        code, stdout, stderr = run(capsys, "stats", "--format", "public", "--data", str(data), "--relations", str(relations))
+        assert (code, stdout) == (EXIT_DATA, "")
+        assert stderr == f"error: {data}:2: repeats the key 'triple_list'\n"
+
+    def test_tag_record(self, capsys):
+        code, stdout, stderr = run(capsys, "tag", "--sentence", '{"tokens": ["a", "b"], "tokens": ["c"]}')
+        assert (code, stdout, stderr) == (EXIT_DATA, "", "error: tag input: repeats the key 'tokens'\n")
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_vocab_file(self, capsys, request, synth_file, tmp_path, command):
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text('{"<pad>": 0, "<unk>": 1, "a": 2, "a": 2}')
+        if command == "train":
+            argv = ["train", "--data", str(synth_file), "--epochs", "1", "--out", str(tmp_path / "m.npz")]
+        else:
+            argv = ["eval", "--data", str(synth_file), "--checkpoint", str(request.getfixturevalue("good_checkpoint"))]
+        code, stdout, stderr = run(capsys, *argv, "--vocab", str(vocab))
+        assert (code, stdout) == (EXIT_DATA, "")
+        assert stderr == f"error: bad vocab file {vocab}: repeats the key 'a'\n"
+
+    def test_checkpoint_header(self, capsys, synth_file, tmp_path, good_checkpoint):
+        with np.load(good_checkpoint) as data:
+            arrays = {name: data[name] for name in data.files}
+        header = str(arrays["header_json"])
+        assert header.startswith('{"version": 1, ')
+        arrays["header_json"] = np.array('{"version": 2, ' + header[1:])
+        edited = tmp_path / "edited.npz"
+        np.savez(edited, **arrays)
+        code, stdout, stderr = run(capsys, "eval", "--data", str(synth_file), "--checkpoint", str(edited))
+        assert (code, stdout) == (EXIT_DATA, "")
+        assert stderr == f"error: corrupt checkpoint {edited}: unparsable header (repeats the key 'version')\n"
+
+    def test_config_file_stays_a_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text('{"data": "x.jsonl", "data": "y.jsonl"}')
+        code, stdout, stderr = run(capsys, "stats", "--config", str(config))
+        assert (code, stdout) == (EXIT_USAGE, "")
+        assert stderr == f"error: config file {config} repeats the key 'data'\n"
 
 
 class TestUsage:

@@ -397,6 +397,25 @@ class TestArrayCore:
     def test_counts_equal_the_triple_reference(self, data):
         assert_matches_reference(*data)
 
+    @settings(max_examples=200, deadline=None)
+    @given(corpora(), st.lists(st.integers(0, 6), max_size=4))
+    def test_reports_on_parts_of_a_corpus_add_up_to_its_report(self, data, cuts):
+        corpus, predictions = data
+        edges = sorted({0, len(corpus), *(min(c, len(corpus)) for c in cuts)})
+        for mode in MATCH_MODES:
+            whole = breakdown_of(corpus, predictions, mode)
+            total = breakdown_of([], [], mode)  # the empty report adds nothing
+            for a, b in zip(edges, edges[1:]):
+                total = total + breakdown_of(corpus[a:b], predictions[a:b], mode)
+            assert total == whole
+            # pools keep PATTERN_FLAGS and BUCKETS order, and only those some sentence joins
+            assert (list(total.per_pattern), list(total.per_bucket)) == (list(whole.per_pattern), list(whole.per_bucket))
+            assert total.to_text() == whole.to_text()
+
+    def test_reports_of_two_modes_do_not_add(self):
+        with pytest.raises(ValueError, match="cannot add"):
+            breakdown_of([], [], PARTIAL) + breakdown_of([], [], EXACT)
+
     def test_empty_predictions_and_empty_gold(self):
         t = triple((0, 1), 1, (2, 2))
         corpus = [make_sentence(4, [t], sid="a"), make_sentence(4, [], sid="b")]

@@ -1,4 +1,5 @@
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -542,7 +543,7 @@ class TestInPlaceKernels:
 
 class TestHeadRowBlocks:
     """The pair grid is computed in blocks of head rows: at L=37 there are
-    three, the last one 5 rows high. Against a one-block run, the hidden
+    four, 10, 9, 9 and 9 rows high. Against a one-block run, the hidden
     layer, and the tags of an instance whose scores are exact, must be
     equal; loss and gradients may differ in float summation order (BLAS
     rounds the edge tiles of a product by its shape)."""
@@ -583,17 +584,38 @@ class TestHeadRowBlocks:
             lambda rows: scorer._hidden_block(heads, tails, rows, 63, 0.3, 1.0 / (1.0 - 0.3)),
             self.LENGTH,
         )
-        assert len(blocks) == 3
+        assert [len(b) // self.LENGTH for b in blocks] == [10, 9, 9, 9]
         _, ref_hidden, _, _ = float_mask_reference(emb, arrays, gold, 0.3, 63)
         assert np.array_equal(np.concatenate(blocks), ref_hidden.reshape(-1, heads.shape[1]))
 
     def test_blocks_cover_rows_in_order(self, block_threads):
         block_threads(3)
         spans = scorer._map_blocks(lambda rows: (rows.start, rows.stop), 37)
-        assert spans == [(0, 16), (16, 32), (32, 37)]
+        assert spans == [(0, 10), (10, 19), (19, 28), (28, 37)]
         assert scorer._map_blocks(lambda rows: (rows.start, rows.stop), 16) == [(0, 16)]
 
-    @pytest.mark.parametrize("failing", [0, 16, 32], ids=["caller", "pool-1", "pool-2"])
+    def test_split_is_balanced_and_fixed_by_the_length(self, block_threads):
+        def spans(length):
+            return scorer._map_blocks(lambda rows: (rows.start, rows.stop, threading.get_ident()), length)
+
+        for length in range(1, 121):
+            block_threads(1)
+            one = spans(length)
+            cuts = [(a, b) for a, b, _ in one]
+            assert [a for a, _ in cuts] + [length] == [0] + [b for _, b in cuts]
+            assert all(0 < b - a <= scorer._BLOCK_ROWS for a, b in cuts)
+            for threads in (2, 4):
+                block_threads(threads)
+                split = spans(length)
+                assert [(a, b) for a, b, _ in split] == cuts, (length, threads)
+                if threads == 2:  # each thread's share of the rows (times L pairs each)
+                    rows = {}
+                    for a, b, thread in split:
+                        rows[thread] = rows.get(thread, 0) + b - a
+                    assert len(rows) == min(2, len(cuts))
+                    assert max(rows.values()) - min(rows.values()) <= 1, (length, rows)
+
+    @pytest.mark.parametrize("failing", [0, 10, 19], ids=["caller", "pool-1", "pool-2"])
     def test_block_exception_reaches_caller_unchanged(self, block_threads, failing):
         block_threads(3)
         error = RuntimeError(f"block at row {failing}")
