@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 A training option of the wrong type or out of range, from a flag or from
-the config file, is a usage error, and so is a config file that is not a
-JSON object, names a key twice in any object, or holds a key that is not
-an option of the subcommand or a value that flag would refuse. An unreadable
+the config file, is a usage error, and so is a missing required option
+(such as --data) or a config file that is not a JSON object, names a key
+twice in any object, or holds a key that is not an option of the
+subcommand or a value that flag would refuse. An unreadable
 or unwritable file, or a record or vocab file naming a key twice, is a data error.
 Flag values override config-file values; every command logs its fully
 resolved configuration at startup, and train and synth their root seed.
@@ -29,7 +30,6 @@ from .corpus import (
     CorpusError,
     RelationVocab,
     RepeatedKeyError,
-    canonical_rows,
     classify_pattern,
     corpus_stats,
     load_native,
@@ -183,7 +183,7 @@ class RunConfig:
     def require(self, key: str):
         value = self.get(key)
         if value is None:
-            raise CorpusError(f"missing required option --{key}")
+            raise ConfigError(f"missing required option --{key}")
         return value
 
     def log(self, command: str) -> None:
@@ -223,7 +223,7 @@ def _load_corpus(
         relations = _read_relations(cfg.get("relations"))
     if fmt == "public":
         if relations is None:
-            raise CorpusError("public format requires --relations")
+            raise ConfigError("public format requires --relations")
         corpus, warnings = load_public(
             data, relations, match_mode=_span_mode(cfg.get("match")), max_seq_len=max_seq_len
         )
@@ -317,12 +317,9 @@ def cmd_eval(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _triple_lines(rows, relations: RelationVocab) -> list[str]:
-    """The text (hb..he, name, tb..te) of each distinct row (k, hb, he, tb, te),
-    in the order of a sentence's gold rows."""
-    return [
-        f"({hb}..{he}, {relations.names[k]}, {tb}..{te})" for k, hb, he, tb, te in canonical_rows(rows).tolist()
-    ]
+def _triple_lines(rows: np.ndarray, relations: RelationVocab) -> list[str]:
+    """The text (hb..he, name, tb..te) of each row (k, hb, he, tb, te), in the given order."""
+    return [f"({hb}..{he}, {relations.names[k]}, {tb}..{te})" for k, hb, he, tb, te in rows.tolist()]
 
 
 def cmd_tag(cfg: RunConfig) -> int:
@@ -341,18 +338,16 @@ def cmd_tag(cfg: RunConfig) -> int:
         print(f"relation: {vocab.names[k]}")
         print(render_relation_grid(result.tags, k, sentence.tokens))
         print()
-    for c in result.collisions:
-        print(f"collision at {c.cell}: kept {c.kept.name}, dropped {c.dropped.name}")
+    for cell, kept, dropped in result.collisions:
+        print(f"collision at {cell}: kept {kept.name}, dropped {dropped.name}")
 
     print("decoded triples:")
     for line in _triple_lines(result.decoded, vocab):
         print(f"  {line}")
-    if result.exact and len(sentence.triples) == 0:
-        print("roundtrip: exact (empty)")
-    elif result.exact:
-        print("roundtrip: exact")
+    if result.exact:
+        print("roundtrip: exact (empty)" if len(sentence.triples) == 0 else "roundtrip: exact")
     else:
-        print(f"roundtrip: {result}")
+        print(f"roundtrip: lossy (missing {len(result.missing)}, spurious {len(result.spurious)})")
         for label, rows in (("missing ", result.missing), ("spurious", result.spurious)):
             for line in _triple_lines(rows, vocab):
                 print(f"  {label}: {line}")

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
@@ -111,7 +112,7 @@ def build_sentence(
     be given); then the token checks; then every span must end inside the
     sentence, checked in the given order, head before tail.
     """
-    tokens = tuple(tokens)
+    tokens = tuple(map(sys.intern, tokens))  # sentences share one string object per distinct word
     if max_seq_len is not None and len(tokens) > max_seq_len:
         kept = []
         for k, hb, he, tb, te in triples:

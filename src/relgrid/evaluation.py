@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from .corpus import BUCKETS, PATTERN_FLAGS, RelationVocab, pattern_pools, write_lines
-from .tagging import NUM_TAGS, Tag, TAG_NAMES
+from .tagging import NUM_TAGS, TAG_NAMES
 
 PARTIAL = "partial"
 EXACT = "exact"
@@ -217,8 +217,8 @@ def export_relation_embeddings(
     """
     lines = []
     for k, name in enumerate(relations.names):
-        for tag in Tag:
-            column = rel_tag_emb[:, NUM_TAGS * k + int(tag)]
-            label = f"{name}/{TAG_NAMES[tag]}"
+        for tag, tag_name in enumerate(TAG_NAMES):
+            column = rel_tag_emb[:, NUM_TAGS * k + tag]
+            label = f"{name}/{tag_name}"
             lines.append("\t".join([label] + [repr(float(v)) for v in column]))
     write_lines(path, lines)

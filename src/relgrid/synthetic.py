@@ -117,6 +117,8 @@ def _validate(config: SynthConfig, counts: dict[str, int]) -> None:
         raise GenerationError("lexicon must cover the longest sentence")
     if config.max_span_width < 1:
         raise GenerationError("max_span_width must be >= 1")
+    if config.seed < 0:
+        raise GenerationError(f"seed must be >= 0, got {config.seed}")
 
 
 def _carve_spans(

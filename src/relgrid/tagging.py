@@ -15,14 +15,15 @@ or left of the anchor column in the same row; a missing neighbour means a
 single-token head or tail. Both lookups are binary searches over the sorted
 integer keys (k, col, row) of the HE_TE cells and (k, row, col) of the HB_TB
 cells. Decoded triples are (n, 5) int64 rows (k, hb, he, tb, te), the layout
-of a sentence's gold Sentence.triples, and stay rows through
-evaluation.
+of a sentence's gold Sentence.triples, and stay rows through evaluation.
 
 Single-token heads or tails make two of the three corner assignments land
 on the same cell; that collapse is resolved by the fixed tag priority
 HB_TE > HE_TE > HB_TB and is lossless by construction. Cross-triple
 assignments that overwrite an existing, different tag are recorded in the
-collision report and may lose information.
+collision report, a list of (cell, kept, dropped) tuples, and may lose
+information. roundtrip_check reports the decoded, missing and spurious
+triples as canonical_rows arrays, like a sentence's gold rows.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .corpus import Sentence
+from .corpus import Sentence, canonical_rows
 
 
 class Tag(IntEnum):
@@ -45,57 +46,46 @@ class Tag(IntEnum):
 
 
 NUM_TAGS = len(Tag)
-_TAGS = tuple(Tag)  # int8 value -> Tag
-_HB_TB, _HB_TE, _HE_TE = (int(tag) for tag in _TAGS[1:])
+_HB_TB, _HB_TE, _HE_TE = (int(tag) for tag in tuple(Tag)[1:])
 
-# Losing HB_TE destroys a whole triple (it anchors decoding), while HE_TE
-# and HB_TB can be reconstructed via the single-token collapse rules, so
-# HB_TE wins every cell conflict and HB_TB loses every one.
-TAG_PRIORITY = {Tag.HB_TE: 3, Tag.HE_TE: 2, Tag.HB_TB: 1}
+# By tag value. Losing HB_TE destroys a whole triple (it anchors decoding),
+# while HE_TE and HB_TB can be reconstructed via the single-token collapse
+# rules, so HB_TE wins every cell conflict and HB_TB loses every one.
+_PRIORITY = (0, 1, 3, 2)
 
-TAG_GLYPHS = {Tag.NONE: "-", Tag.HB_TB: "HB-TB", Tag.HB_TE: "HB-TE", Tag.HE_TE: "HE-TE"}
-TAG_NAMES = {Tag.NONE: "NONE", Tag.HB_TB: "HB-TB", Tag.HB_TE: "HB-TE", Tag.HE_TE: "HE-TE"}
-_CELL_WIDTH = 7  # of render_relation_grid's columns; the widest glyph takes 5
+TAG_NAMES = ("NONE", "HB-TB", "HB-TE", "HE-TE")  # by tag value
+_CELL_WIDTH = 7  # of render_relation_grid's columns; the widest name takes 5
 
-
-@dataclass(frozen=True)
-class Collision:
-    """A cross-triple overwrite at one cell; `kept` won on priority."""
-
-    cell: tuple[int, int, int]
-    kept: Tag
-    dropped: Tag
+_Collision = tuple[tuple[int, int, int], Tag, Tag]  # (cell, kept, dropped)
 
 
-def encode(s: Sentence, num_relations: int) -> tuple[np.ndarray, list[Collision]]:
+def encode(s: Sentence, num_relations: int) -> tuple[np.ndarray, list[_Collision]]:
     """Write every triple's corner cells into a fresh (L, K, L) int8 grid.
 
-    Cross-triple overwrites resolve by TAG_PRIORITY and are returned as the
-    collision report; an empty report means no tag was destroyed by another
-    triple. Within-triple single-token collapses are silent (lossless).
+    Cross-triple overwrites resolve by tag priority and are returned as the
+    collision report of (cell, kept, dropped) tuples; an empty report means
+    no tag was destroyed by another triple. Within-triple single-token
+    collapses are silent (lossless).
     """
     length = len(s)
     tags = np.zeros((length, num_relations, length), dtype=np.int8)
-    collisions: list[Collision] = []
+    collisions: list[_Collision] = []
     for k, hb, he, tb, te in s.triples.tolist():
         if not 0 <= k < num_relations:
             raise ValueError(f"relation index {k} outside [0, {num_relations})")
         # the corners in cell order, as begin <= end; a single-token tail
         # folds HB_TB, and a single-token head HE_TE, into the HB_TE cell
-        corners = [((hb, k, tb), Tag.HB_TB)] if tb != te else []
-        corners.append(((hb, k, te), Tag.HB_TE))
+        corners = [((hb, k, tb), _HB_TB)] if tb != te else []
+        corners.append(((hb, k, te), _HB_TE))
         if he != hb:
-            corners.append(((he, k, te), Tag.HE_TE))
+            corners.append(((he, k, te), _HE_TE))
         for cell, tag in corners:
-            old = _TAGS[tags[cell]]
-            if old == Tag.NONE or old == tag:
-                tags[cell] = tag
-                continue
-            if TAG_PRIORITY[tag] > TAG_PRIORITY[old]:
-                tags[cell] = tag
-                collisions.append(Collision(cell=cell, kept=tag, dropped=old))
-            else:
-                collisions.append(Collision(cell=cell, kept=old, dropped=tag))
+            old = tags.item(cell)
+            if old and old != tag:  # another triple's tag: the one of higher priority stays
+                kept, dropped = (tag, old) if _PRIORITY[tag] > _PRIORITY[old] else (old, tag)
+                collisions.append((cell, Tag(kept), Tag(dropped)))
+                tag = kept
+            tags[cell] = tag
     return tags, collisions
 
 
@@ -133,37 +123,29 @@ def decode(tags: np.ndarray) -> np.ndarray:
     return np.column_stack([k, hb, he, tb, te])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields have no one truth value: compare by identity
 class RoundtripResult:
-    """Outcome of decode(encode(s)) compared against the gold triples, as
-    row tuples (k, hb, he, tb, te), with the grid encode made."""
+    """decode(encode(s)) against the gold triples: encode's grid and collision
+    report, then the decoded, missing and spurious triples as canonical_rows."""
 
-    exact: bool
-    tags: np.ndarray = field(compare=False, repr=False)
-    decoded: frozenset[tuple[int, ...]]
-    missing: frozenset[tuple[int, ...]]
-    spurious: frozenset[tuple[int, ...]]
-    collisions: tuple[Collision, ...]
+    tags: np.ndarray = field(repr=False)
+    collisions: tuple[_Collision, ...]
+    decoded: np.ndarray
+    missing: np.ndarray
+    spurious: np.ndarray
 
-    def __str__(self) -> str:
-        if self.exact:
-            return "exact"
-        return f"lossy (missing {len(self.missing)}, spurious {len(self.spurious)})"
+    @property
+    def exact(self) -> bool:
+        return len(self.missing) == 0 and len(self.spurious) == 0
 
 
 def roundtrip_check(s: Sentence, num_relations: int) -> RoundtripResult:
     """Encode then decode and report the symmetric difference to the gold set."""
     tags, collisions = encode(s, num_relations)
-    decoded = frozenset(map(tuple, decode(tags).tolist()))
-    gold = frozenset(map(tuple, s.triples.tolist()))
-    return RoundtripResult(
-        exact=decoded == gold,
-        tags=tags,
-        decoded=decoded,
-        missing=gold - decoded,
-        spurious=decoded - gold,
-        collisions=tuple(collisions),
-    )
+    decoded = set(map(tuple, decode(tags).tolist()))
+    gold = set(map(tuple, s.triples.tolist()))
+    diffs = (decoded, gold - decoded, decoded - gold)
+    return RoundtripResult(tags, tuple(collisions), *map(canonical_rows, diffs))
 
 
 def render_relation_grid(tags: np.ndarray, relation: int, tokens: tuple[str, ...]) -> str:
@@ -180,6 +162,6 @@ def render_relation_grid(tags: np.ndarray, relation: int, tokens: tuple[str, ...
     header = clip("") + " " + " ".join(clip(tok) for tok in tokens)
     lines = [header]
     for tok, row_tags in zip(tokens, tags[:, relation, :].tolist()):
-        row = [clip(tok)] + [clip(TAG_GLYPHS[_TAGS[tag]]) for tag in row_tags]
+        row = [clip(tok)] + [clip(TAG_NAMES[tag] if tag else "-") for tag in row_tags]
         lines.append(" ".join(row))
     return "\n".join(lines)

@@ -107,6 +107,12 @@ class TestSynth:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_negative_seed_is_data_error_naming_the_seed(self, capsys, tmp_path):
+        out = tmp_path / "z.jsonl"
+        code, stdout, stderr = run(capsys, "synth", "--out", str(out), "--seed", "-1")
+        assert (code, stdout, stderr) == (EXIT_DATA, "", "error: seed must be >= 0, got -1\n")
+        assert not out.exists()
+
     def test_infeasible_mix_is_data_error(self, capsys, tmp_path):
         code, _, stderr = run(
             capsys,
@@ -1306,6 +1312,19 @@ class TestUsage:
             main([command, "--seed", "5"])
         assert exc.value.code == EXIT_USAGE
         assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["train"], "missing required option --data"),
+            (["eval", "--data", "d.jsonl"], "missing required option --checkpoint"),
+            (["synth"], "missing required option --out"),
+            (["stats", "--data", "d.jsonl", "--format", "public"], "public format requires --relations"),
+        ],
+        ids=["train-data", "eval-checkpoint", "synth-out", "public-relations"],
+    )
+    def test_missing_required_option_is_usage_error(self, capsys, argv, message):
+        assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: {message}\n")
 
     def test_missing_subcommand_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

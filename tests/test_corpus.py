@@ -208,6 +208,13 @@ class TestNativeFormat:
         assert warnings == []
         assert corpus[0].triples.tolist() == [[0, 0, 1, 4, 6]]
 
+    def test_loaded_sentences_share_one_object_per_token(self, tmp_path):
+        path = tmp_path / "two.jsonl"
+        records = [{"id": sid, "tokens": ["Paris", sid], "triples": []} for sid in ("a", "b")]
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        (first, second), _, _ = load_native(path, vocab=RelationVocab(names=("r0",)))
+        assert first.tokens[0] == "Paris" and first.tokens[0] is second.tokens[0]
+
     def test_out_of_range_span_names_sentence(self, tmp_path):
         record = {
             "id": "bad-sent",

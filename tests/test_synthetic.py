@@ -104,6 +104,10 @@ class TestGenerateCorpus:
         with pytest.raises(GenerationError, match="at least 2 relations"):
             generate_corpus(config)
 
+    def test_negative_seed_is_refused_naming_the_seed(self):
+        with pytest.raises(GenerationError, match="seed must be >= 0, got -1"):
+            generate_corpus(SynthConfig(sentences=4, seed=-1))
+
     def test_single_pattern_mix(self):
         corpus, _, counts = generate_corpus(
             SynthConfig(sentences=8, mix={"hto": 1.0}, seed=3)

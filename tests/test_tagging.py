@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from relgrid.corpus import canonical_rows
 from relgrid.synthetic import SynthConfig, generate_corpus
 from relgrid.tagging import Tag, decode, encode, render_relation_grid, roundtrip_check
 
@@ -142,10 +143,7 @@ class TestEncode:
         t2 = triple((0, 3), 0, (2, 4))
         tags, collisions = encode(make_sentence(6, [t1, t2]), 1)
         assert tag_cells(tags)[(0, 0, 2)] == Tag.HB_TE
-        assert len(collisions) == 1
-        assert collisions[0].cell == (0, 0, 2)
-        assert collisions[0].kept == Tag.HB_TE
-        assert collisions[0].dropped == Tag.HB_TB
+        assert collisions == [((0, 0, 2), Tag.HB_TE, Tag.HB_TB)]
 
     def test_same_tag_rewrite_is_benign(self):
         # two triples sharing head begin and tail begin write the same HB_TB
@@ -171,7 +169,7 @@ class TestEncode:
         tags, collisions = encode(make_sentence(length, triples), num_rel)
         cells, expected = reference_encode(triples)
         assert tag_cells(tags) == cells
-        assert [(c.cell, c.kept, c.dropped) for c in collisions] == expected
+        assert collisions == expected
 
     def test_reference_walk_draws_include_lossy_sets(self):
         rng = np.random.default_rng(5)
@@ -319,7 +317,24 @@ class TestRoundtrip:
         result = roundtrip_check(make_sentence(6, [t1, t2]), 1)
         assert result.collisions
         assert not result.exact
-        assert result.missing or result.spurious
+        assert len(result.missing) or len(result.spurious)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.integers(1, 3), st.integers(1, 8))
+    def test_reports_the_set_differences_as_rows(self, seed, length, num_rel, max_triples):
+        # the draws of test_matches_reference_walk: lossy and colliding sets among them
+        s = make_sentence(length, random_triples(np.random.default_rng(seed), length, num_rel, max_triples))
+        result = roundtrip_check(s, num_rel)
+        tags, collisions = encode(s, num_rel)
+        decoded, gold = as_triples(decode(tags)), as_triples(s.triples)
+        expected = {"decoded": decoded, "missing": gold - decoded, "spurious": decoded - gold}
+        for name, triples in expected.items():
+            rows = getattr(result, name)
+            assert rows.dtype == np.int64 and rows.shape == (len(triples), 5) and not rows.flags.writeable
+            assert rows.tolist() == canonical_rows(triples).tolist(), name
+        assert result.exact == (not expected["missing"] and not expected["spurious"])
+        assert result.collisions == tuple(collisions)
+        assert np.array_equal(result.tags, tags)
 
     def test_splice_interference_is_lossy_without_collisions(self):
         # Known limitation: nested heads sharing relation and tail column
@@ -331,7 +346,7 @@ class TestRoundtrip:
         result = roundtrip_check(make_sentence(10, [t1, t2]), 1)
         assert result.collisions == ()
         assert not result.exact
-        assert result.spurious == {(0, 0, 3, 8, 9)} and result.missing == {(0, 0, 5, 8, 9)}
+        assert result.spurious.tolist() == [[0, 0, 3, 8, 9]] and result.missing.tolist() == [[0, 0, 5, 8, 9]]
 
 
 class TestRenderGrid:
