@@ -28,11 +28,12 @@ rows * L x hidden buffer per block carries draw -> pre-activation -> hidden -> i
 
 The blocks run on the calling thread plus one pool thread per further core
 (ufuncs and BLAS release the interpreter lock). The split depends on L alone
-and sums across blocks are added in block order, so no result depends on the
-thread count. Each block draws its dropout units from its offset in one
-rng.random((L * L, hidden)) stream, so hidden activations equal an
-unsplit computation bit for bit; scores may differ in the last bit (BLAS
-edge tiles), loss and gradients in summation order.
+and sums across blocks are folded into running totals in block order as the
+blocks finish, so no result depends on the thread count. Each block draws
+its dropout units from its offset in one rng.random((L * L, hidden)) stream,
+so hidden activations equal an unsplit computation bit for bit; scores may
+differ in the last bit (BLAS edge tiles), loss and gradients in summation
+order.
 """
 
 from __future__ import annotations
@@ -67,8 +68,10 @@ def _executor():
         return _pool
 
 
-def _map_blocks(fn, length: int) -> list:
-    """[fn(rows) for rows in the blocks of head rows], in block order.
+def _map_blocks(fn, length: int, fold=None) -> list:
+    """[fn(rows) for rows in the blocks of head rows], in block order; given `fold`,
+    each result goes to fold(result) instead, in block order, as soon as every earlier
+    block's has, and the list stays empty: about one unfolded result per thread is held.
 
     L > _BLOCK_ROWS rows make ceil(L / _BLOCK_ROWS), rounded up to even, near-equal
     blocks, the first ones a row taller, so two threads share the work within one row.
@@ -77,29 +80,42 @@ def _map_blocks(fn, length: int) -> list:
     pool thread come from that thread's malloc arena, which keeps what is freed. An exception
     from a block is re-raised unchanged once every block has finished.
     """
-    if length <= _BLOCK_ROWS:
-        return [fn(slice(0, length))]
-
-    def run(own: list[slice]) -> list:
-        return [fn(rows) for rows in own]
-
-    count = 2 * -(-length // (2 * _BLOCK_ROWS))
-    starts = [b * (length // count) + min(b, length % count) for b in range(count + 1)]
-    blocks = [slice(a, b) for a, b in zip(starts, starts[1:])]
+    results = []
+    fold = fold or results.append
+    blocks = [slice(0, length)]
+    if length > _BLOCK_ROWS:
+        count = 2 * -(-length // (2 * _BLOCK_ROWS))
+        starts = [b * (length // count) + min(b, length % count) for b in range(count + 1)]
+        blocks = [slice(a, b) for a, b in zip(starts, starts[1:])]
     threads = min(_THREADS, len(blocks))
     if threads == 1:
-        return run(blocks)
+        for rows in blocks:
+            fold(fn(rows))
+        return results
     from concurrent.futures import wait
 
+    # results that wait for an earlier block's, and the number of blocks folded
+    pending, folded, lock = {}, [0], threading.Lock()
+
+    def deliver(b: int, result) -> None:
+        with lock:
+            pending[b] = result
+            while folded[0] in pending:
+                fold(pending.pop(folded[0]))
+                folded[0] += 1
+
+    def run(first: int) -> None:
+        for b in range(first, len(blocks), threads):
+            deliver(b, fn(blocks[b]))
+
     pool = _executor()
-    strides = [pool.submit(run, blocks[w::threads]) for w in range(1, threads)]
-    results = [None] * len(blocks)
+    strides = [pool.submit(run, w) for w in range(1, threads)]
     try:
-        results[::threads] = run(blocks[::threads])
+        run(0)
     finally:
         wait(strides)
-    for w, stride in enumerate(strides, 1):
-        results[w::threads] = stride.result()
+    for stride in strides:
+        stride.result()
     return results
 
 
@@ -152,10 +168,12 @@ def _tag_gradient(s: np.ndarray, gold: np.ndarray, count: int) -> float:
     return nll
 
 
-def _hidden_gradient(d_scores, hidden, rows, rel_tag_emb, scale, d_heads):
+def _hidden_gradient(d_scores, hidden, rows, rel_tag_emb, scale, d_heads, parts):
     """Back from a block's (rows * L) x 4K score gradient through rel_tag_emb,
-    the rectifier and dropout, in hidden's buffer: fills d_heads[rows], returns d_rel and d_tails."""
-    d_rel = hidden.T @ d_scores
+    the rectifier and dropout, in hidden's buffer: fills d_heads[rows] and the
+    (d_rel, d_tails) buffers of `parts`, and returns them."""
+    d_rel, d_tails = parts
+    np.matmul(hidden.T, d_scores, out=d_rel)
     active = hidden > 0.0  # rectifier active set, dropped units included
     d_hidden = np.matmul(d_scores, rel_tag_emb.T, out=hidden)
     d_hidden *= active
@@ -163,7 +181,8 @@ def _hidden_gradient(d_scores, hidden, rows, rel_tag_emb, scale, d_heads):
     # pre(i, j) = W_h e_i + W_t e_j + b: reduce over the partner token first
     d_pre = d_hidden.reshape(rows.stop - rows.start, -1, hidden.shape[1])
     d_heads[rows] = d_pre.sum(axis=1)  # summed over tails j
-    return d_rel, d_pre.sum(axis=0)
+    d_pre.sum(axis=0, out=d_tails)
+    return d_rel, d_tails
 
 
 # bits 0-2 set where tags 1-3 hold the top non-NONE score -> the sole such tag, else NONE
@@ -210,18 +229,37 @@ def train_grads(
         d_scores = hidden @ rel_tag_emb  # (rows * L) x 4K: cells (i, j, k)
         cells = d_scores.reshape(len(hidden), num_rel, NUM_TAGS)
         nll = _tag_gradient(cells, gold[rows].transpose(0, 2, 1), gold.size)
-        return nll, *_hidden_gradient(d_scores, hidden, rows, rel_tag_emb, scale, d_heads)
+        try:
+            parts = spares.pop()
+        except IndexError:
+            parts = np.empty_like(rel_tag_emb), np.empty_like(tails)
+        return nll, *_hidden_gradient(d_scores, hidden, rows, rel_tag_emb, scale, d_heads, parts)
 
-    # add the blocks' parts in block order, then go back through the projections
-    nll_sums, d_rels, d_tails_parts = zip(*_map_blocks(block, length))
-    d_tails = sum(d_tails_parts)  # L x hidden, summed over heads i
+    # fold the blocks' NLL, d_rel and d_tails (L x hidden, summed over heads i)
+    # into running sums in block order, then go back through the projections.
+    # The first part's buffers hold the sums; each later part's go to a later
+    # block, so blocks stop allocating and freeing them once the first are in.
+    sums, spares = [], []
+
+    def fold(part: tuple) -> None:
+        if sums:
+            for i, value in enumerate(part):
+                sums[i] += value
+            spares.append(part[1:])
+        else:  # 0.0 + part, as a sum from 0 starts: -0.0 becomes +0.0
+            sums.extend(part)
+            for i in range(len(sums)):
+                sums[i] += 0.0
+
+    _map_blocks(block, length, fold)
+    nll, d_rel, d_tails = sums
     d = emb.shape[1]
     grads["pair_proj"][:, :d] += d_heads.T @ emb
     grads["pair_proj"][:, d:] += d_tails.T @ emb
     grads["pair_bias"] += d_heads.sum(axis=0)
-    grads["rel_tag_emb"] += sum(d_rels)
+    grads["rel_tag_emb"] += d_rel
     d_emb = d_heads @ pair_proj[:, :d] + d_tails @ pair_proj[:, d:]
-    return float(sum(nll_sums) / gold.size), d_emb
+    return float(nll / gold.size), d_emb
 
 
 def tag_grid(emb: np.ndarray, arrays: dict) -> np.ndarray:

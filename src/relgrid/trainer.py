@@ -1,6 +1,10 @@
 """Mini-batch training loop: each sentence encoded once and scored at its
 true length, Adam updates on one flat weight vector, per-epoch
 checkpointing, and end-to-end prediction (tag_grid -> decode rows).
+
+Gold is held as tagged cells: the run keeps each sentence's nonzero grid
+cells (flat indices and int8 tags) and rebuilds one dense (L, K, L) grid
+at a time, from those cells, for that sentence's scorer call.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .config import ConfigError, check_fields, is_int, is_real
 from .corpus import RelationVocab, Sentence, unique_keys, write_file, write_lines
 from .encoder import Vocab, build_vocab, encode_indices
 from .scorer import tag_grid, train_grads
-from .tagging import NUM_TAGS, decode, encode
+from .tagging import NUM_TAGS, decode, roundtrip_check
 
 logger = logging.getLogger(__name__)
 
@@ -86,10 +90,36 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
 
 
+Cells = tuple[np.ndarray, np.ndarray]  # a gold grid's nonzero cells: flat indices, int8 tags
+
+
+def encode_gold(
+    corpus: list[Sentence], vocab: Vocab, num_relations: int
+) -> tuple[list[tuple[np.ndarray, Cells]], int]:
+    """Each sentence as (token indices, gold cells), its grid made once by
+    roundtrip_check and dropped, and the number of sentences whose gold the
+    grid cannot hold (decode differs from the gold rows)."""
+    encoded, lossy = [], 0
+    for s in corpus:
+        result = roundtrip_check(s, num_relations)
+        flat = np.flatnonzero(result.tags)
+        encoded.append((vocab.indices(s.tokens), (flat, result.tags.ravel()[flat])))
+        lossy += not result.exact
+    return encoded, lossy
+
+
+def gold_grid(cells: Cells, length: int, num_relations: int) -> np.ndarray:
+    """The dense (L, K, L) int8 gold grid of a sentence's tagged cells."""
+    flat, tags = cells
+    grid = np.zeros((length, num_relations, length), dtype=np.int8)
+    grid.ravel()[flat] = tags
+    return grid
+
+
 def make_batches(
-    encoded: list[tuple[np.ndarray, np.ndarray]], batch_size: int, shuffle_seed: int
-) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-    """Shuffle and chunk (token indices, int8 gold tags) pairs, each at its
+    encoded: list[tuple[np.ndarray, Cells]], batch_size: int, shuffle_seed: int
+) -> list[list[tuple[np.ndarray, Cells]]]:
+    """Shuffle and chunk (token indices, gold cells) pairs, each at its
     sentence's true length; the final partial batch is kept."""
     order = np.random.default_rng(shuffle_seed).permutation(len(encoded))
     return [
@@ -214,19 +244,22 @@ def init_model(
 
 
 def train_step(
-    model: Model, batch: list[tuple[np.ndarray, np.ndarray]], dropout_seeds: list[int], grad: np.ndarray
+    model: Model, batch: list[tuple[np.ndarray, Cells]], dropout_seeds: list[int], grad: np.ndarray
 ) -> float:
-    """Forward/backward over one batch of (token indices, gold tags) pairs,
+    """Forward/backward over one batch of (token indices, gold cells) pairs,
     each sentence at its true length (so nothing depends on its batch
-    companions); returns the mean loss. It zeroes `grad`, the caller's vector
+    companions) and its dense gold grid rebuilt only for its own scorer
+    call; returns the mean loss. It zeroes `grad`, the caller's vector
     laid out like model.weights, and fills it with the mean gradient."""
     grad.fill(0.0)
     groups = _views(grad, {name: arr.shape for name, arr in model.arrays.items()})
     tokens, positional = model.arrays["token_table"], model.arrays["positional_table"]
-    batch_loss = 0.0
-    for (ids, gold), seed in zip(batch, dropout_seeds):
+    num_relations, batch_loss = len(model.relations), 0.0
+    for (ids, cells), seed in zip(batch, dropout_seeds):
         emb = encode_indices(ids, tokens, positional)
+        gold = gold_grid(cells, len(ids), num_relations)
         loss, d_emb = train_grads(emb, gold, model.arrays, model.config.dropout_rate, seed, groups)
+        del gold  # one dense grid alive at a time
         batch_loss += loss
         np.add.at(groups["token_table"], ids, d_emb)
         groups["positional_table"][: len(ids)] += d_emb
@@ -259,11 +292,11 @@ def train(
     model = init_model(relations, vocab, config)
     state = AdamState.init(model.weights)
     grad = np.empty_like(model.weights)  # filled by train_step, consumed by adam_step
-    # gold grids come from the tag codec; encoding collisions in gold data
-    # are tolerated (priority rule applies)
-    encoded = [
-        (vocab.indices(s.tokens), encode(s, len(relations))[0]) for s in corpus
-    ]
+    # gold cells come from the tag codec; encoding collisions in gold data
+    # are tolerated (priority rule applies), and gold it cannot hold is counted
+    encoded, lossy = encode_gold(corpus, vocab, len(relations))
+    if lossy:
+        logger.warning("%d of %d training sentences have gold the tag grid cannot hold", lossy, len(corpus))
 
     log: list[EpochRecord] = []
     for epoch in range(1, config.epochs + 1):

@@ -519,6 +519,7 @@ class TestInPlaceKernels:
         rel_tag_emb = arrays["rel_tag_emb"]
         seed, scale = (17, 1.0 / (1.0 - dropout)) if dropout else (None, 1.0)
         d_heads, ref_d_heads = np.zeros_like(heads), np.zeros_like(heads)
+        parts = np.full_like(rel_tag_emb, np.nan), np.full_like(tails, np.nan)  # reused by every block
         for start in range(0, length, scorer._BLOCK_ROWS):
             rows = slice(start, min(start + scorer._BLOCK_ROWS, length))
             hidden = scorer._hidden_block(heads, tails, rows, seed, dropout, scale)
@@ -535,7 +536,7 @@ class TestInPlaceKernels:
             assert same_bytes(np.float64(nll), np.float64(ref_nll))
 
             ref = allocating_hidden_gradient(ref_d_scores, ref_hidden, rows, rel_tag_emb, scale, ref_d_heads)
-            got = scorer._hidden_gradient(d_scores, hidden, rows, rel_tag_emb, scale, d_heads)
+            got = scorer._hidden_gradient(d_scores, hidden, rows, rel_tag_emb, scale, d_heads, parts)
             for part, ref_part in zip(got, ref):
                 assert same_bytes(part, ref_part)
             assert same_bytes(d_heads, ref_d_heads)
@@ -776,6 +777,21 @@ class TestFusedDrivers:
         peak = traced_peak(lambda: train_grads(emb, gold, arrays, 0.1, 5, grads))
         block = scorer._BLOCK_ROWS * length * arrays["pair_bias"].size * 8  # 2.46 MB
         assert peak < 3 * block
+
+    def test_train_grads_folds_block_parts_as_they_finish(self, block_threads):
+        # L=96 makes six blocks of 16 rows, each with a hidden x 4K d_rel part
+        # of 1.05 MB at K=171. Holding all six until the last block is done
+        # peaks at 25.6 MB; folding each into the running sum as it finishes
+        # holds the sum and one part's buffers, for a 22.0 MB peak.
+        block_threads(1)
+        length = 96
+        emb, arrays, gold = self.instance(71, length, 171, emb_dim=64)
+        d_rel = arrays["rel_tag_emb"].nbytes
+        assert d_rel == 1_050_624
+        grads = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+        train_grads(emb, gold, arrays, 0.1, 5, grads)
+        peak = traced_peak(lambda: train_grads(emb, gold, arrays, 0.1, 5, grads))
+        assert peak < 22 * d_rel  # 23.1 MB
 
     @pytest.mark.parametrize("driver", ["train_grads", "tag_grid"])
     def test_peak_memory_below_one_hidden_grid(self, block_threads, driver):

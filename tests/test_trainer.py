@@ -1,7 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relgrid import trainer
+from relgrid import tagging, trainer
 from relgrid.corpus import RelationVocab, build_sentence
 from relgrid.encoder import build_vocab, encode_indices
 from relgrid.synthetic import SynthConfig, generate_corpus
@@ -12,6 +16,8 @@ from relgrid.trainer import (
     NumericError,
     TrainConfig,
     adam_step,
+    encode_gold,
+    gold_grid,
     init_model,
     load_checkpoint,
     make_batches,
@@ -22,14 +28,14 @@ from relgrid.trainer import (
     write_loss_log,
 )
 
-from conftest import glorot_arrays, make_sentence
+from conftest import glorot_arrays, make_sentence, random_triples, triple
 from test_scorer import concat_reference, pad_cells, same_bytes, scorer_grads, traced_peak
 
 
 def encoded(corpus, vocab, num_relations):
-    """(token indices, int8 gold grid) per sentence, as train builds them;
+    """(token indices, gold cells) per sentence, as train builds them;
     in the given order, one batch as train_step takes it."""
-    return [(vocab.indices(s.tokens), encode(s, num_relations)[0]) for s in corpus]
+    return encode_gold(corpus, vocab, num_relations)[0]
 
 
 def by_group(model, flat):
@@ -50,12 +56,12 @@ def padded_train_step(model, batch):
     padded = max(len(ids) for ids, _ in batch)
     grads = {name: np.zeros_like(arr) for name, arr in model.arrays.items()}
     batch_loss = 0.0
-    for row_ids, row_gold in batch:
+    for row_ids, cells in batch:
         n = len(row_ids)
         ids = np.zeros(padded, dtype=np.int64)  # 0 = padding
         ids[:n] = row_ids
         emb = encode_indices(ids, *embedding_tables(model))
-        gold, mask = pad_cells(row_gold, padded)
+        gold, mask = pad_cells(gold_grid(cells, n, len(model.relations)), padded)
         _, loss, g = concat_reference(emb, model.arrays, gold, mask)
         batch_loss += loss
         for name in ("pair_proj", "pair_bias", "rel_tag_emb"):
@@ -85,12 +91,12 @@ class TestBatches:
         corpus, relations = tiny_synth
         sentences = encoded(corpus, build_vocab(corpus), len(relations))
         batches = make_batches(sentences, 4, shuffle_seed=5)
-        seen = [(id(ids), id(gold)) for b in batches for ids, gold in b]
-        assert sorted(seen) == sorted((id(ids), id(gold)) for ids, gold in sentences)
+        seen = [(id(ids), id(cells)) for b in batches for ids, cells in b]
+        assert sorted(seen) == sorted((id(ids), id(cells)) for ids, cells in sentences)
         for b in batches:
-            for ids, gold in b:
-                assert gold.dtype == np.int8
-                assert gold.shape == (len(ids), len(relations), len(ids))
+            for ids, (flat, tags) in b:
+                assert flat.dtype == np.int64 and tags.dtype == np.int8
+                assert tags.all() and flat.max() < len(ids) ** 2 * len(relations)
 
     def test_same_seed_same_order(self, tiny_synth):
         corpus, relations = tiny_synth
@@ -115,9 +121,58 @@ class TestBatches:
             calls.append(sentence.id)
             return encode(sentence, num_relations)
 
-        monkeypatch.setattr(trainer, "encode", counting_encode)
+        monkeypatch.setattr(tagging, "encode", counting_encode)
         train(corpus, relations, TrainConfig(epochs=3, batch_size=4, seed=1))
         assert sorted(calls) == sorted(s.id for s in corpus)
+
+
+class TestGoldCells:
+    """train keeps each sentence's tagged gold cells and rebuilds its dense
+    grid only for that sentence's scorer call."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.integers(1, 3), st.integers(1, 8))
+    def test_cells_rebuild_the_encoded_grid(self, seed, length, num_rel, max_triples):
+        # the draws of the codec's reference-walk test: lossy and colliding sets among them
+        s = make_sentence(length, random_triples(np.random.default_rng(seed), length, num_rel, max_triples))
+        vocab = build_vocab([s])
+        [(_, cells)], _ = encode_gold([s], vocab, num_rel)
+        grid, expected = gold_grid(cells, length, num_rel), encode(s, num_rel)[0]
+        assert grid.dtype == np.int8 and grid.shape == (length, num_rel, length)
+        assert grid.tobytes() == expected.tobytes()
+
+    def test_lossy_gold_warns_once_with_its_count(self, caplog):
+        # nested heads on one relation and tail: decoding splices the wrong head end
+        lossy = make_sentence(10, [triple((0, 5), 0, (8, 9)), triple((2, 3), 0, (8, 9))], sid="lossy")
+        clean = make_sentence(10, [triple((0, 1), 0, (8, 9))], sid="clean")
+        with caplog.at_level(logging.WARNING):
+            train([lossy, clean], RelationVocab(names=("r0",)), TrainConfig(epochs=2, emb_dim=8))
+        [warning] = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert warning.name == "relgrid.trainer"
+        assert warning.getMessage().startswith("1 of 2 training sentences have gold")
+
+    def test_generator_corpus_never_warns(self, caplog):
+        corpus, relations, _ = generate_corpus(SynthConfig(sentences=60, num_relations=4, seed=8))
+        with caplog.at_level(logging.WARNING):
+            train(corpus, relations, TrainConfig(epochs=1, emb_dim=8))
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+    def test_training_peak_is_flat_in_the_corpus_size(self, block_threads):
+        # one dense gold grid (L=60, K=24: 86 KB) is alive at a time, so four
+        # times the sentences add only their cells and batch lists to the peak
+        block_threads(1)
+        corpus, relations, _ = generate_corpus(
+            SynthConfig(sentences=16, num_relations=24, min_len=60, max_len=60, seed=12)
+        )
+        vocab = build_vocab(corpus)
+        config = TrainConfig(epochs=1, emb_dim=8, seed=3)
+
+        def peak(sentences):
+            return traced_peak(lambda: train(sentences, relations, config, vocab=vocab))
+
+        peak(corpus[:4])
+        small, large = peak(corpus[:4]), peak(corpus)
+        assert large - small < 128 * 1024, (small, large)
 
 
 class TestTrainStep:
