@@ -1,6 +1,8 @@
 """Command-line surface: train / eval / tag / synth / stats.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure,
+141 (128 + SIGPIPE, the shell's code) when standard output is a pipe whose
+reader has gone, as in `relgrid stats ... | head -1`; nothing is reported.
 A training option of the wrong type or out of range, from a flag or from
 the config file, is a usage error, and so is a missing required option
 (such as --data) or a config file that is not a JSON object, names a key
@@ -53,6 +55,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_PIPE = 141
 
 _EVAL_CHUNK_ROWS = 2**15  # predicted rows eval counts at once, give or take the last sentence
 
@@ -408,6 +411,21 @@ COMMANDS = {
 }
 
 
+def _discard_stdout() -> None:
+    """Point standard output's descriptor at os.devnull, so that the interpreter's
+    last flush of what is still buffered for a closed pipe stays quiet. An output
+    with no descriptor, such as an in-memory stream, is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(
         level=os.environ.get("RELGRID_LOG_LEVEL", "WARNING").upper(),
@@ -420,7 +438,12 @@ def main(argv: list[str] | None = None) -> int:
             # a diverging run ends in one NumericError line, not NumPy's overflow warnings first;
             # filters are process-wide, so this covers the scorer's pool threads too
             warnings.filterwarnings("ignore", category=RuntimeWarning, module=r"relgrid\.")
-            return COMMANDS[args.command](RunConfig(args, parser.subcommands[args.command]._actions))
+            code = COMMANDS[args.command](RunConfig(args, parser.subcommands[args.command]._actions))
+        sys.stdout.flush()  # a gone reader shows here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:
+        _discard_stdout()
+        return EXIT_PIPE
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -17,7 +17,7 @@ The three parameters are the model's named arrays (trainer._layout gives
 their shapes): the drivers read them from a dict by name, and train_grads
 adds their gradients into the same names of another dict.
 
-The grid is worked in blocks of at most 16 head rows (see _map_blocks) by shared kernels:
+The grid is worked in blocks of head rows (see _map_blocks) by shared kernels:
 _hidden_block (pre-activation, dropout, rectifier), _tag_gradient (tag
 softmax, NLL, softmax - onehot(gold)), _hidden_gradient (to rel_tag_emb,
 d_heads, d_tails) and _tags (argmax, ties to NONE). The two drivers take
@@ -26,14 +26,16 @@ for training, from hidden layer to the loss and its gradients, and
 tag_grid, for prediction, from hidden layer to int8 tags. In training one
 rows * L x hidden buffer per block carries draw -> pre-activation -> hidden -> its gradient.
 
+A block holds at most 16 rows and, unless it is a single row, at most about
+2 MiB of hidden layer and scores: rows * L * (hidden + 4K) float64 values.
 The blocks run on the calling thread plus one pool thread per further core
-(ufuncs and BLAS release the interpreter lock). The split depends on L alone
-and sums across blocks are folded into running totals in block order as the
-blocks finish, so no result depends on the thread count. Each block draws
-its dropout units from its offset in one rng.random((L * L, hidden)) stream,
-so hidden activations equal an unsplit computation bit for bit; scores may
-differ in the last bit (BLAS edge tiles), loss and gradients in summation
-order.
+(ufuncs and BLAS release the interpreter lock). The split depends on the
+grid's shape alone and sums across blocks are folded into running totals in
+block order as the blocks finish, so no result depends on the thread count.
+Each block draws its dropout units from its offset in one
+rng.random((L * L, hidden)) stream, so hidden activations equal an unsplit
+computation bit for bit; scores may differ in the last bit (BLAS edge
+tiles), loss and gradients in summation order.
 """
 
 from __future__ import annotations
@@ -46,9 +48,11 @@ import numpy as np
 from .tagging import NUM_TAGS
 
 
-# Most head rows per block. The split depends on L alone, so no result
-# depends on the number of threads.
+# Most head rows per block, and most bytes of hidden layer and scores per block
+# (a single row may pass it). The split depends on the grid's shape alone, so no
+# result depends on the number of threads.
 _BLOCK_ROWS = 16
+_BLOCK_BYTES = 2 << 20
 # Threads that run blocks: the calling thread plus _THREADS - 1 pool threads.
 _THREADS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -68,12 +72,14 @@ def _executor():
         return _pool
 
 
-def _map_blocks(fn, length: int, fold=None) -> list:
+def _map_blocks(fn, length: int, width: int, fold=None) -> list:
     """[fn(rows) for rows in the blocks of head rows], in block order; given `fold`,
     each result goes to fold(result) instead, in block order, as soon as every earlier
     block's has, and the list stays empty: about one unfolded result per thread is held.
 
-    L > _BLOCK_ROWS rows make ceil(L / _BLOCK_ROWS), rounded up to even, near-equal
+    A row is L cells of `width` float64 values (hidden + 4K). A block may hold R rows,
+    at most _BLOCK_ROWS and at most _BLOCK_BYTES of cells, but at least one. L <= R rows
+    are one block; more make ceil(L / R), rounded up to even (at most L), near-equal
     blocks, the first ones a row taller, so two threads share the work within one row.
     With W = min(_THREADS, blocks) > 1 the calling thread runs blocks 0, W, 2W, ... and pool
     thread w the blocks w, W + w, ...; the caller takes its share because temporaries made on a
@@ -82,9 +88,10 @@ def _map_blocks(fn, length: int, fold=None) -> list:
     """
     results = []
     fold = fold or results.append
+    most_rows = max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // max(8 * length * width, 1)))
     blocks = [slice(0, length)]
-    if length > _BLOCK_ROWS:
-        count = 2 * -(-length // (2 * _BLOCK_ROWS))
+    if length > most_rows:
+        count = min(2 * -(-length // (2 * most_rows)), length)
         starts = [b * (length // count) + min(b, length % count) for b in range(count + 1)]
         blocks = [slice(a, b) for a, b in zip(starts, starts[1:])]
     threads = min(_THREADS, len(blocks))
@@ -131,14 +138,19 @@ def _projections(emb: np.ndarray, arrays: dict) -> tuple[np.ndarray, np.ndarray]
 def _hidden_block(heads, tails, rows, seed=None, rate=0.0, scale=1.0) -> np.ndarray:
     """Post-rectifier activations of the pairs (i, j), i in rows, as a
     (rows * L) x hidden array; dropout is drawn, into the same buffer, when seed is not None."""
+    shape = (rows.stop - rows.start, *tails.shape)
     if seed is None:
-        pre = heads[rows, None, :] + tails
+        pre = np.empty(shape)
     else:
         # these rows' part of one rng.random((L * L, hidden)) draw
         bits = np.random.PCG64(seed).advance(rows.start * tails.size)
-        pre = np.random.Generator(bits).random((rows.stop - rows.start, *tails.shape))
+        pre = np.random.Generator(bits).random(shape)
         keep = pre >= rate
-        np.add(heads[rows, None, :], tails, out=pre)
+    # heads copied in, then tails added in place: the broadcast add heads + tails
+    # would allocate NumPy iteration buffers beside its result
+    np.copyto(pre, heads[rows, None, :])
+    pre += tails
+    if seed is not None:
         pre *= keep
         pre *= scale
     np.maximum(pre, 0.0, out=pre)
@@ -177,7 +189,8 @@ def _hidden_gradient(d_scores, hidden, rows, rel_tag_emb, scale, d_heads, parts)
     active = hidden > 0.0  # rectifier active set, dropped units included
     d_hidden = np.matmul(d_scores, rel_tag_emb.T, out=hidden)
     d_hidden *= active
-    d_hidden *= scale
+    if scale != 1.0:
+        d_hidden *= scale
     # pre(i, j) = W_h e_i + W_t e_j + b: reduce over the partner token first
     d_pre = d_hidden.reshape(rows.stop - rows.start, -1, hidden.shape[1])
     d_heads[rows] = d_pre.sum(axis=1)  # summed over tails j
@@ -251,11 +264,13 @@ def train_grads(
             for i in range(len(sums)):
                 sums[i] += 0.0
 
-    _map_blocks(block, length, fold)
+    _map_blocks(block, length, heads.shape[1] + rel_tag_emb.shape[1], fold)
     nll, d_rel, d_tails = sums
     d = emb.shape[1]
-    grads["pair_proj"][:, :d] += d_heads.T @ emb
-    grads["pair_proj"][:, d:] += d_tails.T @ emb
+    d_proj = np.empty_like(pair_proj)  # one contiguous add, not two into strided halves
+    np.matmul(d_heads.T, emb, out=d_proj[:, :d])
+    np.matmul(d_tails.T, emb, out=d_proj[:, d:])
+    grads["pair_proj"] += d_proj
     grads["pair_bias"] += d_heads.sum(axis=0)
     grads["rel_tag_emb"] += d_rel
     d_emb = d_heads @ pair_proj[:, :d] + d_tails @ pair_proj[:, d:]
@@ -274,5 +289,5 @@ def tag_grid(emb: np.ndarray, arrays: dict) -> np.ndarray:
         scores = _hidden_block(heads, tails, rows) @ rel_tag_emb
         tags[rows] = _tags(scores.reshape(-1, length, num_rel, NUM_TAGS)).transpose(0, 2, 1)
 
-    _map_blocks(block, length)
+    _map_blocks(block, length, heads.shape[1] + rel_tag_emb.shape[1])
     return tags

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relgrid.cli
-from relgrid.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from relgrid.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_PIPE, EXIT_USAGE, main
 from relgrid.corpus import RelationVocab, load_native, save_native
 from relgrid.encoder import build_vocab
 from relgrid.evaluation import breakdown, export_relation_embeddings
@@ -1352,6 +1352,42 @@ class TestUsage:
         assert code == EXIT_NUMERIC
         assert stderr == "numeric failure: non-finite gradient in parameter group 'pair_proj'\n"
         assert not checkpoint.exists()
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("command", ["stats", "synth"])
+    def test_gone_stdout_reader_ends_quietly(self, capsys, synth_file, tmp_path, command, unbuffered):
+        # as `relgrid stats ... | head -1` once head has exited: the pipe's read
+        # end is closed before the command writes its first line
+        out = tmp_path / "c.jsonl"
+        argv = {
+            "stats": ["stats", "--data", str(synth_file)],
+            "synth": ["synth", "--out", str(out), "--count", "12", "--seed", "3"],
+        }[command]
+        src = str(Path(relgrid.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "relgrid.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (EXIT_PIPE, "")
+        if command == "synth":
+            whole = tmp_path / "whole.jsonl"
+            assert run(capsys, "synth", "--out", str(whole), "--count", "12", "--seed", "3")[0] == EXIT_OK
+            assert out.read_bytes() == whole.read_bytes()
+
+    def test_broken_pipe_without_a_stdout_descriptor(self, capsys, synth_file, monkeypatch):
+        # under pytest's capture, as under redirect_stdout(StringIO), stdout has no fileno()
+        def gone(*args, **kwargs):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(relgrid.cli, "corpus_stats", gone)
+        assert run(capsys, "stats", "--data", str(synth_file)) == (EXIT_PIPE, "", "")
 
     def test_eval_can_export_relation_columns(self, capsys, synth_file, tmp_path):
         ck = tmp_path / "x.npz"

@@ -541,16 +541,34 @@ class TestInPlaceKernels:
                 assert same_bytes(part, ref_part)
             assert same_bytes(d_heads, ref_d_heads)
 
+    def test_hidden_block_allocates_little_beside_its_result(self):
+        # a broadcast add heads + tails allocates about 62 KB of NumPy
+        # iteration buffers beside its 983 KB result here
+        emb, arrays, _ = random_instance(40, 40, 4, emb_dim=64)
+        heads, tails = scorer._projections(emb, arrays)
+        rows = slice(0, 16)
+        scorer._hidden_block(heads, tails, rows)
+        hidden = []
+        peak = traced_peak(lambda: hidden.append(scorer._hidden_block(heads, tails, rows)))
+        assert peak - hidden[0].nbytes < 4096
+
+
+def block_spans(length, width):
+    """The (start, stop) head rows of each block of an L x L grid of `width` values a cell."""
+    return scorer._map_blocks(lambda rows: (rows.start, rows.stop), length, width)
+
 
 class TestHeadRowBlocks:
     """The pair grid is computed in blocks of head rows: at L=37 there are
-    four, 10, 9, 9 and 9 rows high. Against a one-block run, the hidden
-    layer, and the tags of an instance whose scores are exact, must be
-    equal; loss and gradients may differ in float summation order (BLAS
-    rounds the edge tiles of a product by its shape)."""
+    four, 10, 9, 9 and 9 rows high, or more and shorter ones when a smaller
+    byte budget binds. Against a one-block run, the hidden layer, and the
+    tags of an instance whose scores are exact, must be equal; loss and
+    gradients may differ in float summation order (BLAS rounds the edge
+    tiles of a product by its shape)."""
 
     RTOL, ATOL = 1e-12, 1e-14
     LENGTH, NUM_REL = 37, 5
+    WIDTH = 3 * 8 + NUM_TAGS * NUM_REL  # hidden + 4K values a cell at emb_dim 8
 
     def instance(self):
         return random_instance(61, length=self.LENGTH, num_rel=self.NUM_REL, emb_dim=8)
@@ -561,22 +579,28 @@ class TestHeadRowBlocks:
         if halves:
             to_half_integers(emb, arrays)
 
-        def run():
+        def run(most_rows, budget):
+            monkeypatch.setattr(scorer, "_BLOCK_ROWS", most_rows)
+            monkeypatch.setattr(scorer, "_BLOCK_BYTES", budget)
             return scorer_grads(emb, gold, arrays, 0.3, 63), tag_grid(emb, arrays)
 
-        blocked_grads, blocked_tags = run()
-        monkeypatch.setattr(scorer, "_BLOCK_ROWS", 64)
-        whole_grads, whole_tags = run()
-        for name in GRAD_NAMES + ("loss",):
-            np.testing.assert_allclose(
-                blocked_grads[name],
-                whole_grads[name],
-                rtol=self.RTOL,
-                atol=self.ATOL,
-                err_msg=name,
-            )
-        if halves:
-            assert np.array_equal(blocked_tags, whole_tags)
+        # the 16-row rule's four blocks, then a budget that leaves one row a block
+        cases = ((scorer._BLOCK_BYTES, 4), (1, self.LENGTH))
+        whole_grads, whole_tags = run(64, 1 << 40)
+        assert block_spans(self.LENGTH, self.WIDTH) == [(0, self.LENGTH)]
+        for budget, blocks in cases:
+            blocked_grads, blocked_tags = run(16, budget)
+            assert len(block_spans(self.LENGTH, self.WIDTH)) == blocks
+            for name in GRAD_NAMES + ("loss",):
+                np.testing.assert_allclose(
+                    blocked_grads[name],
+                    whole_grads[name],
+                    rtol=self.RTOL,
+                    atol=self.ATOL,
+                    err_msg=name,
+                )
+            if halves:
+                assert np.array_equal(blocked_tags, whole_tags)
 
     def test_dropout_stream_is_one_draw_over_the_grid(self):
         emb, arrays, gold = self.instance()
@@ -584,37 +608,66 @@ class TestHeadRowBlocks:
         blocks = scorer._map_blocks(
             lambda rows: scorer._hidden_block(heads, tails, rows, 63, 0.3, 1.0 / (1.0 - 0.3)),
             self.LENGTH,
+            self.WIDTH,
         )
         assert [len(b) // self.LENGTH for b in blocks] == [10, 9, 9, 9]
         _, ref_hidden, _, _ = float_mask_reference(emb, arrays, gold, 0.3, 63)
         assert np.array_equal(np.concatenate(blocks), ref_hidden.reshape(-1, heads.shape[1]))
 
-    def test_blocks_cover_rows_in_order(self, block_threads):
+    def test_blocks_cover_rows_in_order(self, monkeypatch, block_threads):
         block_threads(3)
-        spans = scorer._map_blocks(lambda rows: (rows.start, rows.stop), 37)
-        assert spans == [(0, 10), (10, 19), (19, 28), (28, 37)]
-        assert scorer._map_blocks(lambda rows: (rows.start, rows.stop), 16) == [(0, 16)]
+        assert block_spans(37, self.WIDTH) == [(0, 10), (10, 19), (19, 28), (28, 37)]
+        assert block_spans(16, self.WIDTH) == [(0, 16)]
+        # a budget of five rows of 37 cells: eight blocks at L=37, and two at L=16
+        monkeypatch.setattr(scorer, "_BLOCK_BYTES", 5 * 37 * self.WIDTH * 8)
+        assert block_spans(37, self.WIDTH) == [
+            (0, 5), (5, 10), (10, 15), (15, 20), (20, 25), (25, 29), (29, 33), (33, 37)
+        ]
+        assert block_spans(16, self.WIDTH) == [(0, 8), (8, 16)]
 
-    def test_split_is_balanced_and_fixed_by_the_length(self, block_threads):
-        def spans(length):
-            return scorer._map_blocks(lambda rows: (rows.start, rows.stop, threading.get_ident()), length)
+    # (cell width, byte budget): the 16-row rule alone (K=5 at emb_dim 8), the
+    # benchmark's K=24 and K=171 widths at the default budget, and a budget
+    # that splits grids from L=3 on and takes one-row blocks from L=9 on
+    SHAPES = {44: scorer._BLOCK_BYTES, 288: scorer._BLOCK_BYTES, 876: scorer._BLOCK_BYTES, 4: 256}
 
-        for length in range(1, 121):
-            block_threads(1)
-            one = spans(length)
-            cuts = [(a, b) for a, b, _ in one]
-            assert [a for a, _ in cuts] + [length] == [0] + [b for _, b in cuts]
-            assert all(0 < b - a <= scorer._BLOCK_ROWS for a, b in cuts)
-            for threads in (2, 4):
-                block_threads(threads)
-                split = spans(length)
-                assert [(a, b) for a, b, _ in split] == cuts, (length, threads)
-                if threads == 2:  # each thread's share of the rows (times L pairs each)
-                    rows = {}
-                    for a, b, thread in split:
-                        rows[thread] = rows.get(thread, 0) + b - a
-                    assert len(rows) == min(2, len(cuts))
-                    assert max(rows.values()) - min(rows.values()) <= 1, (length, rows)
+    def test_split_is_balanced_and_fixed_by_the_shape(self, monkeypatch, block_threads):
+        def spans(length, width):
+            return scorer._map_blocks(
+                lambda rows: (rows.start, rows.stop, threading.get_ident()), length, width
+            )
+
+        one_thread = {}
+        for threads in (1, 2, 4):
+            block_threads(threads)
+            for width, budget in self.SHAPES.items():
+                monkeypatch.setattr(scorer, "_BLOCK_BYTES", budget)
+                for length in range(1, 121):
+                    split = spans(length, width)
+                    cuts = [(a, b) for a, b, _ in split]
+                    if threads > 1:
+                        assert cuts == one_thread[width, length], (width, length, threads)
+                    if threads == 2:  # each thread's share of the rows (times L pairs each)
+                        rows = {}
+                        for a, b, thread in split:
+                            rows[thread] = rows.get(thread, 0) + b - a
+                        assert len(rows) == min(2, len(cuts))
+                        assert max(rows.values()) - min(rows.values()) <= 1, (width, length, rows)
+                    if threads > 1:
+                        continue
+                    one_thread[width, length] = cuts
+                    row_bytes = length * width * 8
+                    heights = [b - a for a, b in cuts]
+                    assert [a for a, _ in cuts] + [length] == [0] + [b for _, b in cuts]
+                    assert all(0 < h <= scorer._BLOCK_ROWS for h in heights)
+                    assert all(h == 1 or h * row_bytes <= budget for h in heights), (width, length)
+                    # near-equal, the first ones a row taller
+                    assert heights == sorted(heights, reverse=True) and heights[0] - heights[-1] <= 1
+                    fits = length <= scorer._BLOCK_ROWS and length * row_bytes <= budget
+                    assert (len(cuts) == 1) == (fits or length == 1), (width, length)
+                    assert len(cuts) in (1, length) or len(cuts) % 2 == 0
+                    if len(cuts) > 2:  # two blocks fewer would break a limit
+                        tallest = -(-length // (len(cuts) - 2))
+                        assert tallest > scorer._BLOCK_ROWS or tallest * row_bytes > budget
 
     @pytest.mark.parametrize("failing", [0, 10, 19], ids=["caller", "pool-1", "pool-2"])
     def test_block_exception_reaches_caller_unchanged(self, block_threads, failing):
@@ -627,7 +680,7 @@ class TestHeadRowBlocks:
             return rows.start
 
         with pytest.raises(RuntimeError) as info:
-            scorer._map_blocks(fn, 37)
+            scorer._map_blocks(fn, 37, self.WIDTH)
         assert info.value is error
 
 
@@ -768,30 +821,39 @@ class TestFusedDrivers:
                 assert np.array_equal(grads[name], one_grads[name]), name
 
     def test_train_grads_peak_below_three_hidden_blocks(self, block_threads):
-        # one block's draw, hidden layer and hidden gradient share a buffer
+        # one block's draw, hidden layer and hidden gradient share a buffer; at
+        # L=100, K=24 the 2 MiB budget makes the tallest block 9 rows high
         block_threads(1)
         length = 100
         emb, arrays, gold = self.instance(71, length, 24, emb_dim=64)
+        hidden_dim, width = arrays["pair_bias"].size, arrays["pair_bias"].size + arrays["rel_tag_emb"].shape[1]
+        tallest = max(b - a for a, b in block_spans(length, width))
+        assert tallest * length * width * 8 <= scorer._BLOCK_BYTES
         grads = {name: np.zeros_like(arr) for name, arr in arrays.items()}
         train_grads(emb, gold, arrays, 0.1, 5, grads)
         peak = traced_peak(lambda: train_grads(emb, gold, arrays, 0.1, 5, grads))
-        block = scorer._BLOCK_ROWS * length * arrays["pair_bias"].size * 8  # 2.46 MB
-        assert peak < 3 * block
+        block = tallest * length * hidden_dim * 8  # 1.38 MB
+        assert peak < 3 * block  # 3.83 MB
 
     def test_train_grads_folds_block_parts_as_they_finish(self, block_threads):
-        # L=96 makes six blocks of 16 rows, each with a hidden x 4K d_rel part
-        # of 1.05 MB at K=171. Holding all six until the last block is done
-        # peaks at 25.6 MB; folding each into the running sum as it finishes
-        # holds the sum and one part's buffers, for a 22.0 MB peak.
+        # At K=171 the budget cuts L=96 into 32 blocks of 3 rows, each with
+        # at most 2 MiB of hidden layer and scores (2.02 MB) and a hidden x 4K
+        # d_rel part of 1.05 MB. Holding all 32 parts until the last block is
+        # done would take 33.6 MB. Folding each into the running sum as it
+        # finishes holds one block, its softmax temporaries (three K-wide
+        # arrays, 3/4 of its scores), the sum and one part's buffers: less
+        # than two budgets and three d_rel parts.
         block_threads(1)
         length = 96
         emb, arrays, gold = self.instance(71, length, 171, emb_dim=64)
         d_rel = arrays["rel_tag_emb"].nbytes
         assert d_rel == 1_050_624
+        width = arrays["pair_bias"].size + arrays["rel_tag_emb"].shape[1]
+        assert len(block_spans(length, width)) == 32
         grads = {name: np.zeros_like(arr) for name, arr in arrays.items()}
         train_grads(emb, gold, arrays, 0.1, 5, grads)
         peak = traced_peak(lambda: train_grads(emb, gold, arrays, 0.1, 5, grads))
-        assert peak < 22 * d_rel  # 23.1 MB
+        assert peak < 2 * scorer._BLOCK_BYTES + 3 * d_rel  # 6.44 MB < 7.35 MB
 
     @pytest.mark.parametrize("driver", ["train_grads", "tag_grid"])
     def test_peak_memory_below_one_hidden_grid(self, block_threads, driver):
