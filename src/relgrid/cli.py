@@ -1,8 +1,10 @@
 """Command-line surface: train / eval / tag / synth / stats.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure,
+130 (128 + SIGINT) on an interrupt such as Ctrl-C, reported in one line, and
 141 (128 + SIGPIPE, the shell's code) when standard output is a pipe whose
 reader has gone, as in `relgrid stats ... | head -1`; nothing is reported.
+An interrupted train keeps the checkpoint of its last finished epoch.
 A training option of the wrong type or out of range, from a flag or from
 the config file, is a usage error, and so is a missing required option
 (such as --data) or a config file that is not a JSON object, names a key
@@ -55,6 +57,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_INTERRUPT = 130
 EXIT_PIPE = 141
 
 _EVAL_CHUNK_ROWS = 2**15  # predicted rows eval counts at once, give or take the last sentence
@@ -214,21 +217,26 @@ def _span_mode(match_mode: str | None) -> str:
     return "last-token" if match_mode == "partial" else "whole-span"
 
 
+def _corpus_options(cfg: RunConfig) -> dict:
+    """The resolved --data, --format, --relations and --match of a command that loads a corpus."""
+    return {"data": cfg.require("data"), "format": cfg.get("format", "native"),
+            "relations": cfg.get("relations"), "match": cfg.get("match")}
+
+
 def _load_corpus(
-    cfg: RunConfig, max_seq_len: int | None, relations: RelationVocab | None = None, allow_empty: bool = False
+    options: dict, max_seq_len: int | None, relations: RelationVocab | None = None, allow_empty: bool = False
 ):
-    """Shared --data/--format/--relations handling for several commands;
-    given `relations` take the place of the --relations file. A corpus with
-    no sentences is a data error naming the file unless `allow_empty`."""
-    data = cfg.require("data")
-    fmt = cfg.get("format", "native")
-    if relations is None and cfg.get("relations"):
-        relations = _read_relations(cfg.get("relations"))
-    if fmt == "public":
+    """The corpus that _corpus_options name, shared by several commands; given
+    `relations` take the place of the --relations file. A corpus with no
+    sentences is a data error naming the file unless `allow_empty`."""
+    data = options["data"]
+    if relations is None and options["relations"]:
+        relations = _read_relations(options["relations"])
+    if options["format"] == "public":
         if relations is None:
             raise ConfigError("public format requires --relations")
         corpus, warnings = load_public(
-            data, relations, match_mode=_span_mode(cfg.get("match")), max_seq_len=max_seq_len
+            data, relations, match_mode=_span_mode(options["match"]), max_seq_len=max_seq_len
         )
     else:
         corpus, relations, warnings = load_native(data, relations, max_seq_len=max_seq_len)
@@ -251,11 +259,12 @@ def cmd_train(cfg: RunConfig) -> int:
         seed=cfg.get("seed", TrainConfig.seed),
     )
     out = cfg.get("out", "checkpoint.npz")
+    options, vocab_path = _corpus_options(cfg), cfg.get("vocab")
     cfg.log("train")
     logger.info("root seed %d", config.seed)
 
-    corpus, relations = _load_corpus(cfg, config.max_seq_len)
-    vocab = _read_vocab(cfg.get("vocab")) if cfg.get("vocab") else None
+    corpus, relations = _load_corpus(options, config.max_seq_len)
+    vocab = _read_vocab(vocab_path) if vocab_path else None
 
     model, log = train(corpus, relations, config, vocab=vocab, checkpoint_path=out)
     write_loss_log(f"{out}.log", log)
@@ -284,36 +293,32 @@ def _eval_reports(corpus: list, model, modes: list[str]) -> tuple[list, float]:
 
 
 def cmd_eval(cfg: RunConfig) -> int:
-    checkpoint = cfg.require("checkpoint")
+    checkpoint, options = cfg.require("checkpoint"), _corpus_options(cfg)
+    vocab_path, out, export_path = cfg.get("vocab"), cfg.get("out"), cfg.get("export-relations")
     cfg.log("eval")
     model = load_checkpoint(checkpoint)
 
-    relations_path = cfg.get("relations")
-    if relations_path:
-        given = _read_relations(relations_path)
-        if given.names != model.relations.names:
+    if options["relations"]:
+        if _read_relations(options["relations"]).names != model.relations.names:
             raise CorpusError("relations file does not match checkpoint relations")
-    vocab_path = cfg.get("vocab")
     if vocab_path:
         if _read_vocab(vocab_path).token_to_index != model.vocab.token_to_index:
             raise CorpusError("vocab file does not match checkpoint vocab")
 
     # reuse the checkpoint relations when loading
-    corpus, _ = _load_corpus(cfg, model.config.max_seq_len, model.relations, allow_empty=True)
+    corpus, _ = _load_corpus(options, model.config.max_seq_len, model.relations, allow_empty=True)
 
-    modes = [cfg.get("match")] if cfg.get("match") else list(MATCH_MODES)
+    modes = [options["match"]] if options["match"] else list(MATCH_MODES)
     reports, elapsed = _eval_reports(corpus, model, modes)
     for report in reports:
         print(report.to_text())
     per_sentence = f"{1000.0 * elapsed / len(corpus):.2f}ms per sentence" if corpus else "no sentences"
     print(f"inference wall-clock: {elapsed:.3f}s total, {per_sentence}")
     kv = [report.to_kv() for report in reports]
-    out = cfg.get("out")
     if out:
         write_lines(out, kv)
     else:
         print("\n".join(kv))
-    export_path = cfg.get("export-relations")
     if export_path:
         export_relation_embeddings(model.arrays["rel_tag_emb"], model.relations, export_path)
         print(f"relation representations: {export_path}")
@@ -326,11 +331,11 @@ def _triple_lines(rows: np.ndarray, relations: RelationVocab) -> list[str]:
 
 
 def cmd_tag(cfg: RunConfig) -> int:
-    raw = cfg.get("sentence")
+    raw, relations_path = cfg.get("sentence"), cfg.get("relations")
     cfg.log("tag")
     if raw is None:
         raw = sys.stdin.read()
-    relations = _read_relations(cfg.get("relations")) if cfg.get("relations") else None
+    relations = _read_relations(relations_path) if relations_path else None
     record = {"id": "stdin", "triples": [], **parse_record(raw, "tag input")}
     known = {name: i for i, name in enumerate(relations.names)} if relations else {}
     sentence = native_sentence(record, known, relations is None, "tag input")
@@ -396,8 +401,9 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 
 def cmd_stats(cfg: RunConfig) -> int:
+    options = _corpus_options(cfg)
     cfg.log("stats")
-    corpus, _ = _load_corpus(cfg, max_seq_len=None)
+    corpus, _ = _load_corpus(options, max_seq_len=None)
     print(corpus_stats(corpus).to_text())
     return EXIT_OK
 
@@ -441,6 +447,9 @@ def main(argv: list[str] | None = None) -> int:
             code = COMMANDS[args.command](RunConfig(args, parser.subcommands[args.command]._actions))
         sys.stdout.flush()  # a gone reader shows here, not in the interpreter's last flush
         return code
+    except KeyboardInterrupt:
+        sys.stderr.write("interrupted\n")
+        return EXIT_INTERRUPT
     except BrokenPipeError:
         _discard_stdout()
         return EXIT_PIPE

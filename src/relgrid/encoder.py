@@ -5,6 +5,7 @@ standing in for a contextual sentence encoder behind the same L x d interface.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,19 +61,9 @@ def build_vocab(corpus: list[Sentence], min_count: int = 1) -> Vocab:
         raise ValueError("empty corpus")
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    counts: dict[str, int] = {}
-    first_seen: dict[str, int] = {}
-    position = 0
-    for s in corpus:
-        for tok in s.tokens:
-            counts[tok] = counts.get(tok, 0) + 1
-            if tok not in first_seen:
-                first_seen[tok] = position
-            position += 1
-    qualified = sorted(
-        (tok for tok, c in counts.items() if c >= min_count),
-        key=lambda tok: (-counts[tok], first_seen[tok]),
-    )
+    counts = Counter(tok for s in corpus for tok in s.tokens)
+    # Counter keeps first-occurrence order and sorted is stable: ties stay in that order
+    qualified = sorted((tok for tok, c in counts.items() if c >= min_count), key=lambda tok: -counts[tok])
     mapping = {PAD_TOKEN: PAD_INDEX, UNK_TOKEN: UNK_INDEX}
     for tok in qualified:  # a corpus token spelled <pad> or <unk> keeps its reserved row
         mapping.setdefault(tok, len(mapping))

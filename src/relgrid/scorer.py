@@ -249,20 +249,14 @@ def train_grads(
         return nll, *_hidden_gradient(d_scores, hidden, rows, rel_tag_emb, scale, d_heads, parts)
 
     # fold the blocks' NLL, d_rel and d_tails (L x hidden, summed over heads i)
-    # into running sums in block order, then go back through the projections.
-    # The first part's buffers hold the sums; each later part's go to a later
-    # block, so blocks stop allocating and freeing them once the first are in.
-    sums, spares = [], []
+    # into running sums in block order, then go back through the projections;
+    # each part's buffers go to a later block, which then allocates none
+    sums, spares = [0.0, np.zeros_like(rel_tag_emb), np.zeros_like(tails)], []
 
     def fold(part: tuple) -> None:
-        if sums:
-            for i, value in enumerate(part):
-                sums[i] += value
-            spares.append(part[1:])
-        else:  # 0.0 + part, as a sum from 0 starts: -0.0 becomes +0.0
-            sums.extend(part)
-            for i in range(len(sums)):
-                sums[i] += 0.0
+        for i, value in enumerate(part):
+            sums[i] += value
+        spares.append(part[1:])
 
     _map_blocks(block, length, heads.shape[1] + rel_tag_emb.shape[1], fold)
     nll, d_rel, d_tails = sums

@@ -2,10 +2,13 @@ import contextlib
 import hashlib
 import io
 import json
+import logging
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import zipfile
 from pathlib import Path
@@ -16,13 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relgrid.cli
-from relgrid.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_PIPE, EXIT_USAGE, main
+from relgrid.cli import EXIT_DATA, EXIT_INTERRUPT, EXIT_NUMERIC, EXIT_OK, EXIT_PIPE, EXIT_USAGE, build_parser, main
 from relgrid.corpus import RelationVocab, load_native, save_native
 from relgrid.encoder import build_vocab
 from relgrid.evaluation import breakdown, export_relation_embeddings
 from relgrid.synthetic import SynthConfig, generate_corpus
 from relgrid.tagging import encode
-from relgrid.trainer import EpochRecord, NumericError, TrainConfig, init_model, save_checkpoint, write_loss_log
+from relgrid.trainer import (
+    EpochRecord, NumericError, TrainConfig, init_model, load_checkpoint, save_checkpoint, write_loss_log,
+)
 
 from conftest import make_sentence, triple
 
@@ -1380,6 +1385,65 @@ class TestUsage:
             whole = tmp_path / "whole.jsonl"
             assert run(capsys, "synth", "--out", str(whole), "--count", "12", "--seed", "3")[0] == EXIT_OK
             assert out.read_bytes() == whole.read_bytes()
+
+    def test_interrupted_train_ends_in_one_line(self, capsys, tmp_path):
+        # sentences past one 16-row block, so the scorer's pool thread is busy too,
+        # and enough of them that an epoch takes over a second
+        data, checkpoint = tmp_path / "c.jsonl", tmp_path / "m.npz"
+        code, _, _ = run(capsys, "synth", "--out", str(data), "--count", "400",
+                         "--min-len", "24", "--max-len", "40", "--seed", "4")
+        assert code == EXIT_OK
+        src = str(Path(relgrid.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                   RELGRID_LOG_LEVEL="WARNING")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "relgrid.cli", "train", "--data", str(data), "--out", str(checkpoint),
+             "--epochs", "1000"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while not checkpoint.exists():  # the first epoch's checkpoint, renamed into place whole
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGINT)
+            _, stderr = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert (proc.returncode, stderr) == (EXIT_INTERRUPT, "interrupted\n")
+        assert list(tmp_path.glob(".*.tmp")) == []
+        assert load_checkpoint(checkpoint).config.epochs == 1000
+
+    @pytest.mark.parametrize("command", ["train", "eval", "tag", "synth", "stats"])
+    def test_logs_every_option(self, capsys, caplog, synth_file, tmp_path, command):
+        # one option from the config file alone, one by flag, the rest by default
+        checkpoint = tmp_path / "m.npz"
+        if command == "eval":
+            assert run(capsys, "train", "--data", str(synth_file), "--epochs", "1", "--out", str(checkpoint))[0] == EXIT_OK
+        relations = tmp_path / "relations.txt"
+        relations.write_text("located_in\n", encoding="utf-8")
+        from_file, flag, value = {
+            "train": ({"epochs": 1}, "data", str(synth_file)),
+            "eval": ({"checkpoint": str(checkpoint)}, "data", str(synth_file)),
+            "tag": ({"sentence": json.dumps(FIG2A_RECORD)}, "relations", str(relations)),
+            "synth": ({"count": 4}, "out", str(tmp_path / "c.jsonl")),
+            "stats": ({"match": "exact"}, "data", str(synth_file)),
+        }[command]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(from_file), encoding="utf-8")
+        out = ["--out", str(checkpoint)] if command == "train" else []
+        caplog.set_level(logging.INFO, logger="relgrid")
+        caplog.clear()
+        code, _, _ = run(capsys, command, "--config", str(config), f"--{flag}", value, *out)
+        assert code == EXIT_OK
+        prefix = f"command={command} resolved config: "
+        [message] = [r.getMessage() for r in caplog.records if r.getMessage().startswith(prefix)]
+        logged = json.loads(message.removeprefix(prefix))
+        actions = build_parser().subcommands[command]._actions
+        assert logged.keys() == {a.dest.replace("_", "-") for a in actions} - {"help", "config"}
+        assert logged.items() >= {**from_file, flag: value}.items()
 
     def test_broken_pipe_without_a_stdout_descriptor(self, capsys, synth_file, monkeypatch):
         # under pytest's capture, as under redirect_stdout(StringIO), stdout has no fileno()

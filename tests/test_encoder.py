@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relgrid.corpus import RelationVocab
 from relgrid.encoder import UNK_INDEX, Vocab, build_vocab, encode_indices
@@ -16,7 +18,36 @@ def make_sentence_from(text, i):
     return build_sentence(str(i), text.split(), [])
 
 
+def reference_vocab(sentences, min_count):
+    """build_vocab's mapping counted by hand, as (token, index) pairs in order:
+    the reserved rows, then tokens seen at least min_count times, most frequent
+    first and ties in first-occurrence order; a corpus <pad> or <unk> keeps its row."""
+    counts, first_seen = {}, {}
+    for position, tok in enumerate(tok for tokens in sentences for tok in tokens):
+        counts[tok] = counts.get(tok, 0) + 1
+        first_seen.setdefault(tok, position)
+    qualified = sorted(
+        (tok for tok, c in counts.items() if c >= min_count),
+        key=lambda tok: (-counts[tok], first_seen[tok]),
+    )
+    mapping = {"<pad>": 0, "<unk>": 1}
+    for tok in qualified:
+        mapping.setdefault(tok, len(mapping))
+    return list(mapping.items())
+
+
 class TestBuildVocab:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "e", "<pad>", "<unk>"]), min_size=1, max_size=8),
+                 min_size=1, max_size=6),
+        st.integers(1, 3),
+    )
+    def test_matches_a_hand_count(self, sentences, min_count):
+        corpus = [make_sentence_from(" ".join(tokens), i) for i, tokens in enumerate(sentences)]
+        vocab = build_vocab(corpus, min_count)
+        assert list(vocab.token_to_index.items()) == reference_vocab(sentences, min_count)
+
     def test_frequency_then_first_occurrence(self):
         vocab = build_vocab(corpus_of("a b a"), min_count=1)
         assert vocab.token_to_index == {"<pad>": 0, "<unk>": 1, "a": 2, "b": 3}

@@ -12,12 +12,7 @@ import pytest
 from relgrid.trainer import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
-# a package __init__ imports names to re-export them
-MODULES = sorted(
-    path
-    for path in [*(ROOT / "src" / "relgrid").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-    if path.name != "__init__.py"
-)
+MODULES = sorted([*(ROOT / "src" / "relgrid").glob("*.py"), *(ROOT / "tests").glob("*.py")])
 PACKAGE = sorted((ROOT / "src" / "relgrid").glob("*.py"))
 
 
