@@ -1,10 +1,10 @@
 """Command-line surface: train / eval / tag / synth / stats.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure,
-130 (128 + SIGINT) on an interrupt such as Ctrl-C, reported in one line, and
-141 (128 + SIGPIPE, the shell's code) when standard output is a pipe whose
-reader has gone, as in `relgrid stats ... | head -1`; nothing is reported.
-An interrupted train keeps the checkpoint of its last finished epoch.
+130 (128 + SIGINT) on Ctrl-C and 143 (128 + SIGTERM), each reported in one line,
+and 141 (128 + SIGPIPE, the shell's code) when standard output is a pipe whose
+reader has gone, as in `relgrid stats ... | head -1`; nothing is reported. An
+interrupted train keeps the checkpoint and the `.log` of its last finished epoch.
 A training option of the wrong type or out of range, from a flag or from
 the config file, is a usage error, and so is a missing required option
 (such as --data) or a config file that is not a JSON object, names a key
@@ -22,7 +22,9 @@ import argparse
 import json
 import logging
 import os
+import signal
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -49,7 +51,7 @@ from .encoder import Vocab
 from .evaluation import MATCH_MODES, breakdown, export_relation_embeddings, stack_rows
 from .synthetic import GenerationError, SynthConfig, default_mix, generate_corpus
 from .tagging import render_relation_grid, roundtrip_check
-from .trainer import NumericError, TrainConfig, load_checkpoint, predict, train, write_loss_log
+from .trainer import NumericError, TrainConfig, load_checkpoint, predict, train
 
 logger = logging.getLogger("relgrid")
 
@@ -59,6 +61,7 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 EXIT_INTERRUPT = 130
 EXIT_PIPE = 141
+EXIT_TERM = 143
 
 _EVAL_CHUNK_ROWS = 2**15  # predicted rows eval counts at once, give or take the last sentence
 
@@ -267,7 +270,6 @@ def cmd_train(cfg: RunConfig) -> int:
     vocab = _read_vocab(vocab_path) if vocab_path else None
 
     model, log = train(corpus, relations, config, vocab=vocab, checkpoint_path=out)
-    write_loss_log(f"{out}.log", log)
     print(f"trained {len(log)} epochs on {len(corpus)} sentences")
     print(f"final loss {log[-1].mean_loss:.6f}")
     print(f"checkpoint: {out}")
@@ -432,6 +434,14 @@ def _discard_stdout() -> None:
         os.close(devnull)
 
 
+class Terminated(KeyboardInterrupt):
+    """SIGTERM, raised by main's handler: a KeyboardInterrupt, so Ctrl-C's cleanup runs for it too."""
+
+
+def _terminate(signum, frame):
+    raise Terminated
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(
         level=os.environ.get("RELGRID_LOG_LEVEL", "WARNING").upper(),
@@ -439,6 +449,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser = build_parser()
     args = parser.parse_args(argv)
+    # only the main thread may set a handler; the old one is back on return, for in-process callers
+    previous = signal.signal(signal.SIGTERM, _terminate) if threading.current_thread() is threading.main_thread() else None
     try:
         with warnings.catch_warnings():
             # a diverging run ends in one NumericError line, not NumPy's overflow warnings first;
@@ -447,6 +459,9 @@ def main(argv: list[str] | None = None) -> int:
             code = COMMANDS[args.command](RunConfig(args, parser.subcommands[args.command]._actions))
         sys.stdout.flush()  # a gone reader shows here, not in the interpreter's last flush
         return code
+    except Terminated:
+        sys.stderr.write("terminated\n")
+        return EXIT_TERM
     except KeyboardInterrupt:
         sys.stderr.write("interrupted\n")
         return EXIT_INTERRUPT
@@ -462,6 +477,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CorpusError, GenerationError, OSError, ValueError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
+    finally:
+        if previous is not None:  # None too for a handler set outside Python, which Python cannot set back
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

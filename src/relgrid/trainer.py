@@ -1,10 +1,8 @@
-"""Mini-batch training loop: each sentence encoded once and scored at its
-true length, Adam updates on one flat weight vector, per-epoch
-checkpointing, and end-to-end prediction (tag_grid -> decode rows).
-
-Gold is held as tagged cells: the run keeps each sentence's nonzero grid
-cells (flat indices and int8 tags) and rebuilds one dense (L, K, L) grid
-at a time, from those cells, for that sentence's scorer call.
+"""Mini-batch training loop: token indices looked up once per run, each
+sentence scored at its true length against the dense gold grid that the
+tag codec encodes from its rows for that call alone, Adam updates on one
+flat weight vector, per-epoch checkpointing, and end-to-end prediction
+(tag_grid -> decode rows).
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from .config import ConfigError, check_fields, is_int, is_real
 from .corpus import RelationVocab, Sentence, unique_keys, write_file, write_lines
 from .encoder import Vocab, build_vocab, encode_indices
 from .scorer import tag_grid, train_grads
-from .tagging import NUM_TAGS, decode, roundtrip_check
+from .tagging import NUM_TAGS, decode, encode, roundtrip_check
 
 logger = logging.getLogger(__name__)
 
@@ -90,36 +88,10 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-Cells = tuple[np.ndarray, np.ndarray]  # a gold grid's nonzero cells: flat indices, int8 tags
-
-
-def encode_gold(
-    corpus: list[Sentence], vocab: Vocab, num_relations: int
-) -> tuple[list[tuple[np.ndarray, Cells]], int]:
-    """Each sentence as (token indices, gold cells), its grid made once by
-    roundtrip_check and dropped, and the number of sentences whose gold the
-    grid cannot hold (decode differs from the gold rows)."""
-    encoded, lossy = [], 0
-    for s in corpus:
-        result = roundtrip_check(s, num_relations)
-        flat = np.flatnonzero(result.tags)
-        encoded.append((vocab.indices(s.tokens), (flat, result.tags.ravel()[flat])))
-        lossy += not result.exact
-    return encoded, lossy
-
-
-def gold_grid(cells: Cells, length: int, num_relations: int) -> np.ndarray:
-    """The dense (L, K, L) int8 gold grid of a sentence's tagged cells."""
-    flat, tags = cells
-    grid = np.zeros((length, num_relations, length), dtype=np.int8)
-    grid.ravel()[flat] = tags
-    return grid
-
-
 def make_batches(
-    encoded: list[tuple[np.ndarray, Cells]], batch_size: int, shuffle_seed: int
-) -> list[list[tuple[np.ndarray, Cells]]]:
-    """Shuffle and chunk (token indices, gold cells) pairs, each at its
+    encoded: list[tuple[np.ndarray, Sentence]], batch_size: int, shuffle_seed: int
+) -> list[list[tuple[np.ndarray, Sentence]]]:
+    """Shuffle and chunk (token indices, sentence) pairs, each at its
     sentence's true length; the final partial batch is kept."""
     order = np.random.default_rng(shuffle_seed).permutation(len(encoded))
     return [
@@ -244,20 +216,20 @@ def init_model(
 
 
 def train_step(
-    model: Model, batch: list[tuple[np.ndarray, Cells]], dropout_seeds: list[int], grad: np.ndarray
+    model: Model, batch: list[tuple[np.ndarray, Sentence]], dropout_seeds: list[int], grad: np.ndarray
 ) -> float:
-    """Forward/backward over one batch of (token indices, gold cells) pairs,
+    """Forward/backward over one batch of (token indices, sentence) pairs,
     each sentence at its true length (so nothing depends on its batch
-    companions) and its dense gold grid rebuilt only for its own scorer
+    companions) and its dense gold grid encoded only for its own scorer
     call; returns the mean loss. It zeroes `grad`, the caller's vector
     laid out like model.weights, and fills it with the mean gradient."""
     grad.fill(0.0)
     groups = _views(grad, {name: arr.shape for name, arr in model.arrays.items()})
     tokens, positional = model.arrays["token_table"], model.arrays["positional_table"]
     num_relations, batch_loss = len(model.relations), 0.0
-    for (ids, cells), seed in zip(batch, dropout_seeds):
+    for (ids, sentence), seed in zip(batch, dropout_seeds):
         emb = encode_indices(ids, tokens, positional)
-        gold = gold_grid(cells, len(ids), num_relations)
+        gold = encode(sentence, num_relations)[0]
         loss, d_emb = train_grads(emb, gold, model.arrays, model.config.dropout_rate, seed, groups)
         del gold  # one dense grid alive at a time
         batch_loss += loss
@@ -283,7 +255,8 @@ def train(
 
     `on_epoch(epoch, model, mean_loss)` may return True to stop early (used
     by harnesses that fit to a target; no validation-based selection is done
-    here). A checkpoint is (re)written after every epoch when a path is given.
+    here). Given a path, the checkpoint is rewritten after every epoch, and `<path>.log`
+    (write_loss_log) after the last one or when a KeyboardInterrupt, raised again, stops the run.
     """
     if not corpus:
         raise ValueError("empty corpus")
@@ -292,37 +265,45 @@ def train(
     model = init_model(relations, vocab, config)
     state = AdamState.init(model.weights)
     grad = np.empty_like(model.weights)  # filled by train_step, consumed by adam_step
-    # gold cells come from the tag codec; encoding collisions in gold data
-    # are tolerated (priority rule applies), and gold it cannot hold is counted
-    encoded, lossy = encode_gold(corpus, vocab, len(relations))
+    # gold collisions are tolerated (the codec's priority rule); gold the grid cannot hold is counted
+    encoded = [(vocab.indices(s.tokens), s) for s in corpus]
+    lossy = sum(not roundtrip_check(s, len(relations)).exact for s in corpus)
     if lossy:
         logger.warning("%d of %d training sentences have gold the tag grid cannot hold", lossy, len(corpus))
 
     log: list[EpochRecord] = []
-    for epoch in range(1, config.epochs + 1):
-        started = time.perf_counter()
-        batches = make_batches(
-            encoded, config.batch_size, shuffle_seed=_derived_seed(config.seed, 3, epoch)
-        )
-        weighted_loss = 0.0
-        for b_idx, batch in enumerate(batches):
-            size = len(batch)
-            seeds = [0] * size  # read only when dropout is on
-            if config.dropout_rate > 0.0:
-                seeds = [_derived_seed(config.seed, 4, epoch, b_idx, row) for row in range(size)]
-            batch_loss = train_step(model, batch, seeds, grad)
-            adam_step(model.weights, grad, state, config)
-            weighted_loss += batch_loss * size
-        mean_loss = weighted_loss / len(corpus)
-        if not np.isfinite(mean_loss):
-            raise NumericError(f"non-finite loss at epoch {epoch}")
-        seconds = time.perf_counter() - started
-        log.append(EpochRecord(epoch=epoch, mean_loss=mean_loss, seconds=seconds))
-        logger.info("epoch %d loss %.6f (%.2fs)", epoch, mean_loss, seconds)
-        if checkpoint_path is not None:
-            save_checkpoint(checkpoint_path, model)
-        if on_epoch is not None and on_epoch(epoch, model, mean_loss):
-            break
+    try:
+        for epoch in range(1, config.epochs + 1):
+            started = time.perf_counter()
+            batches = make_batches(
+                encoded, config.batch_size, shuffle_seed=_derived_seed(config.seed, 3, epoch)
+            )
+            weighted_loss = 0.0
+            for b_idx, batch in enumerate(batches):
+                size = len(batch)
+                seeds = [0] * size  # read only when dropout is on
+                if config.dropout_rate > 0.0:
+                    seeds = [_derived_seed(config.seed, 4, epoch, b_idx, row) for row in range(size)]
+                batch_loss = train_step(model, batch, seeds, grad)
+                adam_step(model.weights, grad, state, config)
+                weighted_loss += batch_loss * size
+            mean_loss = weighted_loss / len(corpus)
+            if not np.isfinite(mean_loss):
+                raise NumericError(f"non-finite loss at epoch {epoch}")
+            seconds = time.perf_counter() - started
+            logger.info("epoch %d loss %.6f (%.2fs)", epoch, mean_loss, seconds)
+            if checkpoint_path is not None:
+                save_checkpoint(checkpoint_path, model)
+            # recorded once its checkpoint is in place: the log names no epoch the checkpoint lacks
+            log.append(EpochRecord(epoch=epoch, mean_loss=mean_loss, seconds=seconds))
+            if on_epoch is not None and on_epoch(epoch, model, mean_loss):
+                break
+    except KeyboardInterrupt:
+        if checkpoint_path is not None and log:  # else an older run's log still matches its checkpoint
+            write_loss_log(f"{checkpoint_path}.log", log)
+        raise
+    if checkpoint_path is not None:
+        write_loss_log(f"{checkpoint_path}.log", log)
     return model, log
 
 

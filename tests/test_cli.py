@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 import zipfile
@@ -19,7 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relgrid.cli
-from relgrid.cli import EXIT_DATA, EXIT_INTERRUPT, EXIT_NUMERIC, EXIT_OK, EXIT_PIPE, EXIT_USAGE, build_parser, main
+from relgrid.cli import (
+    EXIT_DATA, EXIT_INTERRUPT, EXIT_NUMERIC, EXIT_OK, EXIT_PIPE, EXIT_TERM, EXIT_USAGE, build_parser, main,
+)
 from relgrid.corpus import RelationVocab, load_native, save_native
 from relgrid.encoder import build_vocab
 from relgrid.evaluation import breakdown, export_relation_embeddings
@@ -55,6 +58,16 @@ def with_header_field(checkpoint, path, field, change):
     arrays["header_json"] = np.array(json.dumps(header))
     np.savez(path, **arrays)
     return path
+
+
+def saved_parts(checkpoint):
+    """A checkpoint's config epochs, the rest of its header but the config
+    hash, and its parameter arrays by name."""
+    with np.load(checkpoint) as data:
+        arrays = {name: data[name] for name in data.files}
+    header = json.loads(str(arrays.pop("header_json")))
+    del header["config_hash"]
+    return header["config"].pop("epochs"), header, arrays
 
 
 def run(capsys, *argv):
@@ -1386,35 +1399,102 @@ class TestUsage:
             assert run(capsys, "synth", "--out", str(whole), "--count", "12", "--seed", "3")[0] == EXIT_OK
             assert out.read_bytes() == whole.read_bytes()
 
-    def test_interrupted_train_ends_in_one_line(self, capsys, tmp_path):
+    @staticmethod
+    def signalled(argv, signum, ready):
+        """Run `relgrid argv` in a child, send it `signum` once `ready()` holds
+        and the child is still running, and return its exit code and stderr."""
+        src = str(Path(relgrid.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                   RELGRID_LOG_LEVEL="WARNING")
+        proc = subprocess.Popen([sys.executable, "-m", "relgrid.cli", *argv],
+                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env)
+        try:
+            deadline = time.monotonic() + 120
+            while not ready():
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            assert proc.poll() is None
+            proc.send_signal(signum)
+            _, stderr = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        return proc.returncode, stderr
+
+    def signalled_train(self, capsys, tmp_path, signum):
+        """A child train sent `signum` during its second epoch: its exit code,
+        stderr, corpus path and checkpoint path."""
         # sentences past one 16-row block, so the scorer's pool thread is busy too,
         # and enough of them that an epoch takes over a second
         data, checkpoint = tmp_path / "c.jsonl", tmp_path / "m.npz"
         code, _, _ = run(capsys, "synth", "--out", str(data), "--count", "400",
                          "--min-len", "24", "--max-len", "40", "--seed", "4")
         assert code == EXIT_OK
-        src = str(Path(relgrid.cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-                   RELGRID_LOG_LEVEL="WARNING")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "relgrid.cli", "train", "--data", str(data), "--out", str(checkpoint),
-             "--epochs", "1000"],
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env,
-        )
-        try:
-            deadline = time.monotonic() + 120
-            while not checkpoint.exists():  # the first epoch's checkpoint, renamed into place whole
-                assert proc.poll() is None and time.monotonic() < deadline
-                time.sleep(0.01)
-            proc.send_signal(signal.SIGINT)
-            _, stderr = proc.communicate(timeout=120)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-        assert (proc.returncode, stderr) == (EXIT_INTERRUPT, "interrupted\n")
+
+        def second_epoch():
+            # the first epoch's checkpoint, renamed into place whole; a moment
+            # later the signal lands mid-epoch, not between a rename and its record
+            if not checkpoint.exists():
+                return False
+            time.sleep(0.2)
+            return True
+
+        argv = ["train", "--data", str(data), "--out", str(checkpoint), "--epochs", "1000"]
+        return (*self.signalled(argv, signum, second_epoch), data, checkpoint)
+
+    def test_interrupted_train_ends_in_one_line(self, capsys, tmp_path):
+        code, stderr, data, checkpoint = self.signalled_train(capsys, tmp_path, signal.SIGINT)
+        assert (code, stderr) == (EXIT_INTERRUPT, "interrupted\n")
+        assert list(tmp_path.glob(".*.tmp")) == []
+        # the .log names the n epochs the checkpoint holds: a fresh n-epoch run ends where it did
+        lines = Path(f"{checkpoint}.log").read_text(encoding="utf-8").splitlines()
+        n = len(lines)
+        assert n >= 1 and [line.split("\t")[0] for line in lines] == [str(e) for e in range(1, n + 1)]
+        fresh = tmp_path / "fresh.npz"
+        assert run(capsys, "train", "--data", str(data), "--out", str(fresh), "--epochs", str(n))[0] == EXIT_OK
+        fresh_lines = Path(f"{fresh}.log").read_text(encoding="utf-8").splitlines()
+        assert [line.split("\t")[1] for line in lines] == [line.split("\t")[1] for line in fresh_lines]
+        (epochs, header, arrays), (fresh_epochs, fresh_header, fresh_arrays) = map(saved_parts, (checkpoint, fresh))
+        assert (epochs, fresh_epochs) == (1000, n) and header == fresh_header
+        assert len(arrays) == 5 and arrays.keys() == fresh_arrays.keys()
+        for name in arrays:
+            assert arrays[name].tobytes() == fresh_arrays[name].tobytes(), name
+        assert load_checkpoint(checkpoint).config.epochs == 1000
+
+    def test_terminated_train_ends_in_one_line(self, capsys, tmp_path):
+        code, stderr, _, checkpoint = self.signalled_train(capsys, tmp_path, signal.SIGTERM)
+        assert (code, stderr) == (EXIT_TERM, "terminated\n")
         assert list(tmp_path.glob(".*.tmp")) == []
         assert load_checkpoint(checkpoint).config.epochs == 1000
+        assert len(Path(f"{checkpoint}.log").read_text(encoding="utf-8").splitlines()) >= 1
+
+    def test_interrupted_eval_ends_in_one_line(self, tmp_path):
+        # dense-k171-shaped sentences under an untrained model, which tags most
+        # cells: seconds of eval, all of it before the report is written
+        corpus, relations, _ = generate_corpus(
+            SynthConfig(sentences=48, num_relations=171, min_len=60, max_len=60, seed=5)
+        )
+        data, checkpoint, out = tmp_path / "c.jsonl", tmp_path / "m.npz", tmp_path / "report.txt"
+        save_native(corpus, relations, data)
+        save_checkpoint(checkpoint, init_model(relations, build_vocab(corpus), TrainConfig(seed=1)))
+        started = time.monotonic()
+        argv = ["eval", "--data", str(data), "--checkpoint", str(checkpoint), "--out", str(out)]
+        code, stderr = self.signalled(argv, signal.SIGINT, lambda: time.monotonic() - started > 1.0)
+        assert (code, stderr) == (EXIT_INTERRUPT, "interrupted\n")
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "m.npz"]
+
+    def test_main_restores_the_sigterm_handler(self, capsys, synth_file):
+        previous = signal.getsignal(signal.SIGTERM)
+        assert run(capsys, "stats", "--data", str(synth_file))[0] == EXIT_OK
+        assert signal.getsignal(signal.SIGTERM) is previous
+        codes = []  # off the main thread no handler can be set, and main sets none
+        worker = threading.Thread(target=lambda: codes.append(main(["stats", "--data", str(synth_file)])))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and codes == [EXIT_OK]
+        assert signal.getsignal(signal.SIGTERM) is previous
 
     @pytest.mark.parametrize("command", ["train", "eval", "tag", "synth", "stats"])
     def test_logs_every_option(self, capsys, caplog, synth_file, tmp_path, command):

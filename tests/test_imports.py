@@ -1,6 +1,7 @@
 """Every module of the package and of the tests reads each name it imports,
 only `corpus.write_file` writes a file in the package, only
-`corpus.build_sentence` makes a `Sentence` there, and `train` sets every
+`corpus.build_sentence` makes a `Sentence` there, only `tagging.encode` and
+`scorer.tag_grid` allocate an int8 tag grid there, and `train` sets every
 field of `TrainConfig`."""
 
 import ast
@@ -41,6 +42,12 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def _nodes_in(tree: ast.AST, name: str | None) -> set[int]:
+    """The ids of the nodes inside every function named `name`."""
+    return {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            and fn.name == name for node in ast.walk(fn)}
+
+
 def _mode(call: ast.Call) -> str | None:
     """The mode string an open call is given: its `mode=` keyword, else the
     first of its first two arguments that is a string of mode letters."""
@@ -56,8 +63,7 @@ def direct_writes(source: str) -> list[str]:
     a file: write_text, write_bytes, os.replace, os.fsync, and open or .open
     with a w, a or x mode."""
     tree = ast.parse(source)
-    helper = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-              and fn.name == "write_file" for node in ast.walk(fn)}
+    helper = _nodes_in(tree, "write_file")
     found = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call) or id(node) in helper:
@@ -91,8 +97,7 @@ def sentence_calls(source: str, builder: str | None) -> list[str]:
     """Calls of `Sentence`, by that name or as an attribute, outside a
     function named `builder`."""
     tree = ast.parse(source)
-    inside = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-              and fn.name == builder for node in ast.walk(fn)}
+    inside = _nodes_in(tree, builder)
     found = [
         (node.lineno, ast.unparse(node.func)) for node in ast.walk(tree)
         if isinstance(node, ast.Call) and id(node) not in inside
@@ -114,6 +119,45 @@ def test_finds_a_direct_sentence_call():
 def test_only_build_sentence_makes_a_sentence(path):
     builder = "build_sentence" if path.name == "corpus.py" else None
     assert sentence_calls(path.read_text(encoding="utf-8"), builder) == []
+
+
+ALLOCATORS = {"np.zeros": 1, "np.empty": 1, "np.full": 2}  # call -> position of its dtype argument
+GRID_BUILDERS = {"tagging.py": "encode", "scorer.py": "tag_grid"}
+
+
+def int8_allocations(source: str, builder: str | None) -> list[str]:
+    """Calls of np.zeros, np.empty or np.full with an int8 dtype, by keyword
+    or by position, outside a function named `builder`."""
+    tree = ast.parse(source)
+    inside = _nodes_in(tree, builder)
+    found = []
+    for node in ast.walk(tree):
+        call = ast.unparse(node.func) if isinstance(node, ast.Call) else None
+        if call not in ALLOCATORS or id(node) in inside:
+            continue
+        dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"] + node.args[ALLOCATORS[call]:]
+        if any(ast.unparse(dtype) in ("np.int8", "'int8'") for dtype in dtypes):
+            found.append((node.lineno, call))
+    return [f"line {lineno}: {call}" for lineno, call in sorted(found)]
+
+
+def test_finds_an_int8_allocation():
+    source = (
+        "def encode(n):\n    return np.zeros((n, n), dtype=np.int8)\n"
+        "def other(n):\n    np.zeros(n, dtype=np.int8)\n    np.empty(n, np.int8)\n"
+        "    np.full(n, 0, dtype='int8')\n    np.full(n, 0, np.int8)\n    np.zeros(n, dtype=np.int64)\n"
+        "    np.full(n, 8)\n    np.array([0], dtype=np.int8)\n"
+    )
+    assert int8_allocations(source, "encode") == [
+        "line 4: np.zeros", "line 5: np.empty", "line 6: np.full", "line 7: np.full",
+    ]
+    assert int8_allocations(source, None)[0] == "line 2: np.zeros"
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[p.name for p in PACKAGE])
+def test_only_the_codec_and_tag_grid_make_a_tag_grid(path):
+    """One gold-grid builder (tagging.encode) and one predicted-grid builder (scorer.tag_grid)."""
+    assert int8_allocations(path.read_text(encoding="utf-8"), GRID_BUILDERS.get(path.name)) == []
 
 
 def test_train_sets_every_train_config_field():

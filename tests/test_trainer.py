@@ -2,8 +2,6 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from relgrid import tagging, trainer
 from relgrid.corpus import RelationVocab, build_sentence
@@ -16,8 +14,6 @@ from relgrid.trainer import (
     NumericError,
     TrainConfig,
     adam_step,
-    encode_gold,
-    gold_grid,
     init_model,
     load_checkpoint,
     make_batches,
@@ -28,14 +24,14 @@ from relgrid.trainer import (
     write_loss_log,
 )
 
-from conftest import glorot_arrays, make_sentence, random_triples, triple
+from conftest import glorot_arrays, make_sentence, triple
 from test_scorer import concat_reference, pad_cells, same_bytes, scorer_grads, traced_peak
 
 
-def encoded(corpus, vocab, num_relations):
-    """(token indices, gold cells) per sentence, as train builds them;
+def encoded(corpus, vocab):
+    """(token indices, sentence) per sentence, as train builds them;
     in the given order, one batch as train_step takes it."""
-    return encode_gold(corpus, vocab, num_relations)[0]
+    return [(vocab.indices(s.tokens), s) for s in corpus]
 
 
 def by_group(model, flat):
@@ -56,12 +52,12 @@ def padded_train_step(model, batch):
     padded = max(len(ids) for ids, _ in batch)
     grads = {name: np.zeros_like(arr) for name, arr in model.arrays.items()}
     batch_loss = 0.0
-    for row_ids, cells in batch:
+    for row_ids, sentence in batch:
         n = len(row_ids)
         ids = np.zeros(padded, dtype=np.int64)  # 0 = padding
         ids[:n] = row_ids
         emb = encode_indices(ids, *embedding_tables(model))
-        gold, mask = pad_cells(gold_grid(cells, n, len(model.relations)), padded)
+        gold, mask = pad_cells(encode(sentence, len(model.relations))[0], padded)
         _, loss, g = concat_reference(emb, model.arrays, gold, mask)
         batch_loss += loss
         for name in ("pair_proj", "pair_bias", "rel_tag_emb"):
@@ -82,38 +78,38 @@ def tiny_synth():
 
 class TestBatches:
     def test_batch_sizes_keep_final_partial(self, tiny_synth):
-        corpus, relations = tiny_synth
-        sentences = encoded(corpus, build_vocab(corpus), len(relations))
+        corpus, _ = tiny_synth
+        sentences = encoded(corpus, build_vocab(corpus))
         batches = make_batches(sentences, 4, shuffle_seed=5)
         assert [len(b) for b in batches] == [4, 4, 2]
 
     def test_every_sentence_once_at_true_length(self, tiny_synth):
-        corpus, relations = tiny_synth
-        sentences = encoded(corpus, build_vocab(corpus), len(relations))
+        corpus, _ = tiny_synth
+        sentences = encoded(corpus, build_vocab(corpus))
         batches = make_batches(sentences, 4, shuffle_seed=5)
-        seen = [(id(ids), id(cells)) for b in batches for ids, cells in b]
-        assert sorted(seen) == sorted((id(ids), id(cells)) for ids, cells in sentences)
+        seen = [(id(ids), id(s)) for b in batches for ids, s in b]
+        assert sorted(seen) == sorted((id(ids), id(s)) for ids, s in sentences)
         for b in batches:
-            for ids, (flat, tags) in b:
-                assert flat.dtype == np.int64 and tags.dtype == np.int8
-                assert tags.all() and flat.max() < len(ids) ** 2 * len(relations)
+            for ids, s in b:
+                assert ids.dtype == np.int64 and len(ids) == len(s.tokens)
 
     def test_same_seed_same_order(self, tiny_synth):
-        corpus, relations = tiny_synth
-        sentences = encoded(corpus, build_vocab(corpus), len(relations))
+        corpus, _ = tiny_synth
+        sentences = encoded(corpus, build_vocab(corpus))
         b1 = make_batches(sentences, 4, shuffle_seed=5)
         b2 = make_batches(sentences, 4, shuffle_seed=5)
         for x, y in zip(b1, b2):
             assert [id(ids) for ids, _ in x] == [id(ids) for ids, _ in y]
 
     def test_different_seed_differs(self, tiny_synth):
-        corpus, relations = tiny_synth
-        sentences = encoded(corpus, build_vocab(corpus), len(relations))
+        corpus, _ = tiny_synth
+        sentences = encoded(corpus, build_vocab(corpus))
         b1 = make_batches(sentences, 4, shuffle_seed=5)
         b2 = make_batches(sentences, 4, shuffle_seed=6)
         assert any([id(ids) for ids, _ in x] != [id(ids) for ids, _ in y] for x, y in zip(b1, b2))
 
-    def test_train_encodes_each_sentence_once(self, tiny_synth, monkeypatch):
+    def test_train_encodes_each_sentence_once_a_pass(self, tiny_synth, monkeypatch):
+        # once to count gold the grid cannot hold (roundtrip_check), then once per epoch
         corpus, relations = tiny_synth
         calls = []
 
@@ -122,24 +118,14 @@ class TestBatches:
             return encode(sentence, num_relations)
 
         monkeypatch.setattr(tagging, "encode", counting_encode)
+        monkeypatch.setattr(trainer, "encode", counting_encode)
         train(corpus, relations, TrainConfig(epochs=3, batch_size=4, seed=1))
-        assert sorted(calls) == sorted(s.id for s in corpus)
+        assert sorted(calls) == sorted(s.id for s in corpus for _ in range(1 + 3))
 
 
 class TestGoldCells:
-    """train keeps each sentence's tagged gold cells and rebuilds its dense
-    grid only for that sentence's scorer call."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.integers(1, 3), st.integers(1, 8))
-    def test_cells_rebuild_the_encoded_grid(self, seed, length, num_rel, max_triples):
-        # the draws of the codec's reference-walk test: lossy and colliding sets among them
-        s = make_sentence(length, random_triples(np.random.default_rng(seed), length, num_rel, max_triples))
-        vocab = build_vocab([s])
-        [(_, cells)], _ = encode_gold([s], vocab, num_rel)
-        grid, expected = gold_grid(cells, length, num_rel), encode(s, num_rel)[0]
-        assert grid.dtype == np.int8 and grid.shape == (length, num_rel, length)
-        assert grid.tobytes() == expected.tobytes()
+    """train encodes each sentence's dense gold grid from its rows only for
+    that sentence's scorer call."""
 
     def test_lossy_gold_warns_once_with_its_count(self, caplog):
         # nested heads on one relation and tail: decoding splices the wrong head end
@@ -159,7 +145,7 @@ class TestGoldCells:
 
     def test_training_peak_is_flat_in_the_corpus_size(self, block_threads):
         # one dense gold grid (L=60, K=24: 86 KB) is alive at a time, so four
-        # times the sentences add only their cells and batch lists to the peak
+        # times the sentences add only their token indices and batch lists to the peak
         block_threads(1)
         corpus, relations, _ = generate_corpus(
             SynthConfig(sentences=16, num_relations=24, min_len=60, max_len=60, seed=12)
@@ -183,7 +169,7 @@ class TestTrainStep:
         chunk = [corpus[0], corpus[3], corpus[2]]
         vocab = build_vocab(corpus)
         model = init_model(relations, vocab, TrainConfig(seed=4, dropout_rate=0.0))
-        batch = encoded(chunk, vocab, len(relations))
+        batch = encoded(chunk, vocab)
         lengths = [len(ids) for ids, _ in batch]
         assert max(lengths) - min(lengths) >= 5
         seeds = [11, 12, 13]
@@ -210,7 +196,7 @@ class TestTrainStep:
 
         def step(sentences, seeds):
             flat = np.empty_like(model.weights)
-            loss = train_step(model, encoded(sentences, vocab, len(relations)), seeds, flat)
+            loss = train_step(model, encoded(sentences, vocab), seeds, flat)
             return loss, by_group(model, flat)
 
         pair_loss, pair_grads = step([s, t], [x, y])
@@ -366,7 +352,7 @@ class TestAdam:
 
         monkeypatch.setattr(trainer, "train_grads", poisoned_train_grads)
         with pytest.raises(NumericError, match="pair_bias"):
-            train_step(model, encoded(corpus[:2], vocab, len(relations)), [1, 2], np.empty_like(model.weights))
+            train_step(model, encoded(corpus[:2], vocab), [1, 2], np.empty_like(model.weights))
 
 
 class TestStepMemory:
@@ -392,7 +378,7 @@ class TestStepMemory:
         vocab = build_vocab(corpus)
         model = init_model(relations, vocab, TrainConfig(seed=0, dropout_rate=0.0))
         assert model.weights.size > 45_000
-        batch = sorted(encoded(corpus, vocab, len(relations)), key=lambda pair: len(pair[0]))[:4]
+        batch = sorted(encoded(corpus, vocab), key=lambda pair: len(pair[0]))[:4]
         grad = np.empty_like(model.weights)
         train_step(model, batch, [0] * 4, grad)
         peak = traced_peak(lambda: train_step(model, batch, [0] * 4, grad))
