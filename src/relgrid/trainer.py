@@ -30,6 +30,8 @@ logger = logging.getLogger(__name__)
 CHECKPOINT_VERSION = 1
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # moment decay rates, denominator term
+# elements per adam_step slice: its five live slices, 1.25 MiB, stay in a 2 MiB L2 cache
+ADAM_CHUNK = 32_768
 
 # config keys that older checkpoint headers carry and loading drops
 _RETIRED_KEYS = {"adam_beta1", "adam_beta2", "adam_epsilon", "hidden_dim", "use_positional"}
@@ -102,7 +104,8 @@ def make_batches(
 
 @dataclass
 class AdamState:
-    """Adam's moment vectors and a scratch vector, laid out like the weights, and its step count."""
+    """Adam's moment vectors, laid out like the weights, its step count, and
+    a scratch vector of one ADAM_CHUNK-element chunk (the whole vector if smaller)."""
 
     m: np.ndarray
     v: np.ndarray
@@ -111,33 +114,43 @@ class AdamState:
 
     @classmethod
     def init(cls, weights: np.ndarray) -> "AdamState":
-        return cls(m=np.zeros_like(weights), v=np.zeros_like(weights), scratch=np.empty_like(weights))
+        scratch = np.empty(min(weights.size, ADAM_CHUNK), dtype=weights.dtype)
+        return cls(m=np.zeros_like(weights), v=np.zeros_like(weights), scratch=scratch)
+
+
+def _chunks(size: int):
+    """Consecutive slices of at most ADAM_CHUNK elements that cover range(size)."""
+    return (slice(start, start + ADAM_CHUNK) for start in range(0, size, ADAM_CHUNK))
 
 
 def adam_step(
     weights: np.ndarray, grad: np.ndarray, state: AdamState, config: TrainConfig
 ) -> None:
     """One bias-corrected Adam update of the weight vector, in place:
-    weights -= lr * m_hat / (sqrt(v_hat) + eps), evaluated in that order.
-    Consumes the caller's `grad` as its step buffer; allocates no weight-sized array."""
+    weights -= lr * m_hat / (sqrt(v_hat) + eps), evaluated in that order,
+    one ADAM_CHUNK-element slice at a time (elementwise, so the result does
+    not depend on the chunk size). Consumes the caller's `grad` as its step
+    buffer; allocates no weight-sized array."""
     state.step += 1
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    m, v, scratch = state.m, state.v, state.scratch
-    np.multiply(grad, 1.0 - b1, out=scratch)
-    m *= b1
-    m += scratch
-    np.multiply(grad, 1.0 - b2, out=scratch)
-    scratch *= grad
-    v *= b2
-    v += scratch
-    step = np.divide(m, 1.0 - b1**t, out=grad)  # m_hat
-    step *= config.learning_rate
-    denom = np.divide(v, 1.0 - b2**t, out=scratch)  # v_hat
-    np.sqrt(denom, out=denom)
-    denom += ADAM_EPSILON
-    step /= denom
-    weights -= step
+    for chunk in _chunks(weights.size):
+        w, g, m, v = weights[chunk], grad[chunk], state.m[chunk], state.v[chunk]
+        scratch = state.scratch[: g.size]
+        np.multiply(g, 1.0 - b1, out=scratch)
+        m *= b1
+        m += scratch
+        np.multiply(g, 1.0 - b2, out=scratch)
+        scratch *= g
+        v *= b2
+        v += scratch
+        step = np.divide(m, 1.0 - b1**t, out=g)  # m_hat
+        step *= config.learning_rate
+        denom = np.divide(v, 1.0 - b2**t, out=scratch)  # v_hat
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPSILON
+        step /= denom
+        w -= step
 
 
 def _layout(config: TrainConfig, vocab_size: int, num_relations: int) -> dict[str, tuple]:
@@ -237,7 +250,7 @@ def train_step(
         groups["positional_table"][: len(ids)] += d_emb
     size = len(batch)
     grad /= size
-    if not np.isfinite(grad).all():
+    if not all(np.isfinite(grad[chunk]).all() for chunk in _chunks(grad.size)):
         bad = next(name for name, arr in groups.items() if not np.isfinite(arr).all())
         raise NumericError(f"non-finite gradient in parameter group {bad!r}")
     return batch_loss / size

@@ -5,7 +5,7 @@ import pytest
 
 from relgrid import tagging, trainer
 from relgrid.corpus import RelationVocab, build_sentence
-from relgrid.encoder import build_vocab, encode_indices
+from relgrid.encoder import Vocab, build_vocab, encode_indices
 from relgrid.synthetic import SynthConfig, generate_corpus
 from relgrid.tagging import encode
 from relgrid.trainer import (
@@ -315,50 +315,56 @@ class TestAdam:
             assert np.array_equal(split(state.v)[name], v), name
 
     def test_matches_the_allocating_step_byte_for_byte(self):
+        # one partial chunk, exactly one chunk, and three chunks plus a partial one
         config = TrainConfig(learning_rate=2e-3)
         rng = np.random.default_rng(1)
-        size = 5000
-        weights = rng.uniform(-0.1, 0.1, size=size)
-        weights[:50] = 0.0
-        state = AdamState.init(weights)
-        ref_weights, ref_m, ref_v = weights.copy(), np.zeros(size), np.zeros(size)
         subnormal = np.finfo(np.float64).smallest_subnormal
-        for step in range(1, 9):
-            grad = rng.normal(size=size) * 10.0 ** rng.integers(-8, 3, size=size)
-            grad[0::9] = 0.0
-            grad[1::9] = -0.0
-            grad[2::9] = subnormal * rng.integers(-2000, 2000, size=grad[2::9].size)
-            grad[3::9] = -subnormal
-            allocating_adam_step(ref_weights, grad.copy(), ref_m, ref_v, step, config)
-            adam_step(weights, grad, state, config)
-            assert same_bytes(weights, ref_weights), step
-            assert same_bytes(state.m, ref_m), step
-            assert same_bytes(state.v, ref_v), step
-        assert state.step == 8
-        subnormal_moments = state.m[2::9]
-        assert (subnormal_moments != 0.0).any()
-        assert (np.abs(subnormal_moments) < np.finfo(np.float64).tiny).all()
+        for size in (5000, trainer.ADAM_CHUNK, 3 * trainer.ADAM_CHUNK + 17):
+            weights = rng.uniform(-0.1, 0.1, size=size)
+            weights[:50] = 0.0
+            state = AdamState.init(weights)
+            assert state.scratch.size == min(size, trainer.ADAM_CHUNK)
+            ref_weights, ref_m, ref_v = weights.copy(), np.zeros(size), np.zeros(size)
+            for step in range(1, 9):
+                grad = rng.normal(size=size) * 10.0 ** rng.integers(-8, 3, size=size)
+                grad[0::9] = 0.0
+                grad[1::9] = -0.0
+                grad[2::9] = subnormal * rng.integers(-2000, 2000, size=grad[2::9].size)
+                grad[3::9] = -subnormal
+                allocating_adam_step(ref_weights, grad.copy(), ref_m, ref_v, step, config)
+                adam_step(weights, grad, state, config)
+                assert same_bytes(weights, ref_weights), (size, step)
+                assert same_bytes(state.m, ref_m), (size, step)
+                assert same_bytes(state.v, ref_v), (size, step)
+            assert state.step == 8
+            subnormal_moments = state.m[2::9]
+            assert (subnormal_moments != 0.0).any()
+            assert (np.abs(subnormal_moments) < np.finfo(np.float64).tiny).all()
 
     def test_non_finite_gradient_names_group(self, tiny_synth, monkeypatch):
         corpus, relations = tiny_synth
         vocab = build_vocab(corpus)
         model = init_model(relations, vocab, TrainConfig(seed=4))
+        # the last element lies in the last, partial chunk of the check
+        assert model.weights.size > trainer.ADAM_CHUNK and model.weights.size % trainer.ADAM_CHUNK
         real_train_grads = trainer.train_grads
+        for group, index in (("pair_bias", 1), ("positional_table", (-1, -1))):
 
-        def poisoned_train_grads(*args):
-            result = real_train_grads(*args)
-            args[-1]["pair_bias"][1] = np.nan  # into train_step's gradient
-            return result
+            def poisoned_train_grads(*args):
+                result = real_train_grads(*args)
+                args[-1][group][index] = np.nan  # into train_step's gradient
+                return result
 
-        monkeypatch.setattr(trainer, "train_grads", poisoned_train_grads)
-        with pytest.raises(NumericError, match="pair_bias"):
-            train_step(model, encoded(corpus[:2], vocab), [1, 2], np.empty_like(model.weights))
+            monkeypatch.setattr(trainer, "train_grads", poisoned_train_grads)
+            with pytest.raises(NumericError, match=group):
+                train_step(model, encoded(corpus[:2], vocab), [1, 2], np.empty_like(model.weights))
 
 
 class TestStepMemory:
     """A training step writes its weight-sized work into vectors the run
-    already holds: the gradient train allocates once, and AdamState's
-    scratch vector."""
+    already holds: the gradient train allocates once, and Adam's moments.
+    AdamState's scratch vector is one ADAM_CHUNK long, and Adam and the
+    gradient's finiteness check work one chunk at a time."""
 
     def test_adam_step_allocates_no_weight_sized_array(self):
         rng = np.random.default_rng(2)
@@ -383,6 +389,27 @@ class TestStepMemory:
         train_step(model, batch, [0] * 4, grad)
         peak = traced_peak(lambda: train_step(model, batch, [0] * 4, grad))
         assert peak < model.weights.nbytes
+
+    def test_million_weight_step_allocates_no_mask_of_the_weights(self):
+        # a 20,000-token vocabulary puts 1.3M weights in the model. Four
+        # short sentences keep the scorer temporaries far below weights.nbytes / 8,
+        # the size of one boolean mask over the gradient.
+        corpus, relations, _ = generate_corpus(
+            SynthConfig(sentences=8, num_relations=4, lexicon_size=1_000_000, seed=3)
+        )
+        tokens = list(build_vocab(corpus).token_to_index)
+        tokens += [f"filler{i}" for i in range(20_000 - len(tokens))]
+        vocab = Vocab(token_to_index={token: index for index, token in enumerate(tokens)})
+        model = init_model(relations, vocab, TrainConfig(seed=0, dropout_rate=0.0))
+        assert model.weights.size > 1_000_000
+        bound = model.weights.nbytes / 8
+        batch = sorted(encoded(corpus, vocab), key=lambda pair: len(pair[0]))[:4]
+        grad = np.empty_like(model.weights)
+        train_step(model, batch, [0] * 4, grad)
+        assert traced_peak(lambda: train_step(model, batch, [0] * 4, grad)) < bound
+        state = AdamState.init(model.weights)
+        assert state.scratch.size == trainer.ADAM_CHUNK
+        assert traced_peak(lambda: adam_step(model.weights, grad, state, TrainConfig())) < bound
 
 
 class TestTraining:
