@@ -11,8 +11,9 @@ the config file, is a usage error, and so is a missing required option
 twice in any object, or holds a key that is not an option of the
 subcommand or a value that flag would refuse. An unreadable
 or unwritable file, or a record or vocab file naming a key twice, is a data error.
-Flag values override config-file values; every command logs its fully
-resolved configuration at startup, and train and synth their root seed.
+Every option is resolved once, before the command runs: its flag, else the
+config file's value, else the parser's default. One INFO line logs them all
+before the command reads any file; train and synth then log their root seed.
 Set RELGRID_LOG_LEVEL (DEBUG/INFO/WARNING/...) to control verbosity.
 """
 
@@ -88,22 +89,22 @@ def build_parser() -> CliParser:
 
     p_train = sub.add_parser("train", help="train a model and write a checkpoint")
     p_train.add_argument("--data", help="training corpus path")
-    p_train.add_argument("--format", choices=("native", "public"), default=None)
+    p_train.add_argument("--format", choices=("native", "public"), default="native")
     p_train.add_argument("--relations", help="relation names, one per line")
     p_train.add_argument("--vocab", help="token vocab JSON to reuse")
     p_train.add_argument("--match", choices=MATCH_MODES, help="span resolution for public data maps to whole-span (exact) or last-token (partial)")
-    p_train.add_argument("--out", "--checkpoint", dest="out", help="checkpoint output path")
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--batch-size", type=int)
-    p_train.add_argument("--lr", type=float)
-    p_train.add_argument("--dropout", type=float)
-    p_train.add_argument("--max-len", type=int)
-    p_train.add_argument("--emb-dim", type=int)
-    p_train.add_argument("--min-count", type=int)
+    p_train.add_argument("--out", "--checkpoint", dest="out", default="checkpoint.npz", help="checkpoint output path")
+    p_train.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p_train.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p_train.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p_train.add_argument("--dropout", type=float, default=TrainConfig.dropout_rate)
+    p_train.add_argument("--max-len", type=int, default=TrainConfig.max_seq_len)
+    p_train.add_argument("--emb-dim", type=int, default=TrainConfig.emb_dim)
+    p_train.add_argument("--min-count", type=int, default=TrainConfig.min_count)
 
     p_eval = sub.add_parser("eval", help="score a checkpoint against a corpus")
     p_eval.add_argument("--data", help="evaluation corpus path")
-    p_eval.add_argument("--format", choices=("native", "public"), default=None)
+    p_eval.add_argument("--format", choices=("native", "public"), default="native")
     p_eval.add_argument("--checkpoint", help="checkpoint path")
     p_eval.add_argument("--relations", help="relation names to cross-check")
     p_eval.add_argument("--vocab", help="token vocab JSON to cross-check")
@@ -127,76 +128,75 @@ def build_parser() -> CliParser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus")
     p_synth.add_argument("--out", help="output corpus path")
-    p_synth.add_argument("--count", type=int, help="number of sentences")
+    p_synth.add_argument("--count", type=int, default=SynthConfig.sentences, help="number of sentences")
     p_synth.add_argument(
         "--mix",
+        default=default_mix(),
         help="pattern proportions, e.g. normal=0.25,epo=0.25,seo=0.25,hto=0.25",
     )
-    p_synth.add_argument("--num-relations", type=int)
-    p_synth.add_argument("--min-len", type=int)
-    p_synth.add_argument("--max-len", type=int)
+    p_synth.add_argument("--num-relations", type=int, default=SynthConfig.num_relations)
+    p_synth.add_argument("--min-len", type=int, default=SynthConfig.min_len)
+    p_synth.add_argument("--max-len", type=int, default=SynthConfig.max_len)
 
     p_stats = sub.add_parser("stats", help="print corpus pattern/bucket statistics")
     p_stats.add_argument("--data", help="corpus path")
-    p_stats.add_argument("--format", choices=("native", "public"), default=None)
+    p_stats.add_argument("--format", choices=("native", "public"), default="native")
     p_stats.add_argument("--relations", help="relation names (public format)")
     p_stats.add_argument("--match", choices=MATCH_MODES, help="span resolution for public data")
 
     for p in sub.choices.values():
         p.add_argument("--config", help="JSON config file; flags override it")
-    for p in (p_train, p_synth):
-        p.add_argument("--seed", type=int, help="root seed (default 0)")
+    for p, seed in ((p_train, TrainConfig.seed), (p_synth, SynthConfig.seed)):
+        p.add_argument("--seed", type=int, default=seed, help="root seed (default %(default)s)")
     return parser
 
 
-class RunConfig:
-    """Flag values layered over an optional JSON config file, checked like the flags."""
+# the options each command cannot run without, checked in this order
+_REQUIRED = {"train": ("data",), "eval": ("checkpoint", "data"), "synth": ("out",), "stats": ("data",)}
 
-    def __init__(self, args: argparse.Namespace, actions: list[argparse.Action]):
-        self.args = args
-        self.file: dict = {}
-        if getattr(args, "config", None):
-            path = Path(args.config)
-            if not path.exists():
-                raise CorpusError(f"no such config file: {path}")
-            try:
-                self.file = json.loads(read_text(path, "config file"), object_pairs_hook=unique_keys)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-            except RepeatedKeyError as exc:
-                raise ConfigError(f"config file {path} {exc}") from None
-            except CorpusError as exc:  # not UTF-8
-                raise ConfigError(f"config file {exc}") from None
-            if not isinstance(self.file, dict):
-                raise ConfigError(f"config file {path} must hold a JSON object")
-            # keys are the subcommand's option names, as spelled on the command line
-            options = {a.dest.replace("_", "-"): a for a in actions if a.dest in vars(args)}
-            del options["config"]
-            for key, value in self.file.items():
-                action = options.get(key)
-                if action is None:
-                    raise ConfigError(f"unknown config key {key!r} in {path}")
-                if action.choices is not None and value not in action.choices:
-                    raise ConfigError(f"config key {key!r} in {path}: invalid choice {value!r} (choose from {', '.join(action.choices)})")
-                # a --mix mapping goes to SynthConfig's checks as it is
-                if action.type is None and key != "mix" and not isinstance(value, str):
-                    raise ConfigError(f"config key {key!r} in {path} must be a string, not {type(value).__name__}")
-        self.resolved: dict = {}
 
-    def get(self, key: str, default=None):
-        flag = getattr(self.args, key.replace("-", "_"), None)
-        value = flag if flag is not None else self.file.get(key, default)
-        self.resolved[key] = value
-        return value
+def _read_config(path: str, parser: argparse.ArgumentParser) -> dict:
+    """The values of a JSON config file by option dest, checked like the subcommand's flags."""
+    path = Path(path)
+    if not path.exists():
+        raise CorpusError(f"no such config file: {path}")
+    try:
+        values = json.loads(read_text(path, "config file"), object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    except RepeatedKeyError as exc:
+        raise ConfigError(f"config file {path} {exc}") from None
+    except CorpusError as exc:  # not UTF-8
+        raise ConfigError(f"config file {exc}") from None
+    if not isinstance(values, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    # keys are the subcommand's option names, as spelled on the command line
+    options = {a.dest.replace("_", "-"): a for a in parser._actions if a.dest not in ("help", "config")}
+    for key, value in values.items():
+        action = options.get(key)
+        if action is None:
+            raise ConfigError(f"unknown config key {key!r} in {path}")
+        if action.choices is not None and value not in action.choices:
+            raise ConfigError(f"config key {key!r} in {path}: invalid choice {value!r} (choose from {', '.join(action.choices)})")
+        # a --mix mapping goes to SynthConfig's checks as it is
+        if action.type is None and key != "mix" and not isinstance(value, str):
+            raise ConfigError(f"config key {key!r} in {path} must be a string, not {type(value).__name__}")
+    return {options[key].dest: value for key, value in values.items()}
 
-    def require(self, key: str):
-        value = self.get(key)
-        if value is None:
+
+def _resolve(args: argparse.Namespace, argv: list[str], parser: argparse.ArgumentParser) -> argparse.Namespace:
+    """Every option of the command once: its flag, else the --config file's value, else
+    the parser's default. Checks the required options and logs them all."""
+    if args.config:
+        # file values fill the namespace first, so argparse sets a default only where both are silent
+        rest = argv[argv.index(args.command) + 1 :]
+        args = parser.parse_args(rest, argparse.Namespace(**_read_config(args.config, parser), command=args.command))
+    for key in _REQUIRED.get(args.command, ()):
+        if getattr(args, key) is None:
             raise ConfigError(f"missing required option --{key}")
-        return value
-
-    def log(self, command: str) -> None:
-        logger.info("command=%s resolved config: %s", command, json.dumps(self.resolved, sort_keys=True))
+    options = {dest.replace("_", "-"): value for dest, value in vars(args).items() if dest not in ("command", "config")}
+    logger.info("command=%s resolved config: %s", args.command, json.dumps(options, sort_keys=True))
+    return args
 
 
 def _read_relations(path: str) -> RelationVocab:
@@ -220,60 +220,50 @@ def _span_mode(match_mode: str | None) -> str:
     return "last-token" if match_mode == "partial" else "whole-span"
 
 
-def _corpus_options(cfg: RunConfig) -> dict:
-    """The resolved --data, --format, --relations and --match of a command that loads a corpus."""
-    return {"data": cfg.require("data"), "format": cfg.get("format", "native"),
-            "relations": cfg.get("relations"), "match": cfg.get("match")}
-
-
 def _load_corpus(
-    options: dict, max_seq_len: int | None, relations: RelationVocab | None = None, allow_empty: bool = False
+    args: argparse.Namespace, max_seq_len: int | None, relations: RelationVocab | None = None, allow_empty: bool = False
 ):
-    """The corpus that _corpus_options name, shared by several commands; given
-    `relations` take the place of the --relations file. A corpus with no
+    """The corpus that --data, --format, --relations and --match name, shared by several
+    commands; given `relations` take the place of the --relations file. A corpus with no
     sentences is a data error naming the file unless `allow_empty`."""
-    data = options["data"]
-    if relations is None and options["relations"]:
-        relations = _read_relations(options["relations"])
-    if options["format"] == "public":
+    if relations is None and args.relations:
+        relations = _read_relations(args.relations)
+    if args.format == "public":
         if relations is None:
             raise ConfigError("public format requires --relations")
         corpus, warnings = load_public(
-            data, relations, match_mode=_span_mode(options["match"]), max_seq_len=max_seq_len
+            args.data, relations, match_mode=_span_mode(args.match), max_seq_len=max_seq_len
         )
     else:
-        corpus, relations, warnings = load_native(data, relations, max_seq_len=max_seq_len)
+        corpus, relations, warnings = load_native(args.data, relations, max_seq_len=max_seq_len)
     for w in warnings:
         logger.warning("%s", w)
     if not corpus and not allow_empty:
-        raise CorpusError(f"{data}: empty corpus")
+        raise CorpusError(f"{args.data}: empty corpus")
     return corpus, relations
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(args: argparse.Namespace) -> int:
     config = TrainConfig(
-        epochs=cfg.get("epochs", TrainConfig.epochs),
-        batch_size=cfg.get("batch-size", TrainConfig.batch_size),
-        learning_rate=cfg.get("lr", TrainConfig.learning_rate),
-        dropout_rate=cfg.get("dropout", TrainConfig.dropout_rate),
-        max_seq_len=cfg.get("max-len", TrainConfig.max_seq_len),
-        emb_dim=cfg.get("emb-dim", TrainConfig.emb_dim),
-        min_count=cfg.get("min-count", TrainConfig.min_count),
-        seed=cfg.get("seed", TrainConfig.seed),
+        epochs=args.epochs,
+        batch_size=args.batch_size,
+        learning_rate=args.lr,
+        dropout_rate=args.dropout,
+        max_seq_len=args.max_len,
+        emb_dim=args.emb_dim,
+        min_count=args.min_count,
+        seed=args.seed,
     )
-    out = cfg.get("out", "checkpoint.npz")
-    options, vocab_path = _corpus_options(cfg), cfg.get("vocab")
-    cfg.log("train")
     logger.info("root seed %d", config.seed)
 
-    corpus, relations = _load_corpus(options, config.max_seq_len)
-    vocab = _read_vocab(vocab_path) if vocab_path else None
+    corpus, relations = _load_corpus(args, config.max_seq_len)
+    vocab = _read_vocab(args.vocab) if args.vocab else None
 
-    model, log = train(corpus, relations, config, vocab=vocab, checkpoint_path=out)
+    model, log = train(corpus, relations, config, vocab=vocab, checkpoint_path=args.out)
     print(f"trained {len(log)} epochs on {len(corpus)} sentences")
     print(f"final loss {log[-1].mean_loss:.6f}")
-    print(f"checkpoint: {out}")
-    print(f"loss log  : {out}.log")
+    print(f"checkpoint: {args.out}")
+    print(f"loss log  : {args.out}.log")
     return EXIT_OK
 
 
@@ -294,36 +284,33 @@ def _eval_reports(corpus: list, model, modes: list[str]) -> tuple[list, float]:
     return reports or breakdown(stack_rows([]), stack_rows([]), [], modes), seconds  # or an empty corpus's
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    checkpoint, options = cfg.require("checkpoint"), _corpus_options(cfg)
-    vocab_path, out, export_path = cfg.get("vocab"), cfg.get("out"), cfg.get("export-relations")
-    cfg.log("eval")
-    model = load_checkpoint(checkpoint)
+def cmd_eval(args: argparse.Namespace) -> int:
+    model = load_checkpoint(args.checkpoint)
 
-    if options["relations"]:
-        if _read_relations(options["relations"]).names != model.relations.names:
+    if args.relations:
+        if _read_relations(args.relations).names != model.relations.names:
             raise CorpusError("relations file does not match checkpoint relations")
-    if vocab_path:
-        if _read_vocab(vocab_path).token_to_index != model.vocab.token_to_index:
+    if args.vocab:
+        if _read_vocab(args.vocab).token_to_index != model.vocab.token_to_index:
             raise CorpusError("vocab file does not match checkpoint vocab")
 
     # reuse the checkpoint relations when loading
-    corpus, _ = _load_corpus(options, model.config.max_seq_len, model.relations, allow_empty=True)
+    corpus, _ = _load_corpus(args, model.config.max_seq_len, model.relations, allow_empty=True)
 
-    modes = [options["match"]] if options["match"] else list(MATCH_MODES)
+    modes = [args.match] if args.match else list(MATCH_MODES)
     reports, elapsed = _eval_reports(corpus, model, modes)
     for report in reports:
         print(report.to_text())
     per_sentence = f"{1000.0 * elapsed / len(corpus):.2f}ms per sentence" if corpus else "no sentences"
     print(f"inference wall-clock: {elapsed:.3f}s total, {per_sentence}")
     kv = [report.to_kv() for report in reports]
-    if out:
-        write_lines(out, kv)
+    if args.out:
+        write_lines(args.out, kv)
     else:
         print("\n".join(kv))
-    if export_path:
-        export_relation_embeddings(model.arrays["rel_tag_emb"], model.relations, export_path)
-        print(f"relation representations: {export_path}")
+    if args.export_relations:
+        export_relation_embeddings(model.arrays["rel_tag_emb"], model.relations, args.export_relations)
+        print(f"relation representations: {args.export_relations}")
     return EXIT_OK
 
 
@@ -332,12 +319,9 @@ def _triple_lines(rows: np.ndarray, relations: RelationVocab) -> list[str]:
     return [f"({hb}..{he}, {relations.names[k]}, {tb}..{te})" for k, hb, he, tb, te in rows.tolist()]
 
 
-def cmd_tag(cfg: RunConfig) -> int:
-    raw, relations_path = cfg.get("sentence"), cfg.get("relations")
-    cfg.log("tag")
-    if raw is None:
-        raw = sys.stdin.read()
-    relations = _read_relations(relations_path) if relations_path else None
+def cmd_tag(args: argparse.Namespace) -> int:
+    raw = sys.stdin.read() if args.sentence is None else args.sentence
+    relations = _read_relations(args.relations) if args.relations else None
     record = {"id": "stdin", "triples": [], **parse_record(raw, "tag input")}
     known = {name: i for i, name in enumerate(relations.names)} if relations else {}
     sentence = native_sentence(record, known, relations is None, "tag input")
@@ -380,32 +364,28 @@ def _parse_mix(raw: str) -> dict[str, float]:
     return mix
 
 
-def cmd_synth(cfg: RunConfig) -> int:
-    out = cfg.require("out")
-    mix = cfg.get("mix", default_mix())  # a config-file value goes to the checks as is
+def cmd_synth(args: argparse.Namespace) -> int:
     config = SynthConfig(
-        sentences=cfg.get("count", SynthConfig.sentences),
-        num_relations=cfg.get("num-relations", SynthConfig.num_relations),
-        mix=_parse_mix(mix) if isinstance(mix, str) else mix,
-        min_len=cfg.get("min-len", SynthConfig.min_len),
-        max_len=cfg.get("max-len", SynthConfig.max_len),
-        seed=cfg.get("seed", SynthConfig.seed),
+        sentences=args.count,
+        num_relations=args.num_relations,
+        # a flag's text is parsed; a config-file value or the default goes to the checks as is
+        mix=_parse_mix(args.mix) if isinstance(args.mix, str) else args.mix,
+        min_len=args.min_len,
+        max_len=args.max_len,
+        seed=args.seed,
     )
-    cfg.log("synth")
     logger.info("root seed %d", config.seed)
 
     corpus, relations, counts = generate_corpus(config)
-    save_native(corpus, relations, out)
-    print(f"wrote {len(corpus)} sentences to {out}")
+    save_native(corpus, relations, args.out)
+    print(f"wrote {len(corpus)} sentences to {args.out}")
     print("intended pattern counts: " + json.dumps(counts, sort_keys=True))
     print(corpus_stats(corpus).to_text())
     return EXIT_OK
 
 
-def cmd_stats(cfg: RunConfig) -> int:
-    options = _corpus_options(cfg)
-    cfg.log("stats")
-    corpus, _ = _load_corpus(options, max_seq_len=None)
+def cmd_stats(args: argparse.Namespace) -> int:
+    corpus, _ = _load_corpus(args, max_seq_len=None)
     print(corpus_stats(corpus).to_text())
     return EXIT_OK
 
@@ -448,6 +428,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
     # only the main thread may set a handler; the old one is back on return, for in-process callers
     previous = signal.signal(signal.SIGTERM, _terminate) if threading.current_thread() is threading.main_thread() else None
@@ -456,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
             # a diverging run ends in one NumericError line, not NumPy's overflow warnings first;
             # filters are process-wide, so this covers the scorer's pool threads too
             warnings.filterwarnings("ignore", category=RuntimeWarning, module=r"relgrid\.")
-            code = COMMANDS[args.command](RunConfig(args, parser.subcommands[args.command]._actions))
+            code = COMMANDS[args.command](_resolve(args, argv, parser.subcommands[args.command]))
         sys.stdout.flush()  # a gone reader shows here, not in the interpreter's last flush
         return code
     except Terminated:

@@ -21,6 +21,7 @@ from .corpus import (
     EPO,
     HTO,
     NORMAL,
+    PATTERN_FLAGS,
     SEO,
     RelationVocab,
     Row,
@@ -38,7 +39,7 @@ class GenerationError(RuntimeError):
 
 
 def default_mix() -> dict[str, float]:
-    return {NORMAL: 0.25, EPO: 0.25, SEO: 0.25, HTO: 0.25}
+    return dict.fromkeys(PATTERN_FLAGS, 0.25)
 
 
 def _any(value) -> bool:
@@ -84,7 +85,7 @@ class SynthConfig:
 def pattern_counts(config: SynthConfig) -> dict[str, int]:
     """Integer per-pattern sentence counts via largest-remainder rounding."""
     mix = config.mix
-    unknown = set(mix) - {NORMAL, EPO, SEO, HTO}
+    unknown = set(mix) - set(PATTERN_FLAGS)
     if unknown:
         raise GenerationError(f"unknown pattern(s) in mix: {sorted(unknown)}")
     if any(v < 0 for v in mix.values()) or sum(mix.values()) <= 0:
@@ -249,7 +250,7 @@ def generate_corpus(
     _validate(config, counts)
     rng = np.random.default_rng(config.seed)
 
-    schedule = [p for p in (NORMAL, EPO, SEO, HTO) for _ in range(counts.get(p, 0))]
+    schedule = [p for p in PATTERN_FLAGS for _ in range(counts.get(p, 0))]
     order = rng.permutation(len(schedule))
     corpus = []
     for idx, slot in enumerate(order):

@@ -1338,8 +1338,10 @@ class TestUsage:
             (["eval", "--data", "d.jsonl"], "missing required option --checkpoint"),
             (["synth"], "missing required option --out"),
             (["stats", "--data", "d.jsonl", "--format", "public"], "public format requires --relations"),
+            # required options are checked before any value is, so --data is named first
+            (["train", "--epochs", "0"], "missing required option --data"),
         ],
-        ids=["train-data", "eval-checkpoint", "synth-out", "public-relations"],
+        ids=["train-data", "eval-checkpoint", "synth-out", "public-relations", "train-data-before-a-bad-value"],
     )
     def test_missing_required_option_is_usage_error(self, capsys, argv, message):
         assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: {message}\n")
@@ -1422,48 +1424,65 @@ class TestUsage:
                 proc.wait()
         return proc.returncode, stderr
 
-    def signalled_train(self, capsys, tmp_path, signum):
-        """A child train sent `signum` during its second epoch: its exit code,
-        stderr, corpus path and checkpoint path."""
-        # sentences past one 16-row block, so the scorer's pool thread is busy too,
-        # and enough of them that an epoch takes over a second
-        data, checkpoint = tmp_path / "c.jsonl", tmp_path / "m.npz"
-        code, _, _ = run(capsys, "synth", "--out", str(data), "--count", "400",
-                         "--min-len", "24", "--max-len", "40", "--seed", "4")
-        assert code == EXIT_OK
+    @pytest.fixture(scope="class")
+    def long_corpus(self, tmp_path_factory):
+        """Sentences past one 16-row block, so the scorer's pool thread is busy too,
+        and enough of them that an epoch takes about a second."""
+        data = tmp_path_factory.mktemp("long") / "c.jsonl"
+        argv = ["synth", "--out", str(data), "--count", "400", "--min-len", "24", "--max-len", "40", "--seed", "4"]
+        assert main(argv) == EXIT_OK
+        return data
 
-        def second_epoch():
-            # the first epoch's checkpoint, renamed into place whole; a moment
-            # later the signal lands mid-epoch, not between a rename and its record
+    def signalled_train(self, data, checkpoint, signum, delay):
+        """The exit code and stderr of a child train sent `signum` `delay` seconds
+        after its first epoch's checkpoint is in place."""
+
+        def first_checkpoint_then_delay():
+            # the first epoch's checkpoint, renamed into place whole
             if not checkpoint.exists():
                 return False
-            time.sleep(0.2)
+            time.sleep(delay)
             return True
 
         argv = ["train", "--data", str(data), "--out", str(checkpoint), "--epochs", "1000"]
-        return (*self.signalled(argv, signum, second_epoch), data, checkpoint)
+        return self.signalled(argv, signum, first_checkpoint_then_delay)
 
-    def test_interrupted_train_ends_in_one_line(self, capsys, tmp_path):
-        code, stderr, data, checkpoint = self.signalled_train(capsys, tmp_path, signal.SIGINT)
-        assert (code, stderr) == (EXIT_INTERRUPT, "interrupted\n")
-        assert list(tmp_path.glob(".*.tmp")) == []
-        # the .log names the n epochs the checkpoint holds: a fresh n-epoch run ends where it did
-        lines = Path(f"{checkpoint}.log").read_text(encoding="utf-8").splitlines()
-        n = len(lines)
-        assert n >= 1 and [line.split("\t")[0] for line in lines] == [str(e) for e in range(1, n + 1)]
-        fresh = tmp_path / "fresh.npz"
-        assert run(capsys, "train", "--data", str(data), "--out", str(fresh), "--epochs", str(n))[0] == EXIT_OK
-        fresh_lines = Path(f"{fresh}.log").read_text(encoding="utf-8").splitlines()
-        assert [line.split("\t")[1] for line in lines] == [line.split("\t")[1] for line in fresh_lines]
-        (epochs, header, arrays), (fresh_epochs, fresh_header, fresh_arrays) = map(saved_parts, (checkpoint, fresh))
-        assert (epochs, fresh_epochs) == (1000, n) and header == fresh_header
-        assert len(arrays) == 5 and arrays.keys() == fresh_arrays.keys()
-        for name in arrays:
-            assert arrays[name].tobytes() == fresh_arrays[name].tobytes(), name
-        assert load_checkpoint(checkpoint).config.epochs == 1000
+    def test_interrupted_train_ends_in_one_line(self, capsys, tmp_path, long_corpus):
+        fresh = {}  # n -> the .log lines and saved parts of a fresh n-epoch run
 
-    def test_terminated_train_ends_in_one_line(self, capsys, tmp_path):
-        code, stderr, _, checkpoint = self.signalled_train(capsys, tmp_path, signal.SIGTERM)
+        def fresh_run(n):
+            if n not in fresh:
+                path = tmp_path / f"fresh{n}.npz"
+                assert run(capsys, "train", "--data", str(long_corpus), "--out", str(path), "--epochs", str(n))[0] == EXIT_OK
+                fresh[n] = Path(f"{path}.log").read_text(encoding="utf-8").splitlines(), saved_parts(path)
+            return fresh[n]
+
+        # three seeded points spread over one epoch, one in each third, by the fresh run's epoch time
+        epoch_seconds = float(fresh_run(1)[0][0].split("\t")[2])
+        delays = epoch_seconds * (np.arange(3) + np.random.default_rng(7).random(3)) / 3
+        for draw, delay in enumerate(delays):
+            work = tmp_path / f"draw{draw}"
+            work.mkdir()
+            checkpoint = work / "m.npz"
+            code, stderr = self.signalled_train(long_corpus, checkpoint, signal.SIGINT, delay)
+            assert (code, stderr) == (EXIT_INTERRUPT, "interrupted\n"), delay
+            assert list(work.glob(".*.tmp")) == [], delay
+            # the .log names the n epochs the checkpoint holds: a fresh n-epoch run ends where it did
+            lines = Path(f"{checkpoint}.log").read_text(encoding="utf-8").splitlines()
+            n = len(lines)
+            assert n >= 1 and [line.split("\t")[0] for line in lines] == [str(e) for e in range(1, n + 1)], delay
+            fresh_lines, (fresh_epochs, fresh_header, fresh_arrays) = fresh_run(n)
+            assert [line.split("\t")[1] for line in lines] == [line.split("\t")[1] for line in fresh_lines], delay
+            epochs, header, arrays = saved_parts(checkpoint)
+            assert (epochs, fresh_epochs) == (1000, n) and header == fresh_header, delay
+            assert len(arrays) == 5 and arrays.keys() == fresh_arrays.keys(), delay
+            for name in arrays:
+                assert arrays[name].tobytes() == fresh_arrays[name].tobytes(), (delay, name)
+            assert load_checkpoint(checkpoint).config.epochs == 1000, delay
+
+    def test_terminated_train_ends_in_one_line(self, tmp_path, long_corpus):
+        checkpoint = tmp_path / "m.npz"
+        code, stderr = self.signalled_train(long_corpus, checkpoint, signal.SIGTERM, 0.2)
         assert (code, stderr) == (EXIT_TERM, "terminated\n")
         assert list(tmp_path.glob(".*.tmp")) == []
         assert load_checkpoint(checkpoint).config.epochs == 1000
@@ -1496,9 +1515,14 @@ class TestUsage:
         assert not worker.is_alive() and codes == [EXIT_OK]
         assert signal.getsignal(signal.SIGTERM) is previous
 
-    @pytest.mark.parametrize("command", ["train", "eval", "tag", "synth", "stats"])
-    def test_logs_every_option(self, capsys, caplog, synth_file, tmp_path, command):
-        # one option from the config file alone, one by flag, the rest by default
+    @pytest.mark.parametrize(
+        ("command", "data_missing"),
+        [(c, False) for c in ("train", "eval", "tag", "synth", "stats")] + [(c, True) for c in ("train", "eval", "stats")],
+        ids=["train", "eval", "tag", "synth", "stats", "train-no-data-file", "eval-no-data-file", "stats-no-data-file"],
+    )
+    def test_logs_every_option(self, capsys, caplog, synth_file, tmp_path, command, data_missing):
+        # one option from the config file alone, one by flag, the rest by default;
+        # logged before any input is read, so also by a run whose --data file does not exist
         checkpoint = tmp_path / "m.npz"
         if command == "eval":
             assert run(capsys, "train", "--data", str(synth_file), "--epochs", "1", "--out", str(checkpoint))[0] == EXIT_OK
@@ -1511,13 +1535,15 @@ class TestUsage:
             "synth": ({"count": 4}, "out", str(tmp_path / "c.jsonl")),
             "stats": ({"match": "exact"}, "data", str(synth_file)),
         }[command]
+        if data_missing:
+            value = str(tmp_path / "absent.jsonl")
         config = tmp_path / "config.json"
         config.write_text(json.dumps(from_file), encoding="utf-8")
         out = ["--out", str(checkpoint)] if command == "train" else []
         caplog.set_level(logging.INFO, logger="relgrid")
         caplog.clear()
         code, _, _ = run(capsys, command, "--config", str(config), f"--{flag}", value, *out)
-        assert code == EXIT_OK
+        assert code == (EXIT_DATA if data_missing else EXIT_OK)
         prefix = f"command={command} resolved config: "
         [message] = [r.getMessage() for r in caplog.records if r.getMessage().startswith(prefix)]
         logged = json.loads(message.removeprefix(prefix))
