@@ -32,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import BLAS_THREAD_VARS
 from .config import ConfigError
 from .corpus import (
     CorpusError,
@@ -427,6 +428,7 @@ def main(argv: list[str] | None = None) -> int:
         level=os.environ.get("RELGRID_LOG_LEVEL", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s",
     )
+    logger.info("BLAS threads: %s", " ".join(f"{v}={os.environ[v]}" for v in BLAS_THREAD_VARS if v in os.environ))
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)

@@ -109,18 +109,20 @@ def decode(tags: np.ndarray) -> np.ndarray:
     # sentinels: one key past every HE_TE key, one before every HB_TB key
     he_keys = np.concatenate([(by_col == _HE_TE).nonzero()[0], [by_col.size]])
     tb_keys = np.concatenate([[-1], (by_row == _HB_TB).nonzero()[0]])
-
-    k, cell = np.divmod(anchors, n * n)
-    hb, te = np.divmod(cell, n)
-    # head end: the first HE_TE key >= (k, te, hb); past row n-1 means none
-    column_start = (k * n + te) * n
-    he = he_keys[he_keys.searchsorted(column_start + hb)] - column_start
-    he = np.where(he < n, he, hb)
-    # tail begin: the last HB_TB key <= (k, hb, te); before column 0 means none
-    row_start = anchors - te
-    tb = tb_keys[tb_keys.searchsorted(anchors, side="right") - 1] - row_start
-    tb = np.where(tb >= 0, tb, te)
-    return np.column_stack([k, hb, he, tb, te])
+    rows = np.empty((anchors.size, 5), dtype=np.int64)
+    k, hb, he, tb, te = rows.T  # written in place; he and tb hold scratch at first
+    np.divmod(anchors, n * n, out=(k, he))  # he: the cell hb * n + te
+    np.divmod(he, n, out=(hb, te))
+    # head end: the first HE_TE key >= (k, te, hb) less its column's first, held in tb
+    np.multiply(k * n + te, n, out=tb)
+    np.take(he_keys, he_keys.searchsorted(tb + hb), out=he, mode="clip")
+    he -= tb
+    np.copyto(he, hb, where=he >= n)  # past row n-1: none
+    # tail begin: the last HB_TB key <= (k, hb, te) less its row's first, anchors - te
+    np.take(tb_keys, tb_keys.searchsorted(anchors, side="right") - 1, out=tb, mode="clip")
+    tb -= anchors - te
+    np.copyto(tb, te, where=tb < 0)  # before column 0: none
+    return rows
 
 
 @dataclass(frozen=True, eq=False)  # array fields have no one truth value: compare by identity

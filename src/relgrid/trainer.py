@@ -22,7 +22,7 @@ import numpy as np
 from .config import ConfigError, check_fields, is_int, is_real
 from .corpus import RelationVocab, Sentence, unique_keys, write_file, write_lines
 from .encoder import Vocab, build_vocab, encode_indices
-from .scorer import tag_grid, train_grads
+from .scorer import batch_grads, tag_grid
 from .tagging import NUM_TAGS, decode, encode, roundtrip_check
 
 logger = logging.getLogger(__name__)
@@ -240,11 +240,10 @@ def train_step(
     groups = _views(grad, {name: arr.shape for name, arr in model.arrays.items()})
     tokens, positional = model.arrays["token_table"], model.arrays["positional_table"]
     num_relations, batch_loss = len(model.relations), 0.0
-    for (ids, sentence), seed in zip(batch, dropout_seeds):
-        emb = encode_indices(ids, tokens, positional)
-        gold = encode(sentence, num_relations)[0]
-        loss, d_emb = train_grads(emb, gold, model.arrays, model.config.dropout_rate, seed, groups)
-        del gold  # one dense grid alive at a time
+    items = ((encode_indices(ids, tokens, positional), encode(sentence, num_relations)[0], seed)
+             for (ids, sentence), seed in zip(batch, dropout_seeds))  # each grid as the scorer reaches it
+    results = batch_grads(items, model.arrays, model.config.dropout_rate, groups)
+    for (ids, _), (loss, d_emb) in zip(batch, results, strict=True):  # strict: runs batch_grads to its end
         batch_loss += loss
         np.add.at(groups["token_table"], ids, d_emb)
         groups["positional_table"][: len(ids)] += d_emb

@@ -1402,14 +1402,27 @@ class TestUsage:
             assert out.read_bytes() == whole.read_bytes()
 
     @staticmethod
+    def child_env(**changes):
+        """This process's environment for a child `python -m relgrid.cli` of this
+        checkout, at log level WARNING, with `changes` set (or unset, given None)."""
+        src = str(Path(relgrid.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                   RELGRID_LOG_LEVEL="WARNING", **changes)
+        return {name: value for name, value in env.items() if value is not None}
+
+    @staticmethod
+    def child(argv, **changes):
+        """The exit code and stderr of `relgrid argv` run to its end in a child."""
+        proc = subprocess.run([sys.executable, "-m", "relgrid.cli", *argv], stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, env=TestUsage.child_env(**changes), timeout=300)
+        return proc.returncode, proc.stderr
+
+    @staticmethod
     def signalled(argv, signum, ready):
         """Run `relgrid argv` in a child, send it `signum` once `ready()` holds
         and the child is still running, and return its exit code and stderr."""
-        src = str(Path(relgrid.cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-                   RELGRID_LOG_LEVEL="WARNING")
-        proc = subprocess.Popen([sys.executable, "-m", "relgrid.cli", *argv],
-                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env)
+        proc = subprocess.Popen([sys.executable, "-m", "relgrid.cli", *argv], stdout=subprocess.DEVNULL,
+                                stderr=subprocess.PIPE, text=True, env=TestUsage.child_env())
         try:
             deadline = time.monotonic() + 120
             while not ready():
@@ -1447,13 +1460,16 @@ class TestUsage:
         argv = ["train", "--data", str(data), "--out", str(checkpoint), "--epochs", "1000"]
         return self.signalled(argv, signum, first_checkpoint_then_delay)
 
-    def test_interrupted_train_ends_in_one_line(self, capsys, tmp_path, long_corpus):
+    def test_interrupted_train_ends_in_one_line(self, tmp_path, long_corpus):
         fresh = {}  # n -> the .log lines and saved parts of a fresh n-epoch run
 
         def fresh_run(n):
+            # in a child, as the interrupted runs are: this process loaded NumPy
+            # before relgrid could set its BLAS thread count
             if n not in fresh:
                 path = tmp_path / f"fresh{n}.npz"
-                assert run(capsys, "train", "--data", str(long_corpus), "--out", str(path), "--epochs", str(n))[0] == EXIT_OK
+                argv = ["train", "--data", str(long_corpus), "--out", str(path), "--epochs", str(n)]
+                assert self.child(argv) == (EXIT_OK, "")
                 fresh[n] = Path(f"{path}.log").read_text(encoding="utf-8").splitlines(), saved_parts(path)
             return fresh[n]
 
@@ -1480,6 +1496,28 @@ class TestUsage:
                 assert arrays[name].tobytes() == fresh_arrays[name].tobytes(), (delay, name)
             assert load_checkpoint(checkpoint).config.epochs == 1000, delay
 
+    def test_blas_threads_change_no_checkpoint_byte(self, tmp_path):
+        # 24-40 tokens: two scorer blocks a sentence, whose products BLAS may
+        # split across its threads when nothing pins it to one
+        data = tmp_path / "c.jsonl"
+        assert main(["synth", "--out", str(data), "--count", "48", "--min-len", "24", "--max-len", "40", "--seed", "6"]) == EXIT_OK
+        unset = dict.fromkeys(relgrid.BLAS_THREAD_VARS)
+        checkpoints = {}
+        for name, changes in (("unset", unset), ("pinned", {**unset, "OPENBLAS_NUM_THREADS": "1"})):
+            checkpoints[name] = tmp_path / f"{name}.npz"
+            argv = ["train", "--data", str(data), "--out", str(checkpoints[name]), "--epochs", "2"]
+            assert self.child(argv, **changes) == (EXIT_OK, "")
+        assert checkpoints["unset"].read_bytes() == checkpoints["pinned"].read_bytes()
+
+    def test_logs_the_blas_threads_once(self, capsys, caplog, synth_file):
+        caplog.set_level(logging.INFO, logger="relgrid")
+        caplog.clear()
+        assert run(capsys, "stats", "--data", str(synth_file))[0] == EXIT_OK
+        [message] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("BLAS threads: ")]
+        # importing relgrid set all three unless the environment held one already
+        expected = [f"{var}={os.environ[var]}" for var in relgrid.BLAS_THREAD_VARS if var in os.environ]
+        assert expected and message == "BLAS threads: " + " ".join(expected)
+
     def test_terminated_train_ends_in_one_line(self, tmp_path, long_corpus):
         checkpoint = tmp_path / "m.npz"
         code, stderr = self.signalled_train(long_corpus, checkpoint, signal.SIGTERM, 0.2)
@@ -1503,6 +1541,34 @@ class TestUsage:
         assert (code, stderr) == (EXIT_INTERRUPT, "interrupted\n")
         assert not out.exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "m.npz"]
+
+    def test_interrupted_eval_ends_in_one_line_at_seeded_points(self, tmp_path):
+        # K=171 sentences of 20-40 tokens under an untrained model, which tags most
+        # cells. Three seeded points spread over an eval of the first half, one in
+        # each third past the set-up; each interrupted run evaluates both halves,
+        # so no point falls after its end
+        corpus, relations, _ = generate_corpus(
+            SynthConfig(sentences=160, num_relations=171, min_len=20, max_len=40, seed=7)
+        )
+        paths = {name: tmp_path / name for name in ("empty.jsonl", "half.jsonl", "c.jsonl", "m.npz")}
+        for name, sentences in (("empty.jsonl", []), ("half.jsonl", corpus[:80]), ("c.jsonl", corpus)):
+            save_native(sentences, relations, paths[name])
+        save_checkpoint(paths["m.npz"], init_model(relations, build_vocab(corpus), TrainConfig(seed=1)))
+
+        def seconds(data):
+            started = time.monotonic()
+            assert self.child(["eval", "--data", str(paths[data]), "--checkpoint", str(paths["m.npz"])]) == (EXIT_OK, "")
+            return time.monotonic() - started
+
+        set_up = seconds("empty.jsonl")  # interpreter, imports and checkpoint
+        delays = set_up + (seconds("half.jsonl") - set_up) * (np.arange(3) + np.random.default_rng(7).random(3)) / 3
+        for delay in delays:
+            out = tmp_path / "report.txt"
+            argv = ["eval", "--data", str(paths["c.jsonl"]), "--checkpoint", str(paths["m.npz"]), "--out", str(out)]
+            started = time.monotonic()
+            code, stderr = self.signalled(argv, signal.SIGINT, lambda: time.monotonic() - started > delay)
+            assert (code, stderr) == (EXIT_INTERRUPT, "interrupted\n"), delay
+            assert sorted(tmp_path.iterdir()) == sorted(paths.values()), delay  # no report, no temp file
 
     def test_main_restores_the_sigterm_handler(self, capsys, synth_file):
         previous = signal.getsignal(signal.SIGTERM)

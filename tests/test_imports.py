@@ -1,8 +1,9 @@
 """Every module of the package and of the tests reads each name it imports,
 only `corpus.write_file` writes a file in the package, only
 `corpus.build_sentence` makes a `Sentence` there, only `tagging.encode` and
-`scorer.tag_grid` allocate an int8 tag grid there, and `train` sets every
-field of `TrainConfig`."""
+`scorer.tag_grid` allocate an int8 tag grid there, `rel_tag_emb` meets no
+matrix product in `scorer` but through the difference matrix D, and `train`
+sets every field of `TrainConfig`."""
 
 import ast
 import re
@@ -158,6 +159,48 @@ def test_finds_an_int8_allocation():
 def test_only_the_codec_and_tag_grid_make_a_tag_grid(path):
     """One gold-grid builder (tagging.encode) and one predicted-grid builder (scorer.tag_grid)."""
     assert int8_allocations(path.read_text(encoding="utf-8"), GRID_BUILDERS.get(path.name)) == []
+
+
+PRODUCTS = {"np.matmul", "np.dot", "np.einsum", "np.tensordot", "np.inner", "np.outer", "np.vdot"}
+
+
+def product_operands(source: str) -> list[tuple[int, str]]:
+    """(line, source) of each operand of a matrix product: either side of @ or @=,
+    and the positional arguments of np.matmul, np.dot and the other products."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            found += [node.left, node.right]
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.MatMult):
+            found += [node.target, node.value]
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in PRODUCTS:
+            found += node.args
+    return sorted((operand.lineno, ast.unparse(operand)) for operand in found)
+
+
+def reads(operand: str, name: str) -> bool:
+    """Whether an operand's source reads `name`, as a variable or as a dict key."""
+    return any(
+        isinstance(node, ast.Name) and node.id == name or isinstance(node, ast.Constant) and node.value == name
+        for node in ast.walk(ast.parse(operand, mode="eval"))
+    )
+
+
+def test_finds_a_product_operand():
+    source = 'a @ w["rel_tag_emb"]\nb @= c\nnp.matmul(d, e.T, out=f)\nnp.dot(g, h)\nnp.add(i, j)\n'
+    assert product_operands(source) == [
+        (1, "a"), (1, "w['rel_tag_emb']"), (2, "b"), (2, "c"), (3, "d"), (3, "e.T"), (4, "g"), (4, "h"),
+    ]
+    assert reads("w['rel_tag_emb'] - 1", "rel_tag_emb") and reads("rel_tag_emb.T", "rel_tag_emb")
+    assert not reads("diffs.T", "rel_tag_emb")
+
+
+def test_rel_tag_emb_meets_the_hidden_layer_only_through_d():
+    """The scorer multiplies the hidden layer by the hidden x 3K tag-minus-NONE
+    matrix D (`diffs`), never by the hidden x 4K rel_tag_emb."""
+    operands = product_operands((ROOT / "src" / "relgrid" / "scorer.py").read_text(encoding="utf-8"))
+    assert [op for op in operands if reads(op[1], "rel_tag_emb")] == []
+    assert {op for _, op in operands if reads(op, "diffs")} == {"diffs", "diffs.T"}
 
 
 def test_train_sets_every_train_config_field():

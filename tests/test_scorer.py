@@ -463,30 +463,39 @@ def allocating_hidden_block(heads, tails, rows, seed=None, rate=0.0, scale=1.0):
     return pre.reshape(-1, tails.shape[1])
 
 
+def allocating_tag_differences(rel_tag_emb):
+    per_rel = rel_tag_emb.reshape(len(rel_tag_emb), -1, NUM_TAGS)
+    return (per_rel[..., 1:] - per_rel[..., :1]).reshape(len(rel_tag_emb), -1)
+
+
 def allocating_tag_gradient(s, gold, count):
-    p0, p1, p2, p3 = (s[..., t] for t in range(NUM_TAGS))
-    s -= np.maximum(np.maximum(p0, p1), np.maximum(p2, p3))[..., None]
-    flat_gold = np.arange(0, s.size, NUM_TAGS) + gold.ravel()
-    gold_shifted = s.ravel()[flat_gold]
+    p1, p2, p3 = (s[..., t] for t in range(NUM_TAGS - 1))
+    top = np.maximum(np.maximum(np.maximum(p1, p2), p3), 0.0)
+    gold = gold.ravel()
+    tagged = gold.nonzero()[0]
+    flat_gold = (NUM_TAGS - 1) * tagged + gold[tagged] - 1
+    gold_scores = s.ravel()[flat_gold]
+    s -= top[..., None]
     np.exp(s, out=s)
-    norm = p0 + p1
+    norm = np.exp(-top) + p1
     norm += p2
     norm += p3
     s /= norm[..., None]
-    nll = (np.log(norm).ravel() - gold_shifted).sum()
+    nll = np.log(norm).ravel() + top.ravel()
+    nll[tagged] -= gold_scores
     s.reshape(-1)[flat_gold] -= 1.0
     s /= count
-    return nll
+    return nll.sum()
 
 
-def allocating_hidden_gradient(d_scores, hidden, rows, rel_tag_emb, scale, d_heads):
-    d_rel = hidden.T @ d_scores
-    d_hidden = d_scores @ rel_tag_emb.T
+def allocating_hidden_gradient(d_scores, hidden, rows, diffs, scale, d_heads):
+    d_diffs = hidden.T @ d_scores
+    d_hidden = d_scores @ diffs.T
     d_hidden *= hidden > 0.0
     d_hidden *= scale
     d_pre = d_hidden.reshape(rows.stop - rows.start, -1, hidden.shape[1])
     d_heads[rows] = d_pre.sum(axis=1)
-    return d_rel, d_pre.sum(axis=0)
+    return d_diffs, d_pre.sum(axis=0)
 
 
 def traced_peak(call):
@@ -506,9 +515,9 @@ def same_bytes(got, ref):
 
 
 class TestInPlaceKernels:
-    """_hidden_block, _tag_gradient and _hidden_gradient write into buffers
-    they already hold; every block's results equal the allocating
-    references bit for bit, at the benchmark's three shapes."""
+    """_tag_differences, _hidden_block, _tag_gradient and _hidden_gradient
+    write into buffers they already hold; every block's results equal the
+    allocating references bit for bit, at the benchmark's three shapes."""
 
     @pytest.mark.parametrize("dropout", [0.0, 0.1])
     @pytest.mark.parametrize("length, num_rel", [(14, 4), (100, 24), (40, 171)])
@@ -516,10 +525,11 @@ class TestInPlaceKernels:
         emb, arrays, _ = random_instance(length + num_rel, length, num_rel, emb_dim=64)
         gold = np.random.default_rng(length).integers(0, NUM_TAGS, (length, num_rel, length)).astype(np.int8)
         heads, tails = scorer._projections(emb, arrays)
-        rel_tag_emb = arrays["rel_tag_emb"]
+        diffs = scorer._tag_differences(arrays["rel_tag_emb"])
+        assert same_bytes(diffs, allocating_tag_differences(arrays["rel_tag_emb"]))
         seed, scale = (17, 1.0 / (1.0 - dropout)) if dropout else (None, 1.0)
         d_heads, ref_d_heads = np.zeros_like(heads), np.zeros_like(heads)
-        parts = np.full_like(rel_tag_emb, np.nan), np.full_like(tails, np.nan)  # reused by every block
+        parts = np.full_like(diffs, np.nan), np.full_like(tails, np.nan)  # reused by every block
         for start in range(0, length, scorer._BLOCK_ROWS):
             rows = slice(start, min(start + scorer._BLOCK_ROWS, length))
             hidden = scorer._hidden_block(heads, tails, rows, seed, dropout, scale)
@@ -527,16 +537,16 @@ class TestInPlaceKernels:
             assert same_bytes(hidden, ref_hidden)
             assert (hidden == 0.0).any() and (hidden > 0.0).any()
 
-            d_scores, ref_d_scores = hidden @ rel_tag_emb, ref_hidden @ rel_tag_emb
+            d_scores, ref_d_scores = hidden @ diffs, ref_hidden @ diffs
             block_gold = gold[rows].transpose(0, 2, 1)
-            cells = (len(hidden), num_rel, NUM_TAGS)
+            cells = (len(hidden), num_rel, NUM_TAGS - 1)
             nll = scorer._tag_gradient(d_scores.reshape(cells), block_gold, gold.size)
             ref_nll = allocating_tag_gradient(ref_d_scores.reshape(cells), block_gold, gold.size)
             assert same_bytes(d_scores, ref_d_scores)
             assert same_bytes(np.float64(nll), np.float64(ref_nll))
 
-            ref = allocating_hidden_gradient(ref_d_scores, ref_hidden, rows, rel_tag_emb, scale, ref_d_heads)
-            got = scorer._hidden_gradient(d_scores, hidden, rows, rel_tag_emb, scale, d_heads, parts)
+            ref = allocating_hidden_gradient(ref_d_scores, ref_hidden, rows, diffs, scale, ref_d_heads)
+            got = scorer._hidden_gradient(d_scores, hidden, rows, diffs, scale, d_heads, parts)
             for part, ref_part in zip(got, ref):
                 assert same_bytes(part, ref_part)
             assert same_bytes(d_heads, ref_d_heads)
@@ -568,7 +578,7 @@ class TestHeadRowBlocks:
 
     RTOL, ATOL = 1e-12, 1e-14
     LENGTH, NUM_REL = 37, 5
-    WIDTH = 3 * 8 + NUM_TAGS * NUM_REL  # hidden + 4K values a cell at emb_dim 8
+    WIDTH = 3 * 8 + (NUM_TAGS - 1) * NUM_REL  # hidden + 3K values a cell at emb_dim 8
 
     def instance(self):
         return random_instance(61, length=self.LENGTH, num_rel=self.NUM_REL, emb_dim=8)
@@ -628,7 +638,7 @@ class TestHeadRowBlocks:
     # (cell width, byte budget): the 16-row rule alone (K=5 at emb_dim 8), the
     # benchmark's K=24 and K=171 widths at the default budget, and a budget
     # that splits grids from L=3 on and takes one-row blocks from L=9 on
-    SHAPES = {44: scorer._BLOCK_BYTES, 288: scorer._BLOCK_BYTES, 876: scorer._BLOCK_BYTES, 4: 256}
+    SHAPES = {39: scorer._BLOCK_BYTES, 264: scorer._BLOCK_BYTES, 705: scorer._BLOCK_BYTES, 4: 256}
 
     def test_split_is_balanced_and_fixed_by_the_shape(self, monkeypatch, block_threads):
         def spans(length, width):
@@ -684,9 +694,15 @@ class TestHeadRowBlocks:
         assert info.value is error
 
 
+def tag_differences(scores):
+    """The (cells..., 3) block of tag-minus-NONE scores that _tags reads, from
+    (cells..., 4) scores."""
+    return scores[..., 1:] - scores[..., :1]
+
+
 class TestPredictTags:
-    """_tags, the argmax kernel, on hand-built (cells..., 4) score blocks,
-    and tag_grid against per-cell oracles."""
+    """_tags, the argmax kernel, on hand-built (cells..., 3) blocks of
+    tag-minus-NONE scores, and tag_grid against per-cell oracles."""
 
     def test_four_way_tie_gives_empty_matrix(self):
         emb = np.zeros((3, 4))
@@ -698,9 +714,9 @@ class TestPredictTags:
         assert tag_cells(tag_grid(emb, arrays)) == {}
 
     def test_single_favoured_cell(self):
-        scores = np.zeros((9, 2, 9, NUM_TAGS))  # cells (i, k, j)
-        scores[0, 1, 8, int(Tag.HB_TE)] = 5.0
-        assert tag_cells(scorer._tags(scores)) == {(0, 1, 8): Tag.HB_TE}
+        diffs = np.zeros((9, 2, 9, NUM_TAGS - 1))  # cells (i, k, j)
+        diffs[0, 1, 8, int(Tag.HB_TE) - 1] = 5.0
+        assert tag_cells(scorer._tags(diffs)) == {(0, 1, 8): Tag.HB_TE}
 
     def test_matches_per_cell_argmax_oracle(self):
         emb, arrays, _ = random_instance(29)
@@ -715,18 +731,24 @@ class TestPredictTags:
                     assert tags[i, k, j] == best
 
     def test_two_way_non_none_tie_resolves_to_none(self):
-        scores = np.zeros((3, 2, 3, NUM_TAGS))
-        scores[1, 0, 2, int(Tag.HB_TB)] = 3.0
-        scores[1, 0, 2, int(Tag.HE_TE)] = 3.0
-        assert not scorer._tags(scores).any()
+        diffs = np.zeros((3, 2, 3, NUM_TAGS - 1))
+        diffs[1, 0, 2, int(Tag.HB_TB) - 1] = 3.0
+        diffs[1, 0, 2, int(Tag.HE_TE) - 1] = 3.0
+        assert not scorer._tags(diffs).any()
+
+    def test_a_tag_tied_with_none_gives_none(self):
+        diffs = np.full((3, 2, 3, NUM_TAGS - 1), -1.0)
+        diffs[1, 0, 2, int(Tag.HB_TE) - 1] = 0.0  # level with NONE, above the other two
+        diffs[2, 1, 0, int(Tag.HB_TB) - 1] = 0.5
+        assert tag_cells(scorer._tags(diffs)) == {(2, 1, 0): Tag.HB_TB}
 
     def test_invariant_under_constant_shift(self):
         emb, arrays, gold = random_instance(33)
         scores = np.moveaxis(concat_reference(emb, arrays, gold)[0], 2, 3)
-        before = scorer._tags(scores)
+        before = scorer._tags(tag_differences(scores))
         assert before.any()
         # the same constant for all 4 tags of every cell
-        assert np.array_equal(scorer._tags(scores + 17.5), before)
+        assert np.array_equal(scorer._tags(tag_differences(scores + 17.5)), before)
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -738,7 +760,7 @@ class TestPredictTags:
         # scores from {-2, ..., 2}: many cells tie, some at the top only
         rng = np.random.default_rng(seed)
         scores = rng.integers(-2, 3, size=(length, num_rel, NUM_TAGS, length)).astype(float)
-        tags = scorer._tags(np.moveaxis(scores, 2, 3))
+        tags = scorer._tags(tag_differences(np.moveaxis(scores, 2, 3)))
         assert tags.dtype == np.int8
         assert tag_cells(tags) == reference_predict_tags(scores)
 
@@ -794,6 +816,38 @@ class TestFusedDrivers:
         arrays["rel_tag_emb"][...] = arrays["rel_tag_emb"][:, :1]  # all four tags score alike
         assert not tag_grid(emb, arrays).any()
 
+    def test_tag_level_with_none_gives_none(self):
+        # relation 1's HB-TE column equals its NONE column and the other two lie
+        # below it: in every cell with an active unit HB-TE ties NONE at the top
+        emb, arrays, gold = self.instance(83, 12, 3, emb_dim=6)
+        rel_tag_emb = arrays["rel_tag_emb"]
+        none = rel_tag_emb[:, NUM_TAGS]
+        rel_tag_emb[:, NUM_TAGS + int(Tag.HB_TE)] = none
+        for tag in (Tag.HB_TB, Tag.HE_TE):
+            rel_tag_emb[:, NUM_TAGS + int(tag)] = none - 1.0
+        assert not tag_grid(emb, arrays)[:, 1].any()
+        rel_tag_emb[:, NUM_TAGS + int(Tag.HB_TE)] += 1e-3  # HB-TE now leads wherever a unit is active
+        cells = concat_reference(emb, arrays, gold)[0][:, 1]  # (i, tag, j)
+        active = cells[:, int(Tag.HB_TE)] > cells[:, int(Tag.NONE)]
+        assert active.any()
+        assert np.array_equal(tag_grid(emb, arrays)[:, 1], np.where(active, int(Tag.HB_TE), 0))
+
+    def test_batch_grads_equal_train_grads_in_turn(self):
+        sentences = [self.instance(seed, length, 3) for seed, length in ((1, 5), (2, 17), (3, 1))]
+        arrays = sentences[0][1]
+        one = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+        singles = [train_grads(emb, gold, arrays, 0.3, 7, one) for emb, _, gold in sentences]
+        batch = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+        together = list(scorer.batch_grads(((emb, gold, 7) for emb, _, gold in sentences), arrays, 0.3, batch))
+        assert len(together) == len(singles)
+        for (loss, d_emb), (ref_loss, ref_d_emb) in zip(together, singles):
+            assert loss == ref_loss and np.array_equal(d_emb, ref_d_emb)
+        for name in ("pair_proj", "pair_bias"):  # added in the same order
+            assert np.array_equal(batch[name], one[name]), name
+        # folded once rather than once a sentence
+        np.testing.assert_allclose(batch["rel_tag_emb"], one["rel_tag_emb"], rtol=self.RTOL, atol=self.ATOL)
+        assert batch["rel_tag_emb"].any()
+
     def test_train_grads_rejects_gold_of_another_shape(self):
         emb, arrays, gold = self.instance(91, 6, 2)
         for bad in (gold[:, :, :-1], gold.transpose(0, 2, 1), gold[:1, :1, :1]):
@@ -826,34 +880,35 @@ class TestFusedDrivers:
         block_threads(1)
         length = 100
         emb, arrays, gold = self.instance(71, length, 24, emb_dim=64)
-        hidden_dim, width = arrays["pair_bias"].size, arrays["pair_bias"].size + arrays["rel_tag_emb"].shape[1]
+        hidden_dim = arrays["pair_bias"].size
+        width = hidden_dim + (NUM_TAGS - 1) * 24
         tallest = max(b - a for a, b in block_spans(length, width))
         assert tallest * length * width * 8 <= scorer._BLOCK_BYTES
         grads = {name: np.zeros_like(arr) for name, arr in arrays.items()}
         train_grads(emb, gold, arrays, 0.1, 5, grads)
         peak = traced_peak(lambda: train_grads(emb, gold, arrays, 0.1, 5, grads))
         block = tallest * length * hidden_dim * 8  # 1.38 MB
-        assert peak < 3 * block  # 3.83 MB
+        assert peak < 3 * block  # 3.89 MB < 4.15 MB
 
     def test_train_grads_folds_block_parts_as_they_finish(self, block_threads):
         # At K=171 the budget cuts L=96 into 32 blocks of 3 rows, each with
-        # at most 2 MiB of hidden layer and scores (2.02 MB) and a hidden x 4K
-        # d_rel part of 1.05 MB. Holding all 32 parts until the last block is
-        # done would take 33.6 MB. Folding each into the running sum as it
-        # finishes holds one block, its softmax temporaries (three K-wide
-        # arrays, 3/4 of its scores), the sum and one part's buffers: less
-        # than two budgets and three d_rel parts.
+        # at most 2 MiB of hidden layer and scores (1.62 MB) and a hidden x 3K
+        # part of D's gradient of 0.79 MB. Holding all 32 parts until the last
+        # block is done would take 25.2 MB. Folding each into the running sum
+        # as it finishes holds one block, its softmax temporaries, D, the sum
+        # and one part's buffers: less than two budgets and three arrays the
+        # size of rel_tag_emb.
         block_threads(1)
         length = 96
         emb, arrays, gold = self.instance(71, length, 171, emb_dim=64)
         d_rel = arrays["rel_tag_emb"].nbytes
         assert d_rel == 1_050_624
-        width = arrays["pair_bias"].size + arrays["rel_tag_emb"].shape[1]
+        width = arrays["pair_bias"].size + (NUM_TAGS - 1) * 171
         assert len(block_spans(length, width)) == 32
         grads = {name: np.zeros_like(arr) for name, arr in arrays.items()}
         train_grads(emb, gold, arrays, 0.1, 5, grads)
         peak = traced_peak(lambda: train_grads(emb, gold, arrays, 0.1, 5, grads))
-        assert peak < 2 * scorer._BLOCK_BYTES + 3 * d_rel  # 6.44 MB < 7.35 MB
+        assert peak < 2 * scorer._BLOCK_BYTES + 3 * d_rel  # 6.76 MB < 7.35 MB
 
     @pytest.mark.parametrize("driver", ["train_grads", "tag_grid"])
     def test_peak_memory_below_one_hidden_grid(self, block_threads, driver):

@@ -1,3 +1,4 @@
+import tracemalloc
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from relgrid.corpus import canonical_rows
 from relgrid.synthetic import SynthConfig, generate_corpus
-from relgrid.tagging import Tag, decode, encode, render_relation_grid, roundtrip_check
+from relgrid.tagging import NUM_TAGS, Tag, decode, encode, render_relation_grid, roundtrip_check
 
 from conftest import as_triples, make_sentence, random_triples, tag_cells, triple
 
@@ -259,6 +260,24 @@ class TestDecode:
     def test_empty_grid_gives_no_rows(self):
         rows = decode(grid(5, 2))
         assert rows.shape == (0, 5) and rows.dtype == np.int64
+
+    def test_peak_memory_near_the_returned_rows(self):
+        # a near-random L=100, K=171 grid, as an untrained model tags it: each
+        # cell NONE or one of the three tags alike, 427,205 anchors. decode
+        # writes every column straight into the rows it returns, with the two
+        # key arrays, the anchors, a search result and the grid's two int8
+        # copies beside them: 2.2 times the rows' bytes (3.4 times when it
+        # stacked ten temporary columns)
+        tags = np.random.default_rng(3).integers(0, NUM_TAGS, (100, 171, 100)).astype(np.int8)
+        rows = decode(tags)
+        tracemalloc.start()
+        try:
+            decode(tags)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) > 300_000
+        assert peak <= 2.5 * rows.nbytes
 
     def test_nested_heads_sharing_tail_end_column(self):
         # three nested heads on relation 1, all ending their tail at column 6

@@ -347,15 +347,14 @@ class TestAdam:
         model = init_model(relations, vocab, TrainConfig(seed=4))
         # the last element lies in the last, partial chunk of the check
         assert model.weights.size > trainer.ADAM_CHUNK and model.weights.size % trainer.ADAM_CHUNK
-        real_train_grads = trainer.train_grads
+        real_batch_grads = trainer.batch_grads
         for group, index in (("pair_bias", 1), ("positional_table", (-1, -1))):
 
-            def poisoned_train_grads(*args):
-                result = real_train_grads(*args)
+            def poisoned_batch_grads(*args):
+                yield from real_batch_grads(*args)
                 args[-1][group][index] = np.nan  # into train_step's gradient
-                return result
 
-            monkeypatch.setattr(trainer, "train_grads", poisoned_train_grads)
+            monkeypatch.setattr(trainer, "batch_grads", poisoned_batch_grads)
             with pytest.raises(NumericError, match=group):
                 train_step(model, encoded(corpus[:2], vocab), [1, 2], np.empty_like(model.weights))
 
