@@ -14,7 +14,8 @@ or unwritable file, or a record or vocab file naming a key twice, is a data erro
 Every option is resolved once, before the command runs: its flag, else the
 config file's value, else the parser's default. One INFO line logs them all
 before the command reads any file; train and synth then log their root seed.
-Set RELGRID_LOG_LEVEL (DEBUG/INFO/WARNING/...) to control verbosity.
+RELGRID_LOG_LEVEL sets verbosity to a logging level name in any case (DEBUG, INFO,
+WARNING, ERROR, CRITICAL; default WARNING); any other value is a usage error.
 """
 
 from __future__ import annotations
@@ -424,10 +425,11 @@ def _terminate(signum, frame):
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("RELGRID_LOG_LEVEL", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = os.environ.get("RELGRID_LOG_LEVEL", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):  # an unknown name maps to "Level <name>"
+        sys.stderr.write(f"error: RELGRID_LOG_LEVEL {level!r} is not a logging level name such as INFO\n")
+        return EXIT_USAGE
+    logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
     logger.info("BLAS threads: %s", " ".join(f"{v}={os.environ[v]}" for v in BLAS_THREAD_VARS if v in os.environ))
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv

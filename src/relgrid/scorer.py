@@ -17,7 +17,7 @@ built: with pair_proj = [W_h | W_t] the pre-activation is the broadcast sum
 of W_h e_i and W_t e_j + b, and backward sums the pair gradient over j
 (resp. i) before it meets W_h (resp. W_t). All is float64. The drivers read
 the three parameters, the model's named arrays, from a dict by name, and
-train_grads adds their gradients into the same names of another dict.
+batch_grads adds their gradients into the same names of another dict.
 
 The grid is worked in blocks of head rows (see _map_blocks), at most 16 rows
 and, but for a single row, about 2 MiB of hidden layer and scores, rows * L *
@@ -25,7 +25,7 @@ and, but for a single row, about 2 MiB of hidden layer and scores, rows * L *
 dropout, rectifier), _tag_gradient (tag softmax, NLL, softmax - onehot(gold)),
 _hidden_gradient (to D, d_heads, d_tails) and _tags (argmax, ties to NONE).
 The two drivers take each block through them in one pass and keep no L x L
-grid: train_grads from hidden layer to the loss and its gradients, tag_grid to
+grid: batch_grads from hidden layer to the loss and its gradients, tag_grid to
 int8 tags. In training one rows * L x hidden buffer per block carries draw ->
 pre-activation -> hidden -> its gradient. The blocks run on the calling thread
 plus one pool thread per further core (ufuncs and BLAS release the interpreter
@@ -70,10 +70,10 @@ def _executor():
         return _pool
 
 
-def _map_blocks(fn, length: int, width: int, fold=None) -> list:
-    """[fn(rows) for rows in the blocks of head rows], in block order; given `fold`,
-    each result goes to fold(result) instead, in block order, as soon as every earlier
-    block's has, and the list stays empty: about one unfolded result per thread is held.
+def _map_blocks(fn, length: int, width: int, fold=lambda result: None) -> None:
+    """fold(fn(rows)) for rows in the blocks of head rows, in block order: each result
+    goes to fold as soon as every earlier block's has, so about one unfolded result per
+    thread is held. By default the results are dropped.
 
     A row is L cells of `width` float64 values (hidden + 3K). A block may hold R rows,
     at most _BLOCK_ROWS and at most _BLOCK_BYTES of cells, but at least one. L <= R rows
@@ -84,8 +84,6 @@ def _map_blocks(fn, length: int, width: int, fold=None) -> list:
     pool thread come from that thread's malloc arena, which keeps what is freed. An exception
     from a block is re-raised unchanged once every block has finished.
     """
-    results = []
-    fold = fold or results.append
     most_rows = max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // max(8 * length * width, 1)))
     blocks = [slice(0, length)]
     if length > most_rows:
@@ -96,7 +94,7 @@ def _map_blocks(fn, length: int, width: int, fold=None) -> list:
     if threads == 1:
         for rows in blocks:
             fold(fn(rows))
-        return results
+        return
     from concurrent.futures import wait
 
     # results that wait for an earlier block's, and the number of blocks folded
@@ -121,7 +119,6 @@ def _map_blocks(fn, length: int, width: int, fold=None) -> list:
         wait(strides)
     for stride in strides:
         stride.result()
-    return results
 
 
 def _projections(emb: np.ndarray, arrays: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -228,29 +225,24 @@ def _tag_differences(rel_tag_emb: np.ndarray) -> np.ndarray:
     return diffs.reshape(len(rel_tag_emb), -1)
 
 
-def train_grads(
-    emb: np.ndarray, gold: np.ndarray, arrays: dict, dropout_rate: float, rng_seed: int, grads: dict
-) -> tuple[float, np.ndarray]:
-    """The mean tag NLL over all L x K x L cells against (L, K, L) int gold
-    tags, with dropout drawn from rng_seed when the rate is above 0; each
-    block goes from hidden layer to gradients in one pass. Adds the loss's
-    gradients to the three parameter arrays into the same names of `grads`
-    and returns the loss and its L x emb_dim embedding gradient."""
-    return list(batch_grads([(emb, gold, rng_seed)], arrays, dropout_rate, grads))[0]
-
-
-def batch_grads(items, arrays: dict, dropout_rate: float, grads: dict):
-    """Yield train_grads(emb, gold, arrays, dropout_rate, rng_seed, grads) for each (emb, gold,
-    rng_seed) of items, with D built, and its gradient folded, once: run it to its end."""
+def batch_grads(items, arrays: dict, dropout_rate: float, grads: dict) -> list[tuple[float, np.ndarray]]:
+    """For each (emb, gold, rng_seed) of items in turn, the mean tag NLL over all L x K x L
+    cells against (L, K, L) int gold tags, with dropout drawn from rng_seed when the rate is
+    above 0, and its L x emb_dim embedding gradient: a list of (loss, d_emb). Each block goes
+    from hidden layer to gradients in one pass. Adds the losses' gradients to the three parameter
+    arrays into the same names of `grads`; D is built, and its gradient folded, once."""
     diffs = _tag_differences(arrays["rel_tag_emb"])
     d_diffs = np.zeros_like(diffs)
-    for emb, gold, rng_seed in items:
-        yield _sentence_grads(emb, gold, arrays, diffs, d_diffs, dropout_rate, rng_seed, grads)
+    results = [
+        _sentence_grads(emb, gold, arrays, diffs, d_diffs, dropout_rate, rng_seed, grads)
+        for emb, gold, rng_seed in items
+    ]
     grads["rel_tag_emb"] += (d_diffs.reshape(-1, NUM_TAGS - 1) @ _FOLD).reshape(d_diffs.shape[0], -1)
+    return results
 
 
 def _sentence_grads(emb, gold, arrays, diffs, d_diffs, dropout_rate, rng_seed, grads):
-    """train_grads of one sentence against D, `diffs`, with D's gradient added into `d_diffs`."""
+    """batch_grads of one sentence against D, `diffs`, with D's gradient added into `d_diffs`."""
     heads, tails = _projections(emb, arrays)
     pair_proj, length, num_rel = arrays["pair_proj"], emb.shape[0], diffs.shape[1] // (NUM_TAGS - 1)
     if gold.shape != (length, num_rel, length):

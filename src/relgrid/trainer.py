@@ -243,7 +243,7 @@ def train_step(
     items = ((encode_indices(ids, tokens, positional), encode(sentence, num_relations)[0], seed)
              for (ids, sentence), seed in zip(batch, dropout_seeds))  # each grid as the scorer reaches it
     results = batch_grads(items, model.arrays, model.config.dropout_rate, groups)
-    for (ids, _), (loss, d_emb) in zip(batch, results, strict=True):  # strict: runs batch_grads to its end
+    for (ids, _), (loss, d_emb) in zip(batch, results, strict=True):
         batch_loss += loss
         np.add.at(groups["token_table"], ids, d_emb)
         groups["positional_table"][: len(ids)] += d_emb
@@ -362,9 +362,13 @@ def load_checkpoint(path: str | Path) -> Model:
         return ValueError(f"corrupt checkpoint {path}: {reason}")
 
     try:
-        # np.load leaves a file it opened itself open when the archive is bad
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
-            arrays = {name: data[name] for name in data.files}
+        # np.load leaves a file it opened itself open, and reads a non-zip as a pickle or .npy
+        with open(path, "rb") as fh:
+            if not zipfile.is_zipfile(fh):
+                raise zipfile.BadZipFile("not an .npz archive")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as data:
+                arrays = {name: data[name] for name in data.files}
     except (zipfile.BadZipFile, EOFError, NotImplementedError, TypeError, ValueError) as exc:
         raise corrupt(exc) from None
     missing = [name for name in _CHECKPOINT_ARRAYS if name not in arrays]

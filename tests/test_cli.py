@@ -671,6 +671,20 @@ exact.relation.f1=0.8
         assert "ResourceWarning" not in proc.stderr
         assert proc.stderr.startswith(f"error: corrupt checkpoint {truncated}")
 
+    @pytest.mark.parametrize("kind", ["loss-log", "npy", "empty"])
+    def test_checkpoint_that_is_no_npz_archive_is_data_error(self, capsys, synth_file, tmp_path, checkpoint, kind):
+        # np.load would take the first two for a pickle and a lone array
+        path = {"loss-log": Path(f"{checkpoint}.log"), "npy": tmp_path / "w.npy", "empty": tmp_path / "e.npz"}[kind]
+        if kind == "npy":
+            np.save(path, np.zeros(3))
+        elif kind == "empty":
+            path.write_bytes(b"")
+        assert path.exists()
+        code, stdout, stderr = run(capsys, "eval", "--data", str(synth_file), "--checkpoint", str(path))
+        assert (code, stdout) == (EXIT_DATA, "")
+        assert stderr == f"error: corrupt checkpoint {path}: not an .npz archive\n"
+        assert "allow_pickle" not in stderr
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize(
         "text",
@@ -1407,7 +1421,7 @@ class TestUsage:
         checkout, at log level WARNING, with `changes` set (or unset, given None)."""
         src = str(Path(relgrid.cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-                   RELGRID_LOG_LEVEL="WARNING", **changes)
+                   **{"RELGRID_LOG_LEVEL": "WARNING", **changes})
         return {name: value for name, value in env.items() if value is not None}
 
     @staticmethod
@@ -1517,6 +1531,20 @@ class TestUsage:
         # importing relgrid set all three unless the environment held one already
         expected = [f"{var}={os.environ[var]}" for var in relgrid.BLAS_THREAD_VARS if var in os.environ]
         assert expected and message == "BLAS threads: " + " ".join(expected)
+
+    @pytest.mark.parametrize("level", ["FOO", "", "5"], ids=["name", "empty", "number"])
+    def test_unknown_log_level_is_one_line_usage_error(self, capsys, monkeypatch, level):
+        message = f"error: RELGRID_LOG_LEVEL {level!r} is not a logging level name such as INFO\n"
+        code, stderr = self.child(["stats", "--data", "x"], RELGRID_LOG_LEVEL=level)
+        assert (code, stderr) == (EXIT_USAGE, message)
+        assert "Traceback" not in stderr
+        # in process, where logging has handlers already and would drop the value unread
+        monkeypatch.setenv("RELGRID_LOG_LEVEL", level)
+        assert run(capsys, "stats", "--data", "x") == (EXIT_USAGE, "", message)
+
+    def test_log_level_name_is_taken_in_any_case(self, capsys, monkeypatch, synth_file):
+        monkeypatch.setenv("RELGRID_LOG_LEVEL", "error")
+        assert run(capsys, "stats", "--data", str(synth_file))[0] == EXIT_OK
 
     def test_terminated_train_ends_in_one_line(self, tmp_path, long_corpus):
         checkpoint = tmp_path / "m.npz"

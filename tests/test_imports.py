@@ -2,8 +2,8 @@
 only `corpus.write_file` writes a file in the package, only
 `corpus.build_sentence` makes a `Sentence` there, only `tagging.encode` and
 `scorer.tag_grid` allocate an int8 tag grid there, `rel_tag_emb` meets no
-matrix product in `scorer` but through the difference matrix D, and `train`
-sets every field of `TrainConfig`."""
+matrix product in `scorer` but through the difference matrix D, `scorer`
+holds no generator, and `train` sets every field of `TrainConfig`."""
 
 import ast
 import re
@@ -201,6 +201,24 @@ def test_rel_tag_emb_meets_the_hidden_layer_only_through_d():
     operands = product_operands((ROOT / "src" / "relgrid" / "scorer.py").read_text(encoding="utf-8"))
     assert [op for op in operands if reads(op[1], "rel_tag_emb")] == []
     assert {op for _, op in operands if reads(op, "diffs")} == {"diffs", "diffs.T"}
+
+
+def yields(source: str) -> list[int]:
+    """The line of each `yield` and `yield from`."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, (ast.Yield, ast.YieldFrom))
+    )
+
+
+def test_finds_a_yield():
+    source = "def f(xs):\n    for x in xs:\n        yield x\n    yield from xs\nys = (x for x in [])\n"
+    assert yields(source) == [3, 4]
+
+
+def test_scorer_holds_no_generator():
+    """batch_grads and the other drivers return their results: no caller has a
+    generator to run to its end before every gradient is added."""
+    assert yields((ROOT / "src" / "relgrid" / "scorer.py").read_text(encoding="utf-8")) == []
 
 
 def test_train_sets_every_train_config_field():

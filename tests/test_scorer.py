@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relgrid import scorer
-from relgrid.scorer import tag_grid, train_grads
+from relgrid.scorer import batch_grads, tag_grid
 from relgrid.tagging import NUM_TAGS, Tag
 
 from conftest import glorot_arrays, tag_cells
@@ -17,7 +17,7 @@ GRAD_NAMES = ("pair_proj", "pair_bias", "rel_tag_emb", "emb")
 
 
 # --- independent oracles ---------------------------------------------------
-# Each takes the scorer's three arrays by name, as train_grads and tag_grid
+# Each takes the scorer's three arrays by name, as batch_grads and tag_grid
 # do, and a dropout rate where training needs one.
 
 def relation_count(arrays):
@@ -25,10 +25,10 @@ def relation_count(arrays):
 
 
 def scorer_grads(emb, gold, arrays, rate=0.0, rng_seed=0):
-    """train_grads into zeroed gradient arrays: the three parameter
-    gradients, "emb" and "loss", by name."""
+    """batch_grads of one sentence into zeroed gradient arrays: the three
+    parameter gradients, "emb" and "loss", by name."""
     grads = {name: np.zeros_like(arrays[name]) for name in GRAD_NAMES[:3]}
-    grads["loss"], grads["emb"] = train_grads(emb, gold, arrays, rate, rng_seed, grads)
+    grads["loss"], grads["emb"] = batch_grads([(emb, gold, rng_seed)], arrays, rate, grads)[0]
     return grads
 
 
@@ -233,7 +233,7 @@ def min_preactivation(emb, arrays):
 
 
 def gradcheck(seed, dropout=0.0, rng_seed=0, tol=1e-4):
-    """Full-coordinate central-difference check of train_grads' loss;
+    """Full-coordinate central-difference check of batch_grads' loss;
     returns worst relative error. With dropout on, rng_seed fixes one
     realization for every evaluation.
 
@@ -263,7 +263,7 @@ def no_gold(length, num_rel):
 
 
 class TestScoreAll:
-    """The score of every cell, as train_grads' loss and tag_grid's tags
+    """The score of every cell, as batch_grads' loss and tag_grid's tags
     show it."""
 
     def assert_all_scores_zero(self, emb, arrays):
@@ -407,7 +407,7 @@ class TestBackward:
 
 
 class TestFactorizedPairLayer:
-    """train_grads and tag_grid against the concatenated-pair reference at a
+    """batch_grads and tag_grid against the concatenated-pair reference at a
     size where row/column reductions matter: L=12, K=3, dropout on."""
 
     RTOL, ATOL = 1e-12, 1e-14
@@ -565,7 +565,9 @@ class TestInPlaceKernels:
 
 def block_spans(length, width):
     """The (start, stop) head rows of each block of an L x L grid of `width` values a cell."""
-    return scorer._map_blocks(lambda rows: (rows.start, rows.stop), length, width)
+    spans = []
+    scorer._map_blocks(lambda rows: (rows.start, rows.stop), length, width, fold=spans.append)
+    return spans
 
 
 class TestHeadRowBlocks:
@@ -615,10 +617,12 @@ class TestHeadRowBlocks:
     def test_dropout_stream_is_one_draw_over_the_grid(self):
         emb, arrays, gold = self.instance()
         heads, tails = scorer._projections(emb, arrays)
-        blocks = scorer._map_blocks(
+        blocks = []
+        scorer._map_blocks(
             lambda rows: scorer._hidden_block(heads, tails, rows, 63, 0.3, 1.0 / (1.0 - 0.3)),
             self.LENGTH,
             self.WIDTH,
+            fold=blocks.append,
         )
         assert [len(b) // self.LENGTH for b in blocks] == [10, 9, 9, 9]
         _, ref_hidden, _, _ = float_mask_reference(emb, arrays, gold, 0.3, 63)
@@ -642,9 +646,11 @@ class TestHeadRowBlocks:
 
     def test_split_is_balanced_and_fixed_by_the_shape(self, monkeypatch, block_threads):
         def spans(length, width):
-            return scorer._map_blocks(
-                lambda rows: (rows.start, rows.stop, threading.get_ident()), length, width
+            split = []
+            scorer._map_blocks(
+                lambda rows: (rows.start, rows.stop, threading.get_ident()), length, width, split.append
             )
+            return split
 
         one_thread = {}
         for threads in (1, 2, 4):
@@ -766,7 +772,7 @@ class TestPredictTags:
 
 
 class TestFusedDrivers:
-    """train_grads and tag_grid take each block of head rows from the hidden
+    """batch_grads and tag_grid take each block of head rows from the hidden
     layer to gradients or tags without keeping a grid. They must equal the
     concatenated-pair reference: gradients and loss up to float summation
     order, tags bit for bit where every score is exact; and both bit for
@@ -832,13 +838,17 @@ class TestFusedDrivers:
         assert active.any()
         assert np.array_equal(tag_grid(emb, arrays)[:, 1], np.where(active, int(Tag.HB_TE), 0))
 
-    def test_batch_grads_equal_train_grads_in_turn(self):
+    def three_sentences(self):
         sentences = [self.instance(seed, length, 3) for seed, length in ((1, 5), (2, 17), (3, 1))]
-        arrays = sentences[0][1]
+        return sentences, sentences[0][1]
+
+    def test_batch_grads_equal_train_grads_in_turn(self):
+        # a batch of three against three one-sentence batches
+        sentences, arrays = self.three_sentences()
         one = {name: np.zeros_like(arr) for name, arr in arrays.items()}
-        singles = [train_grads(emb, gold, arrays, 0.3, 7, one) for emb, _, gold in sentences]
+        singles = [batch_grads([(emb, gold, 7)], arrays, 0.3, one)[0] for emb, _, gold in sentences]
         batch = {name: np.zeros_like(arr) for name, arr in arrays.items()}
-        together = list(scorer.batch_grads(((emb, gold, 7) for emb, _, gold in sentences), arrays, 0.3, batch))
+        together = batch_grads(((emb, gold, 7) for emb, _, gold in sentences), arrays, 0.3, batch)
         assert len(together) == len(singles)
         for (loss, d_emb), (ref_loss, ref_d_emb) in zip(together, singles):
             assert loss == ref_loss and np.array_equal(d_emb, ref_d_emb)
@@ -847,6 +857,18 @@ class TestFusedDrivers:
         # folded once rather than once a sentence
         np.testing.assert_allclose(batch["rel_tag_emb"], one["rel_tag_emb"], rtol=self.RTOL, atol=self.ATOL)
         assert batch["rel_tag_emb"].any()
+
+    def test_batch_grads_need_no_draining(self):
+        # one call over three sentences, its result never iterated, adds all
+        # three parameter gradients, rel_tag_emb's included
+        sentences, arrays = self.three_sentences()
+        grads = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+        results = batch_grads(((emb, gold, 7) for emb, _, gold in sentences), arrays, 0.3, grads)
+        for name in GRAD_NAMES[:3]:
+            assert grads[name].any(), name
+        assert isinstance(results, list) and len(results) == 3
+        for (loss, d_emb), (emb, _, _) in zip(results, sentences):
+            assert loss > 0.0 and d_emb.shape == emb.shape
 
     def test_train_grads_rejects_gold_of_another_shape(self):
         emb, arrays, gold = self.instance(91, 6, 2)
@@ -885,8 +907,8 @@ class TestFusedDrivers:
         tallest = max(b - a for a, b in block_spans(length, width))
         assert tallest * length * width * 8 <= scorer._BLOCK_BYTES
         grads = {name: np.zeros_like(arr) for name, arr in arrays.items()}
-        train_grads(emb, gold, arrays, 0.1, 5, grads)
-        peak = traced_peak(lambda: train_grads(emb, gold, arrays, 0.1, 5, grads))
+        batch_grads([(emb, gold, 5)], arrays, 0.1, grads)[0]
+        peak = traced_peak(lambda: batch_grads([(emb, gold, 5)], arrays, 0.1, grads)[0])
         block = tallest * length * hidden_dim * 8  # 1.38 MB
         assert peak < 3 * block  # 3.89 MB < 4.15 MB
 
@@ -906,8 +928,8 @@ class TestFusedDrivers:
         width = arrays["pair_bias"].size + (NUM_TAGS - 1) * 171
         assert len(block_spans(length, width)) == 32
         grads = {name: np.zeros_like(arr) for name, arr in arrays.items()}
-        train_grads(emb, gold, arrays, 0.1, 5, grads)
-        peak = traced_peak(lambda: train_grads(emb, gold, arrays, 0.1, 5, grads))
+        batch_grads([(emb, gold, 5)], arrays, 0.1, grads)[0]
+        peak = traced_peak(lambda: batch_grads([(emb, gold, 5)], arrays, 0.1, grads)[0])
         assert peak < 2 * scorer._BLOCK_BYTES + 3 * d_rel  # 6.76 MB < 7.35 MB
 
     @pytest.mark.parametrize("driver", ["train_grads", "tag_grid"])
@@ -919,7 +941,7 @@ class TestFusedDrivers:
         assert hidden_dim == 192
         grads = {name: np.zeros_like(arr) for name, arr in arrays.items()}
         call = {
-            "train_grads": lambda: train_grads(emb, gold, arrays, 0.1, 5, grads),
+            "train_grads": lambda: batch_grads([(emb, gold, 5)], arrays, 0.1, grads)[0],
             "tag_grid": lambda: tag_grid(emb, arrays),
         }[driver]
         call()

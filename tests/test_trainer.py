@@ -351,8 +351,9 @@ class TestAdam:
         for group, index in (("pair_bias", 1), ("positional_table", (-1, -1))):
 
             def poisoned_batch_grads(*args):
-                yield from real_batch_grads(*args)
+                results = real_batch_grads(*args)
                 args[-1][group][index] = np.nan  # into train_step's gradient
+                return results
 
             monkeypatch.setattr(trainer, "batch_grads", poisoned_batch_grads)
             with pytest.raises(NumericError, match=group):
@@ -413,7 +414,7 @@ class TestStepMemory:
 
 class TestTraining:
     def test_padding_never_changes_loss(self, tiny_synth):
-        # the true-length loss train_grads reports equals the masked loss
+        # the true-length loss batch_grads reports equals the masked loss
         # over the grid of the same sentence padded with token 0
         corpus, relations = tiny_synth
         vocab = build_vocab(corpus)
