@@ -429,7 +429,8 @@ def main(argv: list[str] | None = None) -> int:
     if not isinstance(logging.getLevelName(level.upper()), int):  # an unknown name maps to "Level <name>"
         sys.stderr.write(f"error: RELGRID_LOG_LEVEL {level!r} is not a logging level name such as INFO\n")
         return EXIT_USAGE
-    logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger().setLevel(level.upper())  # basicConfig sets nothing once the root has a handler
     logger.info("BLAS threads: %s", " ".join(f"{v}={os.environ[v]}" for v in BLAS_THREAD_VARS if v in os.environ))
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv

@@ -12,7 +12,8 @@ rel_tag_emb[:, 4k], NONE scores 0, and a tag wins only as the strict maximum abo
 
 Concatenation order is (e_i, e_j), so scores are not symmetric in (i, j);
 asymmetric relations need that. Inverted dropout comes before the rectifier,
-only in training, so backward needs only its scalar scale. No [e_i; e_j] is
+only in training; its scale 1 / (1 - rate) is positive, so it passes the
+rectifier and sits on D, multiplied in once a batch. No [e_i; e_j] is
 built: with pair_proj = [W_h | W_t] the pre-activation is the broadcast sum
 of W_h e_i and W_t e_j + b, and backward sums the pair gradient over j
 (resp. i) before it meets W_h (resp. W_t). All is float64. The drivers read
@@ -26,19 +27,24 @@ dropout, rectifier), _tag_gradient (tag softmax, NLL, softmax - onehot(gold)),
 _hidden_gradient (to D, d_heads, d_tails) and _tags (argmax, ties to NONE).
 The two drivers take each block through them in one pass and keep no L x L
 grid: batch_grads from hidden layer to the loss and its gradients, tag_grid to
-int8 tags. In training one rows * L x hidden buffer per block carries draw ->
-pre-activation -> hidden -> its gradient. The blocks run on the calling thread
+int8 tags. In training one rows * L x hidden buffer per block carries
+pre-activation -> hidden -> its gradient, and the block's raw dropout draws,
+a quarter of its bytes, sit beside it. The blocks run on the calling thread
 plus one pool thread per further core (ufuncs and BLAS release the interpreter
 lock); the split depends on the grid's shape alone, and cross-block sums fold
-in block order, so no result depends on the thread count. Each block draws its
-dropout units from its offset in one rng.random((L * L, hidden)) stream, so
-hidden activations equal an unsplit computation bit for bit; scores may differ
-in the last bit (BLAS edge tiles), loss and gradients in summation order.
+in block order, so no result depends on the thread count. A sentence's dropout
+units, in (i, j, hidden) order, are one stream of 16-bit units, unit u bits
+16 (u mod 4) to 16 (u mod 4) + 15 of raw draw u // 4 of PCG64(rng_seed); a unit
+is dropped below round(rate * 2^16), so with probability within 2^-17 of rate.
+Each block reads its units from its offset in that stream, so hidden activations
+equal an unsplit computation bit for bit; scores may differ in the last bit (BLAS
+edge tiles), loss and gradients in summation order.
 """
 
 from __future__ import annotations
 
 import os
+import signal
 import threading
 
 import numpy as np
@@ -112,7 +118,14 @@ def _map_blocks(fn, length: int, width: int, fold=lambda result: None) -> None:
             deliver(b, fn(blocks[b]))
 
     pool = _executor()
-    strides = [pool.submit(run, w) for w in range(1, threads)]
+    # submit may start a pool thread; a handler that raised in Thread.start would leave the
+    # thread unregistered, and the interpreter's exit waiting on it. So SIGINT and SIGTERM wait
+    # until it is registered (the thread inherits the mask: the main thread handles them).
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT, signal.SIGTERM))
+    try:
+        strides = [pool.submit(run, w) for w in range(1, threads)]
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     try:
         run(0)
     finally:
@@ -130,24 +143,23 @@ def _projections(emb: np.ndarray, arrays: dict) -> tuple[np.ndarray, np.ndarray]
     return emb @ pair_proj[:, :d].T, emb @ pair_proj[:, d:].T + arrays["pair_bias"]
 
 
-def _hidden_block(heads, tails, rows, seed=None, rate=0.0, scale=1.0) -> np.ndarray:
-    """Post-rectifier activations of the pairs (i, j), i in rows, as a
-    (rows * L) x hidden array; dropout is drawn, into the same buffer, when seed is not None."""
+def _hidden_block(heads, tails, rows, seed=None, rate=0.0) -> np.ndarray:
+    """Post-rectifier activations of the pairs (i, j), i in rows, as a (rows * L) x hidden
+    array; with dropout drawn when seed is not None, unscaled: the scale sits on D."""
     shape = (rows.stop - rows.start, *tails.shape)
-    if seed is None:
-        pre = np.empty(shape)
-    else:
-        # these rows' part of one rng.random((L * L, hidden)) draw
-        bits = np.random.PCG64(seed).advance(rows.start * tails.size)
-        pre = np.random.Generator(bits).random(shape)
-        keep = pre >= rate
+    pre = np.empty(shape)
+    if seed is not None:
+        # these rows' units of the one stream: unit u is bits 16 (u mod 4) up of raw draw u // 4
+        skip, size = rows.start * tails.size % 4, pre.size
+        bits = np.random.PCG64(seed).advance(rows.start * tails.size // 4)
+        units = bits.random_raw(-(-(skip + size) // 4)).astype("<u8", copy=False).view("<u2")
+        keep = (units[skip : skip + size] >= round(rate * 65536)).reshape(shape)
     # heads copied in, then tails added in place: the broadcast add heads + tails
     # would allocate NumPy iteration buffers beside its result
     np.copyto(pre, heads[rows, None, :])
     pre += tails
     if seed is not None:
         pre *= keep
-        pre *= scale
     np.maximum(pre, 0.0, out=pre)
     return pre.reshape(-1, tails.shape[1])
 
@@ -177,17 +189,15 @@ def _tag_gradient(s: np.ndarray, gold: np.ndarray, count: int) -> float:
     return nll.sum()
 
 
-def _hidden_gradient(d_scores, hidden, rows, diffs, scale, d_heads, parts):
-    """Back from a block's (rows * L) x 3K score gradient through the tag
-    differences `diffs`, the rectifier and dropout, in hidden's buffer: fills
-    d_heads[rows] and the (d_diffs, d_tails) buffers of `parts`, and returns them."""
+def _hidden_gradient(d_scores, hidden, rows, diffs, d_heads, parts):
+    """Back from a block's (rows * L) x 3K score gradient through the tag differences
+    `diffs` (dropout's scale included), the rectifier and dropout, in hidden's buffer:
+    fills d_heads[rows] and the (d_diffs, d_tails) buffers of `parts`, and returns them."""
     d_diffs, d_tails = parts
     np.matmul(hidden.T, d_scores, out=d_diffs)
     active = hidden > 0.0  # rectifier active set, dropped units included
     d_hidden = np.matmul(d_scores, diffs.T, out=hidden)
     d_hidden *= active
-    if scale != 1.0:
-        d_hidden *= scale
     # pre(i, j) = W_h e_i + W_t e_j + b: reduce over the partner token first
     d_pre = d_hidden.reshape(rows.stop - rows.start, -1, hidden.shape[1])
     d_heads[rows] = d_pre.sum(axis=1)  # summed over tails j
@@ -230,13 +240,17 @@ def batch_grads(items, arrays: dict, dropout_rate: float, grads: dict) -> list[t
     cells against (L, K, L) int gold tags, with dropout drawn from rng_seed when the rate is
     above 0, and its L x emb_dim embedding gradient: a list of (loss, d_emb). Each block goes
     from hidden layer to gradients in one pass. Adds the losses' gradients to the three parameter
-    arrays into the same names of `grads`; D is built, and its gradient folded, once."""
+    arrays into the same names of `grads`; D is built, and its gradient folded, once.
+    Inverted dropout's scale 1 / (1 - rate) is multiplied into D, and into D's gradient, once."""
+    scale = 1.0 / (1.0 - dropout_rate)  # exactly 1.0 without dropout, which changes no bit
     diffs = _tag_differences(arrays["rel_tag_emb"])
+    diffs *= scale
     d_diffs = np.zeros_like(diffs)
     results = [
         _sentence_grads(emb, gold, arrays, diffs, d_diffs, dropout_rate, rng_seed, grads)
         for emb, gold, rng_seed in items
     ]
+    d_diffs *= scale
     grads["rel_tag_emb"] += (d_diffs.reshape(-1, NUM_TAGS - 1) @ _FOLD).reshape(d_diffs.shape[0], -1)
     return results
 
@@ -247,11 +261,11 @@ def _sentence_grads(emb, gold, arrays, diffs, d_diffs, dropout_rate, rng_seed, g
     pair_proj, length, num_rel = arrays["pair_proj"], emb.shape[0], diffs.shape[1] // (NUM_TAGS - 1)
     if gold.shape != (length, num_rel, length):
         raise ValueError(f"gold shape {gold.shape} != grid cells {(length, num_rel, length)}")
-    seed, scale = (rng_seed, 1.0 / (1.0 - dropout_rate)) if dropout_rate > 0.0 else (None, 1.0)
+    seed = rng_seed if dropout_rate > 0.0 else None
     d_heads = np.empty_like(heads)
 
     def block(rows: slice) -> tuple:
-        hidden = _hidden_block(heads, tails, rows, seed, dropout_rate, scale)
+        hidden = _hidden_block(heads, tails, rows, seed, dropout_rate)
         d_scores = hidden @ diffs  # (rows * L) x 3K: cells (i, j, k)
         cells = d_scores.reshape(len(hidden), num_rel, NUM_TAGS - 1)
         nll = _tag_gradient(cells, gold[rows].transpose(0, 2, 1), gold.size)
@@ -259,7 +273,7 @@ def _sentence_grads(emb, gold, arrays, diffs, d_diffs, dropout_rate, rng_seed, g
             parts = spares.pop()
         except IndexError:
             parts = np.empty_like(diffs), np.empty_like(tails)
-        return nll, *_hidden_gradient(d_scores, hidden, rows, diffs, scale, d_heads, parts)
+        return nll, *_hidden_gradient(d_scores, hidden, rows, diffs, d_heads, parts)
 
     # fold the blocks' NLL, d_diffs and d_tails (L x hidden, summed over heads i)
     # into running sums in block order, then go back through the projections;

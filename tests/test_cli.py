@@ -1546,6 +1546,21 @@ class TestUsage:
         monkeypatch.setenv("RELGRID_LOG_LEVEL", "error")
         assert run(capsys, "stats", "--data", str(synth_file))[0] == EXIT_OK
 
+    def test_log_level_is_taken_again_in_process(self, capsys, caplog, monkeypatch, synth_file):
+        # the root logger has handlers after the first call (pytest's, here), so
+        # logging.basicConfig alone would keep the first call's level
+        root = logging.getLogger()
+        level = root.level
+        try:
+            monkeypatch.setenv("RELGRID_LOG_LEVEL", "WARNING")
+            assert run(capsys, "stats", "--data", str(synth_file))[0] == EXIT_OK
+            monkeypatch.setenv("RELGRID_LOG_LEVEL", "INFO")
+            caplog.clear()
+            assert run(capsys, "stats", "--data", str(synth_file))[0] == EXIT_OK
+            assert [r for r in caplog.records if r.getMessage().startswith("command=stats resolved config: ")]
+        finally:
+            root.setLevel(level)
+
     def test_terminated_train_ends_in_one_line(self, tmp_path, long_corpus):
         checkpoint = tmp_path / "m.npz"
         code, stderr = self.signalled_train(long_corpus, checkpoint, signal.SIGTERM, 0.2)
@@ -1597,6 +1612,40 @@ class TestUsage:
             code, stderr = self.signalled(argv, signal.SIGINT, lambda: time.monotonic() - started > delay)
             assert (code, stderr) == (EXIT_INTERRUPT, "interrupted\n"), delay
             assert sorted(tmp_path.iterdir()) == sorted(paths.values()), delay  # no report, no temp file
+
+    # a child that sends itself SIGINT as soon as Thread.start has started a block
+    # pool thread, before the pool has registered it for the interpreter's exit
+    INTERRUPT_AS_THE_POOL_STARTS = """
+import os, signal, sys, threading
+from relgrid import scorer
+from relgrid.cli import main
+
+start = threading.Thread.start
+
+def start_then_interrupt(thread):
+    start(thread)
+    if thread.name.startswith("relgrid-block"):
+        os.kill(os.getpid(), signal.SIGINT)
+
+threading.Thread.start = start_then_interrupt
+scorer._THREADS = max(scorer._THREADS, 2)
+sys.exit(main(sys.argv[1:]))
+"""
+
+    def test_interrupt_as_the_block_pool_starts_ends_in_one_line(self, tmp_path):
+        # 40-token sentences: four blocks of head rows, so eval starts the pool
+        corpus, relations, _ = generate_corpus(SynthConfig(sentences=4, num_relations=3, min_len=40, max_len=40, seed=5))
+        data, checkpoint = tmp_path / "c.jsonl", tmp_path / "m.npz"
+        save_native(corpus, relations, data)
+        save_checkpoint(checkpoint, init_model(relations, build_vocab(corpus), TrainConfig(seed=1)))
+        argv = ["eval", "--data", str(data), "--checkpoint", str(checkpoint)]
+        with subprocess.Popen([sys.executable, "-c", self.INTERRUPT_AS_THE_POOL_STARTS, *argv], text=True,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=self.child_env()) as proc:
+            try:
+                _, stderr = proc.communicate(timeout=60)  # a thread left unregistered hangs the exit
+            finally:
+                proc.kill()  # nothing once it has exited
+        assert (proc.returncode, stderr) == (EXIT_INTERRUPT, "interrupted\n")
 
     def test_main_restores_the_sigterm_handler(self, capsys, synth_file):
         previous = signal.getsignal(signal.SIGTERM)

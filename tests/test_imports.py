@@ -3,12 +3,14 @@ only `corpus.write_file` writes a file in the package, only
 `corpus.build_sentence` makes a `Sentence` there, only `tagging.encode` and
 `scorer.tag_grid` allocate an int8 tag grid there, `rel_tag_emb` meets no
 matrix product in `scorer` but through the difference matrix D, `scorer`
-holds no generator, and `train` sets every field of `TrainConfig`."""
+holds no generator and draws only raw PCG64 output, and `train` sets every
+field of `TrainConfig`."""
 
 import ast
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from relgrid.trainer import TrainConfig
@@ -219,6 +221,36 @@ def test_scorer_holds_no_generator():
     """batch_grads and the other drivers return their results: no caller has a
     generator to run to its end before every gradient is added."""
     assert yields((ROOT / "src" / "relgrid" / "scorer.py").read_text(encoding="utf-8")) == []
+
+
+# the draw methods of a NumPy Generator, which legacy np.random shares, and a bit generator's raw draw
+DRAWS = {name for name in dir(np.random.Generator) if not name.startswith("_")} - {"bit_generator", "spawn"}
+DRAWS.add("random_raw")
+
+
+def draws(source: str) -> list[tuple[int, str]]:
+    """(line, method) of each call of a random draw method, on anything but the numpy module
+    itself (np.power is no draw)."""
+    return sorted(
+        (node.lineno, node.func.attr) for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in DRAWS and ast.unparse(node.func.value) not in ("np", "numpy")
+    )
+
+
+def test_finds_a_draw():
+    source = (
+        "rng.random(3)\nnp.random.PCG64(1).advance(2).random_raw(4)\nnp.power(a, b)\n"
+        "np.random.Generator(bits).random((2, 3))\nnp.random.normal(2)\nrandom.random()\n"
+    )
+    assert draws(source) == [(1, "random"), (2, "random_raw"), (4, "random"), (5, "normal"), (6, "random")]
+
+
+def test_scorer_draws_only_raw_units():
+    """Dropout reads 16-bit units of raw PCG64 output: no float64 .random( draw, nor any other."""
+    assert {name for _, name in draws((ROOT / "src" / "relgrid" / "scorer.py").read_text(encoding="utf-8"))} == {
+        "random_raw"
+    }
 
 
 def test_train_sets_every_train_config_field():

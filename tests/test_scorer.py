@@ -62,6 +62,16 @@ def scalar_loss(scores, gold_cells, length, num_rel):
     return total / (length * num_rel * length)
 
 
+def keep_mask(rng_seed, rate, shape):
+    """Dropout's keep mask over a sentence's whole grid of units, (i, j, hidden) in C
+    order, from its definition: unit u is bits 16 (u mod 4) to 16 (u mod 4) + 15 of
+    raw draw u // 4 of PCG64(rng_seed), and is kept when at least round(rate * 2^16)."""
+    size = int(np.prod(shape))
+    raw = np.random.PCG64(rng_seed).random_raw(-(-size // 4))
+    units = (raw[:, None] >> np.array([0, 16, 32, 48], dtype=np.uint64)) & np.uint64(0xFFFF)  # [u // 4, u mod 4]
+    return (units.ravel()[:size] >= round(rate * 65536)).reshape(shape)
+
+
 def concat_reference(emb, arrays, gold_arr, mask=None, rate=0.0, rng_seed=0):
     """Scores, loss and gradients with the pair layer applied to an explicit
     L x L x 2d tensor of [e_i; e_j] concatenations (the unfactorized form).
@@ -81,8 +91,7 @@ def concat_reference(emb, arrays, gold_arr, mask=None, rate=0.0, rng_seed=0):
     pre = pairs @ pair_proj.T + arrays["pair_bias"]
     drop = np.ones_like(pre)
     if rate > 0.0:
-        rng = np.random.default_rng(rng_seed)
-        drop = (rng.random(pre.shape) >= rate) / (1.0 - rate)
+        drop = keep_mask(rng_seed, rate, pre.shape) / (1.0 - rate)
     hidden = np.maximum(pre * drop, 0.0)
     flat_scores = hidden @ rel_tag_emb
     scores = flat_scores.reshape(length, length, num_rel, NUM_TAGS).transpose(0, 2, 3, 1)
@@ -131,8 +140,7 @@ def float_mask_reference(emb, arrays, gold_arr, rate, rng_seed):
     heads = emb @ pair_proj[:, :d].T
     tails = emb @ pair_proj[:, d:].T + arrays["pair_bias"]
     pre = (heads[:, None, :] + tails[None, :, :]).reshape(length * length, -1)
-    rng = np.random.default_rng(rng_seed)
-    drop_mask = (rng.random(pre.shape) >= rate) / (1.0 - rate)
+    drop_mask = keep_mask(rng_seed, rate, pre.shape) / (1.0 - rate)
     pre *= drop_mask
     hidden = np.maximum(pre, 0.0, out=pre)
     scores = (
@@ -330,10 +338,11 @@ class TestScoreAll:
             assert np.array_equal(g1[name], g2[name]), name
         assert scorer_grads(emb, gold, arrays, 0.5, 43)["loss"] != g1["loss"]
         # inverted dropout: every unit is dropped (0) or kept and scaled by
-        # exactly 1 / (1 - 0.5) = 2, so inference needs no rescaling
+        # exactly 1 / (1 - 0.5) = 2, so inference needs no rescaling; the
+        # kernel leaves the scale to D
         heads, tails = scorer._projections(emb, arrays)
         plain = scorer._hidden_block(heads, tails, slice(0, 3))
-        trained = scorer._hidden_block(heads, tails, slice(0, 3), 42, 0.5, 2.0)
+        trained = scorer._hidden_block(heads, tails, slice(0, 3), 42, 0.5) * 2.0
         dropped = trained == 0.0
         assert np.all(dropped | (trained == 2.0 * plain))
         assert np.any(dropped & (plain > 0.0))
@@ -428,9 +437,9 @@ class TestFactorizedPairLayer:
 
 
 class TestScalarDropoutScale:
-    """The scalar dropout scale gives the float-mask formulation's hidden
-    layer bit for bit, and its loss and all four gradients up to float
-    summation order."""
+    """Dropout's scale carried on D gives the float-mask formulation's hidden
+    layer, once scaled, bit for bit, and its loss and all four gradients up to
+    float summation order."""
 
     RTOL, ATOL = 1e-12, 1e-14
 
@@ -440,7 +449,7 @@ class TestScalarDropoutScale:
         grads = scorer_grads(emb, gold, arrays, dropout, seed)
         _, ref_hidden, ref_loss, ref_grads = float_mask_reference(emb, arrays, gold, dropout, seed)
         heads, tails = scorer._projections(emb, arrays)
-        hidden = scorer._hidden_block(heads, tails, slice(0, 12), seed, dropout, 1 / (1 - dropout))
+        hidden = scorer._hidden_block(heads, tails, slice(0, 12), seed, dropout) * (1 / (1 - dropout))
         assert np.array_equal(hidden, ref_hidden.reshape(hidden.shape))
         assert grads["loss"] == pytest.approx(ref_loss, rel=self.RTOL, abs=self.ATOL)
         for name, ref in ref_grads.items():
@@ -453,12 +462,10 @@ class TestScalarDropoutScale:
 # Byte-for-byte references for the kernels that now write into buffers they
 # already hold: the same operations on the same values in the same order.
 
-def allocating_hidden_block(heads, tails, rows, seed=None, rate=0.0, scale=1.0):
+def allocating_hidden_block(heads, tails, rows, seed=None, rate=0.0):
     pre = heads[rows, None, :] + tails
     if seed is not None:
-        bits = np.random.PCG64(seed).advance(rows.start * tails.size)
-        pre *= np.random.Generator(bits).random(pre.shape) >= rate
-        pre *= scale
+        pre *= keep_mask(seed, rate, (len(heads), *tails.shape))[rows]
     np.maximum(pre, 0.0, out=pre)
     return pre.reshape(-1, tails.shape[1])
 
@@ -488,11 +495,10 @@ def allocating_tag_gradient(s, gold, count):
     return nll.sum()
 
 
-def allocating_hidden_gradient(d_scores, hidden, rows, diffs, scale, d_heads):
+def allocating_hidden_gradient(d_scores, hidden, rows, diffs, d_heads):
     d_diffs = hidden.T @ d_scores
     d_hidden = d_scores @ diffs.T
     d_hidden *= hidden > 0.0
-    d_hidden *= scale
     d_pre = d_hidden.reshape(rows.stop - rows.start, -1, hidden.shape[1])
     d_heads[rows] = d_pre.sum(axis=1)
     return d_diffs, d_pre.sum(axis=0)
@@ -527,13 +533,13 @@ class TestInPlaceKernels:
         heads, tails = scorer._projections(emb, arrays)
         diffs = scorer._tag_differences(arrays["rel_tag_emb"])
         assert same_bytes(diffs, allocating_tag_differences(arrays["rel_tag_emb"]))
-        seed, scale = (17, 1.0 / (1.0 - dropout)) if dropout else (None, 1.0)
+        seed = 17 if dropout else None
         d_heads, ref_d_heads = np.zeros_like(heads), np.zeros_like(heads)
         parts = np.full_like(diffs, np.nan), np.full_like(tails, np.nan)  # reused by every block
         for start in range(0, length, scorer._BLOCK_ROWS):
             rows = slice(start, min(start + scorer._BLOCK_ROWS, length))
-            hidden = scorer._hidden_block(heads, tails, rows, seed, dropout, scale)
-            ref_hidden = allocating_hidden_block(heads, tails, rows, seed, dropout, scale)
+            hidden = scorer._hidden_block(heads, tails, rows, seed, dropout)
+            ref_hidden = allocating_hidden_block(heads, tails, rows, seed, dropout)
             assert same_bytes(hidden, ref_hidden)
             assert (hidden == 0.0).any() and (hidden > 0.0).any()
 
@@ -545,8 +551,8 @@ class TestInPlaceKernels:
             assert same_bytes(d_scores, ref_d_scores)
             assert same_bytes(np.float64(nll), np.float64(ref_nll))
 
-            ref = allocating_hidden_gradient(ref_d_scores, ref_hidden, rows, diffs, scale, ref_d_heads)
-            got = scorer._hidden_gradient(d_scores, hidden, rows, diffs, scale, d_heads, parts)
+            ref = allocating_hidden_gradient(ref_d_scores, ref_hidden, rows, diffs, ref_d_heads)
+            got = scorer._hidden_gradient(d_scores, hidden, rows, diffs, d_heads, parts)
             for part, ref_part in zip(got, ref):
                 assert same_bytes(part, ref_part)
             assert same_bytes(d_heads, ref_d_heads)
@@ -619,7 +625,7 @@ class TestHeadRowBlocks:
         heads, tails = scorer._projections(emb, arrays)
         blocks = []
         scorer._map_blocks(
-            lambda rows: scorer._hidden_block(heads, tails, rows, 63, 0.3, 1.0 / (1.0 - 0.3)),
+            lambda rows: scorer._hidden_block(heads, tails, rows, 63, 0.3) * (1.0 / (1.0 - 0.3)),
             self.LENGTH,
             self.WIDTH,
             fold=blocks.append,
@@ -698,6 +704,60 @@ class TestHeadRowBlocks:
         with pytest.raises(RuntimeError) as info:
             scorer._map_blocks(fn, 37, self.WIDTH)
         assert info.value is error
+
+
+class TestDropoutStream:
+    """A sentence's dropout units are one stream of 16-bit units, four to a raw
+    PCG64 draw, each dropped below round(rate * 2^16), and every block reads its
+    rows' units from that stream. Pre-activations held at 1 make the hidden
+    layer the keep mask itself."""
+
+    @staticmethod
+    def kept(length, hidden, rows, seed, rate):
+        heads, tails = np.ones((length, hidden)), np.zeros((length, hidden))
+        block = scorer._hidden_block(heads, tails, rows, seed, rate)
+        assert set(np.unique(block)) <= {0.0, 1.0}
+        return block.reshape(rows.stop - rows.start, length, hidden) > 0.0
+
+    @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5])
+    def test_kept_share_follows_the_rounded_rate(self, rate):
+        keep = self.kept(100, 100, slice(0, 100), 5, rate)  # 10^6 units
+        assert abs(keep.mean() - (1 - round(rate * 2**16) / 2**16)) < 0.002
+
+    def test_half_rate_keeps_the_units_with_their_top_bit_set(self):
+        keep = self.kept(40, 25, slice(0, 40), 9, 0.5)
+        raw = np.random.PCG64(9).random_raw(40 * 40 * 25 // 4)
+        top_bits = (raw[:, None] >> np.array([15, 31, 47, 63], dtype=np.uint64)) & np.uint64(1)
+        assert np.array_equal(keep.ravel(), top_bits.ravel() == 1)  # unit >= 32768
+
+    def test_blocks_at_any_unit_offset_read_their_slice_of_the_stream(self, monkeypatch):
+        # emb_dim 3 makes 9 hidden units a pair, 333 a row of L=37: blocks start
+        # at unit offsets of every residue mod 4
+        length, hidden, width = 37, 9, 9 + (NUM_TAGS - 1) * 5
+        monkeypatch.setattr(scorer, "_BLOCK_BYTES", 5 * length * width * 8)
+        spans = block_spans(length, width)
+        assert {a * length * hidden % 4 for a, _ in spans} == {0, 1, 2, 3}
+        stream = keep_mask(11, 0.3, (length, length, hidden))
+        for a, b in spans:
+            assert np.array_equal(self.kept(length, hidden, slice(a, b), 11, 0.3), stream[a:b]), (a, b)
+
+    def test_batch_grads_are_byte_identical_on_one_to_three_threads(self, monkeypatch, block_threads):
+        monkeypatch.setattr(scorer, "_BLOCK_BYTES", 4096)  # one-row blocks, at unit offsets of every residue mod 4
+        sentences = [random_instance(seed, length, 5, emb_dim=3) for seed, length in ((3, 37), (4, 23))]
+        arrays = sentences[0][1]
+        assert len(block_spans(23, 9 + (NUM_TAGS - 1) * 5)) == 23
+        runs = []
+        for threads in (1, 2, 3):
+            block_threads(threads)
+            grads = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+            items = [(emb, gold, 21 + i) for i, (emb, _, gold) in enumerate(sentences)]
+            runs.append((batch_grads(items, arrays, 0.1, grads), grads))
+        (ref_results, ref_grads), *others = runs
+        for results, grads in others:
+            for (loss, d_emb), (ref_loss, ref_d_emb) in zip(results, ref_results, strict=True):
+                assert same_bytes(np.float64(loss), np.float64(ref_loss)) and same_bytes(d_emb, ref_d_emb)
+            for name in ref_grads:
+                assert same_bytes(grads[name], ref_grads[name]), name
 
 
 def tag_differences(scores):
@@ -897,8 +957,9 @@ class TestFusedDrivers:
                 assert np.array_equal(grads[name], one_grads[name]), name
 
     def test_train_grads_peak_below_three_hidden_blocks(self, block_threads):
-        # one block's draw, hidden layer and hidden gradient share a buffer; at
-        # L=100, K=24 the 2 MiB budget makes the tallest block 9 rows high
+        # one block's hidden layer and hidden gradient share a buffer, its raw dropout
+        # draws a quarter of that beside it; at L=100, K=24 the 2 MiB budget makes
+        # the tallest block 9 rows high
         block_threads(1)
         length = 100
         emb, arrays, gold = self.instance(71, length, 24, emb_dim=64)
@@ -910,7 +971,7 @@ class TestFusedDrivers:
         batch_grads([(emb, gold, 5)], arrays, 0.1, grads)[0]
         peak = traced_peak(lambda: batch_grads([(emb, gold, 5)], arrays, 0.1, grads)[0])
         block = tallest * length * hidden_dim * 8  # 1.38 MB
-        assert peak < 3 * block  # 3.89 MB < 4.15 MB
+        assert peak < 3 * block  # 3.91 MB < 4.15 MB
 
     def test_train_grads_folds_block_parts_as_they_finish(self, block_threads):
         # At K=171 the budget cuts L=96 into 32 blocks of 3 rows, each with
